@@ -13,11 +13,11 @@
 //! keeps the determinism contract intact:
 //!
 //! * each running job is summarized by its **steady-state byte rate per
-//!   named link** ([`JobTraffic`], derived from one memoized isolated
+//!   link** ([`JobTraffic`], derived from one memoized isolated
 //!   step via [`job_traffic`]) and the fraction of a rank-second it
 //!   spends communicating;
-//! * at every scheduler event the per-link rates of all running jobs
-//!   are summed ([`epoch`]); a link used by **two or more** jobs delays
+//! * whenever the running set changes the per-link rates of all running
+//!   jobs are summed ([`epoch`]); a link used by **two or more** jobs delays
 //!   each of them by the serialization time of the *other* jobs' bytes
 //!   — `foreign_rate × eff_gap` extra seconds per second, where
 //!   `eff_gap` is the oversubscription-adjusted seconds-per-byte of the
@@ -31,24 +31,77 @@
 //! Everything here is a pure function of per-job traffic summaries that
 //! are themselves bit-identical across `MB_PARALLEL` widths, so the
 //! scheduler's fingerprints stay executor-invariant (DESIGN.md §14).
-
-use std::collections::BTreeMap;
+//!
+//! **Links are integers here.** A [`JobTraffic`] keys its rates by the
+//! dense [`LinkId`]s of one [`LinkIds`] space, [`epoch`] sums them into
+//! a flat per-id table, and the `Link` variant — not a name prefix —
+//! decides a link's effective gap and edge group. Nothing on this path
+//! builds, hashes or compares a link name; [`LinkIds::name`] produces
+//! one when a report is written. Because `f64` addition does not
+//! associate, the *order* of every sum is part of the contract: a
+//! link's aggregate is accumulated job by job in the caller's order,
+//! and within one job links are visited by ascending id.
+//!
+//! ```
+//! use mb_cluster::contention;
+//! use mb_cluster::{CommStats, PeerTraffic, Topology};
+//!
+//! // One rank sends 1 MB per one-second step to the other and spends
+//! // half the step communicating.
+//! let step = |bytes: u64| {
+//!     let mut s0 = CommStats {
+//!         peers: vec![PeerTraffic::default(); 2],
+//!         send_busy_s: 0.5,
+//!         ..CommStats::default()
+//!     };
+//!     s0.peers[1].bytes_to = bytes;
+//!     let s1 = CommStats {
+//!         peers: vec![PeerTraffic::default(); 2],
+//!         ..CommStats::default()
+//!     };
+//!     vec![s0, s1]
+//! };
+//! let ft = Topology::fat_tree(4, 2, 4.0);
+//! // Two jobs whose flows both leave edge switch 0 for edge switch 1.
+//! let a = contention::job_traffic(&ft, &step(1_000_000), &[0, 4], 1.0, 0, 1);
+//! let b = contention::job_traffic(&ft, &step(1_000_000), &[1, 5], 1.0, 1, 1);
+//! let ep = contention::epoch(&ft, 8e-8, &[&a, &b]);
+//! let shared: Vec<String> = ep.shared.iter().map(|&id| a.link_ids().name(id)).collect();
+//! assert_eq!(shared, ["up:l1.s0", "down:l1.s1"]);
+//! assert!(ep.factors[0] > 1.0 && ep.factors[0] == ep.factors[1]);
+//! // A job alone on its links is charged exactly nothing.
+//! assert_eq!(contention::epoch(&ft, 8e-8, &[&a]).factors, [1.0]);
+//! ```
 
 use crate::comm::CommStats;
-use crate::topology::Topology;
+use crate::topology::{Link, LinkId, LinkIds, Topology};
 
 /// One running job's steady-state traffic summary: bytes per virtual
-/// second on each named link (contention identity, including any ECMP
-/// way suffix) plus the fraction of a rank-second spent in
+/// second on each link it uses (contention identity, including the
+/// ECMP way) plus the fraction of a rank-second spent in
 /// communication. Derived once per dispatch from the job's memoized
 /// isolated step.
 #[derive(Debug, Clone, Default)]
 pub struct JobTraffic {
-    /// Payload bytes per second per link name, from one isolated step.
-    pub rates: BTreeMap<String, f64>,
+    /// Ascending by id, one entry per link.
+    rates: Vec<(LinkId, f64)>,
+    ids: LinkIds,
     /// Mean fraction of a rank's time spent sending/receiving/waiting
     /// in that step, clamped to `[0, 1]`.
     pub comm_frac: f64,
+}
+
+impl JobTraffic {
+    /// Payload bytes per second per link, from one isolated step:
+    /// ascending by [`LinkId`], one entry per link.
+    pub fn rates(&self) -> &[(LinkId, f64)] {
+        &self.rates
+    }
+
+    /// The identity space the rate keys belong to.
+    pub fn link_ids(&self) -> &LinkIds {
+        &self.ids
+    }
 }
 
 /// Summarize one isolated step of a job as per-link byte rates.
@@ -67,65 +120,120 @@ pub fn job_traffic(
 ) -> JobTraffic {
     assert_eq!(stats.len(), node_ids.len(), "one node per rank");
     assert!(step_s > 0.0, "step must take time");
-    let mut bytes: BTreeMap<String, u64> = BTreeMap::new();
+    let ids = LinkIds::new(topo, ways);
+    let mut bytes: Vec<(LinkId, u64)> = Vec::new();
     for (src, s) in stats.iter().enumerate() {
         for (dst, peer) in s.peers.iter().enumerate() {
             if peer.bytes_to == 0 {
                 continue;
             }
-            for link in topo.contention_links(node_ids[src], node_ids[dst], salt, ways) {
-                *bytes.entry(link).or_default() += peer.bytes_to;
-            }
+            ids.for_each(node_ids[src], node_ids[dst], salt, |id| {
+                bytes.push((id, peer.bytes_to))
+            });
         }
     }
+    // Byte counts are integers, so a link's total does not depend on
+    // the order its flows are folded in.
+    bytes.sort_unstable_by_key(|&(id, _)| id);
     let rates = bytes
-        .into_iter()
-        .map(|(l, b)| (l, b as f64 / step_s))
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|flows| {
+            let total: u64 = flows.iter().map(|&(_, b)| b).sum();
+            (flows[0].0, total as f64 / step_s)
+        })
         .collect();
     let busy: f64 = stats
         .iter()
         .map(|s| s.send_busy_s + s.recv_busy_s + s.wait_s)
         .sum();
     let comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
-    JobTraffic { rates, comm_frac }
+    JobTraffic {
+        rates,
+        ids,
+        comm_frac,
+    }
 }
 
-/// Effective serialization seconds-per-byte of a named link: fat-tree
-/// fabric links (`up:` / `down:`) run at `oversubscription ×` the edge
-/// gap (the same effective-bandwidth convention [`Topology::path`]
-/// charges inside one job); host links and torus cables at the edge
-/// gap.
-pub fn link_eff_gap(topo: &Topology, gap_s_per_byte: f64, link: &str) -> f64 {
+/// Effective serialization seconds-per-byte of a link: fat-tree fabric
+/// links ([`Link::Up`] / [`Link::Down`]) run at `oversubscription ×`
+/// the edge gap (the same effective-bandwidth convention
+/// [`Topology::path`] charges inside one job); host links and torus
+/// cables at the edge gap.
+pub fn link_eff_gap(topo: &Topology, gap_s_per_byte: f64, link: Link) -> f64 {
     match *topo {
         Topology::FatTree {
             uplink_oversubscription: o,
             ..
-        } if link.starts_with("up:") || link.starts_with("down:") => gap_s_per_byte * o,
+        } if link.is_fabric() => gap_s_per_byte * o,
         _ => gap_s_per_byte,
     }
 }
 
-/// One scheduler epoch's aggregate contention state.
+/// One scheduler epoch's aggregate contention state. Link ids belong
+/// to the jobs' shared [`JobTraffic::link_ids`] space.
 #[derive(Debug, Clone, Default)]
 pub struct ContentionEpoch {
     /// Per-job mean-field slowdown factor (≥ 1.0), in input order.
     /// Exactly `1.0` for a job none of whose links is shared.
     pub factors: Vec<f64>,
-    /// Links carrying two or more jobs this epoch, ascending by name.
-    pub shared: Vec<String>,
-    /// Aggregate bytes-in-flight per second per link across all jobs.
-    pub agg_rates: BTreeMap<String, f64>,
+    /// Links carrying two or more jobs this epoch, ascending by id.
+    pub shared: Vec<LinkId>,
+    /// Aggregate bytes-in-flight per second across all jobs, for every
+    /// link any job uses, ascending by id.
+    pub agg_rates: Vec<(LinkId, f64)>,
+}
+
+/// Per-link accumulators [`epoch_with`] reuses from call to call: a
+/// flat `(aggregate rate, users)` table indexed by [`LinkId`], left
+/// all-zero between calls, and the ids the current call touched.
+#[derive(Debug, Default)]
+pub struct EpochScratch {
+    agg: Vec<(f64, u32)>,
+    touched: Vec<LinkId>,
 }
 
 /// Compute the epoch's aggregate link loads and each job's mean-field
-/// slowdown factor. Pure function of the per-job summaries: sums run
-/// in `BTreeMap` key order over a deterministically ordered job list,
-/// so the factors are bit-identical on every host and executor width.
+/// slowdown factor. Pure function of the per-job summaries: each
+/// link's rates are summed in the order of `jobs`, and a job's delay
+/// is the maximum over its own links, so the factors are bit-identical
+/// on every host and executor width. All jobs must share one
+/// [`LinkIds`] space.
 pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> ContentionEpoch {
-    let mut agg: BTreeMap<String, (f64, u32)> = BTreeMap::new();
+    epoch_with(&mut EpochScratch::default(), topo, gap_s_per_byte, jobs)
+}
+
+/// [`epoch`] over caller-kept scratch, so a loop that calls it at
+/// every event allocates the per-link table once.
+pub fn epoch_with(
+    scratch: &mut EpochScratch,
+    topo: &Topology,
+    gap_s_per_byte: f64,
+    jobs: &[&JobTraffic],
+) -> ContentionEpoch {
+    let Some(ids) = jobs.first().map(|t| t.ids) else {
+        return ContentionEpoch::default();
+    };
+    assert!(
+        jobs.iter().all(|t| t.ids == ids),
+        "jobs of one epoch must share a link-id space"
+    );
+    let EpochScratch { agg, touched } = scratch;
+    // Rates are ascending by id, so each job's last entry bounds it.
+    let len = jobs
+        .iter()
+        .filter_map(|t| t.rates.last())
+        .map(|&(id, _)| id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    if agg.len() < len {
+        agg.resize(len, (0.0, 0));
+    }
     for t in jobs {
-        for (l, r) in &t.rates {
-            let e = agg.entry(l.clone()).or_insert((0.0, 0));
+        for &(id, r) in &t.rates {
+            let e = &mut agg[id as usize];
+            if e.1 == 0 {
+                touched.push(id);
+            }
             e.0 += r;
             e.1 += 1;
         }
@@ -134,12 +242,12 @@ pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> Cont
         .iter()
         .map(|t| {
             let mut worst = 0.0f64;
-            for (l, own) in &t.rates {
-                let &(total, users) = agg.get(l).expect("own link aggregated");
+            for &(id, own) in &t.rates {
+                let (total, users) = agg[id as usize];
                 if users < 2 {
                     continue;
                 }
-                let delay = (total - own) * link_eff_gap(topo, gap_s_per_byte, l);
+                let delay = (total - own) * link_eff_gap(topo, gap_s_per_byte, ids.link(id).0);
                 if delay > worst {
                     worst = delay;
                 }
@@ -154,12 +262,16 @@ pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> Cont
             }
         })
         .collect();
-    let shared = agg
+    touched.sort_unstable();
+    let shared = touched
         .iter()
-        .filter(|(_, &(_, users))| users >= 2)
-        .map(|(l, _)| l.clone())
+        .copied()
+        .filter(|&id| agg[id as usize].1 >= 2)
         .collect();
-    let agg_rates = agg.into_iter().map(|(l, (r, _))| (l, r)).collect();
+    let agg_rates = touched.iter().map(|&id| (id, agg[id as usize].0)).collect();
+    for id in touched.drain(..) {
+        agg[id as usize] = (0.0, 0);
+    }
     ContentionEpoch {
         factors,
         shared,
@@ -167,20 +279,18 @@ pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> Cont
     }
 }
 
-/// Aggregate byte rate per fat-tree *edge group* uplink (level-1 `up:`
-/// links, any ECMP way), indexed by edge-switch id — the signal
-/// contention-aware placement scores candidate allocations against.
+/// Aggregate byte rate per fat-tree *edge group* uplink (tier-1
+/// [`Link::Up`] links, any ECMP way), indexed by edge-switch id — the
+/// signal contention-aware placement scores candidate allocations
+/// against. Summed in the order of `jobs`, ascending link id within a
+/// job.
 pub fn edge_uplink_loads(jobs: &[&JobTraffic], ngroups: usize) -> Vec<f64> {
     let mut loads = vec![0.0; ngroups];
     for t in jobs {
-        for (l, r) in &t.rates {
-            let Some(rest) = l.strip_prefix("up:l1.s") else {
-                continue;
-            };
-            let digits: &str = rest.split_once('.').map_or(rest, |(head, _)| head);
-            if let Ok(g) = digits.parse::<usize>() {
-                if g < ngroups {
-                    loads[g] += r;
+        for &(id, r) in &t.rates {
+            if let (Link::Up { level: 1, sw }, _) = t.ids.link(id) {
+                if sw < ngroups {
+                    loads[sw] += r;
                 }
             }
         }
@@ -188,10 +298,164 @@ pub fn edge_uplink_loads(jobs: &[&JobTraffic], ngroups: usize) -> Vec<f64> {
     loads
 }
 
+/// The string-keyed implementation this module replaced, kept as the
+/// oracle the integer-id code is differentially tested against: link
+/// names as `BTreeMap` keys, prefixes parsed back out of them.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    use crate::comm::CommStats;
+    use crate::topology::{Link, Topology};
+
+    #[derive(Debug, Clone, Default)]
+    pub struct JobTraffic {
+        pub rates: BTreeMap<String, f64>,
+        pub comm_frac: f64,
+    }
+
+    pub fn contention_links(
+        topo: &Topology,
+        src: usize,
+        dst: usize,
+        salt: u64,
+        ways: usize,
+    ) -> Vec<String> {
+        let way = if ways > 1 {
+            let mut h = mb_telemetry::Fnv::new();
+            h.write_u64(src as u64);
+            h.write_u64(dst as u64);
+            h.write_u64(salt);
+            (h.finish() % ways as u64) as usize
+        } else {
+            0
+        };
+        topo.route(src, dst)
+            .into_iter()
+            .map(|l| match l {
+                Link::Up { .. } | Link::Down { .. } if ways > 1 => format!("{l}.w{way}"),
+                l => l.to_string(),
+            })
+            .collect()
+    }
+
+    pub fn job_traffic(
+        topo: &Topology,
+        stats: &[CommStats],
+        node_ids: &[usize],
+        step_s: f64,
+        salt: u64,
+        ways: usize,
+    ) -> JobTraffic {
+        let mut bytes: BTreeMap<String, u64> = BTreeMap::new();
+        for (src, s) in stats.iter().enumerate() {
+            for (dst, peer) in s.peers.iter().enumerate() {
+                if peer.bytes_to == 0 {
+                    continue;
+                }
+                for link in contention_links(topo, node_ids[src], node_ids[dst], salt, ways) {
+                    *bytes.entry(link).or_default() += peer.bytes_to;
+                }
+            }
+        }
+        let rates = bytes
+            .into_iter()
+            .map(|(l, b)| (l, b as f64 / step_s))
+            .collect();
+        let busy: f64 = stats
+            .iter()
+            .map(|s| s.send_busy_s + s.recv_busy_s + s.wait_s)
+            .sum();
+        let comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
+        JobTraffic { rates, comm_frac }
+    }
+
+    pub fn link_eff_gap(topo: &Topology, gap_s_per_byte: f64, link: &str) -> f64 {
+        match *topo {
+            Topology::FatTree {
+                uplink_oversubscription: o,
+                ..
+            } if link.starts_with("up:") || link.starts_with("down:") => gap_s_per_byte * o,
+            _ => gap_s_per_byte,
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub struct ContentionEpoch {
+        pub factors: Vec<f64>,
+        pub shared: Vec<String>,
+        pub agg_rates: BTreeMap<String, f64>,
+    }
+
+    pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> ContentionEpoch {
+        let mut agg: BTreeMap<String, (f64, u32)> = BTreeMap::new();
+        for t in jobs {
+            for (l, r) in &t.rates {
+                let e = agg.entry(l.clone()).or_insert((0.0, 0));
+                e.0 += r;
+                e.1 += 1;
+            }
+        }
+        let factors = jobs
+            .iter()
+            .map(|t| {
+                let mut worst = 0.0f64;
+                for (l, own) in &t.rates {
+                    let &(total, users) = agg.get(l).expect("own link aggregated");
+                    if users < 2 {
+                        continue;
+                    }
+                    let delay = (total - own) * link_eff_gap(topo, gap_s_per_byte, l);
+                    if delay > worst {
+                        worst = delay;
+                    }
+                }
+                if worst == 0.0 {
+                    1.0
+                } else {
+                    1.0 + t.comm_frac * worst
+                }
+            })
+            .collect();
+        let shared = agg
+            .iter()
+            .filter(|(_, &(_, users))| users >= 2)
+            .map(|(l, _)| l.clone())
+            .collect();
+        let agg_rates = agg.into_iter().map(|(l, (r, _))| (l, r)).collect();
+        ContentionEpoch {
+            factors,
+            shared,
+            agg_rates,
+        }
+    }
+
+    pub fn edge_uplink_loads(jobs: &[&JobTraffic], ngroups: usize) -> Vec<f64> {
+        let mut loads = vec![0.0; ngroups];
+        for t in jobs {
+            for (l, r) in &t.rates {
+                let Some(rest) = l.strip_prefix("up:l1.s") else {
+                    continue;
+                };
+                let digits: &str = rest.split_once('.').map_or(rest, |(head, _)| head);
+                if let Ok(g) = digits.parse::<usize>() {
+                    if g < ngroups {
+                        loads[g] += r;
+                    }
+                }
+            }
+        }
+        loads
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use crate::comm::PeerTraffic;
+    use crate::topology::seeded_rng as rng;
 
     fn stats_pair(bytes: u64) -> Vec<CommStats> {
         // Rank 0 sends `bytes` to rank 1 and spends half the step busy.
@@ -212,20 +476,26 @@ mod tests {
         vec![s0, s1]
     }
 
+    /// A job's rates keyed by report name.
+    fn named_rates(t: &JobTraffic) -> BTreeMap<String, f64> {
+        t.rates.iter().map(|&(id, r)| (t.ids.name(id), r)).collect()
+    }
+
     #[test]
     fn job_traffic_folds_bytes_over_contention_links() {
         let ft = Topology::fat_tree(4, 2, 4.0);
         // Ranks on nodes 0 and 4: a cross-switch route.
         let t = job_traffic(&ft, &stats_pair(1000), &[0, 4], 2.0, 7, 1);
-        assert_eq!(t.rates["host-up:0"], 500.0);
-        assert_eq!(t.rates["up:l1.s0"], 500.0);
-        assert_eq!(t.rates["down:l1.s1"], 500.0);
-        assert_eq!(t.rates["host-down:4"], 500.0);
+        let rates = named_rates(&t);
+        assert_eq!(rates["host-up:0"], 500.0);
+        assert_eq!(rates["up:l1.s0"], 500.0);
+        assert_eq!(rates["down:l1.s1"], 500.0);
+        assert_eq!(rates["host-down:4"], 500.0);
         // comm_frac: 0.5 busy seconds over 2 ranks × 2 s.
         assert!((t.comm_frac - 0.125).abs() < 1e-12);
         // Same-switch placement uses no fabric links.
         let local = job_traffic(&ft, &stats_pair(1000), &[0, 1], 2.0, 7, 1);
-        assert!(local.rates.keys().all(|l| l.starts_with("host-")));
+        assert!(named_rates(&local).keys().all(|l| l.starts_with("host-")));
     }
 
     #[test]
@@ -240,6 +510,8 @@ mod tests {
         let b = job_traffic(&ft, &stats_pair(1000), &[8, 12], 1.0, 1, 1);
         let ep = epoch(&ft, 8e-8, &[&a, &b]);
         assert_eq!(ep.factors, vec![1.0, 1.0]);
+        // No jobs, no state.
+        assert!(epoch(&ft, 8e-8, &[]).factors.is_empty());
     }
 
     #[test]
@@ -250,7 +522,8 @@ mod tests {
         let a = job_traffic(&ft, &stats_pair(1_000_000), &[0, 4], 1.0, 0, 1);
         let b = job_traffic(&ft, &stats_pair(1_000_000), &[1, 5], 1.0, 1, 1);
         let ep = epoch(&ft, gap, &[&a, &b]);
-        assert!(ep.shared.contains(&"up:l1.s0".to_string()), "{ep:?}");
+        let uplink = a.ids.id(Link::Up { level: 1, sw: 0 }, 0);
+        assert!(ep.shared.contains(&uplink), "{ep:?}");
         // Foreign load 1 MB/s at 4×-oversubscribed gap = 0.32 extra
         // seconds per second, scaled by each job's comm fraction.
         let expect = 1.0 + a.comm_frac * (1_000_000.0 * gap * 4.0);
@@ -258,7 +531,8 @@ mod tests {
         assert_eq!(ep.factors[0], ep.factors[1]);
         assert!(ep.factors[0] > 1.0);
         // Aggregate rate on the shared uplink is the sum of both flows.
-        assert!((ep.agg_rates["up:l1.s0"] - 2_000_000.0).abs() < 1e-6);
+        let (_, rate) = ep.agg_rates.iter().find(|&&(id, _)| id == uplink).unwrap();
+        assert!((rate - 2_000_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -272,12 +546,12 @@ mod tests {
             .collect();
         let refs: Vec<&JobTraffic> = jobs.iter().collect();
         let ep = epoch(&ft, 8e-8, &refs);
-        let uplink_names: std::collections::BTreeSet<&String> = jobs
+        let uplinks: BTreeSet<LinkId> = jobs
             .iter()
-            .flat_map(|t| t.rates.keys())
-            .filter(|l| l.starts_with("up:"))
+            .flat_map(|t| t.rates.iter().map(|&(id, _)| id))
+            .filter(|&id| matches!(jobs[0].ids.link(id).0, Link::Up { .. }))
             .collect();
-        assert!(uplink_names.len() > 1, "{uplink_names:?}");
+        assert!(uplinks.len() > 1, "{uplinks:?}");
         // Spreading must never slow things down versus one shared pipe.
         let unspread: Vec<JobTraffic> = (0..8)
             .map(|salt| job_traffic(&ft, &stats_pair(1000), &[0, 16], 1.0, salt, 1))
@@ -290,15 +564,156 @@ mod tests {
     }
 
     #[test]
-    fn edge_uplink_loads_index_by_group_and_accept_way_suffixes() {
-        let mut a = JobTraffic::default();
-        a.rates.insert("up:l1.s0".into(), 100.0);
-        a.rates.insert("up:l1.s2.w3".into(), 50.0);
-        a.rates.insert("down:l1.s1".into(), 70.0); // downlinks not counted
-        a.rates.insert("host-up:5".into(), 10.0);
-        let mut b = JobTraffic::default();
-        b.rates.insert("up:l1.s0.w1".into(), 25.0);
-        let loads = edge_uplink_loads(&[&a, &b], 4);
-        assert_eq!(loads, vec![125.0, 0.0, 50.0, 0.0]);
+    fn edge_uplink_loads_index_by_group_and_count_every_way() {
+        let ft = Topology::fat_tree(4, 2, 1.0);
+        let ids = LinkIds::new(&ft, 4);
+        let job = |links: &[(Link, usize, f64)]| {
+            let mut rates: Vec<(LinkId, f64)> =
+                links.iter().map(|&(l, w, r)| (ids.id(l, w), r)).collect();
+            rates.sort_unstable_by_key(|&(id, _)| id);
+            JobTraffic {
+                rates,
+                ids,
+                comm_frac: 0.0,
+            }
+        };
+        let a = job(&[
+            (Link::Up { level: 1, sw: 0 }, 0, 100.0),
+            (Link::Up { level: 1, sw: 2 }, 3, 50.0),
+            (Link::Down { level: 1, sw: 1 }, 0, 70.0), // downlinks not counted
+            (Link::HostUp(5), 0, 10.0),
+        ]);
+        let b = job(&[(Link::Up { level: 1, sw: 0 }, 1, 25.0)]);
+        assert_eq!(edge_uplink_loads(&[&a, &b], 4), vec![125.0, 0.0, 50.0, 0.0]);
+        // Groups past `ngroups` are dropped, not a panic.
+        assert_eq!(edge_uplink_loads(&[&a, &b], 2), vec![125.0, 0.0]);
+    }
+
+    #[test]
+    fn scratch_is_left_clean_between_epochs() {
+        let ft = Topology::fat_tree(4, 2, 4.0);
+        let a = job_traffic(&ft, &stats_pair(1_000_000), &[0, 4], 1.0, 0, 1);
+        let b = job_traffic(&ft, &stats_pair(1_000_000), &[1, 5], 1.0, 1, 1);
+        let mut scratch = EpochScratch::default();
+        let first = epoch_with(&mut scratch, &ft, 8e-8, &[&a, &b]);
+        assert!(scratch.touched.is_empty());
+        assert!(scratch.agg.iter().all(|&e| e == (0.0, 0)));
+        // A smaller set after a larger one sees none of its residue.
+        let lone = epoch_with(&mut scratch, &ft, 8e-8, &[&a]);
+        assert_eq!(lone.factors, vec![1.0]);
+        let again = epoch_with(&mut scratch, &ft, 8e-8, &[&a, &b]);
+        assert_eq!(first.factors, again.factors);
+        assert_eq!(first.agg_rates, again.agg_rates);
+    }
+
+    /// A random job: `width` distinct nodes out of `cap`, each rank
+    /// sending a random byte count to a few random peers.
+    fn random_job(r: &mut impl FnMut(usize) -> usize, cap: usize) -> (Vec<CommStats>, Vec<usize>) {
+        let width = 2 + r(10.min(cap - 1));
+        let mut nodes: Vec<usize> = (0..cap).collect();
+        for j in 0..width {
+            nodes.swap(j, j + r(cap - j));
+        }
+        nodes.truncate(width);
+        let stats = (0..width)
+            .map(|rank| {
+                let mut s = CommStats {
+                    peers: vec![PeerTraffic::default(); width],
+                    send_busy_s: r(1000) as f64 * 1e-4,
+                    recv_busy_s: r(1000) as f64 * 1e-4,
+                    wait_s: r(1000) as f64 * 1e-4,
+                    ..CommStats::default()
+                };
+                for _ in 0..1 + r(4) {
+                    let peer = r(width);
+                    if peer != rank {
+                        s.peers[peer].bytes_to += 1 + r(3_000_000) as u64;
+                    }
+                }
+                s
+            })
+            .collect();
+        (stats, nodes)
+    }
+
+    #[test]
+    fn integer_ids_agree_with_the_string_keyed_reference_bit_for_bit() {
+        let ft16 = Topology::fat_tree(16, 2, 4.0);
+        let cases = [
+            (ft16, 1),
+            (ft16, ft16.ecmp_ways()),
+            (Topology::fat_tree(4, 3, 2.0), 1),
+            (Topology::fat_tree(4, 3, 2.0), 2),
+            (Topology::torus([4, 4, 2]), 1),
+        ];
+        let gap = 8e-8;
+        for (topo, ways) in cases {
+            let cap = topo.capacity().unwrap();
+            let ngroups = match topo {
+                Topology::FatTree { radix, .. } => cap / radix,
+                _ => 4,
+            };
+            let mut scratch = EpochScratch::default();
+            let mut contended = 0;
+            for seed in [1u64, 42, 2002] {
+                let mut r = rng(seed);
+                for _ in 0..40 {
+                    let mix: Vec<(JobTraffic, reference::JobTraffic)> = (0..1 + r(12))
+                        .map(|job| {
+                            let (stats, nodes) = random_job(&mut r, cap);
+                            let step_s = 0.25 + r(4000) as f64 * 1e-3;
+                            let salt = job as u64 + 1000 * seed;
+                            (
+                                job_traffic(&topo, &stats, &nodes, step_s, salt, ways),
+                                reference::job_traffic(&topo, &stats, &nodes, step_s, salt, ways),
+                            )
+                        })
+                        .collect();
+                    let new: Vec<&JobTraffic> = mix.iter().map(|m| &m.0).collect();
+                    let old: Vec<&reference::JobTraffic> = mix.iter().map(|m| &m.1).collect();
+                    let ctx = format!("{} ways {ways} seed {seed}", topo.label());
+                    // Per-job lowering: same names, same rate bits.
+                    let bits = |m: BTreeMap<String, f64>| -> Vec<(String, u64)> {
+                        m.into_iter().map(|(l, v)| (l, v.to_bits())).collect()
+                    };
+                    for (n, o) in new.iter().zip(&old) {
+                        assert!(n.rates.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}");
+                        assert_eq!(bits(named_rates(n)), bits(o.rates.clone()), "{ctx}");
+                        assert_eq!(n.comm_frac.to_bits(), o.comm_frac.to_bits(), "{ctx}");
+                    }
+                    // The epoch: factors, shared names, aggregate bits.
+                    let ids = *new[0].link_ids();
+                    let want = reference::epoch(&topo, gap, &old);
+                    contended += want.factors.iter().filter(|&&f| f > 1.0).count();
+                    for got in [
+                        epoch(&topo, gap, &new),
+                        epoch_with(&mut scratch, &topo, gap, &new),
+                    ] {
+                        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(f(&got.factors), f(&want.factors), "{ctx}");
+                        assert!(got.shared.windows(2).all(|w| w[0] < w[1]), "{ctx}");
+                        let mut shared: Vec<String> =
+                            got.shared.iter().map(|&id| ids.name(id)).collect();
+                        shared.sort();
+                        assert_eq!(shared, want.shared, "{ctx}");
+                        let agg = got
+                            .agg_rates
+                            .iter()
+                            .map(|&(id, v)| (ids.name(id), v))
+                            .collect();
+                        assert_eq!(bits(agg), bits(want.agg_rates.clone()), "{ctx}");
+                    }
+                    // Placement's group loads.
+                    let got = edge_uplink_loads(&new, ngroups);
+                    let want = reference::edge_uplink_loads(&old, ngroups);
+                    assert_eq!(
+                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{ctx}"
+                    );
+                }
+            }
+            assert!(contended > 100, "{}: mixes barely share", topo.label());
+        }
     }
 }

@@ -89,4 +89,4 @@ pub use machine::{Cluster, SpmdOutcome};
 pub use network::NetworkModel;
 pub use partition::NodeSet;
 pub use spec::{cluster_catalog, ClusterSpec, CpuSpec, NetworkSpec, NodeSpec, PackagingKind};
-pub use topology::{Link, LinkLoad, Topology};
+pub use topology::{Link, LinkId, LinkIds, LinkLoad, Topology};

@@ -10,7 +10,8 @@
 //!
 //! * [`Topology::route`] — the ordered shared links a message traverses
 //!   (used for per-link occupancy accounting and the route-property
-//!   tests);
+//!   tests); [`Topology::for_each_link`] visits the same links without
+//!   building the vector;
 //! * [`Topology::path`] — the scalar cost profile of that route: how
 //!   many latency hops it crosses and how many extra store-and-forward
 //!   serializations it pays, with inter-switch links slowed by the
@@ -36,6 +37,15 @@
 //! post-hoc derivation keeps the hot send path free of per-link
 //! bookkeeping and keeps [`crate::comm::CommStats`] (and with it every
 //! committed outcome fingerprint) unchanged.
+//!
+//! **Link identities.** Inside the simulator a link on the cross-job
+//! contention path is a dense integer, not a string: [`LinkIds`] maps a
+//! [`Link`] plus its ECMP way onto `0..link_count` by block arithmetic
+//! over `(topology, ways)` alone, so lowering a job's traffic, summing
+//! an epoch's link loads and integrating per-link telemetry index flat
+//! vectors and never hash, compare or allocate a name. Names — the
+//! `Display` form, with a `.w{way}` suffix on spread fabric links —
+//! exist only at the report boundary ([`LinkIds::name`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -104,6 +114,14 @@ pub enum Link {
         /// Destination router (node id).
         to: usize,
     },
+}
+
+impl Link {
+    /// A fat-tree inter-switch link — the ones that run at the
+    /// oversubscribed rate and that ECMP spreads over parallel ways.
+    pub fn is_fabric(&self) -> bool {
+        matches!(self, Link::Up { .. } | Link::Down { .. })
+    }
 }
 
 impl fmt::Display for Link {
@@ -280,28 +298,37 @@ impl Topology {
     /// ancestor; torus routes are dimension-ordered (x, then y, then z)
     /// taking the shorter ring direction, ties broken positively.
     pub fn route(&self, src: usize, dst: usize) -> Vec<Link> {
+        let mut links = Vec::new();
+        self.for_each_link(src, dst, |l| links.push(l));
+        links
+    }
+
+    /// Visit the links of [`Topology::route`] in route order without
+    /// allocating — the form the per-dispatch traffic lowering uses.
+    pub fn for_each_link(&self, src: usize, dst: usize, mut visit: impl FnMut(Link)) {
         match *self {
-            Topology::Star => vec![Link::HostUp(src), Link::HostDown(dst)],
+            Topology::Star => {
+                visit(Link::HostUp(src));
+                visit(Link::HostDown(dst));
+            }
             Topology::FatTree { radix, .. } => {
                 let k = Self::lca_level(radix, src, dst);
-                let mut links = vec![Link::HostUp(src)];
+                visit(Link::HostUp(src));
                 for l in 1..k {
-                    links.push(Link::Up {
+                    visit(Link::Up {
                         level: l,
                         sw: src / radix.pow(l as u32),
                     });
                 }
                 for l in (1..k).rev() {
-                    links.push(Link::Down {
+                    visit(Link::Down {
                         level: l,
                         sw: dst / radix.pow(l as u32),
                     });
                 }
-                links.push(Link::HostDown(dst));
-                links
+                visit(Link::HostDown(dst));
             }
             Topology::Torus { dims } => {
-                let mut links = Vec::new();
                 let mut cur = Self::coords(dims, src);
                 let goal = Self::coords(dims, dst);
                 for d in 0..3 {
@@ -316,13 +343,12 @@ impl Topology {
                         } else {
                             (cur[d] + dims[d] - 1) % dims[d]
                         };
-                        links.push(Link::Hop {
+                        visit(Link::Hop {
                             from,
                             to: Self::node_at(dims, cur),
                         });
                     }
                 }
-                links
             }
         }
     }
@@ -342,34 +368,21 @@ impl Topology {
         }
     }
 
-    /// Named links of the `src → dst` route for *cross-job contention
-    /// accounting*, with deterministic ECMP-style spreading over `ways`
-    /// parallel uplinks. The way is an FNV-1a hash of
-    /// `(src, dst, salt)` — callers salt with the job id, so two jobs
-    /// between the same switch pair usually land on different physical
-    /// uplinks while every rank of one flow stays on one way (no
-    /// reordering). Host links and torus cables never spread (one NIC,
-    /// one cable). With `ways <= 1` the names are exactly
-    /// [`Topology::route`]'s `Display` strings — a pure function of
-    /// `(topology, src, dst, salt, ways)`, same on every host and under
-    /// every executor width.
-    pub fn contention_links(&self, src: usize, dst: usize, salt: u64, ways: usize) -> Vec<String> {
-        let way = if ways > 1 {
-            let mut h = mb_telemetry::Fnv::new();
-            h.write_u64(src as u64);
-            h.write_u64(dst as u64);
-            h.write_u64(salt);
-            (h.finish() % ways as u64) as usize
-        } else {
-            0
-        };
-        self.route(src, dst)
-            .into_iter()
-            .map(|l| match l {
-                Link::Up { .. } | Link::Down { .. } if ways > 1 => format!("{l}.w{way}"),
-                l => l.to_string(),
-            })
-            .collect()
+    /// Links of the `src → dst` route for *cross-job contention
+    /// accounting*, as [`LinkIds`] identities, with deterministic
+    /// ECMP-style spreading over `ways` parallel uplinks. The way is an
+    /// FNV-1a hash of `(src, dst, salt)` — callers salt with the job
+    /// id, so two jobs between the same switch pair usually land on
+    /// different physical uplinks while every rank of one flow stays on
+    /// one way (no reordering). Host links and torus cables never
+    /// spread (one NIC, one cable). With `ways <= 1` the ids name
+    /// exactly [`Topology::route`]'s `Display` strings — a pure
+    /// function of `(topology, src, dst, salt, ways)`, same on every
+    /// host and under every executor width.
+    pub fn contention_links(&self, src: usize, dst: usize, salt: u64, ways: usize) -> Vec<LinkId> {
+        let mut ids = Vec::new();
+        LinkIds::new(self, ways).for_each(src, dst, salt, |id| ids.push(id));
+        ids
     }
 
     /// Fold a finished run's per-peer traffic counters over the routes:
@@ -400,6 +413,222 @@ impl Topology {
     }
 }
 
+/// Dense integer identity of one contention link: a [`Link`] plus the
+/// ECMP way it was hashed onto. Only meaningful together with the
+/// [`LinkIds`] space that issued it.
+pub type LinkId = u32;
+
+/// The link-identity space of one `(topology, ways)` pair: a bijection
+/// between contention links and `0..link_count`, by arithmetic alone.
+///
+/// Ids are laid out in blocks. Fat-tree: `host-up` by node, `host-down`
+/// by node, then per tier `l < levels` its uplinks and its downlinks,
+/// each by `(switch, way)`. Torus: per dimension, by `(router,
+/// direction)` — a ring of length 2 has one direction and a ring of
+/// length 1 none, so no two ids share a name. [`Topology::capacity`]
+/// bounds every block. The unbounded star interleaves `host-up:n` →
+/// `2n`, `host-down:n` → `2n + 1` and reports no [`LinkIds::link_count`].
+///
+/// ```
+/// use mb_cluster::topology::{Link, LinkIds, Topology};
+///
+/// let ft = Topology::fat_tree(16, 2, 4.0);
+/// let ids = LinkIds::new(&ft, ft.ecmp_ways());
+/// // 256 host-up + 256 host-down + 16 edge switches × 4 ways, up and down.
+/// assert_eq!(ids.link_count(), Some(640));
+/// let id = ids.id(Link::Up { level: 1, sw: 3 }, 2);
+/// assert_eq!(ids.name(id), "up:l1.s3.w2");
+/// assert_eq!(ids.link(id), (Link::Up { level: 1, sw: 3 }, 2));
+/// // Without spreading the names are exactly the route's.
+/// let plain = LinkIds::new(&ft, 1);
+/// let names: Vec<String> = ft
+///     .contention_links(0, 17, 9, 1)
+///     .into_iter()
+///     .map(|id| plain.name(id))
+///     .collect();
+/// assert_eq!(names, ["host-up:0", "up:l1.s0", "down:l1.s1", "host-down:17"]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkIds {
+    topo: Topology,
+    /// Parallel uplinks fabric links spread over (≥ 1).
+    ways: usize,
+    /// `topo.capacity()`, 0 for the unbounded star.
+    cap: usize,
+}
+
+impl Default for LinkIds {
+    /// The star's space (what an empty [`crate::JobTraffic`] carries).
+    fn default() -> Self {
+        Self::new(&Topology::Star, 1)
+    }
+}
+
+fn link_id(i: usize) -> LinkId {
+    LinkId::try_from(i).expect("link id overflows u32")
+}
+
+/// Directions a torus ring of length `len` offers: none when there is
+/// no neighbour, one when both neighbours are the same router.
+fn ring_dirs(len: usize) -> usize {
+    len.saturating_sub(1).min(2)
+}
+
+impl LinkIds {
+    /// The identity space of `topo` with fabric links spread over
+    /// `ways` parallel uplinks (`ways <= 1`: no spreading). Panics when
+    /// a bounded topology has more links than a `u32` can index.
+    pub fn new(topo: &Topology, ways: usize) -> Self {
+        let ids = Self {
+            topo: *topo,
+            ways: ways.max(1),
+            cap: topo.capacity().unwrap_or(0),
+        };
+        // Every id is below the count: checking it checks them all.
+        if let Some(count) = ids.link_count() {
+            link_id(count);
+        }
+        ids
+    }
+
+    /// Number of ids in the space; `None` for the unbounded star.
+    pub fn link_count(&self) -> Option<usize> {
+        match self.topo {
+            Topology::Star => None,
+            // Where the root tier's block would start: it has no uplinks.
+            Topology::FatTree { radix, levels, .. } => Some(self.tier_block(radix, levels).0),
+            Topology::Torus { dims } => Some(self.cap * dims.map(ring_dirs).iter().sum::<usize>()),
+        }
+    }
+
+    /// First id of tier `level`'s fabric block (uplinks, then
+    /// downlinks) and the tier's switch count. Fat-tree only.
+    /// Saturates on absurd shapes, which [`LinkIds::new`] then rejects.
+    fn tier_block(&self, radix: usize, level: usize) -> (usize, usize) {
+        let switches = |l: usize| self.cap / radix.saturating_pow(l as u32);
+        let below = (1..level).map(switches).fold(0, usize::saturating_add);
+        let fabric = below.saturating_mul(2).saturating_mul(self.ways);
+        (
+            self.cap.saturating_mul(2).saturating_add(fabric),
+            switches(level),
+        )
+    }
+
+    /// The id of `link` on ECMP way `way` (ignored for host links and
+    /// torus cables). Panics on a link the topology does not have.
+    pub fn id(&self, link: Link, way: usize) -> LinkId {
+        let host = |n: usize| {
+            assert!(n < self.cap, "node {n} is outside the topology");
+            n
+        };
+        let i = match (self.topo, link) {
+            (Topology::Star, Link::HostUp(n)) => 2 * n,
+            (Topology::Star, Link::HostDown(n)) => 2 * n + 1,
+            (Topology::FatTree { .. }, Link::HostUp(n)) => host(n),
+            (Topology::FatTree { .. }, Link::HostDown(n)) => self.cap + host(n),
+            (
+                Topology::FatTree { radix, levels, .. },
+                Link::Up { level, sw } | Link::Down { level, sw },
+            ) => {
+                assert!(level >= 1 && level < levels, "tier {level} has no uplinks");
+                let (base, switches) = self.tier_block(radix, level);
+                assert!(sw < switches && way < self.ways, "{link} way {way}");
+                let half = if matches!(link, Link::Up { .. }) {
+                    0
+                } else {
+                    switches * self.ways
+                };
+                base + half + sw * self.ways + way
+            }
+            (Topology::Torus { dims }, Link::Hop { from, to }) => {
+                let (a, b) = (
+                    Topology::coords(dims, host(from)),
+                    Topology::coords(dims, host(to)),
+                );
+                let d = (0..3)
+                    .find(|&d| a[d] != b[d])
+                    .expect("a torus cable joins two routers");
+                // On a ring of two both directions reach the same
+                // neighbour; the route takes the positive one.
+                let dir = usize::from((a[d] + 1) % dims[d] != b[d]);
+                let base: usize = dims[..d].iter().map(|&len| self.cap * ring_dirs(len)).sum();
+                base + from * ring_dirs(dims[d]) + dir
+            }
+            (topo, link) => panic!("{link} is not a link of {}", topo.label()),
+        };
+        link_id(i)
+    }
+
+    /// Inverse of [`LinkIds::id`]: the link and its way (0 for links
+    /// that never spread). Panics on an id outside the space.
+    pub fn link(&self, id: LinkId) -> (Link, usize) {
+        let i = id as usize;
+        match self.topo {
+            Topology::Star if i.is_multiple_of(2) => (Link::HostUp(i / 2), 0),
+            Topology::Star => (Link::HostDown(i / 2), 0),
+            Topology::FatTree { .. } if i < self.cap => (Link::HostUp(i), 0),
+            Topology::FatTree { .. } if i < 2 * self.cap => (Link::HostDown(i - self.cap), 0),
+            Topology::FatTree { radix, levels, .. } => {
+                for level in 1..levels {
+                    let (base, switches) = self.tier_block(radix, level);
+                    let half = switches * self.ways;
+                    if i < base + 2 * half {
+                        let r = (i - base) % half;
+                        let (sw, way) = (r / self.ways, r % self.ways);
+                        return if i - base < half {
+                            (Link::Up { level, sw }, way)
+                        } else {
+                            (Link::Down { level, sw }, way)
+                        };
+                    }
+                }
+                panic!("link id {id} is outside {}", self.topo.label())
+            }
+            Topology::Torus { dims } => {
+                let mut base = 0;
+                for d in 0..3 {
+                    let dirs = ring_dirs(dims[d]);
+                    if i < base + self.cap * dirs {
+                        let (from, dir) = ((i - base) / dirs, (i - base) % dirs);
+                        let mut c = Topology::coords(dims, from);
+                        c[d] = (c[d] + if dir == 0 { 1 } else { dims[d] - 1 }) % dims[d];
+                        let to = Topology::node_at(dims, c);
+                        return (Link::Hop { from, to }, 0);
+                    }
+                    base += self.cap * dirs;
+                }
+                panic!("link id {id} is outside {}", self.topo.label())
+            }
+        }
+    }
+
+    /// The link's stable report name: its `Display` form, plus `.w{way}`
+    /// on fat-tree fabric links when spreading is on. The only place a
+    /// contention link becomes a string.
+    pub fn name(&self, id: LinkId) -> String {
+        match self.link(id) {
+            (l, way) if l.is_fabric() && self.ways > 1 => format!("{l}.w{way}"),
+            (l, _) => l.to_string(),
+        }
+    }
+
+    /// Visit the ids of the `src → dst` contention links in route
+    /// order (see [`Topology::contention_links`]) without allocating.
+    pub fn for_each(&self, src: usize, dst: usize, salt: u64, mut visit: impl FnMut(LinkId)) {
+        let way = if self.ways > 1 {
+            let mut h = mb_telemetry::Fnv::new();
+            h.write_u64(src as u64);
+            h.write_u64(dst as u64);
+            h.write_u64(salt);
+            (h.finish() % self.ways as u64) as usize
+        } else {
+            0
+        };
+        self.topo
+            .for_each_link(src, dst, |l| visit(self.id(l, way)));
+    }
+}
+
 /// Publish per-link loads into a telemetry registry as
 /// `network/link_bytes` / `network/link_msgs` counters labelled by the
 /// link name — they ride the Chrome counter-track and Prometheus export
@@ -414,21 +643,23 @@ pub fn record_link_occupancy(
     }
 }
 
+/// Deterministic xorshift so the property loops are seeded, not
+/// host-random (the repo's proptest idiom): `rng(n)` draws from `0..n`.
+#[cfg(test)]
+pub(crate) fn seeded_rng(seed: u64) -> impl FnMut(usize) -> usize {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move |n| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % n.max(1) as u64) as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::seeded_rng as rng;
     use super::*;
-
-    /// Deterministic xorshift so the property loops are seeded, not
-    /// host-random (the repo's proptest idiom).
-    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        move |n| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % n.max(1) as u64) as usize
-        }
-    }
 
     #[test]
     fn capacities_and_labels() {
@@ -639,18 +870,30 @@ mod tests {
         assert_eq!(Topology::fat_tree(4, 2, 8.0).ecmp_ways(), 1);
     }
 
+    /// `contention_links` as report names.
+    fn named(topo: &Topology, src: usize, dst: usize, salt: u64, ways: usize) -> Vec<String> {
+        let ids = LinkIds::new(topo, ways);
+        topo.contention_links(src, dst, salt, ways)
+            .into_iter()
+            .map(|id| ids.name(id))
+            .collect()
+    }
+
     #[test]
     fn contention_links_spread_deterministically_and_stay_in_range() {
         let ft = Topology::fat_tree(16, 2, 4.0);
         let ways = ft.ecmp_ways();
         // Without spreading the names are exactly the route names.
-        let plain = ft.contention_links(0, 17, 9, 1);
+        let plain = named(&ft, 0, 17, 9, 1);
         let route: Vec<String> = ft.route(0, 17).iter().map(|l| l.to_string()).collect();
         assert_eq!(plain, route);
         // With spreading, only fabric links gain a way suffix, the way
         // index is in range, and recomputation is bit-identical.
-        let spread = ft.contention_links(0, 17, 9, ways);
-        assert_eq!(spread, ft.contention_links(0, 17, 9, ways));
+        let spread = named(&ft, 0, 17, 9, ways);
+        assert_eq!(
+            ft.contention_links(0, 17, 9, ways),
+            ft.contention_links(0, 17, 9, ways)
+        );
         assert_eq!(spread.len(), route.len());
         assert!(spread[0].starts_with("host-up:"));
         assert!(spread.last().unwrap().starts_with("host-down:"));
@@ -667,13 +910,98 @@ mod tests {
         // pair: over many salts, more than one way must appear.
         let mut seen = std::collections::BTreeSet::new();
         for salt in 0..64u64 {
-            for name in ft.contention_links(0, 17, salt, ways) {
+            for name in named(&ft, 0, 17, salt, ways) {
                 if let Some((_, w)) = name.rsplit_once(".w") {
                     seen.insert(w.to_string());
                 }
             }
         }
         assert!(seen.len() > 1, "hash never spread across ways: {seen:?}");
+    }
+
+    /// The shapes the id-space properties run over, with the `ways`
+    /// each is exercised at.
+    fn id_spaces() -> Vec<LinkIds> {
+        let ft16 = Topology::fat_tree(16, 2, 4.0);
+        vec![
+            LinkIds::new(&ft16, 1),
+            LinkIds::new(&ft16, ft16.ecmp_ways()),
+            LinkIds::new(&Topology::fat_tree(4, 3, 2.0), 1),
+            LinkIds::new(&Topology::fat_tree(4, 3, 2.0), 2),
+            LinkIds::new(&Topology::torus([4, 4, 2]), 1),
+            LinkIds::new(&Topology::torus([5, 1, 3]), 1),
+        ]
+    }
+
+    #[test]
+    fn link_ids_and_names_are_in_bijection() {
+        for ids in id_spaces() {
+            let count = ids.link_count().expect("bounded topology");
+            let mut names = std::collections::BTreeSet::new();
+            for id in 0..count as LinkId {
+                // id → (link, way) → id round-trips, and no two ids
+                // share a report name.
+                let (link, way) = ids.link(id);
+                assert_eq!(ids.id(link, way), id, "{ids:?}: {link} way {way}");
+                let name = ids.name(id);
+                let suffixed = name.rsplit_once(".w").map(|(base, _)| base.to_string());
+                match link {
+                    Link::Up { .. } | Link::Down { .. } if ids.ways > 1 => {
+                        assert_eq!(suffixed, Some(link.to_string()), "{name}");
+                        assert!(name.ends_with(&format!(".w{way}")), "{name}");
+                    }
+                    _ => assert_eq!(name, link.to_string()),
+                }
+                assert!(names.insert(name), "{ids:?}: id {id} reuses a name");
+            }
+            assert_eq!(names.len(), count);
+        }
+        // The unbounded star interleaves its two host blocks.
+        let star = LinkIds::default();
+        assert_eq!(star.link_count(), None);
+        for n in [0, 1, 23, 4095] {
+            for link in [Link::HostUp(n), Link::HostDown(n)] {
+                assert_eq!(star.link(star.id(link, 0)), (link, 0));
+                assert_eq!(star.name(star.id(link, 0)), link.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn every_route_lands_inside_the_id_space_and_unspread_ids_name_the_route() {
+        for ids in id_spaces() {
+            let (topo, count) = (ids.topo, ids.link_count().unwrap());
+            let n = topo.capacity().unwrap();
+            let mut r = rng(7);
+            for _ in 0..300 {
+                let (a, b, salt) = (r(n), r(n), r(1000) as u64);
+                let got = topo.contention_links(a, b, salt, ids.ways);
+                assert!(got.iter().all(|&id| (id as usize) < count));
+                // Same links as the route, in route order; with
+                // `ways <= 1` the names are the route's `Display`.
+                let links: Vec<Link> = got.iter().map(|&id| ids.link(id).0).collect();
+                assert_eq!(links, topo.route(a, b), "{topo:?} {a}->{b}");
+                if ids.ways == 1 {
+                    let names: Vec<String> = got.iter().map(|&id| ids.name(id)).collect();
+                    let route: Vec<String> =
+                        topo.route(a, b).iter().map(|l| l.to_string()).collect();
+                    assert_eq!(names, route);
+                    assert_eq!(got, topo.contention_links(a, b, salt, 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn oversized_id_spaces_are_rejected() {
+        LinkIds::new(&Topology::fat_tree(2, 200, 1.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a link of")]
+    fn foreign_links_have_no_id() {
+        LinkIds::new(&Topology::torus([4, 4, 1]), 1).id(Link::HostUp(0), 0);
     }
 
     #[test]

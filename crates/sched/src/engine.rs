@@ -18,12 +18,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use mb_cluster::checkpoint::CheckpointModel;
-use mb_cluster::contention::{self, JobTraffic};
+use mb_cluster::contention::{self, ContentionEpoch, EpochScratch, JobTraffic};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
-use mb_cluster::{Cluster, CommStats, ExecPolicy, NodeSet, Topology};
+use mb_cluster::{Cluster, CommStats, ExecPolicy, LinkId, LinkIds, NodeSet, Topology};
 use mb_telemetry::prof::LogHistogram;
-use mb_telemetry::{Fnv, Registry};
+use mb_telemetry::{Fnv, MetricHandle, Registry};
 
 use crate::job::{JobRecord, JobSpec, WorkModel};
 use crate::policy::{PolicyCtx, QueuedJob, RunningJob, SchedPolicy};
@@ -124,9 +124,13 @@ pub struct SchedConfig {
     /// job's isolated cost.
     pub route_spread: bool,
     /// Skip the O(events) telemetry that only reporting consumes —
-    /// per-node occupancy spans and the queue-depth series. Million-job
-    /// streams set this; it never changes the simulated timeline or the
-    /// fingerprint (neither feeds the outcome hash).
+    /// per-node occupancy spans, the queue-depth series and the
+    /// per-event `sched.uplink_rate_Bps` samples (one per loaded fabric
+    /// link per event, so no such series is registered at all).
+    /// Million-job streams set this; it never changes the simulated
+    /// timeline or the fingerprint (none of them feeds the outcome
+    /// hash), and the per-link `link_bytes` / `link_shared_s` totals
+    /// are still kept.
     pub lean: bool,
 }
 
@@ -458,6 +462,25 @@ struct RunEntry {
     traffic: JobTraffic,
 }
 
+/// A per-link running total indexed by [`LinkId`]; `None` until the
+/// link is first accounted, so the report lists exactly the links the
+/// run touched.
+type LinkTotals = Vec<Option<f64>>;
+
+fn add_to_link(totals: &mut LinkTotals, id: LinkId, v: f64) {
+    *totals[id as usize].get_or_insert(0.0) += v;
+}
+
+/// The report-boundary form of a per-link total: the only place the
+/// engine turns a link id into its name.
+fn named_totals(totals: &LinkTotals, ids: &LinkIds) -> BTreeMap<String, f64> {
+    totals
+        .iter()
+        .enumerate()
+        .filter_map(|(id, v)| v.map(|v| (ids.name(id as LinkId), v)))
+        .collect()
+}
+
 impl RunEntry {
     /// Nominal (contention-free) seconds of this attempt served by
     /// virtual time `now`, mirroring the old engine's `now - start_s`
@@ -564,10 +587,16 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
 
     let mut up = vec![true; n];
     let mut busy = vec![false; n];
+    // `up && !busy` per node, rebuilt once per dispatch round.
+    let mut free_mask: Vec<bool> = Vec::with_capacity(n);
     let mut repairs: Vec<(f64, usize)> = Vec::new();
     let mut fail_idx = 0usize;
     let mut queue: Vec<QueueEntry> = Vec::new();
     let mut running: Vec<RunEntry> = Vec::new();
+    // Jobs started in the current dispatch round; they join `running`
+    // once the contention epoch (which borrows the running set through
+    // its traffic summaries) has been computed. Empty between events.
+    let mut launched: Vec<RunEntry> = Vec::new();
     let mut busy_node_s = 0.0;
     let mut occupancy: Vec<OccSpan> = Vec::new();
     let mut failures_applied = 0u32;
@@ -599,25 +628,35 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         Topology::FatTree { radix, .. } => n.div_ceil(radix),
         Topology::Torus { dims } => n.div_ceil(dims[0]),
     };
-    let mut link_bytes: BTreeMap<String, f64> = BTreeMap::new();
-    let mut link_shared_s: BTreeMap<String, f64> = BTreeMap::new();
-    // Links shared during the epoch that ends at the *next* event: the
-    // interval (prev event, now] is charged to the set computed at the
-    // previous event.
-    let mut shared_prev: (f64, Vec<String>) = (0.0, Vec::new());
+    // Links are dense integer ids from here to the report (DESIGN.md
+    // §14): every per-link quantity below is a flat vector indexed by
+    // id, and names are produced once, when the report is built.
+    let ids = LinkIds::new(&topo, ways);
+    // Only the star is unbounded, and it accounts no link at all.
+    let nlinks = ids.link_count().unwrap_or(0);
+    let mut link_bytes: LinkTotals = vec![None; nlinks];
+    let mut link_shared_s: LinkTotals = vec![None; nlinks];
+    let mut rate_series: Vec<Option<MetricHandle>> = vec![None; nlinks];
+    // The contention state of the current running set, computed at the
+    // last event that changed the set: `epoch` is a pure function of
+    // the running set, so events that neither start nor finish a job
+    // reuse it. Its shared links are charged for each interval as it
+    // ends; `shared_t` is the event they have been charged up to.
+    let mut ep = ContentionEpoch::default();
+    let mut shared_t = 0.0;
+    let mut scratch = EpochScratch::default();
     let mut max_contention = 1.0f64;
-    let mut rate_series: HashMap<String, mb_telemetry::MetricHandle> = HashMap::new();
 
     // Integrate a run's per-link byte rates into the whole-workload
     // counters up to virtual time `t`. Wall seconds shrink to nominal
     // seconds through the current slowdown (a slowed job moves the same
     // bytes over a longer wall interval).
-    fn account_links(link_bytes: &mut BTreeMap<String, f64>, r: &mut RunEntry, t: f64) {
+    fn account_links(link_bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
         let dt = (t - r.acct_s).max(0.0);
-        if dt > 0.0 && !r.traffic.rates.is_empty() {
+        if dt > 0.0 {
             let nominal = dt / r.slow;
-            for (l, rate) in &r.traffic.rates {
-                *link_bytes.entry(l.clone()).or_default() += rate * nominal;
+            for &(id, rate) in r.traffic.rates() {
+                add_to_link(link_bytes, id, rate * nominal);
             }
         }
         r.acct_s = t;
@@ -679,6 +718,9 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 i += 1;
             }
         }
+        // Whether this event removes a job from, or adds one to, the
+        // running set — the only thing the contention epoch depends on.
+        let mut set_changed = !finished.is_empty();
         finished.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.id.cmp(&b.id)));
         for mut run in finished {
             let end = run.end_s;
@@ -719,6 +761,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             repairs.push((now + repair_s, nd));
             if let Some(pos) = running.iter().position(|r| r.nodes.contains(nd)) {
                 let mut run = running.remove(pos);
+                set_changed = true;
                 account_links(&mut link_bytes, &mut run, now);
                 let elapsed = now - run.start_s;
                 // Checkpoint progress accrues in nominal seconds: a
@@ -826,8 +869,10 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         }
 
         // 5. Dispatch: consult the policy, then re-validate each pick
-        // against the live free list (policies may be optimistic).
-        let free_count = (0..n).filter(|&k| up[k] && !busy[k]).count();
+        // against the live free mask (policies may be optimistic).
+        free_mask.clear();
+        free_mask.extend((0..n).map(|k| up[k] && !busy[k]));
+        let free_count = free_mask.iter().filter(|&&f| f).count();
         let total_up = up.iter().filter(|&&u| u).count();
         let qview: Vec<QueuedJob> = queue
             .iter()
@@ -850,17 +895,25 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             queue: &qview,
             running: &rview,
         });
+        // The in-flight mix's traffic, collected once per event: it
+        // scores placements here and, joined by the jobs this round
+        // starts, feeds the contention epoch in step 6.
+        let traffics: Vec<&JobTraffic> = if is_star {
+            Vec::new()
+        } else {
+            running.iter().map(|r| &r.traffic).collect()
+        };
         // Contention-aware placement scores candidate groups against
         // the uplink load of the in-flight mix, frozen at the top of
         // this dispatch round (jobs started this round don't see each
         // other's traffic until the next event — deterministic either
         // way, but freezing keeps the score independent of pick order).
-        let group_loads: Vec<f64> = if cfg.placement == Placement::ContentionAware && !is_star {
-            let traffics: Vec<&JobTraffic> = running.iter().map(|r| &r.traffic).collect();
-            contention::edge_uplink_loads(&traffics, ngroups)
-        } else {
-            Vec::new()
-        };
+        let group_loads: Vec<f64> =
+            if cfg.placement == Placement::ContentionAware && !is_star && !picks.is_empty() {
+                contention::edge_uplink_loads(&traffics, ngroups)
+            } else {
+                Vec::new()
+            };
         let mut started: Vec<usize> = Vec::new();
         let mut seen = vec![false; queue.len()];
         for p in picks {
@@ -869,7 +922,6 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             }
             seen[p] = true;
             let q = &queue[p];
-            let free_mask: Vec<bool> = (0..n).map(|k| up[k] && !busy[k]).collect();
             let alloc = match cfg.placement {
                 Placement::Lowest => NodeSet::alloc_lowest(&free_mask, q.ranks),
                 Placement::Compact => NodeSet::alloc_compact(&free_mask, q.ranks, &topo),
@@ -880,6 +932,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             if let Some(nodes) = alloc {
                 for &m in nodes.ids() {
                     busy[m] = true;
+                    free_mask[m] = false;
                 }
                 if records[q.ji].start_s < 0.0 {
                     records[q.ji].start_s = now;
@@ -907,7 +960,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 };
                 let work_eff = q.work_rem_s * pfac;
                 let wall = charge.wall_for(work_eff, q.resumed);
-                running.push(RunEntry {
+                launched.push(RunEntry {
                     ji: q.ji,
                     id: q.id,
                     work: q.work,
@@ -938,26 +991,45 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         }
 
         // 6. Cross-job contention epoch: close out the hot-spot
-        // accounting for the interval that just ended, then recompute
-        // every running job's mean-field slowdown from the aggregate
-        // link load and retime its completion. Jobs whose factor is
-        // unchanged (the common case, and *always* the case while a
-        // job is contention-free) are left untouched bit for bit.
-        if !is_star {
-            let (t_prev, ref links_prev) = shared_prev;
-            for l in links_prev {
-                *link_shared_s.entry(l.clone()).or_default() += now - t_prev;
-            }
-            let traffics: Vec<&JobTraffic> = running.iter().map(|r| &r.traffic).collect();
-            let ep = contention::epoch(&topo, gap, &traffics);
-            for (l, rate) in &ep.agg_rates {
-                if !(l.starts_with("up:") || l.starts_with("down:")) {
-                    continue;
+        // accounting for the interval that just ended, then — when the
+        // running set changed — recompute every running job's
+        // mean-field slowdown from the aggregate link load and retime
+        // its completion. Jobs whose factor is unchanged (the common
+        // case, and *always* the case while a job is contention-free)
+        // are left untouched bit for bit; when the set is unchanged so
+        // is every factor, and the retiming pass is skipped outright.
+        if is_star {
+            running.append(&mut launched);
+            continue;
+        }
+        for &id in &ep.shared {
+            add_to_link(&mut link_shared_s, id, now - shared_t);
+        }
+        shared_t = now;
+        set_changed |= !launched.is_empty();
+        if set_changed {
+            let mut traffics = traffics;
+            traffics.extend(launched.iter().map(|r| &r.traffic));
+            ep = contention::epoch_with(&mut scratch, &topo, gap, &traffics);
+        }
+        running.append(&mut launched);
+        if set_changed {
+            if !cfg.lean {
+                // Series appear in ascending name order among the links
+                // first loaded at this event.
+                let mut fresh: Vec<(String, LinkId)> = ep
+                    .agg_rates
+                    .iter()
+                    .filter(|&&(id, _)| {
+                        rate_series[id as usize].is_none() && ids.link(id).0.is_fabric()
+                    })
+                    .map(|&(id, _)| (ids.name(id), id))
+                    .collect();
+                fresh.sort();
+                for (name, id) in fresh {
+                    rate_series[id as usize] =
+                        Some(registry.series("sched.uplink_rate_Bps", &name));
                 }
-                let h = *rate_series
-                    .entry(l.clone())
-                    .or_insert_with(|| registry.series("sched.uplink_rate_Bps", l));
-                registry.sample(h, now, *rate);
             }
             for (r, &s_new) in running.iter_mut().zip(&ep.factors) {
                 max_contention = max_contention.max(s_new);
@@ -970,10 +1042,19 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 r.slow = s_new;
                 r.end_s = now + r.nominal_rem_s * s_new;
             }
-            shared_prev = (now, ep.shared);
+        }
+        if !cfg.lean {
+            // Only fabric links ever get a series.
+            for &(id, rate) in &ep.agg_rates {
+                if let Some(h) = rate_series[id as usize] {
+                    registry.sample(h, now, rate);
+                }
+            }
         }
     }
 
+    let link_bytes = named_totals(&link_bytes, &ids);
+    let link_shared_s = named_totals(&link_shared_s, &ids);
     let makespan_s = records.iter().map(|r| r.end_s).fold(0.0, f64::max);
     let utilization = busy_node_s / (n as f64 * makespan_s.max(1e-9));
     // `.max(1)` guards the all-shed stream; for any non-empty record

@@ -301,6 +301,99 @@ fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
     }
 }
 
+/// FNV over everything the contention layer publishes at the report
+/// boundary: the `(name, f64 bits)` pairs of `link_bytes` and
+/// `link_shared_s` in name order, the `sched.uplink_rate_Bps` series in
+/// registry order (label, then every sample's bits), and the
+/// `max_contention_factor` bits.
+fn report_boundary_fingerprint(rep: &SimReport) -> u64 {
+    let mut h = Fnv::new();
+    for map in [&rep.link_bytes, &rep.link_shared_s] {
+        h.write_usize(map.len());
+        for (name, v) in map {
+            h.write_str(name);
+            h.write_f64(*v);
+        }
+    }
+    for (name, label, value) in rep.registry.iter() {
+        if name != "sched.uplink_rate_Bps" {
+            continue;
+        }
+        h.write_str(label);
+        let metablade::telemetry::MetricValue::Series(samples) = value else {
+            panic!("sched.uplink_rate_Bps{{{label}}} is not a series");
+        };
+        h.write_usize(samples.len());
+        for &(t, v) in samples {
+            h.write_f64(t);
+            h.write_f64(v);
+        }
+    }
+    h.write_f64(rep.max_contention_factor);
+    h.finish()
+}
+
+#[test]
+fn contended_fat_tree_report_boundary_reproduces_the_string_keyed_engine() {
+    // Pinned on the engine as it stood *before* links were interned to
+    // integer ids (PR 12): names, per-link sums, the order uplink
+    // series are first registered in and the worst factor must all
+    // survive the change of key type bit for bit — the run fingerprint
+    // alone does not cover them.
+    let spec = metablade_spec()
+        .with_nodes(64)
+        .with_topology(Topology::fat_tree(16, 2, 4.0));
+    let jobs: Vec<JobSpec> = (0..32)
+        .map(|id| JobSpec {
+            id,
+            submit_s: 0.5 * id as f64,
+            ranks: [20, 28, 12, 24, 18, 10][id % 6],
+            work: WorkModel::Synthetic {
+                flops_per_step: 1e6,
+                msg_kib: [64, 32, 16][id % 3],
+                rounds: 8,
+                steps: [120, 200, 80, 160][id % 4],
+            },
+        })
+        .collect();
+    let base = SchedConfig {
+        placement: Placement::ContentionAware,
+        route_spread: true,
+        ..SchedConfig::default()
+    };
+    let fail = SchedConfig {
+        failure: Some(FailureConfig::accelerated(40_000.0, 7)),
+        ..base
+    };
+    let cases: [(&dyn SchedPolicy, &SchedConfig, &str, &str); 2] = [
+        (&Fcfs, &base, "11b6260fad45a775", "e772ac58a999c428"),
+        (&EasyBackfill, &fail, "d4ef7d49213822bc", "ca377f67111dee19"),
+    ];
+    for (policy, cfg, pin_fp, pin_boundary) in cases {
+        let rep = sched_run(&spec, ExecPolicy::Sequential, policy, &jobs, cfg);
+        assert!(
+            rep.max_contention_factor > 1.0 && !rep.link_shared_s.is_empty(),
+            "{}: no link was ever shared — the gate is vacuous",
+            policy.name()
+        );
+        assert!(
+            rep.link_bytes.keys().any(|l| l.contains(".w")),
+            "{}: route spreading named no ECMP way",
+            policy.name()
+        );
+        if cfg.failure.is_some() {
+            assert!(rep.requeues > 0, "failure injection requeued nothing");
+        }
+        assert_eq!(rep.fingerprint_hex(), pin_fp, "{}", policy.name());
+        assert_eq!(
+            format!("{:016x}", report_boundary_fingerprint(&rep)),
+            pin_boundary,
+            "{}: link telemetry drifted at the report boundary",
+            policy.name()
+        );
+    }
+}
+
 #[test]
 fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
     // The contention layer's no-op guarantee, pinned against history:
