@@ -26,6 +26,7 @@ use mb_cluster::machine::{Cluster, SpmdOutcome};
 use mb_cluster::spec::{metablade, ClusterSpec};
 use mb_cluster::topology::record_link_occupancy;
 use mb_cluster::{Comm, CommStats, ExecPolicy, Topology};
+use mb_telemetry::artifact::{host_threads, unix_time_s};
 use mb_telemetry::json::Json;
 use mb_treecode::parallel::{distributed_step, DistributedConfig};
 use mb_treecode::plummer;
@@ -120,21 +121,6 @@ pub fn policies() -> [ExecPolicy; 4] {
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
     ]
-}
-
-/// Host hardware threads (the wall-clock context for speedup numbers).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Seconds since the Unix epoch (document timestamp).
-pub fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 // The hasher moved to `mb_telemetry::fnv` (PR 5) so `mb-sched` can

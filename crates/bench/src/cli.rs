@@ -1,16 +1,17 @@
 //! Entry points for the `bench_baseline` and `bench_gate` binaries.
 //!
-//! The logic lives here (rather than in the `src/bin/` shims) so the
-//! root `metablade` package can expose the same binaries: both
-//! `cargo run --release --bin bench_baseline` from the repo root and
-//! `cargo run --release -p mb-bench --bin bench_baseline` work.
+//! The logic lives here, in the library, so tests can reach it; the
+//! `src/bin/` targets only call in. Each binary name belongs to this
+//! one package, so `cargo run --release --bin bench_baseline` from the
+//! repo root resolves it with or without `-p mb-bench`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use mb_telemetry::artifact::host_threads;
 use mb_telemetry::json::Json;
 
-use crate::baseline::{cluster_baseline, host_threads, treecode_baseline, SweepConfig};
+use crate::baseline::{cluster_baseline, treecode_baseline, SweepConfig};
 use crate::gate::{compare_dirs, Tolerances};
 use crate::write_artifact;
 

@@ -44,7 +44,6 @@
 //! * [`reliability`] — the paper's empirical failure law ("the failure
 //!   rate of a component doubles for every 10 °C increase in
 //!   temperature"), MTBF, expected downtime, and failure injection;
-//! * [`trace`] — per-rank event traces for tests and ablations;
 //! * [`checkpoint`] — Young/Daly checkpoint-restart modeling plus a
 //!   Monte-Carlo validator, closing the loop from the failure law to
 //!   long-job efficiency.
@@ -79,7 +78,6 @@ pub mod reliability;
 pub mod spec;
 pub mod thermal;
 pub mod topology;
-pub mod trace;
 
 pub use comm::{Comm, CommStats, PeerTraffic};
 pub use contention::{ContentionEpoch, JobTraffic};

@@ -24,21 +24,10 @@ use mb_sched::{
     generate, simulate, workload, EasyBackfill, FailureConfig, Fcfs, JobSpec, Placement,
     SchedConfig, SchedPolicy, ServiceModel, SimReport, Sjf, WorkModel, WorkloadConfig,
 };
-use mb_telemetry::artifact::{artifact_dir, artifact_stem, write_artifact};
+use mb_telemetry::artifact::{
+    artifact_dir, artifact_stem, host_threads, unix_time_s, write_artifact,
+};
 use mb_telemetry::Json;
-
-fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 fn policies() -> [&'static dyn SchedPolicy; 3] {
     [&Fcfs, &EasyBackfill, &Sjf]

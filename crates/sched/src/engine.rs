@@ -1,20 +1,33 @@
 //! The virtual-time scheduling engine.
 //!
-//! [`simulate`] drives a job stream through one cluster under one
-//! policy: a discrete-event loop over arrivals, completions, node
-//! failures (from [`mb_cluster::reliability::sample_failures`]) and
-//! repairs. Job service times come from a [`ServiceModel`] that lowers
-//! each distinct `(executor policy, node set, step pattern)` triple onto
-//! the simulated cluster exactly once via [`Cluster::run_on`];
-//! checkpoint/restart
-//! overhead and failure rework follow the Young/Daly
+//! [`simulate_stream`] (and [`simulate`], its closed-batch wrapper)
+//! drives a job stream through one cluster under one policy: a
+//! discrete-event loop over arrivals, completions, node failures (from
+//! [`mb_cluster::reliability::sample_failures`]) and repairs. The run
+//! state is one private `Engine` — node pool, queue, running set, the
+//! link ledger of the contention layer (absent on the star) and the
+//! report being written — and the public function is only the event
+//! order: at each instant `repair` → `complete` → `fail` → `arrive` →
+//! `dispatch` → `retime`, one handler each (DESIGN.md §10 has the
+//! table). Job service times come from a [`ServiceOracle`];
+//! [`ServiceModel`] is the executor-backed one, lowering each distinct
+//! `(executor policy, node set, step pattern)` triple onto the
+//! simulated cluster exactly once via [`Cluster::run_on`].
+//! Checkpoint/restart overhead and failure rework follow the Young/Daly
 //! [`CheckpointModel`]. Everything is a pure function of its inputs —
 //! the run fingerprint is bit-identical under every `MB_PARALLEL`
 //! executor setting, which is the determinism contract tested in
 //! `tests/acceptance.rs` and documented in DESIGN.md §10.
+//!
+//! No function here may outgrow clippy's `too_many_lines` threshold:
+//! the loop was one 630-line function once, and CI keeps it from
+//! growing back.
+
+#![deny(clippy::too_many_lines)]
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use mb_cluster::checkpoint::CheckpointModel;
@@ -248,14 +261,10 @@ impl<'a> ServiceModel<'a> {
         self.cluster
     }
 
-    /// Virtual seconds for one step of `work` on the given nodes.
-    pub fn step_on(&self, work: &WorkModel, nodes: &NodeSet) -> f64 {
-        self.step_profile_on(work, nodes).step_s
-    }
-
     /// One step of `work` on the given nodes, with the per-rank traffic
-    /// counters the contention layer needs. Memoized exactly like
-    /// [`ServiceModel::step_on`] (same key, same single simulation).
+    /// counters the contention layer needs, memoized per `(executor
+    /// policy, node set, step pattern)`. `step_on`, `step_s` and
+    /// `work_s` are [`ServiceOracle`]'s default methods over it.
     pub fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
         assert!(!nodes.is_empty(), "step needs at least one node");
         let key = (self.cluster.exec(), nodes.clone(), work.step_key());
@@ -269,19 +278,6 @@ impl<'a> ServiceModel<'a> {
         };
         self.memo.borrow_mut().insert(key, p.clone());
         p
-    }
-
-    /// Virtual seconds for one step of `work` on `width` nodes (the
-    /// lowest-numbered ones; see [`ServiceModel::step_on`] for an exact
-    /// placement).
-    pub fn step_s(&self, work: &WorkModel, width: usize) -> f64 {
-        assert!(width >= 1, "width must be at least 1");
-        self.step_on(work, &NodeSet::new((0..width).collect()))
-    }
-
-    /// Virtual seconds of useful work for the whole job at `width`.
-    pub fn work_s(&self, work: &WorkModel, width: usize) -> f64 {
-        self.step_s(work, width) * f64::from(work.steps())
     }
 
     /// Distinct `(policy, node set, step pattern)` simulations cached so
@@ -355,7 +351,7 @@ pub struct OccSpan {
 }
 
 /// Everything a simulated run produces.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimReport {
     /// Policy name.
     pub policy: &'static str,
@@ -410,7 +406,11 @@ impl SimReport {
     }
 }
 
+/// A job waiting for nodes — and, inside a [`RunEntry`], the queue
+/// entry the running attempt was started from.
+#[derive(Clone, Copy)]
 struct QueueEntry {
+    /// Index of the job's record in the report.
     ji: usize,
     id: usize,
     ranks: usize,
@@ -419,23 +419,21 @@ struct QueueEntry {
     work: WorkModel,
     /// SLO class (and queue priority rank; 0 = highest).
     class: usize,
+    /// Work still to serve, in *reference* (lowest-nodes) seconds.
     work_rem_s: f64,
-    resumed: bool,
+    /// Which run attempt this is (0 = first; every later one resumes
+    /// from a checkpoint after a failure).
     attempt: u32,
 }
 
 struct RunEntry {
-    ji: usize,
-    id: usize,
-    work: WorkModel,
+    job: QueueEntry,
     nodes: NodeSet,
     start_s: f64,
     end_s: f64,
     /// Useful work of this attempt in *actual-placement* nominal
     /// seconds (reference work × placement factor).
     work_s: f64,
-    pad_s: f64,
-    attempt: u32,
     /// Actual step time / reference (lowest-nodes) step time: what the
     /// chosen placement costs relative to the arrival-time estimate.
     /// Exactly 1.0 on the star and whenever the allocation matches the
@@ -462,6 +460,30 @@ struct RunEntry {
     traffic: JobTraffic,
 }
 
+impl RunEntry {
+    /// Nominal (contention-free) seconds of this attempt served by
+    /// virtual time `now`, mirroring the old engine's `now - start_s`
+    /// bit for bit while the job has never been slowed.
+    fn nominal_elapsed(&self, now: f64) -> f64 {
+        if self.slow == 1.0 && self.epoch_s == self.start_s {
+            now - self.start_s
+        } else {
+            let rem_now = (self.nominal_rem_s - (now - self.epoch_s) / self.slow).max(0.0);
+            self.nominal_wall_s - rem_now
+        }
+    }
+}
+
+/// Which nodes are up, which a run holds, and when failed ones return.
+struct NodePool {
+    up: Vec<bool>,
+    busy: Vec<bool>,
+    /// `up && !busy` per node, rebuilt once per dispatch round.
+    free_mask: Vec<bool>,
+    /// Pending repairs as `(back-up time, node)`.
+    repairs: Vec<(f64, usize)>,
+}
+
 /// A per-link running total indexed by [`LinkId`]; `None` until the
 /// link is first accounted, so the report lists exactly the links the
 /// run touched.
@@ -481,16 +503,640 @@ fn named_totals(totals: &LinkTotals, ids: &LinkIds) -> BTreeMap<String, f64> {
         .collect()
 }
 
-impl RunEntry {
-    /// Nominal (contention-free) seconds of this attempt served by
-    /// virtual time `now`, mirroring the old engine's `now - start_s`
-    /// bit for bit while the job has never been slowed.
-    fn nominal_elapsed(&self, now: f64) -> f64 {
-        if self.slow == 1.0 && self.epoch_s == self.start_s {
-            now - self.start_s
-        } else {
-            let rem_now = (self.nominal_rem_s - (now - self.epoch_s) / self.slow).max(0.0);
-            self.nominal_wall_s - rem_now
+/// Integrate a run's per-link byte rates into the whole-workload
+/// counters up to virtual time `t`. Wall seconds shrink to nominal
+/// seconds through the current slowdown (a slowed job moves the same
+/// bytes over a longer wall interval).
+fn account_links(bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
+    let dt = (t - r.acct_s).max(0.0);
+    if dt > 0.0 {
+        let nominal = dt / r.slow;
+        for &(id, rate) in r.traffic.rates() {
+            add_to_link(bytes, id, rate * nominal);
+        }
+    }
+    r.acct_s = t;
+}
+
+/// Cross-job contention state. The engine holds it as an `Option` that
+/// is `None` on the star: placements there are cost-free, host links
+/// are never shared, and skipping the traffic fold keeps star timelines
+/// (and fingerprints) bit-identical to the pre-contention engine.
+///
+/// Links are dense integer ids from here to the report (DESIGN.md §14):
+/// every per-link quantity is a flat vector indexed by id, and names
+/// are produced once, when the report is built.
+struct LinkLedger {
+    /// ECMP ways each job's fabric flows hash over.
+    ways: usize,
+    /// Edge-switch (or torus-ring) groups placement scores.
+    ngroups: usize,
+    ids: LinkIds,
+    bytes: LinkTotals,
+    shared_s: LinkTotals,
+    rate_series: Vec<Option<MetricHandle>>,
+    /// The contention state of the current running set, computed at the
+    /// last event that changed the set: it is a pure function of the
+    /// set, so events that neither start nor finish a job reuse it. Its
+    /// shared links are charged for each interval as it ends;
+    /// `shared_t` is the event they have been charged up to.
+    ep: ContentionEpoch,
+    shared_t: f64,
+    scratch: EpochScratch,
+}
+
+impl LinkLedger {
+    fn new(spec: &ClusterSpec, route_spread: bool) -> Option<Self> {
+        let topo = spec.network.topology;
+        let ngroups = match topo {
+            Topology::Star => return None,
+            Topology::FatTree { radix, .. } => spec.nodes.div_ceil(radix),
+            Topology::Torus { dims } => spec.nodes.div_ceil(dims[0]),
+        };
+        let ways = if route_spread { topo.ecmp_ways() } else { 1 };
+        let ids = LinkIds::new(&topo, ways);
+        let nlinks = ids.link_count().expect("only the star is unbounded");
+        Some(Self {
+            ways,
+            ngroups,
+            ids,
+            bytes: vec![None; nlinks],
+            shared_s: vec![None; nlinks],
+            rate_series: vec![None; nlinks],
+            ep: ContentionEpoch::default(),
+            shared_t: 0.0,
+            scratch: EpochScratch::default(),
+        })
+    }
+}
+
+/// The stream engine's run state and its event handlers. One instance
+/// lives for one [`simulate_stream`] call, which calls the handlers in
+/// the documented per-instant order: `repair` → `complete` → `fail` →
+/// `arrive` → `dispatch` → `retime` (DESIGN.md §10).
+struct Engine<'a, S: ServiceOracle + ?Sized> {
+    service: &'a S,
+    policy: &'a dyn SchedPolicy,
+    cfg: &'a SchedConfig,
+    charge: CkptCharge,
+    /// Failure timeline in virtual seconds, ascending `(time, node)`.
+    failures: Peekable<std::vec::IntoIter<(f64, usize)>>,
+    pool: NodePool,
+    /// The wait queue in dispatch order: `enqueue` adds, `dispatch`
+    /// removes what it started.
+    queue: Vec<QueueEntry>,
+    /// Queue entries per class, requeued failure victims included
+    /// (what [`AdmissionCtx`] borrows).
+    queued: Vec<u32>,
+    running: Vec<RunEntry>,
+    /// Whether this event removed a job from, or added one to, the
+    /// running set — the only thing the contention epoch depends on.
+    /// Consumed by `retime`.
+    running_changed: bool,
+    links: Option<LinkLedger>,
+    /// The report as it is written: `jobs` grows as arrivals are
+    /// admitted (arrival order; sorted by id at the end), counters,
+    /// histograms, occupancy and series fill in event by event, and
+    /// `into_report` adds the whole-run summary.
+    sim: SimReport,
+    classes: Vec<ClassReport>,
+    busy_node_s: f64,
+    queue_depth: MetricHandle,
+}
+
+impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
+    fn new(
+        service: &'a S,
+        policy: &'a dyn SchedPolicy,
+        cfg: &'a SchedConfig,
+        labels: Vec<String>,
+    ) -> Self {
+        let spec = service.spec();
+        let n = spec.nodes;
+        assert!(n > 0, "cluster has no nodes");
+        assert!(
+            !labels.is_empty(),
+            "admission must define at least one class"
+        );
+        // Failure timeline in virtual seconds, plus the matching
+        // Young/Daly interval at the accelerated MTBF.
+        let mut failures: Vec<(f64, usize)> = Vec::new();
+        let tau_s = match &cfg.failure {
+            Some(f) => {
+                assert!(f.accel > 0.0, "acceleration must be positive");
+                failures = sample_failures(&f.law, n, f.temp_c, f.accel, f.seed)
+                    .into_iter()
+                    .map(|e| (e.at_hours * 3600.0 / f.accel, e.node))
+                    .collect();
+                failures.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mtbf_h = f.law.cluster_mtbf_hours(n, f.temp_c) / f.accel;
+                cfg.checkpoint.young_interval_h(mtbf_h) * 3600.0
+            }
+            None => f64::INFINITY,
+        };
+        let mut registry = Registry::new();
+        let queue_depth = registry.series("sched.queue_depth", policy.name());
+        Self {
+            service,
+            policy,
+            cfg,
+            charge: CkptCharge {
+                tau_s,
+                ckpt_s: cfg.checkpoint.checkpoint_h * 3600.0,
+                restart_s: cfg.checkpoint.restart_h * 3600.0,
+            },
+            failures: failures.into_iter().peekable(),
+            pool: NodePool {
+                up: vec![true; n],
+                busy: vec![false; n],
+                free_mask: Vec::with_capacity(n),
+                repairs: Vec::new(),
+            },
+            queue: Vec::new(),
+            queued: vec![0; labels.len()],
+            running: Vec::new(),
+            running_changed: false,
+            links: LinkLedger::new(spec, cfg.route_spread),
+            sim: SimReport {
+                policy: policy.name(),
+                max_contention_factor: 1.0,
+                registry,
+                ..SimReport::default()
+            },
+            classes: labels
+                .into_iter()
+                .map(|label| ClassReport {
+                    label,
+                    ..ClassReport::default()
+                })
+                .collect(),
+            busy_node_s: 0.0,
+            queue_depth,
+        }
+    }
+
+    /// The next virtual instant anything happens at, or `None` when the
+    /// run is over: no arrival, queued or running job remains — pending
+    /// failure/repair events past that point stay unapplied, exactly as
+    /// the batch loop stopped at its last completion.
+    fn next_event_s(&mut self, next_arrival_s: Option<f64>) -> Option<f64> {
+        if next_arrival_s.is_none() && self.queue.is_empty() && self.running.is_empty() {
+            return None;
+        }
+        let mut now = next_arrival_s.unwrap_or(f64::INFINITY);
+        for r in &self.running {
+            now = now.min(r.end_s);
+        }
+        for &(t, _) in &self.pool.repairs {
+            now = now.min(t);
+        }
+        if let Some(&(t, _)) = self.failures.peek() {
+            now = now.min(t);
+        }
+        assert!(
+            now.is_finite(),
+            "scheduler deadlock under '{}': {} completed, {} queued, {} running",
+            self.policy.name(),
+            self.sim.jobs.iter().filter(|r| r.end_s >= 0.0).count(),
+            self.queue.len(),
+            self.running.len(),
+        );
+        Some(now)
+    }
+
+    /// The one place a job joins the queue: before the first entry it
+    /// outranks. Class rank orders the queue (FIFO within a class), so
+    /// a fresh arrival outranks strictly lower-priority entries only —
+    /// with one class that is a plain `push`. A failure victim on a
+    /// later attempt outranks everyone: it is requeued at the head, and
+    /// so keeps its place against later arrivals of the same or a lower
+    /// class.
+    fn enqueue(&mut self, e: QueueEntry) {
+        let outranked = |q: &QueueEntry| e.attempt > 0 || q.class > e.class;
+        let pos = self.queue.iter().position(outranked);
+        self.queued[e.class] += 1;
+        self.queue.insert(pos.unwrap_or(self.queue.len()), e);
+    }
+
+    /// Take `run` off its nodes at virtual time `t` (its completion, or
+    /// the failure that struck it): close its link-byte integral,
+    /// credit its busy node-seconds, free its nodes and emit their
+    /// occupancy spans.
+    fn release(&mut self, run: &mut RunEntry, t: f64) {
+        if let Some(links) = &mut self.links {
+            account_links(&mut links.bytes, run, t);
+        }
+        self.busy_node_s += (t - run.start_s) * run.nodes.len() as f64;
+        for &nd in run.nodes.ids() {
+            self.pool.busy[nd] = false;
+            if !self.cfg.lean {
+                self.sim.occupancy.push(OccSpan {
+                    node: nd,
+                    t0_s: run.start_s,
+                    t1_s: t,
+                    job: run.job.id,
+                    attempt: run.job.attempt,
+                });
+            }
+        }
+    }
+
+    /// Step 1, repairs: failed nodes come back up.
+    fn repair(&mut self, now: f64) {
+        let up = &mut self.pool.up;
+        self.pool.repairs.retain(|&(t, nd)| {
+            if t <= now {
+                up[nd] = true;
+            }
+            t > now
+        });
+    }
+
+    /// Step 2, completions, ordered by `(end, id)`.
+    fn complete(&mut self, now: f64) {
+        let mut finished: Vec<RunEntry> = self.running.extract_if(.., |r| r.end_s <= now).collect();
+        self.running_changed |= !finished.is_empty();
+        finished.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.job.id.cmp(&b.job.id)));
+        for mut run in finished {
+            let end = run.end_s;
+            self.release(&mut run, end);
+            let rec = &mut self.sim.jobs[run.job.ji];
+            rec.end_s = end;
+            self.sim.wait_hist.observe(rec.wait_s());
+            self.sim.slowdown_hist.observe(rec.slowdown());
+            let class = &mut self.classes[run.job.class];
+            class.completed += 1;
+            class.wait_hist.observe(rec.wait_s());
+            class.slowdown_hist.observe(rec.slowdown());
+        }
+    }
+
+    /// Step 3, failures, in sampled order: mark the node down, schedule
+    /// its repair, and requeue any victim job at the head of the queue
+    /// with its checkpointed remainder.
+    fn fail(&mut self, now: f64) {
+        let repair_s = self.cfg.failure.map_or(0.0, |f| f.repair_s);
+        while let Some((_, nd)) = self.failures.next_if(|&(t, _)| t <= now) {
+            if !self.pool.up[nd] {
+                continue;
+            }
+            self.pool.up[nd] = false;
+            self.sim.failures += 1;
+            self.pool.repairs.push((now + repair_s, nd));
+            let Some(pos) = self.running.iter().position(|r| r.nodes.contains(nd)) else {
+                continue;
+            };
+            let mut run = self.running.remove(pos);
+            self.running_changed = true;
+            self.release(&mut run, now);
+            // Checkpoint progress accrues in nominal seconds: a
+            // contended job has served less of its work than wall time
+            // suggests.
+            let served_s = run.nominal_elapsed(now);
+            let pad_s = self.charge.pad_s(run.job.attempt > 0);
+            let (done, lost) = self.charge.progress(served_s, pad_s, run.work_s);
+            let rec = &mut self.sim.jobs[run.job.ji];
+            rec.restarts += 1;
+            rec.lost_work_s += lost;
+            self.sim.lost_work_s += lost;
+            self.sim.requeues += 1;
+            self.enqueue(QueueEntry {
+                // Queue entries carry *reference* work (lowest nodes);
+                // undo this attempt's placement factor. `pfac` is
+                // exactly 1.0 on the star, so the division is a
+                // bit-exact no-op there.
+                work_rem_s: (run.work_s - done).max(0.0) / run.pfac,
+                attempt: run.job.attempt + 1,
+                ..run.job
+            });
+        }
+    }
+
+    /// Step 4, arrivals due by `now`, in submit order, each through
+    /// admission control.
+    fn arrive(
+        &mut self,
+        now: f64,
+        source: &mut dyn ArrivalSource,
+        admission: &mut dyn AdmissionControl,
+    ) {
+        let (n, last) = (self.pool.up.len(), self.classes.len() - 1);
+        while source.peek_s().is_some_and(|t| t <= now) {
+            let arr = source.next_arrival().expect("peeked arrival");
+            let asked = arr.class.min(last);
+            self.classes[asked].offered += 1;
+            let decision = admission.admit(
+                &arr,
+                &AdmissionCtx {
+                    now_s: now,
+                    queued_per_class: &self.queued,
+                    running_jobs: self.running.len(),
+                    total_nodes: n,
+                },
+            );
+            let Some(cls) = decision else {
+                self.classes[asked].shed += 1;
+                continue;
+            };
+            let cls = cls.min(last);
+            self.classes[cls].admitted += 1;
+            let spec = arr.spec;
+            let width = spec.ranks.clamp(1, n);
+            let work_s = self.service.work_s(&spec.work, width);
+            self.enqueue(QueueEntry {
+                // The record pushed just below.
+                ji: self.sim.jobs.len(),
+                id: spec.id,
+                ranks: width,
+                work: spec.work,
+                class: cls,
+                work_rem_s: work_s,
+                attempt: 0,
+            });
+            self.sim.jobs.push(JobRecord {
+                id: spec.id,
+                ranks: width,
+                submit_s: spec.submit_s,
+                start_s: -1.0,
+                end_s: -1.0,
+                clean_service_s: self.charge.wall_for(work_s, false),
+                restarts: 0,
+                lost_work_s: 0.0,
+            });
+        }
+    }
+
+    /// Step 5, dispatch: consult the policy, then re-validate each pick
+    /// against the live free mask (policies may be optimistic). Picks
+    /// start in the order the policy returned them.
+    fn dispatch(&mut self, now: f64) {
+        let pool = &mut self.pool;
+        pool.free_mask.clear();
+        let free = pool.up.iter().zip(&pool.busy).map(|(&u, &b)| u && !b);
+        pool.free_mask.extend(free);
+        let queued = |q: &QueueEntry| QueuedJob {
+            ranks: q.ranks,
+            service_est_s: self.charge.wall_for(q.work_rem_s, q.attempt > 0),
+        };
+        let in_flight = |r: &RunEntry| RunningJob {
+            end_s: r.end_s,
+            ranks: r.nodes.len(),
+        };
+        let picks = self.policy.select(&PolicyCtx {
+            now_s: now,
+            free_nodes: pool.free_mask.iter().filter(|&&f| f).count(),
+            total_nodes: pool.up.iter().filter(|&&u| u).count(),
+            queue: &self.queue.iter().map(queued).collect::<Vec<_>>(),
+            running: &self.running.iter().map(in_flight).collect::<Vec<_>>(),
+        });
+        // Contention-aware placement scores candidate groups against
+        // the uplink load of the in-flight mix, frozen at the top of
+        // this dispatch round (jobs started this round don't see each
+        // other's traffic until the next event — deterministic either
+        // way, but freezing keeps the score independent of pick order).
+        let group_loads = match &self.links {
+            Some(l) if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() => {
+                let traffics: Vec<&JobTraffic> = self.running.iter().map(|r| &r.traffic).collect();
+                contention::edge_uplink_loads(&traffics, l.ngroups)
+            }
+            _ => Vec::new(),
+        };
+        let mut started: Vec<usize> = Vec::new();
+        let mut seen = vec![false; self.queue.len()];
+        for p in picks {
+            if p >= self.queue.len() || seen[p] {
+                continue;
+            }
+            seen[p] = true;
+            if self.launch(now, p, &group_loads) {
+                started.push(p);
+            }
+        }
+        started.sort_unstable();
+        for &p in started.iter().rev() {
+            self.queued[self.queue[p].class] -= 1;
+            self.queue.remove(p);
+        }
+        if !self.cfg.lean {
+            let depth = self.queue.len() as f64;
+            self.sim.registry.sample(self.queue_depth, now, depth);
+        }
+    }
+
+    /// Start queue entry `p` at `now` if the placement strategy finds
+    /// it nodes in the live free mask; the entry itself stays queued
+    /// until `dispatch` has walked every pick.
+    fn launch(&mut self, now: f64, p: usize, group_loads: &[f64]) -> bool {
+        let (q, topo) = (self.queue[p], &self.service.spec().network.topology);
+        let free = &mut self.pool.free_mask;
+        let alloc = match self.cfg.placement {
+            Placement::Lowest => NodeSet::alloc_lowest(free, q.ranks),
+            Placement::Compact => NodeSet::alloc_compact(free, q.ranks, topo),
+            Placement::ContentionAware => {
+                NodeSet::alloc_contention_aware(free, q.ranks, topo, group_loads)
+            }
+        };
+        let Some(nodes) = alloc else {
+            return false;
+        };
+        for &m in nodes.ids() {
+            self.pool.busy[m] = true;
+            free[m] = false;
+        }
+        if self.sim.jobs[q.ji].start_s < 0.0 {
+            self.sim.jobs[q.ji].start_s = now;
+        }
+        // Charge the *actual* placement: the arrival-time estimate
+        // priced the job on the lowest nodes; a spanning allocation
+        // genuinely costs more on fat trees and tori. Both step
+        // profiles are memo hits after the first job of each (work,
+        // nodes) shape.
+        let (pfac, traffic) = match &self.links {
+            None => (1.0, JobTraffic::default()),
+            Some(l) => {
+                let profile = self.service.step_profile_on(&q.work, &nodes);
+                let reference = self.service.step_s(&q.work, nodes.len());
+                let traffic = contention::job_traffic(
+                    topo,
+                    &profile.stats,
+                    nodes.ids(),
+                    profile.step_s,
+                    q.id as u64,
+                    l.ways,
+                );
+                (profile.step_s / reference, traffic)
+            }
+        };
+        let work_eff = q.work_rem_s * pfac;
+        let wall = self.charge.wall_for(work_eff, q.attempt > 0);
+        self.running.push(RunEntry {
+            job: q,
+            nodes,
+            start_s: now,
+            end_s: now + wall,
+            work_s: work_eff,
+            pfac,
+            nominal_wall_s: wall,
+            nominal_rem_s: wall,
+            epoch_s: now,
+            slow: 1.0,
+            acct_s: now,
+            traffic,
+        });
+        self.running_changed = true;
+        true
+    }
+
+    /// Step 6, the cross-job contention epoch: close out the hot-spot
+    /// accounting for the interval that just ended, then — when the
+    /// running set changed — recompute every running job's mean-field
+    /// slowdown from the aggregate link load and retime its completion.
+    /// Jobs whose factor is unchanged (the common case, and *always* the
+    /// case while a job is contention-free) are left untouched bit for
+    /// bit; when the set is unchanged so is every factor, and the
+    /// retiming pass is skipped outright.
+    fn retime(&mut self, now: f64) {
+        let changed = std::mem::take(&mut self.running_changed);
+        let (Some(links), sim) = (&mut self.links, &mut self.sim) else {
+            return;
+        };
+        for &id in &links.ep.shared {
+            add_to_link(&mut links.shared_s, id, now - links.shared_t);
+        }
+        links.shared_t = now;
+        if changed {
+            let traffics: Vec<&JobTraffic> = self.running.iter().map(|r| &r.traffic).collect();
+            let net = &self.service.spec().network;
+            let gap = net.gap_s_per_byte();
+            links.ep = contention::epoch_with(&mut links.scratch, &net.topology, gap, &traffics);
+            if !self.cfg.lean {
+                // Every fabric link this epoch first loads gets its
+                // series, in ascending name order among them.
+                let mut fresh: Vec<(String, LinkId)> = Vec::new();
+                for &(id, _) in &links.ep.agg_rates {
+                    if links.rate_series[id as usize].is_none() && links.ids.link(id).0.is_fabric()
+                    {
+                        fresh.push((links.ids.name(id), id));
+                    }
+                }
+                fresh.sort();
+                for (name, id) in fresh {
+                    let series = sim.registry.series("sched.uplink_rate_Bps", &name);
+                    links.rate_series[id as usize] = Some(series);
+                }
+            }
+            for (r, &s_new) in self.running.iter_mut().zip(&links.ep.factors) {
+                sim.max_contention_factor = sim.max_contention_factor.max(s_new);
+                if s_new == r.slow {
+                    continue;
+                }
+                account_links(&mut links.bytes, r, now);
+                r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
+                r.epoch_s = now;
+                r.slow = s_new;
+                r.end_s = now + r.nominal_rem_s * s_new;
+            }
+        }
+        if !self.cfg.lean {
+            // Only fabric links ever get a series.
+            for &(id, rate) in &links.ep.agg_rates {
+                if let Some(h) = links.rate_series[id as usize] {
+                    sim.registry.sample(h, now, rate);
+                }
+            }
+        }
+    }
+
+    /// Close the run: summary statistics over the records in arrival
+    /// order (the order their sums have always been taken in), then
+    /// the id-sorted report, its metrics and both fingerprints.
+    fn into_report(mut self) -> StreamReport {
+        let sim = &mut self.sim;
+        if let Some(l) = &self.links {
+            sim.link_bytes = named_totals(&l.bytes, &l.ids);
+            sim.link_shared_s = named_totals(&l.shared_s, &l.ids);
+        }
+        let (jobs, nodes) = (&mut sim.jobs, self.pool.up.len());
+        sim.makespan_s = jobs.iter().map(|r| r.end_s).fold(0.0, f64::max);
+        sim.utilization = self.busy_node_s / (nodes as f64 * sim.makespan_s.max(1e-9));
+        // `.max(1)` guards the all-shed stream; for any non-empty record
+        // set the divisor — and every bit of the mean — is unchanged.
+        let count = jobs.len().max(1) as f64;
+        sim.mean_wait_s = jobs.iter().map(|r| r.wait_s()).sum::<f64>() / count;
+        sim.mean_slowdown = jobs.iter().map(|r| r.slowdown()).sum::<f64>() / count;
+        sim.jobs_per_hour = jobs.len() as f64 / (sim.makespan_s.max(1e-9) / 3600.0);
+        jobs.sort_by_key(|r| r.id);
+        sim.occupancy
+            .sort_by(|a, b| a.node.cmp(&b.node).then(a.t0_s.total_cmp(&b.t0_s)));
+
+        let mut f = Fnv::new();
+        f.write_u64(jobs.len() as u64);
+        for r in jobs.iter() {
+            f.write_u64(r.id as u64);
+            f.write_u64(r.ranks as u64);
+            f.write_f64(r.submit_s);
+            f.write_f64(r.start_s);
+            f.write_f64(r.end_s);
+            f.write_u64(u64::from(r.restarts));
+            f.write_f64(r.lost_work_s);
+        }
+        f.write_f64(self.busy_node_s);
+        f.write_f64(sim.makespan_s);
+        f.write_u64(u64::from(sim.failures));
+        sim.fingerprint = f.finish();
+
+        // The stream fingerprint folds the batch outcome hash with every
+        // admission decision, so two runs that shed differently can never
+        // collide even when their admitted sets happen to agree.
+        let mut sf = Fnv::new();
+        sf.write_u64(sim.fingerprint);
+        sf.write_u64(self.classes.len() as u64);
+        for c in &self.classes {
+            sf.write_u64(c.offered);
+            sf.write_u64(c.admitted);
+            sf.write_u64(c.shed);
+            sf.write_u64(c.completed);
+        }
+        publish_metrics(sim, &self.classes);
+        StreamReport {
+            sim: self.sim,
+            offered: self.classes.iter().map(|c| c.offered).sum(),
+            shed: self.classes.iter().map(|c| c.shed).sum(),
+            classes: self.classes,
+            stream_fingerprint: sf.finish(),
+        }
+    }
+}
+
+/// Install the end-of-run metrics in the report's registry, behind the
+/// series the run sampled as it went.
+fn publish_metrics(sim: &mut SimReport, classes: &[ClassReport]) {
+    let (reg, name) = (&mut sim.registry, sim.policy);
+    reg.record_gauge("sched.utilization", name, sim.utilization);
+    reg.record_gauge("sched.mean_wait_s", name, sim.mean_wait_s);
+    reg.set_histogram("sched.wait_s", name, sim.wait_hist.to_metric());
+    reg.set_histogram("sched.slowdown", name, sim.slowdown_hist.to_metric());
+    reg.count("sched.jobs", name, sim.jobs.len() as u64);
+    reg.count("sched.failures", name, u64::from(sim.failures));
+    reg.count("sched.requeues", name, u64::from(sim.requeues));
+    for (l, b) in &sim.link_bytes {
+        reg.count("sched.link_bytes", l, b.round() as u64);
+    }
+    for (l, s) in &sim.link_shared_s {
+        reg.record_gauge("sched.link_shared_s", l, *s);
+    }
+    reg.record_gauge(
+        "sched.max_contention_factor",
+        name,
+        sim.max_contention_factor,
+    );
+    for c in classes {
+        reg.count("stream.offered", &c.label, c.offered);
+        reg.count("stream.admitted", &c.label, c.admitted);
+        reg.count("stream.shed", &c.label, c.shed);
+        if c.wait_hist.count() > 0 {
+            reg.set_histogram("stream.wait_s", &c.label, c.wait_hist.to_metric());
+            reg.set_histogram("stream.slowdown", &c.label, c.slowdown_hist.to_metric());
         }
     }
 }
@@ -526,14 +1172,15 @@ pub fn simulate<S: ServiceOracle + ?Sized>(
 /// the queue.
 ///
 /// Identical event-loop semantics to [`simulate`] (repairs →
-/// completions → failures → arrivals → dispatch per instant), except
-/// that jobs are pulled lazily from `source` in submit order and each
-/// is classified (or shed) by `admission`. Admitted jobs queue by
-/// class rank — class 0 ahead of class 1 — FIFO within a class;
-/// failure requeues keep their head-of-queue priority. The run ends
-/// when the source is drained and queue and running set are empty:
-/// failure events past that point are not applied, exactly as the
-/// batch engine never sampled failures past its last completion.
+/// completions → failures → arrivals → dispatch per instant, then the
+/// contention epoch retimes the running set), except that jobs are
+/// pulled lazily from `source` in submit order and each is classified
+/// (or shed) by `admission`. Admitted jobs queue by class rank — class
+/// 0 ahead of class 1 — FIFO within a class; failure requeues keep
+/// their head-of-queue priority. The run ends when the source is
+/// drained and queue and running set are empty: failure events past
+/// that point are not applied, exactly as the batch engine never
+/// sampled failures past its last completion.
 pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     service: &S,
     policy: &dyn SchedPolicy,
@@ -541,628 +1188,16 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     admission: &mut dyn AdmissionControl,
     cfg: &SchedConfig,
 ) -> StreamReport {
-    let n = service.spec().nodes;
-    assert!(n > 0, "cluster has no nodes");
-
-    let labels = admission.class_labels();
-    assert!(
-        !labels.is_empty(),
-        "admission must define at least one class"
-    );
-    let nclass = labels.len();
-    let mut queued_per_class = vec![0u32; nclass];
-    let mut offered_per_class = vec![0u64; nclass];
-    let mut admitted_per_class = vec![0u64; nclass];
-    let mut shed_per_class = vec![0u64; nclass];
-    let mut completed_per_class = vec![0u64; nclass];
-    let mut class_wait: Vec<LogHistogram> = (0..nclass).map(|_| LogHistogram::new()).collect();
-    let mut class_slow: Vec<LogHistogram> = (0..nclass).map(|_| LogHistogram::new()).collect();
-
-    // Failure timeline in virtual seconds, plus the matching Young/Daly
-    // interval at the accelerated MTBF.
-    let mut failure_events: Vec<(f64, usize)> = Vec::new();
-    let (tau_s, repair_s) = match &cfg.failure {
-        Some(f) => {
-            assert!(f.accel > 0.0, "acceleration must be positive");
-            failure_events = sample_failures(&f.law, n, f.temp_c, f.accel, f.seed)
-                .into_iter()
-                .map(|e| (e.at_hours * 3600.0 / f.accel, e.node))
-                .collect();
-            failure_events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mtbf_h = f.law.cluster_mtbf_hours(n, f.temp_c) / f.accel;
-            (cfg.checkpoint.young_interval_h(mtbf_h) * 3600.0, f.repair_s)
-        }
-        None => (f64::INFINITY, 0.0),
-    };
-    let charge = CkptCharge {
-        tau_s,
-        ckpt_s: cfg.checkpoint.checkpoint_h * 3600.0,
-        restart_s: cfg.checkpoint.restart_h * 3600.0,
-    };
-
-    // Records grow as arrivals are admitted (arrival order; sorted by
-    // id before reporting). `rec_class[ji]` tracks each record's class.
-    let mut records: Vec<JobRecord> = Vec::new();
-    let mut rec_class: Vec<usize> = Vec::new();
-
-    let mut up = vec![true; n];
-    let mut busy = vec![false; n];
-    // `up && !busy` per node, rebuilt once per dispatch round.
-    let mut free_mask: Vec<bool> = Vec::with_capacity(n);
-    let mut repairs: Vec<(f64, usize)> = Vec::new();
-    let mut fail_idx = 0usize;
-    let mut queue: Vec<QueueEntry> = Vec::new();
-    let mut running: Vec<RunEntry> = Vec::new();
-    // Jobs started in the current dispatch round; they join `running`
-    // once the contention epoch (which borrows the running set through
-    // its traffic summaries) has been computed. Empty between events.
-    let mut launched: Vec<RunEntry> = Vec::new();
-    let mut busy_node_s = 0.0;
-    let mut occupancy: Vec<OccSpan> = Vec::new();
-    let mut failures_applied = 0u32;
-    let mut requeues = 0u32;
-    let mut lost_total = 0.0;
-
-    let mut registry = Registry::new();
-    let qd = registry.series("sched.queue_depth", policy.name());
-    // Wait/slowdown distributions go into the shared log-bucketed
-    // histogram (installed in the registry at the end of the run) —
-    // full percentile queries instead of the old six ad-hoc buckets.
-    let mut wait_hist = LogHistogram::new();
-    let mut slowdown_hist = LogHistogram::new();
-
-    // Cross-job contention state. The star fast path never populates
-    // any of it: placements there are cost-free, host links are never
-    // shared, and skipping the traffic fold keeps star timelines (and
-    // fingerprints) bit-identical to the pre-contention engine.
-    let topo = service.spec().network.topology;
-    let gap = service.spec().network.gap_s_per_byte();
-    let is_star = topo == Topology::Star;
-    let ways = if cfg.route_spread {
-        topo.ecmp_ways()
-    } else {
-        1
-    };
-    let ngroups = match topo {
-        Topology::Star => 1,
-        Topology::FatTree { radix, .. } => n.div_ceil(radix),
-        Topology::Torus { dims } => n.div_ceil(dims[0]),
-    };
-    // Links are dense integer ids from here to the report (DESIGN.md
-    // §14): every per-link quantity below is a flat vector indexed by
-    // id, and names are produced once, when the report is built.
-    let ids = LinkIds::new(&topo, ways);
-    // Only the star is unbounded, and it accounts no link at all.
-    let nlinks = ids.link_count().unwrap_or(0);
-    let mut link_bytes: LinkTotals = vec![None; nlinks];
-    let mut link_shared_s: LinkTotals = vec![None; nlinks];
-    let mut rate_series: Vec<Option<MetricHandle>> = vec![None; nlinks];
-    // The contention state of the current running set, computed at the
-    // last event that changed the set: `epoch` is a pure function of
-    // the running set, so events that neither start nor finish a job
-    // reuse it. Its shared links are charged for each interval as it
-    // ends; `shared_t` is the event they have been charged up to.
-    let mut ep = ContentionEpoch::default();
-    let mut shared_t = 0.0;
-    let mut scratch = EpochScratch::default();
-    let mut max_contention = 1.0f64;
-
-    // Integrate a run's per-link byte rates into the whole-workload
-    // counters up to virtual time `t`. Wall seconds shrink to nominal
-    // seconds through the current slowdown (a slowed job moves the same
-    // bytes over a longer wall interval).
-    fn account_links(link_bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
-        let dt = (t - r.acct_s).max(0.0);
-        if dt > 0.0 {
-            let nominal = dt / r.slow;
-            for &(id, rate) in r.traffic.rates() {
-                add_to_link(link_bytes, id, rate * nominal);
-            }
-        }
-        r.acct_s = t;
+    let mut engine = Engine::new(service, policy, cfg, admission.class_labels());
+    while let Some(now) = engine.next_event_s(source.peek_s()) {
+        engine.repair(now);
+        engine.complete(now);
+        engine.fail(now);
+        engine.arrive(now, source, admission);
+        engine.dispatch(now);
+        engine.retime(now);
     }
-
-    loop {
-        // The run is over when no arrival, queued or running job
-        // remains — pending failure/repair events past that point stay
-        // unapplied, exactly as the batch loop stopped at its last
-        // completion.
-        let next_arrival_s = source.peek_s();
-        if next_arrival_s.is_none() && queue.is_empty() && running.is_empty() {
-            break;
-        }
-        let mut now = f64::INFINITY;
-        if let Some(t) = next_arrival_s {
-            now = now.min(t);
-        }
-        for r in &running {
-            now = now.min(r.end_s);
-        }
-        for &(t, _) in &repairs {
-            now = now.min(t);
-        }
-        if fail_idx < failure_events.len() {
-            now = now.min(failure_events[fail_idx].0);
-        }
-        assert!(
-            now.is_finite(),
-            "scheduler deadlock under '{}': {} completed, {} queued, {} running",
-            policy.name(),
-            records.iter().filter(|r| r.end_s >= 0.0).count(),
-            queue.len(),
-            running.len(),
-        );
-
-        // 1. Repairs: failed nodes come back up.
-        let mut back: Vec<usize> = Vec::new();
-        repairs.retain(|&(t, nd)| {
-            if t <= now {
-                back.push(nd);
-                false
-            } else {
-                true
-            }
-        });
-        back.sort_unstable();
-        for nd in back {
-            up[nd] = true;
-        }
-
-        // 2. Completions, ordered by (end, id).
-        let mut finished: Vec<RunEntry> = Vec::new();
-        let mut i = 0;
-        while i < running.len() {
-            if running[i].end_s <= now {
-                finished.push(running.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        // Whether this event removes a job from, or adds one to, the
-        // running set — the only thing the contention epoch depends on.
-        let mut set_changed = !finished.is_empty();
-        finished.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.id.cmp(&b.id)));
-        for mut run in finished {
-            let end = run.end_s;
-            account_links(&mut link_bytes, &mut run, end);
-            busy_node_s += (run.end_s - run.start_s) * run.nodes.len() as f64;
-            for &nd in run.nodes.ids() {
-                busy[nd] = false;
-                if !cfg.lean {
-                    occupancy.push(OccSpan {
-                        node: nd,
-                        t0_s: run.start_s,
-                        t1_s: run.end_s,
-                        job: run.id,
-                        attempt: run.attempt,
-                    });
-                }
-            }
-            let rec = &mut records[run.ji];
-            rec.end_s = run.end_s;
-            wait_hist.observe(rec.wait_s());
-            slowdown_hist.observe(rec.slowdown());
-            let cls = rec_class[run.ji];
-            completed_per_class[cls] += 1;
-            class_wait[cls].observe(rec.wait_s());
-            class_slow[cls].observe(rec.slowdown());
-        }
-
-        // 3. Failures: mark the node down, schedule its repair, and
-        // requeue any victim job with its checkpointed remainder.
-        while fail_idx < failure_events.len() && failure_events[fail_idx].0 <= now {
-            let (_, nd) = failure_events[fail_idx];
-            fail_idx += 1;
-            if !up[nd] {
-                continue;
-            }
-            up[nd] = false;
-            failures_applied += 1;
-            repairs.push((now + repair_s, nd));
-            if let Some(pos) = running.iter().position(|r| r.nodes.contains(nd)) {
-                let mut run = running.remove(pos);
-                set_changed = true;
-                account_links(&mut link_bytes, &mut run, now);
-                let elapsed = now - run.start_s;
-                // Checkpoint progress accrues in nominal seconds: a
-                // contended job has served less of its work than wall
-                // time suggests.
-                let (done, lost) = charge.progress(run.nominal_elapsed(now), run.pad_s, run.work_s);
-                busy_node_s += elapsed * run.nodes.len() as f64;
-                for &m in run.nodes.ids() {
-                    busy[m] = false;
-                    if !cfg.lean {
-                        occupancy.push(OccSpan {
-                            node: m,
-                            t0_s: run.start_s,
-                            t1_s: now,
-                            job: run.id,
-                            attempt: run.attempt,
-                        });
-                    }
-                }
-                let rec = &mut records[run.ji];
-                rec.restarts += 1;
-                rec.lost_work_s += lost;
-                lost_total += lost;
-                requeues += 1;
-                let cls = rec_class[run.ji];
-                queued_per_class[cls] += 1;
-                queue.insert(
-                    0,
-                    QueueEntry {
-                        ji: run.ji,
-                        id: run.id,
-                        ranks: run.nodes.len(),
-                        work: run.work,
-                        class: cls,
-                        // Queue entries carry *reference* work (lowest
-                        // nodes); undo this attempt's placement factor.
-                        // `pfac` is exactly 1.0 on the star, so the
-                        // division is a bit-exact no-op there.
-                        work_rem_s: (run.work_s - done).max(0.0) / run.pfac,
-                        resumed: true,
-                        attempt: run.attempt + 1,
-                    },
-                );
-            }
-        }
-
-        // 4. Arrivals, through admission control.
-        while source.peek_s().is_some_and(|t| t <= now) {
-            let arr = source.next_arrival().expect("peeked arrival");
-            let asked = arr.class.min(nclass - 1);
-            offered_per_class[asked] += 1;
-            let decision = admission.admit(
-                &arr,
-                &AdmissionCtx {
-                    now_s: now,
-                    queued_per_class: &queued_per_class,
-                    running_jobs: running.len(),
-                    total_nodes: n,
-                },
-            );
-            let Some(cls) = decision else {
-                shed_per_class[asked] += 1;
-                continue;
-            };
-            let cls = cls.min(nclass - 1);
-            admitted_per_class[cls] += 1;
-            queued_per_class[cls] += 1;
-            let spec = arr.spec;
-            let width = spec.ranks.clamp(1, n);
-            let work_s = service.work_s(&spec.work, width);
-            let ji = records.len();
-            records.push(JobRecord {
-                id: spec.id,
-                ranks: width,
-                submit_s: spec.submit_s,
-                start_s: -1.0,
-                end_s: -1.0,
-                clean_service_s: charge.wall_for(work_s, false),
-                restarts: 0,
-                lost_work_s: 0.0,
-            });
-            rec_class.push(cls);
-            // Class rank orders the queue (FIFO within a class): insert
-            // before the first strictly lower-priority entry. With one
-            // class this is exactly the old `push`, and a requeued
-            // failure victim at the head keeps its place against
-            // same-or-lower classes.
-            let pos = queue
-                .iter()
-                .position(|e| e.class > cls)
-                .unwrap_or(queue.len());
-            queue.insert(
-                pos,
-                QueueEntry {
-                    ji,
-                    id: spec.id,
-                    ranks: width,
-                    work: spec.work,
-                    class: cls,
-                    work_rem_s: work_s,
-                    resumed: false,
-                    attempt: 0,
-                },
-            );
-        }
-
-        // 5. Dispatch: consult the policy, then re-validate each pick
-        // against the live free mask (policies may be optimistic).
-        free_mask.clear();
-        free_mask.extend((0..n).map(|k| up[k] && !busy[k]));
-        let free_count = free_mask.iter().filter(|&&f| f).count();
-        let total_up = up.iter().filter(|&&u| u).count();
-        let qview: Vec<QueuedJob> = queue
-            .iter()
-            .map(|q| QueuedJob {
-                ranks: q.ranks,
-                service_est_s: charge.wall_for(q.work_rem_s, q.resumed),
-            })
-            .collect();
-        let rview: Vec<RunningJob> = running
-            .iter()
-            .map(|r| RunningJob {
-                end_s: r.end_s,
-                ranks: r.nodes.len(),
-            })
-            .collect();
-        let picks = policy.select(&PolicyCtx {
-            now_s: now,
-            free_nodes: free_count,
-            total_nodes: total_up,
-            queue: &qview,
-            running: &rview,
-        });
-        // The in-flight mix's traffic, collected once per event: it
-        // scores placements here and, joined by the jobs this round
-        // starts, feeds the contention epoch in step 6.
-        let traffics: Vec<&JobTraffic> = if is_star {
-            Vec::new()
-        } else {
-            running.iter().map(|r| &r.traffic).collect()
-        };
-        // Contention-aware placement scores candidate groups against
-        // the uplink load of the in-flight mix, frozen at the top of
-        // this dispatch round (jobs started this round don't see each
-        // other's traffic until the next event — deterministic either
-        // way, but freezing keeps the score independent of pick order).
-        let group_loads: Vec<f64> =
-            if cfg.placement == Placement::ContentionAware && !is_star && !picks.is_empty() {
-                contention::edge_uplink_loads(&traffics, ngroups)
-            } else {
-                Vec::new()
-            };
-        let mut started: Vec<usize> = Vec::new();
-        let mut seen = vec![false; queue.len()];
-        for p in picks {
-            if p >= queue.len() || seen[p] {
-                continue;
-            }
-            seen[p] = true;
-            let q = &queue[p];
-            let alloc = match cfg.placement {
-                Placement::Lowest => NodeSet::alloc_lowest(&free_mask, q.ranks),
-                Placement::Compact => NodeSet::alloc_compact(&free_mask, q.ranks, &topo),
-                Placement::ContentionAware => {
-                    NodeSet::alloc_contention_aware(&free_mask, q.ranks, &topo, &group_loads)
-                }
-            };
-            if let Some(nodes) = alloc {
-                for &m in nodes.ids() {
-                    busy[m] = true;
-                    free_mask[m] = false;
-                }
-                if records[q.ji].start_s < 0.0 {
-                    records[q.ji].start_s = now;
-                }
-                // Charge the *actual* placement: the arrival-time
-                // estimate priced the job on the lowest nodes; a
-                // spanning allocation genuinely costs more on fat
-                // trees and tori. Both step profiles are memo hits
-                // after the first job of each (work, nodes) shape.
-                let (pfac, traffic) = if is_star {
-                    (1.0, JobTraffic::default())
-                } else {
-                    let work = &q.work;
-                    let profile = service.step_profile_on(work, &nodes);
-                    let reference = service.step_s(work, nodes.len());
-                    let traffic = contention::job_traffic(
-                        &topo,
-                        &profile.stats,
-                        nodes.ids(),
-                        profile.step_s,
-                        q.id as u64,
-                        ways,
-                    );
-                    (profile.step_s / reference, traffic)
-                };
-                let work_eff = q.work_rem_s * pfac;
-                let wall = charge.wall_for(work_eff, q.resumed);
-                launched.push(RunEntry {
-                    ji: q.ji,
-                    id: q.id,
-                    work: q.work,
-                    nodes,
-                    start_s: now,
-                    end_s: now + wall,
-                    work_s: work_eff,
-                    pad_s: charge.pad_s(q.resumed),
-                    attempt: q.attempt,
-                    pfac,
-                    nominal_wall_s: wall,
-                    nominal_rem_s: wall,
-                    epoch_s: now,
-                    slow: 1.0,
-                    acct_s: now,
-                    traffic,
-                });
-                started.push(p);
-            }
-        }
-        started.sort_unstable();
-        for &p in started.iter().rev() {
-            queued_per_class[queue[p].class] -= 1;
-            queue.remove(p);
-        }
-        if !cfg.lean {
-            registry.sample(qd, now, queue.len() as f64);
-        }
-
-        // 6. Cross-job contention epoch: close out the hot-spot
-        // accounting for the interval that just ended, then — when the
-        // running set changed — recompute every running job's
-        // mean-field slowdown from the aggregate link load and retime
-        // its completion. Jobs whose factor is unchanged (the common
-        // case, and *always* the case while a job is contention-free)
-        // are left untouched bit for bit; when the set is unchanged so
-        // is every factor, and the retiming pass is skipped outright.
-        if is_star {
-            running.append(&mut launched);
-            continue;
-        }
-        for &id in &ep.shared {
-            add_to_link(&mut link_shared_s, id, now - shared_t);
-        }
-        shared_t = now;
-        set_changed |= !launched.is_empty();
-        if set_changed {
-            let mut traffics = traffics;
-            traffics.extend(launched.iter().map(|r| &r.traffic));
-            ep = contention::epoch_with(&mut scratch, &topo, gap, &traffics);
-        }
-        running.append(&mut launched);
-        if set_changed {
-            if !cfg.lean {
-                // Series appear in ascending name order among the links
-                // first loaded at this event.
-                let mut fresh: Vec<(String, LinkId)> = ep
-                    .agg_rates
-                    .iter()
-                    .filter(|&&(id, _)| {
-                        rate_series[id as usize].is_none() && ids.link(id).0.is_fabric()
-                    })
-                    .map(|&(id, _)| (ids.name(id), id))
-                    .collect();
-                fresh.sort();
-                for (name, id) in fresh {
-                    rate_series[id as usize] =
-                        Some(registry.series("sched.uplink_rate_Bps", &name));
-                }
-            }
-            for (r, &s_new) in running.iter_mut().zip(&ep.factors) {
-                max_contention = max_contention.max(s_new);
-                if s_new == r.slow {
-                    continue;
-                }
-                account_links(&mut link_bytes, r, now);
-                r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
-                r.epoch_s = now;
-                r.slow = s_new;
-                r.end_s = now + r.nominal_rem_s * s_new;
-            }
-        }
-        if !cfg.lean {
-            // Only fabric links ever get a series.
-            for &(id, rate) in &ep.agg_rates {
-                if let Some(h) = rate_series[id as usize] {
-                    registry.sample(h, now, rate);
-                }
-            }
-        }
-    }
-
-    let link_bytes = named_totals(&link_bytes, &ids);
-    let link_shared_s = named_totals(&link_shared_s, &ids);
-    let makespan_s = records.iter().map(|r| r.end_s).fold(0.0, f64::max);
-    let utilization = busy_node_s / (n as f64 * makespan_s.max(1e-9));
-    // `.max(1)` guards the all-shed stream; for any non-empty record
-    // set the divisor — and every bit of the mean — is unchanged.
-    let mean_wait_s = records.iter().map(|r| r.wait_s()).sum::<f64>() / records.len().max(1) as f64;
-    let mean_slowdown =
-        records.iter().map(|r| r.slowdown()).sum::<f64>() / records.len().max(1) as f64;
-    let jobs_per_hour = records.len() as f64 / (makespan_s.max(1e-9) / 3600.0);
-
-    registry.record_gauge("sched.utilization", policy.name(), utilization);
-    registry.record_gauge("sched.mean_wait_s", policy.name(), mean_wait_s);
-    registry.set_histogram("sched.wait_s", policy.name(), wait_hist.to_metric());
-    registry.set_histogram("sched.slowdown", policy.name(), slowdown_hist.to_metric());
-    registry.count("sched.jobs", policy.name(), records.len() as u64);
-    registry.count("sched.failures", policy.name(), u64::from(failures_applied));
-    registry.count("sched.requeues", policy.name(), u64::from(requeues));
-    for (l, b) in &link_bytes {
-        registry.count("sched.link_bytes", l, b.round() as u64);
-    }
-    for (l, s) in &link_shared_s {
-        registry.record_gauge("sched.link_shared_s", l, *s);
-    }
-    registry.record_gauge("sched.max_contention_factor", policy.name(), max_contention);
-    for (c, label) in labels.iter().enumerate() {
-        registry.count("stream.offered", label, offered_per_class[c]);
-        registry.count("stream.admitted", label, admitted_per_class[c]);
-        registry.count("stream.shed", label, shed_per_class[c]);
-        if class_wait[c].count() > 0 {
-            registry.set_histogram("stream.wait_s", label, class_wait[c].to_metric());
-            registry.set_histogram("stream.slowdown", label, class_slow[c].to_metric());
-        }
-    }
-
-    records.sort_by_key(|r| r.id);
-    occupancy.sort_by(|a, b| a.node.cmp(&b.node).then(a.t0_s.total_cmp(&b.t0_s)));
-
-    let mut f = Fnv::new();
-    f.write_u64(records.len() as u64);
-    for r in &records {
-        f.write_u64(r.id as u64);
-        f.write_u64(r.ranks as u64);
-        f.write_f64(r.submit_s);
-        f.write_f64(r.start_s);
-        f.write_f64(r.end_s);
-        f.write_u64(u64::from(r.restarts));
-        f.write_f64(r.lost_work_s);
-    }
-    f.write_f64(busy_node_s);
-    f.write_f64(makespan_s);
-    f.write_u64(u64::from(failures_applied));
-    let fingerprint = f.finish();
-
-    // The stream fingerprint folds the batch outcome hash with every
-    // admission decision, so two runs that shed differently can never
-    // collide even when their admitted sets happen to agree.
-    let mut sf = Fnv::new();
-    sf.write_u64(fingerprint);
-    sf.write_u64(nclass as u64);
-    for c in 0..nclass {
-        sf.write_u64(offered_per_class[c]);
-        sf.write_u64(admitted_per_class[c]);
-        sf.write_u64(shed_per_class[c]);
-        sf.write_u64(completed_per_class[c]);
-    }
-    let stream_fingerprint = sf.finish();
-
-    let offered: u64 = offered_per_class.iter().sum();
-    let shed: u64 = shed_per_class.iter().sum();
-    let classes: Vec<ClassReport> = labels
-        .into_iter()
-        .enumerate()
-        .map(|(c, label)| ClassReport {
-            label,
-            offered: offered_per_class[c],
-            admitted: admitted_per_class[c],
-            shed: shed_per_class[c],
-            completed: completed_per_class[c],
-            wait_hist: std::mem::take(&mut class_wait[c]),
-            slowdown_hist: std::mem::take(&mut class_slow[c]),
-        })
-        .collect();
-
-    StreamReport {
-        sim: SimReport {
-            policy: policy.name(),
-            jobs: records,
-            makespan_s,
-            utilization,
-            mean_wait_s,
-            mean_slowdown,
-            wait_hist,
-            slowdown_hist,
-            jobs_per_hour,
-            failures: failures_applied,
-            requeues,
-            lost_work_s: lost_total,
-            occupancy,
-            link_bytes,
-            link_shared_s,
-            max_contention_factor: max_contention,
-            registry,
-            fingerprint,
-        },
-        classes,
-        offered,
-        shed,
-        stream_fingerprint,
-    }
+    engine.into_report()
 }
 
 #[cfg(test)]
@@ -1609,5 +1644,256 @@ mod tests {
             compact.makespan_s,
             lowest.makespan_s
         );
+    }
+
+    /// A service oracle with one fixed step time on every node set, so
+    /// a test can place completions at chosen virtual seconds.
+    struct FixedStep {
+        spec: ClusterSpec,
+        step_s: f64,
+    }
+
+    impl ServiceOracle for FixedStep {
+        fn spec(&self) -> &ClusterSpec {
+            &self.spec
+        }
+
+        fn step_profile_on(&self, _work: &WorkModel, nodes: &NodeSet) -> StepProfile {
+            StepProfile {
+                step_s: self.step_s,
+                stats: Arc::new(vec![CommStats::default(); nodes.len()]),
+            }
+        }
+    }
+
+    /// Hand-built arrivals, replayed in the order given.
+    struct Arrivals(std::collections::VecDeque<crate::stream::Arrival>);
+
+    impl ArrivalSource for Arrivals {
+        fn peek_s(&mut self) -> Option<f64> {
+            self.0.front().map(|a| a.spec.submit_s)
+        }
+
+        fn next_arrival(&mut self) -> Option<crate::stream::Arrival> {
+            self.0.pop_front()
+        }
+    }
+
+    /// Grants every arrival the class it asked for, or sheds them all.
+    struct Classes {
+        n: usize,
+        shed_all: bool,
+    }
+
+    impl AdmissionControl for Classes {
+        fn class_labels(&self) -> Vec<String> {
+            (0..self.n).map(|c| format!("c{c}")).collect()
+        }
+
+        fn admit(
+            &mut self,
+            arrival: &crate::stream::Arrival,
+            _ctx: &AdmissionCtx,
+        ) -> Option<usize> {
+            (!self.shed_all).then_some(arrival.class)
+        }
+    }
+
+    /// A 4-node star whose every step takes one virtual second.
+    fn four_nodes() -> FixedStep {
+        FixedStep {
+            spec: mb_cluster::spec::metablade().with_nodes(4),
+            step_s: 1.0,
+        }
+    }
+
+    /// A full-width job on [`four_nodes`]: `steps` seconds of work.
+    fn wide(id: usize, submit_s: f64, steps: u32, class: usize) -> crate::stream::Arrival {
+        crate::stream::Arrival {
+            spec: JobSpec {
+                id,
+                submit_s,
+                ranks: 4,
+                work: WorkModel::Npb {
+                    kernel: crate::job::NpbKernel::Ep,
+                    iters: steps,
+                },
+            },
+            class,
+        }
+    }
+
+    fn run_stream(
+        arrivals: Vec<crate::stream::Arrival>,
+        admission: &mut Classes,
+        cfg: &SchedConfig,
+    ) -> StreamReport {
+        let mut source = Arrivals(arrivals.into());
+        simulate_stream(&four_nodes(), &Fcfs, &mut source, admission, cfg)
+    }
+
+    const ONE_CLASS: Classes = Classes {
+        n: 1,
+        shed_all: false,
+    };
+
+    fn sparse_failures() -> SchedConfig {
+        SchedConfig {
+            failure: Some(FailureConfig::accelerated(2000.0, 11)),
+            ..SchedConfig::default()
+        }
+    }
+
+    /// The first failure's virtual second under `cfg`, read off a probe
+    /// run: a full-width job that outlasts it is struck there, which
+    /// closes its attempt-0 occupancy spans.
+    fn first_failure_s(cfg: &SchedConfig) -> f64 {
+        let rep = run_stream(vec![wide(0, 0.0, 1_000_000, 0)], &mut { ONE_CLASS }, cfg);
+        assert!(rep.sim.requeues > 0, "the probe job was never struck");
+        let first = rep.sim.occupancy.iter().find(|s| s.attempt == 0);
+        first.expect("attempt 0 ran").t1_s
+    }
+
+    #[test]
+    fn a_repair_and_an_arrival_at_one_instant_start_the_arrival_there() {
+        let cfg = sparse_failures();
+        let t_repair = first_failure_s(&cfg) + cfg.failure.unwrap().repair_s;
+        // The failure strikes an idle machine; the full-width job
+        // arrives at the very second the node comes back, and repairs
+        // are handled before arrivals and dispatch.
+        let rep = run_stream(vec![wide(0, t_repair, 10, 0)], &mut { ONE_CLASS }, &cfg);
+        assert_eq!(rep.sim.failures, 1);
+        assert_eq!(rep.sim.jobs[0].start_s, t_repair);
+        assert_eq!(rep.sim.jobs[0].wait_s(), 0.0);
+    }
+
+    #[test]
+    fn a_completion_and_a_failure_at_one_instant_complete_the_job() {
+        let cfg = sparse_failures();
+        let t_fail = first_failure_s(&cfg);
+        // A run from 0 ends at exactly its wall time (work plus the
+        // checkpoint charge).
+        let wall = run_stream(vec![wide(0, 0.0, 100, 0)], &mut { ONE_CLASS }, &cfg)
+            .sim
+            .jobs[0]
+            .end_s;
+        assert!(wall < t_fail);
+        // Submit so that the job ends on the failure's exact bits.
+        let mut submit_s = t_fail - wall;
+        while submit_s + wall < t_fail {
+            submit_s = submit_s.next_up();
+        }
+        while submit_s + wall > t_fail {
+            submit_s = submit_s.next_down();
+        }
+        assert_eq!(submit_s + wall, t_fail);
+        let rep = run_stream(vec![wide(0, submit_s, 100, 0)], &mut { ONE_CLASS }, &cfg);
+        // The failure was applied in the job's last instant (one
+        // instant later the run would have been over, the failure never
+        // applied), and found its node already released.
+        assert_eq!(rep.sim.failures, 1);
+        assert_eq!(rep.sim.requeues, 0);
+        assert_eq!(rep.sim.jobs[0].end_s, t_fail);
+        assert_eq!(rep.sim.jobs[0].restarts, 0);
+    }
+
+    #[test]
+    fn a_requeued_victim_keeps_the_head_against_a_later_class_0_arrival() {
+        let cfg = sparse_failures();
+        let t_fail = first_failure_s(&cfg);
+        let t_repair = t_fail + cfg.failure.unwrap().repair_s;
+        // Class-0 job 0 holds the whole machine when the failure
+        // strikes and is requeued at the head, ahead of class-1 job 1;
+        // until the repair nothing full-width can start. Class-0 job 2
+        // arrives in that window: it overtakes job 1, never job 0.
+        let arrivals = vec![
+            wide(0, 0.0, t_fail as u32 + 300, 0),
+            wide(1, t_fail / 2.0, 50, 1),
+            wide(2, t_fail + 1.0, 50, 0),
+        ];
+        let mut two = Classes {
+            n: 2,
+            shed_all: false,
+        };
+        let rep = run_stream(arrivals, &mut two, &cfg);
+        let jobs = &rep.sim.jobs;
+        assert_eq!(jobs[0].restarts, 1);
+        let resumed = rep.sim.occupancy.iter().find(|s| s.attempt == 1);
+        assert_eq!(resumed.expect("job 0 resumed").t0_s, t_repair);
+        assert_eq!(jobs[2].start_s, jobs[0].end_s);
+        assert_eq!(jobs[1].start_s, jobs[2].end_s);
+    }
+
+    #[test]
+    fn an_all_shed_stream_reports_an_empty_well_formed_run() {
+        let arrivals = (0..3).map(|id| wide(id, id as f64, 10, id % 2)).collect();
+        let mut shed = Classes {
+            n: 2,
+            shed_all: true,
+        };
+        let rep = run_stream(arrivals, &mut shed, &SchedConfig::default());
+        assert_eq!((rep.offered, rep.shed), (3, 3));
+        assert_eq!(rep.classes[0].shed + rep.classes[1].shed, 3);
+        assert!(rep
+            .classes
+            .iter()
+            .all(|c| c.admitted == 0 && c.completed == 0));
+        let sim = &rep.sim;
+        assert!(sim.jobs.is_empty() && sim.occupancy.is_empty());
+        assert_eq!(sim.makespan_s, 0.0);
+        assert_eq!((sim.mean_wait_s, sim.mean_slowdown), (0.0, 0.0));
+        assert_eq!((sim.utilization, sim.jobs_per_hour), (0.0, 0.0));
+        assert_eq!(sim.registry.counter_value("sched.jobs", "fcfs"), Some(0));
+    }
+
+    /// Picks every queue index, and one past the end, twice in a row,
+    /// whatever the free-node count says.
+    struct Sloppy;
+
+    impl SchedPolicy for Sloppy {
+        fn name(&self) -> &'static str {
+            "sloppy"
+        }
+
+        fn select(&self, ctx: &PolicyCtx) -> Vec<usize> {
+            (0..=ctx.queue.len()).flat_map(|p| [p, p]).collect()
+        }
+    }
+
+    #[test]
+    fn optimistic_duplicate_and_out_of_range_picks_are_revalidated() {
+        // Three half-width jobs at once: the repeated pick of job 0
+        // must not start it again on the two nodes still free, job 2
+        // fails the live free mask until a job ends, and the index past
+        // the end is ignored.
+        let mut arrivals: Vec<_> = (0..3).map(|id| wide(id, 0.0, 10, 0)).collect();
+        arrivals.iter_mut().for_each(|a| a.spec.ranks = 2);
+        let mut source = Arrivals(arrivals.into());
+        let rep = simulate_stream(
+            &four_nodes(),
+            &Sloppy,
+            &mut source,
+            &mut { ONE_CLASS },
+            &SchedConfig::default(),
+        );
+        let jobs = &rep.sim.jobs;
+        assert_eq!(rep.sim.occupancy.len(), 3 * 2);
+        assert_eq!((jobs[0].start_s, jobs[1].start_s), (0.0, 0.0));
+        assert_eq!(jobs[2].start_s, jobs[0].end_s);
+    }
+
+    #[test]
+    fn out_of_range_classes_are_clamped_to_the_last_class() {
+        // Asked for class 7 of 2, and granted it by the admission: both
+        // the request and the grant count under the last class.
+        let mut two = Classes {
+            n: 2,
+            shed_all: false,
+        };
+        let rep = run_stream(vec![wide(0, 0.0, 10, 7)], &mut two, &SchedConfig::default());
+        let last = &rep.classes[1];
+        assert_eq!((last.offered, last.admitted, last.completed), (1, 1, 1));
+        assert_eq!(rep.classes[0].offered, 0);
+        assert_eq!(last.wait_hist.count(), 1);
     }
 }

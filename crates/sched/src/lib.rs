@@ -16,8 +16,9 @@
 //!   standard 200-job acceptance stream ([`standard`]);
 //! * [`policy`] — [`Fcfs`], [`EasyBackfill`] and [`Sjf`] behind the
 //!   [`SchedPolicy`] trait;
-//! * [`engine`] — the event loop ([`simulate`]), the memoizing
-//!   [`ServiceModel`] behind the [`ServiceOracle`] trait, and
+//! * [`engine`] — the event loop ([`simulate`] / [`simulate_stream`]:
+//!   one private state machine, one handler per event kind), the
+//!   memoizing [`ServiceModel`] behind the [`ServiceOracle`] trait, and
 //!   failure/checkpoint accounting;
 //! * [`stream`] — open-arrival sources and SLO admission control
 //!   behind [`simulate_stream`] (the closed batch is the degenerate

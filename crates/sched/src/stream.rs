@@ -121,7 +121,7 @@ impl AdmissionControl for AdmitAll {
 }
 
 /// Per-class outcome of a streamed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassReport {
     /// Class label (from [`AdmissionControl::class_labels`]).
     pub label: String,

@@ -168,28 +168,6 @@ impl RunTrace {
     }
 }
 
-/// Phase accounting over a sequence of *phase-open* timestamps — the
-/// shared logic behind `mb-cluster`'s `Tracer::phase_time`.
-///
-/// Semantics: opening a phase closes the previous one; the final open
-/// phase closes at `end_at`. `end_at` must be at least the last marker
-/// time (callers clamp). Re-opening the same name accumulates.
-pub fn phase_durations(markers: &[(f64, &str)], end_at: f64) -> Vec<(String, f64)> {
-    let mut totals: Vec<(String, f64)> = Vec::new();
-    let mut add = |name: &str, dur: f64| {
-        if let Some(entry) = totals.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += dur;
-        } else {
-            totals.push((name.to_string(), dur));
-        }
-    };
-    for (i, &(at, name)) in markers.iter().enumerate() {
-        let close = markers.get(i + 1).map(|&(t, _)| t).unwrap_or(end_at);
-        add(name, (close - at).max(0.0));
-    }
-    totals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,37 +202,5 @@ mod tests {
         assert_eq!(trace.kind_time(9, SpanKind::Recv), 0.0);
         assert_eq!(trace.end_s(), 4.0);
         assert_eq!(trace.len(), 4);
-    }
-
-    #[test]
-    fn phase_durations_close_at_next_marker_and_end() {
-        let d = phase_durations(&[(0.0, "build"), (2.0, "walk"), (5.0, "idle")], 6.0);
-        assert_eq!(
-            d,
-            vec![
-                ("build".to_string(), 2.0),
-                ("walk".to_string(), 3.0),
-                ("idle".to_string(), 1.0),
-            ]
-        );
-    }
-
-    #[test]
-    fn phase_durations_accumulate_repeated_names() {
-        // Re-entering "a" must add both visits, including the trailing
-        // open one — the mis-accounting the old Tracer had.
-        let d = phase_durations(&[(0.0, "a"), (1.0, "b"), (4.0, "a")], 10.0);
-        assert_eq!(d, vec![("a".to_string(), 7.0), ("b".to_string(), 3.0)]);
-    }
-
-    #[test]
-    fn trailing_phase_with_no_later_events_reaches_end() {
-        let d = phase_durations(&[(5.0, "only")], 9.0);
-        assert_eq!(d, vec![("only".to_string(), 4.0)]);
-    }
-
-    #[test]
-    fn empty_markers_yield_nothing() {
-        assert!(phase_durations(&[], 10.0).is_empty());
     }
 }

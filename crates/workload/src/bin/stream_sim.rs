@@ -1,6 +1,6 @@
 //! `stream_sim`: streaming open-arrival job traffic at user scale.
-//! All logic lives in [`mb_workload::cli`] so the repo-root alias can
-//! share it; run with `--help` for the scenario suite and outputs.
+//! All logic lives in [`mb_workload::cli`]; run with `--help` for the
+//! scenario suite and outputs.
 
 fn main() {
     mb_workload::cli::stream_main()

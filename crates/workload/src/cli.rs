@@ -1,6 +1,6 @@
 //! The `stream_sim` driver: drive open-arrival job traffic at user
 //! scale through the streaming scheduler on the 24-node MetaBlade.
-//! Shared by the crate binary and the repo-root alias.
+//! `src/bin/stream_sim.rs` only calls in.
 //!
 //! The run calibrates the closed-form [`CostModel`] against
 //! executor-measured step times (asserting the fitted coefficients are
@@ -23,7 +23,7 @@ use mb_sched::{
     generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, SchedConfig, ServiceOracle,
     StreamReport, VecArrivals, WorkloadConfig,
 };
-use mb_telemetry::artifact::{artifact_dir, write_artifact};
+use mb_telemetry::artifact::{artifact_dir, host_threads, unix_time_s, write_artifact};
 use mb_telemetry::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,12 +52,6 @@ compatibility, and verify every stream fingerprint is bit-identical
 under MB_PARALLEL executor widths 1/4/8. Documents land in the
 artifact directory ($MB_TELEMETRY_DIR, default ./traces) together
 with per-class wait/slowdown histogram artifacts.";
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 const EXECS: [ExecPolicy; 3] = [
     ExecPolicy::Sequential,
@@ -463,16 +457,8 @@ fn run_all(smoke: bool) {
     );
 }
 
-fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-/// Entry point shared by `crates/workload/src/bin/stream_sim.rs` and
-/// the repo-root `stream_sim` alias: parse argv, run the smoke or full
-/// scenario suite.
+/// Entry point of `crates/workload/src/bin/stream_sim.rs`: parse argv,
+/// run the smoke or full scenario suite.
 pub fn stream_main() {
     let mut smoke = false;
     for arg in std::env::args().skip(1) {

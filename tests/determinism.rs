@@ -17,11 +17,13 @@ use metablade::cluster::{Comm, CommStats, ExecPolicy, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
 use metablade::sched::{
-    generate, simulate, FailureConfig, JobSpec, NpbKernel, SchedConfig, ServiceModel, SimReport,
-    WorkModel, WorkloadConfig,
+    generate, simulate, simulate_stream, standard, AdmissionControl, AdmitAll, ArrivalSource,
+    FailureConfig, JobSpec, NpbKernel, SchedConfig, ServiceModel, ServiceOracle, SimReport,
+    StreamReport, VecArrivals, WorkModel, WorkloadConfig,
 };
 use metablade::telemetry::fnv::Fnv;
 use metablade::telemetry::json::{parse, Json};
+use metablade::telemetry::prof::LogHistogram;
 
 /// Fingerprint the simulated quantities of one outcome bit-exactly:
 /// results, clocks, stats (never the executor report — that is
@@ -343,19 +345,7 @@ fn contended_fat_tree_report_boundary_reproduces_the_string_keyed_engine() {
     let spec = metablade_spec()
         .with_nodes(64)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
-    let jobs: Vec<JobSpec> = (0..32)
-        .map(|id| JobSpec {
-            id,
-            submit_s: 0.5 * id as f64,
-            ranks: [20, 28, 12, 24, 18, 10][id % 6],
-            work: WorkModel::Synthetic {
-                flops_per_step: 1e6,
-                msg_kib: [64, 32, 16][id % 3],
-                rounds: 8,
-                steps: [120, 200, 80, 160][id % 4],
-            },
-        })
-        .collect();
+    let jobs = contended_ft64_jobs();
     let base = SchedConfig {
         placement: Placement::ContentionAware,
         route_spread: true,
@@ -392,6 +382,226 @@ fn contended_fat_tree_report_boundary_reproduces_the_string_keyed_engine() {
             policy.name()
         );
     }
+}
+
+/// The 32-job comm-heavy stream of the PR-12 report-boundary gate: on
+/// the 64-node ft16x2o4 tree its jobs overlap on the edge uplinks.
+fn contended_ft64_jobs() -> Vec<JobSpec> {
+    (0..32)
+        .map(|id| JobSpec {
+            id,
+            submit_s: 0.5 * id as f64,
+            ranks: [20, 28, 12, 24, 18, 10][id % 6],
+            work: WorkModel::Synthetic {
+                flops_per_step: 1e6,
+                msg_kib: [64, 32, 16][id % 3],
+                rounds: 8,
+                steps: [120, 200, 80, 160][id % 4],
+            },
+        })
+        .collect()
+}
+
+fn digest_hist(h: &mut Fnv, hist: &LogHistogram) {
+    let m = hist.to_metric();
+    h.write_usize(m.bounds.len());
+    for b in &m.bounds {
+        h.write_f64(*b);
+    }
+    h.write_usize(m.counts.len());
+    for c in &m.counts {
+        h.write_u64(*c);
+    }
+    h.write_f64(m.sum);
+    h.write_u64(m.n);
+    h.write_f64(hist.min());
+    h.write_f64(hist.max());
+}
+
+/// FNV over *every* public field of a [`StreamReport`] and the
+/// [`SimReport`] inside it — the whole-report golden the event loop's
+/// rewrites are held to. It extends [`report_boundary_fingerprint`]
+/// (folded in as its first word) with every job-record field, each
+/// scalar's bits, all histograms in their metric form, the occupancy
+/// spans in report order, the registry both in registration order
+/// (names and labels) and rendered through `to_json()` (every counter,
+/// gauge, histogram and series sample), the per-class counters and both
+/// fingerprints.
+fn whole_report_digest(rep: &StreamReport) -> u64 {
+    let sim = &rep.sim;
+    let mut h = Fnv::new();
+    h.write_u64(report_boundary_fingerprint(sim));
+    h.write_str(sim.policy);
+    h.write_usize(sim.jobs.len());
+    for r in &sim.jobs {
+        h.write_usize(r.id);
+        h.write_usize(r.ranks);
+        h.write_f64(r.submit_s);
+        h.write_f64(r.start_s);
+        h.write_f64(r.end_s);
+        h.write_f64(r.clean_service_s);
+        h.write_u64(u64::from(r.restarts));
+        h.write_f64(r.lost_work_s);
+    }
+    for v in [
+        sim.makespan_s,
+        sim.utilization,
+        sim.mean_wait_s,
+        sim.mean_slowdown,
+        sim.jobs_per_hour,
+        sim.lost_work_s,
+        sim.max_contention_factor,
+    ] {
+        h.write_f64(v);
+    }
+    h.write_u64(u64::from(sim.failures));
+    h.write_u64(u64::from(sim.requeues));
+    digest_hist(&mut h, &sim.wait_hist);
+    digest_hist(&mut h, &sim.slowdown_hist);
+    h.write_usize(sim.occupancy.len());
+    for s in &sim.occupancy {
+        h.write_usize(s.node);
+        h.write_f64(s.t0_s);
+        h.write_f64(s.t1_s);
+        h.write_usize(s.job);
+        h.write_u64(u64::from(s.attempt));
+    }
+    h.write_usize(sim.registry.len());
+    for (name, label, _) in sim.registry.iter() {
+        h.write_str(name);
+        h.write_str(label);
+    }
+    h.write_str(&sim.registry.to_json().to_string());
+    h.write_u64(sim.fingerprint);
+    h.write_usize(rep.classes.len());
+    for c in &rep.classes {
+        h.write_str(&c.label);
+        h.write_u64(c.offered);
+        h.write_u64(c.admitted);
+        h.write_u64(c.shed);
+        h.write_u64(c.completed);
+        digest_hist(&mut h, &c.wait_hist);
+        digest_hist(&mut h, &c.slowdown_hist);
+    }
+    h.write_u64(rep.offered);
+    h.write_u64(rep.shed);
+    h.write_u64(rep.stream_fingerprint);
+    h.finish()
+}
+
+fn golden_run(
+    service: &dyn ServiceOracle,
+    policy: &dyn SchedPolicy,
+    source: &mut dyn ArrivalSource,
+    admission: &mut dyn AdmissionControl,
+    cfg: &SchedConfig,
+) -> (StreamReport, String) {
+    let rep = simulate_stream(service, policy, source, admission, cfg);
+    let digest = format!("{:016x}", whole_report_digest(&rep));
+    (rep, digest)
+}
+
+// The three whole-report goldens below were recorded on commit bd188f6
+// (PR 12), the last one whose `simulate_stream` was a single 630-line
+// loop, before the first edit that turned it into the `Engine` state
+// machine. The run fingerprints only cover job records, busy
+// node-seconds, the makespan and the failure count; these digests hold
+// every other reported bit (occupancy, queue-depth and uplink series,
+// histograms, per-class counters, registry order) to that loop too.
+
+#[test]
+fn whole_report_golden_star_easy_with_failures() {
+    let cluster = Cluster::new(metablade_spec()).with_exec(ExecPolicy::Sequential);
+    let service = ServiceModel::new(&cluster);
+    let cfg = SchedConfig {
+        failure: Some(FailureConfig::accelerated(400.0, 2002)),
+        ..SchedConfig::default()
+    };
+    let mut source = VecArrivals::new(&generate(&standard()));
+    let (rep, digest) = golden_run(&service, &EasyBackfill, &mut source, &mut AdmitAll, &cfg);
+    assert!(
+        rep.sim.failures > 0 && rep.sim.requeues > 0,
+        "the golden must cross the failure and requeue paths"
+    );
+    assert!(!rep.sim.occupancy.is_empty() && rep.sim.link_bytes.is_empty());
+    assert_eq!(digest, "b3b40a9ca7f621a8");
+}
+
+/// PR 12's contended stream (64-node ft16x2o4, contention-aware
+/// placement, ECMP spreading) under `policy`, with or without failures.
+fn contended_fat_tree_golden(policy: &dyn SchedPolicy, failures: bool, pin: &str) {
+    let spec = metablade_spec()
+        .with_nodes(64)
+        .with_topology(Topology::fat_tree(16, 2, 4.0));
+    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+    let service = ServiceModel::new(&cluster);
+    let cfg = SchedConfig {
+        placement: Placement::ContentionAware,
+        route_spread: true,
+        failure: failures.then(|| FailureConfig::accelerated(40_000.0, 7)),
+        ..SchedConfig::default()
+    };
+    let mut source = VecArrivals::new(&contended_ft64_jobs());
+    let (rep, digest) = golden_run(&service, policy, &mut source, &mut AdmitAll, &cfg);
+    assert!(rep.sim.max_contention_factor > 1.0 && !rep.sim.link_shared_s.is_empty());
+    assert!(
+        rep.sim
+            .registry
+            .iter()
+            .any(|(name, _, _)| name == "sched.uplink_rate_Bps"),
+        "no uplink series was registered"
+    );
+    assert_eq!(rep.sim.requeues > 0, failures);
+    assert_eq!(digest, pin);
+}
+
+#[test]
+fn whole_report_golden_contended_fat_tree_fcfs() {
+    contended_fat_tree_golden(&Fcfs, false, "292e3774ea23c726");
+}
+
+#[test]
+fn whole_report_golden_contended_fat_tree_easy_with_failures() {
+    contended_fat_tree_golden(&EasyBackfill, true, "c2217697c080a94d");
+}
+
+/// A three-class Poisson stream on the star offered far above
+/// capacity: every class queue hits its limit, latency overflow is shed
+/// and batch overflow demoted.
+fn three_class_slo_golden(lean: bool, pin: &str) {
+    use mb_workload::{CostModel, JobMix, OpenArrivals, SloAdmission, TrafficPattern};
+    let mut cost = CostModel::new(metablade_spec());
+    cost.calibrate_default(&JobMix::standard(24).patterns());
+    let mut source = OpenArrivals::new(
+        TrafficPattern::Poisson { rate_per_s: 0.5 },
+        JobMix::standard(24),
+        3_000,
+        3,
+    );
+    let mut admission = SloAdmission::standard(24);
+    let cfg = SchedConfig {
+        lean,
+        ..SchedConfig::default()
+    };
+    let (rep, digest) = golden_run(&cost, &Fcfs, &mut source, &mut admission, &cfg);
+    assert_eq!(rep.classes.len(), 3);
+    assert!(rep.shed > 0, "overload must shed");
+    assert!(
+        rep.classes[2].admitted + rep.classes[2].shed > rep.classes[2].offered,
+        "expected batch->scavenger demotion under overload"
+    );
+    assert_eq!(rep.sim.occupancy.is_empty(), lean);
+    assert_eq!(digest, pin);
+}
+
+#[test]
+fn whole_report_golden_three_class_slo_stream_lean() {
+    three_class_slo_golden(true, "0516843b059c32ff");
+}
+
+#[test]
+fn whole_report_golden_three_class_slo_stream_full() {
+    three_class_slo_golden(false, "042b50cf3296a21f");
 }
 
 #[test]
