@@ -100,10 +100,11 @@ impl SweepConfig {
 
 /// Communication rounds for one cluster case: `rounds` up to 24 ranks,
 /// scaled down as `rounds / (ranks / 16)` (min 1) from 128 ranks up, so
-/// the event count per case stays roughly flat while the legacy
-/// sequential reference engine — whose per-event cost grows with rank
-/// count — remains measurable at 1024 ranks. The bench *name* embeds the
-/// effective round count, keeping every record self-describing.
+/// the event count per case stays roughly flat and the one-slot `seq`
+/// width — where every blocking receive is a full slot hand-off —
+/// remains measurable at 1024 ranks. The bench *name* embeds the
+/// effective round count, keeping every record self-describing (and
+/// pinning this scaling to the committed `BENCH_*.json` names).
 pub fn rounds_for(rounds: usize, ranks: usize) -> usize {
     if ranks >= 128 {
         (rounds / (ranks / 16)).max(1)
@@ -112,8 +113,9 @@ pub fn rounds_for(rounds: usize, ranks: usize) -> usize {
     }
 }
 
-/// The executor policies every sweep compares: the sequential reference
-/// engine, bounded pools of 2 and 8 workers, and the unbounded default.
+/// The executor widths every sweep compares — one engine, four slot
+/// counts: the one-slot sequential reference, bounded pools of 2 and 8
+/// workers, and the unbounded default.
 pub fn policies() -> [ExecPolicy; 4] {
     [
         ExecPolicy::Sequential,

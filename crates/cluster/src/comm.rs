@@ -31,7 +31,7 @@ use bytes::Bytes;
 use mb_telemetry::trace::{SpanEvent, SpanKind, TraceSink};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
-use crate::exec::Admission;
+use crate::event::EventCore;
 use crate::network::NetworkModel;
 
 /// A message in flight.
@@ -116,7 +116,11 @@ pub struct Comm {
     pending: Vec<Msg>,
     coll_seq: u32,
     sink: Option<Box<dyn TraceSink + Send>>,
-    sched: Option<Arc<dyn Admission>>,
+    /// The run's admission engine: a receive that would block the host
+    /// thread releases this rank's execution slot while waiting and
+    /// re-applies for one, at the current virtual clock, once the
+    /// message is here.
+    core: Arc<EventCore>,
     phases: Vec<(&'static str, f64)>,
     /// Running statistics.
     pub stats: CommStats,
@@ -126,13 +130,14 @@ impl Comm {
     /// Internal constructor (used by `machine::Cluster`).
     pub(crate) fn new(
         rank: usize,
-        nranks: usize,
         mflops: f64,
         net: NetworkModel,
         nodes: Arc<Vec<usize>>,
         tx: Vec<Sender<Msg>>,
         rx: Receiver<Msg>,
+        core: Arc<EventCore>,
     ) -> Self {
+        let nranks = tx.len();
         debug_assert_eq!(nodes.len(), nranks);
         Self {
             rank,
@@ -146,7 +151,7 @@ impl Comm {
             pending: Vec::new(),
             coll_seq: 0,
             sink: None,
-            sched: None,
+            core,
             phases: Vec::new(),
             stats: CommStats {
                 peers: vec![PeerTraffic::default(); nranks],
@@ -186,14 +191,6 @@ impl Comm {
     /// virtual-time span into it. Replaces any previous sink.
     pub fn attach_sink(&mut self, sink: Box<dyn TraceSink + Send>) {
         self.sink = Some(sink);
-    }
-
-    /// Attach the executor's slot scheduler (bounded [`crate::exec::ExecPolicy`]
-    /// modes): from now on a receive that would block the host thread
-    /// releases its execution slot while waiting and re-applies for one —
-    /// at this rank's current virtual clock — once the message arrives.
-    pub(crate) fn attach_scheduler(&mut self, sched: Arc<dyn Admission>) {
-        self.sched = Some(sched);
     }
 
     /// Detach and return the current sink, closing any phases still open
@@ -328,17 +325,13 @@ impl Comm {
             let m = match self.rx.try_recv() {
                 Ok(m) => m,
                 Err(TryRecvError::Empty) => {
-                    // The host thread is about to block: under a bounded
-                    // executor, hand the execution slot to another rank
-                    // and take one back once the message is here.
-                    if let Some(sched) = &self.sched {
-                        sched.release(self.rank);
-                        let m = self.rx.recv();
-                        sched.acquire(self.rank, self.clock);
-                        m.expect("all peers hung up")
-                    } else {
-                        self.rx.recv().expect("all peers hung up")
-                    }
+                    // The host thread is about to block: hand the
+                    // execution slot to another rank and take one back
+                    // once the message is here.
+                    self.core.release(self.rank);
+                    let m = self.rx.recv();
+                    self.core.acquire(self.rank, self.clock);
+                    m.expect("all peers hung up")
                 }
                 Err(TryRecvError::Disconnected) => panic!("all peers hung up"),
             };

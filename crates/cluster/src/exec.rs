@@ -1,40 +1,29 @@
-//! The deterministic rank executor: how simulated SPMD ranks map onto
-//! host OS threads.
+//! The executor policy: how many simulated SPMD ranks make host progress
+//! at once.
 //!
 //! Every rank always runs on its own scoped thread (a blocked `recv` must
-//! be able to suspend mid-closure), but *how many ranks make host
-//! progress at once* is an [`ExecPolicy`], and *which engine admits
-//! them* follows from the policy:
+//! be able to suspend mid-closure), and every run is admitted by one
+//! engine, the [`crate::event::EventCore`]. An [`ExecPolicy`] only sets
+//! that core's *execution-slot* count:
 //!
-//! * [`ExecPolicy::Sequential`] — exactly one rank runs at a time,
-//!   admitted by the legacy conservative [`Scheduler`] in this module:
-//!   the reference engine benchmarks compare against.
-//! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold an
-//!   *execution slot* at any instant, admitted by the event-driven
-//!   [`crate::event::EventCore`] (heap-ordered ready queue, per-rank
-//!   lookahead, per-rank wakeups). This bounds host CPU/memory pressure
-//!   for big sweeps without changing any simulated result.
-//! * [`ExecPolicy::Unbounded`] — every rank is admissible at all times:
-//!   the `workers == nranks` special case of the event core. The default.
+//! * [`ExecPolicy::Sequential`] — one slot: exactly one rank runs at a
+//!   time, in `(virtual clock, rank)` order. The width-one reference the
+//!   benchmarks' `seq` column and `speedup_vs_seq` compare against.
+//! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold a slot at
+//!   any instant. This bounds host CPU/memory pressure for big sweeps
+//!   without changing any simulated result.
+//! * [`ExecPolicy::Unbounded`] — `workers == nranks`: every rank is
+//!   admissible whenever the lookahead horizon allows. The default.
 //!
-//! **The conservative-scheduler invariant.** When slots are scarce the
-//! legacy [`Scheduler`] always admits the waiting rank with the *lowest
-//! virtual clock* (ties broken by rank id). A rank at the globally
-//! minimal virtual time can never be affected by a virtual-time-earlier
-//! message that does not exist yet — every message it will ever receive
-//! carries a delivery timestamp at or after some sender's current clock —
-//! so advancing it is always safe, and the policy also bounds
-//! virtual-clock skew between ranks (which bounds the pending-message
-//! buffers). The event core relaxes this global-minimum barrier into a
-//! per-rank lookahead window derived from the network model — see
-//! [`crate::event`] for why that is equally safe.
-//! Determinism itself does not *depend* on the admission order: the
-//! communicator's receives name their source rank and are FIFO per
-//! (source, tag), so a rank's virtual clock is a pure function of its own
-//! event sequence and its senders' timestamps. The scheduler therefore
-//! only decides *wall-clock* behaviour; `SpmdOutcome`s are bit-identical
-//! under every policy and both engines (test-enforced at 1/4/8/24/256
-//! ranks, and regressed end-to-end by `tests/determinism.rs`).
+//! **Admission order cannot change an outcome.** The communicator's
+//! receives name their source rank and are FIFO per (source, tag), so a
+//! rank's virtual clock is a pure function of its own event sequence and
+//! its senders' timestamps. The slot count therefore only decides
+//! *wall-clock* behaviour; `SpmdOutcome`s are bit-identical at every
+//! width (test-enforced at 1/4/8/24/256 ranks, and regressed end-to-end
+//! against committed fingerprints by `tests/determinism.rs`). How the
+//! core orders admissions, why its lookahead horizon is safe and why it
+//! cannot deadlock is in [`crate::event`].
 //!
 //! A rank releases its slot whenever it would block the host thread
 //! waiting for a message, and re-applies for one (at its current virtual
@@ -42,17 +31,17 @@
 //! work-conserving: a free slot is never left idle while any rank is
 //! runnable.
 
-use std::sync::{Condvar, Mutex};
-
-/// How simulated ranks are mapped onto host worker threads. See the
-/// [module docs](self) for the scheduling invariant.
+/// How many simulated ranks make host progress at once. See the
+/// [module docs](self) for why the choice cannot change an outcome.
 ///
 /// The default comes from the `MB_PARALLEL` environment variable:
-/// unset/empty → `Unbounded`, `0`/`seq`/`sequential` → `Sequential`,
-/// `N` → `Parallel { workers: N }`.
+/// unset/empty → `Unbounded`, `0`/`1`/`seq`/`sequential` → `Sequential`,
+/// `N` → `Parallel { workers: N }`. Any other value (`w8`, `eight`) is
+/// rejected with one line on stderr (once per process) and falls back to
+/// `Unbounded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecPolicy {
-    /// One rank makes progress at a time (reference engine).
+    /// One rank makes progress at a time (the one-slot reference width).
     Sequential,
     /// At most `workers` ranks make progress at once (`workers ≥ 1`).
     Parallel {
@@ -66,12 +55,21 @@ pub enum ExecPolicy {
 
 impl ExecPolicy {
     /// The policy selected by `MB_PARALLEL` (see type docs), defaulting
-    /// to [`ExecPolicy::Unbounded`] when unset or unparsable.
+    /// to [`ExecPolicy::Unbounded`] when unset. An unparsable value also
+    /// yields `Unbounded`, but says so on stderr instead of silently
+    /// running a different policy than the operator typed.
     pub fn from_env() -> Self {
-        match std::env::var("MB_PARALLEL") {
-            Ok(v) => Self::parse(&v).unwrap_or(ExecPolicy::Unbounded),
-            Err(_) => ExecPolicy::Unbounded,
-        }
+        let Ok(v) = std::env::var("MB_PARALLEL") else {
+            return ExecPolicy::Unbounded;
+        };
+        Self::parse(&v).unwrap_or_else(|| {
+            // Every `Cluster::new` lands here; a sweep should warn once.
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!("MB_PARALLEL={v:?} rejected (accepted: seq|0|1|N); running unbounded")
+            });
+            ExecPolicy::Unbounded
+        })
     }
 
     /// Parse an `MB_PARALLEL`-style value.
@@ -106,112 +104,9 @@ impl ExecPolicy {
     }
 }
 
-/// The slot-handoff protocol between rank tasks and an executor engine:
-/// a rank blocks in [`Admission::acquire`] until it may make host
-/// progress, and calls [`Admission::release`] whenever it is about to
-/// block on a message (or has finished). Implemented by the legacy
-/// [`Scheduler`] (the sequential reference engine) and by the
-/// event-driven [`crate::event::EventCore`] that backs the parallel
-/// policies.
-pub trait Admission: Send + Sync {
-    /// Block until `rank` (at virtual time `clock`) is admitted to run.
-    fn acquire(&self, rank: usize, clock: f64);
-    /// Give up `rank`'s slot (about to block on a message, or finished).
-    fn release(&self, rank: usize);
-}
-
-/// Per-rank scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RankState {
-    /// Wants a slot; applied at this virtual clock.
-    Waiting(f64),
-    /// Holds a slot.
-    Running,
-    /// Blocked on a message (or finished): holds no slot, wants none.
-    Detached,
-}
-
-struct SchedState {
-    running: usize,
-    ranks: Vec<RankState>,
-}
-
-/// The conservative virtual-time slot scheduler backing bounded
-/// [`ExecPolicy`] modes. See the [module docs](self) for the invariant.
-pub struct Scheduler {
-    workers: usize,
-    state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    /// A scheduler with `workers` execution slots for `nranks` ranks.
-    pub fn new(workers: usize, nranks: usize) -> Self {
-        Scheduler {
-            workers: workers.max(1),
-            state: Mutex::new(SchedState {
-                running: 0,
-                ranks: vec![RankState::Detached; nranks],
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Number of execution slots.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// True when `rank` is the admission candidate: the waiting rank
-    /// with the lowest (virtual clock, rank id).
-    fn is_min_waiting(st: &SchedState, rank: usize, clock: f64) -> bool {
-        st.ranks.iter().enumerate().all(|(r, s)| match *s {
-            RankState::Waiting(c) => (clock, rank) <= (c, r),
-            _ => true,
-        })
-    }
-
-    /// Block until `rank` (at virtual time `clock`) is admitted to run.
-    pub fn acquire(&self, rank: usize, clock: f64) {
-        let mut st = self.state.lock().expect("scheduler lock");
-        st.ranks[rank] = RankState::Waiting(clock);
-        loop {
-            if st.running < self.workers && Self::is_min_waiting(&st, rank, clock) {
-                st.ranks[rank] = RankState::Running;
-                st.running += 1;
-                // A remaining free slot may now admit the next-lowest rank.
-                self.cv.notify_all();
-                return;
-            }
-            st = self.cv.wait(st).expect("scheduler wait");
-        }
-    }
-
-    /// Give up `rank`'s slot (about to block on a message, or finished).
-    pub fn release(&self, rank: usize) {
-        let mut st = self.state.lock().expect("scheduler lock");
-        debug_assert_eq!(st.ranks[rank], RankState::Running, "release without slot");
-        st.ranks[rank] = RankState::Detached;
-        st.running -= 1;
-        self.cv.notify_all();
-    }
-}
-
-impl Admission for Scheduler {
-    fn acquire(&self, rank: usize, clock: f64) {
-        Scheduler::acquire(self, rank, clock);
-    }
-
-    fn release(&self, rank: usize) {
-        Scheduler::release(self, rank);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn policy_parses_env_values() {
@@ -227,7 +122,9 @@ mod tests {
             ExecPolicy::parse(" 8 "),
             Some(ExecPolicy::Parallel { workers: 8 })
         );
-        assert_eq!(ExecPolicy::parse("gibberish"), None);
+        for rejected in ["gibberish", "w8", "eight", "-1"] {
+            assert_eq!(ExecPolicy::parse(rejected), None, "{rejected}");
+        }
     }
 
     #[test]
@@ -238,74 +135,5 @@ mod tests {
         assert_eq!(ExecPolicy::Sequential.label(), "seq");
         assert_eq!(ExecPolicy::Parallel { workers: 4 }.label(), "w4");
         assert_eq!(ExecPolicy::Unbounded.label(), "unbounded");
-    }
-
-    #[test]
-    fn scheduler_never_exceeds_worker_count() {
-        let nranks = 12;
-        for workers in [1usize, 3] {
-            let sched = Arc::new(Scheduler::new(workers, nranks));
-            let running = Arc::new(AtomicUsize::new(0));
-            let peak = Arc::new(AtomicUsize::new(0));
-            std::thread::scope(|scope| {
-                for rank in 0..nranks {
-                    let sched = Arc::clone(&sched);
-                    let running = Arc::clone(&running);
-                    let peak = Arc::clone(&peak);
-                    scope.spawn(move || {
-                        for round in 0..16 {
-                            sched.acquire(rank, round as f64 + rank as f64 / 100.0);
-                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                            peak.fetch_max(now, Ordering::SeqCst);
-                            std::thread::yield_now();
-                            running.fetch_sub(1, Ordering::SeqCst);
-                            sched.release(rank);
-                        }
-                    });
-                }
-            });
-            assert!(
-                peak.load(Ordering::SeqCst) <= workers,
-                "peak concurrency {} exceeded {workers} workers",
-                peak.load(Ordering::SeqCst)
-            );
-        }
-    }
-
-    #[test]
-    fn sequential_admission_is_lowest_clock_first() {
-        // With one slot and all ranks pre-registered, admission order is
-        // by (clock, rank). Rank clocks here force reverse-of-id order.
-        let nranks = 6;
-        let sched = Arc::new(Scheduler::new(1, nranks));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        // Hold the slot so every rank queues before any admission.
-        sched.acquire(0, -1.0);
-        std::thread::scope(|scope| {
-            for rank in 1..nranks {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                scope.spawn(move || {
-                    sched.acquire(rank, (nranks - rank) as f64);
-                    order.lock().unwrap().push(rank);
-                    sched.release(rank);
-                });
-            }
-            // Give every worker time to register as Waiting.
-            while sched
-                .state
-                .lock()
-                .unwrap()
-                .ranks
-                .iter()
-                .filter(|s| matches!(s, RankState::Waiting(_)))
-                .count()
-                < nranks - 1
-            {
-                std::thread::yield_now();
-            }
-            sched.release(0);
-        });
-        assert_eq!(*order.lock().unwrap(), vec![5, 4, 3, 2, 1]);
     }
 }

@@ -6,10 +6,11 @@
 //! closure additionally yields a [`RunTrace`] ready for Chrome export
 //! (`mb_telemetry::chrome::export`) — one track per rank.
 //!
-//! How ranks map onto host threads is an [`ExecPolicy`]
-//! ([`Cluster::with_exec`], default `MB_PARALLEL`): sequential, bounded
-//! worker pool, or one thread per rank. Every policy produces the same
-//! [`SpmdOutcome`] bit for bit — see [`crate::exec`].
+//! How many ranks make host progress at once is an [`ExecPolicy`]
+//! ([`Cluster::with_exec`], default `MB_PARALLEL`): one, a bounded
+//! number, or all of them — the slot count of the run's one
+//! [`EventCore`]. Every policy produces the same [`SpmdOutcome`] bit for
+//! bit — see [`crate::exec`].
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use std::sync::mpsc::channel;
 
 use crate::comm::{Comm, CommStats, Msg};
 use crate::event::{EventCore, ExecutorReport, PairBound};
-use crate::exec::{Admission, ExecPolicy, Scheduler};
+use crate::exec::ExecPolicy;
 use crate::network::NetworkModel;
 use crate::spec::ClusterSpec;
 use crate::topology::Topology;
@@ -27,8 +28,7 @@ use crate::topology::Topology;
 /// Topology-aware per-pair lookahead bounds for the event core: the
 /// zero-byte delivery delay between two ranks' *nodes*. On the star this
 /// equals the global minimum for every pair, so it is only attached for
-/// hierarchical topologies (and never when `MB_LOOKAHEAD` pins an
-/// explicit scalar).
+/// hierarchical topologies.
 struct TopoBounds {
     net: NetworkModel,
     nodes: Arc<Vec<usize>>,
@@ -49,8 +49,7 @@ pub struct SpmdOutcome<R> {
     pub clocks: Vec<f64>,
     /// Per-rank communication/computation statistics.
     pub stats: Vec<CommStats>,
-    /// Executor-core counters for the run (empty/default under the
-    /// legacy sequential reference engine). Wall-clock-side observability
+    /// Executor-core counters for the run. Wall-clock-side observability
     /// only: never part of outcome fingerprints, which cover `results`,
     /// `clocks` and `stats` — the simulated quantities.
     pub exec_report: ExecutorReport,
@@ -256,6 +255,25 @@ impl Cluster {
                 topology.label()
             );
         }
+        // One admission engine for every policy; the policy is its slot
+        // count. The horizon is the network's global minimum delivery
+        // delay, upgraded to topology-aware per-pair bounds whenever the
+        // topology actually differentiates pairs (on the star every pair
+        // bound equals the global minimum, so attaching them would only
+        // add a virtual call per dispatch).
+        let workers = self.exec.workers().unwrap_or(n);
+        let mut core =
+            EventCore::new(workers, n, net.min_delivery_delay()).with_profiling(self.prof);
+        if topology != Topology::Star {
+            core = core.with_pair_bounds(Arc::new(TopoBounds {
+                net,
+                nodes: Arc::clone(&nodes),
+            }));
+        }
+        if let Some(log) = &self.event_log {
+            core = core.with_event_log(Arc::clone(log));
+        }
+        let core = Arc::new(core);
         let mflops = self.spec.node.cpu.sustained_mflops;
         // One inbox per rank; every rank holds a sender clone to each inbox.
         let mut txs = Vec::with_capacity(n);
@@ -268,76 +286,29 @@ impl Cluster {
         let mut comms: Vec<Comm> = rxs
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| Comm::new(rank, n, mflops, net, Arc::clone(&nodes), txs.clone(), rx))
+            .map(|(rank, rx)| {
+                let (nodes, core) = (Arc::clone(&nodes), Arc::clone(&core));
+                Comm::new(rank, mflops, net, nodes, txs.clone(), rx, core)
+            })
             .collect();
         // Drop the original senders so channels close when ranks finish.
         drop(txs);
-
-        // Engine selection: the sequential reference policy keeps the
-        // legacy conservative scheduler (the baseline benchmarks compare
-        // against); every parallel policy runs on the event-driven core,
-        // with `Unbounded` as the workers == nranks special case so even
-        // free-running jobs get lookahead skew bounding and executor
-        // telemetry. Results are bit-identical either way (test-enforced).
-        // An explicit MB_LOOKAHEAD pins the scalar horizon the operator
-        // asked for; otherwise the network's global minimum is the
-        // scalar, upgraded to topology-aware per-pair bounds whenever
-        // the topology actually differentiates pairs (on the star every
-        // pair bound equals the global minimum, so attaching them would
-        // only add a virtual call per dispatch).
-        let env_lookahead = EventCore::lookahead_env_override();
-        let lookahead = env_lookahead.unwrap_or_else(|| net.min_delivery_delay());
-        let pair_bounds = (env_lookahead.is_none() && topology != Topology::Star).then(|| {
-            Arc::new(TopoBounds {
-                net,
-                nodes: Arc::clone(&nodes),
-            })
-        });
-        let build_core = |workers: usize| {
-            let mut c = EventCore::new(workers, n, lookahead).with_profiling(self.prof);
-            if let Some(pb) = &pair_bounds {
-                c = c.with_pair_bounds(Arc::clone(pb) as Arc<dyn PairBound>);
-            }
-            if let Some(log) = &self.event_log {
-                c = c.with_event_log(Arc::clone(log));
-            }
-            Arc::new(c)
-        };
-        let mut core: Option<Arc<EventCore>> = None;
-        let sched: Option<Arc<dyn Admission>> = match self.exec {
-            ExecPolicy::Sequential => Some(Arc::new(Scheduler::new(1, n))),
-            ExecPolicy::Parallel { workers } => {
-                let c = build_core(workers);
-                core = Some(Arc::clone(&c));
-                Some(c)
-            }
-            ExecPolicy::Unbounded => {
-                let c = build_core(n);
-                core = Some(Arc::clone(&c));
-                Some(c)
-            }
-        };
         let f = &f;
         type RankOut<R> = (R, f64, CommStats, Vec<mb_telemetry::trace::SpanEvent>);
         let mut results: Vec<Option<RankOut<R>>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, mut comm) in comms.drain(..).enumerate() {
-                let sched = sched.clone();
+                let core = &core;
                 handles.push((
                     rank,
                     scope.spawn(move || {
                         if traced {
                             comm.attach_sink(Box::new(MemorySink::new()));
                         }
-                        if let Some(sched) = &sched {
-                            comm.attach_scheduler(Arc::clone(sched));
-                            sched.acquire(rank, 0.0);
-                        }
+                        core.acquire(rank, 0.0);
                         let r = f(&mut comm);
-                        if let Some(sched) = &sched {
-                            sched.release(rank);
-                        }
+                        core.release(rank);
                         let spans = comm
                             .detach_sink()
                             .map(|mut s| s.drain())
@@ -367,7 +338,7 @@ impl Cluster {
                 results: vals,
                 clocks,
                 stats,
-                exec_report: core.map(|c| c.report()).unwrap_or_default(),
+                exec_report: core.report(),
             },
             RunTrace { ranks },
         )
@@ -706,6 +677,21 @@ mod tests {
     }
 
     #[test]
+    fn sequential_is_one_slot_of_the_event_core() {
+        use crate::exec::ExecPolicy;
+        let n = 8;
+        let out = small_cluster(n)
+            .with_exec(ExecPolicy::Sequential)
+            .run(|comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
+        assert_eq!(out.results, vec![28.0; n]);
+        let rep = &out.exec_report;
+        assert_eq!((rep.workers, rep.nranks, rep.max_occupancy), (1, n, 1));
+        assert!(rep.admissions >= n as u64, "{rep:?}");
+        // One slot never runs ahead of a running floor.
+        assert_eq!(rep.lookahead_grants, 0, "{rep:?}");
+    }
+
+    #[test]
     fn profiled_run_matches_unprofiled_and_carries_host_profile() {
         use crate::exec::ExecPolicy;
         let job = |comm: &mut crate::comm::Comm| {
@@ -714,22 +700,24 @@ mod tests {
             comm.barrier();
             s[0]
         };
-        let mk = || small_cluster(8).with_exec(ExecPolicy::Parallel { workers: 3 });
-        let plain = mk().with_prof(false).run(job);
-        let log = Arc::new(mb_telemetry::eventlog::EventLog::new());
-        let profiled = mk()
-            .with_prof(true)
-            .with_event_log(Arc::clone(&log))
-            .run(job);
-        // Simulated quantities are bit-identical: profiling reads only
-        // the host clock.
-        assert_eq!(plain.results, profiled.results);
-        assert_eq!(plain.clocks, profiled.clocks);
-        assert_eq!(plain.stats, profiled.stats);
-        assert!(plain.exec_report.prof.is_none());
-        let p = profiled.exec_report.prof.as_ref().expect("profile present");
-        assert_eq!(p.busy_ns.count(), profiled.exec_report.admissions);
-        assert!(p.idle_ns.p50() <= p.idle_ns.p99());
+        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 3 }] {
+            let mk = || small_cluster(8).with_exec(policy);
+            let plain = mk().with_prof(false).run(job);
+            let log = Arc::new(mb_telemetry::eventlog::EventLog::new());
+            let profiled = mk()
+                .with_prof(true)
+                .with_event_log(Arc::clone(&log))
+                .run(job);
+            // Simulated quantities are bit-identical: profiling reads only
+            // the host clock.
+            assert_eq!(plain.results, profiled.results, "{policy:?}");
+            assert_eq!(plain.clocks, profiled.clocks, "{policy:?}");
+            assert_eq!(plain.stats, profiled.stats, "{policy:?}");
+            assert!(plain.exec_report.prof.is_none());
+            let p = profiled.exec_report.prof.as_ref().expect("profile present");
+            assert_eq!(p.busy_ns.count(), profiled.exec_report.admissions);
+            assert!(p.idle_ns.p50() <= p.idle_ns.p99());
+        }
     }
 
     #[test]

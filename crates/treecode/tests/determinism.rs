@@ -1,7 +1,7 @@
 //! Executor-policy determinism regression: the 24-rank treecode step
-//! must produce bit-identical results under the sequential reference
-//! engine and bounded parallel pools (2 and 8 workers). Guards the
-//! conservative-scheduler invariant end to end (DESIGN.md §9): the
+//! must produce bit-identical results under the one-slot sequential
+//! reference and bounded parallel pools (2 and 8 workers). Guards the
+//! admission-order invariant end to end (DESIGN.md §9): the
 //! [`mb_cluster::ExecPolicy`] may only change host wall-clock, never
 //! makespan, particle state, or communication statistics.
 

@@ -1,16 +1,18 @@
-//! Executor-engine determinism at scale: the regression gate for the
+//! Executor determinism at scale: the regression gate for the
 //! event-driven core.
 //!
-//! The legacy conservative scheduler (sequential reference engine) and
-//! the event-driven core (bounded pools and unbounded; see
-//! `mb_cluster::event`) must produce bit-identical simulated outcomes —
-//! makespan, per-rank clocks, and every `CommStats` counter and
-//! virtual-time accumulator — at 256 ranks, where lookahead grants,
-//! horizon deferrals and heap admission orderings all genuinely differ
-//! between engines. Also asserts that observability (span tracing and
-//! executor telemetry) never perturbs virtual time.
+//! One slot (`Sequential`), a bounded pool and the unbounded width of
+//! the event-driven core (see `mb_cluster::event`) must produce
+//! bit-identical simulated outcomes — makespan, per-rank clocks, and
+//! every `CommStats` counter and virtual-time accumulator — at 256
+//! ranks, where lookahead grants, horizon deferrals and heap admission
+//! orderings all genuinely differ between widths, and must reproduce the
+//! fingerprints committed in `BENCH_cluster.json` (recorded before the
+//! `seq` column became one slot of the same core). Also asserts that
+//! observability (span tracing and executor telemetry) never perturbs
+//! virtual time.
 
-use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, rounds_for};
+use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, policies, rounds_for};
 use metablade::cluster::machine::Cluster;
 use metablade::cluster::spec::metablade as metablade_spec;
 use metablade::cluster::{Comm, CommStats, ExecPolicy, Topology};
@@ -27,7 +29,7 @@ use metablade::telemetry::prof::LogHistogram;
 
 /// Fingerprint the simulated quantities of one outcome bit-exactly:
 /// results, clocks, stats (never the executor report — that is
-/// wall-clock-side and legitimately differs between engines).
+/// wall-clock-side and legitimately differs between widths).
 fn outcome_fingerprint(results: &[Vec<f64>], clocks: &[f64], stats: &[CommStats]) -> u64 {
     let mut h = Fnv::new();
     for r in results {
@@ -76,7 +78,7 @@ fn job_256(comm: &mut Comm) -> Vec<f64> {
 }
 
 #[test]
-fn outcome_is_bit_identical_across_engines_at_256_ranks() {
+fn outcome_is_bit_identical_across_widths_at_256_ranks() {
     let spec = metablade_spec().with_nodes(256);
     let policies = [
         ExecPolicy::Sequential,
@@ -92,16 +94,14 @@ fn outcome_is_bit_identical_across_engines_at_256_ranks() {
             outcome_fingerprint(&out.results, &out.clocks, &out.stats),
         ));
         makespans.push(out.makespan_s().to_bits());
-        if policy != ExecPolicy::Sequential {
-            // The event core really ran: every rank was admitted at
-            // least once per blocking receive.
-            assert!(
-                out.exec_report.admissions >= 256,
-                "{}: {:?}",
-                policy.label(),
-                out.exec_report
-            );
-        }
+        // The event core really ran: every rank was admitted at least
+        // once per blocking receive.
+        assert!(
+            out.exec_report.admissions >= 256,
+            "{}: {:?}",
+            policy.label(),
+            out.exec_report
+        );
     }
     let (ref_label, ref_print) = prints[0].clone();
     for (label, print) in &prints[1..] {
@@ -112,7 +112,7 @@ fn outcome_is_bit_identical_across_engines_at_256_ranks() {
     }
     assert!(
         makespans.windows(2).all(|w| w[0] == w[1]),
-        "makespan bits differ across engines"
+        "makespan bits differ across widths"
     );
 }
 
@@ -175,10 +175,11 @@ fn fat_tree_contention_slows_collectives_versus_the_star_at_128_ranks() {
 fn star_outcomes_reproduce_the_committed_bench_fingerprints() {
     // Pin the simulation against the committed BENCH_cluster.json: the
     // star allreduce at 128 ranks must reproduce the document's
-    // fingerprint and makespan bit-for-bit, on any host, under the
-    // event core. This is what "Star stays bit-identical" means — not
+    // fingerprint and makespan bit-for-bit, on any host, at every
+    // executor width. This is what "Star stays bit-identical" means — not
     // just self-consistency within one build, but equality with the
-    // committed history.
+    // committed history (whose `seq` entries the deleted legacy scheduler
+    // recorded, so this is also the one-slot core's oracle).
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_cluster.json");
     let doc = parse(&std::fs::read_to_string(path).expect("committed BENCH_cluster.json"))
         .expect("BENCH_cluster.json parses");
@@ -199,29 +200,32 @@ fn star_outcomes_reproduce_the_committed_bench_fingerprints() {
         Some("star"),
         "the pinned record must be the star one"
     );
-    let committed_fp = rec
-        .get("outcome_fingerprints")
-        .and_then(|f| f.get("unbounded"))
-        .and_then(Json::as_str)
-        .expect("unbounded fingerprint");
     let committed_mk = rec
         .get("virtual_makespan_s")
         .and_then(Json::as_f64)
         .expect("virtual makespan");
 
-    let out = Cluster::new(metablade_spec().with_nodes(128))
-        .with_exec(ExecPolicy::Unbounded)
-        .run(allreduce_job(rounds));
-    assert_eq!(
-        format!("{:016x}", fingerprint_outcome(&out)),
-        committed_fp,
-        "star outcome fingerprint drifted from the committed baseline"
-    );
-    assert_eq!(
-        out.makespan_s().to_bits(),
-        committed_mk.to_bits(),
-        "star makespan bits drifted from the committed baseline"
-    );
+    for policy in policies() {
+        let label = policy.label();
+        let committed_fp = rec
+            .get("outcome_fingerprints")
+            .and_then(|f| f.get(&label))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no committed {label} fingerprint"));
+        let out = Cluster::new(metablade_spec().with_nodes(128))
+            .with_exec(policy)
+            .run(allreduce_job(rounds));
+        assert_eq!(
+            format!("{:016x}", fingerprint_outcome(&out)),
+            committed_fp,
+            "{label}: star outcome fingerprint drifted from the committed baseline"
+        );
+        assert_eq!(
+            out.makespan_s().to_bits(),
+            committed_mk.to_bits(),
+            "{label}: star makespan bits drifted from the committed baseline"
+        );
+    }
 }
 
 /// Run one scheduler simulation at a given executor width and return
