@@ -510,25 +510,21 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 }
 
 /// One host-time-profiled rerun of the imbalance microbenchmark at the
-/// sweep's largest rank count under the 8-worker pool, with the JSONL
-/// event log attached. Returns `(prometheus_text, event_jsonl)` — the
-/// `PROF_cluster.prom` / `prof_events.jsonl` artifacts `bench_baseline`
-/// writes when `MB_PROF=1`.
+/// sweep's largest rank count under the 8-worker pool. Returns the
+/// registry holding the `executor/*` counters and `prof/*` histograms —
+/// the `PROF_cluster.json` artifact `bench_baseline` writes when
+/// `MB_PROF=1`.
 ///
 /// This is deliberately *outside* the timed sweep: profiling reads host
 /// clocks per admission and would bias the wall-second measurements the
 /// BENCH documents exist to track. Virtual outcomes are unaffected
 /// either way (the determinism suite proves that at 256 ranks).
-pub fn profiled_pass(cfg: &SweepConfig) -> (String, String) {
-    use std::sync::Arc;
-
+pub fn profiled_pass(cfg: &SweepConfig) -> mb_telemetry::metrics::Registry {
     let ranks = cfg.rank_counts.iter().copied().max().unwrap_or(8);
     let rounds = rounds_for(cfg.rounds, ranks);
-    let log = Arc::new(mb_telemetry::eventlog::EventLog::new());
     let cluster = Cluster::new(metablade().with_nodes(ranks))
         .with_exec(ExecPolicy::Parallel { workers: 8 })
-        .with_prof(true)
-        .with_event_log(Arc::clone(&log));
+        .with_prof(true);
     let out = cluster.run(move |comm: &mut Comm| {
         let rank = comm.rank();
         let mut spin = 0.0f64;
@@ -544,15 +540,7 @@ pub fn profiled_pass(cfg: &SweepConfig) -> (String, String) {
     let mut reg = mb_telemetry::metrics::Registry::new();
     out.exec_report
         .record_into(&mut reg, &cluster.exec().label());
-    log.emit(
-        "bench.profiled_pass",
-        &[
-            ("bench", Json::str(format!("imbalance_x{rounds}"))),
-            ("ranks", Json::Num(ranks as f64)),
-            ("admissions", Json::Num(out.exec_report.admissions as f64)),
-        ],
-    );
-    (mb_telemetry::prom::render(&reg), log.to_jsonl())
+    reg
 }
 
 #[cfg(test)]
@@ -668,21 +656,30 @@ mod tests {
     }
 
     #[test]
-    fn profiled_pass_renders_prom_histograms_and_a_nonempty_event_log() {
-        let (prom, jsonl) = profiled_pass(&tiny());
-        assert!(
-            prom.contains("# TYPE prof_task_busy_ns histogram"),
-            "missing busy histogram:\n{prom}"
-        );
-        assert!(prom.contains("prof_gate_wake_ns_bucket"));
-        assert!(prom.contains("executor_admissions"));
-        // At least the trailing summary event; every line parses.
-        assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            let v = mb_telemetry::json::parse(line).expect("JSONL line parses");
-            assert!(v.get("t_ns").is_some() && v.get("kind").is_some());
+    fn profiled_pass_returns_all_six_prof_histograms() {
+        use mb_telemetry::metrics::MetricValue;
+        let reg = profiled_pass(&tiny());
+        let admissions = reg
+            .counter_value("executor/admissions", "w8")
+            .expect("executor counters recorded");
+        assert!(admissions > 0);
+        for name in [
+            "prof/task.busy_ns",
+            "prof/task.idle_ns",
+            "prof/gate.wake_ns",
+            "prof/ready.push_ns",
+            "prof/ready.pop_ns",
+        ] {
+            match reg.find(name, "w8") {
+                Some(MetricValue::Histogram(h)) => assert_eq!(h.n, admissions, "{name}"),
+                other => panic!("{name}: expected a histogram, got {other:?}"),
+            }
         }
-        assert!(jsonl.contains("\"kind\":\"bench.profiled_pass\""));
+        // Stalls are per horizon wait, not per admission.
+        assert!(matches!(
+            reg.find("prof/horizon.stall_ns", "w8"),
+            Some(MetricValue::Histogram(_))
+        ));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   sweeps (e.g. `--ranks 128` for the CI scale gate).
 //!
 //! With `MB_PROF=1` the harness additionally reruns the largest
-//! imbalance case host-time-profiled and writes `PROF_cluster.prom`
-//! (Prometheus text) and `prof_events.jsonl` (structured event log).
+//! imbalance case host-time-profiled and writes `PROF_cluster.json`
+//! (the `executor/*` counters and `prof/*` histograms as JSON).
 //!
 //! Output directory: `$MB_BENCH_DIR`, or the current directory (the repo
 //! root keeps its committed copies there).

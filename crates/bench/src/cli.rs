@@ -86,8 +86,7 @@ fn parse_baseline_args() -> (SweepConfig, bool) {
 
 /// `bench_baseline`: regenerate the BENCH documents (argv documented on
 /// the binary). `--smoke` writes `BENCH_*_smoke.json`; with `MB_PROF=1`
-/// a profiled rerun additionally writes `PROF_cluster.prom` and
-/// `prof_events.jsonl`.
+/// a profiled rerun additionally writes `PROF_cluster.json`.
 pub fn baseline_main() {
     let (cfg, smoke) = parse_baseline_args();
     let dir = std::env::var_os("MB_BENCH_DIR")
@@ -133,14 +132,12 @@ pub fn baseline_main() {
     }
 
     // With MB_PROF=1, rerun one representative case with host-time
-    // profiling and the structured event log attached (outside the
-    // timed sweep — see `baseline::profiled_pass`), and leave the
-    // Prometheus + JSONL captures next to the BENCH documents.
+    // profiling (outside the timed sweep — see
+    // `baseline::profiled_pass`), and leave the registry snapshot next
+    // to the BENCH documents.
     if mb_telemetry::prof::enabled_from_env() {
-        let (prom, jsonl) = crate::baseline::profiled_pass(&cfg);
-        let p = write_artifact(&dir, "PROF_cluster.prom", &prom).expect("write PROF_cluster.prom");
-        println!("wrote {}", p.display());
-        let p = write_artifact(&dir, "prof_events.jsonl", &jsonl).expect("write prof_events.jsonl");
+        let prof = crate::baseline::profiled_pass(&cfg).to_json().to_string();
+        let p = write_artifact(&dir, "PROF_cluster.json", &prof).expect("write PROF_cluster.json");
         println!("wrote {}", p.display());
     }
 }

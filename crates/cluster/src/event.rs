@@ -58,9 +58,7 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use mb_telemetry::eventlog::EventLog;
-use mb_telemetry::json::Json;
-use mb_telemetry::prof::{ConcurrentHistogram, LogHistogram, ShardedHistogram};
+use mb_telemetry::prof::LogHistogram;
 
 /// Per-pair admission bounds: how far ahead (virtual seconds) rank `to`
 /// may run of rank `from` without being able to observe any message
@@ -98,7 +96,9 @@ enum TaskState {
 /// Host-time latency distributions the profiled core accumulates, all in
 /// **host nanoseconds** (never virtual seconds — see DESIGN.md §12).
 /// Present on [`ExecutorReport::prof`] only when profiling was enabled
-/// ([`EventCore::with_profiling`] or `MB_PROF=1`).
+/// ([`EventCore::with_profiling`] or `MB_PROF=1`). This is the
+/// accumulator itself: the core records into it under its state lock,
+/// so there is one set of histograms however many ranks run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfReport {
     /// Slot-held spans: admission wake to release, per task.
@@ -120,8 +120,8 @@ pub struct ProfReport {
 impl ProfReport {
     /// Publish every distribution into a registry under `prof/*` names
     /// (compacted log-bucket histograms), labelled by `label`. These ride
-    /// the existing export paths: Chrome counter tracks via
-    /// `export_with_metrics`, Prometheus text via `mb_telemetry::prom`.
+    /// the registry's export paths: Chrome counter tracks via
+    /// `export_with_metrics`, JSON via `Registry::to_json`.
     pub fn record_into(&self, reg: &mut mb_telemetry::metrics::Registry, label: &str) {
         for (name, h) in [
             ("prof/task.busy_ns", &self.busy_ns),
@@ -132,45 +132,6 @@ impl ProfReport {
             ("prof/horizon.stall_ns", &self.stall_ns),
         ] {
             reg.set_histogram(name, label, h.to_metric());
-        }
-    }
-}
-
-/// The profiled core's lock-free accumulators. Latency-class histograms
-/// are sharded by rank so recording threads never contend on a counter
-/// cache line; drained into a [`ProfReport`] at snapshot time.
-struct CoreProf {
-    busy_ns: ShardedHistogram,
-    idle_ns: ShardedHistogram,
-    wake_ns: ShardedHistogram,
-    push_ns: ShardedHistogram,
-    pop_ns: ShardedHistogram,
-    /// Stalls are recorded by whichever thread runs the dispatcher, so a
-    /// single concurrent histogram (they are rare) beats sharding.
-    stall_ns: ConcurrentHistogram,
-}
-
-impl CoreProf {
-    fn new(nranks: usize) -> Self {
-        let shards = nranks.clamp(1, 64);
-        CoreProf {
-            busy_ns: ShardedHistogram::new(shards),
-            idle_ns: ShardedHistogram::new(shards),
-            wake_ns: ShardedHistogram::new(shards),
-            push_ns: ShardedHistogram::new(shards),
-            pop_ns: ShardedHistogram::new(shards),
-            stall_ns: ConcurrentHistogram::new(),
-        }
-    }
-
-    fn snapshot(&self) -> ProfReport {
-        ProfReport {
-            busy_ns: self.busy_ns.drain(),
-            idle_ns: self.idle_ns.drain(),
-            wake_ns: self.wake_ns.drain(),
-            push_ns: self.push_ns.drain(),
-            pop_ns: self.pop_ns.drain(),
-            stall_ns: self.stall_ns.snapshot(),
         }
     }
 }
@@ -262,10 +223,10 @@ impl ExecutorReport {
 /// One rank's parking spot: the flag is "admitted", flipped by the
 /// dispatcher under the gate lock, then signalled with `notify_one`. The
 /// profiling stamps live behind the same lock: `granted_at` is written
-/// by the dispatcher and consumed by the woken task (wake-to-run
-/// latency); `busy_since` is written by the task as it resumes and
-/// consumed by its own `release` (slot-held span). Both stay `None` with
-/// profiling off.
+/// by the dispatcher and consumed by the woken task; `resumed` is
+/// written by the task as it resumes and consumed by its own `release`,
+/// which folds it into the profile under the state lock it takes anyway.
+/// Both stay `None` with profiling off.
 struct Gate {
     slot: Mutex<GateSlot>,
     cv: Condvar,
@@ -275,7 +236,22 @@ struct Gate {
 struct GateSlot {
     admitted: bool,
     granted_at: Option<Instant>,
-    busy_since: Option<Instant>,
+    resumed: Option<Resumed>,
+}
+
+/// What a profiled task measured on its way out of `acquire`.
+struct Resumed {
+    /// Dispatcher's `notify_one` to the task running again.
+    wake_ns: f64,
+    /// `acquire` entry to the task running again.
+    idle_ns: f64,
+    /// When the slot-held span began.
+    at: Instant,
+}
+
+/// Host nanoseconds since `since`.
+fn ns_since(since: Instant) -> f64 {
+    since.elapsed().as_nanos() as f64
 }
 
 struct CoreState {
@@ -338,12 +314,9 @@ pub struct EventCore {
     pair_bounds: Option<Arc<dyn PairBound>>,
     state: Mutex<CoreState>,
     gates: Vec<Gate>,
-    /// Host-time accumulators; `None` (zero overhead beyond the branch)
-    /// unless profiling was requested.
-    prof: Option<CoreProf>,
-    /// Optional structured event sink: rare scheduling events (horizon
-    /// stalls) are logged here when profiling is on.
-    event_log: Option<Arc<EventLog>>,
+    /// Whether `state.report.prof` is present, readable without the
+    /// lock; off costs one branch per record site.
+    profiling: bool,
 }
 
 impl EventCore {
@@ -375,8 +348,7 @@ impl EventCore {
                     cv: Condvar::new(),
                 })
                 .collect(),
-            prof: None,
-            event_log: None,
+            profiling: false,
         }
     }
 
@@ -386,21 +358,15 @@ impl EventCore {
     /// bit-identical with it on or off (regressed by
     /// `tests/determinism.rs`).
     pub fn with_profiling(mut self, on: bool) -> Self {
-        let nranks = self.gates.len();
-        self.prof = on.then(|| CoreProf::new(nranks));
-        self
-    }
-
-    /// Attach a structured event log; only consulted when profiling is
-    /// on.
-    pub fn with_event_log(mut self, log: Arc<EventLog>) -> Self {
-        self.event_log = Some(log);
+        self.profiling = on;
+        let st = self.state.get_mut().expect("event core lock");
+        st.report.prof = on.then(ProfReport::default);
         self
     }
 
     /// True when host-time profiling is enabled.
     pub fn profiling(&self) -> bool {
-        self.prof.is_some()
+        self.profiling
     }
 
     /// Attach topology-aware per-pair horizon bounds: dispatch evaluates
@@ -422,9 +388,7 @@ impl EventCore {
     /// Snapshot of the executor counters (plus the host-time profile
     /// when profiling is on).
     pub fn report(&self) -> ExecutorReport {
-        let mut rep = self.state.lock().expect("event core lock").report.clone();
-        rep.prof = self.prof.as_ref().map(CoreProf::snapshot);
-        rep
+        self.state.lock().expect("event core lock").report.clone()
     }
 
     /// Admit every admissible ready task while slots are free. Called
@@ -433,7 +397,7 @@ impl EventCore {
         let depth = st.ready;
         st.report.sample_depth(depth);
         while st.running < self.workers {
-            let t_pop = self.prof.as_ref().map(|_| Instant::now());
+            let t_pop = self.profiling.then(Instant::now);
             let Some((clock, rank)) = st.peek_ready() else {
                 break;
             };
@@ -451,7 +415,7 @@ impl EventCore {
                     // let virtual-clock skew — and pending-message memory
                     // — grow unboundedly. Wait for the floor to advance.
                     st.report.horizon_waits += 1;
-                    if self.prof.is_some() && st.stall_since.is_none() {
+                    if self.profiling && st.stall_since.is_none() {
                         st.stall_since = Some(Instant::now());
                     }
                     break;
@@ -474,27 +438,15 @@ impl EventCore {
                 }
             }
             st.report.sample_occupancy(st.running);
-            if let Some(p) = &self.prof {
-                if let Some(t) = t_pop {
-                    p.pop_ns.record_elapsed(rank, t);
-                }
+            if let (Some(p), Some(t)) = (&mut st.report.prof, t_pop) {
+                p.pop_ns.observe(ns_since(t));
                 if let Some(since) = st.stall_since.take() {
-                    let dur_ns = since.elapsed().as_nanos() as f64;
-                    p.stall_ns.record(dur_ns);
-                    if let Some(log) = &self.event_log {
-                        log.emit(
-                            "horizon.stall",
-                            &[
-                                ("rank", Json::Num(rank as f64)),
-                                ("dur_ns", Json::Num(dur_ns)),
-                            ],
-                        );
-                    }
+                    p.stall_ns.observe(ns_since(since));
                 }
             }
             let mut slot = self.gates[rank].slot.lock().expect("gate lock");
             slot.admitted = true;
-            if self.prof.is_some() {
+            if self.profiling {
                 slot.granted_at = Some(Instant::now());
             }
             self.gates[rank].cv.notify_one();
@@ -503,7 +455,7 @@ impl EventCore {
 
     /// Block until `rank` (at virtual time `clock`) is admitted.
     pub fn acquire(&self, rank: usize, clock: f64) {
-        let t_enter = self.prof.as_ref().map(|_| Instant::now());
+        let t_enter = self.profiling.then(Instant::now);
         {
             let mut st = self.state.lock().expect("event core lock");
             debug_assert!(
@@ -511,11 +463,11 @@ impl EventCore {
                 "acquire while running"
             );
             st.tasks[rank] = TaskState::Ready(clock);
-            let t_push = self.prof.as_ref().map(|_| Instant::now());
+            let t_push = self.profiling.then(Instant::now);
             st.ready_heap.push(Reverse((clock_key(clock), rank)));
             st.ready += 1;
-            if let (Some(p), Some(t)) = (&self.prof, t_push) {
-                p.push_ns.record_elapsed(rank, t);
+            if let (Some(p), Some(t)) = (&mut st.report.prof, t_push) {
+                p.push_ns.observe(ns_since(t));
             }
             self.dispatch(&mut st);
         }
@@ -524,38 +476,43 @@ impl EventCore {
             slot = self.gates[rank].cv.wait(slot).expect("gate wait");
         }
         slot.admitted = false;
-        if let Some(p) = &self.prof {
+        if let Some(entered) = t_enter {
+            // A profiled dispatch stamps every grant.
             if let Some(granted) = slot.granted_at.take() {
-                p.wake_ns.record_elapsed(rank, granted);
+                slot.resumed = Some(Resumed {
+                    wake_ns: ns_since(granted),
+                    idle_ns: ns_since(entered),
+                    at: Instant::now(),
+                });
             }
-            if let Some(t) = t_enter {
-                p.idle_ns.record_elapsed(rank, t);
-            }
-            slot.busy_since = Some(Instant::now());
         }
     }
 
     /// Give up `rank`'s slot (about to block on a message, or finished).
     pub fn release(&self, rank: usize) {
-        if let Some(p) = &self.prof {
-            // Safe to take the gate lock before the core lock here: the
-            // dispatcher only touches gates of *Ready* tasks, and `rank`
-            // stays Running until the state update below.
-            let busy = self.gates[rank]
+        // The gate lock is dropped before the core lock is taken, and the
+        // busy span ends here, before any wait for the core lock.
+        let resumed = if self.profiling {
+            let r = self.gates[rank]
                 .slot
                 .lock()
                 .expect("gate lock")
-                .busy_since
+                .resumed
                 .take();
-            if let Some(since) = busy {
-                p.busy_ns.record_elapsed(rank, since);
-            }
-        }
+            r.map(|r| (ns_since(r.at), r))
+        } else {
+            None
+        };
         let mut st = self.state.lock().expect("event core lock");
         debug_assert!(
             matches!(st.tasks[rank], TaskState::Running(_)),
             "release without slot"
         );
+        if let (Some(p), Some((busy_ns, r))) = (&mut st.report.prof, resumed) {
+            p.wake_ns.observe(r.wake_ns);
+            p.idle_ns.observe(r.idle_ns);
+            p.busy_ns.observe(busy_ns);
+        }
         st.tasks[rank] = TaskState::Blocked;
         st.running -= 1;
         self.dispatch(&mut st);
@@ -844,11 +801,8 @@ mod tests {
     }
 
     #[test]
-    fn profiled_horizon_stalls_are_timed_and_logged() {
-        let log = Arc::new(EventLog::new());
-        let core = EventCore::new(2, 2, 1.0)
-            .with_profiling(true)
-            .with_event_log(Arc::clone(&log));
+    fn profiled_horizon_stalls_are_timed() {
+        let core = EventCore::new(2, 2, 1.0).with_profiling(true);
         core.acquire(0, 0.0);
         std::thread::scope(|scope| {
             {
@@ -869,8 +823,5 @@ mod tests {
         assert!(rep.horizon_waits >= 1);
         assert_eq!(p.stall_ns.count(), 1, "one stall span");
         assert!(p.stall_ns.max() > 0.0);
-        assert_eq!(log.len(), 1, "stall logged to the event sink");
-        let line = log.to_jsonl();
-        assert!(line.contains("\"kind\":\"horizon.stall\""), "{line}");
     }
 }

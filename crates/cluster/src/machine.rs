@@ -116,7 +116,6 @@ pub struct Cluster {
     spec: ClusterSpec,
     exec: ExecPolicy,
     prof: bool,
-    event_log: Option<Arc<mb_telemetry::eventlog::EventLog>>,
 }
 
 impl Cluster {
@@ -129,7 +128,6 @@ impl Cluster {
             spec,
             exec: ExecPolicy::from_env(),
             prof: mb_telemetry::prof::enabled_from_env(),
-            event_log: None,
         }
     }
 
@@ -146,14 +144,6 @@ impl Cluster {
     /// `tests/determinism.rs`).
     pub fn with_prof(mut self, on: bool) -> Self {
         self.prof = on;
-        self
-    }
-
-    /// Attach a structured host-event log (JSONL sink); the executor
-    /// core emits rare scheduling events (horizon stalls) into it when
-    /// profiling is on.
-    pub fn with_event_log(mut self, log: Arc<mb_telemetry::eventlog::EventLog>) -> Self {
-        self.event_log = Some(log);
         self
     }
 
@@ -269,9 +259,6 @@ impl Cluster {
                 net,
                 nodes: Arc::clone(&nodes),
             }));
-        }
-        if let Some(log) = &self.event_log {
-            core = core.with_event_log(Arc::clone(log));
         }
         let core = Arc::new(core);
         let mflops = self.spec.node.cpu.sustained_mflops;
@@ -703,11 +690,7 @@ mod tests {
         for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 3 }] {
             let mk = || small_cluster(8).with_exec(policy);
             let plain = mk().with_prof(false).run(job);
-            let log = Arc::new(mb_telemetry::eventlog::EventLog::new());
-            let profiled = mk()
-                .with_prof(true)
-                .with_event_log(Arc::clone(&log))
-                .run(job);
+            let profiled = mk().with_prof(true).run(job);
             // Simulated quantities are bit-identical: profiling reads only
             // the host clock.
             assert_eq!(plain.results, profiled.results, "{policy:?}");

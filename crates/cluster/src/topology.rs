@@ -631,8 +631,8 @@ impl LinkIds {
 
 /// Publish per-link loads into a telemetry registry as
 /// `network/link_bytes` / `network/link_msgs` counters labelled by the
-/// link name — they ride the Chrome counter-track and Prometheus export
-/// paths like every other metric.
+/// link name — they ride the Chrome counter-track and JSON export paths
+/// like every other metric.
 pub fn record_link_occupancy(
     reg: &mut mb_telemetry::metrics::Registry,
     occ: &BTreeMap<String, LinkLoad>,

@@ -14,15 +14,10 @@
 //!   [`trace::SpanEvent`]s into an attachable [`trace::TraceSink`];
 //!   `mb-cluster`'s communicator records sends, receives, computes and
 //!   every collective when a sink is attached, and is a no-op when not;
-//! * [`prof`] — **host-time** profiling: log-bucketed (HDR-style)
-//!   histograms with `p50/p90/p99/p999` queries, lock-free per-worker
-//!   sharded accumulation, and monotonic host-clock scopes — strictly
+//! * [`prof`] — **host-time** profiling: the one log-bucketed
+//!   (HDR-style) histogram with `p50/p90/p99/p999` queries — strictly
 //!   separated from the virtual-time spans so instrumenting the
 //!   simulator can never perturb a simulated outcome;
-//! * [`prom`] — Prometheus text exposition rendering of a registry
-//!   snapshot (`HELP`/`TYPE` headers, cumulative `le` buckets);
-//! * [`eventlog`] — a thread-safe structured JSONL event log stamped
-//!   with host nanoseconds, for post-hoc analysis;
 //! * [`chrome`] — Chrome `trace_event` JSON export (one track per rank,
 //!   loadable in Perfetto / `chrome://tracing`) plus a validating
 //!   re-parser;
@@ -63,21 +58,18 @@
 
 pub mod artifact;
 pub mod chrome;
-pub mod eventlog;
 pub mod fnv;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod prof;
-pub mod prom;
 pub mod summary;
 pub mod trace;
 
-pub use eventlog::EventLog;
 pub use fnv::Fnv;
 pub use json::Json;
 pub use manifest::RunManifest;
 pub use metrics::{MetricHandle, MetricValue, Registry};
-pub use prof::{ConcurrentHistogram, HostScope, LogHistogram, ShardedHistogram};
+pub use prof::LogHistogram;
 pub use summary::{RankTime, RunSummary};
 pub use trace::{MemorySink, RunTrace, SpanEvent, SpanKind, TraceSink};

@@ -1,6 +1,5 @@
-//! Host-time profiling: log-bucketed histograms with percentile
-//! queries, lock-free sharded accumulation, and monotonic host-clock
-//! scopes.
+//! Host-time profiling: one log-bucketed histogram type with percentile
+//! queries.
 //!
 //! Everything else in this crate observes **virtual time** — the
 //! simulated machine's clock. This module observes the **host**: where
@@ -10,25 +9,16 @@
 //! virtual clock, so attaching profiling to a run can never perturb a
 //! simulated outcome (regressed by `tests/determinism.rs`).
 //!
-//! Three layers, composable from the bottom up:
-//!
-//! * [`LogHistogram`] — a plain (single-threaded) HDR-style histogram:
-//!   every power-of-two octave is split into 16 log-linear sub-buckets,
-//!   bounding relative quantile error at ~6.25% while covering
-//!   `[2⁻³², 2⁴⁰)` in a few KiB of counters. Bucket indices come from
-//!   the observation's IEEE-754 exponent and mantissa bits — no `log2`
-//!   calls, so bucketing is bit-deterministic on every platform.
-//! * [`ConcurrentHistogram`] — the same buckets as `AtomicU64`s:
-//!   `record` is lock-free (`fetch_add`/`fetch_min`/`fetch_max` plus a
-//!   CAS loop for the running sum) and safe to call from any thread.
-//! * [`ShardedHistogram`] — N concurrent histograms, one per worker
-//!   shard, merged into one [`LogHistogram`] at drain time. Each worker
-//!   records into its own shard, so even the atomic cache-line traffic
-//!   of a shared histogram is avoided on the hot path.
-//!
-//! [`HostScope`] wraps `std::time::Instant` (the monotonic host clock)
-//! into a drop guard that records elapsed **nanoseconds** into a
-//! histogram, which is the unit convention for every `prof/*` metric.
+//! [`LogHistogram`] is a plain HDR-style histogram: every power-of-two
+//! octave is split into 16 log-linear sub-buckets, bounding relative
+//! quantile error at ~6.25% while covering `[2⁻³², 2⁴⁰)` in a few KiB
+//! of counters. Bucket indices come from the observation's IEEE-754
+//! exponent and mantissa bits — no `log2` calls, so bucketing is
+//! bit-deterministic on every platform. It has no interior
+//! synchronisation: every recorder in the workspace already holds a
+//! lock when it records (the executor core's state lock), so the
+//! histogram lives behind that lock. Every `prof/*` metric is in host
+//! **nanoseconds**.
 //!
 //! Profiling is opt-in: the executor consults [`enabled_from_env`]
 //! (`MB_PROF=1`) unless a caller forces it explicitly, and a disabled
@@ -47,9 +37,6 @@
 //! assert!((h.p50() - 500.0).abs() / 500.0 < 0.07);
 //! assert!(h.max() == 1000.0 && h.min() == 1.0);
 //! ```
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use crate::metrics::Histogram;
 
@@ -118,7 +105,7 @@ pub fn enabled_from_env() -> bool {
 /// geometry. Non-finite observations are dropped; observations `<= 0`
 /// are counted in a dedicated zero bucket (they have no magnitude to
 /// bucket by).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// Per-bucket counts, grown on demand (trailing zeros elided).
     counts: Vec<u64>,
@@ -132,22 +119,6 @@ pub struct LogHistogram {
     min: f64,
     /// Largest observation (`-inf` when empty).
     max: f64,
-}
-
-impl PartialEq for LogHistogram {
-    fn eq(&self, other: &Self) -> bool {
-        // Compare counts up to trailing zeros so a drained full-width
-        // snapshot equals an incrementally grown twin.
-        let trim = |c: &[u64]| {
-            let end = c.iter().rposition(|&x| x > 0).map_or(0, |i| i + 1);
-            c[..end].to_vec()
-        };
-        self.zero == other.zero
-            && self.n == other.n
-            && self.sum == other.sum
-            && (self.n == 0 || (self.min == other.min && self.max == other.max))
-            && trim(&self.counts) == trim(&other.counts)
-    }
 }
 
 impl Default for LogHistogram {
@@ -331,178 +302,6 @@ impl LogHistogram {
     }
 }
 
-/// A lock-free histogram sharing [`LogHistogram`]'s bucket geometry:
-/// `record` costs a few relaxed atomic RMW operations and never blocks,
-/// so instrumented hot paths (executor dispatch, gate wake-ups) can
-/// call it from any thread. Drain with [`ConcurrentHistogram::snapshot`]
-/// after the recording threads have quiesced.
-pub struct ConcurrentHistogram {
-    counts: Vec<AtomicU64>,
-    zero: AtomicU64,
-    n: AtomicU64,
-    /// Running sum as f64 bits, CAS-accumulated.
-    sum_bits: AtomicU64,
-    /// Min/max as f64 bits (positive IEEE-754 order == integer order).
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for ConcurrentHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentHistogram {
-    /// Fresh empty histogram (allocates the full bucket array: ~9 KiB).
-    pub fn new() -> Self {
-        Self {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            zero: AtomicU64::new(0),
-            n: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Record one non-negative observation. Lock-free.
-    pub fn record(&self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        if v > 0.0 {
-            self.counts[index_of(v)].fetch_add(1, Ordering::Relaxed);
-            // Positive doubles order like their bit patterns.
-            self.min_bits.fetch_min(v.to_bits(), Ordering::Relaxed);
-            self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
-        } else {
-            self.zero.fetch_add(1, Ordering::Relaxed);
-            self.min_bits.fetch_min(0f64.to_bits(), Ordering::Relaxed);
-        }
-        self.n.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Record a host-clock duration in nanoseconds.
-    pub fn record_elapsed(&self, since: Instant) {
-        self.record(since.elapsed().as_nanos() as f64);
-    }
-
-    /// A drop guard recording its lifetime (host nanoseconds) here.
-    pub fn scope(&self) -> HostScope<'_> {
-        HostScope {
-            hist: self,
-            start: Instant::now(),
-        }
-    }
-
-    /// Total observations so far.
-    pub fn count(&self) -> u64 {
-        self.n.load(Ordering::Relaxed)
-    }
-
-    /// Drain into a plain [`LogHistogram`]. Call after recording threads
-    /// have quiesced for a consistent snapshot.
-    pub fn snapshot(&self) -> LogHistogram {
-        let mut counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        if let Some(last) = counts.iter().rposition(|&c| c > 0) {
-            counts.truncate(last + 1);
-        } else {
-            counts.clear();
-        }
-        let n = self.n.load(Ordering::Relaxed);
-        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        LogHistogram {
-            counts,
-            zero: self.zero.load(Ordering::Relaxed),
-            n,
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            min: if n == 0 { f64::INFINITY } else { min },
-            max: if n == 0 { f64::NEG_INFINITY } else { max },
-        }
-    }
-}
-
-/// Drop guard from [`ConcurrentHistogram::scope`]: records the host
-/// nanoseconds between construction and drop.
-pub struct HostScope<'a> {
-    hist: &'a ConcurrentHistogram,
-    start: Instant,
-}
-
-impl Drop for HostScope<'_> {
-    fn drop(&mut self) {
-        self.hist.record_elapsed(self.start);
-    }
-}
-
-/// N lock-free histograms, one per worker shard, merged at drain: the
-/// per-worker accumulation pattern. A worker always records into its own
-/// shard (`shard = worker_id % shards`), so the hot path touches memory
-/// no other thread is writing.
-pub struct ShardedHistogram {
-    shards: Vec<ConcurrentHistogram>,
-}
-
-impl ShardedHistogram {
-    /// A histogram with `shards` independent accumulators (at least 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| ConcurrentHistogram::new())
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Record into `worker`'s shard. Lock-free.
-    pub fn record(&self, worker: usize, v: f64) {
-        self.shards[worker % self.shards.len()].record(v);
-    }
-
-    /// Record a host-clock duration (nanoseconds) into `worker`'s shard.
-    pub fn record_elapsed(&self, worker: usize, since: Instant) {
-        self.record(worker, since.elapsed().as_nanos() as f64);
-    }
-
-    /// Total observations across shards.
-    pub fn count(&self) -> u64 {
-        self.shards.iter().map(ConcurrentHistogram::count).sum()
-    }
-
-    /// Merge every shard into one [`LogHistogram`] (exact: bucket counts
-    /// add; merging is associative and commutative, property-tested).
-    pub fn drain(&self) -> LogHistogram {
-        let mut out = LogHistogram::new();
-        for s in &self.shards {
-            out.merge(&s.snapshot());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,17 +433,15 @@ mod tests {
 
     #[test]
     fn merge_is_associative_across_sharded_accumulators() {
-        // Fill three shards with different seeded streams, then check
-        // that every merge grouping produces the same histogram
-        // (counts, n, extremes, quantiles) — the contract that makes
-        // drain order irrelevant.
-        let sh = ShardedHistogram::new(3);
+        // Shard one seeded stream over three histograms, then check
+        // that every merge grouping and order produces the same
+        // histogram (counts, n, extremes, quantiles) — the contract
+        // that makes merge order irrelevant.
+        let mut parts = vec![LogHistogram::new(); 3];
         let mut rng = Rng(42);
-        for k in 0..9_000u64 {
-            let v = rng.uniform() * 1e6;
-            sh.record((k % 3) as usize, v);
+        for k in 0..9_000usize {
+            parts[k % 3].observe(rng.uniform() * 1e6);
         }
-        let parts: Vec<LogHistogram> = sh.shards.iter().map(|s| s.snapshot()).collect();
 
         let mut ab_c = parts[0].clone();
         ab_c.merge(&parts[1]);
@@ -659,52 +456,21 @@ mod tests {
         cba.merge(&parts[1]);
         cba.merge(&parts[0]);
 
-        for other in [&a_bc, &cba, &sh.drain()] {
+        assert_eq!(ab_c.count(), 9_000);
+        for other in [&a_bc, &cba] {
             assert_eq!(ab_c.count(), other.count());
             assert_eq!(ab_c.min(), other.min());
             assert_eq!(ab_c.max(), other.max());
-            let trim_eq = ab_c.occupied().zip(other.occupied()).all(|(x, y)| x == y);
-            assert!(trim_eq, "bucket contents differ between merge orders");
+            assert!(
+                ab_c.occupied().eq(other.occupied()),
+                "bucket contents differ between merge orders"
+            );
             for q in [0.5, 0.9, 0.99] {
                 assert_eq!(ab_c.quantile(q), other.quantile(q), "q={q}");
             }
             // Sums differ only by float re-association.
             assert!((ab_c.sum() - other.sum()).abs() <= 1e-9 * ab_c.sum().abs());
         }
-        assert_eq!(sh.count(), 9_000);
-    }
-
-    #[test]
-    fn concurrent_recording_from_many_threads_loses_nothing() {
-        let h = ConcurrentHistogram::new();
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let h = &h;
-                scope.spawn(move || {
-                    for k in 0..1000u64 {
-                        h.record((t * 1000 + k + 1) as f64);
-                    }
-                });
-            }
-        });
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 8000);
-        assert_eq!(snap.min(), 1.0);
-        assert_eq!(snap.max(), 8000.0);
-        let total: f64 = (1..=8000u64).map(|v| v as f64).sum();
-        assert!((snap.sum() - total).abs() < 1e-6);
-    }
-
-    #[test]
-    fn host_scope_records_elapsed_nanoseconds() {
-        let h = ConcurrentHistogram::new();
-        {
-            let _guard = h.scope();
-            std::hint::black_box((0..1000).sum::<u64>());
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1);
-        assert!(snap.max() > 0.0, "a scope must take measurable time");
     }
 
     #[test]

@@ -748,35 +748,43 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     let spec = metablade_spec().with_nodes(256);
     let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 8 });
     let off = cluster.clone().with_prof(false).run(job_256);
-    let log = std::sync::Arc::new(metablade::telemetry::eventlog::EventLog::new());
-    let on = cluster
-        .clone()
-        .with_prof(true)
-        .with_event_log(std::sync::Arc::clone(&log))
-        .run(job_256);
+    let on = cluster.clone().with_prof(true).run(job_256);
     assert_eq!(
         outcome_fingerprint(&off.results, &off.clocks, &off.stats),
         outcome_fingerprint(&on.results, &on.clocks, &on.stats),
         "host-time profiling changed simulated outcomes"
     );
     assert!(off.exec_report.prof.is_none());
-    let p = on.exec_report.prof.as_ref().expect("profile captured");
-    assert_eq!(
-        p.busy_ns.count(),
-        on.exec_report.admissions,
-        "one busy span per admission"
-    );
+    let rep = &on.exec_report;
+    let p = rep.prof.as_ref().expect("profile captured");
+    for (name, h) in [
+        ("busy", &p.busy_ns),
+        ("idle", &p.idle_ns),
+        ("wake", &p.wake_ns),
+        ("push", &p.push_ns),
+        ("pop", &p.pop_ns),
+    ] {
+        assert_eq!(h.count(), rep.admissions, "one {name} sample per admission");
+    }
+    assert!(p.stall_ns.count() <= rep.horizon_waits);
     assert!(p.wake_ns.p50() <= p.wake_ns.p99());
 
-    // The profile flows through every export surface: registry →
-    // Prometheus text and Chrome counters.
+    // The profile flows through both export surfaces: registry →
+    // Chrome counters and JSON.
     let mut reg = metablade::telemetry::metrics::Registry::new();
-    on.exec_report
-        .record_into(&mut reg, &cluster.exec().label());
-    let prom = metablade::telemetry::prom::render(&reg);
+    rep.record_into(&mut reg, &cluster.exec().label());
+    let chrome = metablade::telemetry::chrome::export_with_metrics(&Default::default(), &reg);
+    metablade::telemetry::chrome::validate(&chrome).expect("valid chrome trace");
     assert!(
-        prom.contains("prof_task_busy_ns_bucket"),
-        "prof histograms missing from Prometheus export:\n{prom}"
+        chrome.contains("prof/task.busy_ns"),
+        "prof histograms missing from Chrome export"
     );
-    assert!(prom.contains("# TYPE prof_task_busy_ns histogram"));
+    let doc = metablade::telemetry::json::parse(&reg.to_json().to_string()).expect("JSON parses");
+    let busy = doc
+        .get("prof/task.busy_ns{w8}")
+        .expect("prof histograms missing from JSON export");
+    assert_eq!(
+        busy.get("n").and_then(|n| n.as_f64()),
+        Some(rep.admissions as f64)
+    );
 }

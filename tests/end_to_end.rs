@@ -139,3 +139,38 @@ fn economics_pipeline_reproduces_headline_ratios() {
         "perf/power ratio {pp_ratio}"
     );
 }
+
+fn run_metablade(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_metablade"))
+        .args(args)
+        .output()
+        .expect("spawn metablade")
+}
+
+/// The front end is the one regenerator: `table 4` prints the table and
+/// the provenance trailer the deleted `table4` bin carried.
+#[test]
+fn metablade_table_prints_the_table_and_its_trailer() {
+    let out = run_metablade(&["table", "4"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let table = metablade::core::report::render_table4(&metablade::core::experiments::table4());
+    assert!(stdout.starts_with(&table), "{stdout}");
+    assert!(
+        stdout.contains("historical rows are the published records"),
+        "{stdout}"
+    );
+}
+
+/// Bad argv is a usage error — status 2, usage on stderr, nothing on
+/// stdout — not a silent default or a silent success.
+#[test]
+fn metablade_rejects_bad_argv_with_usage_and_status_2() {
+    for args in [&["bogus"][..], &["table", "9"], &["figure3", "abc"]] {
+        let out = run_metablade(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: metablade"), "{args:?}: {stderr}");
+    }
+}
