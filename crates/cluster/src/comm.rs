@@ -4,11 +4,14 @@
 //! *virtual*: `compute` charges CPU seconds at the node's sustained rate,
 //! `send`/`recv` charge the LogGP costs of [`crate::network::NetworkModel`],
 //! and a receive waits (in virtual time) until the message's delivery
-//! timestamp. Message transport between threads uses std mpsc channels;
-//! because every receive names its source rank and all collectives use
-//! fixed deterministic patterns, the virtual clocks are bit-reproducible
-//! regardless of host thread scheduling — and therefore regardless of the
-//! executor policy mapping ranks onto host workers (see [`crate::exec`]).
+//! timestamp. Messages travel through the run's [`EventCore`], which owns
+//! one mailbox per rank: a send is `deliver`, a receive is `take`, and a
+//! receive that must wait parks its thread exactly once (see
+//! [`crate::event`]). Because every receive names its source rank and all
+//! collectives use fixed deterministic patterns, the virtual clocks are
+//! bit-reproducible regardless of host thread scheduling — and therefore
+//! regardless of the executor policy mapping ranks onto host workers (see
+//! [`crate::exec`]).
 //!
 //! Collectives are the classic binomial-tree / ring algorithms MPICH used
 //! in the paper's era: `bcast` and `reduce` are binomial trees (⌈log₂ P⌉
@@ -29,7 +32,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mb_telemetry::trace::{SpanEvent, SpanKind, TraceSink};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
 use crate::event::EventCore;
 use crate::network::NetworkModel;
@@ -61,6 +63,54 @@ pub struct PeerTraffic {
     pub bytes_from: u64,
 }
 
+/// One rank's per-peer traffic: rows sorted by peer rank, held only for
+/// the peers it exchanged a message with. An absent peer reads as zero,
+/// so the table is as small as the rank's traffic pattern, not as wide
+/// as the run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PeerTable(Vec<(usize, PeerTraffic)>);
+
+impl PeerTable {
+    fn find(&self, peer: usize) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&peer, |&(p, _)| p)
+    }
+
+    /// Traffic to/from `peer`, zero if there was none.
+    pub fn get(&self, peer: usize) -> PeerTraffic {
+        self.find(peer)
+            .map_or_else(|_| PeerTraffic::default(), |i| self.0[i].1)
+    }
+
+    /// `peer`'s row, added zeroed on first touch.
+    pub fn entry(&mut self, peer: usize) -> &mut PeerTraffic {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            self.0.insert(i, (peer, PeerTraffic::default()));
+            i
+        });
+        &mut self.0[i].1
+    }
+
+    /// Compact a dense row indexed by peer rank into a table, dropping
+    /// its zero entries and leaving `dense` zeroed: for a builder that
+    /// revisits every peer many times and wants plain indexing meanwhile.
+    pub fn take_dense(dense: &mut [PeerTraffic]) -> Self {
+        // Branch-free, so the two scans cost a few loads per peer.
+        let used = |t: &PeerTraffic| t.msgs_to | t.bytes_to | t.msgs_from | t.bytes_from != 0;
+        let mut rows = Vec::with_capacity(dense.iter().filter(|t| used(t)).count());
+        for (peer, t) in dense.iter_mut().enumerate() {
+            if used(t) {
+                rows.push((peer, std::mem::take(t)));
+            }
+        }
+        PeerTable(rows)
+    }
+
+    /// The touched peers' rows, in ascending peer rank.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &PeerTraffic)> {
+        self.0.iter().map(|(peer, t)| (*peer, t))
+    }
+}
+
 /// Per-rank communication statistics (virtual seconds).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommStats {
@@ -80,9 +130,9 @@ pub struct CommStats {
     pub send_busy_s: f64,
     /// Virtual seconds the NIC/stack kept the CPU busy receiving.
     pub recv_busy_s: f64,
-    /// Per-peer traffic, indexed by peer rank (empty until the stats
-    /// belong to a live [`Comm`], which sizes it to the rank count).
-    pub peers: Vec<PeerTraffic>,
+    /// Per-peer traffic. Sparse, so a run's statistics are linear in
+    /// rank count unless its traffic is not.
+    pub peers: PeerTable,
 }
 
 impl CommStats {
@@ -91,9 +141,9 @@ impl CommStats {
         self.compute_s + self.send_busy_s + self.recv_busy_s
     }
 
-    /// Traffic to/from `peer`, zero if out of range.
+    /// Traffic to/from `peer`, zero if there was none.
     pub fn peer(&self, peer: usize) -> PeerTraffic {
-        self.peers.get(peer).copied().unwrap_or_default()
+        self.peers.get(peer)
     }
 }
 
@@ -111,15 +161,11 @@ pub struct Comm {
     /// pairs, so a job spanning fat-tree switch boundaries pays uplink
     /// contention while a compact placement of the same width does not.
     nodes: Arc<Vec<usize>>,
-    tx: Vec<Sender<Msg>>,
-    rx: Receiver<Msg>,
-    pending: Vec<Msg>,
     coll_seq: u32,
     sink: Option<Box<dyn TraceSink + Send>>,
-    /// The run's admission engine: a receive that would block the host
-    /// thread releases this rank's execution slot while waiting and
-    /// re-applies for one, at the current virtual clock, once the
-    /// message is here.
+    /// The run's admission engine and message transport: it holds every
+    /// rank's mailbox, and a receive that has to wait gives up this
+    /// rank's execution slot inside it until the message is delivered.
     core: Arc<EventCore>,
     phases: Vec<(&'static str, f64)>,
     /// Running statistics.
@@ -133,12 +179,9 @@ impl Comm {
         mflops: f64,
         net: NetworkModel,
         nodes: Arc<Vec<usize>>,
-        tx: Vec<Sender<Msg>>,
-        rx: Receiver<Msg>,
         core: Arc<EventCore>,
     ) -> Self {
-        let nranks = tx.len();
-        debug_assert_eq!(nodes.len(), nranks);
+        let nranks = nodes.len();
         Self {
             rank,
             nranks,
@@ -146,17 +189,11 @@ impl Comm {
             mflops,
             net,
             nodes,
-            tx,
-            rx,
-            pending: Vec::new(),
             coll_seq: 0,
             sink: None,
             core,
             phases: Vec::new(),
-            stats: CommStats {
-                peers: vec![PeerTraffic::default(); nranks],
-                ..CommStats::default()
-            },
+            stats: CommStats::default(),
         }
     }
 
@@ -276,8 +313,9 @@ impl Comm {
         self.stats.send_busy_s += busy;
         self.stats.sends += 1;
         self.stats.bytes_sent += bytes;
-        self.stats.peers[dst].msgs_to += 1;
-        self.stats.peers[dst].bytes_to += bytes;
+        let peer = self.stats.peers.entry(dst);
+        peer.msgs_to += 1;
+        peer.bytes_to += bytes;
         if let Some(sink) = self.sink.as_mut() {
             sink.record(SpanEvent {
                 name: "send",
@@ -293,20 +331,21 @@ impl Comm {
             + self
                 .net
                 .flight_between(self.nodes[self.rank], self.nodes[dst], bytes);
-        self.tx[dst]
-            .send(Msg {
+        self.core.deliver(
+            dst,
+            Msg {
                 src: self.rank,
                 tag,
                 deliver,
                 payload,
-            })
-            .expect("peer rank hung up");
+            },
+        );
     }
 
     /// Receive the next message from `src` with `tag` (FIFO per
-    /// source/tag pair). Blocks the host thread if needed; charges
-    /// virtual wait time until the message's delivery timestamp plus the
-    /// receiver-side busy time.
+    /// source/tag pair; `src` may be this rank). Blocks the host thread
+    /// if needed; charges virtual wait time until the message's delivery
+    /// timestamp plus the receiver-side busy time.
     pub fn recv(&mut self, src: usize, tag: u32) -> Bytes {
         assert!(tag < COLLECTIVE_TAG, "user tags must be < 2^31");
         self.recv_internal(src, tag)
@@ -314,32 +353,7 @@ impl Comm {
 
     fn recv_internal(&mut self, src: usize, tag: u32) -> Bytes {
         let t0 = self.clock;
-        let msg = loop {
-            if let Some(i) = self
-                .pending
-                .iter()
-                .position(|m| m.src == src && m.tag == tag)
-            {
-                break self.pending.remove(i);
-            }
-            let m = match self.rx.try_recv() {
-                Ok(m) => m,
-                Err(TryRecvError::Empty) => {
-                    // The host thread is about to block: hand the
-                    // execution slot to another rank and take one back
-                    // once the message is here.
-                    self.core.release(self.rank);
-                    let m = self.rx.recv();
-                    self.core.acquire(self.rank, self.clock);
-                    m.expect("all peers hung up")
-                }
-                Err(TryRecvError::Disconnected) => panic!("all peers hung up"),
-            };
-            if m.src == src && m.tag == tag {
-                break m;
-            }
-            self.pending.push(m);
-        };
+        let msg = self.core.take(self.rank, src, tag, self.clock);
         let mut waited = 0.0;
         if msg.deliver > self.clock {
             waited = msg.deliver - self.clock;
@@ -352,8 +366,9 @@ impl Comm {
         self.stats.recv_busy_s += busy;
         self.stats.recvs += 1;
         self.stats.bytes_recv += bytes;
-        self.stats.peers[src].msgs_from += 1;
-        self.stats.peers[src].bytes_from += bytes;
+        let peer = self.stats.peers.entry(src);
+        peer.msgs_from += 1;
+        peer.bytes_from += bytes;
         if let Some(sink) = self.sink.as_mut() {
             sink.record(SpanEvent {
                 name: "recv",
@@ -664,6 +679,24 @@ mod tests {
     fn f64_roundtrip() {
         let vals = vec![0.0, -1.5, std::f64::consts::PI, f64::MAX, 1e-300];
         assert_eq!(unpack_f64s(&pack_f64s(&vals)), vals);
+    }
+
+    #[test]
+    fn a_compacted_dense_row_equals_the_table_built_by_entry() {
+        let mut dense = vec![PeerTraffic::default(); 6];
+        let mut built = PeerTable::default();
+        for (peer, bytes) in [(4, 10), (1, 7), (4, 5), (5, 0)] {
+            dense[peer].msgs_from += 1;
+            dense[peer].bytes_from += bytes;
+            built.entry(peer).msgs_from += 1;
+            built.entry(peer).bytes_from += bytes;
+        }
+        assert_eq!(PeerTable::take_dense(&mut dense), built);
+        assert_eq!(dense, vec![PeerTraffic::default(); 6], "scratch zeroed");
+        let peers: Vec<usize> = built.iter().map(|(p, _)| p).collect();
+        assert_eq!(peers, [1, 4, 5]);
+        assert_eq!(built.get(4).bytes_from, 15);
+        assert_eq!(built.get(0), PeerTraffic::default());
     }
 
     #[test]

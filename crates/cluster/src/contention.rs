@@ -44,22 +44,17 @@
 //!
 //! ```
 //! use mb_cluster::contention;
-//! use mb_cluster::{CommStats, PeerTraffic, Topology};
+//! use mb_cluster::{CommStats, Topology};
 //!
 //! // One rank sends 1 MB per one-second step to the other and spends
 //! // half the step communicating.
 //! let step = |bytes: u64| {
 //!     let mut s0 = CommStats {
-//!         peers: vec![PeerTraffic::default(); 2],
 //!         send_busy_s: 0.5,
 //!         ..CommStats::default()
 //!     };
-//!     s0.peers[1].bytes_to = bytes;
-//!     let s1 = CommStats {
-//!         peers: vec![PeerTraffic::default(); 2],
-//!         ..CommStats::default()
-//!     };
-//!     vec![s0, s1]
+//!     s0.peers.entry(1).bytes_to = bytes;
+//!     vec![s0, CommStats::default()]
 //! };
 //! let ft = Topology::fat_tree(4, 2, 4.0);
 //! // Two jobs whose flows both leave edge switch 0 for edge switch 1.
@@ -123,7 +118,7 @@ pub fn job_traffic(
     let ids = LinkIds::new(topo, ways);
     let mut bytes: Vec<(LinkId, u64)> = Vec::new();
     for (src, s) in stats.iter().enumerate() {
-        for (dst, peer) in s.peers.iter().enumerate() {
+        for (dst, peer) in s.peers.iter() {
             if peer.bytes_to == 0 {
                 continue;
             }
@@ -349,7 +344,7 @@ mod reference {
     ) -> JobTraffic {
         let mut bytes: BTreeMap<String, u64> = BTreeMap::new();
         for (src, s) in stats.iter().enumerate() {
-            for (dst, peer) in s.peers.iter().enumerate() {
+            for (dst, peer) in s.peers.iter() {
                 if peer.bytes_to == 0 {
                     continue;
                 }
@@ -460,20 +455,15 @@ mod tests {
     fn stats_pair(bytes: u64) -> Vec<CommStats> {
         // Rank 0 sends `bytes` to rank 1 and spends half the step busy.
         let mut s0 = CommStats {
-            peers: vec![PeerTraffic::default(); 2],
             send_busy_s: 0.5,
             ..CommStats::default()
         };
-        s0.peers[1] = PeerTraffic {
+        *s0.peers.entry(1) = PeerTraffic {
             msgs_to: 1,
             bytes_to: bytes,
             ..PeerTraffic::default()
         };
-        let s1 = CommStats {
-            peers: vec![PeerTraffic::default(); 2],
-            ..CommStats::default()
-        };
-        vec![s0, s1]
+        vec![s0, CommStats::default()]
     }
 
     /// A job's rates keyed by report name.
@@ -618,7 +608,6 @@ mod tests {
         let stats = (0..width)
             .map(|rank| {
                 let mut s = CommStats {
-                    peers: vec![PeerTraffic::default(); width],
                     send_busy_s: r(1000) as f64 * 1e-4,
                     recv_busy_s: r(1000) as f64 * 1e-4,
                     wait_s: r(1000) as f64 * 1e-4,
@@ -627,7 +616,7 @@ mod tests {
                 for _ in 0..1 + r(4) {
                     let peer = r(width);
                     if peer != rank {
-                        s.peers[peer].bytes_to += 1 + r(3_000_000) as u64;
+                        s.peers.entry(peer).bytes_to += 1 + r(3_000_000) as u64;
                     }
                 }
                 s

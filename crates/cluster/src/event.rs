@@ -46,19 +46,42 @@
 //! floor rank specifically* — the one rank whose unsent messages the
 //! horizon is guarding against (see DESIGN.md §13 for the full sketch).
 //! Wake-ups use one `Condvar` per rank (`notify_one` direct handoff), so
-//! an admission wakes exactly the admitted task, never the whole pool.
+//! an admission wakes exactly the admitted task, never the whole pool —
+//! and only once the dispatcher has let go of the state lock, so a woken
+//! rank that preempts its waker does not run into it.
 //!
-//! Deadlock freedom: when no task holds a slot the heap minimum is
-//! admitted unconditionally, and the heap minimum is always admissible
-//! whenever it is also the globally minimal active clock, so the core
-//! admits at least one task whenever any task is ready.
+//! **Mailboxes.** Message transport lives here too, under the same state
+//! lock as admission. [`EventCore::deliver`] either files a message in
+//! the destination's mailbox (arrival order, so FIFO per `(src, tag)`)
+//! or — when the destination is parked awaiting exactly that
+//! `(src, tag)` — hands it over and makes the destination `Ready` at the
+//! clock it blocked at, in the same critical section.
+//! [`EventCore::take`] returns a filed message without touching the
+//! slot, or records what the rank awaits, gives up its slot and parks
+//! **once** on the rank's gate; the grant that reopens the gate carries
+//! the message. A task is therefore `Unstarted → Ready → Running →
+//! (Awaiting → Ready → Running)* → Done`.
+//!
+//! **Failing loudly.** Admission itself cannot deadlock: when no task
+//! holds a slot the heap minimum is admitted unconditionally. An SPMD
+//! *program* can: when nothing runs, nothing is ready, every rank has
+//! started and some rank still awaits a message, nobody is left to send
+//! it. The core then records each blocked rank's [`BlockedRecv`], and
+//! poisons itself: every gate is woken and every parked rank (now or
+//! later) unwinds with the `Poisoned` marker instead of waiting
+//! forever. [`EventCore::poison`] is also what a panicking rank's drop
+//! guard calls, so its peers unwind rather than park on messages that
+//! will never come (see `machine.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mb_telemetry::prof::LogHistogram;
+
+use crate::comm::Msg;
 
 /// Per-pair admission bounds: how far ahead (virtual seconds) rank `to`
 /// may run of rank `from` without being able to observe any message
@@ -83,15 +106,56 @@ fn clock_key(c: f64) -> u64 {
 }
 
 /// Scheduling state of one rank's task.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum TaskState {
+    /// Has not made its first `acquire`: rank threads are spawned one by
+    /// one, so rank 0 can block before rank 1 exists. Still live, as far
+    /// as deadlock detection is concerned.
+    #[default]
+    Unstarted,
     /// In the ready queue at this clock, waiting for admission.
     Ready(f64),
     /// Holds an execution slot; clock is the admission-time lower bound.
     Running(f64),
-    /// Blocked on a message or finished: holds no slot, wants none.
-    Blocked,
+    /// Parked in `take` until `src` delivers `tag`; re-enters the ready
+    /// queue at `clock`, the rank's virtual time when it blocked.
+    Awaiting { src: usize, tag: u32, clock: f64 },
+    /// Finished: holds no slot, wants none.
+    Done,
 }
+
+/// One rank's share of the core state.
+#[derive(Default)]
+struct Task {
+    state: TaskState,
+    /// Messages delivered and not yet taken, in arrival order.
+    mailbox: Vec<Msg>,
+    /// The message whose delivery made this task `Ready`; the grant
+    /// moves it to the gate.
+    handoff: Option<Msg>,
+    /// Profiling only: when the task last became `Ready`.
+    ready_at: Option<Instant>,
+}
+
+/// A receive nobody is left to satisfy: one entry of the deadlock
+/// report ([`EventCore::deadlock`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockedRecv {
+    /// The blocked rank.
+    pub rank: usize,
+    /// The source it awaits.
+    pub src: usize,
+    /// The tag it awaits (collective tags have the high bit set).
+    pub tag: u32,
+    /// Its virtual clock when it blocked, seconds.
+    pub clock: f64,
+}
+
+/// Panic payload of a rank unwinding out of a poisoned core: a
+/// *secondary* failure, never the cause. `machine.rs` tells it from the
+/// originating rank's payload by type.
+#[derive(Debug)]
+pub(crate) struct Poisoned;
 
 /// Host-time latency distributions the profiled core accumulates, all in
 /// **host nanoseconds** (never virtual seconds — see DESIGN.md §12).
@@ -101,9 +165,11 @@ enum TaskState {
 /// so there is one set of histograms however many ranks run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfReport {
-    /// Slot-held spans: admission wake to release, per task.
+    /// Slot-held spans: admission wake to giving the slot up (a blocking
+    /// `take`, or `release`), per admission.
     pub busy_ns: LogHistogram,
-    /// Admission waits: `acquire` entry to admission (task idle).
+    /// Admission waits: task made `Ready` (by its first `acquire` or by
+    /// the delivery it awaited) to running again. Never message wait.
     pub idle_ns: LogHistogram,
     /// Gate wake-to-run: dispatcher's `notify_one` to the woken task
     /// resuming past its condvar wait.
@@ -148,7 +214,7 @@ pub struct ExecutorReport {
     pub nranks: usize,
     /// Lookahead horizon `L`, seconds.
     pub lookahead_s: f64,
-    /// Total task admissions (initial + every recv re-admission).
+    /// Total task admissions (initial + one per blocking receive).
     pub admissions: u64,
     /// Admissions a strict min-clock barrier would have delayed: the
     /// admitted task's clock was strictly ahead of the slowest admitted
@@ -221,12 +287,13 @@ impl ExecutorReport {
 }
 
 /// One rank's parking spot: the flag is "admitted", flipped by the
-/// dispatcher under the gate lock, then signalled with `notify_one`. The
-/// profiling stamps live behind the same lock: `granted_at` is written
-/// by the dispatcher and consumed by the woken task; `resumed` is
-/// written by the task as it resumes and consumed by its own `release`,
-/// which folds it into the profile under the state lock it takes anyway.
-/// Both stay `None` with profiling off.
+/// dispatcher under the gate lock, then signalled with `notify_one`; a
+/// grant that ends a blocking `take` carries the awaited message. The
+/// profiling stamps live behind the same lock: `granted` is written by
+/// the dispatcher and consumed by the woken task; `resumed` is written
+/// by the task as it resumes and consumed when it next gives up its
+/// slot, which folds it into the profile under the state lock. Both
+/// stay `None` with profiling off.
 struct Gate {
     slot: Mutex<GateSlot>,
     cv: Condvar,
@@ -235,15 +302,17 @@ struct Gate {
 #[derive(Default)]
 struct GateSlot {
     admitted: bool,
-    granted_at: Option<Instant>,
+    msg: Option<Msg>,
+    /// When the task became `Ready`, and when it was granted a slot.
+    granted: Option<(Instant, Instant)>,
     resumed: Option<Resumed>,
 }
 
-/// What a profiled task measured on its way out of `acquire`.
+/// What a profiled task measured on its way out of its gate.
 struct Resumed {
     /// Dispatcher's `notify_one` to the task running again.
     wake_ns: f64,
-    /// `acquire` entry to the task running again.
+    /// Task made `Ready` to the task running again.
     idle_ns: f64,
     /// When the slot-held span began.
     at: Instant,
@@ -257,7 +326,9 @@ fn ns_since(since: Instant) -> f64 {
 struct CoreState {
     running: usize,
     ready: usize,
-    tasks: Vec<TaskState>,
+    /// Tasks still `Unstarted`.
+    unstarted: usize,
+    tasks: Vec<Task>,
     /// Min-heap of `(clock_key, rank)` over Ready tasks; entries are
     /// lazily invalidated (valid iff the rank is still Ready at that
     /// exact clock).
@@ -269,6 +340,8 @@ struct CoreState {
     /// When the queue head is horizon-blocked and profiling is on: the
     /// host instant the stall began (cleared at the next admission).
     stall_since: Option<Instant>,
+    /// The blocked receives of a detected deadlock; empty otherwise.
+    deadlock: Vec<BlockedRecv>,
 }
 
 impl CoreState {
@@ -278,7 +351,7 @@ impl CoreState {
     /// evaluated against.
     fn min_running(&mut self) -> Option<(f64, usize)> {
         while let Some(&Reverse((key, rank))) = self.running_heap.peek() {
-            match self.tasks[rank] {
+            match self.tasks[rank].state {
                 TaskState::Running(c) if clock_key(c) == key => return Some((c, rank)),
                 _ => {
                     self.running_heap.pop();
@@ -291,7 +364,7 @@ impl CoreState {
     /// Pop the valid ready minimum, if any.
     fn peek_ready(&mut self) -> Option<(f64, usize)> {
         while let Some(&Reverse((key, rank))) = self.ready_heap.peek() {
-            match self.tasks[rank] {
+            match self.tasks[rank].state {
                 TaskState::Ready(c) if clock_key(c) == key => return Some((c, rank)),
                 _ => {
                     self.ready_heap.pop();
@@ -303,9 +376,10 @@ impl CoreState {
 }
 
 /// The event-driven executor core. A rank blocks in
-/// [`EventCore::acquire`] until it may make host progress and calls
-/// [`EventCore::release`] whenever it is about to block on a message (or
-/// has finished) — the communicator's slot-handoff protocol.
+/// [`EventCore::acquire`] until it may first make host progress, sends
+/// through [`EventCore::deliver`], receives through [`EventCore::take`]
+/// (which gives up the slot only if the message is not here yet) and
+/// calls [`EventCore::release`] when it has finished.
 pub struct EventCore {
     workers: usize,
     lookahead_s: f64,
@@ -314,6 +388,9 @@ pub struct EventCore {
     pair_bounds: Option<Arc<dyn PairBound>>,
     state: Mutex<CoreState>,
     gates: Vec<Gate>,
+    /// Set once by [`EventCore::poison`], read by every gate waiter
+    /// under its gate lock.
+    poisoned: AtomicBool,
     /// Whether `state.report.prof` is present, readable without the
     /// lock; off costs one branch per record site.
     profiling: bool,
@@ -331,7 +408,8 @@ impl EventCore {
             state: Mutex::new(CoreState {
                 running: 0,
                 ready: 0,
-                tasks: vec![TaskState::Blocked; nranks],
+                unstarted: nranks,
+                tasks: (0..nranks).map(|_| Task::default()).collect(),
                 ready_heap: BinaryHeap::with_capacity(nranks),
                 running_heap: BinaryHeap::with_capacity(nranks),
                 report: ExecutorReport {
@@ -341,6 +419,7 @@ impl EventCore {
                     ..ExecutorReport::default()
                 },
                 stall_since: None,
+                deadlock: Vec::new(),
             }),
             gates: (0..nranks)
                 .map(|_| Gate {
@@ -348,6 +427,7 @@ impl EventCore {
                     cv: Condvar::new(),
                 })
                 .collect(),
+            poisoned: AtomicBool::new(false),
             profiling: false,
         }
     }
@@ -391,9 +471,39 @@ impl EventCore {
         self.state.lock().expect("event core lock").report.clone()
     }
 
-    /// Admit every admissible ready task while slots are free. Called
-    /// with the state lock held, on every arrival and release.
-    fn dispatch(&self, st: &mut CoreState) {
+    /// The receives a detected deadlock left blocked, by rank; empty
+    /// unless the core poisoned itself for that reason.
+    pub fn deadlock(&self) -> Vec<BlockedRecv> {
+        self.state.lock().expect("event core lock").deadlock.clone()
+    }
+
+    /// Kill the run: wake every gate, so every rank parked now — and
+    /// every rank that parks later — unwinds with `Poisoned` instead
+    /// of waiting. Called by a panicking rank's drop guard, so it must
+    /// not panic itself: a gate lock some other panic poisoned is still
+    /// a held lock.
+    pub fn poison(&self) {
+        // Waiters re-check the flag under their gate lock, which the
+        // loop below takes after the store: none can miss both the flag
+        // and the notification. Peers unwinding from it call in again.
+        if self.poisoned.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for gate in &self.gates {
+            let _held = gate.slot.lock();
+            gate.cv.notify_one();
+        }
+    }
+
+    /// Admit every admissible ready task while slots are free, look for a
+    /// deadlocked program, then give the state lock back and wake the
+    /// admitted: the last step of every transition that readies a task
+    /// or frees a slot. The wake-ups come after the unlock because a
+    /// woken rank that preempts its waker would otherwise run straight
+    /// into the lock the waker still holds.
+    fn dispatch(&self, mut guard: MutexGuard<'_, CoreState>) {
+        let st = &mut *guard;
+        let mut woken = Vec::new();
         let depth = st.ready;
         st.report.sample_depth(depth);
         while st.running < self.workers {
@@ -412,8 +522,8 @@ impl EventCore {
                 if clock > floor + horizon {
                     // Beyond the horizon: running it now is still *legal*
                     // (results are admission-order independent) but would
-                    // let virtual-clock skew — and pending-message memory
-                    // — grow unboundedly. Wait for the floor to advance.
+                    // let virtual-clock skew — and mailbox memory — grow
+                    // unboundedly. Wait for the floor to advance.
                     st.report.horizon_waits += 1;
                     if self.profiling && st.stall_since.is_none() {
                         st.stall_since = Some(Instant::now());
@@ -423,7 +533,7 @@ impl EventCore {
             }
             st.ready_heap.pop();
             st.ready -= 1;
-            st.tasks[rank] = TaskState::Running(clock);
+            st.tasks[rank].state = TaskState::Running(clock);
             st.running_heap.push(Reverse((clock_key(clock), rank)));
             st.running += 1;
             st.report.admissions += 1;
@@ -444,78 +554,164 @@ impl EventCore {
                     p.stall_ns.observe(ns_since(since));
                 }
             }
+            let task = &mut st.tasks[rank];
             let mut slot = self.gates[rank].slot.lock().expect("gate lock");
             slot.admitted = true;
-            if self.profiling {
-                slot.granted_at = Some(Instant::now());
+            slot.msg = task.handoff.take();
+            slot.granted = task.ready_at.take().map(|at| (at, Instant::now()));
+            woken.push(rank);
+        }
+        if st.running == 0 && st.ready == 0 && st.unstarted == 0 {
+            // Nothing runs and nothing can: the run is over, or whoever
+            // still awaits a message has nobody left to send it.
+            let blocked: Vec<BlockedRecv> = (st.tasks.iter().enumerate())
+                .filter_map(|(rank, t)| match t.state {
+                    TaskState::Awaiting { src, tag, clock } => Some(BlockedRecv {
+                        rank,
+                        src,
+                        tag,
+                        clock,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            if !blocked.is_empty() {
+                st.deadlock = blocked;
+                self.poison();
             }
+        }
+        drop(guard);
+        for rank in woken {
             self.gates[rank].cv.notify_one();
         }
     }
 
-    /// Block until `rank` (at virtual time `clock`) is admitted.
-    pub fn acquire(&self, rank: usize, clock: f64) {
-        let t_enter = self.profiling.then(Instant::now);
-        {
-            let mut st = self.state.lock().expect("event core lock");
-            debug_assert!(
-                !matches!(st.tasks[rank], TaskState::Running(_)),
-                "acquire while running"
-            );
-            st.tasks[rank] = TaskState::Ready(clock);
-            let t_push = self.profiling.then(Instant::now);
-            st.ready_heap.push(Reverse((clock_key(clock), rank)));
-            st.ready += 1;
-            if let (Some(p), Some(t)) = (&mut st.report.prof, t_push) {
-                p.push_ns.observe(ns_since(t));
-            }
-            self.dispatch(&mut st);
-        }
-        let mut slot = self.gates[rank].slot.lock().expect("gate lock");
-        while !slot.admitted {
-            slot = self.gates[rank].cv.wait(slot).expect("gate wait");
-        }
-        slot.admitted = false;
-        if let Some(entered) = t_enter {
-            // A profiled dispatch stamps every grant.
-            if let Some(granted) = slot.granted_at.take() {
-                slot.resumed = Some(Resumed {
-                    wake_ns: ns_since(granted),
-                    idle_ns: ns_since(entered),
-                    at: Instant::now(),
-                });
-            }
+    /// Put `rank` in the ready queue at `clock` (state lock held).
+    fn make_ready(&self, st: &mut CoreState, rank: usize, clock: f64) {
+        let now = self.profiling.then(Instant::now);
+        st.tasks[rank].state = TaskState::Ready(clock);
+        st.tasks[rank].ready_at = now;
+        st.ready_heap.push(Reverse((clock_key(clock), rank)));
+        st.ready += 1;
+        if let (Some(p), Some(t)) = (&mut st.report.prof, now) {
+            p.push_ns.observe(ns_since(t));
         }
     }
 
-    /// Give up `rank`'s slot (about to block on a message, or finished).
-    pub fn release(&self, rank: usize) {
-        // The gate lock is dropped before the core lock is taken, and the
-        // busy span ends here, before any wait for the core lock.
-        let resumed = if self.profiling {
-            let r = self.gates[rank]
+    /// Free `rank`'s slot, leave the task in `next` and admit whoever may
+    /// now run. Its busy span ended at `left`, before any wait for the
+    /// lock.
+    fn vacate(
+        &self,
+        mut st: MutexGuard<'_, CoreState>,
+        rank: usize,
+        left: Option<Instant>,
+        next: TaskState,
+    ) {
+        debug_assert!(
+            matches!(st.tasks[rank].state, TaskState::Running(_)),
+            "gave up a slot it did not hold"
+        );
+        if let (Some(p), Some(left)) = (&mut st.report.prof, left) {
+            let resumed = self.gates[rank]
                 .slot
                 .lock()
                 .expect("gate lock")
                 .resumed
                 .take();
-            r.map(|r| (ns_since(r.at), r))
-        } else {
-            None
-        };
+            if let Some(r) = resumed {
+                p.wake_ns.observe(r.wake_ns);
+                p.idle_ns.observe(r.idle_ns);
+                p.busy_ns
+                    .observe(left.saturating_duration_since(r.at).as_nanos() as f64);
+            }
+        }
+        st.running -= 1;
+        st.tasks[rank].state = next;
+        self.dispatch(st);
+    }
+
+    /// Park `rank`'s thread until the dispatcher opens its gate; returns
+    /// the message the grant carried, if any. Unwinds with [`Poisoned`]
+    /// if the core is poisoned first.
+    fn park(&self, rank: usize) -> Option<Msg> {
+        let gate = &self.gates[rank];
+        let mut slot = gate.slot.lock().expect("gate lock");
+        while !slot.admitted {
+            if self.poisoned.load(Ordering::SeqCst) {
+                // Not a new failure: no panic hook, no gate lock held.
+                drop(slot);
+                std::panic::resume_unwind(Box::new(Poisoned));
+            }
+            slot = gate.cv.wait(slot).expect("gate wait");
+        }
+        slot.admitted = false;
+        if let Some((ready_at, granted_at)) = slot.granted.take() {
+            slot.resumed = Some(Resumed {
+                wake_ns: ns_since(granted_at),
+                idle_ns: ns_since(ready_at),
+                at: Instant::now(),
+            });
+        }
+        slot.msg.take()
+    }
+
+    /// Block until `rank` (at virtual time `clock`) is admitted: a
+    /// rank's entry into the run.
+    pub fn acquire(&self, rank: usize, clock: f64) {
         let mut st = self.state.lock().expect("event core lock");
         debug_assert!(
-            matches!(st.tasks[rank], TaskState::Running(_)),
-            "release without slot"
+            !matches!(st.tasks[rank].state, TaskState::Running(_)),
+            "acquire while running"
         );
-        if let (Some(p), Some((busy_ns, r))) = (&mut st.report.prof, resumed) {
-            p.wake_ns.observe(r.wake_ns);
-            p.idle_ns.observe(r.idle_ns);
-            p.busy_ns.observe(busy_ns);
+        if st.tasks[rank].state == TaskState::Unstarted {
+            st.unstarted -= 1;
         }
-        st.tasks[rank] = TaskState::Blocked;
-        st.running -= 1;
-        self.dispatch(&mut st);
+        self.make_ready(&mut st, rank, clock);
+        self.dispatch(st);
+        self.park(rank);
+    }
+
+    /// Give up `rank`'s slot for good: the rank has finished.
+    pub fn release(&self, rank: usize) {
+        let left = self.profiling.then(Instant::now);
+        let st = self.state.lock().expect("event core lock");
+        self.vacate(st, rank, left, TaskState::Done);
+    }
+
+    /// Send `msg` to `dst`. If `dst` is parked awaiting exactly this
+    /// `(src, tag)` the message is handed over and `dst` becomes `Ready`
+    /// at the clock it blocked at — one critical section, no second
+    /// wake-up; otherwise the message waits in `dst`'s mailbox.
+    pub fn deliver(&self, dst: usize, msg: Msg) {
+        let mut st = self.state.lock().expect("event core lock");
+        let task = &mut st.tasks[dst];
+        match task.state {
+            TaskState::Awaiting { src, tag, clock } if src == msg.src && tag == msg.tag => {
+                task.handoff = Some(msg);
+                self.make_ready(&mut st, dst, clock);
+                self.dispatch(st);
+            }
+            _ => task.mailbox.push(msg),
+        }
+    }
+
+    /// Receive for `rank`, at virtual time `clock`, the oldest message
+    /// from `src` with `tag`. A message already filed is returned with
+    /// the slot untouched. Otherwise the rank records what it awaits,
+    /// gives up its slot and parks once; the matching
+    /// [`EventCore::deliver`] re-queues it at `clock` and the grant
+    /// brings the message along.
+    pub fn take(&self, rank: usize, src: usize, tag: u32, clock: f64) -> Msg {
+        let left = self.profiling.then(Instant::now);
+        let mut st = self.state.lock().expect("event core lock");
+        let mailbox = &mut st.tasks[rank].mailbox;
+        if let Some(i) = mailbox.iter().position(|m| m.src == src && m.tag == tag) {
+            return mailbox.remove(i);
+        }
+        self.vacate(st, rank, left, TaskState::Awaiting { src, tag, clock });
+        self.park(rank)
+            .expect("a rank awaiting a message is only readied by its delivery")
     }
 }
 
@@ -798,6 +994,69 @@ mod tests {
         assert_eq!(p.pop_ns.count(), total);
         assert!(p.busy_ns.max() > 0.0, "spans take measurable host time");
         assert!(p.busy_ns.p50() <= p.busy_ns.p999());
+    }
+
+    fn msg(src: usize, tag: u32) -> Msg {
+        Msg {
+            src,
+            tag,
+            deliver: 0.0,
+            payload: bytes::Bytes::new(),
+        }
+    }
+
+    #[test]
+    fn filed_messages_are_taken_without_giving_up_the_slot() {
+        // One thread plays both ranks in turn: a `take` that had to
+        // block here would be a reported deadlock, not a pass.
+        let core = EventCore::new(1, 2, 0.0);
+        core.acquire(0, 0.0);
+        for tag in [5, 6, 5] {
+            core.deliver(1, msg(0, tag));
+        }
+        core.release(0);
+        core.acquire(1, 0.0);
+        for tag in [6, 5, 5] {
+            assert_eq!(core.take(1, 0, tag, 0.0).tag, tag);
+        }
+        core.release(1);
+        assert_eq!(core.report().admissions, 2, "the two initial ones");
+        assert!(core.deadlock().is_empty());
+    }
+
+    #[test]
+    fn a_blocking_take_is_one_admission_at_the_clock_it_blocked_at() {
+        let core = EventCore::new(1, 2, 0.0).with_profiling(true);
+        std::thread::scope(|scope| {
+            let core = &core;
+            scope.spawn(move || {
+                core.acquire(0, 0.0);
+                assert_eq!(core.take(0, 1, 9, 2.5).tag, 9);
+                core.release(0);
+            });
+            let state_of = |rank: usize| core.state.lock().unwrap().tasks[rank].state;
+            let awaiting = TaskState::Awaiting {
+                src: 1,
+                tag: 9,
+                clock: 2.5,
+            };
+            while state_of(0) != awaiting {
+                std::thread::yield_now();
+            }
+            core.acquire(1, 0.0);
+            core.deliver(0, msg(1, 7)); // not what rank 0 awaits: filed
+            assert_eq!(state_of(0), awaiting);
+            core.deliver(0, msg(1, 9));
+            // Ready at the clock it blocked at; the one slot is ours.
+            assert_eq!(state_of(0), TaskState::Ready(2.5));
+            core.release(1);
+        });
+        let rep = core.report();
+        assert_eq!(rep.admissions, 3, "two initial, one for the receive");
+        let p = rep.prof.expect("profiling on");
+        for h in [&p.busy_ns, &p.idle_ns, &p.wake_ns, &p.push_ns, &p.pop_ns] {
+            assert_eq!(h.count(), 3, "one sample per admission");
+        }
     }
 
     #[test]

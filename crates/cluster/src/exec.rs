@@ -25,9 +25,9 @@
 //! core orders admissions, why its lookahead horizon is safe and why it
 //! cannot deadlock is in [`crate::event`].
 //!
-//! A rank releases its slot whenever it would block the host thread
-//! waiting for a message, and re-applies for one (at its current virtual
-//! clock) once the message has arrived, so bounded policies stay
+//! A rank gives up its slot whenever it would block the host thread
+//! waiting for a message, and the delivery of that message re-queues it
+//! at the virtual clock it blocked at, so bounded policies stay
 //! work-conserving: a free slot is never left idle while any rank is
 //! runnable.
 

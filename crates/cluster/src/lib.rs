@@ -26,10 +26,14 @@
 //!   and on the send timestamps of messages it receives;
 //! * [`exec`] — the executor policy: an [`ExecPolicy`] (sequential /
 //!   bounded pool / unbounded, `MB_PARALLEL`) is the slot count of the
-//!   one [`event`] admission core; every policy yields bit-identical
-//!   outcomes;
+//!   one [`event`] core, which admits ranks and carries their messages
+//!   (one mailbox per rank, one park per blocking receive); every policy
+//!   yields bit-identical outcomes;
 //! * [`machine`] — the cluster runtime: run an SPMD closure over all
-//!   ranks, gather results, per-rank statistics and the makespan;
+//!   ranks, gather results, per-rank statistics and the makespan; a
+//!   deadlocked program is a [`SimError`] from
+//!   [`machine::Cluster::try_run`] and a panicking rank is re-raised,
+//!   never a hang;
 //!   [`machine::Cluster::run_traced`] additionally captures a span trace
 //!   of every rank (see the `mb-telemetry` crate) ready for Chrome
 //!   `trace_event` export;
@@ -79,11 +83,11 @@ pub mod spec;
 pub mod thermal;
 pub mod topology;
 
-pub use comm::{Comm, CommStats, PeerTraffic};
+pub use comm::{Comm, CommStats, PeerTable, PeerTraffic};
 pub use contention::{ContentionEpoch, JobTraffic};
-pub use event::{EventCore, ExecutorReport, PairBound};
+pub use event::{BlockedRecv, EventCore, ExecutorReport, PairBound};
 pub use exec::ExecPolicy;
-pub use machine::{Cluster, SpmdOutcome};
+pub use machine::{Cluster, SimError, SpmdOutcome};
 pub use network::NetworkModel;
 pub use partition::NodeSet;
 pub use spec::{cluster_catalog, ClusterSpec, CpuSpec, NetworkSpec, NodeSpec, PackagingKind};

@@ -11,15 +11,29 @@
 //! number, or all of them — the slot count of the run's one
 //! [`EventCore`]. Every policy produces the same [`SpmdOutcome`] bit for
 //! bit — see [`crate::exec`].
+//!
+//! Each rank is one scoped OS thread holding a [`Comm`] that shares the
+//! run's core; the core owns the mailboxes, so setting a run up costs
+//! `O(nranks)` and nothing in it is quadratic in rank count. What is
+//! left is the thread itself: about 30 µs per `clone` on the reference
+//! box whatever the stack size (DESIGN.md §9), and std has no coroutines
+//! to replace it with.
+//!
+//! **A run never hangs.** A program whose ranks all end up waiting for
+//! messages nobody will send comes back from [`Cluster::try_run`] as
+//! [`SimError::Deadlock`], naming every blocked receive ([`Cluster::run`]
+//! panics with the same text). A rank that panics poisons the core on
+//! its way out, its parked peers unwind, and the run re-raises the
+//! *originating* panic.
 
+use std::fmt;
 use std::sync::Arc;
 
 use mb_telemetry::summary::{RankTime, RunSummary};
 use mb_telemetry::trace::{MemorySink, RunTrace};
-use std::sync::mpsc::channel;
 
-use crate::comm::{Comm, CommStats, Msg};
-use crate::event::{EventCore, ExecutorReport, PairBound};
+use crate::comm::{Comm, CommStats};
+use crate::event::{BlockedRecv, EventCore, ExecutorReport, PairBound, Poisoned};
 use crate::exec::ExecPolicy;
 use crate::network::NetworkModel;
 use crate::spec::ClusterSpec;
@@ -39,6 +53,52 @@ impl PairBound for TopoBounds {
         self.net.min_delay_between(self.nodes[from], self.nodes[to])
     }
 }
+
+/// Poisons the core if the rank's closure unwinds, so no peer waits for
+/// a message the dead rank will never send.
+struct PoisonOnPanic<'a>(&'a EventCore);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// Why an SPMD run produced no outcome.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimError {
+    /// Every rank that had not finished was waiting for a message and
+    /// nobody was left to send one: the blocked receives, by rank.
+    Deadlock(Vec<BlockedRecv>),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// Blocked receives spelled out before the rest are only counted.
+        const SHOWN: usize = 8;
+        let SimError::Deadlock(blocked) = self;
+        write!(
+            f,
+            "SPMD deadlock: {} rank(s) wait for messages nobody will send",
+            blocked.len()
+        )?;
+        for b in blocked.iter().take(SHOWN) {
+            write!(
+                f,
+                "; rank {} awaits (src {}, tag {:#x}) at {:.9} s",
+                b.rank, b.src, b.tag, b.clock
+            )?;
+        }
+        if blocked.len() > SHOWN {
+            write!(f, "; and {} more", blocked.len() - SHOWN)?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// Result of one SPMD run.
 #[derive(Debug, Clone)]
@@ -103,9 +163,16 @@ impl<R> SpmdOutcome<R> {
     /// The `nranks × nranks` traffic matrix: entry `[src][dst]` is the
     /// payload bytes rank `src` sent to rank `dst`.
     pub fn traffic_matrix(&self) -> Vec<Vec<u64>> {
+        let n = self.stats.len();
         self.stats
             .iter()
-            .map(|s| s.peers.iter().map(|p| p.bytes_to).collect())
+            .map(|s| {
+                let mut row = vec![0; n];
+                for (dst, p) in s.peers.iter() {
+                    row[dst] = p.bytes_to;
+                }
+                row
+            })
             .collect()
     }
 }
@@ -163,11 +230,15 @@ impl Cluster {
     }
 
     /// Run `f` as one SPMD process per node. Each invocation gets a
-    /// [`Comm`] wired to every peer; the closure's return values, final
-    /// virtual clocks and stats come back indexed by rank.
+    /// [`Comm`] that reaches every peer; the closure's return values,
+    /// final virtual clocks and stats come back indexed by rank.
     ///
     /// Ranks run on real OS threads; virtual time stays deterministic
     /// because every receive names its source (see [`crate::comm`]).
+    ///
+    /// Panics with the [`SimError`] text if the program deadlocks (use
+    /// [`Cluster::try_run`] to get the error instead), and re-raises a
+    /// rank's own panic if one panics.
     ///
     /// ```
     /// use mb_cluster::machine::Cluster;
@@ -185,7 +256,30 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        self.run_inner(None, f, false).0
+        self.try_run(f).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`Cluster::run`], but a deadlocked program — every
+    /// unfinished rank blocked in a receive nobody will satisfy — is
+    /// returned as [`SimError::Deadlock`] instead of panicking.
+    ///
+    /// ```
+    /// use mb_cluster::machine::{Cluster, SimError};
+    /// use mb_cluster::spec::metablade;
+    /// // Both ranks receive first, so neither ever sends.
+    /// let err = Cluster::new(metablade().with_nodes(2))
+    ///     .try_run(|comm| comm.recv(1 - comm.rank(), 7))
+    ///     .unwrap_err();
+    /// let SimError::Deadlock(blocked) = err;
+    /// assert_eq!((blocked[0].rank, blocked[0].src), (0, 1));
+    /// assert_eq!((blocked[1].rank, blocked[1].src), (1, 0));
+    /// ```
+    pub fn try_run<R, F>(&self, f: F) -> Result<SpmdOutcome<R>, SimError>
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Sync,
+    {
+        self.run_inner(None, f, false).map(|(out, _)| out)
     }
 
     /// Like [`Cluster::run`], but rank `r` executes on physical node
@@ -200,7 +294,9 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        self.run_inner(Some(node_ids), f, false).0
+        self.run_inner(Some(node_ids), f, false)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
     }
 
     /// Like [`Cluster::run`], but with span tracing on: every rank gets a
@@ -214,6 +310,7 @@ impl Cluster {
         F: Fn(&mut Comm) -> R + Sync,
     {
         self.run_inner(None, f, true)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn run_inner<R, F>(
@@ -221,7 +318,7 @@ impl Cluster {
         node_ids: Option<&[usize]>,
         f: F,
         traced: bool,
-    ) -> (SpmdOutcome<R>, RunTrace)
+    ) -> Result<(SpmdOutcome<R>, RunTrace), SimError>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
@@ -262,34 +359,15 @@ impl Cluster {
         }
         let core = Arc::new(core);
         let mflops = self.spec.node.cpu.sustained_mflops;
-        // One inbox per rank; every rank holds a sender clone to each inbox.
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<Msg>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let mut comms: Vec<Comm> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, rx)| {
-                let (nodes, core) = (Arc::clone(&nodes), Arc::clone(&core));
-                Comm::new(rank, mflops, net, nodes, txs.clone(), rx, core)
-            })
-            .collect();
-        // Drop the original senders so channels close when ranks finish.
-        drop(txs);
-        let f = &f;
+        let (f, core, nodes) = (&f, &core, &nodes);
         type RankOut<R> = (R, f64, CommStats, Vec<mb_telemetry::trace::SpanEvent>);
-        let mut results: Vec<Option<RankOut<R>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, mut comm) in comms.drain(..).enumerate() {
-                let core = &core;
-                handles.push((
-                    rank,
+        let joined: Vec<std::thread::Result<RankOut<R>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|rank| {
                     scope.spawn(move || {
+                        let _poison = PoisonOnPanic(core);
+                        let mut comm =
+                            Comm::new(rank, mflops, net, Arc::clone(nodes), Arc::clone(core));
                         if traced {
                             comm.attach_sink(Box::new(MemorySink::new()));
                         }
@@ -301,26 +379,42 @@ impl Cluster {
                             .map(|mut s| s.drain())
                             .unwrap_or_default();
                         (r, comm.now(), comm.stats, spans)
-                    }),
-                ));
-            }
-            for (rank, h) in handles {
-                let out = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                results[rank] = Some(out);
-            }
+                    })
+                })
+                .collect();
+            // Every handle is joined before any panic is re-raised.
+            handles.into_iter().map(|h| h.join()).collect()
         });
         let mut vals = Vec::with_capacity(n);
         let mut clocks = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
         let mut ranks = Vec::with_capacity(n);
-        for r in results {
-            let (v, c, s, spans) = r.expect("every rank completes");
-            vals.push(v);
-            clocks.push(c);
-            stats.push(s);
-            ranks.push(spans);
+        // The lowest rank's own panic if any rank has one, else a
+        // `Poisoned` marker if any rank unwound at all.
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        for out in joined {
+            match out {
+                Ok((v, c, s, spans)) => {
+                    vals.push(v);
+                    clocks.push(c);
+                    stats.push(s);
+                    ranks.push(spans);
+                }
+                Err(payload) => {
+                    if panic.as_ref().is_none_or(|p| p.is::<Poisoned>()) {
+                        panic = Some(payload);
+                    }
+                }
+            }
         }
-        (
+        if let Some(payload) = panic {
+            let blocked = core.deadlock();
+            if payload.is::<Poisoned>() && !blocked.is_empty() {
+                return Err(SimError::Deadlock(blocked));
+            }
+            std::panic::resume_unwind(payload);
+        }
+        Ok((
             SpmdOutcome {
                 results: vals,
                 clocks,
@@ -328,7 +422,7 @@ impl Cluster {
                 exec_report: core.report(),
             },
             RunTrace { ranks },
-        )
+        ))
     }
 }
 

@@ -398,7 +398,7 @@ impl Topology {
         let node = |rank: usize| node_ids.map_or(rank, |m| m[rank]);
         let mut occ: BTreeMap<String, LinkLoad> = BTreeMap::new();
         for (src, s) in stats.iter().enumerate() {
-            for (dst, peer) in s.peers.iter().enumerate() {
+            for (dst, peer) in s.peers.iter() {
                 if peer.msgs_to == 0 {
                     continue;
                 }
@@ -808,24 +808,18 @@ mod tests {
         let ft = Topology::fat_tree(2, 2, 4.0);
         // Rank 0 sends 3 msgs / 300 bytes to rank 2 (cross-switch) and
         // 1 msg / 10 bytes to rank 1 (same switch).
-        let mut s0 = CommStats {
-            peers: vec![PeerTraffic::default(); 4],
-            ..CommStats::default()
-        };
-        s0.peers[2] = PeerTraffic {
+        let mut s0 = CommStats::default();
+        *s0.peers.entry(2) = PeerTraffic {
             msgs_to: 3,
             bytes_to: 300,
             ..PeerTraffic::default()
         };
-        s0.peers[1] = PeerTraffic {
+        *s0.peers.entry(1) = PeerTraffic {
             msgs_to: 1,
             bytes_to: 10,
             ..PeerTraffic::default()
         };
-        let quiet = CommStats {
-            peers: vec![PeerTraffic::default(); 4],
-            ..CommStats::default()
-        };
+        let quiet = CommStats::default();
         let occ = ft.link_occupancy(&[s0, quiet.clone(), quiet.clone(), quiet], None);
         // host-up:0 carries both flows; the uplink only the cross flow.
         assert_eq!(
@@ -1008,19 +1002,13 @@ mod tests {
     fn node_id_mapping_relabels_routes() {
         let ft = Topology::fat_tree(4, 2, 4.0);
         use crate::comm::PeerTraffic;
-        let mut s0 = CommStats {
-            peers: vec![PeerTraffic::default(); 2],
-            ..CommStats::default()
-        };
-        s0.peers[1] = PeerTraffic {
+        let mut s0 = CommStats::default();
+        *s0.peers.entry(1) = PeerTraffic {
             msgs_to: 1,
             bytes_to: 8,
             ..PeerTraffic::default()
         };
-        let s1 = CommStats {
-            peers: vec![PeerTraffic::default(); 2],
-            ..CommStats::default()
-        };
+        let s1 = CommStats::default();
         // Job ranks 0,1 pinned to nodes 0 and 12: a cross-switch route.
         let occ = ft.link_occupancy(&[s0, s1], Some(&[0, 12]));
         assert!(occ.contains_key("up:l1.s0"), "{occ:?}");

@@ -1,0 +1,218 @@
+//! The executor fails loudly instead of hanging, and the core-owned
+//! mailboxes keep the communicator's contract.
+//!
+//! Every run here sits behind a watchdog: it executes on its own thread
+//! and the test waits for the answer with a timeout, so a regression in
+//! the executor fails the test instead of holding tier-1 forever.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use bytes::Bytes;
+use mb_cluster::event::BlockedRecv;
+use mb_cluster::machine::SimError;
+use mb_cluster::spec::metablade;
+use mb_cluster::{Cluster, Comm, ExecPolicy, PeerTraffic};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const POLICIES: [ExecPolicy; 4] = [
+    ExecPolicy::Sequential,
+    ExecPolicy::Parallel { workers: 2 },
+    ExecPolicy::Parallel { workers: 8 },
+    ExecPolicy::Unbounded,
+];
+
+/// Run `job` on its own thread; fail if it has not answered in `secs`.
+fn within<T: Send + 'static>(secs: u64, job: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(job());
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|e| panic!("no answer from the run within {secs} s: {e}"));
+    runner.join().expect("runner answered, so it did not panic");
+    out
+}
+
+fn cluster(n: usize, policy: ExecPolicy) -> Cluster {
+    Cluster::new(metablade().with_nodes(n)).with_exec(policy)
+}
+
+#[test]
+fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
+    for policy in POLICIES {
+        // Ranks 0 and 1 both receive before they send; rank 2 has long
+        // finished and must not be listed.
+        let err = within(5, move || {
+            cluster(3, policy).try_run(|comm| {
+                if comm.rank() < 2 {
+                    let peer = 1 - comm.rank();
+                    comm.compute(87.5e6 * (1 + comm.rank()) as f64);
+                    let _ = comm.recv(peer, 7);
+                    comm.send(peer, 7, Bytes::new());
+                }
+            })
+        })
+        .expect_err("nobody ever sends");
+        let SimError::Deadlock(blocked) = &err;
+        let awaits = |rank, src, clock| BlockedRecv {
+            rank,
+            src,
+            tag: 7,
+            clock,
+        };
+        assert_eq!(
+            blocked,
+            &[awaits(0, 1, 1.0), awaits(1, 0, 2.0)],
+            "{policy:?}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("rank 1 awaits (src 0, tag 0x7)"),
+            "{policy:?}: {text}"
+        );
+    }
+}
+
+#[test]
+fn run_panics_with_the_deadlock_text() {
+    let payload = within(5, || {
+        catch_unwind(|| cluster(2, ExecPolicy::Unbounded).run(|comm| comm.recv(1 - comm.rank(), 3)))
+            .expect_err("run cannot return an outcome")
+    });
+    let text = payload.downcast_ref::<String>().expect("formatted panic");
+    assert!(text.starts_with("SPMD deadlock: 2 rank(s)"), "{text}");
+}
+
+#[test]
+fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
+    for policy in POLICIES {
+        let payload = within(5, move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                cluster(24, policy).run(|comm| {
+                    if comm.rank() == 3 {
+                        panic!("rank 3 exploded");
+                    }
+                    comm.barrier();
+                })
+            }))
+            .expect_err("rank 3 panicked")
+        });
+        // The originating payload, not a peer's `Poisoned` marker.
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"rank 3 exploded"),
+            "{policy:?}"
+        );
+    }
+}
+
+#[test]
+fn fifo_holds_per_source_and_tag_under_every_policy() {
+    // Rank 0 sends tags 9, 7, 9, 7 (payloads 0..4); rank 1 asks for
+    // 7, 9, 9, 7 and must see each tag's messages in sending order.
+    let body = |comm: &mut Comm| -> Vec<u8> {
+        match comm.rank() {
+            0 => {
+                for (i, tag) in [9, 7, 9, 7].into_iter().enumerate() {
+                    comm.send(1, tag, Bytes::from(vec![i as u8; 1 + i]));
+                }
+                Vec::new()
+            }
+            _ => {
+                comm.compute(1e6);
+                [7, 9, 9, 7]
+                    .into_iter()
+                    .map(|tag| comm.recv(0, tag)[0])
+                    .collect()
+            }
+        }
+    };
+    let reference = within(5, move || cluster(2, POLICIES[0]).run(body));
+    assert_eq!(reference.results[1], [1, 0, 2, 3]);
+    for policy in &POLICIES[1..] {
+        let policy = *policy;
+        let out = within(5, move || cluster(2, policy).run(body));
+        assert_eq!(out.results, reference.results, "{policy:?}");
+        assert_eq!(out.clocks, reference.clocks, "{policy:?}");
+        assert_eq!(out.stats, reference.stats, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_self_send_is_received() {
+    let out = within(5, || {
+        cluster(2, ExecPolicy::Sequential).run(|comm| {
+            let me = comm.rank();
+            comm.send(me, 4, Bytes::from(vec![me as u8 + 10]));
+            comm.recv(me, 4)[0]
+        })
+    });
+    assert_eq!(out.results, [10, 11]);
+    assert_eq!(out.stats[1].peer(1).msgs_to, 1);
+    assert_eq!(out.stats[1].peer(1).msgs_from, 1);
+}
+
+#[test]
+fn sparse_peer_rows_agree_with_a_dense_reference() {
+    let n = 12;
+    let mut rng = StdRng::seed_from_u64(2002);
+    // A global transfer order every rank walks, so it cannot deadlock.
+    let plan: Vec<(usize, usize, usize)> = (0..300)
+        .map(|_| {
+            let src = rng.random_range(0..n);
+            // Keep rank 11 silent and ranks 0..4 busiest.
+            let dst = rng.random_range(0..if src < 4 { n - 1 } else { 4 });
+            (src, dst, rng.random_range(0..2000usize))
+        })
+        .filter(|&(src, _, _)| src != n - 1)
+        .collect();
+    let mut dense = vec![vec![PeerTraffic::default(); n]; n];
+    for &(src, dst, bytes) in &plan {
+        dense[src][dst].msgs_to += 1;
+        dense[src][dst].bytes_to += bytes as u64;
+        dense[dst][src].msgs_from += 1;
+        dense[dst][src].bytes_from += bytes as u64;
+    }
+    let walked = plan.clone();
+    let out = within(10, move || {
+        cluster(n, ExecPolicy::Parallel { workers: 2 }).run(|comm| {
+            for &(src, dst, bytes) in &walked {
+                if comm.rank() == src {
+                    comm.send(dst, 1, Bytes::from(vec![0u8; bytes]));
+                }
+                if comm.rank() == dst {
+                    assert_eq!(comm.recv(src, 1).len(), bytes);
+                }
+            }
+        })
+    });
+    for (rank, stats) in out.stats.iter().enumerate() {
+        for (peer, want) in dense[rank].iter().enumerate() {
+            assert_eq!(stats.peer(peer), *want, "rank {rank} peer {peer}");
+        }
+        // Only touched peers hold a row, in ascending rank.
+        let touched: Vec<usize> = (0..n)
+            .filter(|&p| dense[rank][p] != PeerTraffic::default())
+            .collect();
+        assert_eq!(
+            stats.peers.iter().map(|(p, _)| p).collect::<Vec<_>>(),
+            touched,
+            "rank {rank}"
+        );
+    }
+    assert_eq!(
+        out.stats[n - 1].peers.iter().count(),
+        0,
+        "rank 11 is silent"
+    );
+    let matrix = out.traffic_matrix();
+    assert_eq!(matrix.len(), n);
+    for (src, row) in matrix.iter().enumerate() {
+        let want: Vec<u64> = dense[src].iter().map(|p| p.bytes_to).collect();
+        assert_eq!(row, &want, "row {src} is dense and {n} wide");
+    }
+}

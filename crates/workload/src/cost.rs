@@ -28,7 +28,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mb_cluster::machine::Cluster;
-use mb_cluster::{ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, PeerTraffic};
+use mb_cluster::{
+    ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, PeerTable, PeerTraffic,
+};
 use mb_sched::{ServiceModel, ServiceOracle, StepProfile, WorkModel};
 use mb_telemetry::Fnv;
 
@@ -373,23 +375,26 @@ impl CostModel {
         let p = nodes.len();
         let rate = self.flops_rate();
         let skel = skeleton(work);
+        // One rank's peers, accumulated by index (an all-to-all revisits
+        // every row once per collective), then compacted into the rank's
+        // sparse table, which leaves the row zeroed for the next rank.
+        let mut row = vec![PeerTraffic::default(); p];
         (0..p)
             .map(|r| {
                 let mut st = CommStats {
                     compute_s: flops_for_rank(work, r) / rate,
-                    peers: vec![PeerTraffic::default(); p],
                     ..CommStats::default()
                 };
-                let send = |st: &mut CommStats, dst: usize, bytes: u64, msgs: u64| {
-                    st.peers[dst].msgs_to += msgs;
-                    st.peers[dst].bytes_to += bytes * msgs;
+                let send = |st: &mut CommStats, dst: &mut PeerTraffic, bytes: u64, msgs: u64| {
+                    dst.msgs_to += msgs;
+                    dst.bytes_to += bytes * msgs;
                     st.sends += msgs;
                     st.bytes_sent += bytes * msgs;
                     st.send_busy_s += msgs as f64 * self.net.send_busy(bytes);
                 };
-                let recv = |st: &mut CommStats, src: usize, bytes: u64, msgs: u64| {
-                    st.peers[src].msgs_from += msgs;
-                    st.peers[src].bytes_from += bytes * msgs;
+                let recv = |st: &mut CommStats, src: &mut PeerTraffic, bytes: u64, msgs: u64| {
+                    src.msgs_from += msgs;
+                    src.bytes_from += bytes * msgs;
                     st.recvs += msgs;
                     st.bytes_recv += bytes * msgs;
                     st.recv_busy_s += msgs as f64 * self.net.recv_busy(bytes);
@@ -398,28 +403,29 @@ impl CostModel {
                     for coll in &skel {
                         match *coll {
                             Coll::Ring { bytes, rounds } => {
-                                send(&mut st, (r + 1) % p, bytes, rounds);
-                                recv(&mut st, (r + p - 1) % p, bytes, rounds);
+                                send(&mut st, &mut row[(r + 1) % p], bytes, rounds);
+                                recv(&mut st, &mut row[(r + p - 1) % p], bytes, rounds);
                             }
                             Coll::Allreduce { bytes } => {
                                 let mut mask = 1;
                                 while mask < p {
                                     if let Some(q) = rd_partner(r, mask, p) {
-                                        send(&mut st, q, bytes, 1);
-                                        recv(&mut st, q, bytes, 1);
+                                        send(&mut st, &mut row[q], bytes, 1);
+                                        recv(&mut st, &mut row[q], bytes, 1);
                                     }
                                     mask <<= 1;
                                 }
                             }
                             Coll::Alltoallv { bytes } => {
                                 for d in (0..p).filter(|&d| d != r) {
-                                    send(&mut st, d, bytes, 1);
-                                    recv(&mut st, d, bytes, 1);
+                                    send(&mut st, &mut row[d], bytes, 1);
+                                    recv(&mut st, &mut row[d], bytes, 1);
                                 }
                             }
                         }
                     }
                 }
+                st.peers = PeerTable::take_dense(&mut row);
                 st.wait_s = (step_s - st.compute_s - st.send_busy_s - st.recv_busy_s).max(0.0);
                 st
             })
@@ -654,9 +660,9 @@ mod tests {
         let prof = model.step_profile_on(&syn, &nodes);
         assert_eq!(prof.stats.len(), 4);
         let st = &prof.stats[1];
-        assert_eq!(st.peers[2].msgs_to, 2);
-        assert_eq!(st.peers[2].bytes_to, 2 * 4096);
-        assert_eq!(st.peers[0].msgs_from, 2);
+        assert_eq!(st.peer(2).msgs_to, 2);
+        assert_eq!(st.peer(2).bytes_to, 2 * 4096);
+        assert_eq!(st.peer(0).msgs_from, 2);
         assert_eq!(st.sends, 2);
         assert!(st.compute_s > 0.0 && st.send_busy_s > 0.0);
         // All-to-all: every peer hears from every rank.
