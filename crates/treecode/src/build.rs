@@ -5,10 +5,8 @@
 //! (binary search) and recurses, computing moments bottom-up on the way
 //! out. O(N log N), no pointer chasing, deterministic.
 
-use std::collections::HashMap;
-
 use crate::body::Bodies;
-use crate::hot::{HashedOctTree, Node, NodeKind};
+use crate::hot::{HashedOctTree, KeyMap, Node, NodeKind};
 use crate::moments::{combine_moments, leaf_moments};
 use crate::morton::{BoundingBox, Key, MAX_DEPTH};
 
@@ -31,7 +29,7 @@ pub const DEFAULT_LEAF_CAPACITY: usize = 8;
 pub fn build_tree(bodies: &mut Bodies, bb: BoundingBox, leaf_capacity: usize) -> HashedOctTree {
     assert!(leaf_capacity >= 1);
     let keys = bodies.sort_by_key(&bb);
-    let mut nodes = HashMap::new();
+    let mut nodes = KeyMap::default();
     if !bodies.is_empty() {
         build_range(
             &mut nodes,
@@ -55,7 +53,7 @@ pub fn build_tree(bodies: &mut Bodies, bb: BoundingBox, leaf_capacity: usize) ->
 /// moments.
 #[allow(clippy::too_many_arguments)]
 fn build_range(
-    nodes: &mut HashMap<u64, Node>,
+    nodes: &mut KeyMap<Node>,
     bb: &BoundingBox,
     bodies: &Bodies,
     keys: &[Key],
@@ -125,7 +123,7 @@ fn build_range(
 }
 
 /// Distance from a cell's geometric center to a center of mass.
-fn com_offset(bb: &BoundingBox, cell: Key, com: [f64; 3]) -> f64 {
+pub(crate) fn com_offset(bb: &BoundingBox, cell: Key, com: [f64; 3]) -> f64 {
     let c = bb.cell_center(cell);
     ((com[0] - c[0]).powi(2) + (com[1] - c[1]).powi(2) + (com[2] - c[2]).powi(2)).sqrt()
 }

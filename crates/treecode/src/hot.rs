@@ -4,10 +4,42 @@
 //! N-Body Algorithm", SC'93): instead of pointers, cells are looked up by
 //! key, which makes the tree trivially mergeable, shippable across ranks,
 //! and cheap to prune — the properties the parallel treecode exploits.
+//!
+//! The table hashes a key with one multiply and a fold ([`KeyHasher`]).
+//! Warren & Salmon simply mask the key's low bits; SipHash, the standard
+//! default, defends against attacker-chosen keys, and Morton keys come
+//! from body positions. With no per-process random state, iteration
+//! order is the same in every run.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::morton::{BoundingBox, Key};
+
+/// Hashes one Morton key: a Fibonacci multiply spreads every key bit
+/// into the high bits (the table's control byte), and folding the high
+/// half onto the low brings them to the bucket index too — keys of one
+/// level differ mostly in their low bits, siblings only there.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Morton keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash table keyed by Morton key.
+pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// Payload of a cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +85,7 @@ pub struct Node {
 #[derive(Debug, Clone)]
 pub struct HashedOctTree {
     /// Key → cell.
-    pub nodes: HashMap<u64, Node>,
+    pub nodes: KeyMap<Node>,
     /// The global bounding cube.
     pub bb: BoundingBox,
     /// Bodies per leaf ceiling used at build time.
@@ -103,5 +135,38 @@ impl HashedOctTree {
             .map(|n| n.key.level())
             .max()
             .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::build_tree;
+    use crate::ic::plummer;
+    use std::collections::BTreeMap;
+    use std::hash::BuildHasher;
+
+    #[test]
+    fn key_hash_is_not_degenerate_on_morton_keys() {
+        // What the table reads of a hash: the top 7 bits (its control
+        // byte) and the low bits (its bucket index; 16 of them cover
+        // this tree). Random 23-bit tags over ~8 000 keys would collide
+        // in about four pairs.
+        let mut bodies = plummer(20_000, 2002);
+        let bb = BoundingBox::containing(&bodies.pos);
+        let tree = build_tree(&mut bodies, bb, 8);
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let mut tags: BTreeMap<(u64, u64), u32> = BTreeMap::new();
+        for &key in tree.nodes.keys() {
+            let h = hasher.hash_one(key);
+            *tags.entry((h >> 57, h & 0xffff)).or_default() += 1;
+        }
+        let sharing: u32 = tags.values().filter(|&&n| n > 1).sum();
+        assert!(tree.len() > 5_000, "{} cells", tree.len());
+        assert!(
+            sharing <= 24,
+            "{sharing} of {} keys share a tag",
+            tree.len()
+        );
     }
 }

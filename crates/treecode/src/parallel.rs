@@ -23,18 +23,25 @@
 //!    nodes carrying full subtree moments. The pruned trees travel
 //!    through the simulated Fast-Ethernet alltoallv.
 //! 6. **Walk** — each rank walks every local body over its own tree plus
-//!    each imported skeleton ("locally essential tree"): internal foreign
-//!    nodes are MAC-tested per body (full moments make that exact) and
-//!    opened only when needed, so imported work stays O(log) per body.
-//!    Compute time is charged to the virtual clock at the node's
-//!    sustained Mflops rate; communication was charged by the exchange.
+//!    the imported skeletons merged into one forest ("locally essential
+//!    tree"): internal foreign nodes are MAC-tested per body (full
+//!    moments make that exact) and opened only when needed, so imported
+//!    work stays O(log) per body. Compute time is charged to the virtual
+//!    clock at the node's sustained Mflops rate; communication was
+//!    charged by the exchange.
 //!
 //! The domain-level MAC is conservative — a cell accepted against every
 //! occupied requester cell is accepted for every body in it — so
 //! distributed results match the shared-memory walk's accuracy at the
 //! same θ (tests verify against direct summation).
+//!
+//! Only the local tree is a hash table: pruned trees arrive as arrays in
+//! wire order and merge into arrays sorted by key, linked by index (see
+//! `ImportedForest`). The wire format is frozen — message sizes drive the
+//! virtual clock, so a byte per node would move every simulated time —
+//! and so is the order in which cells are visited and forces accumulated,
+//! which fixes the last bit of every result.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -44,10 +51,10 @@ use mb_telemetry::summary::{RankTime, RunSummary};
 use mb_telemetry::trace::RunTrace;
 
 use crate::body::Bodies;
-use crate::build::build_tree;
+use crate::build::{build_tree, com_offset};
 use crate::decompose::cost_zones;
 use crate::flops::InteractionCounts;
-use crate::hot::{HashedOctTree, NodeKind};
+use crate::hot::{HashedOctTree, Node, NodeKind};
 use crate::mac::Mac;
 use crate::morton::{BoundingBox, Key};
 use crate::traverse::walk_one;
@@ -168,15 +175,17 @@ struct ForeignNode {
     tag: u8,
     /// Shipped-children mask for internal nodes.
     child_mask: u8,
-    /// Body range (into the payload's body list) for `TAG_BODIES`.
+    /// Body range for `TAG_BODIES`: into the payload's body list on the
+    /// wire, into the receiver's one body list once deserialized.
     bodies: (u32, u32),
 }
 
-/// An imported pruned tree: hash map in the shared global key space plus
-/// a flat body list.
+/// Every pruned tree a rank received, peer after peer: nodes in wire
+/// order (body ranges already offset into the one body list), so equal
+/// keys appear in peer order.
 #[derive(Debug, Clone, Default)]
 struct ForeignTree {
-    nodes: HashMap<u64, ForeignNode>,
+    nodes: Vec<(u64, ForeignNode)>,
     bodies: Vec<(f64, [f64; 3])>,
 }
 
@@ -229,14 +238,27 @@ fn read_f64(b: &[u8], at: &mut usize) -> f64 {
     v
 }
 
-fn deserialize_foreign(b: &Bytes) -> ForeignTree {
-    let mut t = ForeignTree::default();
+/// Append the pruned tree `peer` sent to `into`. The two counts fix the
+/// payload's length, checked before anything is read on their word (a
+/// count the payload is too short to hold reads as 0 and cannot match).
+fn deserialize_foreign(peer: usize, b: &[u8], into: &mut ForeignTree) {
     if b.is_empty() {
-        return t;
+        return;
     }
-    let mut at = 0usize;
-    let n_nodes = read_u32(b, &mut at) as usize;
-    t.nodes.reserve(n_nodes);
+    let count_at = |at: usize| {
+        b.get(at..at + 4)
+            .map_or(0, |c| read_u32(c, &mut 0) as usize)
+    };
+    let n_nodes = count_at(0);
+    let n_bodies = count_at(4 + n_nodes * 106);
+    assert_eq!(
+        b.len(),
+        4 + n_nodes * 106 + 4 + n_bodies * 32,
+        "LET payload from rank {peer}: length does not match its {n_nodes} nodes, {n_bodies} bodies"
+    );
+    let offset = into.bodies.len() as u32;
+    let mut at = 4;
+    into.nodes.reserve(n_nodes);
     for _ in 0..n_nodes {
         let key = read_u64(b, &mut at);
         let tag = b[at];
@@ -255,7 +277,7 @@ fn deserialize_foreign(b: &Bytes) -> ForeignTree {
             *q = read_f64(b, &mut at);
         }
         let delta = read_f64(b, &mut at);
-        t.nodes.insert(
+        into.nodes.push((
             key,
             ForeignNode {
                 mass,
@@ -264,12 +286,12 @@ fn deserialize_foreign(b: &Bytes) -> ForeignTree {
                 delta,
                 tag,
                 child_mask,
-                bodies: (bstart, bend),
+                bodies: (bstart + offset, bend + offset),
             },
-        );
+        ));
     }
-    let n_bodies = read_u32(b, &mut at) as usize;
-    t.bodies.reserve(n_bodies);
+    at += 4; // the body count, read above
+    into.bodies.reserve(n_bodies);
     for _ in 0..n_bodies {
         let m = read_f64(b, &mut at);
         let p = [
@@ -277,9 +299,8 @@ fn deserialize_foreign(b: &Bytes) -> ForeignTree {
             read_f64(b, &mut at),
             read_f64(b, &mut at),
         ];
-        t.bodies.push((m, p));
+        into.bodies.push((m, p));
     }
-    t
 }
 
 /// The adaptive domain frontier of a tree: starting from the root,
@@ -292,7 +313,9 @@ fn domain_frontier(tree: &HashedOctTree, budget: usize) -> Vec<u64> {
     // Max-heap by body count.
     let mut heap: BinaryHeap<(u32, u64)> = BinaryHeap::new();
     let mut leaves: Vec<u64> = Vec::new();
-    let root = *tree.root();
+    let Some(root) = tree.get(Key::ROOT) else {
+        return leaves; // an empty zone occupies nothing
+    };
     match root.kind {
         NodeKind::Internal { .. } => heap.push((root.count, root.key.0)),
         NodeKind::Leaf { .. } => leaves.push(root.key.0),
@@ -315,18 +338,64 @@ fn domain_frontier(tree: &HashedOctTree, budget: usize) -> Vec<u64> {
     leaves
 }
 
-/// Cell box of a key inside the global cube.
-fn cell_box(bb: &BoundingBox, key: Key) -> BoundingBox {
+/// A box as the corners [`BoundingBox::dist2_to_box`] evaluates per test
+/// (`lo = min`, `hi = min + size`), computed once per cell instead. The
+/// distances are the branch-free forms of the `BoundingBox` ones: per
+/// axis at most one difference is positive, so the `max` is the value
+/// the `if` chain picks, bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct Corners {
+    lo: [f64; 3],
+    hi: [f64; 3],
+}
+
+impl Corners {
+    fn dist2_to_point(&self, p: [f64; 3]) -> f64 {
+        let mut d2 = 0.0;
+        for d in 0..3 {
+            let c = (self.lo[d] - p[d]).max(p[d] - self.hi[d]).max(0.0);
+            d2 += c * c;
+        }
+        d2
+    }
+
+    fn dist2_to_box(&self, other: &Corners) -> f64 {
+        let mut d2 = 0.0;
+        for d in 0..3 {
+            let gap = (other.lo[d] - self.hi[d])
+                .max(self.lo[d] - other.hi[d])
+                .max(0.0);
+            d2 += gap * gap;
+        }
+        d2
+    }
+}
+
+/// Corners of a key's cell inside the global cube.
+fn cell_corners(bb: &BoundingBox, key: Key) -> Corners {
     let center = bb.cell_center(key);
     let size = bb.cell_size(key.level());
-    BoundingBox {
-        min: [
-            center[0] - size / 2.0,
-            center[1] - size / 2.0,
-            center[2] - size / 2.0,
-        ],
-        size,
+    let lo = [
+        center[0] - size / 2.0,
+        center[1] - size / 2.0,
+        center[2] - size / 2.0,
+    ];
+    Corners {
+        lo,
+        hi: [lo[0] + size, lo[1] + size, lo[2] + size],
     }
+}
+
+/// Buffers [`prune_for_domain`] reuses from one peer to the next: its
+/// output, the sender cells still to visit — each with its requester
+/// list as a range of `arena` — and the lists themselves (indices into
+/// the domain, filed in push order).
+#[derive(Default)]
+struct PruneScratch<'t> {
+    nodes: Vec<(u64, ForeignNode)>,
+    bodies: Vec<(f64, [f64; 3])>,
+    stack: Vec<(&'t Node, usize, usize)>,
+    arena: Vec<u32>,
 }
 
 /// Prune the local tree for a requester described by its domain cells,
@@ -338,17 +407,22 @@ fn cell_box(bb: &BoundingBox, key: Key) -> BoundingBox {
 /// constraint below. A sender node with an empty list (and every node
 /// whose remaining cells all accept its actual moments) ships as a
 /// terminal multipole. Emits skeleton nodes and a body list.
-fn prune_for_domain(
-    tree: &HashedOctTree,
+fn prune_for_domain<'t>(
+    tree: &'t HashedOctTree,
     bodies: &Bodies,
-    domain: &[BoundingBox],
+    domain: &[Corners],
     mac: &Mac,
+    out: &mut PruneScratch<'t>,
 ) -> Bytes {
-    let mut out_nodes: Vec<(u64, ForeignNode)> = Vec::new();
-    let mut out_bodies: Vec<(f64, [f64; 3])> = Vec::new();
-    let all: Vec<usize> = (0..domain.len()).collect();
-    let mut stack: Vec<(crate::hot::Node, Vec<usize>)> = vec![(*tree.root(), all)];
-    while let Some((node, req)) = stack.pop() {
+    out.nodes.clear();
+    out.bodies.clear();
+    out.arena.clear();
+    out.arena.extend(0..domain.len() as u32);
+    out.stack.push((tree.root(), 0, domain.len()));
+    while let Some((node, lo, hi)) = out.stack.pop() {
+        // Every list filed after this entry's belongs to an entry pushed
+        // later, and those have all been popped.
+        out.arena.truncate(hi);
         let size = tree.bb.cell_size(node.key.level());
         let mut fnode = ForeignNode {
             mass: node.mass,
@@ -359,46 +433,55 @@ fn prune_for_domain(
             child_mask: 0,
             bodies: (0, 0),
         };
+        // `Mac::accepts(size, node.delta, ·)` with the threshold hoisted.
+        let crit = size / mac.theta + node.delta;
+        let crit2 = crit * crit;
         let all_accept = node.count > 1
-            && req
+            && out.arena[lo..hi]
                 .iter()
-                .all(|&c| mac.accepts(size, node.delta, domain[c].dist2_to_point(node.com)));
-        if req.is_empty() || all_accept {
-            out_nodes.push((node.key.0, fnode));
+                .all(|&c| crit2 < domain[c as usize].dist2_to_point(node.com));
+        if lo == hi || all_accept {
+            out.nodes.push((node.key.0, fnode));
             continue;
         }
         match node.kind {
             NodeKind::Leaf { start, end } => {
-                let b0 = out_bodies.len() as u32;
+                let b0 = out.bodies.len() as u32;
                 for i in start as usize..end as usize {
-                    out_bodies.push((bodies.mass[i], bodies.pos[i]));
+                    out.bodies.push((bodies.mass[i], bodies.pos[i]));
                 }
                 fnode.tag = TAG_BODIES;
-                fnode.bodies = (b0, out_bodies.len() as u32);
-                out_nodes.push((node.key.0, fnode));
+                fnode.bodies = (b0, out.bodies.len() as u32);
+                out.nodes.push((node.key.0, fnode));
             }
             NodeKind::Internal { child_mask } => {
                 fnode.tag = TAG_INTERNAL;
                 fnode.child_mask = child_mask;
-                out_nodes.push((node.key.0, fnode));
-                for child in tree.children(&node) {
-                    let cb = cell_box(&tree.bb, child.key);
+                out.nodes.push((node.key.0, fnode));
+                for child in tree.children(node) {
+                    let cb = cell_corners(&tree.bb, child.key);
                     let s = tree.bb.cell_size(child.key.level());
                     // Worst-case descendant criterion: size s, offset
                     // ≤ s·√3/2, com anywhere in the child box.
                     let crit = s / mac.theta + s * 0.8660254;
                     let crit2 = crit * crit;
-                    let child_req: Vec<usize> = req
-                        .iter()
-                        .copied()
-                        .filter(|&c| domain[c].dist2_to_box(&cb) <= crit2)
-                        .collect();
-                    stack.push((*child, child_req));
+                    // Copy every requester cell; keep the slot only if
+                    // the cell still constrains this subtree.
+                    let start = out.arena.len();
+                    out.arena.resize(start + (hi - lo), 0);
+                    let (filed, child_req) = out.arena.split_at_mut(start);
+                    let mut kept = 0;
+                    for &c in &filed[lo..hi] {
+                        child_req[kept] = c;
+                        kept += usize::from(domain[c as usize].dist2_to_box(&cb) <= crit2);
+                    }
+                    out.arena.truncate(start + kept);
+                    out.stack.push((child, start, start + kept));
                 }
             }
         }
     }
-    serialize_foreign(&out_nodes, &out_bodies)
+    serialize_foreign(&out.nodes, &out.bodies)
 }
 
 /// A piece of matter resident at an opened merged node: either a
@@ -432,17 +515,34 @@ struct MergedNode {
     com: [f64; 3],
     quad: [f64; 6],
     delta: f64,
+    /// Edge length of the cell.
+    size: f64,
+    /// Shipped daughters: `child_mask.count_ones()` consecutive cells
+    /// from `first_child`, in ascending daughter order.
     child_mask: u8,
-    resident: Vec<Resident>,
+    first_child: u32,
+    /// Range of the forest's resident list.
+    resident: (u32, u32),
 }
 
 /// All imports merged into one walkable tree — the receiver half of the
 /// hashed oct-tree's "trivially mergeable" property. Distant matter from
 /// many peers combines into single coarse cells, so the per-body import
 /// cost matches the serial walk instead of growing with P.
+///
+/// The cells are flat arrays sorted by key. A key carries its level in
+/// its sentinel bit, so numeric order is level by level and Morton
+/// within a level: the root is cell 0, the shipped daughters of one cell
+/// are consecutive, and those of successive cells follow one another —
+/// which is why an index and a mask link a cell to its daughters and no
+/// lookup by key is ever needed.
 #[derive(Debug, Clone, Default)]
 struct ImportedForest {
-    nodes: HashMap<u64, MergedNode>,
+    /// Skeleton nodes received, before merging.
+    imported_cells: u64,
+    keys: Vec<u64>,
+    nodes: Vec<MergedNode>,
+    resident: Vec<Resident>,
     bodies: Vec<(f64, [f64; 3])>,
 }
 
@@ -452,58 +552,76 @@ struct ImportedForest {
 /// below key `k` shipped a piece *at* `k` (pruned trees are connected from
 /// the root), and each internal piece's full subtree moments equal the
 /// combined moments of its shipped children. Hence the combined moments
-/// at `k` account for all shipped matter below `k` exactly once.
-fn merge_foreign(trees: Vec<ForeignTree>, global_bb: &BoundingBox) -> ImportedForest {
-    let mut forest = ImportedForest::default();
-    // key → (internal moment pieces, residents, child mask union)
-    type Pieces = (Vec<(f64, [f64; 3], [f64; 6])>, Vec<Resident>, u8);
-    let mut pieces: HashMap<u64, Pieces> = HashMap::new();
-    for tree in trees {
-        let offset = forest.bodies.len() as u32;
-        forest.bodies.extend_from_slice(&tree.bodies);
-        for (key, n) in tree.nodes {
-            let entry = pieces
-                .entry(key)
-                .or_insert_with(|| (Vec::new(), Vec::new(), 0));
-            entry.0.push((n.mass, n.com, n.quad));
+/// at `k` account for all shipped matter below `k` exactly once. The
+/// daughter links rely on the first invariant, so it is checked here,
+/// once: a skeleton with a hole panics instead of losing mass per walk.
+fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedForest {
+    let mut forest = ImportedForest {
+        imported_cells: foreign.nodes.len() as u64,
+        bodies: foreign.bodies,
+        ..Default::default()
+    };
+    // Sorted by key, the pieces of one key in peer order.
+    let mut order: Vec<(u64, u32)> = foreign.nodes.iter().map(|n| n.0).zip(0..).collect();
+    order.sort_unstable();
+    let mut moments = Vec::new();
+    for pieces in order.chunk_by(|a, b| a.0 == b.0) {
+        let key = Key(pieces[0].0);
+        let first_resident = forest.resident.len() as u32;
+        let mut child_mask = 0;
+        moments.clear();
+        for &(_, piece) in pieces {
+            let n = &foreign.nodes[piece as usize].1;
+            moments.push((n.mass, n.com, n.quad));
             match n.tag {
-                TAG_TERMINAL => entry.1.push(Resident::Multipole {
+                TAG_TERMINAL => forest.resident.push(Resident::Multipole {
                     mass: n.mass,
                     com: n.com,
                     quad: n.quad,
                 }),
-                TAG_BODIES => entry.1.push(Resident::Group {
-                    start: n.bodies.0 + offset,
-                    end: n.bodies.1 + offset,
+                TAG_BODIES => forest.resident.push(Resident::Group {
+                    start: n.bodies.0,
+                    end: n.bodies.1,
                     mass: n.mass,
                     com: n.com,
                     quad: n.quad,
                     delta: n.delta,
                 }),
-                TAG_INTERNAL => entry.2 |= n.child_mask,
+                TAG_INTERNAL => child_mask |= n.child_mask,
                 _ => unreachable!("unknown tag"),
             }
         }
+        let (mass, com, quad) = crate::moments::combine_moments(&moments);
+        forest.keys.push(key.0);
+        forest.nodes.push(MergedNode {
+            mass,
+            com,
+            quad,
+            delta: com_offset(global_bb, key, com),
+            size: global_bb.cell_size(key.level()),
+            child_mask,
+            first_child: 0,
+            resident: (first_resident, forest.resident.len() as u32),
+        });
     }
-    for (key, (moment_pieces, resident, child_mask)) in pieces {
-        let (mass, com, quad) = crate::moments::combine_moments(&moment_pieces);
-        let center = global_bb.cell_center(Key(key));
-        let delta = ((com[0] - center[0]).powi(2)
-            + (com[1] - center[1]).powi(2)
-            + (com[2] - center[2]).powi(2))
-        .sqrt();
-        forest.nodes.insert(
-            key,
-            MergedNode {
-                mass,
-                com,
-                quad,
-                delta,
-                child_mask,
-                resident,
-            },
-        );
+    // Link: cell 0 is the root, and the daughters a cell masks sit, in
+    // daughter order, right after those of the cell before it.
+    let rooted = forest.keys.first().is_none_or(|&k| k == Key::ROOT.0);
+    assert!(rooted, "import forest: no peer shipped the root");
+    let mut next = forest.nodes.len().min(1);
+    for (node, &key) in forest.nodes.iter_mut().zip(&forest.keys) {
+        node.first_child = next as u32;
+        for d in (0..8u8).filter(|d| node.child_mask & (1 << d) != 0) {
+            let daughter = Key(key).child(d).0;
+            assert!(
+                forest.keys.get(next) == Some(&daughter),
+                "import forest: cell {key:#x} masks daughter {daughter:#x}, which no peer shipped"
+            );
+            next += 1;
+        }
     }
+    let linked = next == forest.nodes.len();
+    assert!(linked, "import forest: a shipped cell that no parent masks");
     forest
 }
 
@@ -536,10 +654,11 @@ fn apply_multipole(
 }
 
 /// Walk one body over the merged import forest with the body-level MAC.
+/// `stack` is the caller's, reused from body to body.
 #[allow(clippy::too_many_arguments)]
 fn walk_forest(
     forest: &ImportedForest,
-    global_bb: &BoundingBox,
+    stack: &mut Vec<u32>,
     pos: [f64; 3],
     mac: &Mac,
     eps2: f64,
@@ -547,16 +666,13 @@ fn walk_forest(
     pot: &mut f64,
     counts: &mut InteractionCounts,
 ) {
-    if forest.nodes.is_empty() {
-        return;
+    stack.clear();
+    if !forest.nodes.is_empty() {
+        stack.push(0);
     }
-    let mut stack = vec![Key::ROOT.0];
-    while let Some(key) = stack.pop() {
-        let Some(node) = forest.nodes.get(&key) else {
-            continue;
-        };
-        let k = Key(key);
-        let size = global_bb.cell_size(k.level());
+    while let Some(at) = stack.pop() {
+        let node = &forest.nodes[at as usize];
+        let size = node.size;
         let d = [
             node.com[0] - pos[0],
             node.com[1] - pos[1],
@@ -570,7 +686,7 @@ fn walk_forest(
             counts.pc += 1;
             continue;
         }
-        for r in &node.resident {
+        for r in &forest.resident[node.resident.0 as usize..node.resident.1 as usize] {
             match *r {
                 Resident::Multipole { mass, com, quad } => {
                     // Domain-accepted ⇒ body-accepted: apply directly.
@@ -607,11 +723,8 @@ fn walk_forest(
                 }
             }
         }
-        for dgt in 0..8u8 {
-            if node.child_mask & (1 << dgt) != 0 {
-                stack.push(k.child(dgt).0);
-            }
-        }
+        // Ascending daughter order, so the highest daughter pops first.
+        stack.extend(node.first_child..node.first_child + node.child_mask.count_ones());
     }
 }
 
@@ -709,15 +822,30 @@ fn assemble_step(
     }
 }
 
-/// The SPMD body of one rank.
+/// The SPMD body of one rank: the five phases, each under the span
+/// [`distributed_step_traced`] records for it.
 fn run_rank(comm: &mut Comm, mine: &Bodies, cfg: &DistributedConfig) -> RankReport {
-    let rank = comm.rank();
-    let nranks = comm.nranks();
-    let n_local = mine.len();
-
-    // 1. Agree on the global bounding box (allgather + union).
     comm.begin_phase("global_box");
-    let my_box = if n_local > 0 {
+    let global_bb = global_box(comm, mine);
+    comm.end_phase();
+    comm.begin_phase("tree_build");
+    let local = tree_build(comm, mine, global_bb, cfg);
+    comm.end_phase();
+    comm.begin_phase("domain_publish");
+    let domains = domain_publish(comm, &local.tree);
+    comm.end_phase();
+    comm.begin_phase("let_exchange");
+    let forest = let_exchange(comm, &local, &domains, &cfg.mac);
+    comm.end_phase();
+    comm.begin_phase("walk");
+    let report = walk(comm, &local, &forest, cfg);
+    comm.end_phase();
+    report
+}
+
+/// Phase 1: agree on the global bounding box (allgather + union).
+fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
+    let my_box = if !mine.is_empty() {
         let b = BoundingBox::containing(&mine.pos);
         vec![b.min[0], b.min[1], b.min[2], b.size]
     } else {
@@ -739,105 +867,110 @@ fn run_rank(comm: &mut Comm, mine: &Bodies, cfg: &DistributedConfig) -> RankRepo
             None => b,
         });
     }
-    let global_bb = global_bb.expect("at least one rank owns bodies");
-    comm.end_phase();
+    global_bb.expect("at least one rank owns bodies")
+}
 
-    // 2. Local tree in the global key space. `build_tree` Morton-sorts;
-    // replicate the permutation to scatter results back to zone order.
-    comm.begin_phase("tree_build");
-    let mut local = mine.clone();
+/// A rank's zone after the local build: bodies Morton-sorted, `order[i]`
+/// the caller's zone slot of sorted body `i`, the tree (empty zone: no cells).
+struct LocalTree {
+    bodies: Bodies,
+    order: Vec<usize>,
+    tree: HashedOctTree,
+}
+
+/// Phase 2: the local tree in the global key space. `build_tree`
+/// Morton-sorts; replicate the permutation to scatter results back to
+/// zone order.
+fn tree_build(
+    comm: &mut Comm,
+    mine: &Bodies,
+    global_bb: BoundingBox,
+    cfg: &DistributedConfig,
+) -> LocalTree {
+    let n_local = mine.len();
+    let mut bodies = mine.clone();
+    let keys = bodies.keys(&global_bb);
     let mut order: Vec<usize> = (0..n_local).collect();
-    let tree = if n_local > 0 {
-        let keys = local.keys(&global_bb);
-        order.sort_by_key(|&i| keys[i]);
-        let t = build_tree(&mut local, global_bb, cfg.leaf_capacity);
+    order.sort_by_key(|&i| keys[i]);
+    let tree = build_tree(&mut bodies, global_bb, cfg.leaf_capacity);
+    if n_local > 0 {
         let levels = (n_local.max(2) as f64).log2();
         comm.compute(cfg.build_flops_per_body_level * n_local as f64 * levels);
-        Some(t)
-    } else {
-        None
-    };
-    comm.end_phase();
+    }
+    LocalTree {
+        bodies,
+        order,
+        tree,
+    }
+}
 
-    // 3. Publish the domain description: the adaptive cell frontier of
-    // the local tree (see DOMAIN_CELL_BUDGET).
-    comm.begin_phase("domain_publish");
-    let occupied: Vec<u64> = match &tree {
-        Some(t) => domain_frontier(t, DOMAIN_CELL_BUDGET),
-        None => Vec::new(),
-    };
-    let mut occ_bytes = Vec::with_capacity(occupied.len() * 8);
-    for k in &occupied {
+/// Phase 3: publish the adaptive cell frontier of the local tree (see
+/// [`DOMAIN_CELL_BUDGET`]); returns every rank's, as corners.
+fn domain_publish(comm: &mut Comm, tree: &HashedOctTree) -> Vec<Vec<Corners>> {
+    let mut occ_bytes = Vec::new();
+    for k in domain_frontier(tree, DOMAIN_CELL_BUDGET) {
         occ_bytes.extend_from_slice(&k.to_le_bytes());
     }
     let domains = comm.allgather(Bytes::from(occ_bytes));
-    let peer_domains: Vec<Vec<BoundingBox>> = domains
+    let corners = |c: &[u8]| {
+        let key = Key(u64::from_le_bytes(c.try_into().expect("key")));
+        cell_corners(&tree.bb, key)
+    };
+    domains
         .iter()
-        .map(|b| {
-            b.chunks_exact(8)
-                .map(|c| {
-                    let key = Key(u64::from_le_bytes(c.try_into().expect("key")));
-                    let center = global_bb.cell_center(key);
-                    let size = global_bb.cell_size(key.level());
-                    BoundingBox {
-                        min: [
-                            center[0] - size / 2.0,
-                            center[1] - size / 2.0,
-                            center[2] - size / 2.0,
-                        ],
-                        size,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    comm.end_phase();
+        .map(|b| b.chunks_exact(8).map(corners).collect())
+        .collect()
+}
 
-    // 4. LET exchange: pruned skeleton per peer.
-    comm.begin_phase("let_exchange");
-    let mut outgoing = vec![Bytes::new(); nranks];
-    if let Some(tree) = &tree {
-        for (peer, domain) in peer_domains.iter().enumerate() {
-            if peer == rank || domain.is_empty() {
-                continue;
-            }
-            outgoing[peer] = prune_for_domain(tree, &local, domain, &cfg.mac);
+/// Phase 4, the LET exchange: a pruned skeleton out to every peer, the
+/// peers' skeletons in, merged into one forest.
+fn let_exchange(
+    comm: &mut Comm,
+    local: &LocalTree,
+    domains: &[Vec<Corners>],
+    mac: &Mac,
+) -> ImportedForest {
+    let rank = comm.rank();
+    let mut outgoing = vec![Bytes::new(); comm.nranks()];
+    let mut scratch = PruneScratch::default();
+    for (peer, domain) in domains.iter().enumerate() {
+        if peer == rank || domain.is_empty() || local.tree.is_empty() {
+            continue;
         }
+        outgoing[peer] = prune_for_domain(&local.tree, &local.bodies, domain, mac, &mut scratch);
     }
     let incoming = comm.alltoallv(outgoing);
-    let foreign: Vec<ForeignTree> = incoming
-        .iter()
-        .enumerate()
-        .map(|(peer, payload)| {
-            if peer == rank {
-                ForeignTree::default()
-            } else {
-                deserialize_foreign(payload)
-            }
-        })
-        .collect();
-    let imported_cells: u64 = foreign.iter().map(|f| f.nodes.len() as u64).sum();
-    let imported_bodies: u64 = foreign.iter().map(|f| f.bodies.len() as u64).sum();
-    let forest = merge_foreign(foreign, &global_bb);
-    comm.end_phase();
+    let mut foreign = ForeignTree::default();
+    for (peer, payload) in incoming.iter().enumerate() {
+        if peer != rank {
+            deserialize_foreign(peer, payload, &mut foreign);
+        }
+    }
+    merge_foreign(foreign, &local.tree.bb)
+}
 
-    // 5. Walk: local tree plus every imported skeleton.
-    comm.begin_phase("walk");
+/// Phase 5: walk every local body over the local tree plus the import
+/// forest, charge the flops, and meet the other ranks at the barrier.
+fn walk(
+    comm: &mut Comm,
+    local: &LocalTree,
+    forest: &ImportedForest,
+    cfg: &DistributedConfig,
+) -> RankReport {
+    let n_local = local.bodies.len();
     let mut counts = InteractionCounts::default();
     let mut acc = vec![[0.0; 3]; n_local];
     let mut pot = vec![0.0; n_local];
     let mut body_cost = vec![0.0; n_local];
+    let mut stack = Vec::new();
     for i in 0..n_local {
-        let p = local.pos[i];
+        let p = local.bodies.pos[i];
         let before = counts;
-        let (mut a, mut phi, c, _) = match &tree {
-            Some(t) => walk_one(t, &local, p, i, &cfg.mac, cfg.eps2),
-            None => ([0.0; 3], 0.0, InteractionCounts::default(), 0),
-        };
+        let (mut a, mut phi, c, _) = walk_one(&local.tree, &local.bodies, p, i, &cfg.mac, cfg.eps2);
         counts.add(c);
         walk_forest(
-            &forest,
-            &global_bb,
+            forest,
+            &mut stack,
             p,
             &cfg.mac,
             cfg.eps2,
@@ -846,20 +979,19 @@ fn run_rank(comm: &mut Comm, mine: &Bodies, cfg: &DistributedConfig) -> RankRepo
             &mut counts,
         );
         // Scatter: `i` is Morton order, `order[i]` the caller's zone slot.
-        acc[order[i]] = a;
-        pot[order[i]] = phi;
-        body_cost[order[i]] = ((counts.pp - before.pp) + (counts.pc - before.pc)) as f64;
+        let slot = local.order[i];
+        acc[slot] = a;
+        pot[slot] = phi;
+        body_cost[slot] = ((counts.pp - before.pp) + (counts.pc - before.pc)) as f64;
     }
     comm.compute(counts.flops(cfg.mac.quadrupole) as f64);
     comm.barrier();
-    comm.end_phase();
-
     RankReport {
-        rank,
+        rank: comm.rank(),
         n_local,
         interactions: counts,
-        imported_cells,
-        imported_bodies,
+        imported_cells: forest.imported_cells,
+        imported_bodies: forest.bodies.len() as u64,
         clock_s: comm.now(),
         acc,
         pot,
@@ -1096,56 +1228,243 @@ mod tests {
         ];
         let bodies = vec![(0.25, [1.0, 2.0, 3.0]), (0.25, [-1.0, -2.0, -3.0])];
         let bytes = serialize_foreign(&nodes, &bodies);
-        let t = deserialize_foreign(&bytes);
+        assert_eq!(bytes.len(), 4 + 2 * 106 + 4 + 2 * 32, "the wire format");
+        let mut t = ForeignTree::default();
+        deserialize_foreign(1, &bytes, &mut t);
         assert_eq!(t.nodes.len(), 2);
         assert_eq!(t.bodies, bodies);
-        let root = &t.nodes[&Key::ROOT.0];
+        let (key, root) = &t.nodes[0];
+        assert_eq!(*key, Key::ROOT.0);
         assert_eq!(root.tag, TAG_INTERNAL);
         assert_eq!(root.child_mask, 0b1010_0001);
         assert_eq!(root.com, [0.1, 0.2, 0.3]);
-        let leaf = &t.nodes[&Key::ROOT.child(5).0];
+        let (key, leaf) = &t.nodes[1];
+        assert_eq!(*key, Key::ROOT.child(5).0);
         assert_eq!(leaf.tag, TAG_BODIES);
         assert_eq!(leaf.bodies, (0, 2));
+        // A second peer's tree lands behind the first, its body ranges
+        // offset into the one body list.
+        deserialize_foreign(2, &bytes, &mut t);
+        assert_eq!(t.nodes.len(), 4);
+        assert_eq!(t.nodes[3].1.bodies, (2, 4));
+        assert_eq!(t.bodies.len(), 4);
     }
-}
 
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use crate::ic::plummer;
-    use mb_cluster::spec::metablade;
+    /// A skeleton piece with recognisable moments: `mass` doubles as the
+    /// piece's name in the merge tests.
+    fn piece(
+        key: Key,
+        tag: u8,
+        child_mask: u8,
+        mass: f64,
+        bodies: (u32, u32),
+    ) -> (u64, ForeignNode) {
+        let node = ForeignNode {
+            mass,
+            com: [mass, 0.5, 0.25],
+            quad: [0.0; 6],
+            delta: 0.0,
+            tag,
+            child_mask,
+            bodies,
+        };
+        (key.0, node)
+    }
+
+    fn unit_cube() -> BoundingBox {
+        BoundingBox {
+            min: [0.0; 3],
+            size: 1.0,
+        }
+    }
+
+    /// Ship each peer's pieces through the wire format and merge them.
+    fn merge_peers(peers: &[(Vec<(u64, ForeignNode)>, usize)]) -> ImportedForest {
+        let mut foreign = ForeignTree::default();
+        for (peer, (nodes, n_bodies)) in peers.iter().enumerate() {
+            let bodies = vec![(1.0, [0.5; 3]); *n_bodies];
+            deserialize_foreign(peer, &serialize_foreign(nodes, &bodies), &mut foreign);
+        }
+        merge_foreign(foreign, &unit_cube())
+    }
 
     #[test]
-    #[ignore]
-    fn scaling_probe() {
-        for &n in &[50_000usize, 100_000] {
-            let bodies = plummer(n, 5);
-            let cfg = DistributedConfig::default();
-            let t1 = distributed_step(&Cluster::new(metablade().with_nodes(1)), &bodies, &cfg)
-                .makespan_s;
-            for &p in &[4usize, 8, 16, 24] {
-                let warm =
-                    distributed_step(&Cluster::new(metablade().with_nodes(p)), &bodies, &cfg);
-                let r = distributed_step_weighted(
-                    &Cluster::new(metablade().with_nodes(p)),
-                    &bodies,
-                    &cfg,
-                    Some(&warm.body_cost),
-                );
-                let imp: u64 = r.per_rank.iter().map(|x| x.imported_bodies).sum();
-                let ints: Vec<u64> = r
-                    .per_rank
+    fn three_peer_import_merges_level_by_level_with_pieces_in_peer_order() {
+        let (r, r1, r5) = (Key::ROOT, Key::ROOT.child(1), Key::ROOT.child(5));
+        let r52 = r5.child(2);
+        // Wire order is the prune's: a cell, then its daughters from the
+        // highest down.
+        let a = vec![
+            piece(r, TAG_INTERNAL, 0b10_0010, 10.0, (0, 0)),
+            piece(r5, TAG_INTERNAL, 0b100, 6.0, (0, 0)),
+            piece(r52, TAG_BODIES, 0, 6.0, (0, 2)),
+            piece(r1, TAG_TERMINAL, 0, 4.0, (0, 0)),
+        ];
+        let b = vec![
+            piece(r, TAG_INTERNAL, 0b10_0010, 20.0, (0, 0)),
+            piece(r5, TAG_BODIES, 0, 12.0, (0, 1)),
+            piece(r1, TAG_TERMINAL, 0, 8.0, (0, 0)),
+        ];
+        let c = vec![piece(r, TAG_TERMINAL, 0, 30.0, (0, 0))];
+        let forest = merge_peers(&[(a, 2), (b, 1), (c, 0)]);
+
+        assert_eq!(forest.keys, [r.0, r1.0, r5.0, r52.0]);
+        assert_eq!(forest.imported_cells, 8);
+        assert_eq!(forest.bodies.len(), 3);
+        let links: Vec<(u8, u32)> = forest
+            .nodes
+            .iter()
+            .map(|n| (n.child_mask, n.first_child))
+            .collect();
+        // Daughters of the root at 1..3, of r5 at 3..4; leaves link past
+        // the last cell filed so far and have no daughters to reach.
+        assert_eq!(links, [(0b10_0010, 1), (0, 3), (0b100, 3), (0, 4)]);
+        let masses: Vec<f64> = forest.nodes.iter().map(|n| n.mass).collect();
+        assert_eq!(masses, [60.0, 12.0, 18.0, 6.0]);
+        assert_eq!(forest.nodes[2].size, 0.5);
+        let residents: Vec<Vec<(f64, u32, u32)>> = forest
+            .nodes
+            .iter()
+            .map(|n| {
+                forest.resident[n.resident.0 as usize..n.resident.1 as usize]
                     .iter()
-                    .map(|x| x.interactions.pp + x.interactions.pc)
-                    .collect();
-                println!(
-                    "N={n} P={p}: t={:.2}s speedup={:.2} eff={:.2} imp={} ints(min/max)={}/{}",
-                    r.makespan_s,
-                    t1 / r.makespan_s,
-                    t1 / r.makespan_s / p as f64,
-                    imp,
-                    ints.iter().min().unwrap(),
-                    ints.iter().max().unwrap()
+                    .map(|r| match *r {
+                        Resident::Multipole { mass, .. } => (mass, 0, 0),
+                        Resident::Group {
+                            mass, start, end, ..
+                        } => (mass, start, end),
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            residents,
+            [
+                vec![(30.0, 0, 0)],             // peer c's terminal root
+                vec![(4.0, 0, 0), (8.0, 0, 0)], // peers a, b: peer order
+                vec![(12.0, 2, 3)],             // peer b's bodies, offset
+                vec![(6.0, 0, 2)],              // peer a's bodies
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 0x1 masks daughter 0xd, which no peer shipped")]
+    fn a_masked_daughter_nobody_shipped_is_a_panic_not_lost_mass() {
+        let (r, r1) = (Key::ROOT, Key::ROOT.child(1));
+        let a = vec![
+            piece(r, TAG_INTERNAL, 0b10_0010, 10.0, (0, 0)),
+            piece(r1, TAG_TERMINAL, 0, 4.0, (0, 0)),
+        ];
+        let b = vec![piece(r, TAG_TERMINAL, 0, 20.0, (0, 0))];
+        merge_peers(&[(a, 0), (b, 0)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "LET payload from rank 7: length does not match its 1 nodes, 2 bodies"
+    )]
+    fn a_truncated_payload_is_a_panic_naming_the_sender() {
+        let nodes = [piece(Key::ROOT, TAG_BODIES, 0, 2.0, (0, 2))];
+        let bytes = serialize_foreign(&nodes, &[(1.0, [0.5; 3]); 2]);
+        let short = &bytes[..bytes.len() - 1];
+        deserialize_foreign(7, short, &mut ForeignTree::default());
+    }
+
+    fn corners(b: &BoundingBox) -> Corners {
+        Corners {
+            lo: b.min,
+            hi: [b.min[0] + b.size, b.min[1] + b.size, b.min[2] + b.size],
+        }
+    }
+
+    #[test]
+    fn branch_free_distances_equal_the_branching_ones_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |a: BoundingBox, b: BoundingBox, p: [f64; 3]| {
+            assert_eq!(
+                corners(&a).dist2_to_box(&corners(&b)).to_bits(),
+                a.dist2_to_box(&b).to_bits(),
+                "{a:?} to {b:?}"
+            );
+            assert_eq!(
+                corners(&a).dist2_to_point(p).to_bits(),
+                a.dist2_to_point(p).to_bits(),
+                "{a:?} to {p:?}"
+            );
+        };
+        let cube = |min: [f64; 3], size: f64| BoundingBox { min, size };
+        let unit = unit_cube();
+        check(unit, cube([1.0, 0.0, 0.0], 1.0), [1.0, 0.5, 0.5]); // touching; on a face
+        check(unit, cube([0.25; 3], 0.5), [0.5; 3]); // containment
+        check(cube([0.25; 3], 0.5), unit, [2.0, -1.0, 0.5]);
+        check(unit, unit, [0.0; 3]); // coincident; on a corner
+        check(cube([-1.0; 3], 1.0), cube([-0.0; 3], 1.0), [-0.0; 3]); // a −0.0 gap
+        check(cube([-0.0; 3], 1.0), cube([-1.0; 3], 1.0), [0.0; 3]);
+        let mut rng = StdRng::seed_from_u64(2002);
+        for i in 0..100_000 {
+            // Half on a coarse grid, where faces touch and boxes nest or
+            // coincide all the time; half anywhere.
+            let mut coord = |scale: f64| {
+                let x = (rng.random::<f64>() - 0.5) * scale;
+                if i % 2 == 0 {
+                    (x * 4.0).round() / 4.0
+                } else {
+                    x
+                }
+            };
+            let a = cube(
+                [coord(4.0), coord(4.0), coord(4.0)],
+                coord(2.0).abs() + 0.25,
+            );
+            let b = cube(
+                [coord(4.0), coord(4.0), coord(4.0)],
+                coord(2.0).abs() + 0.25,
+            );
+            check(a, b, [coord(6.0), coord(6.0), coord(6.0)]);
+        }
+    }
+
+    #[test]
+    fn prune_arena_is_truncated_on_pop() {
+        // 24 zones of a 20 000-body sphere; three senders prune for every
+        // peer. An arena that only grew would hold every requester list
+        // ever filed; truncated on pop it holds at most the lists along
+        // one root-to-leaf path and their siblings'.
+        let bodies = plummer(20_000, 42);
+        let bb = BoundingBox::containing(&bodies.pos);
+        let cfg = DistributedConfig::default();
+        let zones: Vec<(Bodies, HashedOctTree)> = cost_zones(&bodies, &bb, 24, None)
+            .iter()
+            .map(|z| {
+                let mut b = bodies.select(z);
+                let t = build_tree(&mut b, bb, cfg.leaf_capacity);
+                (b, t)
+            })
+            .collect();
+        let domains: Vec<Vec<Corners>> = zones
+            .iter()
+            .map(|(_, t)| {
+                let frontier = domain_frontier(t, DOMAIN_CELL_BUDGET);
+                frontier
+                    .iter()
+                    .map(|&k| cell_corners(&bb, Key(k)))
+                    .collect()
+            })
+            .collect();
+        for sender in [0, 11, 23] {
+            let (local, tree) = &zones[sender];
+            let mut scratch = PruneScratch::default();
+            for (peer, domain) in domains.iter().enumerate().filter(|(p, _)| *p != sender) {
+                let bound = 8 * (tree.depth() as usize + 1) * domain.len();
+                scratch.arena = Vec::with_capacity(bound);
+                let room = scratch.arena.capacity();
+                prune_for_domain(tree, local, domain, &cfg.mac, &mut scratch);
+                assert_eq!(
+                    scratch.arena.capacity(),
+                    room,
+                    "{sender} → {peer}: the arena outgrew {bound} ids"
                 );
             }
         }
