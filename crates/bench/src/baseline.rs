@@ -1,41 +1,32 @@
-//! The `bench_baseline` measurement harness: sequential-vs-parallel
-//! executor sweeps over the simulated cluster and the distributed
-//! treecode step, emitted as machine-readable `BENCH_cluster.json` /
-//! `BENCH_treecode.json` documents (schema documented in
+//! The `bench_baseline` harness: the cluster microbenchmarks and the
+//! distributed treecode step, run once under every [`ExecPolicy`] and
+//! emitted as `BENCH_cluster.json` / `BENCH_treecode.json` (schema in
 //! `BENCHMARKS.md` at the repo root).
 //!
-//! Two numbers per benchmark matter and they must not be confused:
-//!
-//! * **virtual makespan** — the simulated MetaBlade's wall-clock for the
-//!   job (slowest rank's virtual clock). This is a *result* of the
-//!   simulation: bit-identical under every [`ExecPolicy`], on every
-//!   host, in every run. The harness verifies that by fingerprinting
-//!   each outcome (results + clocks + `CommStats`) and recording
-//!   `identical_across_policies`.
-//! * **host wall seconds** — how long the simulator itself took on this
-//!   machine, per executor policy. This is a *measurement*: it depends
-//!   on `host_threads`, load, and the OS scheduler. Speedups are
-//!   derived from it; on a single-core host every policy is expected to
-//!   tie (the recorded `host_threads` field says which regime a given
-//!   document was produced in).
+//! The documents carry **simulated values only**: the virtual makespan
+//! (slowest rank's virtual clock) and an outcome fingerprint (results +
+//! clocks + `CommStats`) per policy, with `identical_across_policies`
+//! recording that every executor width agreed. All of it is
+//! bit-identical on every host and in every run, so a regenerated
+//! document equals its committed twin exactly — `cargo test` checks
+//! that (`crates/bench/tests/bench_baseline.rs`). Host time is measured
+//! in one place, the `benchmark/` package.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use mb_cluster::machine::{Cluster, SpmdOutcome};
 use mb_cluster::spec::{metablade, ClusterSpec};
 use mb_cluster::topology::record_link_occupancy;
 use mb_cluster::{Comm, CommStats, ExecPolicy, Topology};
-use mb_telemetry::artifact::{host_threads, unix_time_s};
 use mb_telemetry::json::Json;
 use mb_treecode::parallel::{distributed_step, DistributedConfig};
 use mb_treecode::plummer;
 
 /// Schema tag stamped into every BENCH document. `/2` added the
 /// per-record `topology` column and the fat-tree contention sweep
-/// (records suffixed `@ft16x2o4`); the gate treats a schema mismatch
-/// as a hard failure, so baselines must be regenerated together.
-pub const SCHEMA: &str = "metablade-bench/2";
+/// (records suffixed `@ft16x2o4`); `/3` dropped every host-side column
+/// (wall seconds, speedups, event rates, time stamp, host threads).
+pub const SCHEMA: &str = "metablade-bench/3";
 
 /// The oversubscribed fat-tree every contention sweep uses: radix 16,
 /// two tiers (256-node capacity), 4:1 uplinks — big enough that the
@@ -60,9 +51,6 @@ pub struct SweepConfig {
     pub rounds: usize,
     /// Plummer-sphere size for the treecode step.
     pub n_bodies: usize,
-    /// Wall-clock repeats per (bench, policy); the minimum is recorded.
-    /// High-rank cases (≥ 128) always run once.
-    pub repeats: usize,
 }
 
 impl Default for SweepConfig {
@@ -72,21 +60,19 @@ impl Default for SweepConfig {
             treecode_rank_counts: vec![1, 4, 8, 24, 128],
             rounds: 64,
             n_bodies: 20_000,
-            repeats: 2,
         }
     }
 }
 
 impl SweepConfig {
-    /// A seconds-scale configuration for CI smoke gates: few rounds, a
-    /// small body count, single repeats.
+    /// A seconds-scale configuration for the smoke documents `cargo test`
+    /// reproduces: few rounds, a small body count.
     pub fn smoke() -> Self {
         SweepConfig {
             rank_counts: vec![1, 8],
             treecode_rank_counts: vec![1, 8],
             rounds: 4,
             n_bodies: 1_000,
-            repeats: 1,
         }
     }
 
@@ -145,96 +131,57 @@ pub fn hash_stats(h: &mut Fnv, stats: &[CommStats]) {
     }
 }
 
-/// One measured benchmark: virtual result plus per-policy wall clocks.
-pub struct BenchRecord {
-    /// Benchmark name (stable across document versions).
-    pub name: String,
-    /// Simulated rank count.
-    pub ranks: usize,
-    /// Interconnect label ([`Topology::label`]): `star`, `ft16x2o4`, ….
-    /// Records are only comparable across documents when this matches;
-    /// the gate enforces that.
-    pub topology: String,
-    /// Simulated makespan, identical across policies when `identical`.
-    pub virtual_makespan_s: f64,
-    /// Outcome fingerprint (results + clocks + stats) per policy label.
-    pub fingerprints: BTreeMap<String, u64>,
-    /// Host wall seconds per policy label (minimum over repeats).
-    pub wall_s: BTreeMap<String, f64>,
-    /// Simulated communication events (sends + receives summed over
-    /// ranks) per host wall second, per policy label: the executor
-    /// engine's throughput on this machine. The numerator is a simulated
-    /// quantity — identical across policies — so ratios of this field
-    /// are pure engine-overhead comparisons.
-    pub events_per_sec: BTreeMap<String, f64>,
-    /// True when every policy produced a bit-identical outcome.
-    pub identical: bool,
-    /// Extra scalar fields (e.g. treecode gflops).
-    pub extra: Vec<(&'static str, Json)>,
-}
-
-impl BenchRecord {
-    /// The record as one JSON object (fields documented in BENCHMARKS.md).
-    pub fn to_json(&self) -> Json {
-        let seq_wall = self.wall_s.get("seq").copied().unwrap_or(f64::NAN);
-        let walls = Json::Obj(
-            self.wall_s
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        );
-        let speedups = Json::Obj(
-            self.wall_s
-                .iter()
-                .filter(|(k, _)| k.as_str() != "seq")
-                .map(|(k, v)| (k.clone(), Json::Num(seq_wall / v.max(1e-12))))
-                .collect(),
-        );
-        let fps = Json::Obj(
-            self.fingerprints
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::str(format!("{v:016x}"))))
-                .collect(),
-        );
-        let events = Json::Obj(
-            self.events_per_sec
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        );
-        let mut fields = vec![
-            ("name", Json::str(self.name.clone())),
-            ("ranks", Json::Num(self.ranks as f64)),
-            ("topology", Json::str(self.topology.clone())),
-            ("virtual_makespan_s", Json::Num(self.virtual_makespan_s)),
-            ("identical_across_policies", Json::Bool(self.identical)),
-            ("outcome_fingerprints", fps),
-            ("wall_s", walls),
-            ("speedup_vs_seq", speedups),
-            ("events_per_sec", events),
-        ];
-        fields.extend(self.extra.iter().cloned());
-        Json::obj(fields)
+/// One bench record: run `run` on `spec` once under every policy and
+/// write down what it returns — the outcome fingerprint, the virtual
+/// makespan and any extra columns (e.g. treecode `gflops`). Fields
+/// documented in BENCHMARKS.md.
+fn record<F>(name: &str, spec: &ClusterSpec, run: F) -> Json
+where
+    F: Fn(&Cluster) -> (u64, f64, Vec<(&'static str, Json)>),
+{
+    let mut fingerprints = BTreeMap::new();
+    let mut makespan = 0.0;
+    let mut extra = Vec::new();
+    for policy in policies() {
+        let (fp, m, e) = run(&Cluster::new(spec.clone()).with_exec(policy));
+        fingerprints.insert(policy.label(), fp);
+        makespan = m;
+        extra = e;
     }
+    let first = fingerprints.values().next().copied();
+    let identical = fingerprints.values().all(|fp| Some(*fp) == first);
+    let mut fields = vec![
+        ("name", Json::str(name)),
+        ("ranks", Json::Num(spec.nodes as f64)),
+        ("topology", Json::str(spec.network.topology.label())),
+        ("virtual_makespan_s", Json::Num(makespan)),
+        ("identical_across_policies", Json::Bool(identical)),
+        (
+            "outcome_fingerprints",
+            Json::Obj(
+                fingerprints
+                    .into_iter()
+                    .map(|(k, v)| (k, Json::str(format!("{v:016x}"))))
+                    .collect(),
+            ),
+        ),
+    ];
+    fields.extend(extra);
+    Json::obj(fields)
 }
 
 /// Wrap bench records into a full BENCH document.
-fn document(suite: &str, cfg_fields: Vec<(&'static str, Json)>, benches: &[BenchRecord]) -> Json {
+fn document(suite: &str, cfg_fields: Vec<(&'static str, Json)>, benches: Vec<Json>) -> Json {
     let mut fields = vec![
         ("schema", Json::str(SCHEMA)),
         ("suite", Json::str(suite)),
-        ("generated_unix_s", Json::Num(unix_time_s() as f64)),
-        ("host_threads", Json::Num(host_threads() as f64)),
         (
             "policies",
             Json::Arr(policies().iter().map(|p| Json::str(p.label())).collect()),
         ),
     ];
     fields.extend(cfg_fields);
-    fields.push((
-        "benches",
-        Json::Arr(benches.iter().map(BenchRecord::to_json).collect()),
-    ));
+    fields.push(("benches", Json::Arr(benches)));
     Json::obj(fields)
 }
 
@@ -314,50 +261,15 @@ pub fn imbalance_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
     }
 }
 
-/// Run `job` on `spec` under every policy, `repeats` wall repeats each.
-fn run_case<F>(name: &str, spec: &ClusterSpec, repeats: usize, job: F) -> BenchRecord
+/// Run `job` on `spec` under every policy.
+fn run_case<F>(name: &str, spec: &ClusterSpec, job: F) -> Json
 where
     F: Fn(&mut Comm) -> Vec<f64> + Sync,
 {
-    let ranks = spec.nodes;
-    let repeats = if ranks >= 128 { 1 } else { repeats.max(1) };
-    let mut wall_s = BTreeMap::new();
-    let mut events_per_sec = BTreeMap::new();
-    let mut fingerprints = BTreeMap::new();
-    let mut makespan = 0.0;
-    for policy in policies() {
-        let cluster = Cluster::new(spec.clone()).with_exec(policy);
-        let mut best = f64::INFINITY;
-        let mut fp = 0u64;
-        let mut events = 0u64;
-        for _ in 0..repeats {
-            let t = Instant::now();
-            let out = cluster.run(&job);
-            best = best.min(t.elapsed().as_secs_f64());
-            fp = fingerprint_outcome(&out);
-            makespan = out.makespan_s();
-            events = out.stats.iter().map(|s| s.sends + s.recvs).sum();
-        }
-        wall_s.insert(policy.label(), best);
-        events_per_sec.insert(policy.label(), events as f64 / best.max(1e-12));
-        fingerprints.insert(policy.label(), fp);
-    }
-    let identical = {
-        let mut vals = fingerprints.values();
-        let first = vals.next().copied();
-        vals.all(|v| Some(*v) == first)
-    };
-    BenchRecord {
-        name: name.to_string(),
-        ranks,
-        topology: spec.network.topology.label(),
-        virtual_makespan_s: makespan,
-        fingerprints,
-        wall_s,
-        events_per_sec,
-        identical,
-        extra: Vec::new(),
-    }
+    record(name, spec, |cluster| {
+        let out = cluster.run(&job);
+        (fingerprint_outcome(&out), out.makespan_s(), Vec::new())
+    })
 }
 
 /// The cluster suite: collective, point-to-point and imbalanced-compute
@@ -376,26 +288,22 @@ pub fn cluster_baseline(cfg: &SweepConfig) -> Json {
         benches.push(run_case(
             &format!("allreduce_32x{rounds}"),
             &spec,
-            cfg.repeats,
             allreduce_job(rounds),
         ));
         benches.push(run_case(
             &format!("ring_4KiBx{rounds}"),
             &spec,
-            cfg.repeats,
             ring_job(rounds),
         ));
         benches.push(run_case(
             &format!("imbalance_x{rounds}"),
             &spec,
-            cfg.repeats,
             imbalance_job(rounds),
         ));
         if ranks <= ft_cap {
             benches.push(run_case(
                 &format!("allreduce_32x{rounds}@{}", ft.label()),
                 &spec.with_topology(ft),
-                cfg.repeats,
                 allreduce_job(rounds),
             ));
         }
@@ -412,7 +320,7 @@ pub fn cluster_baseline(cfg: &SweepConfig) -> Json {
                 ]),
             ),
         ],
-        &benches,
+        benches,
     )
 }
 
@@ -446,66 +354,40 @@ pub fn fat_tree_link_trace(cfg: &SweepConfig) -> String {
 }
 
 /// The treecode suite: one full distributed force evaluation per
-/// (rank count, policy), wall-timed, with virtual makespan, sustained
-/// Gflops and a particle-state fingerprint (acc + pot bit patterns).
+/// (rank count, policy), with virtual makespan, sustained Gflops and a
+/// particle-state fingerprint (acc + pot bit patterns).
 pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
     let bodies = plummer(cfg.n_bodies, 1999);
     let tree_cfg = DistributedConfig::default();
-    let mut benches = Vec::new();
-    for &ranks in &cfg.treecode_rank_counts {
-        let spec = metablade().with_nodes(ranks);
-        let mut wall_s = BTreeMap::new();
-        let mut events_per_sec = BTreeMap::new();
-        let mut fingerprints = BTreeMap::new();
-        let mut makespan = 0.0;
-        let mut gflops = 0.0;
-        for policy in policies() {
-            let cluster = Cluster::new(spec.clone()).with_exec(policy);
-            let t = Instant::now();
-            let report = distributed_step(&cluster, &bodies, &tree_cfg);
-            let wall = t.elapsed().as_secs_f64();
-            wall_s.insert(policy.label(), wall);
-            let events: u64 = report.comm.iter().map(|s| s.sends + s.recvs).sum();
-            events_per_sec.insert(policy.label(), events as f64 / wall.max(1e-12));
-            let mut h = Fnv::new();
-            h.write_f64(report.makespan_s);
-            for a in &report.acc {
-                for v in a {
-                    h.write_f64(*v);
+    let benches = cfg
+        .treecode_rank_counts
+        .iter()
+        .map(|&ranks| {
+            record("treecode_step", &metablade().with_nodes(ranks), |cluster| {
+                let report = distributed_step(cluster, &bodies, &tree_cfg);
+                let mut h = Fnv::new();
+                h.write_f64(report.makespan_s);
+                for a in &report.acc {
+                    for v in a {
+                        h.write_f64(*v);
+                    }
                 }
-            }
-            for p in &report.pot {
-                h.write_f64(*p);
-            }
-            hash_stats(&mut h, &report.comm);
-            fingerprints.insert(policy.label(), h.finish());
-            makespan = report.makespan_s;
-            gflops = report.gflops;
-        }
-        let identical = {
-            let mut vals = fingerprints.values();
-            let first = vals.next().copied();
-            vals.all(|v| Some(*v) == first)
-        };
-        benches.push(BenchRecord {
-            name: "treecode_step".to_string(),
-            ranks,
-            topology: spec.network.topology.label(),
-            virtual_makespan_s: makespan,
-            fingerprints,
-            wall_s,
-            events_per_sec,
-            identical,
-            extra: vec![("gflops", Json::Num(gflops))],
-        });
-    }
+                for p in &report.pot {
+                    h.write_f64(*p);
+                }
+                hash_stats(&mut h, &report.comm);
+                let gflops = vec![("gflops", Json::Num(report.gflops))];
+                (h.finish(), report.makespan_s, gflops)
+            })
+        })
+        .collect();
     document(
         "treecode",
         vec![
             ("n_bodies", Json::Num(cfg.n_bodies as f64)),
             ("ic", Json::str("plummer(seed=1999)")),
         ],
-        &benches,
+        benches,
     )
 }
 
@@ -515,28 +397,16 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 /// the `PROF_cluster.json` artifact `bench_baseline` writes when
 /// `MB_PROF=1`.
 ///
-/// This is deliberately *outside* the timed sweep: profiling reads host
-/// clocks per admission and would bias the wall-second measurements the
-/// BENCH documents exist to track. Virtual outcomes are unaffected
-/// either way (the determinism suite proves that at 256 ranks).
+/// A run of its own, outside the sweep that fills the BENCH documents.
+/// Virtual outcomes are unaffected by profiling either way (the
+/// determinism suite proves that at 256 ranks).
 pub fn profiled_pass(cfg: &SweepConfig) -> mb_telemetry::metrics::Registry {
     let ranks = cfg.rank_counts.iter().copied().max().unwrap_or(8);
     let rounds = rounds_for(cfg.rounds, ranks);
     let cluster = Cluster::new(metablade().with_nodes(ranks))
         .with_exec(ExecPolicy::Parallel { workers: 8 })
         .with_prof(true);
-    let out = cluster.run(move |comm: &mut Comm| {
-        let rank = comm.rank();
-        let mut spin = 0.0f64;
-        for round in 0..rounds {
-            comm.compute(2e5 * (1 + (rank + round) % 4) as f64);
-            for i in 0..2_000u64 {
-                spin += ((i + rank as u64) as f64).sqrt();
-            }
-            comm.barrier();
-        }
-        vec![std::hint::black_box(spin), comm.now()]
-    });
+    let out = cluster.run(imbalance_job(rounds));
     let mut reg = mb_telemetry::metrics::Registry::new();
     out.exec_report
         .record_into(&mut reg, &cluster.exec().label());
@@ -553,7 +423,6 @@ mod tests {
             treecode_rank_counts: vec![1, 4],
             rounds: 4,
             n_bodies: 400,
-            repeats: 1,
         }
     }
 
@@ -567,18 +436,11 @@ mod tests {
                 "{:?} diverged across policies",
                 b.get("name")
             );
-            let walls = b.get("wall_s").expect("wall_s");
-            let events = b.get("events_per_sec").expect("events_per_sec");
+            let fps = b.get("outcome_fingerprints").expect("fingerprints");
             for p in policies() {
                 assert!(
-                    walls.get(&p.label()).and_then(Json::as_f64).is_some(),
-                    "missing wall for {}",
-                    p.label()
-                );
-                let eps = events.get(&p.label()).and_then(Json::as_f64);
-                assert!(
-                    eps.is_some_and(|v| v >= 0.0),
-                    "missing events_per_sec for {}",
+                    fps.get(&p.label()).and_then(Json::as_str).is_some(),
+                    "missing fingerprint for {}",
                     p.label()
                 );
             }

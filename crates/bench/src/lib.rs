@@ -1,8 +1,8 @@
 //! Shared plumbing for the experiment binaries: where telemetry
 //! artifacts (Chrome traces, run manifests) land on disk, the standard
-//! manifest a traced treecode run produces, the [`baseline`]
-//! sequential-vs-parallel benchmark harness behind `bench_baseline`,
-//! and the [`gate`] regression checker behind `bench_gate`.
+//! manifest a traced treecode run produces, and the [`baseline`]
+//! harness behind `bench_baseline`, which writes the simulated-outcome
+//! pins `BENCH_{cluster,treecode}.json`.
 //!
 //! # Example
 //!
@@ -21,7 +21,6 @@
 
 pub mod baseline;
 pub mod cli;
-pub mod gate;
 
 use mb_cluster::power;
 use mb_cluster::spec::ClusterSpec;

@@ -7,8 +7,8 @@
 //! that core's *execution-slot* count:
 //!
 //! * [`ExecPolicy::Sequential`] — one slot: exactly one rank runs at a
-//!   time, in `(virtual clock, rank)` order. The width-one reference the
-//!   benchmarks' `seq` column and `speedup_vs_seq` compare against.
+//!   time, in `(virtual clock, rank)` order. The width-one reference:
+//!   the `seq` entry of every `BENCH_*.json` fingerprint map.
 //! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold a slot at
 //!   any instant. This bounds host CPU/memory pressure for big sweeps
 //!   without changing any simulated result.

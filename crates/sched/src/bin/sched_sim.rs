@@ -13,7 +13,8 @@
 //! `./traces`).
 //!
 //! `--smoke` runs a smaller workload with aggressive failure injection
-//! across three executors — the CI gate.
+//! across three executors; `cargo test` reruns it and requires the
+//! document to equal the committed `BENCH_sched_smoke.json`.
 
 use mb_cluster::{Cluster, ClusterSpec, ExecPolicy, Topology};
 use mb_sched::report::{
@@ -24,9 +25,7 @@ use mb_sched::{
     generate, simulate, workload, EasyBackfill, FailureConfig, Fcfs, JobSpec, Placement,
     SchedConfig, SchedPolicy, ServiceModel, SimReport, Sjf, WorkModel, WorkloadConfig,
 };
-use mb_telemetry::artifact::{
-    artifact_dir, artifact_stem, host_threads, unix_time_s, write_artifact,
-};
+use mb_telemetry::artifact::{artifact_dir, artifact_stem, write_artifact};
 use mb_telemetry::Json;
 
 fn policies() -> [&'static dyn SchedPolicy; 3] {
@@ -315,8 +314,6 @@ fn run(wl_cfg: &WorkloadConfig, cfg: &SchedConfig, execs: &[ExecPolicy], smoke: 
 
     let doc = Json::obj([
         ("schema", Json::str(SCHEMA)),
-        ("created_unix_s", Json::Num(unix_time_s() as f64)),
-        ("host_threads", Json::Num(host_threads() as f64)),
         ("smoke", Json::Bool(smoke)),
         ("workload", workload_json(wl_cfg)),
         (

@@ -1153,7 +1153,7 @@ fn publish_metrics(sim: &mut SimReport, classes: &[ClassReport]) {
 /// This is the closed-batch wrapper around [`simulate_stream`]: the job
 /// list replays through [`VecArrivals`] under the single-class
 /// [`crate::stream::AdmitAll`] admission, which reproduces the
-/// pre-streaming engine — and the committed `metablade-sched/3`
+/// pre-streaming engine — and the committed `BENCH_sched.json`
 /// fingerprints — bit for bit.
 pub fn simulate<S: ServiceOracle + ?Sized>(
     service: &S,

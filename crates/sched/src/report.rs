@@ -17,11 +17,13 @@ use mb_telemetry::Json;
 use crate::engine::{OccSpan, SimReport};
 
 /// Schema tag stamped into every `BENCH_sched.json` document.
+/// `/4` dropped the time stamp and the host-thread count, leaving
+/// simulated values only;
 /// `/3` added per-section `placement`/`route_spread` fields and a
 /// `max_contention_factor` column to each policy row (cross-job link
 /// contention); `/2` added full wait/slowdown percentile columns
 /// (`wait_p50_s` … `slowdown_p99`); `/1` rows carried means only.
-pub const SCHEMA: &str = "metablade-sched/3";
+pub const SCHEMA: &str = "metablade-sched/4";
 
 /// Render per-node occupancy spans as Chrome trace-event JSON: one
 /// track (`tid`) per node, one `"X"` duration event per job residency,

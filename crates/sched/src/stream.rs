@@ -13,7 +13,7 @@
 //!
 //! Closed-batch compatibility: [`VecArrivals`] + [`AdmitAll`] is the
 //! degenerate single-class stream, and [`crate::simulate`] is exactly
-//! that wrapper — it reproduces the committed `metablade-sched/3`
+//! that wrapper — it reproduces the committed `BENCH_sched.json`
 //! fingerprints bit for bit (pinned in `tests/determinism.rs`).
 
 use mb_telemetry::prof::LogHistogram;

@@ -47,21 +47,12 @@ pub fn run_id() -> String {
     format!("{secs}-{pid}-{seq}")
 }
 
-/// Seconds since the Unix epoch (0 if the host clock is set before it):
-/// the timestamp in run ids and `BENCH_*.json` documents.
-pub fn unix_time_s() -> u64 {
+/// Seconds since the Unix epoch (0 if the host clock is set before it).
+fn unix_time_s() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
-}
-
-/// Host hardware threads — the wall-clock context every bench document
-/// records beside its timings.
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// The standard artifact filename stem: `{run}-r{ranks}-{run_id}`.
@@ -84,11 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn run_id_leads_with_the_unix_time_and_the_host_has_a_thread() {
+    fn run_id_leads_with_the_unix_time() {
         let before = unix_time_s();
         let secs: u64 = run_id().split('-').next().unwrap().parse().unwrap();
         assert!(before > 0 && (before..=unix_time_s()).contains(&secs));
-        assert!(host_threads() >= 1);
     }
 
     #[test]

@@ -72,6 +72,61 @@ impl Json {
         }
     }
 
+    /// Every place `other` differs from `self`, one line per differing
+    /// leaf: `benches[2].outcome_fingerprints.w8: "9294…" -> "a1b2…"`.
+    /// Empty means the documents are the same. Schema-blind and exact:
+    /// numbers compare by bit pattern (one ulp differs, `0` and `-0`
+    /// differ), and a missing key, an extra key, an array-length change
+    /// and a type change are all differences. This is the whole
+    /// regression gate over the committed `BENCH_*.json` documents,
+    /// which carry simulated values only (BENCHMARKS.md, "Pins").
+    pub fn diff(&self, other: &Json) -> Vec<String> {
+        let mut out = Vec::new();
+        self.diff_at("", other, &mut out);
+        out
+    }
+
+    fn diff_at(&self, path: &str, other: &Json, out: &mut Vec<String>) {
+        match (self, other) {
+            (Json::Obj(a), Json::Obj(b)) => {
+                let dot = if path.is_empty() { "" } else { "." };
+                for (k, va) in a {
+                    let at = format!("{path}{dot}{k}");
+                    match b.get(k) {
+                        Some(vb) => va.diff_at(&at, vb, out),
+                        None => out.push(format!("{at}: {} -> (missing)", va.brief())),
+                    }
+                }
+                for (k, vb) in b.iter().filter(|(k, _)| !a.contains_key(*k)) {
+                    out.push(format!("{path}{dot}{k}: (missing) -> {}", vb.brief()));
+                }
+            }
+            (Json::Arr(a), Json::Arr(b)) => {
+                for (i, (va, vb)) in a.iter().zip(b).enumerate() {
+                    va.diff_at(&format!("{path}[{i}]"), vb, out);
+                }
+                if a.len() != b.len() {
+                    out.push(format!("{path}: array length {} -> {}", a.len(), b.len()));
+                }
+            }
+            (Json::Num(a), Json::Num(b)) if a.to_bits() == b.to_bits() => {}
+            (Json::Str(a), Json::Str(b)) if a == b => {}
+            (Json::Bool(a), Json::Bool(b)) if a == b => {}
+            (Json::Null, Json::Null) => {}
+            (a, b) => out.push(format!("{path}: {} -> {}", a.brief(), b.brief())),
+        }
+    }
+
+    /// The serialized value, cut to one report line's worth.
+    fn brief(&self) -> String {
+        const MAX: usize = 48;
+        let text = self.to_string();
+        match text.char_indices().nth(MAX) {
+            Some((cut, _)) => format!("{}…", &text[..cut]),
+            None => text,
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -380,6 +435,105 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    /// One row per way a regenerated BENCH document can stop matching
+    /// its committed twin: `(case, text to replace, replacement,
+    /// expected report lines)` against one small mixed document.
+    #[test]
+    fn diff_reports_every_differing_leaf_with_its_path() {
+        const BASE: &str = concat!(
+            r#"{"benches":[{"name":"allreduce_32x4","virtual_makespan_s":0.25,"#,
+            r#""identical_across_policies":true,"#,
+            r#""outcome_fingerprints":{"seq":"9294aa","w8":"9294aa"}},{"name":"ring_4KiBx4"}],"#,
+            r#""scenarios":[{"drift":0,"classes":[{"label":"batch","shed":25}],"mgk":null}]}"#,
+        );
+        let ulp = f64::from_bits(0.25f64.to_bits() + 1).to_string();
+        let cases: [(&str, &str, &str, &[&str]); 13] = [
+            ("identical documents", "", "", &[]),
+            (
+                "a one-ulp makespan",
+                "0.25",
+                &ulp,
+                &["benches[0].virtual_makespan_s: 0.25 -> 0.25000000000000006"],
+            ),
+            (
+                "0.0 against -0.0",
+                r#""drift":0"#,
+                r#""drift":-0"#,
+                &["scenarios[0].drift: 0 -> -0"],
+            ),
+            (
+                "a changed fingerprint, nested path rendered exactly",
+                r#""w8":"9294aa""#,
+                r#""w8":"a1b2aa""#,
+                &[r#"benches[0].outcome_fingerprints.w8: "9294aa" -> "a1b2aa""#],
+            ),
+            (
+                "two leaves at once, in document order",
+                "9294aa",
+                "a1b2aa",
+                &[
+                    r#"benches[0].outcome_fingerprints.seq: "9294aa" -> "a1b2aa""#,
+                    r#"benches[0].outcome_fingerprints.w8: "9294aa" -> "a1b2aa""#,
+                ],
+            ),
+            (
+                "identical_across_policies flipped",
+                "true",
+                "false",
+                &["benches[0].identical_across_policies: true -> false"],
+            ),
+            (
+                "a class count off by one",
+                r#""shed":25"#,
+                r#""shed":26"#,
+                &["scenarios[0].classes[0].shed: 25 -> 26"],
+            ),
+            (
+                "a missing key",
+                r#","mgk":null"#,
+                "",
+                &["scenarios[0].mgk: null -> (missing)"],
+            ),
+            (
+                "an extra key",
+                r#"{"name":"ring_4KiBx4"}"#,
+                r#"{"name":"ring_4KiBx4","gflops":1.5}"#,
+                &["benches[1].gflops: (missing) -> 1.5"],
+            ),
+            (
+                "a shorter array",
+                r#",{"name":"ring_4KiBx4"}"#,
+                "",
+                &["benches: array length 2 -> 1"],
+            ),
+            (
+                "null against an object",
+                r#""mgk":null"#,
+                r#""mgk":{"k":6}"#,
+                &[r#"scenarios[0].mgk: null -> {"k":6}"#],
+            ),
+            (
+                "a number against a string",
+                r#""shed":25"#,
+                r#""shed":"25""#,
+                &[r#"scenarios[0].classes[0].shed: 25 -> "25""#],
+            ),
+            (
+                "a long value cut to one line",
+                r#""label":"batch""#,
+                r#""label":"a label that runs well past the forty-eight characters a line shows""#,
+                &[
+                    r#"scenarios[0].classes[0].label: "batch" -> "a label that runs well past the forty-eight cha…"#,
+                ],
+            ),
+        ];
+        let base = parse(BASE).unwrap();
+        for (case, from, to, expected) in cases {
+            let other = parse(&BASE.replace(from, to)).unwrap();
+            assert_eq!(base.diff(&other), expected, "{case}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! control, validates the Poisson scenario against the Allen–Cunneen
 //! M/G/k approximation, and writes `BENCH_stream.json`
 //! (`BENCH_stream_smoke.json` under `--smoke`; schema
-//! `metablade-stream/1`) plus per-class wait/slowdown histogram
+//! `metablade-stream/2`) plus per-class wait/slowdown histogram
 //! artifacts into the artifact directory (`$MB_TELEMETRY_DIR`, default
 //! `./traces`).
 
@@ -23,7 +23,7 @@ use mb_sched::{
     generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, SchedConfig, ServiceOracle,
     StreamReport, VecArrivals, WorkloadConfig,
 };
-use mb_telemetry::artifact::{artifact_dir, host_threads, unix_time_s, write_artifact};
+use mb_telemetry::artifact::{artifact_dir, write_artifact};
 use mb_telemetry::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,7 +133,6 @@ struct ScenarioOutcome {
     section: Json,
     hist: Json,
     name: &'static str,
-    jobs_per_host_sec: f64,
     report: StreamReport,
 }
 
@@ -161,26 +160,21 @@ fn run_scenario(
         let mut adm = SloAdmission::standard(nodes);
         simulate_stream(model, &Fcfs, &mut src, &mut adm, &cfg)
     };
-    let t0 = std::time::Instant::now();
     let rep = run(cost);
-    let host_s = t0.elapsed().as_secs_f64().max(1e-9);
     let alt = run(cost_alt);
     let invariant = alt.stream_fingerprint == rep.stream_fingerprint;
     assert!(
         invariant,
         "{name}: stream fingerprint diverged across executor calibrations"
     );
-    let jobs_per_host_sec = rep.offered as f64 / host_s;
     println!(
-        "{name}: offered {} shed {} completed {} makespan {:.0}s util {:.3} \
-         fp {} ({:.0} jobs/host-s)",
+        "{name}: offered {} shed {} completed {} makespan {:.0}s util {:.3} fp {}",
         rep.offered,
         rep.shed,
         rep.sim.jobs.len(),
         rep.sim.makespan_s,
         rep.sim.utilization,
         rep.stream_fingerprint_hex(),
-        jobs_per_host_sec,
     );
     for c in &rep.classes {
         println!(
@@ -215,7 +209,6 @@ fn run_scenario(
         nodes,
         &rep,
         invariant,
-        jobs_per_host_sec,
         mgk_cmp,
     );
     let hist = histogram_artifact(name, &rep);
@@ -223,7 +216,6 @@ fn run_scenario(
         section,
         hist,
         name,
-        jobs_per_host_sec,
         report: rep,
     }
 }
@@ -269,9 +261,7 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         let mut adm = AdmitAll;
         simulate_stream(model, &Fcfs, &mut src, &mut adm, &cfg)
     };
-    let t0 = std::time::Instant::now();
     let rep = run(cost);
-    let host_s = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(
         run(cost_alt).stream_fingerprint,
         rep.stream_fingerprint,
@@ -310,7 +300,6 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         predicted.wq_s
     );
 
-    let jobs_per_host_sec = jobs as f64 / host_s;
     let section = scenario_section(
         "poisson_mgk",
         "poisson",
@@ -319,7 +308,6 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         spec.nodes,
         &rep,
         true,
-        jobs_per_host_sec,
         Some(cmp),
     );
     let hist = histogram_artifact("poisson_mgk", &rep);
@@ -327,7 +315,6 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         section,
         hist,
         name: "poisson_mgk",
-        jobs_per_host_sec,
         report: rep,
     }
 }
@@ -424,8 +411,6 @@ fn run_all(smoke: bool) {
 
     let doc = Json::obj([
         ("schema", Json::str(STREAM_SCHEMA)),
-        ("generated_unix_s", Json::Num(unix_time_s() as f64)),
-        ("host_threads", Json::Num(host_threads() as f64)),
         ("smoke", Json::Bool(smoke)),
         (
             "scenarios",
@@ -448,7 +433,6 @@ fn run_all(smoke: bool) {
             Ok(p) => println!("wrote {}", p.display()),
             Err(e) => eprintln!("failed to write {name}: {e}"),
         }
-        let _ = o.jobs_per_host_sec;
     }
     println!(
         "\n{} OK: calibration executor-invariant, closed-batch compatible, \

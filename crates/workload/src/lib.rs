@@ -21,7 +21,7 @@
 //!   [`mb_sched::ServiceOracle`], with a content-addressed step memo;
 //! * [`mgk`] — Erlang-C / Allen–Cunneen M/G/k approximations the
 //!   simulated wait times are validated against;
-//! * [`report`] — `metablade-stream/1` benchmark sections and per-class
+//! * [`report`] — `metablade-stream/2` benchmark sections and per-class
 //!   histogram artifacts.
 //!
 //! The determinism contract carries over unchanged: every generator is

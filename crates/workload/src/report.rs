@@ -1,14 +1,13 @@
-//! `metablade-stream/1` benchmark sections and histogram artifacts.
+//! `metablade-stream/2` benchmark sections and histogram artifacts.
 //!
 //! The `stream_sim` binary writes one `BENCH_stream*.json` document
-//! per run: a `scenarios` array where every entry carries the hard
-//! simulated quantities (stream fingerprint, virtual makespan,
-//! per-class admission counts — bit-exact under every executor
-//! policy), the banded host-side throughput, per-class wait/slowdown
-//! percentiles, and — when the scenario has a queueing-theory twin —
-//! the M/G/k prediction next to the simulated value. The bench gate
-//! (`mb-bench::gate`) dispatches on the schema tag and enforces
-//! exactly that hard/banded split.
+//! per run: a `scenarios` array where every entry carries simulated
+//! quantities only (stream fingerprint, virtual makespan, per-class
+//! admission counts and wait/slowdown percentiles — bit-exact under
+//! every executor policy, on every host) and — when the scenario has a
+//! queueing-theory twin — the M/G/k prediction next to the simulated
+//! value. `cargo test` reruns the smoke document and requires it to
+//! equal the committed copy (`crates/workload/tests/stream.rs`).
 
 use mb_sched::stream::{ClassReport, StreamReport};
 use mb_telemetry::prof::LogHistogram;
@@ -16,8 +15,9 @@ use mb_telemetry::Json;
 
 use crate::mgk::MgkPrediction;
 
-/// Schema tag stamped into every `BENCH_stream*.json` document.
-pub const STREAM_SCHEMA: &str = "metablade-stream/1";
+/// Schema tag stamped into every `BENCH_stream*.json` document. `/2`
+/// dropped the host-side fields (throughput, time stamp, host threads).
+pub const STREAM_SCHEMA: &str = "metablade-stream/2";
 
 /// An M/G/k prediction paired with what the simulator measured — the
 /// validation record embedded in a scenario section.
@@ -75,8 +75,8 @@ fn quantile_or_zero(h: &LogHistogram, q: f64) -> f64 {
     }
 }
 
-/// One per-class row of a scenario section: admission counts (hard
-/// gate checks) and wait/slowdown percentiles (banded).
+/// One per-class row of a scenario section: admission counts and
+/// wait/slowdown percentiles.
 pub fn class_row(c: &ClassReport) -> Json {
     Json::obj([
         ("label", Json::str(c.label.clone())),
@@ -117,8 +117,7 @@ pub fn class_row(c: &ClassReport) -> Json {
 
 /// One scenario section of the stream document. `identical_across_execs`
 /// is the caller's verdict from re-running (or re-pricing) the scenario
-/// under several executor policies; `jobs_per_host_sec` is the host-side
-/// throughput band input (0 to omit from gating).
+/// under several executor policies.
 #[allow(clippy::too_many_arguments)]
 pub fn scenario_section(
     name: &str,
@@ -128,7 +127,6 @@ pub fn scenario_section(
     nodes: usize,
     rep: &StreamReport,
     identical_across_execs: bool,
-    jobs_per_host_sec: f64,
     mgk: Option<MgkComparison>,
 ) -> Json {
     Json::obj([
@@ -146,7 +144,6 @@ pub fn scenario_section(
         ("makespan_s", Json::Num(rep.sim.makespan_s)),
         ("utilization", Json::Num(rep.sim.utilization)),
         ("identical_across_execs", Json::Bool(identical_across_execs)),
-        ("jobs_per_host_sec", Json::Num(jobs_per_host_sec)),
         (
             "classes",
             Json::Arr(rep.classes.iter().map(class_row).collect()),

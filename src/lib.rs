@@ -15,9 +15,9 @@
 //! * [`telemetry`] (`mb-telemetry`) — metrics registry, span tracing, Chrome export;
 //! * [`sched`] (`mb-sched`) — deterministic batch workload manager (FCFS /
 //!   EASY backfill / SJF) replaying multi-job traffic on the simulated cluster;
-//! * [`mod@bench`] (`mb-bench`) — the `bench_baseline` measurement harness and
-//!   `bench_gate` regression gate, exposed so integration tests can pin
-//!   simulated outcomes against the committed `BENCH_*.json` fingerprints.
+//! * [`mod@bench`] (`mb-bench`) — the `bench_baseline` harness and its job
+//!   bodies, exposed so integration tests can pin simulated outcomes
+//!   against the committed `BENCH_*.json` fingerprints.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the full system
 //! inventory and per-experiment index.
