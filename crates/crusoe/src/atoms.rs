@@ -33,23 +33,81 @@ pub fn freg(f: FReg) -> u16 {
     16 + f.0 as u16
 }
 
+/// A fixed-capacity list of unified register ids, read as a slice. The
+/// cracker never produces an atom that reads more than four ids (a
+/// store: base, index, the memory token, the source) or writes more
+/// than one, so an [`Atom`] is `Copy` and cracking allocates nothing
+/// per atom.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Ids<const N: usize> {
+    len: u8,
+    /// Slots past `len` stay zero, so the derived equality is list equality.
+    ids: [u16; N],
+}
+
+impl<const N: usize> Ids<N> {
+    /// The list holding `ids`. Panics if there are more than `N`.
+    pub fn new(ids: &[u16]) -> Self {
+        let mut list = Ids {
+            len: 0,
+            ids: [0; N],
+        };
+        for &id in ids {
+            list.push(id);
+        }
+        list
+    }
+
+    /// Append one id. Panics when the list is full.
+    pub fn push(&mut self, id: u16) {
+        assert!((self.len as usize) < N, "an atom holds at most {N} ids");
+        self.ids[self.len as usize] = id;
+        self.len += 1;
+    }
+}
+
+impl<const N: usize> std::ops::Deref for Ids<N> {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl<'a, const N: usize> IntoIterator for &'a Ids<N> {
+    type Item = &'a u16;
+    type IntoIter = std::slice::Iter<'a, u16>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<const N: usize> std::fmt::Debug for Ids<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One RISC atom: an operation plus its read/write sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Atom {
     /// What the atom does (determines FU routing and latency on a core).
     pub kind: OpKind,
     /// Unified register ids read.
-    pub reads: Vec<u16>,
+    pub reads: Ids<4>,
     /// Unified register ids written.
-    pub writes: Vec<u16>,
+    pub writes: Ids<1>,
 }
 
 impl Atom {
-    fn new(kind: OpKind, reads: Vec<u16>, writes: Vec<u16>) -> Self {
+    /// An atom of `kind` reading `reads` and writing `writes`. Panics on
+    /// more than four reads or more than one write.
+    pub fn new(kind: OpKind, reads: &[u16], writes: &[u16]) -> Self {
         Atom {
             kind,
-            reads,
-            writes,
+            reads: Ids::new(reads),
+            writes: Ids::new(writes),
         }
     }
 }
@@ -99,16 +157,25 @@ impl Temps {
     }
 }
 
-fn addr_reads(a: &Addr) -> Vec<u16> {
-    let mut v = Vec::new();
+/// The atom of a memory access: reads the address registers, the
+/// memory-ordering token and (for a store) the source; writes `dst`.
+fn mem_atom(kind: OpKind, a: &Addr, src: Option<u16>, dst: u16) -> Atom {
+    let mut reads = Ids::new(&[]);
     if let Some(b) = a.base {
-        v.push(ireg(b));
+        reads.push(ireg(b));
     }
     if let Some((i, _)) = a.index {
-        v.push(ireg(i));
+        reads.push(ireg(i));
     }
-    v.push(MEM_TOKEN);
-    v
+    reads.push(MEM_TOKEN);
+    if let Some(s) = src {
+        reads.push(s);
+    }
+    Atom {
+        kind,
+        reads,
+        writes: Ids::new(&[dst]),
+    }
 }
 
 /// Software square root: timing atoms for `d ← sqrt(d)` on a core with no
@@ -125,37 +192,63 @@ fn soft_sqrt(d: FReg, temps: &mut Temps, out: &mut Vec<Atom>) {
     let shifted = temps.fresh();
     let sub = temps.fresh();
     let mut y = temps.fresh();
-    out.push(Atom::new(OpKind::FpMov, vec![x], vec![guess_bits])); // IBits
-    out.push(Atom::new(OpKind::IntAlu, vec![guess_bits], vec![shifted])); // shift
-    out.push(Atom::new(OpKind::IntAlu, vec![shifted], vec![sub])); // magic − shifted
-    out.push(Atom::new(OpKind::FpMov, vec![sub], vec![y])); // FBits
+    out.push(Atom::new(OpKind::FpMov, &[x], &[guess_bits])); // IBits
+    out.push(Atom::new(OpKind::IntAlu, &[guess_bits], &[shifted])); // shift
+    out.push(Atom::new(OpKind::IntAlu, &[shifted], &[sub])); // magic − shifted
+    out.push(Atom::new(OpKind::FpMov, &[sub], &[y])); // FBits
     for _ in 0..4 {
         let yy = temps.fresh();
         let xyy = temps.fresh();
         let three = temps.fresh();
         let half = temps.fresh();
         let y2 = temps.fresh();
-        out.push(Atom::new(OpKind::FpMul, vec![y, y], vec![yy]));
-        out.push(Atom::new(OpKind::FpMul, vec![x, yy], vec![xyy]));
-        out.push(Atom::new(OpKind::FpAdd, vec![xyy], vec![three])); // 3 − x·y²
-        out.push(Atom::new(OpKind::FpMul, vec![y, three], vec![half]));
-        out.push(Atom::new(OpKind::FpMul, vec![half], vec![y2])); // × 0.5
+        out.push(Atom::new(OpKind::FpMul, &[y, y], &[yy]));
+        out.push(Atom::new(OpKind::FpMul, &[x, yy], &[xyy]));
+        out.push(Atom::new(OpKind::FpAdd, &[xyy], &[three])); // 3 − x·y²
+        out.push(Atom::new(OpKind::FpMul, &[y, three], &[half]));
+        out.push(Atom::new(OpKind::FpMul, &[half], &[y2])); // × 0.5
         y = y2;
     }
     // sqrt(x) = x · rsqrt(x).
     let r = temps.fresh();
-    out.push(Atom::new(OpKind::FpMul, vec![x, y], vec![r]));
+    out.push(Atom::new(OpKind::FpMul, &[x, y], &[r]));
     // IEEE rounding fix-up: r ← r − (r² − x)·(y/2), writing the
     // architected register.
     let rr = temps.fresh();
     let err = temps.fresh();
     let half_y = temps.fresh();
     let corr = temps.fresh();
-    out.push(Atom::new(OpKind::FpMul, vec![r, r], vec![rr]));
-    out.push(Atom::new(OpKind::FpAdd, vec![rr, x], vec![err]));
-    out.push(Atom::new(OpKind::FpMul, vec![y], vec![half_y]));
-    out.push(Atom::new(OpKind::FpMul, vec![err, half_y], vec![corr]));
-    out.push(Atom::new(OpKind::FpAdd, vec![r, corr], vec![x]));
+    out.push(Atom::new(OpKind::FpMul, &[r, r], &[rr]));
+    out.push(Atom::new(OpKind::FpAdd, &[rr, x], &[err]));
+    out.push(Atom::new(OpKind::FpMul, &[y], &[half_y]));
+    out.push(Atom::new(OpKind::FpMul, &[err, half_y], &[corr]));
+    out.push(Atom::new(OpKind::FpAdd, &[r, corr], &[x]));
+}
+
+/// Hardware square root as the benchmark reaches it — through the math
+/// *library*: the fsqrt instruction sits inside a function call with x87
+/// control-word saves/restores (fstcw/fldcw — FPU-port operations that
+/// are partially serializing) plus stack and errno bookkeeping. The
+/// wrapper is modeled as chained FPU-port moves around the `FpSqrt` so
+/// the overhead occupies the (single) FP pipe the way the real sequence
+/// did.
+fn libm_sqrt(d: FReg, temps: &mut Temps, out: &mut Vec<Atom>) {
+    let x = freg(d);
+    let mut prev = temps.fresh();
+    out.push(Atom::new(OpKind::FpMov, &[], &[prev]));
+    for _ in 0..9 {
+        let t = temps.fresh();
+        out.push(Atom::new(OpKind::FpMov, &[prev], &[t]));
+        prev = t;
+    }
+    out.push(Atom::new(OpKind::FpSqrt, &[x, prev], &[x]));
+    let mut tail = x;
+    for _ in 0..10 {
+        let t = temps.fresh();
+        out.push(Atom::new(OpKind::FpMov, &[tail], &[t]));
+        tail = t;
+    }
+    out.push(Atom::new(OpKind::FpMov, &[tail], &[x]));
 }
 
 /// Software Newton–Raphson reciprocal for `d ← d / s` on a core with no
@@ -165,149 +258,80 @@ fn soft_div(d: FReg, s: FReg, temps: &mut Temps, out: &mut Vec<Atom>) {
     let num = freg(d);
     let den = freg(s);
     let guess = temps.fresh();
-    out.push(Atom::new(OpKind::FpMov, vec![den], vec![guess]));
+    out.push(Atom::new(OpKind::FpMov, &[den], &[guess]));
     let mut r = guess;
     for _ in 0..3 {
         let sr = temps.fresh();
         let two = temps.fresh();
         let r2 = temps.fresh();
-        out.push(Atom::new(OpKind::FpMul, vec![den, r], vec![sr]));
-        out.push(Atom::new(OpKind::FpAdd, vec![sr], vec![two])); // 2 − s·r
-        out.push(Atom::new(OpKind::FpMul, vec![r, two], vec![r2]));
+        out.push(Atom::new(OpKind::FpMul, &[den, r], &[sr]));
+        out.push(Atom::new(OpKind::FpAdd, &[sr], &[two])); // 2 − s·r
+        out.push(Atom::new(OpKind::FpMul, &[r, two], &[r2]));
         r = r2;
     }
-    out.push(Atom::new(OpKind::FpMul, vec![num, r], vec![num]));
+    out.push(Atom::new(OpKind::FpMul, &[num, r], &[num]));
 }
 
-/// Crack one instruction into atoms.
-pub fn crack_insn(insn: &Insn, cfg: CrackConfig, temps_next: &mut u16) -> Vec<Atom> {
+/// Crack one instruction, appending its atoms to `out`. `temps_next` is
+/// the next free scheduling temporary, advanced past the ones used.
+pub fn crack_insn(insn: &Insn, cfg: CrackConfig, temps_next: &mut u16, out: &mut Vec<Atom>) {
+    use Insn::*;
     let mut temps = Temps { next: *temps_next };
-    let mut out = Vec::new();
-    {
-        use Insn::*;
-        match *insn {
-            MovImm(d, _) => out.push(Atom::new(OpKind::IntAlu, vec![], vec![ireg(d)])),
-            Mov(d, s) => out.push(Atom::new(OpKind::IntAlu, vec![ireg(s)], vec![ireg(d)])),
-            Add(d, s) | Sub(d, s) | And(d, s) | Or(d, s) | Xor(d, s) => out.push(Atom::new(
-                OpKind::IntAlu,
-                vec![ireg(d), ireg(s)],
-                vec![ireg(d)],
-            )),
-            AddImm(d, _) | AndImm(d, _) | Shl(d, _) | Shr(d, _) | Sar(d, _) => {
-                out.push(Atom::new(OpKind::IntAlu, vec![ireg(d)], vec![ireg(d)]))
-            }
-            IMul(d, s) => out.push(Atom::new(
-                OpKind::IntMul,
-                vec![ireg(d), ireg(s)],
-                vec![ireg(d)],
-            )),
-            Load(d, ref a) => out.push(Atom::new(OpKind::Load, addr_reads(a), vec![ireg(d)])),
-            Store(ref a, s) => {
-                let mut reads = addr_reads(a);
-                reads.push(ireg(s));
-                out.push(Atom::new(OpKind::Store, reads, vec![MEM_TOKEN]));
-            }
-            FLoad(d, ref a) => out.push(Atom::new(OpKind::Load, addr_reads(a), vec![freg(d)])),
-            FStore(ref a, s) => {
-                let mut reads = addr_reads(a);
-                reads.push(freg(s));
-                out.push(Atom::new(OpKind::Store, reads, vec![MEM_TOKEN]));
-            }
-            FMovImm(d, _) => out.push(Atom::new(OpKind::FpMov, vec![], vec![freg(d)])),
-            FMov(d, s) => out.push(Atom::new(OpKind::FpMov, vec![freg(s)], vec![freg(d)])),
-            FAdd(d, s) | FSub(d, s) => out.push(Atom::new(
-                OpKind::FpAdd,
-                vec![freg(d), freg(s)],
-                vec![freg(d)],
-            )),
-            FMul(d, s) => out.push(Atom::new(
-                OpKind::FpMul,
-                vec![freg(d), freg(s)],
-                vec![freg(d)],
-            )),
-            FDiv(d, s) => {
-                if cfg.hw_div {
-                    out.push(Atom::new(
-                        OpKind::FpDiv,
-                        vec![freg(d), freg(s)],
-                        vec![freg(d)],
-                    ));
-                } else {
-                    soft_div(d, s, &mut temps, &mut out);
-                }
-            }
-            FSqrt(d) => {
-                if cfg.hw_sqrt {
-                    // The benchmark calls the math *library*: the fsqrt
-                    // instruction sits inside a function call with x87
-                    // control-word saves/restores (fstcw/fldcw — FPU-port
-                    // operations that are partially serializing) plus
-                    // stack and errno bookkeeping. Model the wrapper as
-                    // chained FPU-port moves around the FpSqrt so the
-                    // overhead occupies the (single) FP pipe the way the
-                    // real sequence did.
-                    let mut prev = temps.fresh();
-                    out.push(Atom::new(OpKind::FpMov, vec![], vec![prev]));
-                    for _ in 0..9 {
-                        let t = temps.fresh();
-                        out.push(Atom::new(OpKind::FpMov, vec![prev], vec![t]));
-                        prev = t;
-                    }
-                    out.push(Atom::new(
-                        OpKind::FpSqrt,
-                        vec![freg(d), prev],
-                        vec![freg(d)],
-                    ));
-                    let mut tail = freg(d);
-                    for _ in 0..10 {
-                        let t = temps.fresh();
-                        out.push(Atom::new(OpKind::FpMov, vec![tail], vec![t]));
-                        tail = t;
-                    }
-                    out.push(Atom::new(OpKind::FpMov, vec![tail], vec![freg(d)]));
-                } else {
-                    soft_sqrt(d, &mut temps, &mut out);
-                }
-            }
-            FAddMem(d, ref a) => {
-                let t = temps.fresh();
-                out.push(Atom::new(OpKind::Load, addr_reads(a), vec![t]));
-                out.push(Atom::new(OpKind::FpAdd, vec![freg(d), t], vec![freg(d)]));
-            }
-            FMulMem(d, ref a) => {
-                let t = temps.fresh();
-                out.push(Atom::new(OpKind::Load, addr_reads(a), vec![t]));
-                out.push(Atom::new(OpKind::FpMul, vec![freg(d), t], vec![freg(d)]));
-            }
-            Cvtsi2sd(d, s) => out.push(Atom::new(OpKind::FpMov, vec![ireg(s)], vec![freg(d)])),
-            Cvtsd2si(d, s) => out.push(Atom::new(OpKind::FpMov, vec![freg(s)], vec![ireg(d)])),
-            FBits(d, s) => out.push(Atom::new(OpKind::FpMov, vec![ireg(s)], vec![freg(d)])),
-            IBits(d, s) => out.push(Atom::new(OpKind::FpMov, vec![freg(s)], vec![ireg(d)])),
-            Cmp(a, b) => out.push(Atom::new(
-                OpKind::IntAlu,
-                vec![ireg(a), ireg(b)],
-                vec![FLAGS],
-            )),
-            CmpImm(a, _) => out.push(Atom::new(OpKind::IntAlu, vec![ireg(a)], vec![FLAGS])),
-            FCmp(a, b) => out.push(Atom::new(
-                OpKind::FpAdd,
-                vec![freg(a), freg(b)],
-                vec![FLAGS],
-            )),
-            Jcc(_, _) => out.push(Atom::new(OpKind::Branch, vec![FLAGS], vec![])),
-            Jmp(_) | Halt => out.push(Atom::new(OpKind::Branch, vec![], vec![])),
+    match *insn {
+        MovImm(d, _) => out.push(Atom::new(OpKind::IntAlu, &[], &[ireg(d)])),
+        Mov(d, s) => out.push(Atom::new(OpKind::IntAlu, &[ireg(s)], &[ireg(d)])),
+        Add(d, s) | Sub(d, s) | And(d, s) | Or(d, s) | Xor(d, s) => {
+            out.push(Atom::new(OpKind::IntAlu, &[ireg(d), ireg(s)], &[ireg(d)]))
         }
+        AddImm(d, _) | AndImm(d, _) | Shl(d, _) | Shr(d, _) | Sar(d, _) => {
+            out.push(Atom::new(OpKind::IntAlu, &[ireg(d)], &[ireg(d)]))
+        }
+        IMul(d, s) => out.push(Atom::new(OpKind::IntMul, &[ireg(d), ireg(s)], &[ireg(d)])),
+        Load(d, ref a) => out.push(mem_atom(OpKind::Load, a, None, ireg(d))),
+        Store(ref a, s) => out.push(mem_atom(OpKind::Store, a, Some(ireg(s)), MEM_TOKEN)),
+        FLoad(d, ref a) => out.push(mem_atom(OpKind::Load, a, None, freg(d))),
+        FStore(ref a, s) => out.push(mem_atom(OpKind::Store, a, Some(freg(s)), MEM_TOKEN)),
+        FMovImm(d, _) => out.push(Atom::new(OpKind::FpMov, &[], &[freg(d)])),
+        FMov(d, s) => out.push(Atom::new(OpKind::FpMov, &[freg(s)], &[freg(d)])),
+        FAdd(d, s) | FSub(d, s) => {
+            out.push(Atom::new(OpKind::FpAdd, &[freg(d), freg(s)], &[freg(d)]))
+        }
+        FMul(d, s) => out.push(Atom::new(OpKind::FpMul, &[freg(d), freg(s)], &[freg(d)])),
+        FDiv(d, s) if cfg.hw_div => {
+            out.push(Atom::new(OpKind::FpDiv, &[freg(d), freg(s)], &[freg(d)]))
+        }
+        FDiv(d, s) => soft_div(d, s, &mut temps, out),
+        FSqrt(d) if cfg.hw_sqrt => libm_sqrt(d, &mut temps, out),
+        FSqrt(d) => soft_sqrt(d, &mut temps, out),
+        FAddMem(d, ref a) => {
+            let t = temps.fresh();
+            out.push(mem_atom(OpKind::Load, a, None, t));
+            out.push(Atom::new(OpKind::FpAdd, &[freg(d), t], &[freg(d)]));
+        }
+        FMulMem(d, ref a) => {
+            let t = temps.fresh();
+            out.push(mem_atom(OpKind::Load, a, None, t));
+            out.push(Atom::new(OpKind::FpMul, &[freg(d), t], &[freg(d)]));
+        }
+        Cvtsi2sd(d, s) => out.push(Atom::new(OpKind::FpMov, &[ireg(s)], &[freg(d)])),
+        Cvtsd2si(d, s) => out.push(Atom::new(OpKind::FpMov, &[freg(s)], &[ireg(d)])),
+        FBits(d, s) => out.push(Atom::new(OpKind::FpMov, &[ireg(s)], &[freg(d)])),
+        IBits(d, s) => out.push(Atom::new(OpKind::FpMov, &[freg(s)], &[ireg(d)])),
+        Cmp(a, b) => out.push(Atom::new(OpKind::IntAlu, &[ireg(a), ireg(b)], &[FLAGS])),
+        CmpImm(a, _) => out.push(Atom::new(OpKind::IntAlu, &[ireg(a)], &[FLAGS])),
+        FCmp(a, b) => out.push(Atom::new(OpKind::FpAdd, &[freg(a), freg(b)], &[FLAGS])),
+        Jcc(_, _) => out.push(Atom::new(OpKind::Branch, &[FLAGS], &[])),
+        Jmp(_) | Halt => out.push(Atom::new(OpKind::Branch, &[], &[])),
     }
     *temps_next = temps.next;
-    out
 }
 
 /// Crack a straight-line instruction slice (one basic block) into atoms.
 pub fn crack_block(insns: &[Insn], cfg: CrackConfig) -> Vec<Atom> {
     let mut temps_next = FIRST_TEMP;
-    let mut atoms = Vec::new();
+    let mut atoms = Vec::with_capacity(2 * insns.len());
     for insn in insns {
-        atoms.extend(crack_insn(insn, cfg, &mut temps_next));
+        crack_insn(insn, cfg, &mut temps_next, &mut atoms);
     }
     atoms
 }
@@ -342,15 +366,21 @@ pub fn fuse_fma(atoms: &[Atom]) -> Vec<Atom> {
             }
             if let Some(j) = reader {
                 if uses == 1 && atoms[j].kind == OpKind::FpAdd && !consumed[j] {
-                    let mut reads: Vec<u16> = a.reads.clone();
-                    reads.extend(atoms[j].reads.iter().copied().filter(|&r| r != t));
-                    out.push(Atom::new(OpKind::FpFma, reads, atoms[j].writes.clone()));
+                    let mut reads = a.reads;
+                    for &r in atoms[j].reads.iter().filter(|&&r| r != t) {
+                        reads.push(r);
+                    }
+                    out.push(Atom {
+                        kind: OpKind::FpFma,
+                        reads,
+                        writes: atoms[j].writes,
+                    });
                     consumed[j] = true;
                     continue;
                 }
             }
         }
-        out.push(a.clone());
+        out.push(*a);
     }
     out
 }
@@ -360,17 +390,24 @@ mod tests {
     use super::*;
     use crate::isa::Cond;
 
+    /// The atoms of one instruction, temporaries numbered from `*t`.
+    fn crack_one(insn: &Insn, cfg: CrackConfig, t: &mut u16) -> Vec<Atom> {
+        let mut out = Vec::new();
+        crack_insn(insn, cfg, t, &mut out);
+        out
+    }
+
     #[test]
     fn simple_ops_crack_to_one_atom() {
         let cfg = CrackConfig::full_hardware();
         let mut t = FIRST_TEMP;
-        assert_eq!(crack_insn(&Insn::Add(Reg(0), Reg(1)), cfg, &mut t).len(), 1);
+        assert_eq!(crack_one(&Insn::Add(Reg(0), Reg(1)), cfg, &mut t).len(), 1);
         assert_eq!(
-            crack_insn(&Insn::FMul(FReg(0), FReg(1)), cfg, &mut t).len(),
+            crack_one(&Insn::FMul(FReg(0), FReg(1)), cfg, &mut t).len(),
             1
         );
         // FSqrt cracks to the libm-call wrapper around the hardware op.
-        let sqrt_atoms = crack_insn(&Insn::FSqrt(FReg(0)), cfg, &mut t);
+        let sqrt_atoms = crack_one(&Insn::FSqrt(FReg(0)), cfg, &mut t);
         assert!(sqrt_atoms.iter().any(|a| a.kind == OpKind::FpSqrt));
         assert!(sqrt_atoms.len() > 10, "libm wrapper expected");
     }
@@ -379,7 +416,7 @@ mod tests {
     fn cisc_memory_form_cracks_to_two_atoms() {
         let cfg = CrackConfig::full_hardware();
         let mut t = FIRST_TEMP;
-        let atoms = crack_insn(&Insn::FAddMem(FReg(0), Addr::base(Reg(1), 8)), cfg, &mut t);
+        let atoms = crack_one(&Insn::FAddMem(FReg(0), Addr::base(Reg(1), 8)), cfg, &mut t);
         assert_eq!(atoms.len(), 2);
         assert_eq!(atoms[0].kind, OpKind::Load);
         assert_eq!(atoms[1].kind, OpKind::FpAdd);
@@ -391,7 +428,7 @@ mod tests {
     fn software_sqrt_expands_without_sqrt_atoms() {
         let cfg = CrackConfig::crusoe();
         let mut t = FIRST_TEMP;
-        let atoms = crack_insn(&Insn::FSqrt(FReg(2)), cfg, &mut t);
+        let atoms = crack_one(&Insn::FSqrt(FReg(2)), cfg, &mut t);
         assert!(
             atoms.len() > 10,
             "expected a long sequence, got {}",
@@ -399,7 +436,7 @@ mod tests {
         );
         assert!(atoms.iter().all(|a| a.kind != OpKind::FpSqrt));
         // The architected register is the final write.
-        assert_eq!(atoms.last().unwrap().writes, vec![freg(FReg(2))]);
+        assert_eq!(*atoms.last().unwrap().writes, [freg(FReg(2))]);
     }
 
     #[test]
@@ -429,13 +466,13 @@ mod tests {
     fn fma_fusion_merges_mul_add_chain() {
         // t = a*b ; d = d + t  →  d = fma(a,b,d)
         let atoms = vec![
-            Atom::new(OpKind::FpMul, vec![16, 17], vec![FIRST_TEMP]),
-            Atom::new(OpKind::FpAdd, vec![18, FIRST_TEMP], vec![18]),
+            Atom::new(OpKind::FpMul, &[16, 17], &[FIRST_TEMP]),
+            Atom::new(OpKind::FpAdd, &[18, FIRST_TEMP], &[18]),
         ];
         let fused = fuse_fma(&atoms);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].kind, OpKind::FpFma);
-        assert_eq!(fused[0].writes, vec![18]);
+        assert_eq!(*fused[0].writes, [18]);
         assert!(fused[0].reads.contains(&16) && fused[0].reads.contains(&17));
         assert!(fused[0].reads.contains(&18));
         assert!(!fused[0].reads.contains(&FIRST_TEMP));
@@ -444,9 +481,9 @@ mod tests {
     #[test]
     fn fma_fusion_skips_multi_use_temps() {
         let atoms = vec![
-            Atom::new(OpKind::FpMul, vec![16, 17], vec![FIRST_TEMP]),
-            Atom::new(OpKind::FpAdd, vec![18, FIRST_TEMP], vec![18]),
-            Atom::new(OpKind::FpAdd, vec![19, FIRST_TEMP], vec![19]),
+            Atom::new(OpKind::FpMul, &[16, 17], &[FIRST_TEMP]),
+            Atom::new(OpKind::FpAdd, &[18, FIRST_TEMP], &[18]),
+            Atom::new(OpKind::FpAdd, &[19, FIRST_TEMP], &[19]),
         ];
         assert_eq!(fuse_fma(&atoms).len(), 3);
     }

@@ -8,12 +8,19 @@
 //! translation cache. Subsequent executions run at the scheduled molecule
 //! cost. Values are identical on every path (see `isa::execute`); only the
 //! charged cycles differ.
-
-use std::collections::HashMap;
+//!
+//! Everything the engine knows about a block is indexed by the block's
+//! leader pc: the translation ([`TCache`]'s slots), the profile counter
+//! and the translation's atom mix (`Cms::blocks`), and the block's end
+//! ([`Program::block_ends`], once per run). A block execution is
+//! therefore a handful of indexed loads around the one step loop
+//! ([`interpret_block`]). Both paths execute the guest instructions in
+//! order, so a fault leaves the precise architected state by
+//! construction and nothing is snapshotted on entry to a translation.
 
 use crate::atoms::crack_block;
 use crate::interp::interpret_block;
-use crate::isa::{Insn, MachineState, MemFault, Step};
+use crate::isa::{MachineState, MemFault};
 use crate::molecule::OpKind;
 use crate::program::Program;
 use crate::schedule::{schedule_block, CoreParams};
@@ -124,8 +131,8 @@ pub struct CmsRunStats {
     /// Translated-block entries that chained directly from another
     /// translation (no dispatch overhead).
     pub chained_entries: u64,
-    /// Speculative translated blocks rolled back to a precise state after
-    /// a fault.
+    /// Translated blocks that faulted. Zero in every returned value: a
+    /// fault ends the run, and [`Cms::run`] returns it instead of stats.
     pub rollbacks: u64,
     /// Atoms executed in translated code, by [`OpKind::index`].
     pub atom_counts: [u64; OpKind::COUNT],
@@ -213,14 +220,23 @@ impl CmsRunStats {
 /// ```
 #[derive(Debug)]
 pub struct Cms {
-    /// Configuration (public for inspection; changing the core between
-    /// runs of the same program is allowed and simply produces fresh
-    /// translations as entries miss).
+    /// Configuration (public for inspection). Translations are keyed by
+    /// pc alone: after a change of `core` or `generation` the blocks
+    /// already translated keep hitting with the old core's schedule. To
+    /// re-translate, boot a fresh `Cms` with the new configuration.
     pub config: CmsConfig,
     tcache: TCache,
-    profile: HashMap<usize, u64>,
-    /// Atom kinds per translated block, for energy accounting.
-    block_atoms: HashMap<usize, [u64; OpKind::COUNT]>,
+    /// Indexed by block-leader pc; grows to the longest program run.
+    blocks: Vec<Block>,
+}
+
+/// What the engine keeps per guest block besides its translation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    /// Interpreted executions so far (the profile counter).
+    executions: u64,
+    /// Atom kinds of the installed translation, for energy accounting.
+    atoms: [u64; OpKind::COUNT],
 }
 
 impl Cms {
@@ -229,8 +245,7 @@ impl Cms {
         Self {
             config,
             tcache: TCache::new(config.tcache_capacity_bits),
-            profile: HashMap::new(),
-            block_atoms: HashMap::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -244,87 +259,40 @@ impl Cms {
     /// pages and flushes on a hit; our guest keeps code and data in
     /// separate spaces, so invalidation is exposed as an explicit API for
     /// loaders/JIT-style guests). Profile counts reset too, so the block
-    /// must re-prove itself hot.
+    /// must re-prove itself hot. Only what is removed changes: no lookup
+    /// is counted and no other entry's LRU position moves.
     pub fn invalidate(&mut self, at: usize) {
-        let covering: Vec<usize> = self
-            .block_atoms
-            .keys()
-            .copied()
-            .filter(|&start| start <= at)
-            .collect();
-        for start in covering {
-            // Only flush if the cached entry actually covers `at`.
-            if let Some(entry) = self.tcache.lookup(start) {
-                if at < entry.end {
-                    self.tcache.remove(start);
-                    self.block_atoms.remove(&start);
-                    self.profile.remove(&start);
-                }
+        for start in 0..self.blocks.len().min(at.saturating_add(1)) {
+            if self.tcache.peek(start).is_some_and(|entry| at < entry.end) {
+                self.tcache.remove(start);
+                self.blocks[start] = Block::default();
             }
         }
     }
 
-    /// Execute the block semantically and return the next pc.
-    fn execute_block_semantics(
-        state: &mut MachineState,
-        insns: &[Insn],
-        start: usize,
-        end: usize,
-    ) -> Result<(u64, Option<usize>), MemFault> {
-        let mut pc = start;
-        let mut executed = 0u64;
-        while pc < end {
-            let step = state.execute(&insns[pc])?;
-            executed += 1;
-            match step {
-                Step::Next => pc += 1,
-                Step::Jump(t) => return Ok((executed, Some(t))),
-                Step::Halted => return Ok((executed, None)),
-            }
+    /// Crack and schedule the hot block `[pc, end)`, charge the one-time
+    /// translation cost and install the result in the translation cache.
+    fn translate(&mut self, program: &Program, pc: usize, end: usize, stats: &mut CmsRunStats) {
+        let atoms = crack_block(&program.insns[pc..end], self.config.core.crack);
+        let mut counts = [0u64; OpKind::COUNT];
+        for a in &atoms {
+            counts[a.kind.index()] += 1;
         }
-        Ok((executed, Some(end)))
-    }
-
-    /// Architected-state snapshot for shadow-register rollback (registers
-    /// and flags; the real Crusoe additionally gates stores through a
-    /// store buffer, which our block-granularity model folds into the
-    /// re-interpretation).
-    fn snapshot(
-        state: &MachineState,
-    ) -> (
-        [i64; crate::isa::NUM_REGS],
-        [f64; crate::isa::NUM_FREGS],
-        bool,
-        bool,
-        usize,
-    ) {
-        (
-            state.regs,
-            state.fregs,
-            state.flag_lt,
-            state.flag_eq,
-            state.pc,
-        )
-    }
-
-    fn restore(
-        state: &mut MachineState,
-        snap: (
-            [i64; crate::isa::NUM_REGS],
-            [f64; crate::isa::NUM_FREGS],
-            bool,
-            bool,
-            usize,
-        ),
-    ) {
-        state.regs = snap.0;
-        state.fregs = snap.1;
-        state.flag_lt = snap.2;
-        state.flag_eq = snap.3;
-        state.pc = snap.4;
+        let schedule = schedule_block(&atoms, &self.config.core);
+        let cost = self.config.translate_cycles_per_insn * (end - pc) as u64;
+        stats.translate_cycles += cost;
+        stats.total_cycles += cost;
+        stats.translations += 1;
+        if self.tcache.insert(pc, end, schedule) {
+            self.blocks[pc].atoms = counts;
+        }
     }
 
     /// Run a program from `state.pc` until it executes `Halt`.
+    ///
+    /// On a memory fault the architected state is the precise in-order
+    /// state at the faulting instruction — what pure interpretation
+    /// leaves — whether the faulting block ran interpreted or translated.
     pub fn run(
         &mut self,
         program: &Program,
@@ -332,13 +300,12 @@ impl Cms {
     ) -> Result<CmsRunStats, MemFault> {
         let mut stats = CmsRunStats::default();
         let factor = self.config.generation.translated_cycle_factor();
-        let mut pc = state.pc;
-        // Precompute block boundaries once (leader → block end).
-        let leaders = program.leaders();
-        let mut block_end: HashMap<usize, usize> = HashMap::new();
-        for &l in &leaders {
-            block_end.insert(l, program.block_at(l).end);
+        let interp_cycles_per_insn = self.config.generation.interp_cycles_per_insn();
+        let ends = program.block_ends();
+        if self.blocks.len() < ends.len() {
+            self.blocks.resize(ends.len(), Block::default());
         }
+        let mut pc = state.pc;
         // Chaining: a translated block whose successor is also translated
         // jumps straight into it — the dispatch overhead is paid only on
         // interpreter→translation transitions ("caching and reusing
@@ -346,14 +313,7 @@ impl Cms {
         let mut chained_from_translation = false;
         loop {
             stats.block_executions += 1;
-            let end = *block_end
-                .entry(pc)
-                .or_insert_with(|| program.block_at(pc).end);
             let next = if let Some(entry) = self.tcache.lookup(pc) {
-                // Execute from the translation cache, with shadow-register
-                // rollback: if the block faults, restore architected state
-                // and re-run it through the interpreter so the exception
-                // is delivered at a precise instruction boundary.
                 let dispatch = if chained_from_translation {
                     stats.chained_entries += 1;
                     0
@@ -361,70 +321,32 @@ impl Cms {
                     self.config.block_entry_overhead
                 };
                 let cycles = ((entry.schedule.cycles as f64 * factor).ceil() as u64) + dispatch;
-                let entry_end = entry.end;
-                let snap = Self::snapshot(state);
-                match Self::execute_block_semantics(state, &program.insns, pc, entry_end) {
-                    Ok((insns, next)) => {
-                        stats.translated_insns += insns;
-                        stats.translated_cycles += cycles;
-                        stats.total_cycles += cycles;
-                        if let Some(counts) = self.block_atoms.get(&pc) {
-                            for (acc, c) in stats.atom_counts.iter_mut().zip(counts) {
-                                *acc += c;
-                            }
-                        }
-                        chained_from_translation = true;
-                        next
-                    }
-                    Err(_) => {
-                        // Rollback + precise re-interpretation. Charge the
-                        // wasted speculative cycles plus the rollback cost.
-                        Self::restore(state, snap);
-                        stats.rollbacks += 1;
-                        stats.total_cycles += cycles + 20;
-                        chained_from_translation = false;
-                        let r = interpret_block(
-                            state,
-                            &program.insns,
-                            pc,
-                            end,
-                            self.config.generation.interp_cycles_per_insn(),
-                        )?; // the interpreter delivers the precise fault
-                        stats.interp_insns += r.insns;
-                        stats.interp_cycles += r.cycles;
-                        stats.total_cycles += r.cycles;
-                        r.next_pc
-                    }
+                // The molecules are a timing model; the values come from
+                // the guest instructions in order, so a fault here is
+                // already at a precise instruction boundary. The faulting
+                // run's stats are dropped with it.
+                let r = interpret_block(state, &program.insns, pc, entry.end)?;
+                stats.translated_insns += r.insns;
+                stats.translated_cycles += cycles;
+                stats.total_cycles += cycles;
+                for (acc, c) in stats.atom_counts.iter_mut().zip(&self.blocks[pc].atoms) {
+                    *acc += c;
                 }
+                chained_from_translation = true;
+                r.next_pc
             } else {
                 chained_from_translation = false;
                 // Interpret, profile, maybe translate for next time.
-                let r = interpret_block(
-                    state,
-                    &program.insns,
-                    pc,
-                    end,
-                    self.config.generation.interp_cycles_per_insn(),
-                )?;
+                assert!(pc < ends.len(), "pc {pc} out of range");
+                let end = ends[pc];
+                let r = interpret_block(state, &program.insns, pc, end)?;
+                let cycles = r.insns * interp_cycles_per_insn;
                 stats.interp_insns += r.insns;
-                stats.interp_cycles += r.cycles;
-                stats.total_cycles += r.cycles;
-                let count = self.profile.entry(pc).or_insert(0);
-                *count += 1;
-                if *count >= self.config.hot_threshold {
-                    let atoms = crack_block(&program.insns[pc..end], self.config.core.crack);
-                    let mut counts = [0u64; OpKind::COUNT];
-                    for a in &atoms {
-                        counts[a.kind.index()] += 1;
-                    }
-                    let schedule = schedule_block(&atoms, &self.config.core);
-                    let cost = self.config.translate_cycles_per_insn * (end - pc) as u64;
-                    stats.translate_cycles += cost;
-                    stats.total_cycles += cost;
-                    stats.translations += 1;
-                    if self.tcache.insert(pc, end, schedule) {
-                        self.block_atoms.insert(pc, counts);
-                    }
+                stats.interp_cycles += cycles;
+                stats.total_cycles += cycles;
+                self.blocks[pc].executions += 1;
+                if self.blocks[pc].executions >= self.config.hot_threshold {
+                    self.translate(program, pc, end, &mut stats);
                 }
                 r.next_pc
             };
@@ -442,7 +364,7 @@ impl Cms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Cond, Reg};
+    use crate::isa::{Cond, Insn, Reg};
     use crate::program::ProgramBuilder;
 
     /// r0 counts down from `n`; r1 accumulates the sum of r0 values.
@@ -577,12 +499,19 @@ mod tests {
     }
 
     #[test]
-    fn rollback_statistics_are_reported() {
+    fn faulting_read_modify_write_block_is_applied_once() {
+        // The faulting block increments mem[0] before the load that walks
+        // off the end: a fault path that re-runs the block from its start
+        // would apply the increment twice.
         let mut b = ProgramBuilder::new();
         let top = b.label();
-        b.push(Insn::MovImm(Reg(0), 100));
+        b.push(Insn::MovImm(Reg(0), 200));
         b.push(Insn::MovImm(Reg(2), 0));
+        b.push(Insn::MovImm(Reg(4), 1));
         b.bind(top);
+        b.push(Insn::Load(Reg(1), crate::isa::Addr::abs(0)));
+        b.push(Insn::Add(Reg(1), Reg(4)));
+        b.push(Insn::Store(crate::isa::Addr::abs(0), Reg(1)));
         b.push(Insn::Load(Reg(3), crate::isa::Addr::base(Reg(2), 0)));
         b.push(Insn::AddImm(Reg(2), 1));
         b.push(Insn::AddImm(Reg(0), -1));
@@ -590,18 +519,24 @@ mod tests {
         b.jcc(Cond::Gt, top);
         b.push(Insn::Halt);
         let prog = b.finish();
-        let mut cms = Cms::new(CmsConfig::metablade());
-        let mut st = MachineState::new(40); // faults at index 40 < 100
-        let _ = cms.run(&prog, &mut st);
-        // The final run errors, so stats are lost — run a fresh CMS and
-        // catch the state by looking at a run that survives: fault at the
-        // very last iteration is awkward; instead verify through a
-        // successful run that rollbacks stay zero.
-        let mut ok = Cms::new(CmsConfig::metablade());
-        let mut st_ok = MachineState::new(200);
-        let stats = ok.run(&prog, &mut st_ok).unwrap();
-        assert_eq!(stats.rollbacks, 0);
-        assert!(stats.chained_entries > 0, "hot loop should chain");
+        let mut cfg_interp = CmsConfig::metablade();
+        cfg_interp.hot_threshold = u64::MAX;
+        let mut st_ref = MachineState::new(64);
+        let err_ref = Cms::new(cfg_interp).run(&prog, &mut st_ref).unwrap_err();
+        assert_eq!((err_ref.addr, st_ref.mem[0]), (64, 65));
+        let mut st = MachineState::new(64);
+        let err = Cms::new(CmsConfig::metablade())
+            .run(&prog, &mut st)
+            .unwrap_err();
+        assert_eq!(err.addr, err_ref.addr, "fault address must be precise");
+        assert_eq!(st.mem, st_ref.mem, "memory at the fault must match");
+        assert_eq!(st.regs, st_ref.regs, "registers at the fault must match");
+        assert_eq!(st.fregs, st_ref.fregs);
+        assert_eq!(
+            (st.flag_lt, st.flag_eq),
+            (st_ref.flag_lt, st_ref.flag_eq),
+            "flags at the fault must match"
+        );
     }
 
     #[test]
@@ -625,6 +560,61 @@ mod tests {
             "must retranslate after invalidation"
         );
         assert!(second.interp_insns > 0);
+    }
+
+    #[test]
+    fn invalidation_counts_no_lookup() {
+        let prog = countdown_program(5_000);
+        let mut cms = Cms::new(CmsConfig::metablade());
+        cms.run(&prog, &mut MachineState::new(4)).unwrap();
+        let before = cms.tcache().stats;
+        let entries_before = cms.tcache().len();
+        cms.invalidate(3);
+        assert!(cms.tcache().len() < entries_before, "the loop body went");
+        assert_eq!(cms.tcache().stats, before, "inspection is not a lookup");
+    }
+
+    #[test]
+    fn invalidation_that_covers_nothing_changes_nothing() {
+        // Two hot loops, A then B, then a cold tail; A is the LRU entry.
+        let mut b = ProgramBuilder::new();
+        let (loop_a, loop_b) = (b.label(), b.label());
+        b.push(Insn::MovImm(Reg(0), 100));
+        b.bind(loop_a);
+        b.push(Insn::AddImm(Reg(0), -1));
+        b.push(Insn::CmpImm(Reg(0), 0));
+        b.jcc(Cond::Gt, loop_a);
+        b.push(Insn::MovImm(Reg(0), 100));
+        b.bind(loop_b);
+        b.push(Insn::AddImm(Reg(0), -1));
+        b.push(Insn::CmpImm(Reg(0), 0));
+        b.jcc(Cond::Gt, loop_b);
+        b.push(Insn::Halt);
+        let prog = b.finish();
+        let (pc_a, pc_b, tail) = (1, 5, 8);
+        // Size the cache to hold exactly the two loops' translations.
+        let mut probe = Cms::new(CmsConfig::metablade());
+        probe.run(&prog, &mut MachineState::new(4)).unwrap();
+        let mut config = CmsConfig::metablade();
+        config.tcache_capacity_bits = probe.tcache().used_bits();
+        let mut cms = Cms::new(config);
+        cms.run(&prog, &mut MachineState::new(4)).unwrap();
+        assert_eq!(cms.tcache().len(), 2);
+
+        let before = cms.tcache().stats;
+        cms.invalidate(tail);
+        assert_eq!(cms.tcache().stats, before);
+        assert_eq!(cms.tcache().len(), 2);
+        // The next insertion under pressure still evicts A, not B.
+        let stall = schedule_block(&[], &config.core);
+        let one_molecule = crate::schedule::BlockSchedule {
+            molecules: vec![Default::default()],
+            code_bits: 64,
+            ..stall
+        };
+        assert!(cms.tcache.insert(tail, tail + 1, one_molecule));
+        assert!(cms.tcache.peek(pc_a).is_none(), "A was the LRU entry");
+        assert!(cms.tcache.peek(pc_b).is_some());
     }
 
     #[test]

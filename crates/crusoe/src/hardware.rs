@@ -15,10 +15,9 @@
 //! bandwidths) from vendor documentation of the period; EXPERIMENTS.md
 //! documents them per CPU.
 
-use std::collections::HashMap;
-
 use crate::atoms::crack_block;
-use crate::isa::{MachineState, MemFault, Step};
+use crate::interp::interpret_block;
+use crate::isa::{Insn, MachineState, MemFault};
 use crate::program::Program;
 use crate::schedule::{schedule_block, CoreParams, Latencies, SlotLimits};
 
@@ -101,7 +100,29 @@ pub struct HwCpu {
 impl HwCpu {
     /// Execute a guest program by instruction-level simulation, returning
     /// the charged cycles. Blocks are cracked and scheduled once and
-    /// memoized, as a real core's decoded-µop/trace cache would.
+    /// memoized by leader pc, as a real core's decoded-µop/trace cache
+    /// would.
+    pub fn run(&self, program: &Program, state: &mut MachineState) -> Result<u64, MemFault> {
+        let ends = program.block_ends();
+        let mut per_exec: Vec<Option<f64>> = vec![None; ends.len()];
+        let mut cycles = 0f64;
+        let mut pc = state.pc;
+        loop {
+            assert!(pc < ends.len(), "pc {pc} out of range");
+            let end = ends[pc];
+            cycles +=
+                *per_exec[pc].get_or_insert_with(|| self.block_cycles(&program.insns[pc..end], pc));
+            match interpret_block(state, &program.insns, pc, end)?.next_pc {
+                Some(t) => pc = t,
+                None => break,
+            }
+        }
+        state.pc = pc;
+        Ok(cycles.ceil() as u64)
+    }
+
+    /// Cycles charged per execution of the block `insns` starting at
+    /// guest pc `start`.
     ///
     /// Self-looping blocks (tight loops whose back-edge targets their own
     /// leader) are charged at their **steady-state** rate: the scheduler
@@ -112,64 +133,23 @@ impl HwCpu {
     /// inside the concatenated schedule. (In-order cores, `window = 0`,
     /// gain nothing, and the CMS translator intentionally stays
     /// block-at-a-time: CMS 4.x did not software-pipeline.)
-    pub fn run(&self, program: &Program, state: &mut MachineState) -> Result<u64, MemFault> {
-        let mut schedules: HashMap<usize, (usize, f64)> = HashMap::new();
-        let mut cycles = 0f64;
-        let mut pc = state.pc;
-        loop {
-            let (end, sched) = match schedules.get(&pc) {
-                Some(&(end, c)) => (end, c),
-                None => {
-                    let range = program.block_at(pc);
-                    let insns = &program.insns[range.clone()];
-                    let atoms = crack_block(insns, self.params.crack);
-                    let once = schedule_block(&atoms, &self.params).cycles;
-                    let self_loop = insns
-                        .last()
-                        .and_then(|i| i.target())
-                        .is_some_and(|t| t == range.start);
-                    let per_exec = if self_loop && self.params.window > 0 && once > 0 {
-                        const COPIES: usize = 4;
-                        let mut unrolled = Vec::with_capacity(insns.len() * COPIES);
-                        for _ in 0..COPIES {
-                            unrolled.extend_from_slice(insns);
-                        }
-                        let uat = crack_block(&unrolled, self.params.crack);
-                        let total = schedule_block(&uat, &self.params).cycles;
-                        // Marginal steady-state cost per iteration.
-                        let marginal = (total.saturating_sub(once)) as f64 / (COPIES - 1) as f64;
-                        marginal.max(1.0)
-                    } else {
-                        once.max(1) as f64
-                    };
-                    schedules.insert(pc, (range.end, per_exec));
-                    (range.end, per_exec)
-                }
-            };
-            cycles += sched;
-            // Semantics.
-            let mut cur = pc;
-            let mut next = Some(end);
-            while cur < end {
-                match state.execute(&program.insns[cur])? {
-                    Step::Next => cur += 1,
-                    Step::Jump(t) => {
-                        next = Some(t);
-                        break;
-                    }
-                    Step::Halted => {
-                        next = None;
-                        break;
-                    }
-                }
-            }
-            match next {
-                Some(t) => pc = t,
-                None => break,
-            }
+    fn block_cycles(&self, insns: &[Insn], start: usize) -> f64 {
+        let atoms = crack_block(insns, self.params.crack);
+        let once = schedule_block(&atoms, &self.params).cycles;
+        let self_loop = insns
+            .last()
+            .and_then(|i| i.target())
+            .is_some_and(|t| t == start);
+        if self_loop && self.params.window > 0 && once > 0 {
+            const COPIES: usize = 4;
+            let unrolled = crack_block(&insns.repeat(COPIES), self.params.crack);
+            let total = schedule_block(&unrolled, &self.params).cycles;
+            // Marginal steady-state cost per iteration.
+            let marginal = (total.saturating_sub(once)) as f64 / (COPIES - 1) as f64;
+            marginal.max(1.0)
+        } else {
+            once.max(1) as f64
         }
-        state.pc = pc;
-        Ok(cycles.ceil() as u64)
     }
 
     /// Analytic execution-time estimate (seconds) for a kernel described

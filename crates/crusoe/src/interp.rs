@@ -7,59 +7,47 @@
 //!
 //! Interpretation is semantically identical to translated execution but
 //! costs a fixed number of VLIW cycles per guest instruction (the decode /
-//! dispatch / bookkeeping loop of the interpreter itself).
+//! dispatch / bookkeeping loop of the interpreter itself), which
+//! [`crate::cms::Cms`] charges per instruction reported here.
 
 use crate::isa::{Insn, MachineState, MemFault, Step};
 
-/// Result of interpreting one basic block.
+/// Result of executing one basic block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterpResult {
-    /// Guest instructions interpreted.
+    /// Guest instructions executed.
     pub insns: u64,
-    /// VLIW cycles charged.
-    pub cycles: u64,
     /// Where control goes next (`None` after `Halt`).
     pub next_pc: Option<usize>,
 }
 
-/// Interpret the straight-line block `insns[start..end]`, charging
-/// `cycles_per_insn` for every guest instruction executed.
+/// Execute the straight-line block `insns[start..end]` in order. This is
+/// the one block step loop of the crate: the interpreter, translated
+/// execution and the hardware models all run it, and each charges its
+/// own cycles for the instructions it reports.
 ///
 /// The block may exit early only through its final control instruction;
-/// non-control instructions always fall through.
+/// non-control instructions always fall through. On a fault the state is
+/// the precise in-order state at the faulting instruction.
 pub fn interpret_block(
     state: &mut MachineState,
     insns: &[Insn],
     start: usize,
     end: usize,
-    cycles_per_insn: u64,
 ) -> Result<InterpResult, MemFault> {
-    let mut executed = 0u64;
-    let mut pc = start;
-    while pc < end {
-        let step = state.execute(&insns[pc])?;
-        executed += 1;
-        match step {
-            Step::Next => pc += 1,
-            Step::Jump(t) => {
-                return Ok(InterpResult {
-                    insns: executed,
-                    cycles: executed * cycles_per_insn,
-                    next_pc: Some(t),
-                })
-            }
-            Step::Halted => {
-                return Ok(InterpResult {
-                    insns: executed,
-                    cycles: executed * cycles_per_insn,
-                    next_pc: None,
-                })
-            }
-        }
+    for (i, insn) in insns[start..end].iter().enumerate() {
+        let next_pc = match state.execute(insn)? {
+            Step::Next => continue,
+            Step::Jump(t) => Some(t),
+            Step::Halted => None,
+        };
+        return Ok(InterpResult {
+            insns: i as u64 + 1,
+            next_pc,
+        });
     }
     Ok(InterpResult {
-        insns: executed,
-        cycles: executed * cycles_per_insn,
+        insns: (end - start) as u64,
         next_pc: Some(end),
     })
 }
@@ -77,9 +65,8 @@ mod tests {
             Insn::MovImm(Reg(1), 1),
         ];
         let mut st = MachineState::new(4);
-        let r = interpret_block(&mut st, &insns, 0, 2, 20).unwrap();
+        let r = interpret_block(&mut st, &insns, 0, 2).unwrap();
         assert_eq!(r.insns, 2);
-        assert_eq!(r.cycles, 40);
         assert_eq!(r.next_pc, Some(2));
         assert_eq!(st.regs[0], 7);
         assert_eq!(st.regs[1], 0, "instruction beyond block not executed");
@@ -93,7 +80,7 @@ mod tests {
             Insn::MovImm(Reg(1), 9),
         ];
         let mut st = MachineState::new(4);
-        let r = interpret_block(&mut st, &insns, 0, 2, 10).unwrap();
+        let r = interpret_block(&mut st, &insns, 0, 2).unwrap();
         assert_eq!(r.next_pc, Some(5));
         assert_eq!(r.insns, 2);
     }
@@ -102,7 +89,7 @@ mod tests {
     fn untaken_branch_falls_through() {
         let insns = vec![Insn::CmpImm(Reg(0), 1), Insn::Jcc(Cond::Eq, 5)];
         let mut st = MachineState::new(4);
-        let r = interpret_block(&mut st, &insns, 0, 2, 10).unwrap();
+        let r = interpret_block(&mut st, &insns, 0, 2).unwrap();
         assert_eq!(r.next_pc, Some(2));
     }
 
@@ -110,7 +97,7 @@ mod tests {
     fn halt_ends_execution() {
         let insns = vec![Insn::Halt];
         let mut st = MachineState::new(4);
-        let r = interpret_block(&mut st, &insns, 0, 1, 10).unwrap();
+        let r = interpret_block(&mut st, &insns, 0, 1).unwrap();
         assert_eq!(r.next_pc, None);
         assert!(st.halted);
     }

@@ -53,6 +53,8 @@
 //! assert!(stats.total_cycles > 0);
 //! ```
 
+#![warn(clippy::too_many_lines)] // threshold in ../clippy.toml
+
 pub mod atoms;
 pub mod cms;
 pub mod disasm;

@@ -83,9 +83,10 @@ impl ProgramBuilder {
 }
 
 impl Program {
-    /// Indices of basic-block leaders: instruction 0, every branch target,
-    /// and every instruction after a control instruction.
-    pub fn leaders(&self) -> Vec<usize> {
+    /// Per instruction: does a basic block start here? True for
+    /// instruction 0, every branch target, and every instruction after a
+    /// control instruction.
+    fn leader_flags(&self) -> Vec<bool> {
         let mut leaders = vec![false; self.insns.len()];
         if !self.insns.is_empty() {
             leaders[0] = true;
@@ -101,10 +102,33 @@ impl Program {
             }
         }
         leaders
+    }
+
+    /// Indices of basic-block leaders: instruction 0, every branch target,
+    /// and every instruction after a control instruction.
+    pub fn leaders(&self) -> Vec<usize> {
+        self.leader_flags()
             .iter()
             .enumerate()
             .filter_map(|(i, &l)| l.then_some(i))
             .collect()
+    }
+
+    /// For every `pc`, the end of the basic block starting there —
+    /// `block_ends()[pc] == block_at(pc).end` — in one pass over the
+    /// program, for engines that look a block up on every execution.
+    pub fn block_ends(&self) -> Vec<usize> {
+        let leaders = self.leader_flags();
+        let n = self.insns.len();
+        let mut ends = vec![n; n];
+        for pc in (0..n.saturating_sub(1)).rev() {
+            ends[pc] = if self.insns[pc].is_control() || leaders[pc + 1] {
+                pc + 1
+            } else {
+                ends[pc + 1]
+            };
+        }
+        ends
     }
 
     /// The basic block starting at `pc`: the instruction range
@@ -113,20 +137,7 @@ impl Program {
     /// swallows another block's entry point).
     pub fn block_at(&self, pc: usize) -> std::ops::Range<usize> {
         assert!(pc < self.insns.len(), "pc {pc} out of range");
-        let leaders = self.leaders();
-        let next_leader = leaders
-            .iter()
-            .copied()
-            .find(|&l| l > pc)
-            .unwrap_or(self.insns.len());
-        let mut end = pc;
-        while end < self.insns.len() && end < next_leader {
-            end += 1;
-            if self.insns[end - 1].is_control() {
-                break;
-            }
-        }
-        pc..end
+        pc..self.block_ends()[pc]
     }
 
     /// Total instruction count.
@@ -185,6 +196,24 @@ mod tests {
         assert_eq!(p.block_at(0), 0..1); // stops before leader at 1
         assert_eq!(p.block_at(1), 1..4); // loop body through the Jcc
         assert_eq!(p.block_at(4), 4..5); // the halt
+    }
+
+    #[test]
+    fn block_ends_follow_the_definition_at_every_pc() {
+        use crate::kernels::{build_microkernel, MicrokernelVariant};
+        assert_eq!(counting_loop().block_ends(), vec![1, 4, 4, 4, 5]);
+        for variant in [MicrokernelVariant::KarpSqrt, MicrokernelVariant::MathSqrt] {
+            let p = build_microkernel(variant, 16, 2).program;
+            let leaders = p.leaders();
+            for (pc, &end) in p.block_ends().iter().enumerate() {
+                // Just past the first control instruction, or just
+                // before the next leader, whichever comes first.
+                let by_scan = (pc + 1..=p.len())
+                    .find(|&e| p.insns[e - 1].is_control() || e == p.len() || leaders.contains(&e))
+                    .unwrap();
+                assert_eq!(end, by_scan, "{variant:?} pc {pc}");
+            }
+        }
     }
 
     #[test]

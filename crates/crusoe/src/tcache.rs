@@ -12,8 +12,12 @@
 //! molecule bits; eviction is LRU when the configured capacity is
 //! exceeded. CMS can also *flush* the cache (the real CMS does this on
 //! self-modifying code or generation upgrades).
-
-use std::collections::HashMap;
+//!
+//! The table is dense: slot `pc` holds the translation of the block
+//! starting at `pc`, so a lookup — one per block execution — is an index,
+//! not a hash. It grows to the highest pc ever inserted. Every lookup and
+//! insertion takes a fresh tick, so `last_used` values are distinct and
+//! the LRU victim does not depend on the order slots are walked in.
 
 use crate::schedule::BlockSchedule;
 
@@ -62,7 +66,9 @@ impl TCacheStats {
 pub struct TCache {
     capacity_bits: u64,
     used_bits: u64,
-    entries: HashMap<usize, TranslationEntry>,
+    /// Indexed by block-leader pc.
+    slots: Vec<Option<TranslationEntry>>,
+    len: usize,
     tick: u64,
     /// Running statistics.
     pub stats: TCacheStats,
@@ -74,7 +80,8 @@ impl TCache {
         Self {
             capacity_bits,
             used_bits: 0,
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            len: 0,
             tick: 0,
             stats: TCacheStats::default(),
         }
@@ -92,28 +99,35 @@ impl TCache {
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if the cache holds no translations.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Look up a translation for the block starting at `pc`, updating LRU
     /// state and hit/miss statistics.
     pub fn lookup(&mut self, pc: usize) -> Option<&TranslationEntry> {
         self.tick += 1;
-        let tick = self.tick;
-        if self.entries.contains_key(&pc) {
-            self.stats.hits += 1;
-            let e = self.entries.get_mut(&pc).expect("checked contains_key");
-            e.last_used = tick;
-            Some(&*e)
-        } else {
-            self.stats.misses += 1;
-            None
+        match self.slots.get_mut(pc) {
+            Some(Some(e)) => {
+                self.stats.hits += 1;
+                e.last_used = self.tick;
+                Some(e)
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
         }
+    }
+
+    /// The translation for the block starting at `pc`, without counting a
+    /// lookup or touching LRU state (for inspection, not execution).
+    pub(crate) fn peek(&self, pc: usize) -> Option<&TranslationEntry> {
+        self.slots.get(pc)?.as_ref()
     }
 
     /// Insert a translation, evicting LRU entries if needed. A translation
@@ -124,30 +138,29 @@ impl TCache {
         if bits > self.capacity_bits {
             return false;
         }
-        if let Some(old) = self.entries.remove(&pc) {
-            self.used_bits -= old.schedule.code_bits;
-        }
+        self.remove(pc);
         while self.used_bits + bits > self.capacity_bits {
             let victim = self
-                .entries
-                .values()
+                .slots
+                .iter()
+                .flatten()
                 .min_by_key(|e| e.last_used)
                 .map(|e| e.pc)
                 .expect("capacity exceeded with no entries");
-            let evicted = self.entries.remove(&victim).unwrap();
-            self.used_bits -= evicted.schedule.code_bits;
+            self.remove(victim);
             self.stats.evictions += 1;
         }
         self.tick += 1;
-        self.entries.insert(
+        if self.slots.len() <= pc {
+            self.slots.resize_with(pc + 1, || None);
+        }
+        self.slots[pc] = Some(TranslationEntry {
             pc,
-            TranslationEntry {
-                pc,
-                end,
-                schedule,
-                last_used: self.tick,
-            },
-        );
+            end,
+            schedule,
+            last_used: self.tick,
+        });
+        self.len += 1;
         self.used_bits += bits;
         self.stats.insertions += 1;
         true
@@ -156,9 +169,10 @@ impl TCache {
     /// Remove one translation (self-modifying-code invalidation).
     /// Returns true if an entry existed.
     pub fn remove(&mut self, pc: usize) -> bool {
-        match self.entries.remove(&pc) {
+        match self.slots.get_mut(pc).and_then(Option::take) {
             Some(e) => {
                 self.used_bits -= e.schedule.code_bits;
+                self.len -= 1;
                 true
             }
             None => false,
@@ -167,7 +181,8 @@ impl TCache {
 
     /// Drop every translation (self-modifying code / CMS upgrade).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.len = 0;
         self.used_bits = 0;
         self.stats.flushes += 1;
     }
@@ -211,6 +226,19 @@ mod tests {
         assert!(tc.lookup(0).is_some());
         assert!(tc.lookup(20).is_some());
         assert!(tc.used_bits() <= 256);
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_refreshes() {
+        let mut tc = TCache::new(256);
+        assert!(tc.insert(0, 1, sched(128)));
+        assert!(tc.insert(10, 11, sched(128)));
+        let before = tc.stats;
+        assert!(tc.peek(0).is_some() && tc.peek(5).is_none());
+        assert_eq!(tc.stats, before);
+        // 0 was not touched, so it is still the LRU entry.
+        assert!(tc.insert(20, 21, sched(128)));
+        assert!(tc.peek(0).is_none() && tc.peek(10).is_some());
     }
 
     #[test]
