@@ -4,12 +4,14 @@
 //! drives a job stream through one cluster under one policy: a
 //! discrete-event loop over arrivals, completions, node failures (from
 //! [`mb_cluster::reliability::sample_failures`]) and repairs. The run
-//! state is one private `Engine` — node pool, queue, running set, the
-//! link ledger of the contention layer (absent on the star) and the
-//! report being written — and the public function is only the event
-//! order: at each instant `repair` → `complete` → `fail` → `arrive` →
-//! `dispatch` → `retime`, one handler each (DESIGN.md §10 has the
-//! table). Job service times come from a [`ServiceOracle`];
+//! state is one private `Engine` — node pool, wait queue (`queue.rs`: the
+//! storage policies read in place, so no handler rebuilds, scans or
+//! shifts it per event), running set, the link ledger of the contention
+//! layer (absent on the star) and the report being written — and the
+//! public function is only the event order: at each instant `repair` →
+//! `complete` → `fail` → `arrive` → `dispatch` → `retime`, one handler
+//! each (DESIGN.md §10 has the table, with what each costs the host).
+//! Job service times come from a [`ServiceOracle`];
 //! [`ServiceModel`] is the executor-backed one, lowering each distinct
 //! `(executor policy, node set, step pattern)` triple onto the
 //! simulated cluster exactly once via [`Cluster::run_on`].
@@ -39,9 +41,11 @@ use mb_telemetry::prof::LogHistogram;
 use mb_telemetry::{Fnv, MetricHandle, Registry};
 
 use crate::job::{JobRecord, JobSpec, WorkModel};
-use crate::policy::{PolicyCtx, QueuedJob, RunningJob, SchedPolicy};
+use crate::policy::{PolicyCtx, RunningJob, SchedPolicy};
+use crate::queue::{QueueEntry, WaitQueue};
 use crate::stream::{
-    AdmissionControl, AdmissionCtx, ArrivalSource, ClassReport, StreamReport, VecArrivals,
+    AdmissionControl, AdmissionCtx, ArrivalSource, ClassReport, SchedDeadlock, StreamReport,
+    VecArrivals,
 };
 
 /// Node-failure injection for a simulated run.
@@ -313,7 +317,9 @@ pub trait ServiceOracle {
     }
 
     /// Virtual seconds for one step of `work` on `width` nodes (the
-    /// lowest-numbered ones — the reference placement).
+    /// lowest-numbered ones — the reference placement). Builds that
+    /// node set per call; the engine prices through [`Self::step_on`]
+    /// with sets it keeps.
     fn step_s(&self, work: &WorkModel, width: usize) -> f64 {
         assert!(width >= 1, "width must be at least 1");
         self.step_on(work, &NodeSet::new((0..width).collect()))
@@ -404,26 +410,6 @@ impl SimReport {
     pub fn fingerprint_hex(&self) -> String {
         format!("{:016x}", self.fingerprint)
     }
-}
-
-/// A job waiting for nodes — and, inside a [`RunEntry`], the queue
-/// entry the running attempt was started from.
-#[derive(Clone, Copy)]
-struct QueueEntry {
-    /// Index of the job's record in the report.
-    ji: usize,
-    id: usize,
-    ranks: usize,
-    /// The job's work model (queue entries must be self-contained: a
-    /// streamed run has no job slice to index back into).
-    work: WorkModel,
-    /// SLO class (and queue priority rank; 0 = highest).
-    class: usize,
-    /// Work still to serve, in *reference* (lowest-nodes) seconds.
-    work_rem_s: f64,
-    /// Which run attempt this is (0 = first; every later one resumes
-    /// from a checkpoint after a failure).
-    attempt: u32,
 }
 
 struct RunEntry {
@@ -584,11 +570,13 @@ struct Engine<'a, S: ServiceOracle + ?Sized> {
     pool: NodePool,
     /// The wait queue in dispatch order: `enqueue` adds, `dispatch`
     /// removes what it started.
-    queue: Vec<QueueEntry>,
-    /// Queue entries per class, requeued failure victims included
-    /// (what [`AdmissionCtx`] borrows).
-    queued: Vec<u32>,
+    queue: WaitQueue,
+    /// `lowest[w - 1]` is nodes `0..w`: the reference placement jobs of
+    /// width `w` are priced on, as [`ServiceOracle::step_s`] builds it.
+    lowest: Vec<NodeSet>,
     running: Vec<RunEntry>,
+    /// What policies see of `running`, rebuilt at each dispatch.
+    running_view: Vec<RunningJob>,
     /// Whether this event removed a job from, or added one to, the
     /// running set — the only thing the contention epoch depends on.
     /// Consumed by `retime`.
@@ -652,9 +640,10 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 free_mask: Vec::with_capacity(n),
                 repairs: Vec::new(),
             },
-            queue: Vec::new(),
-            queued: vec![0; labels.len()],
+            queue: WaitQueue::new(labels.len()),
+            lowest: (1..=n).map(|w| NodeSet::new((0..w).collect())).collect(),
             running: Vec::new(),
+            running_view: Vec::new(),
             running_changed: false,
             links: LinkLedger::new(spec, cfg.route_spread),
             sim: SimReport {
@@ -678,10 +667,12 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// The next virtual instant anything happens at, or `None` when the
     /// run is over: no arrival, queued or running job remains — pending
     /// failure/repair events past that point stay unapplied, exactly as
-    /// the batch loop stopped at its last completion.
-    fn next_event_s(&mut self, next_arrival_s: Option<f64>) -> Option<f64> {
-        if next_arrival_s.is_none() && self.queue.is_empty() && self.running.is_empty() {
-            return None;
+    /// the batch loop stopped at its last completion. Jobs left with no
+    /// event ahead (a policy that never picks, an idle machine) are a
+    /// [`SchedDeadlock`].
+    fn next_event_s(&mut self, next_arrival_s: Option<f64>) -> Result<Option<f64>, SchedDeadlock> {
+        if next_arrival_s.is_none() && self.queue.len() == 0 && self.running.is_empty() {
+            return Ok(None);
         }
         let mut now = next_arrival_s.unwrap_or(f64::INFINITY);
         for r in &self.running {
@@ -693,29 +684,23 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         if let Some(&(t, _)) = self.failures.peek() {
             now = now.min(t);
         }
-        assert!(
-            now.is_finite(),
-            "scheduler deadlock under '{}': {} completed, {} queued, {} running",
-            self.policy.name(),
-            self.sim.jobs.iter().filter(|r| r.end_s >= 0.0).count(),
-            self.queue.len(),
-            self.running.len(),
-        );
-        Some(now)
+        if now.is_finite() {
+            return Ok(Some(now));
+        }
+        Err(SchedDeadlock {
+            policy: self.policy.name(),
+            completed: self.sim.jobs.iter().filter(|r| r.end_s >= 0.0).count(),
+            queued: self.queue.len(),
+            running: self.running.len(),
+        })
     }
 
     /// The one place a job joins the queue: before the first entry it
-    /// outranks. Class rank orders the queue (FIFO within a class), so
-    /// a fresh arrival outranks strictly lower-priority entries only —
-    /// with one class that is a plain `push`. A failure victim on a
-    /// later attempt outranks everyone: it is requeued at the head, and
-    /// so keeps its place against later arrivals of the same or a lower
-    /// class.
+    /// outranks ([`WaitQueue::insert`] has the rule), with the wall-time
+    /// estimate policies will read for as long as it waits.
     fn enqueue(&mut self, e: QueueEntry) {
-        let outranked = |q: &QueueEntry| e.attempt > 0 || q.class > e.class;
-        let pos = self.queue.iter().position(outranked);
-        self.queued[e.class] += 1;
-        self.queue.insert(pos.unwrap_or(self.queue.len()), e);
+        let service_est_s = self.charge.wall_for(e.work_rem_s, e.attempt > 0);
+        self.queue.insert(e, service_est_s);
     }
 
     /// Take `run` off its nodes at virtual time `t` (its completion, or
@@ -829,7 +814,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 &arr,
                 &AdmissionCtx {
                     now_s: now,
-                    queued_per_class: &self.queued,
+                    queued_per_class: self.queue.per_class(),
                     running_jobs: self.running.len(),
                     total_nodes: n,
                 },
@@ -842,7 +827,8 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             self.classes[cls].admitted += 1;
             let spec = arr.spec;
             let width = spec.ranks.clamp(1, n);
-            let work_s = self.service.work_s(&spec.work, width);
+            let step_s = self.service.step_on(&spec.work, &self.lowest[width - 1]);
+            let work_s = step_s * f64::from(spec.work.steps());
             self.enqueue(QueueEntry {
                 // The record pushed just below.
                 ji: self.sim.jobs.len(),
@@ -866,28 +852,29 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         }
     }
 
-    /// Step 5, dispatch: consult the policy, then re-validate each pick
-    /// against the live free mask (policies may be optimistic). Picks
-    /// start in the order the policy returned them.
+    /// Step 5, dispatch: consult the policy — it reads the queue's own
+    /// storage and a reused view of the running set — then re-validate
+    /// each pick against the live free mask (policies may be
+    /// optimistic). Picks start in the order the policy returned them.
+    /// Apart from `select` itself, nothing here is proportional to the
+    /// queue's length.
     fn dispatch(&mut self, now: f64) {
         let pool = &mut self.pool;
         pool.free_mask.clear();
         let free = pool.up.iter().zip(&pool.busy).map(|(&u, &b)| u && !b);
         pool.free_mask.extend(free);
-        let queued = |q: &QueueEntry| QueuedJob {
-            ranks: q.ranks,
-            service_est_s: self.charge.wall_for(q.work_rem_s, q.attempt > 0),
-        };
         let in_flight = |r: &RunEntry| RunningJob {
             end_s: r.end_s,
             ranks: r.nodes.len(),
         };
+        self.running_view.clear();
+        self.running_view.extend(self.running.iter().map(in_flight));
         let picks = self.policy.select(&PolicyCtx {
             now_s: now,
             free_nodes: pool.free_mask.iter().filter(|&&f| f).count(),
             total_nodes: pool.up.iter().filter(|&&u| u).count(),
-            queue: &self.queue.iter().map(queued).collect::<Vec<_>>(),
-            running: &self.running.iter().map(in_flight).collect::<Vec<_>>(),
+            queue: self.queue.view(),
+            running: &self.running_view,
         });
         // Contention-aware placement scores candidate groups against
         // the uplink load of the in-flight mix, frozen at the top of
@@ -902,19 +889,14 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             _ => Vec::new(),
         };
         let mut started: Vec<usize> = Vec::new();
-        let mut seen = vec![false; self.queue.len()];
-        for p in picks {
-            if p >= self.queue.len() || seen[p] {
-                continue;
-            }
-            seen[p] = true;
-            if self.launch(now, p, &group_loads) {
+        for &p in &picks {
+            if self.queue.pick(p) && self.launch(now, p, &group_loads) {
                 started.push(p);
             }
         }
+        self.queue.unpick(&picks);
         started.sort_unstable();
         for &p in started.iter().rev() {
-            self.queued[self.queue[p].class] -= 1;
             self.queue.remove(p);
         }
         if !self.cfg.lean {
@@ -927,7 +909,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// it nodes in the live free mask; the entry itself stays queued
     /// until `dispatch` has walked every pick.
     fn launch(&mut self, now: f64, p: usize, group_loads: &[f64]) -> bool {
-        let (q, topo) = (self.queue[p], &self.service.spec().network.topology);
+        let (q, topo) = (self.queue.entry(p), &self.service.spec().network.topology);
         let free = &mut self.pool.free_mask;
         let alloc = match self.cfg.placement {
             Placement::Lowest => NodeSet::alloc_lowest(free, q.ranks),
@@ -955,7 +937,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             None => (1.0, JobTraffic::default()),
             Some(l) => {
                 let profile = self.service.step_profile_on(&q.work, &nodes);
-                let reference = self.service.step_s(&q.work, nodes.len());
+                let reference = self.service.step_on(&q.work, &self.lowest[nodes.len() - 1]);
                 let traffic = contention::job_traffic(
                     topo,
                     &profile.stats,
@@ -1175,12 +1157,19 @@ pub fn simulate<S: ServiceOracle + ?Sized>(
 /// completions → failures → arrivals → dispatch per instant, then the
 /// contention epoch retimes the running set), except that jobs are
 /// pulled lazily from `source` in submit order and each is classified
-/// (or shed) by `admission`. Admitted jobs queue by class rank — class
-/// 0 ahead of class 1 — FIFO within a class; failure requeues keep
-/// their head-of-queue priority. The run ends when the source is
+/// (or shed) by `admission`. Admitted jobs queue by class rank: each
+/// goes before the first queued entry of a lower class, so class 0
+/// runs ahead of class 1 — FIFO within a class, except that an arrival
+/// passes older entries of its own class that sit behind a requeued
+/// victim of a lower class. Failure requeues go to the head of the
+/// queue. The run ends when the source is
 /// drained and queue and running set are empty: failure events past
 /// that point are not applied, exactly as the batch engine never
 /// sampled failures past its last completion.
+///
+/// # Panics
+///
+/// With the [`SchedDeadlock`] that [`try_simulate_stream`] returns.
 pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     service: &S,
     policy: &dyn SchedPolicy,
@@ -1188,8 +1177,21 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     admission: &mut dyn AdmissionControl,
     cfg: &SchedConfig,
 ) -> StreamReport {
+    try_simulate_stream(service, policy, source, admission, cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`simulate_stream`], returning a run that can make no further
+/// progress — jobs queued or running and no arrival, completion,
+/// failure or repair ahead — as an error instead of panicking.
+pub fn try_simulate_stream<S: ServiceOracle + ?Sized>(
+    service: &S,
+    policy: &dyn SchedPolicy,
+    source: &mut dyn ArrivalSource,
+    admission: &mut dyn AdmissionControl,
+    cfg: &SchedConfig,
+) -> Result<StreamReport, SchedDeadlock> {
     let mut engine = Engine::new(service, policy, cfg, admission.class_labels());
-    while let Some(now) = engine.next_event_s(source.peek_s()) {
+    while let Some(now) = engine.next_event_s(source.peek_s())? {
         engine.repair(now);
         engine.complete(now);
         engine.fail(now);
@@ -1197,7 +1199,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         engine.dispatch(now);
         engine.retime(now);
     }
-    engine.into_report()
+    Ok(engine.into_report())
 }
 
 #[cfg(test)]
@@ -1880,6 +1882,48 @@ mod tests {
         assert_eq!(rep.sim.occupancy.len(), 3 * 2);
         assert_eq!((jobs[0].start_s, jobs[1].start_s), (0.0, 0.0));
         assert_eq!(jobs[2].start_s, jobs[0].end_s);
+    }
+
+    /// Never starts anything.
+    struct Idle;
+
+    impl SchedPolicy for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+
+        fn select(&self, _ctx: &PolicyCtx) -> Vec<usize> {
+            vec![]
+        }
+    }
+
+    #[test]
+    fn a_policy_that_never_picks_is_a_deadlock_error_not_a_hang() {
+        let run = |cfg: &SchedConfig| {
+            let mut source = Arrivals(vec![wide(0, 0.0, 10, 0)].into());
+            try_simulate_stream(&four_nodes(), &Idle, &mut source, &mut { ONE_CLASS }, cfg)
+        };
+        let err = run(&SchedConfig::default()).expect_err("nothing can ever start");
+        let want = SchedDeadlock {
+            policy: "idle",
+            completed: 0,
+            queued: 1,
+            running: 0,
+        };
+        assert_eq!(err, want);
+        assert!(err
+            .to_string()
+            .starts_with("scheduler deadlock under 'idle': 0 completed, 1 q"));
+        // A failure timeline only postpones the verdict: it is finite.
+        assert_eq!(run(&sparse_failures()).expect_err("still nothing"), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler deadlock under 'idle': 0 completed, 1 queued, 0 running")]
+    fn simulate_stream_panics_with_the_deadlock_message() {
+        let mut source = Arrivals(vec![wide(0, 0.0, 10, 0)].into());
+        let cfg = SchedConfig::default();
+        simulate_stream(&four_nodes(), &Idle, &mut source, &mut { ONE_CLASS }, &cfg);
     }
 
     #[test]

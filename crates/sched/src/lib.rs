@@ -55,18 +55,19 @@
 pub mod engine;
 pub mod job;
 pub mod policy;
+mod queue;
 pub mod report;
 pub mod stream;
 pub mod workload;
 
 pub use engine::{
-    simulate, simulate_stream, FailureConfig, OccSpan, Placement, SchedConfig, ServiceModel,
-    ServiceOracle, SimReport, StepProfile,
+    simulate, simulate_stream, try_simulate_stream, FailureConfig, OccSpan, Placement, SchedConfig,
+    ServiceModel, ServiceOracle, SimReport, StepProfile,
 };
 pub use job::{JobRecord, JobSpec, NpbKernel, WorkModel};
 pub use policy::{EasyBackfill, Fcfs, PolicyCtx, QueuedJob, RunningJob, SchedPolicy, Sjf};
 pub use stream::{
-    AdmissionControl, AdmissionCtx, AdmitAll, Arrival, ArrivalSource, ClassReport, StreamReport,
-    VecArrivals,
+    AdmissionControl, AdmissionCtx, AdmitAll, Arrival, ArrivalSource, ClassReport, SchedDeadlock,
+    StreamReport, VecArrivals,
 };
 pub use workload::{generate, standard, WorkloadConfig};

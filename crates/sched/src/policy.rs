@@ -37,7 +37,8 @@ pub struct PolicyCtx<'a> {
     /// Nodes that are up (idle or busy); failed nodes are excluded until
     /// repaired.
     pub total_nodes: usize,
-    /// The queue, FIFO by (requeue priority, arrival).
+    /// The queue in dispatch order: requeued failure victims at the
+    /// head, then by class rank and arrival.
     pub queue: &'a [QueuedJob],
     /// Currently running jobs.
     pub running: &'a [RunningJob],

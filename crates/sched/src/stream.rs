@@ -165,6 +165,34 @@ impl StreamReport {
     }
 }
 
+/// A streamed run that stopped with jobs left and nothing ahead of
+/// them: no arrival, completion, failure or repair is pending, so
+/// virtual time cannot advance (a policy that never picks what an idle
+/// machine could run).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchedDeadlock {
+    /// Name of the policy the run was under.
+    pub policy: &'static str,
+    /// Jobs that had run to completion.
+    pub completed: usize,
+    /// Jobs still waiting in the queue.
+    pub queued: usize,
+    /// Jobs still holding nodes.
+    pub running: usize,
+}
+
+impl std::fmt::Display for SchedDeadlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "scheduler deadlock under '{}': {} completed, {} queued, {} running",
+            self.policy, self.completed, self.queued, self.running
+        )
+    }
+}
+
+impl std::error::Error for SchedDeadlock {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -149,7 +149,9 @@ impl CalibrationReport {
 pub struct CostModel {
     spec: ClusterSpec,
     net: NetworkModel,
-    topo_label: String,
+    /// FNV-1a digest of every content id's constant prefix: the scheme
+    /// tag and the topology label (the routing context).
+    cid_prefix: u64,
     /// Fitted `[compute, fixed-cost, serialization]` coefficients per
     /// step pattern; patterns never calibrated price at the identity.
     coeffs: HashMap<StepKey, [f64; 3]>,
@@ -164,11 +166,13 @@ impl CostModel {
     /// closed form with no fit applied).
     pub fn new(spec: ClusterSpec) -> Self {
         let net = NetworkModel::new(spec.network);
-        let topo_label = spec.network.topology.label();
+        let mut prefix = Fnv::new();
+        prefix.write_str("mb-workload/cid/1");
+        prefix.write_str(&spec.network.topology.label());
         Self {
             spec,
             net,
-            topo_label,
+            cid_prefix: prefix.finish(),
             coeffs: HashMap::new(),
             memo: RefCell::new(HashMap::new()),
             hits: Cell::new(0),
@@ -255,18 +259,9 @@ impl CostModel {
     /// (the topology label pins the routing context).
     pub fn cid(&self, work: &WorkModel, nodes: &NodeSet) -> u64 {
         let (t, a, b, c) = work.step_key();
-        let mut f = Fnv::new();
-        f.write_str("mb-workload/cid/1");
-        f.write_str(&self.topo_label);
-        f.write_u64(t as u64);
-        f.write_u64(a);
-        f.write_u64(b);
-        f.write_u64(c);
-        f.write_usize(nodes.len());
-        for &id in nodes.ids() {
-            f.write_usize(id);
-        }
-        f.finish()
+        let key = [t as u64, a, b, c, nodes.len() as u64];
+        let h = key.into_iter().fold(self.cid_prefix, fnv_u64);
+        nodes.ids().iter().fold(h, |h, &id| fnv_u64(h, id as u64))
     }
 
     /// Memo lookups that found a priced step.
@@ -464,6 +459,13 @@ impl ServiceOracle for CostModel {
     }
 }
 
+/// [`Fnv::write_u64`] resumed from a finished digest `h` (FNV-1a over
+/// the little-endian bytes of `v`), which [`Fnv`] itself cannot do.
+fn fnv_u64(h: u64, v: u64) -> u64 {
+    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    v.to_le_bytes().into_iter().fold(h, fold)
+}
+
 fn dot(c: &[f64; 3], x: &[f64; 3]) -> f64 {
     c[0] * x[0] + c[1] * x[1] + c[2] * x[2]
 }
@@ -624,6 +626,16 @@ mod tests {
             iters: 500,
         };
         assert_eq!(model.cid(&ep, &a), model.cid(&ep_long, &a));
+        // The scheme, spelled out from an empty hasher: the folded
+        // prefix must not change any id.
+        let mut f = Fnv::new();
+        f.write_str("mb-workload/cid/1");
+        f.write_str(&metablade().network.topology.label());
+        let (t, k1, k2, k3) = ep.step_key();
+        for v in [t as u64, k1, k2, k3, 4, 0, 1, 2, 3] {
+            f.write_u64(v);
+        }
+        assert_eq!(model.cid(&ep, &a), f.finish());
     }
 
     #[test]

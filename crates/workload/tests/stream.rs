@@ -8,11 +8,12 @@ use std::process::Command;
 
 use mb_cluster::machine::Cluster;
 use mb_cluster::spec::metablade;
-use mb_cluster::ExecPolicy;
+use mb_cluster::{ExecPolicy, Topology};
 use mb_sched::stream::Arrival;
 use mb_sched::{
-    generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, NpbKernel, SchedConfig,
-    ServiceModel, ServiceOracle, VecArrivals, WorkModel, WorkloadConfig,
+    generate, simulate, simulate_stream, AdmitAll, ArrivalSource, EasyBackfill, FailureConfig,
+    Fcfs, JobSpec, NpbKernel, Placement, SchedConfig, ServiceModel, ServiceOracle, VecArrivals,
+    WorkModel, WorkloadConfig,
 };
 use mb_telemetry::json::parse;
 use mb_workload::{mgk, ArrivalVec, CostModel, JobMix, OpenArrivals, SloAdmission, TrafficPattern};
@@ -352,6 +353,55 @@ fn lean_mode_does_not_change_the_stream_fingerprint() {
         simulate_stream(&cost, &Fcfs, &mut src, &mut adm, &cfg).stream_fingerprint
     };
     assert_eq!(run(false), run(true));
+}
+
+/// The contended multi-class path in one run — three SLO classes, EASY
+/// backfill, node failures with requeues, contention-aware placement
+/// and route spreading on the 64-node fat-tree — which no committed
+/// `BENCH_*.json` covers. The literals were recorded on the parent of
+/// the PR that introduced `WaitQueue`; a change here is a changed
+/// simulated outcome.
+#[test]
+fn contended_three_class_easy_stream_with_failures_is_pinned() {
+    let spec = metablade()
+        .with_nodes(64)
+        .with_topology(Topology::fat_tree(16, 2, 4.0));
+    let mix = JobMix::standard(spec.nodes);
+    let mut cost = CostModel::new(spec.clone());
+    cost.calibrate_default(&mix.patterns());
+    // Mean node-seconds per job over a fixed sample: the ρ = 0.8 rate.
+    let mut sample = OpenArrivals::new(TrafficPattern::Poisson { rate_per_s: 1.0 }, mix, 500, 1234);
+    let mut demand = 0.0;
+    while let Some(a) = sample.next_arrival() {
+        demand += a.spec.ranks as f64 * cost.work_s(&a.spec.work, a.spec.ranks);
+    }
+    let rate_per_s = 0.8 * spec.nodes as f64 / (demand / 500.0);
+    let mut src = OpenArrivals::new(TrafficPattern::Poisson { rate_per_s }, mix, 2_000, 2002);
+    let mut adm = SloAdmission::standard(spec.nodes);
+    let cfg = SchedConfig {
+        lean: true,
+        placement: Placement::ContentionAware,
+        route_spread: true,
+        failure: Some(FailureConfig::accelerated(400.0, 2002)),
+        ..SchedConfig::default()
+    };
+    let rep = simulate_stream(&cost, &EasyBackfill, &mut src, &mut adm, &cfg);
+    let per_class: Vec<[u64; 4]> = rep
+        .classes
+        .iter()
+        .map(|c| [c.offered, c.admitted, c.shed, c.completed])
+        .collect();
+    assert_eq!(rep.stream_fingerprint_hex(), "2897f0c41b00625b");
+    assert_eq!(rep.sim.fingerprint_hex(), "4031eadcb3e784c2");
+    assert_eq!(rep.sim.requeues, 2, "failures must strike running jobs");
+    assert_eq!(
+        per_class,
+        [
+            [251, 251, 0, 251],
+            [1334, 1334, 0, 1334],
+            [415, 415, 0, 415]
+        ]
+    );
 }
 
 /// The regression gate for `BENCH_stream_smoke.json`: rerun
