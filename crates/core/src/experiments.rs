@@ -306,8 +306,7 @@ pub fn reference_flops(bodies: &Bodies) -> f64 {
     let mut b = bodies.clone();
     let bb = mb_treecode::BoundingBox::containing(&b.pos);
     let tree = mb_treecode::build_tree(&mut b, bb, 8);
-    let stats =
-        mb_treecode::tree_forces_parallel(&mut b, &tree, &mb_treecode::Mac::standard(), 1e-6);
+    let stats = mb_treecode::tree_forces(&mut b, &tree, &mb_treecode::Mac::standard(), 1e-6);
     stats.interactions.flops(true) as f64
 }
 

@@ -3,6 +3,7 @@
 
 use crate::body::Bodies;
 use crate::flops::{InteractionCounts, FLOPS_PP};
+use crate::moments::point_field;
 
 /// Compute exact (softened) gravitational accelerations and potentials
 /// for all bodies, writing into `bodies.acc` / `bodies.pot`. Returns the
@@ -20,15 +21,11 @@ pub fn direct_forces(bodies: &mut Bodies, eps2: f64) -> InteractionCounts {
                 if j == i {
                     continue;
                 }
-                let d = [pos[j][0] - pi[0], pos[j][1] - pi[1], pos[j][2] - pi[2]];
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
-                let rinv = 1.0 / r2.sqrt();
-                let rinv3 = rinv * rinv * rinv;
-                let s = mass[j] * rinv3;
-                acc[0] += s * d[0];
-                acc[1] += s * d[1];
-                acc[2] += s * d[2];
-                pot -= mass[j] * rinv;
+                let (a, p) = point_field(mass[j], pos[j], pi, eps2);
+                acc[0] += a[0];
+                acc[1] += a[1];
+                acc[2] += a[2];
+                pot += p;
             }
             (acc, pot)
         })

@@ -6,7 +6,7 @@ use crate::direct::direct_forces;
 use crate::flops::InteractionCounts;
 use crate::mac::Mac;
 use crate::morton::BoundingBox;
-use crate::traverse::tree_forces_parallel;
+use crate::traverse::tree_forces;
 
 /// Kinetic/potential energy snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,7 +71,7 @@ pub fn leapfrog_step(
     // New forces.
     let bb = BoundingBox::containing(&bodies.pos);
     let tree = build_tree(bodies, bb, leaf_capacity);
-    let stats = tree_forces_parallel(bodies, &tree, mac, eps2);
+    let stats = tree_forces(bodies, &tree, mac, eps2);
     // Kick (half).
     for i in 0..bodies.len() {
         for d in 0..3 {

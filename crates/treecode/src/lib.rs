@@ -17,10 +17,11 @@
 //! * [`body`] — structure-of-arrays particle storage;
 //! * [`hot`] — the hashed oct-tree itself;
 //! * [`build`] — tree construction from Morton-sorted bodies;
-//! * [`moments`] — monopole + traceless quadrupole moments, bottom-up;
+//! * [`moments`] — monopole + traceless quadrupole moments, bottom-up,
+//!   and the two interaction kernels (p–p, p–c);
 //! * [`mac`] — multipole acceptance criteria (Barnes–Hut opening angle);
-//! * [`traverse`] — the force walk, serial or batched, with flop
-//!   and interaction accounting;
+//! * [`traverse`] — the force walk, eight bodies at a time over a
+//!   flattened tree, with flop and interaction accounting;
 //! * [`direct`] — O(N²) direct summation (accuracy baseline);
 //! * [`integrate`] — leapfrog (KDK) integration and energy diagnostics;
 //! * [`ic`] — initial conditions (Plummer sphere, uniform cube, two-body
@@ -32,8 +33,6 @@
 //! * [`flops`] — the flop-accounting constants behind the paper's Gflops
 //!   numbers;
 //! * [`render`] — Figure-3-style density projections (PGM / ASCII);
-//! * [`group`] — grouped walks (one interaction list per leaf, the
-//!   production codes' vectorization);
 //! * [`neighbors`] — tree-accelerated range queries;
 //! * [`sph`] — smoothed particle hydrodynamics on the same tree (the
 //!   "3000 lines interfaced to the same treecode library" of §3.5.1);
@@ -74,7 +73,6 @@ pub mod build;
 pub mod decompose;
 pub mod direct;
 pub mod flops;
-pub mod group;
 pub mod hot;
 pub mod ic;
 pub mod integrate;
@@ -83,6 +81,8 @@ pub mod moments;
 pub mod morton;
 pub mod neighbors;
 pub mod parallel;
+#[cfg(test)]
+mod reference;
 pub mod render;
 pub mod sph;
 pub mod traverse;
@@ -97,4 +97,4 @@ pub use integrate::{leapfrog_step, total_energy, Energies};
 pub use mac::Mac;
 pub use morton::{BoundingBox, Key};
 pub use parallel::{distributed_evolve, distributed_step, DistributedConfig, StepReport};
-pub use traverse::{tree_forces, tree_forces_parallel, WalkStats};
+pub use traverse::{tree_forces, WalkStats};

@@ -41,8 +41,16 @@ impl Mac {
     /// distance because the mass sits in a corner.
     #[inline]
     pub fn accepts(&self, size: f64, delta: f64, dist2: f64) -> bool {
+        self.crit2(size, delta) < dist2
+    }
+
+    /// The squared distance beyond which [`Mac::accepts`] accepts — a
+    /// property of the cell alone, so the walks store it per cell and
+    /// the test per visit is one compare.
+    #[inline]
+    pub fn crit2(&self, size: f64, delta: f64) -> f64 {
         let crit = size / self.theta + delta;
-        crit * crit < dist2
+        crit * crit
     }
 }
 

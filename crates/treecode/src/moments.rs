@@ -1,8 +1,7 @@
 //! Multipole moments: leaf evaluation, parallel-axis combination, and
-//! field evaluation (monopole + traceless quadrupole).
+//! the two field kernels (point mass; monopole + traceless quadrupole).
 
 use crate::body::Bodies;
-use crate::hot::Node;
 
 /// Compute mass, center of mass and quadrupole of a body range.
 pub fn leaf_moments(bodies: &Bodies, start: usize, end: usize) -> (f64, [f64; 3], [f64; 6]) {
@@ -70,8 +69,21 @@ pub fn combine_moments(children: &[(f64, [f64; 3], [f64; 6])]) -> (f64, [f64; 3]
     (mass, com, quad)
 }
 
-/// Evaluate the multipole field of a cell at a point: returns
-/// `(acceleration, potential)` for unit G.
+/// Softened field of a point mass `m` at `src`, felt at `pos` — the p–p
+/// kernel. Returns `(acceleration, potential)` for unit G, to be added.
+#[inline]
+pub fn point_field(m: f64, src: [f64; 3], pos: [f64; 3], eps2: f64) -> ([f64; 3], f64) {
+    let d = [src[0] - pos[0], src[1] - pos[1], src[2] - pos[2]];
+    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
+    let rinv = 1.0 / r2.sqrt();
+    let rinv3 = rinv * rinv * rinv;
+    let s = m * rinv3;
+    ([s * d[0], s * d[1], s * d[2]], -(m * rinv))
+}
+
+/// Evaluate the multipole field of a cell (`mass` at `com`, traceless
+/// `quad`) at a point — the p–c kernel. Returns `(acceleration,
+/// potential)` for unit G, to be added.
 ///
 /// With `r⃗ = pos − com` and traceless `Q`,
 ///
@@ -83,29 +95,31 @@ pub fn combine_moments(children: &[(f64, [f64; 3], [f64; 6])]) -> (f64, [f64; 3]
 /// `eps2` is the Plummer softening (applied to the monopole distance; the
 /// quadrupole term is only used for well-separated cells where softening
 /// is negligible).
+///
+/// Both kernels are the only place their expressions are written: the
+/// order of operations fixes the last bit of every force in the
+/// repository.
+#[inline]
 pub fn multipole_field(
-    node: &Node,
+    mass: f64,
+    com: [f64; 3],
+    q: &[f64; 6],
     pos: [f64; 3],
     eps2: f64,
     use_quadrupole: bool,
 ) -> ([f64; 3], f64) {
-    let r = [
-        pos[0] - node.com[0],
-        pos[1] - node.com[1],
-        pos[2] - node.com[2],
-    ];
+    let r = [pos[0] - com[0], pos[1] - com[1], pos[2] - com[2]];
     let r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + eps2;
     let rinv = 1.0 / r2.sqrt();
     let rinv2 = rinv * rinv;
     let rinv3 = rinv * rinv2;
     let mut acc = [
-        -node.mass * r[0] * rinv3,
-        -node.mass * r[1] * rinv3,
-        -node.mass * r[2] * rinv3,
+        -mass * r[0] * rinv3,
+        -mass * r[1] * rinv3,
+        -mass * r[2] * rinv3,
     ];
-    let mut pot = -node.mass * rinv;
+    let mut pot = -mass * rinv;
     if use_quadrupole {
-        let q = &node.quad;
         // Qr⃗ with packed symmetric Q.
         let qr = [
             q[0] * r[0] + q[3] * r[1] + q[4] * r[2],
@@ -126,8 +140,6 @@ pub fn multipole_field(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hot::{Node, NodeKind};
-    use crate::morton::Key;
 
     fn two_body_system() -> Bodies {
         // Equal masses at ±1 on x: quadrupole is strongly anisotropic.
@@ -182,20 +194,11 @@ mod tests {
     fn quadrupole_improves_far_field() {
         let b = two_body_system();
         let (m, com, q) = leaf_moments(&b, 0, 2);
-        let node = Node {
-            key: Key::ROOT,
-            kind: NodeKind::Leaf { start: 0, end: 2 },
-            count: 2,
-            mass: m,
-            com,
-            quad: q,
-            delta: 0.0,
-        };
         // Exact field at a point on the x axis.
         let p = [5.0, 0.0, 0.0];
         let exact_ax = -1.0 / (4.0f64 * 4.0) - 1.0 / (6.0f64 * 6.0);
-        let (mono, _) = multipole_field(&node, p, 0.0, false);
-        let (quad, _) = multipole_field(&node, p, 0.0, true);
+        let (mono, _) = multipole_field(m, com, &q, p, 0.0, false);
+        let (quad, _) = multipole_field(m, com, &q, p, 0.0, true);
         let e_mono = (mono[0] - exact_ax).abs();
         let e_quad = (quad[0] - exact_ax).abs();
         assert!(
@@ -206,16 +209,7 @@ mod tests {
 
     #[test]
     fn monopole_points_at_com_with_inverse_square() {
-        let node = Node {
-            key: Key::ROOT,
-            kind: NodeKind::Leaf { start: 0, end: 1 },
-            count: 1,
-            mass: 4.0,
-            com: [0.0; 3],
-            quad: [0.0; 6],
-            delta: 0.0,
-        };
-        let (acc, pot) = multipole_field(&node, [2.0, 0.0, 0.0], 0.0, true);
+        let (acc, pot) = multipole_field(4.0, [0.0; 3], &[0.0; 6], [2.0, 0.0, 0.0], 0.0, true);
         assert!((acc[0] + 1.0).abs() < 1e-14); // −Gm/r² = −4/4
         assert_eq!(acc[1], 0.0);
         assert!((pot + 2.0).abs() < 1e-14); // −m/r

@@ -22,25 +22,29 @@
 //!    **bodies**; everything in between ships as **internal skeleton**
 //!    nodes carrying full subtree moments. The pruned trees travel
 //!    through the simulated Fast-Ethernet alltoallv.
-//! 6. **Walk** — each rank walks every local body over its own tree plus
-//!    the imported skeletons merged into one forest ("locally essential
-//!    tree"): internal foreign nodes are MAC-tested per body (full
-//!    moments make that exact) and opened only when needed, so imported
-//!    work stays O(log) per body. Compute time is charged to the virtual
-//!    clock at the node's sustained Mflops rate; communication was
-//!    charged by the exchange.
+//! 6. **Walk** — each rank walks its local bodies, eight Morton
+//!    neighbours at a time (`traverse.rs`), over its own tree and then
+//!    over the imported skeletons merged into one forest ("locally
+//!    essential tree"): internal foreign nodes are MAC-tested per body
+//!    (full moments make that exact) and opened only when needed, so
+//!    imported work stays O(log) per body. Compute time is charged to the
+//!    virtual clock at the node's sustained Mflops rate; communication
+//!    was charged by the exchange.
 //!
 //! The domain-level MAC is conservative — a cell accepted against every
 //! occupied requester cell is accepted for every body in it — so
 //! distributed results match the shared-memory walk's accuracy at the
 //! same θ (tests verify against direct summation).
 //!
-//! Only the local tree is a hash table: pruned trees arrive as arrays in
-//! wire order and merge into arrays sorted by key, linked by index (see
-//! `ImportedForest`). The wire format is frozen — message sizes drive the
-//! virtual clock, so a byte per node would move every simulated time —
-//! and so is the order in which cells are visited and forces accumulated,
-//! which fixes the last bit of every result.
+//! Only the local tree is a hash table, and only its builder and the
+//! domain frontier use it as one: it is flattened once per step into
+//! cells sorted by key and linked by index (`LocalTree`), which is what
+//! the prune and the walk descend, and pruned trees arrive as arrays in
+//! wire order and merge into arrays of the same form (`ImportedForest`).
+//! The wire format is frozen — message sizes drive the virtual clock, so
+//! a byte per node would move every simulated time — and so is the order
+//! in which cells are visited and forces accumulated, which fixes the
+//! last bit of every result.
 
 use std::sync::Arc;
 
@@ -57,7 +61,7 @@ use crate::flops::InteractionCounts;
 use crate::hot::{HashedOctTree, Node, NodeKind};
 use crate::mac::Mac;
 use crate::morton::{BoundingBox, Key};
-use crate::traverse::walk_one;
+use crate::traverse::{flatten, walk_group, walk_local, Cell, Field, Group, LANES};
 
 /// Budget of cells used to describe a rank's domain to its peers. The
 /// description is the frontier of the rank's own tree, expanded
@@ -220,87 +224,64 @@ fn serialize_foreign(nodes: &[(u64, ForeignNode)], bodies: &[(f64, [f64; 3])]) -
     Bytes::from(v)
 }
 
-fn read_u32(b: &[u8], at: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(b[*at..*at + 4].try_into().expect("u32"));
-    *at += 4;
-    v
+/// Wire size of one node and of one body.
+const NODE_BYTES: usize = 106;
+const BODY_BYTES: usize = 32;
+
+fn f64_at(b: &[u8], at: usize) -> f64 {
+    f64::from_le_bytes(b[at..at + 8].try_into().expect("f64"))
 }
 
-fn read_u64(b: &[u8], at: &mut usize) -> u64 {
-    let v = u64::from_le_bytes(b[*at..*at + 8].try_into().expect("u64"));
-    *at += 8;
-    v
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("u32"))
 }
 
-fn read_f64(b: &[u8], at: &mut usize) -> f64 {
-    let v = f64::from_le_bytes(b[*at..*at + 8].try_into().expect("f64"));
-    *at += 8;
-    v
-}
-
-/// Append the pruned tree `peer` sent to `into`. The two counts fix the
-/// payload's length, checked before anything is read on their word (a
-/// count the payload is too short to hold reads as 0 and cannot match).
-fn deserialize_foreign(peer: usize, b: &[u8], into: &mut ForeignTree) {
+/// The node and body counts of the payload `peer` sent (an empty one
+/// holds neither). They fix its length, checked here before anything is
+/// read on their word: a count the payload is too short to hold reads as
+/// 0 and cannot match.
+fn payload_counts(peer: usize, b: &[u8]) -> (usize, usize) {
     if b.is_empty() {
-        return;
+        return (0, 0);
     }
-    let count_at = |at: usize| {
-        b.get(at..at + 4)
-            .map_or(0, |c| read_u32(c, &mut 0) as usize)
-    };
+    let count_at = |at: usize| b.get(at..at + 4).map_or(0, |c| u32_at(c, 0) as usize);
     let n_nodes = count_at(0);
-    let n_bodies = count_at(4 + n_nodes * 106);
+    let n_bodies = count_at(4 + n_nodes * NODE_BYTES);
     assert_eq!(
         b.len(),
-        4 + n_nodes * 106 + 4 + n_bodies * 32,
+        4 + n_nodes * NODE_BYTES + 4 + n_bodies * BODY_BYTES,
         "LET payload from rank {peer}: length does not match its {n_nodes} nodes, {n_bodies} bodies"
     );
+    (n_nodes, n_bodies)
+}
+
+/// Append the pruned tree `peer` sent to `into`: once its length is
+/// checked, every field sits at a constant offset of its record.
+fn deserialize_foreign(peer: usize, b: &[u8], into: &mut ForeignTree) {
+    let (n_nodes, n_bodies) = payload_counts(peer, b);
+    if n_nodes + n_bodies == 0 {
+        return;
+    }
+    let bodies_at = 4 + n_nodes * NODE_BYTES;
     let offset = into.bodies.len() as u32;
-    let mut at = 4;
-    into.nodes.reserve(n_nodes);
-    for _ in 0..n_nodes {
-        let key = read_u64(b, &mut at);
-        let tag = b[at];
-        let child_mask = b[at + 1];
-        at += 2;
-        let bstart = read_u32(b, &mut at);
-        let bend = read_u32(b, &mut at);
-        let mass = read_f64(b, &mut at);
-        let com = [
-            read_f64(b, &mut at),
-            read_f64(b, &mut at),
-            read_f64(b, &mut at),
-        ];
-        let mut quad = [0.0; 6];
-        for q in &mut quad {
-            *q = read_f64(b, &mut at);
-        }
-        let delta = read_f64(b, &mut at);
-        into.nodes.push((
-            key,
-            ForeignNode {
-                mass,
-                com,
-                quad,
-                delta,
-                tag,
-                child_mask,
-                bodies: (bstart + offset, bend + offset),
-            },
-        ));
-    }
-    at += 4; // the body count, read above
-    into.bodies.reserve(n_bodies);
-    for _ in 0..n_bodies {
-        let m = read_f64(b, &mut at);
-        let p = [
-            read_f64(b, &mut at),
-            read_f64(b, &mut at),
-            read_f64(b, &mut at),
-        ];
-        into.bodies.push((m, p));
-    }
+    into.nodes
+        .extend(b[4..bodies_at].chunks_exact(NODE_BYTES).map(|c| {
+            let node = ForeignNode {
+                mass: f64_at(c, 18),
+                com: [f64_at(c, 26), f64_at(c, 34), f64_at(c, 42)],
+                quad: std::array::from_fn(|k| f64_at(c, 50 + 8 * k)),
+                delta: f64_at(c, 98),
+                tag: c[8],
+                child_mask: c[9],
+                bodies: (u32_at(c, 10) + offset, u32_at(c, 14) + offset),
+            };
+            (u64::from_le_bytes(c[..8].try_into().expect("u64")), node)
+        }));
+    into.bodies
+        .extend(b[bodies_at + 4..].chunks_exact(BODY_BYTES).map(|c| {
+            let pos = [f64_at(c, 8), f64_at(c, 16), f64_at(c, 24)];
+            (f64_at(c, 0), pos)
+        }));
 }
 
 /// The adaptive domain frontier of a tree: starting from the root,
@@ -359,15 +340,33 @@ impl Corners {
         d2
     }
 
+    /// Squared gap to `other` along axis `d`.
+    fn gap2(&self, other: &Corners, d: usize) -> f64 {
+        let gap = (other.lo[d] - self.hi[d])
+            .max(self.lo[d] - other.hi[d])
+            .max(0.0);
+        gap * gap
+    }
+
+    #[cfg(test)]
     fn dist2_to_box(&self, other: &Corners) -> f64 {
         let mut d2 = 0.0;
         for d in 0..3 {
-            let gap = (other.lo[d] - self.hi[d])
-                .max(self.lo[d] - other.hi[d])
-                .max(0.0);
-            d2 += gap * gap;
+            d2 += self.gap2(other, d);
         }
         d2
+    }
+
+    /// Squared gaps, axis by axis, to the low and to the high half of a
+    /// cell, `halves[b]` being its daughter whose octant bits are all `b`:
+    /// `[x₀, x₁, y₀, y₁, z₀, z₁]`. Along each axis a daughter spans one
+    /// half, and which one depends on that axis's octant bit alone, so
+    /// the distance to daughter `o` is `x[o & 1] + y[o >> 1 & 1] +
+    /// z[o >> 2]` — the very sum `dist2_to_box` forms for that daughter's
+    /// corners (a square is never `−0.0`, so starting the sum from `0.0`
+    /// changes nothing).
+    fn half_gaps2(&self, halves: &[Corners; 2]) -> [f64; 6] {
+        std::array::from_fn(|i| self.gap2(&halves[i & 1], i >> 1))
     }
 }
 
@@ -388,14 +387,16 @@ fn cell_corners(bb: &BoundingBox, key: Key) -> Corners {
 
 /// Buffers [`prune_for_domain`] reuses from one peer to the next: its
 /// output, the sender cells still to visit — each with its requester
-/// list as a range of `arena` — and the lists themselves (indices into
-/// the domain, filed in push order).
+/// list as a range of `arena` — the lists themselves (indices into the
+/// domain, filed in push order), and the [`Corners::half_gaps2`] of the
+/// list being split among a cell's daughters.
 #[derive(Default)]
-struct PruneScratch<'t> {
+struct PruneScratch {
     nodes: Vec<(u64, ForeignNode)>,
     bodies: Vec<(f64, [f64; 3])>,
-    stack: Vec<(&'t Node, usize, usize)>,
+    stack: Vec<(u32, usize, usize)>,
     arena: Vec<u32>,
+    gaps: Vec<[f64; 6]>,
 }
 
 /// Prune the local tree for a requester described by its domain cells,
@@ -407,23 +408,23 @@ struct PruneScratch<'t> {
 /// constraint below. A sender node with an empty list (and every node
 /// whose remaining cells all accept its actual moments) ships as a
 /// terminal multipole. Emits skeleton nodes and a body list.
-fn prune_for_domain<'t>(
-    tree: &'t HashedOctTree,
-    bodies: &Bodies,
+fn prune_for_domain(
+    local: &LocalTree,
     domain: &[Corners],
     mac: &Mac,
-    out: &mut PruneScratch<'t>,
+    out: &mut PruneScratch,
 ) -> Bytes {
     out.nodes.clear();
     out.bodies.clear();
     out.arena.clear();
     out.arena.extend(0..domain.len() as u32);
-    out.stack.push((tree.root(), 0, domain.len()));
-    while let Some((node, lo, hi)) = out.stack.pop() {
+    out.stack.push((0, 0, domain.len()));
+    while let Some((at, lo, hi)) = out.stack.pop() {
         // Every list filed after this entry's belongs to an entry pushed
-        // later, and those have all been popped.
-        out.arena.truncate(hi);
-        let size = tree.bb.cell_size(node.key.level());
+        // later, and those have all been popped: the arena is free from
+        // the end of this one.
+        let mut top = hi;
+        let (node, cell) = (&local.nodes[at as usize], &local.cells[at as usize]);
         let mut fnode = ForeignNode {
             mass: node.mass,
             com: node.com,
@@ -433,14 +434,12 @@ fn prune_for_domain<'t>(
             child_mask: 0,
             bodies: (0, 0),
         };
-        // `Mac::accepts(size, node.delta, ·)` with the threshold hoisted.
-        let crit = size / mac.theta + node.delta;
-        let crit2 = crit * crit;
-        let all_accept = node.count > 1
-            && out.arena[lo..hi]
-                .iter()
-                .all(|&c| crit2 < domain[c as usize].dist2_to_point(node.com));
-        if lo == hi || all_accept {
+        // The walk's threshold: `∞` for a single-body cell, which only an
+        // empty list ships as a multipole.
+        let all_accept = out.arena[lo..hi]
+            .iter()
+            .all(|&c| cell.crit2 < domain[c as usize].dist2_to_point(node.com));
+        if all_accept {
             out.nodes.push((node.key.0, fnode));
             continue;
         }
@@ -448,7 +447,7 @@ fn prune_for_domain<'t>(
             NodeKind::Leaf { start, end } => {
                 let b0 = out.bodies.len() as u32;
                 for i in start as usize..end as usize {
-                    out.bodies.push((bodies.mass[i], bodies.pos[i]));
+                    out.bodies.push((local.bodies.mass[i], local.bodies.pos[i]));
                 }
                 fnode.tag = TAG_BODIES;
                 fnode.bodies = (b0, out.bodies.len() as u32);
@@ -458,30 +457,58 @@ fn prune_for_domain<'t>(
                 fnode.tag = TAG_INTERNAL;
                 fnode.child_mask = child_mask;
                 out.nodes.push((node.key.0, fnode));
-                for child in tree.children(node) {
-                    let cb = cell_corners(&tree.bb, child.key);
-                    let s = tree.bb.cell_size(child.key.level());
-                    // Worst-case descendant criterion: size s, offset
-                    // ≤ s·√3/2, com anywhere in the child box.
-                    let crit = s / mac.theta + s * 0.8660254;
-                    let crit2 = crit * crit;
-                    // Copy every requester cell; keep the slot only if
-                    // the cell still constrains this subtree.
-                    let start = out.arena.len();
-                    out.arena.resize(start + (hi - lo), 0);
-                    let (filed, child_req) = out.arena.split_at_mut(start);
-                    let mut kept = 0;
-                    for &c in &filed[lo..hi] {
-                        child_req[kept] = c;
-                        kept += usize::from(domain[c as usize].dist2_to_box(&cb) <= crit2);
-                    }
-                    out.arena.truncate(start + kept);
-                    out.stack.push((child, start, start + kept));
+                // Worst-case descendant criterion: size s, offset
+                // ≤ s·√3/2, com anywhere in the daughter's box.
+                let bb = &local.tree.bb;
+                let s = bb.cell_size(node.key.level() + 1);
+                let crit = s / mac.theta + s * 0.8660254;
+                let crit2 = crit * crit;
+                let halves = [
+                    cell_corners(bb, node.key.child(0)),
+                    cell_corners(bb, node.key.child(7)),
+                ];
+                out.gaps.clear();
+                let requesters = out.arena[lo..hi].iter();
+                out.gaps
+                    .extend(requesters.map(|&c| domain[c as usize].half_gaps2(&halves)));
+                let octants = (0..8).filter(|o| child_mask & (1 << o) != 0);
+                for (daughter, o) in (cell.first_child..).zip(octants) {
+                    let kept = out.file_daughter_list((lo, hi), top, o, crit2);
+                    out.stack.push((daughter, top, top + kept));
+                    top += kept;
                 }
             }
         }
     }
     serialize_foreign(&out.nodes, &out.bodies)
+}
+
+impl PruneScratch {
+    /// File at `arena[top..]` the requester list of the daughter in octant
+    /// `o` of the cell whose own list is `arena[lo..hi]` and whose half
+    /// gaps are in `gaps`: the requester cells within `crit2` (squared)
+    /// of the daughter's box. Returns its length.
+    fn file_daughter_list(
+        &mut self,
+        (lo, hi): (usize, usize),
+        top: usize,
+        o: usize,
+        crit2: f64,
+    ) -> usize {
+        if self.arena.len() < top + (hi - lo) {
+            self.arena.resize(top + (hi - lo), 0);
+        }
+        let (filed, list) = self.arena.split_at_mut(top);
+        let mut kept = 0;
+        for (&c, g) in filed[lo..hi].iter().zip(&self.gaps) {
+            // Copy every requester cell; keep the slot only if the cell
+            // still constrains this subtree.
+            list[kept] = c;
+            let dist2 = g[o & 1] + g[2 + (o >> 1 & 1)] + g[4 + (o >> 2)];
+            kept += usize::from(dist2 <= crit2);
+        }
+        kept
+    }
 }
 
 /// A piece of matter resident at an opened merged node: either a
@@ -495,34 +522,16 @@ enum Resident {
         quad: [f64; 6],
     },
     /// A body group (range into the forest body list) with its own
-    /// moments for group-level MAC acceptance.
+    /// moments and threshold ([`Cell::crit2`]: of the group's cell and
+    /// offset, `∞` for a lone body) for group-level MAC acceptance.
     Group {
         start: u32,
         end: u32,
         mass: f64,
         com: [f64; 3],
         quad: [f64; 6],
-        delta: f64,
+        crit2: f64,
     },
-}
-
-/// One cell of the merged import forest: combined moments over every
-/// peer's piece at this key, the union of shipped children, and the
-/// resident terminal/body pieces to apply when the cell is opened.
-#[derive(Debug, Clone)]
-struct MergedNode {
-    mass: f64,
-    com: [f64; 3],
-    quad: [f64; 6],
-    delta: f64,
-    /// Edge length of the cell.
-    size: f64,
-    /// Shipped daughters: `child_mask.count_ones()` consecutive cells
-    /// from `first_child`, in ascending daughter order.
-    child_mask: u8,
-    first_child: u32,
-    /// Range of the forest's resident list.
-    resident: (u32, u32),
 }
 
 /// All imports merged into one walkable tree — the receiver half of the
@@ -534,14 +543,16 @@ struct MergedNode {
 /// its sentinel bit, so numeric order is level by level and Morton
 /// within a level: the root is cell 0, the shipped daughters of one cell
 /// are consecutive, and those of successive cells follow one another —
-/// which is why an index and a mask link a cell to its daughters and no
-/// lookup by key is ever needed.
+/// which is why an index and a count link a cell to its daughters and no
+/// lookup by key is ever needed. A cell carries the combined moments of
+/// every peer's piece at its key and the range of `resident` to apply
+/// when it is opened.
 #[derive(Debug, Clone, Default)]
 struct ImportedForest {
     /// Skeleton nodes received, before merging.
     imported_cells: u64,
     keys: Vec<u64>,
-    nodes: Vec<MergedNode>,
+    cells: Vec<Cell>,
     resident: Vec<Resident>,
     bodies: Vec<(f64, [f64; 3])>,
 }
@@ -555,7 +566,7 @@ struct ImportedForest {
 /// at `k` account for all shipped matter below `k` exactly once. The
 /// daughter links rely on the first invariant, so it is checked here,
 /// once: a skeleton with a hole panics instead of losing mass per walk.
-fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedForest {
+fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox, mac: &Mac) -> ImportedForest {
     let mut forest = ImportedForest {
         imported_cells: foreign.nodes.len() as u64,
         bodies: foreign.bodies,
@@ -565,10 +576,16 @@ fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedFores
     let mut order: Vec<(u64, u32)> = foreign.nodes.iter().map(|n| n.0).zip(0..).collect();
     order.sort_unstable();
     let mut moments = Vec::new();
+    // At most one cell and one resident piece per imported node.
+    let mut masks = Vec::with_capacity(order.len());
+    forest.keys.reserve(order.len());
+    forest.cells.reserve(order.len());
+    forest.resident.reserve(order.len());
     for pieces in order.chunk_by(|a, b| a.0 == b.0) {
         let key = Key(pieces[0].0);
+        let size = global_bb.cell_size(key.level());
         let first_resident = forest.resident.len() as u32;
-        let mut child_mask = 0;
+        let mut child_mask = 0u8;
         moments.clear();
         for &(_, piece) in pieces {
             let n = &foreign.nodes[piece as usize].1;
@@ -585,7 +602,7 @@ fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedFores
                     mass: n.mass,
                     com: n.com,
                     quad: n.quad,
-                    delta: n.delta,
+                    crit2: Cell::threshold(mac, size, n.delta, n.bodies.1 - n.bodies.0),
                 }),
                 TAG_INTERNAL => child_mask |= n.child_mask,
                 _ => unreachable!("unknown tag"),
@@ -593,14 +610,14 @@ fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedFores
         }
         let (mass, com, quad) = crate::moments::combine_moments(&moments);
         forest.keys.push(key.0);
-        forest.nodes.push(MergedNode {
-            mass,
+        masks.push(child_mask);
+        forest.cells.push(Cell {
             com,
+            crit2: mac.crit2(size, com_offset(global_bb, key, com)),
+            mass,
             quad,
-            delta: com_offset(global_bb, key, com),
-            size: global_bb.cell_size(key.level()),
-            child_mask,
             first_child: 0,
+            n_children: child_mask.count_ones(),
             resident: (first_resident, forest.resident.len() as u32),
         });
     }
@@ -608,10 +625,10 @@ fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedFores
     // daughter order, right after those of the cell before it.
     let rooted = forest.keys.first().is_none_or(|&k| k == Key::ROOT.0);
     assert!(rooted, "import forest: no peer shipped the root");
-    let mut next = forest.nodes.len().min(1);
-    for (node, &key) in forest.nodes.iter_mut().zip(&forest.keys) {
-        node.first_child = next as u32;
-        for d in (0..8u8).filter(|d| node.child_mask & (1 << d) != 0) {
+    let mut next = forest.cells.len().min(1);
+    for ((cell, &key), child_mask) in forest.cells.iter_mut().zip(&forest.keys).zip(masks) {
+        cell.first_child = next as u32;
+        for d in (0..8u8).filter(|d| child_mask & (1 << d) != 0) {
             let daughter = Key(key).child(d).0;
             assert!(
                 forest.keys.get(next) == Some(&daughter),
@@ -620,111 +637,37 @@ fn merge_foreign(foreign: ForeignTree, global_bb: &BoundingBox) -> ImportedFores
             next += 1;
         }
     }
-    let linked = next == forest.nodes.len();
+    let linked = next == forest.cells.len();
     assert!(linked, "import forest: a shipped cell that no parent masks");
     forest
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_multipole(
-    mass: f64,
-    com: [f64; 3],
-    quad: [f64; 6],
-    delta: f64,
-    pos: [f64; 3],
-    mac: &Mac,
-    eps2: f64,
-    acc: &mut [f64; 3],
-    pot: &mut f64,
-) {
-    let node = crate::hot::Node {
-        key: Key::ROOT,
-        kind: NodeKind::Leaf { start: 0, end: 0 },
-        count: 2,
-        mass,
-        com,
-        quad,
-        delta,
-    };
-    let (a, p) = crate::moments::multipole_field(&node, pos, eps2, mac.quadrupole);
-    for ax in 0..3 {
-        acc[ax] += a[ax];
-    }
-    *pot += p;
-}
-
-/// Walk one body over the merged import forest with the body-level MAC.
-/// `stack` is the caller's, reused from body to body.
-#[allow(clippy::too_many_arguments)]
-fn walk_forest(
-    forest: &ImportedForest,
-    stack: &mut Vec<u32>,
-    pos: [f64; 3],
-    mac: &Mac,
-    eps2: f64,
-    acc: &mut [f64; 3],
-    pot: &mut f64,
-    counts: &mut InteractionCounts,
-) {
-    stack.clear();
-    if !forest.nodes.is_empty() {
-        stack.push(0);
-    }
-    while let Some(at) = stack.pop() {
-        let node = &forest.nodes[at as usize];
-        let size = node.size;
-        let d = [
-            node.com[0] - pos[0],
-            node.com[1] - pos[1],
-            node.com[2] - pos[2],
-        ];
-        let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        if mac.accepts(size, node.delta, dist2) {
-            apply_multipole(
-                node.mass, node.com, node.quad, node.delta, pos, mac, eps2, acc, pot,
-            );
-            counts.pc += 1;
-            continue;
-        }
-        for r in &forest.resident[node.resident.0 as usize..node.resident.1 as usize] {
-            match *r {
-                Resident::Multipole { mass, com, quad } => {
+impl ImportedForest {
+    /// Walk `g` over the forest with the body-level MAC: an opened cell
+    /// applies its resident pieces in peer order.
+    fn walk(&self, stack: &mut Vec<(u32, u8)>, g: &mut Group, f: &Field) {
+        walk_group(&self.cells, stack, g, f, |g, cell, mask| {
+            for r in &self.resident[cell.resident.0 as usize..cell.resident.1 as usize] {
+                match *r {
                     // Domain-accepted ⇒ body-accepted: apply directly.
-                    apply_multipole(mass, com, quad, 0.0, pos, mac, eps2, acc, pot);
-                    counts.pc += 1;
-                }
-                Resident::Group {
-                    start,
-                    end,
-                    mass,
-                    com,
-                    quad,
-                    delta,
-                } => {
-                    let gd = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
-                    let gdist2 = gd[0] * gd[0] + gd[1] * gd[1] + gd[2] * gd[2];
-                    if end - start > 1 && mac.accepts(size, delta, gdist2) {
-                        apply_multipole(mass, com, quad, delta, pos, mac, eps2, acc, pot);
-                        counts.pc += 1;
-                    } else {
-                        for &(m, q) in &forest.bodies[start as usize..end as usize] {
-                            let dj = [q[0] - pos[0], q[1] - pos[1], q[2] - pos[2]];
-                            let r2 = dj[0] * dj[0] + dj[1] * dj[1] + dj[2] * dj[2] + eps2;
-                            let rinv = 1.0 / r2.sqrt();
-                            let rinv3 = rinv * rinv * rinv;
-                            let sfac = m * rinv3;
-                            acc[0] += sfac * dj[0];
-                            acc[1] += sfac * dj[1];
-                            acc[2] += sfac * dj[2];
-                            *pot -= m * rinv;
-                            counts.pp += 1;
-                        }
+                    Resident::Multipole { mass, com, quad } => g.cell(mask, mass, com, &quad, f),
+                    Resident::Group {
+                        start,
+                        end,
+                        mass,
+                        com,
+                        quad,
+                        crit2,
+                    } => {
+                        let far = g.beyond(com, crit2, mask);
+                        g.cell(far, mass, com, &quad, f);
+                        // No foreign body is a local one: nothing to skip.
+                        let bodies = self.bodies[start as usize..end as usize].iter();
+                        g.points(mask & !far, bodies.map(|&(m, q)| (usize::MAX, m, q)), f);
                     }
                 }
             }
-        }
-        // Ascending daughter order, so the highest daughter pops first.
-        stack.extend(node.first_child..node.first_child + node.child_mask.count_ones());
+        });
     }
 }
 
@@ -871,16 +814,39 @@ fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
 }
 
 /// A rank's zone after the local build: bodies Morton-sorted, `order[i]`
-/// the caller's zone slot of sorted body `i`, the tree (empty zone: no cells).
+/// the caller's zone slot of sorted body `i`, the tree (empty zone: no
+/// cells), and the tree flattened ([`flatten`]) for the prune and the
+/// walk.
 struct LocalTree {
     bodies: Bodies,
     order: Vec<usize>,
     tree: HashedOctTree,
+    nodes: Vec<Node>,
+    cells: Vec<Cell>,
 }
 
-/// Phase 2: the local tree in the global key space. `build_tree`
-/// Morton-sorts; replicate the permutation to scatter results back to
-/// zone order.
+impl LocalTree {
+    /// The tree of zone `mine` in the global key space. `build_tree`
+    /// Morton-sorts; replicate the permutation to scatter results back to
+    /// zone order.
+    fn new(mine: &Bodies, global_bb: BoundingBox, cfg: &DistributedConfig) -> LocalTree {
+        let mut bodies = mine.clone();
+        let keys = bodies.keys(&global_bb);
+        let mut order: Vec<usize> = (0..mine.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let tree = build_tree(&mut bodies, global_bb, cfg.leaf_capacity);
+        let (nodes, cells) = flatten(&tree, &cfg.mac);
+        LocalTree {
+            bodies,
+            order,
+            tree,
+            nodes,
+            cells,
+        }
+    }
+}
+
+/// Phase 2: the local build, charged at `build_flops_per_body_level`.
 fn tree_build(
     comm: &mut Comm,
     mine: &Bodies,
@@ -888,20 +854,11 @@ fn tree_build(
     cfg: &DistributedConfig,
 ) -> LocalTree {
     let n_local = mine.len();
-    let mut bodies = mine.clone();
-    let keys = bodies.keys(&global_bb);
-    let mut order: Vec<usize> = (0..n_local).collect();
-    order.sort_by_key(|&i| keys[i]);
-    let tree = build_tree(&mut bodies, global_bb, cfg.leaf_capacity);
     if n_local > 0 {
         let levels = (n_local.max(2) as f64).log2();
         comm.compute(cfg.build_flops_per_body_level * n_local as f64 * levels);
     }
-    LocalTree {
-        bodies,
-        order,
-        tree,
-    }
+    LocalTree::new(mine, global_bb, cfg)
 }
 
 /// Phase 3: publish the adaptive cell frontier of the local tree (see
@@ -937,16 +894,27 @@ fn let_exchange(
         if peer == rank || domain.is_empty() || local.tree.is_empty() {
             continue;
         }
-        outgoing[peer] = prune_for_domain(&local.tree, &local.bodies, domain, mac, &mut scratch);
+        outgoing[peer] = prune_for_domain(local, domain, mac, &mut scratch);
     }
     let incoming = comm.alltoallv(outgoing);
-    let mut foreign = ForeignTree::default();
-    for (peer, payload) in incoming.iter().enumerate() {
-        if peer != rank {
-            deserialize_foreign(peer, payload, &mut foreign);
-        }
+    let peers = || {
+        incoming
+            .iter()
+            .enumerate()
+            .filter(|(peer, _)| *peer != rank)
+    };
+    // Sized once: grown peer by peer, the lists would be copied as often.
+    let (n_nodes, n_bodies) = peers()
+        .map(|(peer, payload)| payload_counts(peer, payload))
+        .fold((0, 0), |n, c| (n.0 + c.0, n.1 + c.1));
+    let mut foreign = ForeignTree {
+        nodes: Vec::with_capacity(n_nodes),
+        bodies: Vec::with_capacity(n_bodies),
+    };
+    for (peer, payload) in peers() {
+        deserialize_foreign(peer, payload, &mut foreign);
     }
-    merge_foreign(foreign, &local.tree.bb)
+    merge_foreign(foreign, &local.tree.bb, mac)
 }
 
 /// Phase 5: walk every local body over the local tree plus the import
@@ -962,27 +930,20 @@ fn walk(
     let mut acc = vec![[0.0; 3]; n_local];
     let mut pot = vec![0.0; n_local];
     let mut body_cost = vec![0.0; n_local];
+    let f = Field::new(&cfg.mac, cfg.eps2);
     let mut stack = Vec::new();
-    for i in 0..n_local {
-        let p = local.bodies.pos[i];
-        let before = counts;
-        let (mut a, mut phi, c, _) = walk_one(&local.tree, &local.bodies, p, i, &cfg.mac, cfg.eps2);
-        counts.add(c);
-        walk_forest(
-            forest,
-            &mut stack,
-            p,
-            &cfg.mac,
-            cfg.eps2,
-            &mut a,
-            &mut phi,
-            &mut counts,
-        );
-        // Scatter: `i` is Morton order, `order[i]` the caller's zone slot.
-        let slot = local.order[i];
-        acc[slot] = a;
-        pot[slot] = phi;
-        body_cost[slot] = ((counts.pp - before.pp) + (counts.pc - before.pc)) as f64;
+    for first in (0..n_local).step_by(LANES) {
+        let mut g = Group::load(&local.bodies.pos, first);
+        walk_local(&local.cells, &local.bodies, &mut stack, &mut g, &f);
+        forest.walk(&mut stack, &mut g, &f);
+        for (i, a, phi, c) in g.results() {
+            // Scatter: Morton order to the caller's zone slot.
+            let slot = local.order[i];
+            acc[slot] = a;
+            pot[slot] = phi;
+            body_cost[slot] = (c.pp + c.pc) as f64;
+            counts.add(c);
+        }
     }
     comm.compute(counts.flops(cfg.mac.quadrupole) as f64);
     comm.barrier();
@@ -1285,7 +1246,7 @@ mod tests {
             let bodies = vec![(1.0, [0.5; 3]); *n_bodies];
             deserialize_foreign(peer, &serialize_foreign(nodes, &bodies), &mut foreign);
         }
-        merge_foreign(foreign, &unit_cube())
+        merge_foreign(foreign, &unit_cube(), &Mac::standard())
     }
 
     #[test]
@@ -1311,19 +1272,22 @@ mod tests {
         assert_eq!(forest.keys, [r.0, r1.0, r5.0, r52.0]);
         assert_eq!(forest.imported_cells, 8);
         assert_eq!(forest.bodies.len(), 3);
-        let links: Vec<(u8, u32)> = forest
-            .nodes
+        let links: Vec<(u32, u32)> = forest
+            .cells
             .iter()
-            .map(|n| (n.child_mask, n.first_child))
+            .map(|n| (n.n_children, n.first_child))
             .collect();
         // Daughters of the root at 1..3, of r5 at 3..4; leaves link past
         // the last cell filed so far and have no daughters to reach.
-        assert_eq!(links, [(0b10_0010, 1), (0, 3), (0b100, 3), (0, 4)]);
-        let masses: Vec<f64> = forest.nodes.iter().map(|n| n.mass).collect();
+        assert_eq!(links, [(2, 1), (0, 3), (1, 3), (0, 4)]);
+        let masses: Vec<f64> = forest.cells.iter().map(|n| n.mass).collect();
         assert_eq!(masses, [60.0, 12.0, 18.0, 6.0]);
-        assert_eq!(forest.nodes[2].size, 0.5);
+        // r5 is a level-1 cell of the unit cube: edge 0.5.
+        let r5_cell = &forest.cells[2];
+        let delta = com_offset(&unit_cube(), r5, r5_cell.com);
+        assert_eq!(r5_cell.crit2, Mac::standard().crit2(0.5, delta));
         let residents: Vec<Vec<(f64, u32, u32)>> = forest
-            .nodes
+            .cells
             .iter()
             .map(|n| {
                 forest.resident[n.resident.0 as usize..n.resident.1 as usize]
@@ -1426,46 +1390,342 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prune_arena_is_truncated_on_pop() {
-        // 24 zones of a 20 000-body sphere; three senders prune for every
-        // peer. An arena that only grew would hold every requester list
-        // ever filed; truncated on pop it holds at most the lists along
-        // one root-to-leaf path and their siblings'.
-        let bodies = plummer(20_000, 42);
+    /// Every zone of `bodies` split `nranks` ways, built in their common
+    /// cube, and the domain each would publish — a step's first three
+    /// phases without a cluster.
+    fn zones_and_domains(
+        bodies: &Bodies,
+        nranks: usize,
+        cfg: &DistributedConfig,
+    ) -> (Vec<LocalTree>, Vec<Vec<Corners>>) {
         let bb = BoundingBox::containing(&bodies.pos);
-        let cfg = DistributedConfig::default();
-        let zones: Vec<(Bodies, HashedOctTree)> = cost_zones(&bodies, &bb, 24, None)
+        let zones: Vec<LocalTree> = cost_zones(bodies, &bb, nranks, None)
+            .iter()
+            .map(|z| LocalTree::new(&bodies.select(z), bb, cfg))
+            .collect();
+        let domains = zones
             .iter()
             .map(|z| {
-                let mut b = bodies.select(z);
-                let t = build_tree(&mut b, bb, cfg.leaf_capacity);
-                (b, t)
-            })
-            .collect();
-        let domains: Vec<Vec<Corners>> = zones
-            .iter()
-            .map(|(_, t)| {
-                let frontier = domain_frontier(t, DOMAIN_CELL_BUDGET);
+                let frontier = domain_frontier(&z.tree, DOMAIN_CELL_BUDGET);
                 frontier
                     .iter()
                     .map(|&k| cell_corners(&bb, Key(k)))
                     .collect()
             })
             .collect();
+        (zones, domains)
+    }
+
+    #[test]
+    fn prune_arena_is_truncated_on_pop() {
+        // 24 zones of a 20 000-body sphere; three senders prune for every
+        // peer. An arena that only grew would hold every requester list
+        // ever filed; truncated on pop it holds at most the lists along
+        // one root-to-leaf path and their siblings'.
+        let cfg = DistributedConfig::default();
+        let (zones, domains) = zones_and_domains(&plummer(20_000, 42), 24, &cfg);
         for sender in [0, 11, 23] {
-            let (local, tree) = &zones[sender];
+            let local = &zones[sender];
             let mut scratch = PruneScratch::default();
             for (peer, domain) in domains.iter().enumerate().filter(|(p, _)| *p != sender) {
-                let bound = 8 * (tree.depth() as usize + 1) * domain.len();
+                let bound = 8 * (local.tree.depth() as usize + 1) * domain.len();
                 scratch.arena = Vec::with_capacity(bound);
                 let room = scratch.arena.capacity();
-                prune_for_domain(tree, local, domain, &cfg.mac, &mut scratch);
+                prune_for_domain(local, domain, &cfg.mac, &mut scratch);
                 assert_eq!(
                     scratch.arena.capacity(),
                     room,
                     "{sender} → {peer}: the arena outgrew {bound} ids"
                 );
+            }
+        }
+    }
+
+    /// `prune_for_domain` as it stood before the flat local tree and the
+    /// separable distances: the hashed tree's nodes on the stack, one
+    /// box–box distance per daughter and requester cell.
+    fn prune_per_daughter(local: &LocalTree, domain: &[Corners], mac: &Mac) -> Bytes {
+        let (tree, bodies) = (&local.tree, &local.bodies);
+        let (mut nodes, mut shipped) = (Vec::new(), Vec::new());
+        let mut arena: Vec<u32> = (0..domain.len() as u32).collect();
+        let mut stack = vec![(tree.root(), 0, domain.len())];
+        while let Some((node, lo, hi)) = stack.pop() {
+            arena.truncate(hi);
+            let size = tree.bb.cell_size(node.key.level());
+            let mut fnode = ForeignNode {
+                mass: node.mass,
+                com: node.com,
+                quad: node.quad,
+                delta: node.delta,
+                tag: TAG_TERMINAL,
+                child_mask: 0,
+                bodies: (0, 0),
+            };
+            let crit = size / mac.theta + node.delta;
+            let crit2 = crit * crit;
+            let all_accept = node.count > 1
+                && arena[lo..hi]
+                    .iter()
+                    .all(|&c| crit2 < domain[c as usize].dist2_to_point(node.com));
+            if lo == hi || all_accept {
+                nodes.push((node.key.0, fnode));
+                continue;
+            }
+            match node.kind {
+                NodeKind::Leaf { start, end } => {
+                    let b0 = shipped.len() as u32;
+                    for i in start as usize..end as usize {
+                        shipped.push((bodies.mass[i], bodies.pos[i]));
+                    }
+                    fnode.tag = TAG_BODIES;
+                    fnode.bodies = (b0, shipped.len() as u32);
+                    nodes.push((node.key.0, fnode));
+                }
+                NodeKind::Internal { child_mask } => {
+                    fnode.tag = TAG_INTERNAL;
+                    fnode.child_mask = child_mask;
+                    nodes.push((node.key.0, fnode));
+                    for child in tree.children(node) {
+                        let cb = cell_corners(&tree.bb, child.key);
+                        let s = tree.bb.cell_size(child.key.level());
+                        let crit = s / mac.theta + s * 0.8660254;
+                        let crit2 = crit * crit;
+                        let start = arena.len();
+                        arena.resize(start + (hi - lo), 0);
+                        let (filed, child_req) = arena.split_at_mut(start);
+                        let mut kept = 0;
+                        for &c in &filed[lo..hi] {
+                            child_req[kept] = c;
+                            kept += usize::from(domain[c as usize].dist2_to_box(&cb) <= crit2);
+                        }
+                        arena.truncate(start + kept);
+                        stack.push((child, start, start + kept));
+                    }
+                }
+            }
+        }
+        serialize_foreign(&nodes, &shipped)
+    }
+
+    #[test]
+    fn pruned_trees_equal_the_per_daughter_prune_byte_for_byte() {
+        let cfg = DistributedConfig::default();
+        let (zones, domains) = zones_and_domains(&plummer(20_000, 42), 24, &cfg);
+        let mut scratch = PruneScratch::default();
+        for (sender, local) in zones.iter().enumerate() {
+            for (peer, domain) in domains.iter().enumerate().filter(|(p, _)| *p != sender) {
+                let shipped = prune_for_domain(local, domain, &cfg.mac, &mut scratch);
+                let expected = prune_per_daughter(local, domain, &cfg.mac);
+                assert!(shipped == expected, "{sender} → {peer}: payloads differ");
+            }
+        }
+    }
+
+    #[test]
+    fn half_gaps_sum_to_the_box_distance_of_every_daughter_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let bb = BoundingBox {
+            min: [-2.0, -1.5, -2.5],
+            size: 5.0,
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        for i in 0..10_000 {
+            // A sender cell anywhere in the top twelve levels.
+            let mut key = Key::ROOT;
+            for _ in 0..rng.random_range(0..12u32) {
+                key = key.child(rng.random_range(0..8u8));
+            }
+            let cell = cell_corners(&bb, key);
+            // A requester: a third of them tree cells (faces touch, boxes
+            // nest — the `−0.0` and `0.0` gaps), a third on a coarse grid,
+            // a third anywhere.
+            let requester = match i % 3 {
+                0 => {
+                    let mut k = Key::ROOT;
+                    for _ in 0..rng.random_range(0..12u32) {
+                        k = k.child(rng.random_range(0..8u8));
+                    }
+                    cell_corners(&bb, k)
+                }
+                kind => {
+                    let mut coord = |scale: f64| {
+                        let x = (rng.random::<f64>() - 0.5) * scale;
+                        if kind == 1 {
+                            (x * 4.0).round() / 4.0
+                        } else {
+                            x
+                        }
+                    };
+                    let lo = [coord(6.0), coord(6.0), coord(6.0)];
+                    let size = coord(2.0).abs() + 0.125;
+                    Corners {
+                        lo,
+                        hi: [lo[0] + size, lo[1] + size, lo[2] + size],
+                    }
+                }
+            };
+            let halves = [
+                cell_corners(&bb, key.child(0)),
+                cell_corners(&bb, key.child(7)),
+            ];
+            let g = requester.half_gaps2(&halves);
+            for o in 0..8usize {
+                let sum = g[o & 1] + g[2 + (o >> 1 & 1)] + g[4 + (o >> 2)];
+                let daughter = cell_corners(&bb, key.child(o as u8));
+                assert_eq!(
+                    sum.to_bits(),
+                    requester.dist2_to_box(&daughter).to_bits(),
+                    "{key:?} daughter {o} from {requester:?} (its parent: {cell:?})"
+                );
+            }
+        }
+    }
+
+    /// A body's running sums: acceleration, potential, counts.
+    type Sums = ([f64; 3], f64, InteractionCounts);
+
+    /// `apply_multipole` as it stood: a stand-in node around the moments.
+    fn apply_multipole(m: (f64, [f64; 3], [f64; 6]), pos: [f64; 3], f: &Field, sums: &mut Sums) {
+        let node = Node {
+            key: Key::ROOT,
+            kind: NodeKind::Leaf { start: 0, end: 0 },
+            count: 2,
+            mass: m.0,
+            com: m.1,
+            quad: m.2,
+            delta: 0.0,
+        };
+        let (a, p) = crate::reference::multipole_field(&node, pos, f.eps2, f.quadrupole);
+        for ax in 0..3 {
+            sums.0[ax] += a[ax];
+        }
+        sums.1 += p;
+        sums.2.pc += 1;
+    }
+
+    /// `walk_forest` as it stood before the group walk: one body, one
+    /// `u32` stack, the MAC evaluated per visit. The forest no longer
+    /// stores a cell's edge and offset (only the threshold made of them),
+    /// so they are recomputed here by the expressions that made them.
+    fn walk_forest_one_body(
+        forest: &ImportedForest,
+        bb: &BoundingBox,
+        pos: [f64; 3],
+        mac: &Mac,
+        eps2: f64,
+        sums: &mut Sums,
+    ) {
+        let f = Field::new(mac, eps2);
+        let mut stack = Vec::new();
+        if !forest.cells.is_empty() {
+            stack.push(0);
+        }
+        while let Some(at) = stack.pop() {
+            let (node, key) = (&forest.cells[at as usize], Key(forest.keys[at as usize]));
+            let size = bb.cell_size(key.level());
+            let d = [
+                node.com[0] - pos[0],
+                node.com[1] - pos[1],
+                node.com[2] - pos[2],
+            ];
+            let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            if mac.accepts(size, com_offset(bb, key, node.com), dist2) {
+                apply_multipole((node.mass, node.com, node.quad), pos, &f, sums);
+                continue;
+            }
+            for r in &forest.resident[node.resident.0 as usize..node.resident.1 as usize] {
+                match *r {
+                    Resident::Multipole { mass, com, quad } => {
+                        // Domain-accepted ⇒ body-accepted: apply directly.
+                        apply_multipole((mass, com, quad), pos, &f, sums);
+                    }
+                    Resident::Group {
+                        start,
+                        end,
+                        mass,
+                        com,
+                        quad,
+                        ..
+                    } => {
+                        let gd = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
+                        let gdist2 = gd[0] * gd[0] + gd[1] * gd[1] + gd[2] * gd[2];
+                        let delta = com_offset(bb, key, com);
+                        if end - start > 1 && mac.accepts(size, delta, gdist2) {
+                            apply_multipole((mass, com, quad), pos, &f, sums);
+                        } else {
+                            for &(m, q) in &forest.bodies[start as usize..end as usize] {
+                                let dj = [q[0] - pos[0], q[1] - pos[1], q[2] - pos[2]];
+                                let r2 = dj[0] * dj[0] + dj[1] * dj[1] + dj[2] * dj[2] + eps2;
+                                let rinv = 1.0 / r2.sqrt();
+                                let rinv3 = rinv * rinv * rinv;
+                                let sfac = m * rinv3;
+                                sums.0[0] += sfac * dj[0];
+                                sums.0[1] += sfac * dj[1];
+                                sums.0[2] += sfac * dj[2];
+                                sums.1 -= m * rinv;
+                                sums.2.pp += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            // Ascending daughter order, so the highest daughter pops first.
+            stack.extend(node.first_child..node.first_child + node.n_children);
+        }
+    }
+
+    #[test]
+    fn local_plus_forest_group_walk_equals_the_body_by_body_walks_bit_for_bit() {
+        // Zones of one body (8 on 8), of 8 and 9 (17 on 2), and of a few
+        // hundred with short last groups (1500 on 6).
+        for (n, nranks) in [(8, 8), (17, 2), (1500, 6)] {
+            for (name, ic) in crate::reference::ICS {
+                for (theta, quadrupole, eps2) in
+                    [(0.3, true, 1e-6), (0.8, false, 1e-6), (0.8, true, 0.0)]
+                {
+                    let cfg = DistributedConfig {
+                        mac: Mac { theta, quadrupole },
+                        eps2,
+                        ..Default::default()
+                    };
+                    let what = format!("{name} n={n} P={nranks} θ={theta} quad={quadrupole}");
+                    let (zones, domains) = zones_and_domains(&ic(n, 5), nranks, &cfg);
+                    let mut scratch = PruneScratch::default();
+                    for (rank, local) in zones.iter().enumerate() {
+                        let mut foreign = ForeignTree::default();
+                        for (peer, sender) in zones.iter().enumerate().filter(|(p, _)| *p != rank) {
+                            let payload =
+                                prune_for_domain(sender, &domains[rank], &cfg.mac, &mut scratch);
+                            deserialize_foreign(peer, &payload, &mut foreign);
+                        }
+                        let bb = local.tree.bb;
+                        let forest = merge_foreign(foreign, &bb, &cfg.mac);
+                        let f = Field::new(&cfg.mac, eps2);
+                        let mut stack = Vec::new();
+                        for first in (0..local.bodies.len()).step_by(LANES) {
+                            let mut g = Group::load(&local.bodies.pos, first);
+                            walk_local(&local.cells, &local.bodies, &mut stack, &mut g, &f);
+                            forest.walk(&mut stack, &mut g, &f);
+                            for (i, a, phi, c) in g.results() {
+                                let pos = local.bodies.pos[i];
+                                let mut sums = crate::reference::walk_one(
+                                    &local.tree,
+                                    &local.bodies,
+                                    pos,
+                                    i,
+                                    &cfg.mac,
+                                    eps2,
+                                );
+                                walk_forest_one_body(&forest, &bb, pos, &cfg.mac, eps2, &mut sums);
+                                let who = format!("{what}: rank {rank} body {i}");
+                                assert_eq!(a.map(f64::to_bits), sums.0.map(f64::to_bits), "{who}");
+                                assert_eq!(phi.to_bits(), sums.1.to_bits(), "{who}");
+                                assert_eq!(c, sums.2, "{who}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,16 +1,35 @@
-//! The force walk: per-body traversal of the hashed oct-tree.
+//! The force walk: eight Morton-consecutive bodies at a time over a tree
+//! flattened into key-sorted cells.
 //!
-//! For each body, walk from the root with an explicit stack: accepted
-//! cells contribute their multipole field; rejected internal cells are
-//! opened; leaves are summed directly (skipping self-interaction).
-//! Serial and batched drivers share the same per-body walk, so
-//! their results are identical.
+//! A `Group` walks from the root with an explicit stack whose entries
+//! carry a `u8` *active mask*. A lane leaves the mask at the first cell
+//! it accepts (that cell contributes its multipole field to the lane);
+//! only the remaining lanes open the cell — leaves are summed directly,
+//! skipping self-interaction — and its daughters are pushed in ascending
+//! order under the remaining mask. So *a body's visit sequence is the
+//! subsequence of the group's at which its bit is set*: exactly the cells
+//! its own depth-first walk would meet, in the same order, with the same
+//! operands, and every force is the one a body-by-body walk computes,
+//! bit for bit (`reference.rs` keeps that walk as the test oracle).
+//!
+//! The lanes are independent, so the p–c kernel of `moments.rs` runs over
+//! the `[f64; 8]` positions in a loop of its own (`cell_lanes`) that the
+//! compiler turns into packed `sqrtpd` / `divpd`; IEEE `+ − × ÷ √` round
+//! identically per lane. A lane outside the mask is computed and
+//! *discarded* — never multiplied by zero: a masked-off lane may sit
+//! exactly on a source and hold `inf` or `NaN`. A sparse mask takes the
+//! same kernel lane by lane, and so does the p–p kernel always (its
+//! packed form measured no faster than the scalar loop).
+//!
+//! The serial driver here, the distributed walk and the import-forest
+//! walk of `parallel.rs` are all `walk_group`; they differ only in what
+//! is resident at an opened cell.
 
 use crate::body::Bodies;
 use crate::flops::InteractionCounts;
-use crate::hot::{HashedOctTree, NodeKind};
+use crate::hot::{HashedOctTree, Node, NodeKind};
 use crate::mac::Mac;
-use crate::moments::multipole_field;
+use crate::moments::{multipole_field, point_field};
 
 /// Statistics of one full force evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -18,118 +37,336 @@ pub struct WalkStats {
     /// Interaction counts (convert to flops via
     /// [`InteractionCounts::flops`]).
     pub interactions: InteractionCounts,
-    /// Deepest stack reached (diagnostic).
-    pub max_stack: usize,
 }
 
-/// Walk the tree for the body at `pos` with index `self_idx` (used to
-/// skip self-interaction in leaves; pass `usize::MAX` for field-only
-/// probes). Returns acceleration, potential and counts.
-pub fn walk_one(
-    tree: &HashedOctTree,
+/// Bodies per group. The active mask is a `u8`, and eight is the leaf
+/// capacity: a group spans the bodies of about one leaf, which is what
+/// keeps most lanes together on the way down.
+pub(crate) const LANES: usize = 8;
+
+/// Masks with fewer lanes than this take a kernel lane by lane: the
+/// packed loops cost about four scalar evaluations whatever the mask.
+const DENSE: u32 = 4;
+
+/// `mask.count_ones() >= DENSE`, tabulated: the baseline x86-64 target
+/// has no population-count instruction.
+const IS_DENSE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        table[mask] = mask.count_ones() >= DENSE;
+        mask += 1;
+    }
+    table
+};
+
+/// One cell of a flattened tree. Cells are sorted by key — level by
+/// level, Morton within a level — so the root is cell 0 and the daughters
+/// of a cell are `n_children` consecutive cells from `first_child`, in
+/// ascending daughter order.
+///
+/// What every visit reads — `com`, `crit2`, the links — fills the first
+/// cache line; the moments, read only by the lanes that accept the cell,
+/// the second.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+pub(crate) struct Cell {
+    pub(crate) com: [f64; 3],
+    /// [`Mac::crit2`] of the cell: a body farther than this (squared)
+    /// from `com` accepts it. `∞` where no body may (a single-body cell
+    /// is exactly its body: direct).
+    pub(crate) crit2: f64,
+    pub(crate) first_child: u32,
+    pub(crate) n_children: u32,
+    /// What an opened cell holds itself: the body range of a local leaf,
+    /// the resident range of an import-forest cell.
+    pub(crate) resident: (u32, u32),
+    pub(crate) mass: f64,
+    pub(crate) quad: [f64; 6],
+}
+
+impl Cell {
+    /// The `crit2` of `count` bodies with center-of-mass offset `delta`
+    /// in a cell of edge `size`.
+    pub(crate) fn threshold(mac: &Mac, size: f64, delta: f64, count: u32) -> f64 {
+        if count > 1 {
+            mac.crit2(size, delta)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// The hashed tree's cells sorted by key, and their walkable form in the
+/// same order.
+pub(crate) fn flatten(tree: &HashedOctTree, mac: &Mac) -> (Vec<Node>, Vec<Cell>) {
+    let mut nodes: Vec<Node> = tree.nodes.values().copied().collect();
+    nodes.sort_unstable_by_key(|n| n.key);
+    // Every masked daughter is in the table, so the daughters of
+    // successive cells follow one another from cell 1 on.
+    let mut next = 1;
+    let cells: Vec<Cell> = nodes
+        .iter()
+        .map(|n| {
+            let (n_children, resident) = match n.kind {
+                NodeKind::Leaf { start, end } => (0, (start, end)),
+                NodeKind::Internal { child_mask } => (child_mask.count_ones(), (0, 0)),
+            };
+            let first_child = next;
+            next += n_children;
+            Cell {
+                com: n.com,
+                crit2: Cell::threshold(mac, tree.bb.cell_size(n.key.level()), n.delta, n.count),
+                mass: n.mass,
+                quad: n.quad,
+                first_child,
+                n_children,
+                resident,
+            }
+        })
+        .collect();
+    debug_assert!(cells.is_empty() || next as usize == cells.len());
+    (nodes, cells)
+}
+
+/// What every interaction of one walk shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Field {
+    /// Plummer softening².
+    pub(crate) eps2: f64,
+    /// Evaluate quadrupole terms for accepted cells.
+    pub(crate) quadrupole: bool,
+}
+
+impl Field {
+    pub(crate) fn new(mac: &Mac, eps2: f64) -> Field {
+        Field {
+            eps2,
+            quadrupole: mac.quadrupole,
+        }
+    }
+}
+
+/// Up to eight consecutive bodies of a Morton-sorted array walking
+/// together, one per lane, structure-of-arrays.
+#[derive(Debug, Clone)]
+pub(crate) struct Group {
+    /// Sorted index of lane 0's body.
+    first: usize,
+    /// The lanes that hold a body.
+    live: u8,
+    pos: [[f64; LANES]; 3],
+    /// Accelerations (rows 0–2) and potential (row 3) so far.
+    sums: [[f64; LANES]; 4],
+    pp: [u32; LANES],
+    pc: [u32; LANES],
+}
+
+/// The set bits of a mask, ascending.
+fn lanes(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// Count one interaction on each lane of `mask`.
+fn count(counts: &mut [u32; LANES], mask: u8) {
+    for l in 0..LANES {
+        counts[l] += u32::from(mask >> l & 1);
+    }
+}
+
+/// The p–c kernel at all eight positions of `g`, added to the lanes of
+/// `mask`. Its own function, over plain arrays: inlined into the walk
+/// the loop stays scalar.
+#[inline(never)]
+fn cell_lanes(g: &mut Group, mask: u8, mass: f64, com: [f64; 3], quad: &[f64; 6], f: &Field) {
+    let mut out = [[0.0; LANES]; 4];
+    for l in 0..LANES {
+        let (a, phi) = multipole_field(mass, com, quad, g.at(l), f.eps2, f.quadrupole);
+        (out[0][l], out[1][l], out[2][l], out[3][l]) = (a[0], a[1], a[2], phi);
+    }
+    g.add(mask, &out);
+}
+
+impl Group {
+    /// The group of `pos[first..]`, at most eight bodies. Lanes past the
+    /// end repeat lane 0's position; they are in no mask, so whatever
+    /// they compute is discarded and counted nowhere.
+    pub(crate) fn load(pos: &[[f64; 3]], first: usize) -> Group {
+        let n = (pos.len() - first).min(LANES);
+        let mut g = Group {
+            first,
+            live: (0xff_u16 >> (LANES - n)) as u8,
+            pos: [[0.0; LANES]; 3],
+            sums: [[0.0; LANES]; 4],
+            pp: [0; LANES],
+            pc: [0; LANES],
+        };
+        for l in 0..LANES {
+            let p = pos[first + if l < n { l } else { 0 }];
+            (g.pos[0][l], g.pos[1][l], g.pos[2][l]) = (p[0], p[1], p[2]);
+        }
+        g
+    }
+
+    /// Per body of the group: its sorted index, acceleration, potential
+    /// and interaction counts.
+    pub(crate) fn results(
+        &self,
+    ) -> impl Iterator<Item = (usize, [f64; 3], f64, InteractionCounts)> + '_ {
+        lanes(self.live).map(|l| {
+            let counts = InteractionCounts {
+                pp: self.pp[l].into(),
+                pc: self.pc[l].into(),
+            };
+            let s = &self.sums;
+            (self.first + l, [s[0][l], s[1][l], s[2][l]], s[3][l], counts)
+        })
+    }
+
+    /// Position of lane `l`.
+    #[inline]
+    fn at(&self, l: usize) -> [f64; 3] {
+        [self.pos[0][l], self.pos[1][l], self.pos[2][l]]
+    }
+
+    /// The lanes of `mask` farther than `crit2` (squared) from `com`.
+    pub(crate) fn beyond(&self, com: [f64; 3], crit2: f64, mask: u8) -> u8 {
+        let mut far = 0;
+        for l in 0..LANES {
+            let d = [
+                com[0] - self.pos[0][l],
+                com[1] - self.pos[1][l],
+                com[2] - self.pos[2][l],
+            ];
+            let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            far |= u8::from(crit2 < dist2) << l;
+        }
+        far & mask
+    }
+
+    /// Add `out` to the lanes of `mask`. A lane outside it adds `+0.0` in
+    /// place of what `out` holds there — selected bitwise, never
+    /// multiplied: that may be `inf` or `NaN` — and keeps its bits, since
+    /// `x + 0.0` is `x` for every `x` but `−0.0`, which a sum begun at
+    /// `+0.0` never is (rounding to nearest, only `−0.0 + −0.0` gives it).
+    #[inline]
+    fn add(&mut self, mask: u8, out: &[[f64; LANES]; 4]) {
+        for l in 0..LANES {
+            let on = 0u64.wrapping_sub(u64::from(mask >> l & 1));
+            for k in 0..4 {
+                self.sums[k][l] += f64::from_bits(out[k][l].to_bits() & on);
+            }
+        }
+    }
+
+    /// Add one kernel result to lane `l`.
+    #[inline]
+    fn add_lane(&mut self, l: usize, (a, phi): ([f64; 3], f64)) {
+        for k in 0..3 {
+            self.sums[k][l] += a[k];
+        }
+        self.sums[3][l] += phi;
+    }
+
+    /// One p–c interaction for each lane of `mask`.
+    pub(crate) fn cell(&mut self, mask: u8, mass: f64, com: [f64; 3], quad: &[f64; 6], f: &Field) {
+        if IS_DENSE[mask as usize] {
+            cell_lanes(self, mask, mass, com, quad, f);
+        } else {
+            for l in lanes(mask) {
+                let field = multipole_field(mass, com, quad, self.at(l), f.eps2, f.quadrupole);
+                self.add_lane(l, field);
+            }
+        }
+        count(&mut self.pc, mask);
+    }
+
+    /// One p–p interaction with each of `sources` — `(sorted index, mass,
+    /// position)` — for each lane of `mask`, except that a lane skips the
+    /// source that is its own body. Lane by lane, the sources in order:
+    /// the packed form of this kernel measured no faster.
+    pub(crate) fn points(
+        &mut self,
+        mask: u8,
+        sources: impl Iterator<Item = (usize, f64, [f64; 3])> + Clone,
+        f: &Field,
+    ) {
+        for l in lanes(mask) {
+            let (me, pos) = (self.first + l, self.at(l));
+            for (_, m, src) in sources.clone().filter(|s| s.0 != me) {
+                self.add_lane(l, point_field(m, src, pos, f.eps2));
+                self.pp[l] += 1;
+            }
+        }
+    }
+}
+
+/// Walk `g` over `cells` from the root. `open(g, cell, mask)` sums what
+/// is resident at a cell the lanes of `mask` did not accept. `stack` is
+/// the caller's, reused from group to group.
+pub(crate) fn walk_group(
+    cells: &[Cell],
+    stack: &mut Vec<(u32, u8)>,
+    g: &mut Group,
+    f: &Field,
+    mut open: impl FnMut(&mut Group, &Cell, u8),
+) {
+    stack.clear();
+    if !cells.is_empty() {
+        stack.push((0, g.live));
+    }
+    while let Some((at, mask)) = stack.pop() {
+        let cell = &cells[at as usize];
+        let far = g.beyond(cell.com, cell.crit2, mask);
+        if far != 0 {
+            g.cell(far, cell.mass, cell.com, &cell.quad, f);
+        }
+        let near = mask & !far;
+        if near != 0 {
+            open(g, cell, near);
+            // Ascending daughter order, so the highest daughter pops first.
+            let daughters = cell.first_child..cell.first_child + cell.n_children;
+            stack.extend(daughters.map(|d| (d, near)));
+        }
+    }
+}
+
+/// Walk `g`, a group of `bodies`, over the flattened tree of `bodies`:
+/// an opened leaf is summed directly, each lane skipping its own body.
+pub(crate) fn walk_local(
+    cells: &[Cell],
     bodies: &Bodies,
-    pos: [f64; 3],
-    self_idx: usize,
-    mac: &Mac,
-    eps2: f64,
-) -> ([f64; 3], f64, InteractionCounts, usize) {
-    let mut acc = [0.0; 3];
-    let mut pot = 0.0;
-    let mut counts = InteractionCounts::default();
-    let mut stack = Vec::with_capacity(64);
-    let mut max_stack = 0;
-    if !tree.is_empty() {
-        stack.push(*tree.root());
-    }
-    while let Some(node) = stack.pop() {
-        max_stack = max_stack.max(stack.len() + 1);
-        let d = [
-            node.com[0] - pos[0],
-            node.com[1] - pos[1],
-            node.com[2] - pos[2],
-        ];
-        let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        let size = tree.bb.cell_size(node.key.level());
-        // A single-body "cell" is exactly its body: treat as direct.
-        let accept = node.count > 1 && mac.accepts(size, node.delta, dist2);
-        if accept {
-            let (a, p) = multipole_field(&node, pos, eps2, mac.quadrupole);
-            for k in 0..3 {
-                acc[k] += a[k];
-            }
-            pot += p;
-            counts.pc += 1;
-            continue;
-        }
-        match node.kind {
-            NodeKind::Leaf { start, end } => {
-                for j in start as usize..end as usize {
-                    if j == self_idx {
-                        continue;
-                    }
-                    let dj = [
-                        bodies.pos[j][0] - pos[0],
-                        bodies.pos[j][1] - pos[1],
-                        bodies.pos[j][2] - pos[2],
-                    ];
-                    let r2 = dj[0] * dj[0] + dj[1] * dj[1] + dj[2] * dj[2] + eps2;
-                    let rinv = 1.0 / r2.sqrt();
-                    let rinv3 = rinv * rinv * rinv;
-                    let s = bodies.mass[j] * rinv3;
-                    acc[0] += s * dj[0];
-                    acc[1] += s * dj[1];
-                    acc[2] += s * dj[2];
-                    pot -= bodies.mass[j] * rinv;
-                    counts.pp += 1;
-                }
-            }
-            NodeKind::Internal { .. } => {
-                for child in tree.children(&node) {
-                    stack.push(*child);
-                }
-            }
-        }
-    }
-    (acc, pot, counts, max_stack)
+    stack: &mut Vec<(u32, u8)>,
+    g: &mut Group,
+    f: &Field,
+) {
+    walk_group(cells, stack, g, f, |g, cell, mask| {
+        let leaf = cell.resident.0 as usize..cell.resident.1 as usize;
+        g.points(mask, leaf.map(|j| (j, bodies.mass[j], bodies.pos[j])), f);
+    });
 }
 
 /// Serial force evaluation for every body; fills `bodies.acc`/`pot`.
+/// `bodies` must be the Morton-sorted array `tree` was built over.
 pub fn tree_forces(bodies: &mut Bodies, tree: &HashedOctTree, mac: &Mac, eps2: f64) -> WalkStats {
-    let n = bodies.len();
+    let (_, cells) = flatten(tree, mac);
+    let f = Field::new(mac, eps2);
     let mut stats = WalkStats::default();
-    let mut results = Vec::with_capacity(n);
-    for i in 0..n {
-        results.push(walk_one(tree, bodies, bodies.pos[i], i, mac, eps2));
-    }
-    for (i, (a, p, c, depth)) in results.into_iter().enumerate() {
-        bodies.acc[i] = a;
-        bodies.pot[i] = p;
-        stats.interactions.add(c);
-        stats.max_stack = stats.max_stack.max(depth);
-    }
-    stats
-}
-
-/// Batched force evaluation (the shared-memory analogue of the
-/// per-node threading in the original treecode). Identical results to
-/// [`tree_forces`].
-pub fn tree_forces_parallel(
-    bodies: &mut Bodies,
-    tree: &HashedOctTree,
-    mac: &Mac,
-    eps2: f64,
-) -> WalkStats {
-    let n = bodies.len();
-    let shared = &*bodies;
-    let results: Vec<_> = (0..n)
-        .map(|i| walk_one(tree, shared, shared.pos[i], i, mac, eps2))
-        .collect();
-    let mut stats = WalkStats::default();
-    for (i, (a, p, c, depth)) in results.into_iter().enumerate() {
-        bodies.acc[i] = a;
-        bodies.pot[i] = p;
-        stats.interactions.add(c);
-        stats.max_stack = stats.max_stack.max(depth);
+    let mut stack = Vec::new();
+    for first in (0..bodies.len()).step_by(LANES) {
+        let mut g = Group::load(&bodies.pos, first);
+        walk_local(&cells, bodies, &mut stack, &mut g, &f);
+        for (i, a, phi, counts) in g.results() {
+            bodies.acc[i] = a;
+            bodies.pot[i] = phi;
+            stats.interactions.add(counts);
+        }
     }
     stats
 }
@@ -139,8 +376,9 @@ mod tests {
     use super::*;
     use crate::build::build_tree;
     use crate::direct::direct_forces;
-    use crate::ic::{plummer, uniform_cube};
+    use crate::ic::plummer;
     use crate::morton::BoundingBox;
+    use crate::reference;
 
     /// Median relative acceleration error of tree forces vs direct.
     fn median_error(n: usize, mac: &Mac) -> f64 {
@@ -224,19 +462,146 @@ mod tests {
         assert!(quad < mono, "quad {quad} !< mono {mono}");
     }
 
+    /// Every body's `(acc, pot, counts)` from the group walk, beside the
+    /// body-by-body oracle's.
+    type PerBody = Vec<([f64; 3], f64, InteractionCounts)>;
+    fn both_walks(sorted: &Bodies, tree: &HashedOctTree, mac: &Mac, eps2: f64) -> [PerBody; 2] {
+        let (_, cells) = flatten(tree, mac);
+        let f = Field::new(mac, eps2);
+        let (mut grouped, mut stack) = (Vec::new(), Vec::new());
+        for first in (0..sorted.len()).step_by(LANES) {
+            let mut g = Group::load(&sorted.pos, first);
+            walk_local(&cells, sorted, &mut stack, &mut g, &f);
+            grouped.extend(g.results().map(|(_, a, phi, counts)| (a, phi, counts)));
+        }
+        let one_by_one = (0..sorted.len())
+            .map(|i| reference::walk_one(tree, sorted, sorted.pos[i], i, mac, eps2))
+            .collect();
+        [grouped, one_by_one]
+    }
+
+    fn assert_same_bits(grouped: &PerBody, one_by_one: &PerBody, what: &str) {
+        assert_eq!(grouped.len(), one_by_one.len(), "{what}: bodies");
+        for (i, (g, r)) in grouped.iter().zip(one_by_one).enumerate() {
+            assert_eq!(
+                g.0.map(f64::to_bits),
+                r.0.map(f64::to_bits),
+                "{what}: acc of body {i}"
+            );
+            assert_eq!(g.1.to_bits(), r.1.to_bits(), "{what}: pot of body {i}");
+            assert_eq!(g.2, r.2, "{what}: counts of body {i}");
+        }
+    }
+
     #[test]
-    fn parallel_walk_matches_serial_exactly() {
-        let mut b = uniform_cube(600, 1.0, 9);
+    fn group_walk_equals_the_body_by_body_walk_bit_for_bit() {
+        // A lone body, a short group, a full one, one lane into a second
+        // group, and a last group of one after many full ones.
+        for n in [1, 7, 8, 9, 8 * 40 + 1] {
+            for (name, ic) in crate::reference::ICS {
+                for theta in [0.3, 0.8] {
+                    for quadrupole in [false, true] {
+                        let mac = Mac { theta, quadrupole };
+                        let mut b = ic(n, 7 + n as u64);
+                        let bb = BoundingBox::containing(&b.pos);
+                        let tree = build_tree(&mut b, bb, 8);
+                        let [grouped, one_by_one] = both_walks(&b, &tree, &mac, 1e-6);
+                        let what = format!("{name} n={n} θ={theta} quad={quadrupole}");
+                        assert_same_bits(&grouped, &one_by_one, &what);
+                        // The public driver is the same loop.
+                        let stats = tree_forces(&mut b, &tree, &mac, 1e-6);
+                        let acc: Vec<[f64; 3]> = grouped.iter().map(|g| g.0).collect();
+                        assert_eq!(b.acc, acc, "{what}");
+                        let total =
+                            grouped
+                                .iter()
+                                .fold(InteractionCounts::default(), |mut t, g| {
+                                    t.add(g.2);
+                                    t
+                                });
+                        assert_eq!(stats.interactions, total, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_deep_leaf_of_coincident_bodies_walks_like_any_other() {
+        // Twenty bodies on one point cannot be split: the builder stops at
+        // MAX_DEPTH with a leaf of twenty, more than a group has lanes, so
+        // three groups each sum that leaf and each lane skips only itself.
+        let mut b = plummer(150, 3);
+        let at = b.pos[17];
+        for _ in 0..20 {
+            b.push(at, [0.0; 3], 1e-3);
+        }
         let bb = BoundingBox::containing(&b.pos);
         let tree = build_tree(&mut b, bb, 8);
-        let mut serial = b.clone();
-        let mut parallel = b.clone();
-        let mac = Mac::standard();
-        let s1 = tree_forces(&mut serial, &tree, &mac, 1e-6);
-        let s2 = tree_forces_parallel(&mut parallel, &tree, &mac, 1e-6);
-        assert_eq!(serial.acc, parallel.acc);
-        assert_eq!(serial.pot, parallel.pot);
-        assert_eq!(s1.interactions, s2.interactions);
+        let fat = tree.nodes.values().filter(|n| n.count > 8).count();
+        assert!(tree.depth() == crate::morton::MAX_DEPTH && fat > 0);
+        let [grouped, one_by_one] = both_walks(&b, &tree, &Mac::standard(), 1e-6);
+        assert_same_bits(&grouped, &one_by_one, "coincident");
+    }
+
+    #[test]
+    fn unsoftened_walks_agree_too() {
+        // With `eps2 = 0` nothing separates a body from a source but the
+        // self-skip, and the padded lanes of the short last group sit on
+        // body `first`.
+        let mut b = plummer(8 * 9 + 3, 11);
+        let bb = BoundingBox::containing(&b.pos);
+        let tree = build_tree(&mut b, bb, 8);
+        let [grouped, one_by_one] = both_walks(&b, &tree, &Mac::standard(), 0.0);
+        assert!(grouped
+            .iter()
+            .all(|g| g.0.iter().all(|a| a.is_finite()) && g.1.is_finite()));
+        assert_same_bits(&grouped, &one_by_one, "eps2 = 0");
+    }
+
+    #[test]
+    fn a_masked_off_lane_on_the_cells_center_is_discarded_not_multiplied_away() {
+        // Lane 7 sits exactly on the cell's center of mass and there is no
+        // softening: its kernel value is `−m · 0 · inf`, a NaN, which a
+        // mask applied by multiplication would add to the lane.
+        let pos: Vec<[f64; 3]> = (0..8).map(|l| [l as f64, 0.5, -0.25]).collect();
+        let (mass, com, quad) = (2.0, pos[7], [0.3, -0.1, -0.2, 0.05, 0.0, 0.1]);
+        let f = Field {
+            eps2: 0.0,
+            quadrupole: true,
+        };
+        for mask in [0b0111_1111u8, 0b0000_0101] {
+            let mut g = Group::load(&pos, 0);
+            g.cell(mask, mass, com, &quad, &f);
+            g.cell(mask, mass, com, &quad, &f);
+            for (l, a, phi, counts) in g.results() {
+                let on = mask >> l & 1 != 0;
+                let (a1, p1) = multipole_field(mass, com, &quad, pos[l], 0.0, true);
+                assert!((l == 7) != a1[0].is_finite(), "only lane 7 is singular");
+                let twice = if on {
+                    ([a1[0] + a1[0], a1[1] + a1[1], a1[2] + a1[2]], p1 + p1)
+                } else {
+                    ([0.0; 3], 0.0)
+                };
+                assert_eq!((a, phi), twice, "mask {mask:#010b} lane {l}");
+                assert_eq!(counts.pc, 2 * u64::from(on));
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_tree_single_leaf_is_pure_direct() {
+        let mut b = plummer(6, 3);
+        let bb = BoundingBox::containing(&b.pos);
+        let tree = build_tree(&mut b, bb, 8);
+        let mut exact = b.clone();
+        direct_forces(&mut exact, 1e-6);
+        let stats = tree_forces(&mut b, &tree, &Mac::standard(), 1e-6);
+        assert_eq!(stats.interactions.pc, 0, "one leaf: everything is direct");
+        assert_eq!(stats.interactions.pp, 30);
+        // The same kernel over the same sources in the same order.
+        assert_eq!(b.acc, exact.acc);
+        assert_eq!(b.pot, exact.pot);
     }
 
     #[test]
