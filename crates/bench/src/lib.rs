@@ -1,8 +1,8 @@
-//! Shared plumbing for the experiment binaries: where telemetry
-//! artifacts (Chrome traces, run manifests) land on disk, the standard
-//! manifest a traced treecode run produces, and the [`baseline`]
-//! harness behind `bench_baseline`, which writes the simulated-outcome
-//! pins `BENCH_{cluster,treecode}.json`.
+//! What the `metablade` front end and `bench_baseline` run: the
+//! one-shot [`studies`] (`metablade ablation|extension|claims|trace`),
+//! the standard manifest a traced treecode run produces, and the
+//! [`baseline`] harness behind `bench_baseline`, which writes the
+//! simulated-outcome pins `BENCH_{cluster,treecode}.json`.
 //!
 //! # Example
 //!
@@ -21,15 +21,15 @@
 
 pub mod baseline;
 pub mod cli;
+pub mod studies;
 
 use mb_cluster::power;
 use mb_cluster::spec::ClusterSpec;
 use mb_telemetry::manifest::RunManifest;
 use mb_treecode::parallel::StepReport;
 
-// Artifact placement moved into the telemetry layer (PR 5) so non-bench
-// binaries (`sched_sim`) share the same convention; re-exported here to
-// keep the experiment binaries' imports stable.
+// Artifact placement lives in the telemetry layer so `sched_sim` and
+// `stream_sim` share the convention; re-exported for `metablade`.
 pub use mb_telemetry::artifact::{artifact_dir, write_artifact};
 
 /// Power samples recorded into a run manifest's `power.watts` series.

@@ -16,8 +16,7 @@
 //!   headline run.
 //!
 //! [`history`] carries the Table 4 machine records; [`report`] renders
-//! every table in the paper's layout; [`hpl`] runs a distributed
-//! Linpack on the simulated machines (the §4 Top500 tie-in).
+//! every table in the paper's layout.
 //!
 //! # Example
 //!
@@ -33,5 +32,4 @@
 
 pub mod experiments;
 pub mod history;
-pub mod hpl;
 pub mod report;

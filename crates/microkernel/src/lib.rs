@@ -18,12 +18,13 @@
 //!    1992): *table lookup, Chebyshev polynomial interpolation, and
 //!    Newton–Raphson iteration*, which needs only adds and multiplies.
 //!
-//! This crate implements both in portable Rust, provides the microkernel
-//! acceleration loop (500 sweeps, as in the paper), flop accounting, and a
-//! native wall-clock Mflops harness. The same kernels are re-expressed as
-//! guest-ISA programs in `mb-crusoe::kernels` so they can be timed on the
-//! simulated Transmeta CMS/VLIW processor and the hardware CPU models,
-//! which is how Table 1 of the paper is regenerated.
+//! This crate implements both in portable Rust and provides the
+//! microkernel acceleration loop (500 sweeps, as in the paper) with its
+//! flop accounting; host time is measured in one place, `benchmark/`. The
+//! same kernels are re-expressed as guest-ISA programs in
+//! `mb-crusoe::kernels` so they can be timed on the simulated Transmeta
+//! CMS/VLIW processor and the hardware CPU models, which is how Table 1
+//! of the paper is regenerated.
 //!
 //! # Example
 //!
@@ -40,8 +41,6 @@
 
 pub mod karp;
 pub mod kernel;
-pub mod timing;
 
 pub use karp::{rsqrt_karp, rsqrt_math, KarpTable};
 pub use kernel::{accel_kernel, AccelResult, MicrokernelInput, RsqrtMethod, FLOPS_PER_INTERACTION};
-pub use timing::{measure_mflops, MflopsMeasurement};

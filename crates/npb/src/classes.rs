@@ -54,16 +54,6 @@ impl Class {
         }
     }
 
-    /// CG: (matrix order, nonzeros per row, CG iterations, shift) —
-    /// NPB 2.3: S=(1400,7,15,10), W=(7000,8,15,12), A=(14000,11,15,20).
-    pub fn cg_size(self) -> (usize, usize, usize, f64) {
-        match self {
-            Class::S => (1400, 7, 15, 10.0),
-            Class::W => (7000, 8, 15, 12.0),
-            Class::A => (14_000, 11, 15, 20.0),
-        }
-    }
-
     /// BT/SP/LU: (grid edge, time steps). NPB 2.3 uses S=(12,60),
     /// W=(24,200 for SP/BT; 33³ for LU), A=(64,200). We use one shared
     /// geometry per class for the three CFD kernels; the step counts are
@@ -89,7 +79,6 @@ mod tests {
         assert!(Class::S.is_size().0 < Class::W.is_size().0);
         assert!(Class::S.mg_size().0 < Class::W.mg_size().0);
         assert!(Class::S.cfd_size().0 < Class::W.cfd_size().0);
-        assert!(Class::S.cg_size().0 < Class::W.cg_size().0);
     }
 
     #[test]

@@ -13,11 +13,7 @@
 //!   block upper-triangular system (SSOR);
 //! * **MG** — multigrid V-cycles on the 3-D scalar Poisson equation;
 //! * **EP** — embarrassingly parallel Gaussian-pair generation;
-//! * **IS** — parallel sort over small integers;
-//! * **CG** (bonus) — conjugate gradient with an irregular sparse matrix;
-//! * **FT** (bonus) — the 3-D FFT spectral PDE solver;
-//! * **Linpack** ([`linpack`]) — dense LU with partial pivoting, the
-//!   Top500 yardstick §4 critiques (see `experiment_top500`).
+//! * **IS** — parallel sort over small integers.
 //!
 //! Each kernel implements the benchmark's numerical method from scratch
 //! in Rust (EP and IS follow the NPB specification exactly, including the
@@ -30,7 +26,7 @@
 //!
 //! The kernels are transcribed from the Fortran NPB sources and keep
 //! their index-style loops, where subscript arithmetic *is* the
-//! algorithm (pivoting, stencils, bit-reversed butterflies).
+//! algorithm (pivoting, stencils).
 //!
 //! # Example
 //!
@@ -49,13 +45,10 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod bt;
-pub mod cg;
 pub mod classes;
 pub mod common;
 pub mod ep;
-pub mod ft;
 pub mod is;
-pub mod linpack;
 pub mod lu;
 pub mod mg;
 pub mod mix;

@@ -1,14 +1,14 @@
 //! Collision-free artifact naming.
 //!
-//! The experiment binaries used to write fixed filenames
-//! (`run_all.trace.json`, `treecode24.trace.json`), so two runs sharing
-//! one artifact directory — a parallel bench sweep, or CI jobs racing on
-//! a cache — silently overwrote each other's traces. Every artifact
-//! filename now embeds a [`run_id`]: seconds since the Unix epoch, the
-//! host process id, and a per-process sequence number. Any two artifacts
-//! written by the same process, by two processes on one host, or by runs
-//! started in the same second therefore get distinct names; the binaries
-//! print the chosen path, which is the authoritative way to find it.
+//! A fixed filename (`treecode24.trace.json`) lets two runs sharing one
+//! artifact directory — a parallel bench sweep, or CI jobs racing on a
+//! cache — silently overwrite each other's traces. Every artifact
+//! filename therefore embeds a [`run_id`]: seconds since the Unix epoch,
+//! the host process id, and a per-process sequence number. Any two
+//! artifacts written by the same process, by two processes on one host,
+//! or by runs started in the same second get distinct names; the
+//! binaries print the chosen path, which is the authoritative way to
+//! find it.
 //!
 //! [`artifact_stem`] is the standard shape: `{run}-r{ranks}-{run_id}`,
 //! keeping the simulated rank count greppable in directory listings.
@@ -92,6 +92,6 @@ mod tests {
 
     #[test]
     fn stems_for_identical_runs_do_not_collide() {
-        assert_ne!(artifact_stem("run_all", 24), artifact_stem("run_all", 24));
+        assert_ne!(artifact_stem("treecode", 24), artifact_stem("treecode", 24));
     }
 }

@@ -5,11 +5,11 @@
 //! key, which makes the tree trivially mergeable, shippable across ranks,
 //! and cheap to prune — the properties the parallel treecode exploits.
 //!
-//! What still looks cells up by key: the builder's inserts, the domain
+//! What still looks cells up by key: the builder's inserts and the domain
 //! frontier of the distributed step (a few thousand probes per rank and
-//! step), and the neighbour, SPH and vortex walks. The gravity walk and
-//! the LET prune do not — they descend the table's cells sorted by key
-//! and linked by index (`traverse::flatten`), one pass per step.
+//! step). The gravity walk and the LET prune do not — they descend the
+//! table's cells sorted by key and linked by index
+//! (`traverse::flatten`), one pass per step.
 //!
 //! The table hashes a key with one multiply and a fold ([`KeyHasher`]).
 //! Warren & Salmon simply mask the key's low bits; SipHash, the standard

@@ -32,12 +32,7 @@
 //!   virtual-time accounting (this is what regenerates Table 2);
 //! * [`flops`] — the flop-accounting constants behind the paper's Gflops
 //!   numbers;
-//! * [`render`] — Figure-3-style density projections (PGM / ASCII);
-//! * [`neighbors`] — tree-accelerated range queries;
-//! * [`sph`] — smoothed particle hydrodynamics on the same tree (the
-//!   "3000 lines interfaced to the same treecode library" of §3.5.1);
-//! * [`vortex`] — the vortex particle method (Biot–Savart via the tree,
-//!   the Salmon–Warren–Winckelmans application).
+//! * [`render`] — Figure-3-style density projections (PGM / ASCII).
 //!
 //! # Example
 //!
@@ -79,14 +74,11 @@ pub mod integrate;
 pub mod mac;
 pub mod moments;
 pub mod morton;
-pub mod neighbors;
 pub mod parallel;
 #[cfg(test)]
 mod reference;
 pub mod render;
-pub mod sph;
 pub mod traverse;
-pub mod vortex;
 
 pub use body::Bodies;
 pub use build::build_tree;

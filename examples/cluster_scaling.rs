@@ -11,10 +11,13 @@ use metablade::treecode::parallel::{distributed_step, DistributedConfig};
 use metablade::treecode::plummer;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20_000);
+    let n: usize = match std::env::args().nth(1) {
+        None => 20_000,
+        Some(a) => a.parse().unwrap_or_else(|_| {
+            eprintln!("cluster_scaling: n_bodies must be a number, got {a:?}");
+            std::process::exit(2)
+        }),
+    };
     let bodies = plummer(n, 5);
     let cfg = DistributedConfig::default();
     println!(

@@ -58,10 +58,13 @@ fn workload(
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(11);
+    let seed: u64 = match std::env::args().nth(1) {
+        None => 11,
+        Some(a) => a.parse().unwrap_or_else(|_| {
+            eprintln!("contention_contrast: seed must be a number, got {a:?}");
+            std::process::exit(2)
+        }),
+    };
     let spec = metablade::cluster::spec::metablade()
         .with_nodes(16)
         .with_topology(Topology::fat_tree(4, 2, 4.0));

@@ -8,13 +8,14 @@ use metablade::treecode::render::DensityImage;
 use metablade::treecode::{cold_disk, direct::direct_forces, leapfrog_step, total_energy, Mac};
 
 fn main() {
-    let arg = |i: usize, d: usize| {
-        std::env::args()
-            .nth(i)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(d)
+    let arg = |i: usize, name: &str, d: usize| match std::env::args().nth(i) {
+        None => d,
+        Some(a) => a.parse().unwrap_or_else(|_| {
+            eprintln!("nbody_galaxy: {name} must be a number, got {a:?}");
+            std::process::exit(2)
+        }),
     };
-    let (n, steps) = (arg(1, 10_000), arg(2, 40));
+    let (n, steps) = (arg(1, "n", 10_000), arg(2, "steps", 40));
     let eps2 = 1e-4;
     let mac = Mac::standard();
     let mut bodies = cold_disk(n, 7);

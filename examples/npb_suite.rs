@@ -6,18 +6,19 @@
 
 use metablade::core::experiments::tm5600_analytic;
 use metablade::crusoe::hardware::{athlon_mp_1200, pentium_iii_500, power3_375};
-use metablade::npb::ft::Ft;
 use metablade::npb::mix::table3_kernels;
 use metablade::npb::Class;
 
 fn main() {
     let class = match std::env::args().nth(1).as_deref() {
+        None | Some("S") => Class::S,
         Some("W") => Class::W,
-        _ => Class::S,
+        Some(a) => {
+            eprintln!("npb_suite: class must be S or W, got {a:?}");
+            std::process::exit(2)
+        }
     };
-    let mut kernels = table3_kernels(class);
-    kernels.push(Box::new(metablade::npb::cg::Cg::new(class)));
-    kernels.push(Box::new(Ft::new(class)));
+    let kernels = table3_kernels(class);
     println!(
         "{:<5}{:>9}{:>16}{:>13}{:>11}{:>11}{:>11}{:>11}",
         "code", "verified", "useful Mops", "fp/mem", "Athlon", "PIII", "TM5600", "Power3"

@@ -8,13 +8,16 @@ use metablade::metrics::tco::CostConstants;
 use metablade::metrics::topper::topper;
 
 fn main() {
+    let rate = |i: usize, name: &str, default: f64| match std::env::args().nth(i) {
+        None => default,
+        Some(a) => a.parse().unwrap_or_else(|_| {
+            eprintln!("tco_report: {name} must be a number, got {a:?}");
+            std::process::exit(2)
+        }),
+    };
     let mut constants = CostConstants::default();
-    if let Some(rate) = std::env::args().nth(1).and_then(|a| a.parse().ok()) {
-        constants.utility_rate_per_kwh = rate;
-    }
-    if let Some(rate) = std::env::args().nth(2).and_then(|a| a.parse().ok()) {
-        constants.space_rate_per_ft2_year = rate;
-    }
+    constants.utility_rate_per_kwh = rate(1, "utility_rate", constants.utility_rate_per_kwh);
+    constants.space_rate_per_ft2_year = rate(2, "space_rate", constants.space_rate_per_ft2_year);
     println!(
         "assumptions: ${}/kWh, ${}/ft^2/yr, {}-year lifetime, ${}/CPU-hr downtime\n",
         constants.utility_rate_per_kwh,

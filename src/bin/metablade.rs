@@ -5,22 +5,36 @@
 //! metablade table <1..7>                regenerate a paper table, with its shape / claim checks
 //!           table 2 [n]                   body count (default 50,000)
 //!           table 3 [S|W|A]               NPB class (default W — the paper's configuration)
+//!           table all [n] [S|W|A]         tables 1–7 in order, trailers included
 //! metablade figure3 [n] [steps] [px]    regenerate Figure 3 (defaults 20000 60 96; writes figure3.pgm)
 //! metablade sustained [n]               the 2.1-Gflops / 14%-of-peak experiment on MetaBlade and
 //!                                       MetaBlade2 (default 50,000 bodies; writes run manifests)
 //! metablade evolve [n] [steps]          distributed N-body evolution on MetaBlade
 //! metablade disasm                      disassemble + schedule the Karp microkernel
+//! metablade ablation tcache             A1: translation-cache capacity and hot threshold
+//!           ablation mac [n]              A2: opening-angle sweep (default 4,000 bodies)
+//!           ablation network [n]          A3: Table 2 vs latency / bandwidth (default 20,000)
+//!           ablation thermal              A4: ambient temperature → failures → TCO
+//! metablade extension checkpoint        30-day job under Young checkpointing
+//!           extension green_destiny [n]   the 240-node rack (default 100,000 bodies)
+//!           extension longrun [n]         LongRun DVFS sweep (default 15,000)
+//!           extension tm6000              §5's projected TM6000 machine
+//! metablade claims                      every quantitative §4 prose claim, recomputed
+//! metablade trace [n] [ranks]           one traced force evaluation (defaults 20000 24; writes a
+//!                                       Chrome trace and a run manifest to $MB_TELEMETRY_DIR)
 //! ```
 //!
-//! An unknown subcommand or table, or an argument that does not parse,
-//! prints the usage line on stderr and exits with status 2.
+//! An unknown subcommand, table or study, an argument that does not
+//! parse, or a body / rank / step / pixel count of zero prints the usage
+//! line on stderr and exits with status 2.
 
+use metablade::bench::studies;
 use metablade::cluster::spec;
 use metablade::core::{experiments, report};
 use metablade::metrics::tco::CostConstants;
 use metablade::npb::Class;
 
-const USAGE: &str = "usage: metablade <table 1..7 [n | S|W|A] | figure3 [n] [steps] [px] | sustained [n] | evolve [n] [steps] | disasm>";
+const USAGE: &str = "usage: metablade <table 1..7|all [n] [S|W|A] | figure3 [n] [steps] [px] | sustained [n] | evolve [n] [steps] | disasm | ablation tcache|mac|network|thermal [n] | extension checkpoint|green_destiny|longrun|tm6000 [n] | claims | trace [n] [ranks]>";
 
 fn usage() -> ! {
     eprintln!("metablade — 'Honey, I Shrunk the Beowulf!' reproduction");
@@ -28,12 +42,24 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Positional argument `i`, or `default` when absent; one that is
-/// present but does not parse is a usage error, never a silent default.
-fn parse_or_usage<T: std::str::FromStr>(i: usize, default: T) -> T {
-    match std::env::args().nth(i) {
+/// Positional count `i` (bodies, ranks, steps, pixels), or `default`
+/// when absent; one that is present but does not parse, or is zero, is a
+/// usage error, never a silent default or a panic further down.
+fn parse_or_usage(i: usize, default: usize) -> usize {
+    match std::env::args().nth(i).map(|a| a.parse()) {
         None => default,
-        Some(a) => a.parse().unwrap_or_else(|_| usage()),
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => usage(),
+    }
+}
+
+/// NPB class at position `i` (default W — the paper's configuration).
+fn class_or_usage(i: usize) -> Class {
+    match std::env::args().nth(i).as_deref() {
+        None | Some("W") => Class::W,
+        Some("S") => Class::S,
+        Some("A") => Class::A,
+        Some(_) => usage(),
     }
 }
 
@@ -57,8 +83,7 @@ fn table1() {
     );
 }
 
-fn table2() {
-    let n = parse_or_usage(3, 50_000usize);
+fn table2(n: usize) {
     eprintln!("running distributed treecode with N = {n} bodies ...");
     let rows = experiments::table2(n);
     print!("{}", report::render_table2(&rows));
@@ -70,13 +95,7 @@ fn table2() {
     );
 }
 
-fn table3() {
-    let class = match std::env::args().nth(3).as_deref() {
-        None | Some("W") => Class::W,
-        Some("S") => Class::S,
-        Some("A") => Class::A,
-        Some(_) => usage(),
-    };
+fn table3(class: Class) {
     eprintln!("running NPB kernels at class {class} ...");
     let rows = experiments::table3(class);
     print!("{}", report::render_table3(&rows, class));
@@ -129,10 +148,20 @@ fn table5() {
     );
 }
 
+fn table6() {
+    let machines = experiments::table67_machines();
+    print!("{}", metablade::metrics::report::render_table6(&machines));
+}
+
+fn table7() {
+    let machines = experiments::table67_machines();
+    print!("{}", metablade::metrics::report::render_table7(&machines));
+}
+
 fn figure3() {
-    let n = parse_or_usage(2, 20_000usize);
-    let steps = parse_or_usage(3, 60usize);
-    let px = parse_or_usage(4, 96usize);
+    let n = parse_or_usage(2, 20_000);
+    let steps = parse_or_usage(3, 60);
+    let px = parse_or_usage(4, 96);
     eprintln!("evolving a {n}-body self-gravitating disk for {steps} steps ...");
     let img = experiments::figure3(n, steps, px);
     std::fs::write("figure3.pgm", img.to_pgm()).expect("write figure3.pgm");
@@ -145,7 +174,7 @@ fn figure3() {
 /// MetaBlade2 (3.3 Gflops).
 fn sustained() {
     use metablade::bench::{artifact_dir, treecode_manifest, write_artifact};
-    let n = parse_or_usage(2, 50_000usize);
+    let n = parse_or_usage(2, 50_000);
     for (name, spec, paper) in [
         ("MetaBlade", spec::metablade(), 2.1),
         ("MetaBlade2", spec::metablade2(), 3.3),
@@ -179,25 +208,37 @@ fn main() {
     match cmd.as_str() {
         "table" => match std::env::args().nth(2).as_deref() {
             Some("1") => table1(),
-            Some("2") => table2(),
-            Some("3") => table3(),
+            Some("2") => table2(parse_or_usage(3, 50_000)),
+            Some("3") => table3(class_or_usage(3)),
             Some("4") => table4(),
             Some("5") => table5(),
-            Some("6") => print!(
-                "{}",
-                metablade::metrics::report::render_table6(&experiments::table67_machines())
-            ),
-            Some("7") => print!(
-                "{}",
-                metablade::metrics::report::render_table7(&experiments::table67_machines())
-            ),
+            Some("6") => table6(),
+            Some("7") => table7(),
+            Some("all") => {
+                let (n, class) = (parse_or_usage(3, 50_000), class_or_usage(4));
+                let tables: [&dyn Fn(); 7] = [
+                    &table1,
+                    &|| table2(n),
+                    &|| table3(class),
+                    &table4,
+                    &table5,
+                    &table6,
+                    &table7,
+                ];
+                for (i, table) in tables.iter().enumerate() {
+                    if i > 0 {
+                        println!();
+                    }
+                    table();
+                }
+            }
             _ => usage(),
         },
         "figure3" => figure3(),
         "sustained" => sustained(),
         "evolve" => {
-            let n = parse_or_usage(2, 10_000usize);
-            let steps = parse_or_usage(3, 20usize);
+            let n = parse_or_usage(2, 10_000);
+            let steps = parse_or_usage(3, 20);
             let cluster = metablade::cluster::machine::Cluster::new(spec::metablade());
             let bodies = metablade::treecode::plummer(n, 1);
             let r = metablade::treecode::distributed_evolve(
@@ -236,6 +277,22 @@ fn main() {
                 )
             );
         }
+        "ablation" => match std::env::args().nth(2).as_deref() {
+            Some("tcache") => studies::ablation_tcache(),
+            Some("mac") => studies::ablation_mac(parse_or_usage(3, 4_000)),
+            Some("network") => studies::ablation_network(parse_or_usage(3, 20_000)),
+            Some("thermal") => studies::ablation_thermal(),
+            _ => usage(),
+        },
+        "extension" => match std::env::args().nth(2).as_deref() {
+            Some("checkpoint") => studies::extension_checkpoint(),
+            Some("green_destiny") => studies::extension_green_destiny(parse_or_usage(3, 100_000)),
+            Some("longrun") => studies::extension_longrun(parse_or_usage(3, 15_000)),
+            Some("tm6000") => studies::extension_tm6000(),
+            _ => usage(),
+        },
+        "claims" => studies::claims(),
+        "trace" => studies::trace(parse_or_usage(2, 20_000), parse_or_usage(3, 24)),
         _ => usage(),
     }
 }

@@ -163,14 +163,131 @@ fn metablade_table_prints_the_table_and_its_trailer() {
 }
 
 /// Bad argv is a usage error — status 2, usage on stderr, nothing on
-/// stdout — not a silent default or a silent success.
+/// stdout — not a silent default, a silent success or a panic.
 #[test]
 fn metablade_rejects_bad_argv_with_usage_and_status_2() {
-    for args in [&["bogus"][..], &["table", "9"], &["figure3", "abc"]] {
+    for args in [
+        &["bogus"][..],
+        &["table", "9"],
+        &["figure3", "abc"],
+        // A size of zero is a usage error, not an assertion backtrace.
+        &["table", "2", "0"],
+        &["evolve", "0", "1"],
+        &["figure3", "0"],
+        &["trace", "100", "0"],
+        // An unknown or missing study name, a bad `table all` size.
+        &["ablation", "bogus"],
+        &["extension"],
+        &["table", "all", "x"],
+    ] {
         let out = run_metablade(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: metablade"), "{args:?}: {stderr}");
     }
+}
+
+/// Every folded study runs through the front end at a small size and
+/// starts with the header line its own binary used to print.
+#[test]
+fn metablade_studies_run_and_print_their_headers() {
+    for (args, header) in [
+        (
+            &["ablation", "tcache"][..],
+            "Ablation A1 — translation cache capacity (hot threshold = 24)\n",
+        ),
+        (
+            &["ablation", "mac", "500"],
+            "Ablation A2 — MAC sweep, N = 500 Plummer\n",
+        ),
+        (
+            &["ablation", "network", "1000"],
+            "Ablation A3 — network sweep, N = 1000, P = 24 (t1 = ",
+        ),
+        (
+            &["ablation", "thermal"],
+            "Ablation A4 — ambient temperature sweep (traditional P4 tower, 85 W node)\n",
+        ),
+        (
+            &["extension", "checkpoint"],
+            "30-day job under optimal (Young) checkpointing, 24 nodes\n",
+        ),
+        (
+            &["extension", "green_destiny", "2000"],
+            "Green Destiny: 240 nodes | peak ",
+        ),
+        (
+            &["extension", "longrun", "1000"],
+            "LongRun sweep — treecode force evaluation, N = 1000, 24 blades\n",
+        ),
+        (&["extension", "tm6000"], "Table 6. Performance-Space Ratio"),
+        (&["claims"], "TCO: traditional mean $"),
+    ] {
+        let out = run_metablade(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert!(stdout.starts_with(header), "{args:?}: {stdout}");
+    }
+}
+
+/// `table all` is tables 1–7 in order through the functions `table N`
+/// calls: the deterministic tables appear verbatim, Tables 2 and 3 by
+/// their headers at the requested size and class.
+#[test]
+fn metablade_table_all_prints_the_seven_tables_in_order() {
+    use metablade::core::{experiments, report};
+    use metablade::metrics::report::{render_table5, render_table6, render_table7};
+    let out = run_metablade(&["table", "all", "2000", "S"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let machines = experiments::table67_machines();
+    let mut rest = stdout.as_str();
+    for part in [
+        report::render_table1(&experiments::table1()),
+        "Table 2. Scalability of an N-body Simulation".to_string(),
+        "Table 3. Single Processor Performance (Mops) for Class S NPB 2.3 Benchmarks".to_string(),
+        report::render_table4(&experiments::table4()),
+        render_table5(&Default::default()),
+        render_table6(&machines),
+        render_table7(&machines),
+    ] {
+        let at = rest
+            .find(&part)
+            .unwrap_or_else(|| panic!("missing or out of order: {part}\nin: {stdout}"));
+        rest = &rest[at + part.len()..];
+    }
+}
+
+/// `trace` leaves a Chrome trace the validator accepts (one track per
+/// rank) and a run manifest, both under `MB_TELEMETRY_DIR`.
+#[test]
+fn metablade_trace_writes_a_valid_chrome_trace_and_a_manifest() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("metablade_trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_metablade"))
+        .args(["trace", "2000", "8"])
+        .env("MB_TELEMETRY_DIR", &dir)
+        .output()
+        .expect("spawn metablade");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(
+        stdout.starts_with("tracing one force evaluation: N = 2000, P = 8 ("),
+        "{stdout}"
+    );
+    let written = |label: &str| {
+        let path = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(label))
+            .unwrap_or_else(|| panic!("no {label:?} line in: {stdout}"));
+        assert!(std::path::Path::new(path).starts_with(&dir), "{path}");
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let summary = metablade::telemetry::chrome::validate(&written("chrome trace: "))
+        .expect("a valid Chrome trace");
+    assert_eq!(summary.tracks, (0..8).collect::<Vec<_>>());
+    let manifest = metablade::telemetry::json::parse(&written("run manifest: "))
+        .expect("the manifest is JSON");
+    assert_eq!(manifest.get("ranks").and_then(|r| r.as_f64()), Some(8.0));
 }
