@@ -1,7 +1,7 @@
-//! The `bench_baseline` harness: the cluster microbenchmarks and the
-//! distributed treecode step, run once under every [`ExecPolicy`] and
-//! emitted as `BENCH_cluster.json` / `BENCH_treecode.json` (schema in
-//! `BENCHMARKS.md` at the repo root).
+//! The cluster and treecode suites of `metablade pins` ([`suite`]): the
+//! cluster microbenchmarks and the distributed treecode step, run once
+//! under every [`ExecPolicy`] and emitted as `BENCH_cluster.json` /
+//! `BENCH_treecode.json` (schema in `BENCHMARKS.md` at the repo root).
 //!
 //! The documents carry **simulated values only**: the virtual makespan
 //! (slowest rank's virtual clock) and an outcome fingerprint (results +
@@ -9,7 +9,7 @@
 //! recording that every executor width agreed. All of it is
 //! bit-identical on every host and in every run, so a regenerated
 //! document equals its committed twin exactly — `cargo test` checks
-//! that (`crates/bench/tests/bench_baseline.rs`). Host time is measured
+//! that for the smoke documents (`tests/pins.rs`). Host time is measured
 //! in one place, the `benchmark/` package.
 
 use std::collections::BTreeMap;
@@ -18,6 +18,7 @@ use mb_cluster::machine::{Cluster, SpmdOutcome};
 use mb_cluster::spec::{metablade, ClusterSpec};
 use mb_cluster::topology::record_link_occupancy;
 use mb_cluster::{Comm, CommStats, ExecPolicy, Topology};
+use mb_telemetry::artifact::Pins;
 use mb_telemetry::json::Json;
 use mb_treecode::parallel::{distributed_step, DistributedConfig};
 use mb_treecode::plummer;
@@ -65,22 +66,15 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A seconds-scale configuration for the smoke documents `cargo test`
-    /// reproduces: few rounds, a small body count.
+    /// The seconds-scale configuration of the committed smoke documents
+    /// `cargo test` reproduces: 128 ranks, few rounds, a small body count.
     pub fn smoke() -> Self {
         SweepConfig {
-            rank_counts: vec![1, 8],
-            treecode_rank_counts: vec![1, 8],
+            rank_counts: vec![128],
+            treecode_rank_counts: vec![128],
             rounds: 4,
             n_bodies: 1_000,
         }
-    }
-
-    /// Restrict both suites' sweeps to the given rank counts.
-    pub fn with_ranks(mut self, ranks: Vec<usize>) -> Self {
-        self.rank_counts = ranks.clone();
-        self.treecode_rank_counts = ranks;
-        self
     }
 }
 
@@ -134,7 +128,7 @@ pub fn hash_stats(h: &mut Fnv, stats: &[CommStats]) {
 /// One bench record: run `run` on `spec` once under every policy and
 /// write down what it returns — the outcome fingerprint, the virtual
 /// makespan and any extra columns (e.g. treecode `gflops`). Fields
-/// documented in BENCHMARKS.md.
+/// documented in BENCHMARKS.md. Panics if the policies disagree.
 fn record<F>(name: &str, spec: &ClusterSpec, run: F) -> Json
 where
     F: Fn(&Cluster) -> (u64, f64, Vec<(&'static str, Json)>),
@@ -150,6 +144,11 @@ where
     }
     let first = fingerprints.values().next().copied();
     let identical = fingerprints.values().all(|fp| Some(*fp) == first);
+    assert!(
+        identical,
+        "{name} at {} ranks: outcomes diverged across policies: {fingerprints:x?}",
+        spec.nodes
+    );
     let mut fields = vec![
         ("name", Json::str(name)),
         ("ranks", Json::Num(spec.nodes as f64)),
@@ -394,8 +393,7 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 /// One host-time-profiled rerun of the imbalance microbenchmark at the
 /// sweep's largest rank count under the 8-worker pool. Returns the
 /// registry holding the `executor/*` counters and `prof/*` histograms —
-/// the `PROF_cluster.json` artifact `bench_baseline` writes when
-/// `MB_PROF=1`.
+/// the `PROF_cluster.json` artifact [`suite`] returns when `MB_PROF=1`.
 ///
 /// A run of its own, outside the sweep that fills the BENCH documents.
 /// Virtual outcomes are unaffected by profiling either way (the
@@ -411,6 +409,36 @@ pub fn profiled_pass(cfg: &SweepConfig) -> mb_telemetry::metrics::Registry {
     out.exec_report
         .record_into(&mut reg, &cluster.exec().label());
     reg
+}
+
+/// The cluster and treecode suites of `metablade pins`:
+/// `BENCH_{cluster,treecode}.json` ([`SweepConfig::default`]), or
+/// `…_smoke.json` at [`SweepConfig::smoke`] size, plus the
+/// `FATTREE_links.trace.json` artifact and, with `MB_PROF=1`,
+/// `PROF_cluster.json`.
+pub fn suite(smoke: bool) -> Pins {
+    let (cfg, names) = if smoke {
+        let names = ["BENCH_cluster_smoke.json", "BENCH_treecode_smoke.json"];
+        (SweepConfig::smoke(), names)
+    } else {
+        let names = ["BENCH_cluster.json", "BENCH_treecode.json"];
+        (SweepConfig::default(), names)
+    };
+    let mut artifacts = vec![(
+        "FATTREE_links.trace.json".to_string(),
+        fat_tree_link_trace(&cfg),
+    )];
+    if mb_telemetry::prof::enabled_from_env() {
+        let prof = profiled_pass(&cfg).to_json().to_string();
+        artifacts.push(("PROF_cluster.json".to_string(), prof));
+    }
+    Pins {
+        docs: vec![
+            (names[0], cluster_baseline(&cfg)),
+            (names[1], treecode_baseline(&cfg)),
+        ],
+        artifacts,
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! What the `metablade` front end and `bench_baseline` run: the
-//! one-shot [`studies`] (`metablade ablation|extension|claims|trace`),
-//! the standard manifest a traced treecode run produces, and the
-//! [`baseline`] harness behind `bench_baseline`, which writes the
-//! simulated-outcome pins `BENCH_{cluster,treecode}.json`.
+//! What the `metablade` front end runs: the one-shot [`studies`]
+//! (`metablade ablation|extension|claims|trace`), the standard manifest
+//! a traced treecode run produces, and the [`baseline`] suite behind
+//! `metablade pins`, whose documents are the simulated-outcome pins
+//! `BENCH_{cluster,treecode}[_smoke].json`.
 //!
 //! # Example
 //!
@@ -20,7 +20,6 @@
 //! ```
 
 pub mod baseline;
-pub mod cli;
 pub mod studies;
 
 use mb_cluster::power;
@@ -28,8 +27,8 @@ use mb_cluster::spec::ClusterSpec;
 use mb_telemetry::manifest::RunManifest;
 use mb_treecode::parallel::StepReport;
 
-// Artifact placement lives in the telemetry layer so `sched_sim` and
-// `stream_sim` share the convention; re-exported for `metablade`.
+// Artifact placement lives in the telemetry layer so every crate shares
+// the convention; re-exported for `metablade`.
 pub use mb_telemetry::artifact::{artifact_dir, write_artifact};
 
 /// Power samples recorded into a run manifest's `power.watts` series.

@@ -12,8 +12,9 @@
 //!
 //! * [`job`] — job specs and step-shaped [`WorkModel`]s lowered onto
 //!   the cluster communicator;
-//! * [`workload`] — the seeded generator ([`generate`]) and the
-//!   standard 200-job acceptance stream ([`standard`]);
+//! * [`workload`] — the seeded generator ([`generate`]), the
+//!   standard 200-job acceptance stream ([`standard`]) and the
+//!   comm-heavy placement-contrast stream ([`comm_heavy`]);
 //! * [`policy`] — [`Fcfs`], [`EasyBackfill`] and [`Sjf`] behind the
 //!   [`SchedPolicy`] trait;
 //! * [`engine`] — the event loop ([`simulate`] / [`simulate_stream`]:
@@ -24,7 +25,9 @@
 //!   behind [`simulate_stream`] (the closed batch is the degenerate
 //!   single-class stream);
 //! * [`report`] — Chrome-trace occupancy export, equal-TCO fleet
-//!   sizing, and `BENCH_sched.json` rows.
+//!   sizing, and `BENCH_sched.json` rows;
+//! * [`pins`] — the scheduler suite of `metablade pins`, which returns
+//!   `BENCH_sched[_smoke].json`.
 //!
 //! The determinism contract (DESIGN.md §10): a [`SimReport`]'s
 //! fingerprint is bit-identical for a given (cluster spec, workload,
@@ -54,6 +57,7 @@
 
 pub mod engine;
 pub mod job;
+pub mod pins;
 pub mod policy;
 mod queue;
 pub mod report;
@@ -70,4 +74,4 @@ pub use stream::{
     AdmissionControl, AdmissionCtx, AdmitAll, Arrival, ArrivalSource, ClassReport, SchedDeadlock,
     StreamReport, VecArrivals,
 };
-pub use workload::{generate, standard, WorkloadConfig};
+pub use workload::{comm_heavy, generate, standard, WorkloadConfig};

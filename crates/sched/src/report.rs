@@ -153,7 +153,7 @@ pub fn equal_tco_nodes(budget_dollars: f64) -> usize {
 
 /// One policy's row of a `BENCH_sched.json` cluster section.
 /// `exec_invariant` records whether the run fingerprint matched across
-/// executor policies (the determinism check `sched_sim` performs).
+/// executor policies (the determinism check [`crate::pins::suite`] performs).
 pub fn policy_row(report: &SimReport, tco_dollars: f64, exec_invariant: bool) -> Json {
     Json::obj([
         ("policy", Json::str(report.policy)),

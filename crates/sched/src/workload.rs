@@ -6,6 +6,9 @@
 //! pairs small, so the engine's memoized service model simulates each
 //! pattern once. Everything is driven by one seeded `StdRng`, so a
 //! `WorkloadConfig` identifies its job stream exactly.
+//!
+//! [`comm_heavy`] is the second generator: the ring-exchange stream the
+//! fat-tree placement contrasts run.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,6 +84,53 @@ pub fn generate(cfg: &WorkloadConfig) -> Vec<JobSpec> {
                 ranks,
                 work,
             }
+        })
+        .collect()
+}
+
+/// Seeded comm-heavy stream for the placement contrasts on an
+/// oversubscribed fat tree: ring-exchange synthetic jobs whose
+/// 32/64/128-KiB × 8-round steps keep the uplinks busy enough that
+/// cross-job sharing shows up in the makespan and slowdown tail.
+/// `jobs` jobs `min_ranks..=max_ranks` wide, submitted every
+/// `mean_gap_s` on average (uniform ±50 %); deterministic in `seed`.
+pub fn comm_heavy(
+    jobs: usize,
+    min_ranks: usize,
+    max_ranks: usize,
+    mean_gap_s: f64,
+    seed: u64,
+) -> Vec<JobSpec> {
+    let mut s = seed | 1;
+    let mut next = move |m: u64| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s % m
+    };
+    let mut t = 0.0;
+    (0..jobs)
+        .map(|i| {
+            // Mixed widths leave partial groups behind (allocation
+            // slack), and mixed message sizes make per-group loads
+            // unequal — both are what gives the contention-aware
+            // allocator real choices over compact.
+            let ranks = min_ranks + next((max_ranks - min_ranks + 1) as u64) as usize;
+            let steps = 150 + next(150) as u32;
+            let msg_kib = 32u32 << (next(3) as u32); // 32, 64 or 128 KiB
+            let spec = JobSpec {
+                id: i,
+                submit_s: t,
+                ranks,
+                work: WorkModel::Synthetic {
+                    flops_per_step: 1e6,
+                    msg_kib,
+                    rounds: 8,
+                    steps,
+                },
+            };
+            t += mean_gap_s * (0.5 + next(100) as f64 / 100.0);
+            spec
         })
         .collect()
 }

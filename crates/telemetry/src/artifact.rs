@@ -12,12 +12,29 @@
 //!
 //! [`artifact_stem`] is the standard shape: `{run}-r{ranks}-{run_id}`,
 //! keeping the simulated rank count greppable in directory listings.
+//!
+//! [`Pins`] is what one suite of `metablade pins` hands its writer: the
+//! pinned `BENCH_*.json` documents (fixed names, committed at the repo
+//! root) and the side artifacts that go here.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
+
 static SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// One suite's output for `metablade pins`.
+#[derive(Debug, Default)]
+pub struct Pins {
+    /// Pinned documents by file name, written to the current directory;
+    /// they hold simulated values only, so a rerun reproduces each byte.
+    pub docs: Vec<(&'static str, Json)>,
+    /// Side artifacts (traces, histograms, profiles) by file name,
+    /// written to [`artifact_dir`].
+    pub artifacts: Vec<(String, String)>,
+}
 
 /// Artifact directory: `$MB_TELEMETRY_DIR`, or `./traces`.
 pub fn artifact_dir() -> PathBuf {

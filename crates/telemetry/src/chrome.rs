@@ -280,6 +280,7 @@ pub fn validate(text: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prof::LogHistogram;
     use crate::trace::SpanKind;
 
     fn sample_trace() -> RunTrace {
@@ -358,9 +359,10 @@ mod tests {
         let s = reg.series("power", "cluster");
         reg.sample(s, 1e-6, 90.0);
         reg.sample(s, 2e-6, 110.0);
-        let h = reg.histogram("executor/ready_depth", "w8", &[1.0, 2.0]);
-        reg.observe(h, 0.5);
-        reg.observe(h, 3.0);
+        let mut h = LogHistogram::new();
+        h.observe(0.5);
+        h.observe(3.0);
+        reg.set_histogram("executor/ready_depth", "w8", h.to_metric());
 
         let text = export_with_metrics(&sample_trace(), &reg);
         let summary = validate(&text).unwrap();

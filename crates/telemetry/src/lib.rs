@@ -6,10 +6,8 @@
 //! vs. interpreted atoms in the Crusoe CMS, power draw under load. This
 //! crate is the one place all of that flows through:
 //!
-//! * [`metrics`] — a registry of counters, gauges, time-bucketed
-//!   histograms and sampled series, labelled per rank/node, with cheap
-//!   index handles and a cluster-level [`metrics::Registry::merge`]
-//!   aggregator;
+//! * [`metrics`] — a registry of counters, gauges, histograms and
+//!   sampled series, labelled per rank/node, with cheap index handles;
 //! * [`trace`] — virtual-time span tracing: instrumented code emits
 //!   [`trace::SpanEvent`]s into an attachable [`trace::TraceSink`];
 //!   `mb-cluster`'s communicator records sends, receives, computes and

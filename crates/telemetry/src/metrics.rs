@@ -1,6 +1,5 @@
-//! The metrics registry: counters, gauges, time-bucketed histograms and
-//! sampled series, labelled per rank/node, with a cluster-level
-//! aggregator.
+//! The metrics registry: counters, gauges, histograms and sampled
+//! series, labelled per rank/node.
 //!
 //! Instrumented code grabs a cheap handle once (an index — no hashing on
 //! the hot path) and bumps it as it runs:
@@ -15,21 +14,21 @@
 //! assert_eq!(reg.counter_value("comm.sends", "rank=0"), Some(3));
 //! ```
 //!
-//! Per-rank registries merge into one cluster view with
-//! [`Registry::merge`]: counters add, gauges keep the last write,
-//! histograms and series concatenate bucket-wise.
+//! Histograms are accumulated elsewhere (a [`crate::prof::LogHistogram`])
+//! and installed whole with [`Registry::set_histogram`].
 
 use std::collections::HashMap;
 
 use crate::json::Json;
 
 /// Handle to a registered metric. Obtained from [`Registry::counter`] /
-/// [`Registry::gauge`] / [`Registry::histogram`]; valid only for the
+/// [`Registry::gauge`] / [`Registry::series`]; valid only for the
 /// registry that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricHandle(usize);
 
-/// A fixed-bound histogram over `f64` observations.
+/// A fixed-bound histogram over `f64` observations, as
+/// [`crate::prof::LogHistogram::to_metric`] builds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Upper bounds of each bucket, ascending; an implicit overflow
@@ -44,27 +43,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: Vec<f64>) -> Self {
-        let counts = vec![0; bounds.len() + 1];
-        Histogram {
-            bounds,
-            counts,
-            sum: 0.0,
-            n: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += v;
-        self.n += 1;
-    }
-
     /// Mean observation, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
@@ -95,8 +73,7 @@ struct Entry {
     value: MetricValue,
 }
 
-/// The registry proper. One per rank (or per subsystem); merge into a
-/// cluster aggregate at the end of a run.
+/// The registry proper. One per run (or per subsystem).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     entries: Vec<Entry>,
@@ -133,20 +110,11 @@ impl Registry {
         MetricHandle(self.slot(name, label, || MetricValue::Gauge(0.0)))
     }
 
-    /// Register (or look up) a histogram with the given bucket bounds.
-    pub fn histogram(&mut self, name: &str, label: &str, bounds: &[f64]) -> MetricHandle {
-        MetricHandle(self.slot(name, label, || {
-            MetricValue::Histogram(Histogram::new(bounds.to_vec()))
-        }))
-    }
-
     /// Install a fully-formed histogram under `name{label}`, replacing
-    /// any previous value in that slot. This is how drained
-    /// [`crate::prof::LogHistogram`] snapshots (converted via
-    /// `to_metric()`) land in a registry: their bounds are data-dependent
-    /// (only occupied buckets survive compaction), so the incremental
-    /// [`Registry::histogram`]+[`Registry::observe`] path — which
-    /// requires the bounds up front — does not fit.
+    /// any previous value in that slot — the one way a histogram enters
+    /// a registry. Drained [`crate::prof::LogHistogram`] snapshots land
+    /// here via `to_metric()`; their bounds are data-dependent (only
+    /// occupied buckets survive compaction).
     pub fn set_histogram(&mut self, name: &str, label: &str, hist: Histogram) -> MetricHandle {
         let i = self.slot(name, label, || MetricValue::Histogram(hist.clone()));
         self.entries[i].value = MetricValue::Histogram(hist);
@@ -173,15 +141,6 @@ impl Registry {
             *g = v;
         } else {
             panic!("handle is not a gauge");
-        }
-    }
-
-    /// Observe a histogram sample.
-    pub fn observe(&mut self, h: MetricHandle, v: f64) {
-        if let MetricValue::Histogram(hist) = &mut self.entries[h.0].value {
-            hist.observe(v);
-        } else {
-            panic!("handle is not a histogram");
         }
     }
 
@@ -245,47 +204,6 @@ impl Registry {
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Merge another registry into this one (the cluster-level
-    /// aggregator): counters add; gauges take the incoming value;
-    /// histograms require identical bounds and add bucket-wise; series
-    /// concatenate and re-sort by time.
-    pub fn merge(&mut self, other: &Registry) {
-        for e in &other.entries {
-            match &e.value {
-                MetricValue::Counter(c) => {
-                    let h = self.counter(&e.name, &e.label);
-                    self.inc(h, *c);
-                }
-                MetricValue::Gauge(g) => {
-                    let h = self.gauge(&e.name, &e.label);
-                    self.set_gauge(h, *g);
-                }
-                MetricValue::Histogram(hist) => {
-                    let h = self.histogram(&e.name, &e.label, &hist.bounds);
-                    if let MetricValue::Histogram(mine) = &mut self.entries[h.0].value {
-                        assert_eq!(
-                            mine.bounds, hist.bounds,
-                            "merging histograms with different bounds: {}",
-                            e.name
-                        );
-                        for (a, b) in mine.counts.iter_mut().zip(&hist.counts) {
-                            *a += b;
-                        }
-                        mine.sum += hist.sum;
-                        mine.n += hist.n;
-                    }
-                }
-                MetricValue::Series(points) => {
-                    let h = self.series(&e.name, &e.label);
-                    if let MetricValue::Series(mine) = &mut self.entries[h.0].value {
-                        mine.extend_from_slice(points);
-                        mine.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    }
-                }
-            }
-        }
     }
 
     /// Snapshot as JSON: `{ "name{label}": value, ... }` with histograms
@@ -355,67 +273,6 @@ mod tests {
         assert_eq!(r.counter_value("bytes", "rank=0"), Some(10));
         assert_eq!(r.counter_value("bytes", "rank=1"), Some(20));
         assert_eq!(r.counter_value("bytes", "rank=2"), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut r = Registry::new();
-        let h = r.histogram("lat", "", &[1.0, 10.0]);
-        for v in [0.5, 0.9, 5.0, 100.0] {
-            r.observe(h, v);
-        }
-        match r.find("lat", "").unwrap() {
-            MetricValue::Histogram(hist) => {
-                assert_eq!(hist.counts, vec![2, 1, 1]);
-                assert_eq!(hist.n, 4);
-                assert!((hist.mean() - 26.6).abs() < 1e-9);
-            }
-            _ => panic!("not a histogram"),
-        }
-    }
-
-    #[test]
-    fn merge_aggregates_per_rank_registries() {
-        let mut r0 = Registry::new();
-        r0.count("sends", "all", 4);
-        r0.record_gauge("hit_rate", "rank=0", 0.9);
-        let s0 = r0.series("power", "cluster");
-        r0.sample(s0, 1.0, 100.0);
-
-        let mut r1 = Registry::new();
-        r1.count("sends", "all", 6);
-        r1.record_gauge("hit_rate", "rank=1", 0.8);
-        let s1 = r1.series("power", "cluster");
-        r1.sample(s1, 0.5, 90.0);
-
-        r0.merge(&r1);
-        assert_eq!(r0.counter_value("sends", "all"), Some(10));
-        assert_eq!(r0.gauge_value("hit_rate", "rank=0"), Some(0.9));
-        assert_eq!(r0.gauge_value("hit_rate", "rank=1"), Some(0.8));
-        match r0.find("power", "cluster").unwrap() {
-            MetricValue::Series(s) => {
-                assert_eq!(s, &vec![(0.5, 90.0), (1.0, 100.0)], "sorted by time");
-            }
-            _ => panic!("not a series"),
-        }
-    }
-
-    #[test]
-    fn merged_histograms_add_bucketwise() {
-        let mut a = Registry::new();
-        let ha = a.histogram("h", "", &[1.0]);
-        a.observe(ha, 0.5);
-        let mut b = Registry::new();
-        let hb = b.histogram("h", "", &[1.0]);
-        b.observe(hb, 2.0);
-        a.merge(&b);
-        match a.find("h", "").unwrap() {
-            MetricValue::Histogram(h) => {
-                assert_eq!(h.counts, vec![1, 1]);
-                assert_eq!(h.n, 2);
-            }
-            _ => panic!(),
-        }
     }
 
     #[test]

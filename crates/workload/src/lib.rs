@@ -22,7 +22,9 @@
 //! * [`mgk`] — Erlang-C / Allen–Cunneen M/G/k approximations the
 //!   simulated wait times are validated against;
 //! * [`report`] — `metablade-stream/2` benchmark sections and per-class
-//!   histogram artifacts.
+//!   histogram artifacts;
+//! * [`pins`] — the streaming suite of `metablade pins`, which returns
+//!   `BENCH_stream[_smoke].json`.
 //!
 //! The determinism contract carries over unchanged: every generator is
 //! seeded, every admission decision is a pure function of its inputs,
@@ -53,9 +55,9 @@
 
 pub mod admission;
 pub mod arrival;
-pub mod cli;
 pub mod cost;
 pub mod mgk;
+pub mod pins;
 pub mod report;
 pub mod swf;
 

@@ -1,13 +1,13 @@
 //! `metablade-stream/2` benchmark sections and histogram artifacts.
 //!
-//! The `stream_sim` binary writes one `BENCH_stream*.json` document
-//! per run: a `scenarios` array where every entry carries simulated
+//! The streaming suite ([`crate::pins::suite`]) returns one
+//! `BENCH_stream*.json` document per size: a `scenarios` array where every entry carries simulated
 //! quantities only (stream fingerprint, virtual makespan, per-class
 //! admission counts and wait/slowdown percentiles — bit-exact under
 //! every executor policy, on every host) and — when the scenario has a
 //! queueing-theory twin — the M/G/k prediction next to the simulated
 //! value. `cargo test` reruns the smoke document and requires it to
-//! equal the committed copy (`crates/workload/tests/stream.rs`).
+//! equal the committed copy (`tests/pins.rs` at the repo root).
 
 use mb_sched::stream::{ClassReport, StreamReport};
 use mb_telemetry::prof::LogHistogram;

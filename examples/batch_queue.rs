@@ -36,7 +36,7 @@ fn main() {
     let service = ServiceModel::new(&cluster);
 
     // 3. Replay the same stream under two policies. No failure
-    //    injection here; see `sched_sim` for the full comparison.
+    //    injection here; see `mb_sched::pins` for the full comparison.
     let cfg = SchedConfig::default();
     let print = |r: &SimReport| {
         println!(

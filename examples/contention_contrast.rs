@@ -15,47 +15,7 @@
 use metablade::cluster::{Cluster, ExecPolicy, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
-use metablade::sched::{simulate, JobSpec, SchedConfig, ServiceModel, WorkModel};
-
-/// Seeded comm-heavy stream (mirrors `sched_sim`'s contention
-/// workload): mixed widths fragment the groups, mixed message sizes
-/// make per-group uplink loads unequal.
-fn workload(
-    jobs: usize,
-    min_ranks: usize,
-    max_ranks: usize,
-    gap_s: f64,
-    seed: u64,
-) -> Vec<JobSpec> {
-    let mut s = seed | 1;
-    let mut next = move |m: u64| {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s % m
-    };
-    let mut t = 0.0;
-    (0..jobs)
-        .map(|i| {
-            let ranks = min_ranks + next((max_ranks - min_ranks + 1) as u64) as usize;
-            let steps = 150 + next(150) as u32;
-            let msg_kib = 32u32 << (next(3) as u32);
-            let spec = JobSpec {
-                id: i,
-                submit_s: t,
-                ranks,
-                work: WorkModel::Synthetic {
-                    flops_per_step: 1e6,
-                    msg_kib,
-                    rounds: 8,
-                    steps,
-                },
-            };
-            t += gap_s * (0.5 + next(100) as f64 / 100.0);
-            spec
-        })
-        .collect()
-}
+use metablade::sched::{comm_heavy, simulate, SchedConfig, ServiceModel};
 
 fn main() {
     let seed: u64 = match std::env::args().nth(1) {
@@ -68,7 +28,7 @@ fn main() {
     let spec = metablade::cluster::spec::metablade()
         .with_nodes(16)
         .with_topology(Topology::fat_tree(4, 2, 4.0));
-    let wl = workload(14, 3, 8, 10.0, seed);
+    let wl = comm_heavy(14, 3, 8, 10.0, seed);
     let policies: [&dyn SchedPolicy; 3] = [&Fcfs, &EasyBackfill, &Sjf];
 
     println!(

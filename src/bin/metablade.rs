@@ -22,19 +22,22 @@
 //! metablade claims                      every quantitative §4 prose claim, recomputed
 //! metablade trace [n] [ranks]           one traced force evaluation (defaults 20000 24; writes a
 //!                                       Chrome trace and a run manifest to $MB_TELEMETRY_DIR)
+//! metablade pins                        every BENCH_*.json pin, smoke and full size, into the
+//!                                       current directory (side artifacts to $MB_TELEMETRY_DIR)
 //! ```
 //!
 //! An unknown subcommand, table or study, an argument that does not
-//! parse, or a body / rank / step / pixel count of zero prints the usage
-//! line on stderr and exits with status 2.
+//! parse, a body / rank / step / pixel count of zero, or any argument to
+//! `pins` prints the usage line on stderr and exits with status 2.
 
 use metablade::bench::studies;
 use metablade::cluster::spec;
 use metablade::core::{experiments, report};
 use metablade::metrics::tco::CostConstants;
 use metablade::npb::Class;
+use metablade::telemetry::artifact::Pins;
 
-const USAGE: &str = "usage: metablade <table 1..7|all [n] [S|W|A] | figure3 [n] [steps] [px] | sustained [n] | evolve [n] [steps] | disasm | ablation tcache|mac|network|thermal [n] | extension checkpoint|green_destiny|longrun|tm6000 [n] | claims | trace [n] [ranks]>";
+const USAGE: &str = "usage: metablade <table 1..7|all [n] [S|W|A] | figure3 [n] [steps] [px] | sustained [n] | evolve [n] [steps] | disasm | ablation tcache|mac|network|thermal [n] | extension checkpoint|green_destiny|longrun|tm6000 [n] | claims | trace [n] [ranks] | pins>";
 
 fn usage() -> ! {
     eprintln!("metablade — 'Honey, I Shrunk the Beowulf!' reproduction");
@@ -203,6 +206,41 @@ fn sustained() {
     }
 }
 
+/// `metablade pins`: every pin each suite returns, the smoke documents
+/// first, into the current directory; their side artifacts into
+/// `$MB_TELEMETRY_DIR`. A pin that cannot be written ends the run with
+/// status 1, its path and the OS error; an artifact only warns.
+fn pins() {
+    use metablade::bench::{artifact_dir, write_artifact};
+    if std::env::args().nth(2).is_some() {
+        usage()
+    }
+    let suites: [fn(bool) -> Pins; 3] = [
+        metablade::bench::baseline::suite,
+        metablade::sched::pins::suite,
+        metablade::workload::pins::suite,
+    ];
+    let dir = artifact_dir();
+    for smoke in [true, false] {
+        for suite in suites {
+            let out = suite(smoke);
+            for (name, doc) in &out.docs {
+                if let Err(e) = std::fs::write(name, doc.to_string()) {
+                    eprintln!("metablade pins: cannot write {name}: {e}");
+                    std::process::exit(1)
+                }
+                println!("wrote {name}");
+            }
+            for (name, text) in &out.artifacts {
+                match write_artifact(&dir, name, text) {
+                    Ok(p) => println!("wrote {}", p.display()),
+                    Err(e) => eprintln!("warning: could not write {name}: {e}"),
+                }
+            }
+        }
+    }
+}
+
 fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_default();
     match cmd.as_str() {
@@ -293,6 +331,7 @@ fn main() {
         },
         "claims" => studies::claims(),
         "trace" => studies::trace(parse_or_usage(2, 20_000), parse_or_usage(3, 24)),
+        "pins" => pins(),
         _ => usage(),
     }
 }

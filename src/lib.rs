@@ -15,9 +15,16 @@
 //! * [`telemetry`] (`mb-telemetry`) — metrics registry, span tracing, Chrome export;
 //! * [`sched`] (`mb-sched`) — deterministic batch workload manager (FCFS /
 //!   EASY backfill / SJF) replaying multi-job traffic on the simulated cluster;
-//! * [`mod@bench`] (`mb-bench`) — the `bench_baseline` harness and its job
-//!   bodies, exposed so integration tests can pin simulated outcomes
-//!   against the committed `BENCH_*.json` fingerprints.
+//! * [`workload`] (`mb-workload`) — streaming open-arrival traffic, SLO
+//!   admission and the calibrated cost model;
+//! * [`mod@bench`] (`mb-bench`) — the studies `metablade` dispatches and
+//!   the cluster/treecode pin suite with its job bodies, exposed so
+//!   integration tests can pin simulated outcomes against the committed
+//!   `BENCH_*.json` fingerprints.
+//!
+//! The three pin suites — `bench::baseline::suite`, `sched::pins::suite`,
+//! `workload::pins::suite` — are what `metablade pins` writes and what
+//! `tests/pins.rs` compares against the committed smoke documents.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the full system
 //! inventory and per-experiment index.
@@ -43,3 +50,4 @@ pub use mb_npb as npb;
 pub use mb_sched as sched;
 pub use mb_telemetry as telemetry;
 pub use mb_treecode as treecode;
+pub use mb_workload as workload;

@@ -15,7 +15,7 @@
 use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, policies, rounds_for};
 use metablade::cluster::machine::Cluster;
 use metablade::cluster::spec::metablade as metablade_spec;
-use metablade::cluster::{Comm, CommStats, ExecPolicy, Topology};
+use metablade::cluster::{Comm, ExecPolicy, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
 use metablade::sched::{
@@ -26,32 +26,6 @@ use metablade::sched::{
 use metablade::telemetry::fnv::Fnv;
 use metablade::telemetry::json::{parse, Json};
 use metablade::telemetry::prof::LogHistogram;
-
-/// Fingerprint the simulated quantities of one outcome bit-exactly:
-/// results, clocks, stats (never the executor report — that is
-/// wall-clock-side and legitimately differs between widths).
-fn outcome_fingerprint(results: &[Vec<f64>], clocks: &[f64], stats: &[CommStats]) -> u64 {
-    let mut h = Fnv::new();
-    for r in results {
-        for v in r {
-            h.write_f64(*v);
-        }
-    }
-    for c in clocks {
-        h.write_f64(*c);
-    }
-    for s in stats {
-        h.write_u64(s.sends);
-        h.write_u64(s.recvs);
-        h.write_u64(s.bytes_sent);
-        h.write_u64(s.bytes_recv);
-        h.write_f64(s.compute_s);
-        h.write_f64(s.wait_s);
-        h.write_f64(s.send_busy_s);
-        h.write_f64(s.recv_busy_s);
-    }
-    h.finish()
-}
 
 /// A 256-rank job that exercises collectives, point-to-point rings and
 /// skewed compute — enough structure that a scheduling bug would move
@@ -89,10 +63,7 @@ fn outcome_is_bit_identical_across_widths_at_256_ranks() {
     let mut makespans = Vec::new();
     for policy in policies {
         let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
-        prints.push((
-            policy.label(),
-            outcome_fingerprint(&out.results, &out.clocks, &out.stats),
-        ));
+        prints.push((policy.label(), fingerprint_outcome(&out)));
         makespans.push(out.makespan_s().to_bits());
         // The event core really ran: every rank was admitted at least
         // once per blocking receive.
@@ -136,7 +107,7 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
         let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
         prints.push((
             policy.label(),
-            outcome_fingerprint(&out.results, &out.clocks, &out.stats),
+            fingerprint_outcome(&out),
             out.makespan_s().to_bits(),
         ));
     }
@@ -714,8 +685,8 @@ fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
     let plain = cluster.run(job_256);
     let (traced, trace) = cluster.run_traced(job_256);
     assert_eq!(
-        outcome_fingerprint(&plain.results, &plain.clocks, &plain.stats),
-        outcome_fingerprint(&traced.results, &traced.clocks, &traced.stats),
+        fingerprint_outcome(&plain),
+        fingerprint_outcome(&traced),
         "attaching trace sinks changed simulated outcomes"
     );
     assert!(!trace.is_empty(), "traced run produced no spans");
@@ -750,8 +721,8 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     let off = cluster.clone().with_prof(false).run(job_256);
     let on = cluster.clone().with_prof(true).run(job_256);
     assert_eq!(
-        outcome_fingerprint(&off.results, &off.clocks, &off.stats),
-        outcome_fingerprint(&on.results, &on.clocks, &on.stats),
+        fingerprint_outcome(&off),
+        fingerprint_outcome(&on),
         "host-time profiling changed simulated outcomes"
     );
     assert!(off.exec_report.prof.is_none());

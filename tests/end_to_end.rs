@@ -179,6 +179,9 @@ fn metablade_rejects_bad_argv_with_usage_and_status_2() {
         &["ablation", "bogus"],
         &["extension"],
         &["table", "all", "x"],
+        // `pins` takes no argument: no size, no flag.
+        &["pins", "extra"],
+        &["pins", "--smoke"],
     ] {
         let out = run_metablade(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -290,4 +293,27 @@ fn metablade_trace_writes_a_valid_chrome_trace_and_a_manifest() {
     let manifest = metablade::telemetry::json::parse(&written("run manifest: "))
         .expect("the manifest is JSON");
     assert_eq!(manifest.get("ranks").and_then(|r| r.as_f64()), Some(8.0));
+}
+
+/// A pin that cannot be written ends `metablade pins` with a nonzero
+/// status, the path and the OS error — here the first pin it writes,
+/// `BENCH_cluster_smoke.json`, is a directory.
+#[test]
+fn metablade_pins_fails_when_a_pin_cannot_be_written() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("metablade_pins_unwritable");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("BENCH_cluster_smoke.json")).expect("scratch directory");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_metablade"))
+        .arg("pins")
+        .current_dir(&dir)
+        .env("MB_TELEMETRY_DIR", dir.join("traces"))
+        .output()
+        .expect("spawn metablade");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot write BENCH_cluster_smoke.json: ") && stderr.contains("os error"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
