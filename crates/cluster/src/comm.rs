@@ -13,25 +13,27 @@
 //! regardless of the executor policy mapping ranks onto host workers (see
 //! [`crate::exec`]).
 //!
-//! Collectives are the classic binomial-tree / ring algorithms MPICH used
-//! in the paper's era: `bcast` and `reduce` are binomial trees (⌈log₂ P⌉
-//! rounds), `allreduce` is reduce+bcast, `barrier` is an empty allreduce,
+//! The four collectives are the ones the Warren–Salmon treecode and every
+//! workload call, in the algorithms MPICH used in the paper's era:
+//! `allreduce_sum` is a binomial-tree reduce to rank 0 then a binomial
+//! broadcast (⌈log₂ P⌉ rounds each), `barrier` is an empty allreduce,
 //! `allgather` is a ring, and `alltoallv` is a pairwise exchange.
 //!
-//! **Observability.** Every operation optionally records a virtual-time
-//! span into an attached [`TraceSink`] (see [`Comm::attach_sink`]):
-//! `compute`, point-to-point sends/receives (with peer and byte counts),
-//! and every collective as an enclosing span. Applications open named
-//! algorithm phases with [`Comm::begin_phase`]/[`Comm::end_phase`]. With
-//! no sink attached all of this reduces to one pointer check per
-//! operation, so untraced runs pay nothing measurable. Independent of
-//! tracing, [`CommStats`] keeps per-peer message/byte counts so load
-//! imbalance is visible from statistics alone.
+//! **Observability.** A traced rank (see
+//! [`crate::machine::Cluster::run_traced`]) appends a virtual-time
+//! [`SpanEvent`] to a plain buffer for every operation: `compute`,
+//! point-to-point sends/receives (with peer and byte counts), and each
+//! collective as one enclosing span. Applications open named algorithm
+//! phases with [`Comm::begin_phase`]/[`Comm::end_phase`]. An untraced rank
+//! pays one `Option` check per operation. Independent of tracing,
+//! [`CommStats`] keeps per-peer message/byte counts so load imbalance is
+//! visible from statistics alone.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mb_telemetry::trace::{SpanEvent, SpanKind, TraceSink};
+use mb_telemetry::summary::RankTime;
+use mb_telemetry::trace::{SpanEvent, SpanKind};
 
 use crate::event::EventCore;
 use crate::network::NetworkModel;
@@ -145,6 +147,17 @@ impl CommStats {
     pub fn peer(&self, peer: usize) -> PeerTraffic {
         self.peers.get(peer)
     }
+
+    /// The rank's compute / comm / blocked split against its final
+    /// virtual `clock`.
+    pub fn rank_time(&self, clock: f64) -> RankTime {
+        RankTime {
+            compute_s: self.compute_s,
+            comm_s: self.send_busy_s + self.recv_busy_s,
+            blocked_s: self.wait_s,
+            total_s: clock,
+        }
+    }
 }
 
 const COLLECTIVE_TAG: u32 = 0x8000_0000;
@@ -162,7 +175,8 @@ pub struct Comm {
     /// contention while a compact placement of the same width does not.
     nodes: Arc<Vec<usize>>,
     coll_seq: u32,
-    sink: Option<Box<dyn TraceSink + Send>>,
+    /// A traced rank's spans in emission order; `None` when untraced.
+    spans: Option<Vec<SpanEvent>>,
     /// The run's admission engine and message transport: it holds every
     /// rank's mailbox, and a receive that has to wait gives up this
     /// rank's execution slot inside it until the message is delivered.
@@ -173,13 +187,15 @@ pub struct Comm {
 }
 
 impl Comm {
-    /// Internal constructor (used by `machine::Cluster`).
+    /// Internal constructor (used by `machine::Cluster`); a `traced`
+    /// rank buffers every span it emits.
     pub(crate) fn new(
         rank: usize,
         mflops: f64,
         net: NetworkModel,
         nodes: Arc<Vec<usize>>,
         core: Arc<EventCore>,
+        traced: bool,
     ) -> Self {
         let nranks = nodes.len();
         Self {
@@ -190,7 +206,7 @@ impl Comm {
             net,
             nodes,
             coll_seq: 0,
-            sink: None,
+            spans: traced.then(Vec::new),
             core,
             phases: Vec::new(),
             stats: CommStats::default(),
@@ -224,31 +240,28 @@ impl Comm {
         self.nodes[self.rank]
     }
 
-    /// Attach a trace sink: from now on every operation records a
-    /// virtual-time span into it. Replaces any previous sink.
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink + Send>) {
-        self.sink = Some(sink);
+    #[inline]
+    fn record(&mut self, ev: SpanEvent) {
+        if let Some(spans) = self.spans.as_mut() {
+            spans.push(ev);
+        }
     }
 
-    /// Detach and return the current sink, closing any phases still open
-    /// at the current clock so every recorded span is well-formed.
-    pub fn detach_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
+    /// The spans recorded so far (empty when untraced), after closing
+    /// any phases still open at the current clock so every span is
+    /// well-formed.
+    pub(crate) fn take_spans(&mut self) -> Vec<SpanEvent> {
         while !self.phases.is_empty() {
             self.end_phase();
         }
-        self.sink.take()
-    }
-
-    /// Is a trace sink currently attached?
-    pub fn tracing(&self) -> bool {
-        self.sink.is_some()
+        self.spans.take().unwrap_or_default()
     }
 
     /// Open a named algorithm phase (tree build, force walk, …). Phases
     /// nest; each is closed by the matching [`Comm::end_phase`]. A no-op
-    /// unless a sink is attached.
+    /// unless the run is traced.
     pub fn begin_phase(&mut self, name: &'static str) {
-        if self.sink.is_some() {
+        if self.spans.is_some() {
             self.phases.push((name, self.clock));
         }
     }
@@ -257,9 +270,7 @@ impl Comm {
     /// unmatched call (nothing open) so callers need no tracing checks.
     pub fn end_phase(&mut self) {
         if let Some((name, t0)) = self.phases.pop() {
-            if let Some(sink) = self.sink.as_mut() {
-                sink.record(SpanEvent::plain(name, SpanKind::Phase, t0, self.clock));
-            }
+            self.record(SpanEvent::plain(name, SpanKind::Phase, t0, self.clock));
         }
     }
 
@@ -267,33 +278,12 @@ impl Comm {
     /// node's sustained rate.
     pub fn compute(&mut self, flops: f64) {
         let s = flops / (self.mflops * 1e6);
-        self.charge_compute(s);
-    }
-
-    /// Charge raw virtual seconds (e.g. non-FP work).
-    pub fn advance(&mut self, seconds: f64) {
-        assert!(seconds >= 0.0, "time cannot run backward");
-        self.charge_compute(seconds);
-    }
-
-    fn charge_compute(&mut self, s: f64) {
         let t0 = self.clock;
         self.clock += s;
         self.stats.compute_s += s;
         if s > 0.0 {
-            if let Some(sink) = self.sink.as_mut() {
-                sink.record(SpanEvent::plain("compute", SpanKind::Compute, t0, t0 + s));
-            }
+            self.record(SpanEvent::plain("compute", SpanKind::Compute, t0, t0 + s));
         }
-    }
-
-    /// Rebate virtual seconds previously charged — for timing models that
-    /// batch operations (e.g. HPL panel broadcasts pay per-message costs
-    /// eagerly for correctness, then credit back the amortized latency).
-    /// The clock never rewinds past zero.
-    pub fn credit(&mut self, seconds: f64) {
-        assert!(seconds >= 0.0);
-        self.clock = (self.clock - seconds).max(0.0);
     }
 
     /// Send `payload` to `dst` with a user tag (must be < 2^31; the high
@@ -316,17 +306,15 @@ impl Comm {
         let peer = self.stats.peers.entry(dst);
         peer.msgs_to += 1;
         peer.bytes_to += bytes;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(SpanEvent {
-                name: "send",
-                kind: SpanKind::Send,
-                t0,
-                t1: t0 + busy,
-                peer: dst,
-                bytes,
-                wait_s: 0.0,
-            });
-        }
+        self.record(SpanEvent {
+            name: "send",
+            kind: SpanKind::Send,
+            t0,
+            t1: t0 + busy,
+            peer: dst,
+            bytes,
+            wait_s: 0.0,
+        });
         let deliver = self.clock
             + self
                 .net
@@ -347,6 +335,7 @@ impl Comm {
     /// if needed; charges virtual wait time until the message's delivery
     /// timestamp plus the receiver-side busy time.
     pub fn recv(&mut self, src: usize, tag: u32) -> Bytes {
+        assert!(src < self.nranks, "recv from rank {src} of {}", self.nranks);
         assert!(tag < COLLECTIVE_TAG, "user tags must be < 2^31");
         self.recv_internal(src, tag)
     }
@@ -369,17 +358,15 @@ impl Comm {
         let peer = self.stats.peers.entry(src);
         peer.msgs_from += 1;
         peer.bytes_from += bytes;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(SpanEvent {
-                name: "recv",
-                kind: SpanKind::Recv,
-                t0,
-                t1: self.clock,
-                peer: src,
-                bytes,
-                wait_s: waited,
-            });
-        }
+        self.record(SpanEvent {
+            name: "recv",
+            kind: SpanKind::Recv,
+            t0,
+            t1: self.clock,
+            peer: src,
+            bytes,
+            wait_s: waited,
+        });
         msg.payload
     }
 
@@ -401,67 +388,40 @@ impl Comm {
 
     /// Record an enclosing span for a collective that started at `t0`.
     fn emit_collective(&mut self, name: &'static str, t0: f64) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(SpanEvent::plain(name, SpanKind::Collective, t0, self.clock));
-        }
+        self.record(SpanEvent::plain(name, SpanKind::Collective, t0, self.clock));
     }
 
-    /// Broadcast from `root`: binomial tree. Returns the payload on every
-    /// rank (on the root, the argument must be `Some`).
-    pub fn bcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
-        let t0 = self.clock;
-        let out = self.bcast_inner(root, payload);
-        self.emit_collective("bcast", t0);
-        out
-    }
-
-    fn bcast_inner(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
-        let n = self.nranks;
+    /// Binomial-tree broadcast from rank 0, which supplies the payload.
+    fn bcast_from_zero(&mut self, payload: Option<Bytes>) -> Bytes {
+        let (n, rank) = (self.nranks, self.rank);
         let tag = self.next_coll_tag(1);
-        let rel = (self.rank + n - root) % n;
-        let mut data = if rel == 0 {
-            payload.expect("root must supply the broadcast payload")
-        } else {
-            Bytes::new()
-        };
+        let mut data = payload.unwrap_or_default();
         let mut mask = 1;
         while mask < n {
-            if rel >= mask && rel < 2 * mask {
-                let src = (rel - mask + root) % n;
-                data = self.recv_internal(src, tag);
-            } else if rel < mask && rel + mask < n {
-                let dst = (rel + mask + root) % n;
-                self.send_internal(dst, tag, data.clone());
+            if rank >= mask && rank < 2 * mask {
+                data = self.recv_internal(rank - mask, tag);
+            } else if rank < mask && rank + mask < n {
+                self.send_internal(rank + mask, tag, data.clone());
             }
             mask <<= 1;
         }
         data
     }
 
-    /// Element-wise sum-reduce of a double vector to `root` (binomial
-    /// tree). Returns `Some(sum)` on the root, `None` elsewhere.
-    pub fn reduce_sum(&mut self, root: usize, vals: &[f64]) -> Option<Vec<f64>> {
-        let t0 = self.clock;
-        let out = self.reduce_sum_inner(root, vals);
-        self.emit_collective("reduce_sum", t0);
-        out
-    }
-
-    fn reduce_sum_inner(&mut self, root: usize, vals: &[f64]) -> Option<Vec<f64>> {
-        let n = self.nranks;
+    /// Binomial-tree element-wise sum to rank 0: `Some(sum)` there,
+    /// `None` elsewhere.
+    fn reduce_to_zero(&mut self, vals: &[f64]) -> Option<Vec<f64>> {
+        let (n, rank) = (self.nranks, self.rank);
         let tag = self.next_coll_tag(2);
-        let rel = (self.rank + n - root) % n;
         let mut acc = vals.to_vec();
         let mut mask = 1;
         while mask < n {
-            if rel & mask != 0 {
-                let dst = (rel - mask + root) % n;
-                self.send_internal(dst, tag, pack_f64s(&acc));
+            if rank & mask != 0 {
+                self.send_internal(rank - mask, tag, pack_f64s(&acc));
                 return None;
             }
-            if rel + mask < n {
-                let src = (rel + mask + root) % n;
-                let theirs = unpack_f64s(&self.recv_internal(src, tag));
+            if rank + mask < n {
+                let theirs = unpack_f64s(&self.recv_internal(rank + mask, tag));
                 assert_eq!(theirs.len(), acc.len(), "reduce length mismatch");
                 // Charge the combine cost: one add per element.
                 self.compute(acc.len() as f64);
@@ -474,25 +434,24 @@ impl Comm {
         Some(acc)
     }
 
+    fn reduce_then_bcast(&mut self, vals: &[f64]) -> Vec<f64> {
+        let reduced = self.reduce_to_zero(vals);
+        unpack_f64s(&self.bcast_from_zero(reduced.map(|v| pack_f64s(&v))))
+    }
+
     /// Allreduce (sum) of a double vector: reduce to rank 0 then
     /// broadcast.
     pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
         let t0 = self.clock;
-        let out = self.allreduce_sum_inner(vals);
+        let out = self.reduce_then_bcast(vals);
         self.emit_collective("allreduce_sum", t0);
         out
-    }
-
-    fn allreduce_sum_inner(&mut self, vals: &[f64]) -> Vec<f64> {
-        let reduced = self.reduce_sum_inner(0, vals);
-        let payload = reduced.map(|v| pack_f64s(&v));
-        unpack_f64s(&self.bcast_inner(0, payload))
     }
 
     /// Barrier: empty allreduce.
     pub fn barrier(&mut self) {
         let t0 = self.clock;
-        let _ = self.allreduce_sum_inner(&[]);
+        self.reduce_then_bcast(&[]);
         self.emit_collective("barrier", t0);
     }
 
@@ -500,12 +459,6 @@ impl Comm {
     /// all payloads, indexed by rank.
     pub fn allgather(&mut self, mine: Bytes) -> Vec<Bytes> {
         let t0 = self.clock;
-        let out = self.allgather_inner(mine);
-        self.emit_collective("allgather", t0);
-        out
-    }
-
-    fn allgather_inner(&mut self, mine: Bytes) -> Vec<Bytes> {
         let n = self.nranks;
         let tag = self.next_coll_tag(3);
         let mut chunks: Vec<Option<Bytes>> = vec![None; n];
@@ -520,22 +473,18 @@ impl Comm {
             let inp = self.recv_internal(left, tag);
             chunks[recv_idx] = Some(inp);
         }
-        chunks
+        let all = chunks
             .into_iter()
             .map(|c| c.expect("complete ring"))
-            .collect()
+            .collect();
+        self.emit_collective("allgather", t0);
+        all
     }
 
     /// Pairwise-exchange personalized all-to-all: `outgoing[d]` goes to
     /// rank `d`; returns `incoming[s]` from each rank `s`.
     pub fn alltoallv(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
         let t0 = self.clock;
-        let out = self.alltoallv_inner(outgoing);
-        self.emit_collective("alltoallv", t0);
-        out
-    }
-
-    fn alltoallv_inner(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
         let n = self.nranks;
         assert_eq!(outgoing.len(), n, "alltoallv needs one payload per rank");
         let tag = self.next_coll_tag(4);
@@ -547,110 +496,8 @@ impl Comm {
             self.send_internal(dst, tag, outgoing[dst].clone());
             incoming[src] = self.recv_internal(src, tag);
         }
+        self.emit_collective("alltoallv", t0);
         incoming
-    }
-
-    /// Scatter: `root` holds one payload per rank; every rank receives
-    /// its slice. Non-roots pass `None`.
-    pub fn scatter(&mut self, root: usize, payloads: Option<Vec<Bytes>>) -> Bytes {
-        let t0 = self.clock;
-        let out = self.scatter_inner(root, payloads);
-        self.emit_collective("scatter", t0);
-        out
-    }
-
-    fn scatter_inner(&mut self, root: usize, payloads: Option<Vec<Bytes>>) -> Bytes {
-        let n = self.nranks;
-        let tag = self.next_coll_tag(6);
-        if self.rank == root {
-            let payloads = payloads.expect("root must supply scatter payloads");
-            assert_eq!(payloads.len(), n, "one payload per rank");
-            let mut mine = Bytes::new();
-            for (dst, p) in payloads.into_iter().enumerate() {
-                if dst == root {
-                    mine = p;
-                } else {
-                    self.send_internal(dst, tag, p);
-                }
-            }
-            mine
-        } else {
-            self.recv_internal(root, tag)
-        }
-    }
-
-    /// Reduce-scatter (sum): every rank contributes a vector of
-    /// `n × chunk` doubles; rank `r` receives the element-wise sum of
-    /// everyone's `r`-th chunk. (Reduce-to-root then scatter — the
-    /// pattern MPICH used at this era for small payloads.)
-    pub fn reduce_scatter_sum(&mut self, vals: &[f64], chunk: usize) -> Vec<f64> {
-        let t0 = self.clock;
-        let n = self.nranks;
-        assert_eq!(vals.len(), n * chunk, "need n×chunk elements");
-        let reduced = self.reduce_sum_inner(0, vals);
-        let payloads = reduced.map(|full| {
-            (0..n)
-                .map(|r| pack_f64s(&full[r * chunk..(r + 1) * chunk]))
-                .collect::<Vec<_>>()
-        });
-        let out = unpack_f64s(&self.scatter_inner(0, payloads));
-        self.emit_collective("reduce_scatter_sum", t0);
-        out
-    }
-
-    /// Inclusive prefix scan (sum): rank `r` receives the element-wise
-    /// sum of ranks `0..=r`'s vectors. Linear pipeline (rank order).
-    pub fn scan_sum(&mut self, vals: &[f64]) -> Vec<f64> {
-        let t0 = self.clock;
-        let out = self.scan_sum_inner(vals);
-        self.emit_collective("scan_sum", t0);
-        out
-    }
-
-    fn scan_sum_inner(&mut self, vals: &[f64]) -> Vec<f64> {
-        let n = self.nranks;
-        let tag = self.next_coll_tag(7);
-        let mut acc = vals.to_vec();
-        if self.rank > 0 {
-            let prev = unpack_f64s(&self.recv_internal(self.rank - 1, tag));
-            assert_eq!(prev.len(), acc.len(), "scan length mismatch");
-            self.compute(acc.len() as f64);
-            for (a, b) in acc.iter_mut().zip(prev) {
-                *a += b;
-            }
-        }
-        if self.rank + 1 < n {
-            self.send_internal(self.rank + 1, tag, pack_f64s(&acc));
-        }
-        acc
-    }
-
-    /// Gather every rank's payload at `root` (rank order). Returns
-    /// `Some(vec)` on the root, `None` elsewhere.
-    pub fn gather(&mut self, root: usize, mine: Bytes) -> Option<Vec<Bytes>> {
-        let t0 = self.clock;
-        let out = self.gather_inner(root, mine);
-        self.emit_collective("gather", t0);
-        out
-    }
-
-    fn gather_inner(&mut self, root: usize, mine: Bytes) -> Option<Vec<Bytes>> {
-        let n = self.nranks;
-        let tag = self.next_coll_tag(5);
-        if self.rank == root {
-            let mut all: Vec<Bytes> = Vec::with_capacity(n);
-            for src in 0..n {
-                if src == root {
-                    all.push(mine.clone());
-                } else {
-                    all.push(self.recv_internal(src, tag));
-                }
-            }
-            Some(all)
-        } else {
-            self.send_internal(root, tag, mine);
-            None
-        }
     }
 }
 

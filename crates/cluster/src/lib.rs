@@ -20,8 +20,10 @@
 //!   the topology (per-hop latency, per-byte serialization at sender,
 //!   switches and receiver, oversubscription on shared uplinks);
 //! * [`comm`] — an MPI-like communicator: SPMD ranks on real threads, each
-//!   with a **virtual clock**; sends/receives/collectives charge modeled
-//!   time, `compute(flops)` charges CPU time. Virtual time is fully
+//!   with a **virtual clock**; sends, receives and the four collectives
+//!   the workloads call (`allreduce_sum`, `barrier`, `allgather`,
+//!   `alltoallv`) charge modeled time, `compute(flops)` charges CPU
+//!   time. Virtual time is fully
 //!   deterministic: a rank's clock depends only on its own event sequence
 //!   and on the send timestamps of messages it receives;
 //! * [`exec`] — the executor policy: an [`ExecPolicy`] (sequential /
@@ -34,9 +36,9 @@
 //!   deadlocked program is a [`SimError`] from
 //!   [`machine::Cluster::try_run`] and a panicking rank is re-raised,
 //!   never a hang;
-//!   [`machine::Cluster::run_traced`] additionally captures a span trace
-//!   of every rank (see the `mb-telemetry` crate) ready for Chrome
-//!   `trace_event` export;
+//!   [`machine::Cluster::run_traced`] additionally has every rank buffer
+//!   the spans it emits and returns them as one trace (see the
+//!   `mb-telemetry` crate) ready for Chrome `trace_event` export;
 //! * [`partition`] — node-subset allocation ([`NodeSet`], lowest-first or
 //!   topology-compact) and partitioned runs ([`machine::Cluster::run_on`],
 //!   which places ranks on real node ids so placement costs follow the

@@ -1,9 +1,9 @@
 //! The cluster runtime: run an SPMD closure over all ranks of a
 //! [`ClusterSpec`] and gather results, virtual clocks and statistics.
 //!
-//! [`Cluster::run_traced`] is the observability entry point: it attaches
-//! a buffering trace sink to every rank's communicator, so the same job
-//! closure additionally yields a [`RunTrace`] ready for Chrome export
+//! [`Cluster::run_traced`] is the observability entry point: every rank's
+//! communicator buffers the spans it emits, so the same job closure
+//! additionally yields a [`RunTrace`] ready for Chrome export
 //! (`mb_telemetry::chrome::export`) — one track per rank.
 //!
 //! How many ranks make host progress at once is an [`ExecPolicy`]
@@ -29,8 +29,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mb_telemetry::summary::{RankTime, RunSummary};
-use mb_telemetry::trace::{MemorySink, RunTrace};
+use mb_telemetry::summary::RunSummary;
+use mb_telemetry::trace::{RunTrace, SpanEvent};
 
 use crate::comm::{Comm, CommStats};
 use crate::event::{BlockedRecv, EventCore, ExecutorReport, PairBound, Poisoned};
@@ -127,16 +127,6 @@ impl<R> SpmdOutcome<R> {
         serial_s / (p * self.makespan_s())
     }
 
-    /// Aggregate virtual compute seconds across ranks.
-    pub fn total_compute_s(&self) -> f64 {
-        self.stats.iter().map(|s| s.compute_s).sum()
-    }
-
-    /// Aggregate bytes sent across ranks.
-    pub fn total_bytes(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes_sent).sum()
-    }
-
     /// Per-rank compute / comm / blocked time split, derived from the
     /// running statistics (available whether or not tracing was on).
     pub fn summary(&self) -> RunSummary {
@@ -144,12 +134,7 @@ impl<R> SpmdOutcome<R> {
             self.stats
                 .iter()
                 .zip(&self.clocks)
-                .map(|(s, &clock)| RankTime {
-                    compute_s: s.compute_s,
-                    comm_s: s.send_busy_s + s.recv_busy_s,
-                    blocked_s: s.wait_s,
-                    total_s: clock,
-                })
+                .map(|(s, &clock)| s.rank_time(clock))
                 .collect(),
         )
     }
@@ -299,8 +284,8 @@ impl Cluster {
             .0
     }
 
-    /// Like [`Cluster::run`], but with span tracing on: every rank gets a
-    /// buffering [`MemorySink`], and the harvested spans come back as a
+    /// Like [`Cluster::run`], but with span tracing on: every rank buffers
+    /// the spans its communicator emits, and they come back as a
     /// [`RunTrace`] (index = rank) alongside the normal outcome. Virtual
     /// clocks are identical to an untraced run — tracing observes the
     /// simulation without perturbing it.
@@ -360,24 +345,19 @@ impl Cluster {
         let core = Arc::new(core);
         let mflops = self.spec.node.cpu.sustained_mflops;
         let (f, core, nodes) = (&f, &core, &nodes);
-        type RankOut<R> = (R, f64, CommStats, Vec<mb_telemetry::trace::SpanEvent>);
+        type RankOut<R> = (R, f64, CommStats, Vec<SpanEvent>);
         let joined: Vec<std::thread::Result<RankOut<R>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|rank| {
                     scope.spawn(move || {
                         let _poison = PoisonOnPanic(core);
+                        let nodes = Arc::clone(nodes);
                         let mut comm =
-                            Comm::new(rank, mflops, net, Arc::clone(nodes), Arc::clone(core));
-                        if traced {
-                            comm.attach_sink(Box::new(MemorySink::new()));
-                        }
+                            Comm::new(rank, mflops, net, nodes, Arc::clone(core), traced);
                         core.acquire(rank, 0.0);
                         let r = f(&mut comm);
                         core.release(rank);
-                        let spans = comm
-                            .detach_sink()
-                            .map(|mut s| s.drain())
-                            .unwrap_or_default();
+                        let spans = comm.take_spans();
                         (r, comm.now(), comm.stats, spans)
                     })
                 })
@@ -481,34 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_delivers_to_all_from_any_root() {
-        for root in [0, 3, 6] {
-            let c = small_cluster(7);
-            let out = c.run(|comm| {
-                let payload = (comm.rank() == root).then(|| pack_f64s(&[42.0, root as f64]));
-                let got = comm.bcast(root, payload);
-                crate::comm::unpack_f64s(&got)
-            });
-            for r in out.results {
-                assert_eq!(r, vec![42.0, root as f64]);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_sum_collects_at_root_only() {
-        let c = small_cluster(6);
-        let out = c.run(|comm| comm.reduce_sum(2, &[1.0, comm.rank() as f64]));
-        for (rank, r) in out.results.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(r.as_ref().unwrap(), &vec![6.0, 15.0]);
-            } else {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
     fn allgather_orders_by_rank() {
         let c = small_cluster(5);
         let out = c.run(|comm| {
@@ -541,23 +493,6 @@ mod tests {
                 assert_eq!(v, (src * 100 + rank) as f64, "src {src} → dst {rank}");
             }
         }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let c = small_cluster(5);
-        let out = c.run(|comm| {
-            comm.gather(0, pack_f64s(&[comm.rank() as f64])).map(|v| {
-                v.iter()
-                    .map(|b| crate::comm::unpack_f64s(b)[0])
-                    .collect::<Vec<_>>()
-            })
-        });
-        assert_eq!(
-            out.results[0].as_ref().unwrap(),
-            &vec![0.0, 1.0, 2.0, 3.0, 4.0]
-        );
-        assert!(out.results[1].is_none());
     }
 
     #[test]
@@ -812,55 +747,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod collective_tests {
-    use super::*;
-    use crate::comm::pack_f64s;
-    use crate::spec::metablade;
-    use bytes::Bytes;
-
-    #[test]
-    fn scatter_routes_each_slice() {
-        let c = Cluster::new(metablade().with_nodes(5));
-        let out = c.run(|comm| {
-            let payloads = (comm.rank() == 2).then(|| {
-                (0..5)
-                    .map(|r| pack_f64s(&[r as f64 * 3.0]))
-                    .collect::<Vec<Bytes>>()
-            });
-            crate::comm::unpack_f64s(&comm.scatter(2, payloads))[0]
-        });
-        assert_eq!(out.results, vec![0.0, 3.0, 6.0, 9.0, 12.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_sums_chunks() {
-        let n = 4;
-        let chunk = 3;
-        let c = Cluster::new(metablade().with_nodes(n));
-        let out = c.run(move |comm| {
-            // Rank r contributes value (r+1) everywhere.
-            let vals = vec![(comm.rank() + 1) as f64; n * chunk];
-            comm.reduce_scatter_sum(&vals, chunk)
-        });
-        // Sum over ranks of (r+1) = 10, for every chunk element.
-        for r in 0..n {
-            assert_eq!(out.results[r], vec![10.0; chunk]);
-        }
-    }
-
-    #[test]
-    fn scan_is_inclusive_prefix_sum() {
-        let c = Cluster::new(metablade().with_nodes(6));
-        let out = c.run(|comm| comm.scan_sum(&[1.0, (comm.rank() + 1) as f64]));
-        for (r, v) in out.results.iter().enumerate() {
-            assert_eq!(v[0], (r + 1) as f64, "rank {r} count");
-            let tri = ((r + 1) * (r + 2) / 2) as f64;
-            assert_eq!(v[1], tri, "rank {r} triangular");
-        }
-    }
-}
-
-#[cfg(test)]
 mod telemetry_tests {
     use super::*;
     use crate::spec::metablade;
@@ -906,27 +792,24 @@ mod telemetry_tests {
     fn trace_spans_account_for_the_stats() {
         let c = Cluster::new(metablade().with_nodes(2));
         let (out, trace) = c.run_traced(ping_pong);
-        for rank in 0..2 {
+        for (rank, spans) in trace.ranks.iter().enumerate() {
             let s = &out.stats[rank];
-            let eps = 1e-12;
-            assert!(
-                (trace.kind_time(rank, SpanKind::Compute) - s.compute_s).abs() < eps,
-                "rank {rank} compute spans vs stats"
-            );
-            assert!(
-                (trace.kind_time(rank, SpanKind::Send) - s.send_busy_s).abs() < eps,
-                "rank {rank} send spans vs stats"
-            );
-            // Recv spans cover wait + busy.
-            assert!(
-                (trace.kind_time(rank, SpanKind::Recv) - (s.wait_s + s.recv_busy_s)).abs() < eps,
-                "rank {rank} recv spans vs stats"
-            );
-            // The phase span covers the whole rank timeline.
-            assert!(
-                (trace.kind_time(rank, SpanKind::Phase) - out.clocks[rank]).abs() < eps,
-                "rank {rank} phase span vs clock"
-            );
+            let time = |kind| -> f64 {
+                spans
+                    .iter()
+                    .filter(|e| e.kind == kind)
+                    .map(|e| e.dur_s())
+                    .sum()
+            };
+            // Recv spans cover wait + busy; the phase covers the timeline.
+            for (kind, want) in [
+                (SpanKind::Compute, s.compute_s),
+                (SpanKind::Send, s.send_busy_s),
+                (SpanKind::Recv, s.wait_s + s.recv_busy_s),
+                (SpanKind::Phase, out.clocks[rank]),
+            ] {
+                assert!((time(kind) - want).abs() < 1e-12, "rank {rank} {kind:?}");
+            }
         }
     }
 

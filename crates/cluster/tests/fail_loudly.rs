@@ -111,6 +111,25 @@ fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
 }
 
 #[test]
+fn a_receive_from_a_rank_that_does_not_exist_is_rejected_not_a_deadlock() {
+    for policy in POLICIES {
+        let payload = within(5, move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                cluster(4, policy).run(|comm| {
+                    if comm.rank() == 1 {
+                        let _ = comm.recv(7, 2);
+                    }
+                    comm.barrier();
+                })
+            }))
+            .expect_err("there is no rank 7")
+        });
+        let text = payload.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(text, "recv from rank 7 of 4", "{policy:?}");
+    }
+}
+
+#[test]
 fn fifo_holds_per_source_and_tag_under_every_policy() {
     // Rank 0 sends tags 9, 7, 9, 7 (payloads 0..4); rank 1 asks for
     // 7, 9, 9, 7 and must see each tag's messages in sending order.

@@ -15,7 +15,7 @@ use mb_treecode::parallel::{
     distributed_step, distributed_step_weighted, DistributedConfig, StepReport,
 };
 use mb_treecode::render::DensityImage;
-use mb_treecode::{cold_disk, plummer, Bodies};
+use mb_treecode::{cold_disk, plummer};
 
 use crate::history::{historical_records, Provenance, TreecodeRecord};
 
@@ -298,16 +298,6 @@ pub fn sustained_gflops(spec: mb_cluster::spec::ClusterSpec, n_bodies: usize) ->
         efficiency: t1 / (cluster.spec().nodes as f64 * r.makespan_s),
         step: r,
     }
-}
-
-/// Helper shared by drivers and tests: total treecode flops of a body
-/// set under the standard MAC (host-side shared-memory walk).
-pub fn reference_flops(bodies: &Bodies) -> f64 {
-    let mut b = bodies.clone();
-    let bb = mb_treecode::BoundingBox::containing(&b.pos);
-    let tree = mb_treecode::build_tree(&mut b, bb, 8);
-    let stats = mb_treecode::tree_forces(&mut b, &tree, &mb_treecode::Mac::standard(), 1e-6);
-    stats.interactions.flops(true) as f64
 }
 
 #[cfg(test)]

@@ -358,45 +358,6 @@ pub fn athlon_mp_1200() -> HwCpu {
     }
 }
 
-/// The 1.3-GHz Intel Pentium 4 (Willamette) of Table 5 — deep pipeline,
-/// one FP execution port, long FP latencies; 75 W at load vs the
-/// TM5600's 6 W (§2.1).
-pub fn pentium4_1300() -> HwCpu {
-    HwCpu {
-        params: CoreParams {
-            name: "1300-MHz Intel Pentium 4",
-            clock_mhz: 1300.0,
-            issue_width: 3,
-            slots: SlotLimits {
-                alu: 3,
-                fpu: 1,
-                mem: 2,
-                branch: 1,
-            },
-            window: 126,
-            lat: Latencies {
-                int_alu: 1,
-                int_mul: 14,
-                fp_add: 5,
-                fp_mul: 7,
-                fp_fma: 7,
-                fp_div: 43,
-                fp_sqrt: 51,
-                fp_mov: 2,
-                load: 4,
-                store: 1,
-                branch: 2,
-            },
-            crack: crate::atoms::CrackConfig::full_hardware(),
-            div_blocking: true,
-            sqrt_blocking: true,
-            fma: false,
-        },
-        mem_bw_mbs: 1200.0,
-        overhead: 1.45,
-    }
-}
-
 /// The 200-MHz Intel Pentium Pro of the Loki cluster (Table 4): the paper
 /// notes the TM5600's treecode performance is "about twice" this CPU's.
 pub fn pentium_pro_200() -> HwCpu {

@@ -85,12 +85,6 @@ impl Addr {
             disp,
         }
     }
-
-    /// True if the effective-address computation needs an adder for an
-    /// index term (used by the atom cracker for AGU accounting).
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
 }
 
 /// A guest instruction.
@@ -294,16 +288,6 @@ impl MachineState {
     /// Read an `f64` from guest memory.
     pub fn peek_f64(&self, word: usize) -> f64 {
         f64::from_bits(self.mem[word])
-    }
-
-    /// Store an `i64` into guest memory.
-    pub fn poke_i64(&mut self, word: usize, v: i64) {
-        self.mem[word] = v as u64;
-    }
-
-    /// Read an `i64` from guest memory.
-    pub fn peek_i64(&self, word: usize) -> i64 {
-        self.mem[word] as i64
     }
 
     fn set_flags(&mut self, a: i64, b: i64) {

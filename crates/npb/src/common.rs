@@ -1,4 +1,6 @@
-//! NPB common infrastructure: the specified linear congruential generator.
+//! NPB common infrastructure: the specified linear congruential generator,
+//! and the SplitMix64 hash the synthetic BT / SP / LU operators draw
+//! their coefficients from.
 //!
 //! The NPB pseudorandom stream is `x_{k+1} = a·x_k mod 2^46` with
 //! `a = 5^13 = 1220703125` and default seed `271828183`, returning
@@ -81,6 +83,24 @@ impl Default for NpbRng {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// SplitMix64 — the procedural coefficient generator of BT, SP and LU
+/// (no storage: class-A LU would otherwise need hundreds of MB of
+/// Jacobians).
+#[inline]
+pub(crate) fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// The top 53 bits of a hash as a double in `[0, 1)`.
+#[inline]
+pub(crate) fn unit(x: u64) -> f64 {
+    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 use mb_crusoe::hardware::OpMix;
 
 use crate::classes::Class;
+use crate::common::{splitmix, unit};
 use crate::mix::{KernelResult, NpbKernel};
 
 /// 5×5 block linear algebra on flat `[f64; 25]` row-major blocks.
@@ -134,20 +135,6 @@ pub mod block5 {
             let _ = invert(&m);
         }
     }
-}
-
-/// SplitMix64 — the procedural block generator (no storage: class-A LU
-/// would otherwise need hundreds of MB of Jacobians).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The synthetic Jacobian field: deterministic 5×5 blocks per cell.

@@ -13,20 +13,9 @@ use mb_crusoe::hardware::OpMix;
 
 use crate::bt::Axis;
 use crate::classes::Class;
+use crate::common::{splitmix, unit};
 use crate::lu::{manufactured, VecField};
 use crate::mix::{KernelResult, NpbKernel};
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The synthetic factored scalar-pentadiagonal system.
 #[derive(Debug, Clone, Copy)]

@@ -9,6 +9,7 @@
 //! reporting jobs/hour per $1K of TCO
 //! ([`mb_metrics::topper::throughput_per_tco`]).
 
+use mb_metrics::costs::{cluster_cost_catalog, ClusterFamily};
 use mb_metrics::tco::{CostConstants, DowntimeModel, SysAdminModel, TcoInputs};
 use mb_metrics::topper::throughput_per_tco;
 use mb_telemetry::chrome::{validate, ChromeSummary};
@@ -93,23 +94,18 @@ pub fn hotspot_chrome(report: &SimReport) -> String {
     mb_telemetry::chrome::export_with_metrics(&mb_telemetry::RunTrace::default(), &report.registry)
 }
 
-/// TCO of the paper's 24-node MetaBlade (§4.1 inputs: $26K acquisition,
-/// passive cooling, 6 ft², bladed admin and downtime) — ≈ $35.3K over
-/// the four-year study life.
+/// TCO of the paper's 24-node MetaBlade: the TM5600 column of Table 5
+/// (`mb_metrics::costs::cluster_cost_catalog`, §4.1 inputs: $26K
+/// acquisition, passive cooling, 6 ft², bladed admin and downtime) —
+/// ≈ $35.3K over the four-year study life.
 pub fn metablade_tco() -> f64 {
-    TcoInputs {
-        name: "MetaBlade".into(),
-        n_nodes: 24,
-        hardware_cost: 26_000.0,
-        software_cost: 0.0,
-        node_watts_load: 21.7,
-        active_cooling: false,
-        footprint_ft2: 6.0,
-        sysadmin: SysAdminModel::bladed(),
-        downtime: DowntimeModel::bladed(),
-    }
-    .evaluate(&CostConstants::default())
-    .total()
+    cluster_cost_catalog()
+        .iter()
+        .find(|p| p.family == ClusterFamily::Tm5600)
+        .expect("Table 5 has a TM5600 column")
+        .inputs
+        .evaluate(&CostConstants::default())
+        .total()
 }
 
 /// TCO of an `n`-node traditional Beowulf, prorating the paper's

@@ -314,7 +314,9 @@ mod tests {
 
     #[test]
     fn export_validates_with_one_track_per_rank() {
-        let text = export(&sample_trace());
+        let trace = sample_trace();
+        assert_eq!((trace.len(), trace.end_s()), (4, 10e-6));
+        let text = export(&trace);
         let summary = validate(&text).unwrap();
         assert_eq!(summary.tracks, vec![0, 1]);
         assert_eq!(summary.events, 4);
@@ -429,7 +431,12 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let summary = validate("[]").unwrap();
+        let empty = RunTrace::default();
+        assert_eq!(
+            (empty.len(), empty.end_s(), empty.is_empty()),
+            (0, 0.0, true)
+        );
+        let summary = validate(&export(&empty)).unwrap();
         assert_eq!(summary.events, 0);
         assert!(summary.tracks.is_empty());
     }

@@ -8,10 +8,10 @@
 //!
 //! * [`metrics`] — a registry of counters, gauges, histograms and
 //!   sampled series, labelled per rank/node, with cheap index handles;
-//! * [`trace`] — virtual-time span tracing: instrumented code emits
-//!   [`trace::SpanEvent`]s into an attachable [`trace::TraceSink`];
-//!   `mb-cluster`'s communicator records sends, receives, computes and
-//!   every collective when a sink is attached, and is a no-op when not;
+//! * [`trace`] — virtual-time span tracing: [`trace::SpanEvent`]s
+//!   collected per rank into a [`trace::RunTrace`]; `mb-cluster`'s
+//!   communicator buffers sends, receives, computes and every collective
+//!   on a traced rank, and is a no-op on an untraced one;
 //! * [`prof`] — **host-time** profiling: the one log-bucketed
 //!   (HDR-style) histogram with `p50/p90/p99/p999` queries — strictly
 //!   separated from the virtual-time spans so instrumenting the
@@ -70,4 +70,4 @@ pub use manifest::RunManifest;
 pub use metrics::{MetricHandle, MetricValue, Registry};
 pub use prof::LogHistogram;
 pub use summary::{RankTime, RunSummary};
-pub use trace::{MemorySink, RunTrace, SpanEvent, SpanKind, TraceSink};
+pub use trace::{RunTrace, SpanEvent, SpanKind};

@@ -13,7 +13,7 @@ use crate::json::Json;
 /// One rank's time split, virtual seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankTime {
-    /// Useful CPU seconds (`compute`/`advance`).
+    /// Useful CPU seconds (`compute`).
     pub compute_s: f64,
     /// Seconds the CPU was busy driving communication (send + recv
     /// overheads).
@@ -64,11 +64,6 @@ impl RunSummary {
     /// of this work onto other ranks could finish the job faster.
     pub fn critical_path_s(&self) -> f64 {
         self.ranks.iter().map(RankTime::busy_s).fold(0.0, f64::max)
-    }
-
-    /// Aggregate compute seconds.
-    pub fn total_compute_s(&self) -> f64 {
-        self.ranks.iter().map(|r| r.compute_s).sum()
     }
 
     /// Render the human-readable report.

@@ -1,19 +1,18 @@
 //! Virtual-time span tracing.
 //!
 //! A [`SpanEvent`] is a closed interval of one rank's virtual clock with
-//! a name, a category and optional payload details. Instrumented code
-//! (the cluster communicator, SPMD drivers) emits spans into a
-//! [`TraceSink`]; sinks are attached per rank and harvested after the
-//! run. When no sink is attached the instrumentation reduces to one
-//! `Option` check per operation, so untraced runs stay as fast as the
-//! pre-telemetry simulator.
+//! a name, a category and optional payload details. The cluster
+//! communicator of a traced rank appends every span it emits to a plain
+//! buffer; the run collects the buffers into a [`RunTrace`]. An untraced
+//! rank pays one `Option` check per operation, so untraced runs stay as
+//! fast as the pre-telemetry simulator.
 
 /// What kind of time a span covers. Categories become the `cat` field of
 /// Chrome trace events and drive the compute/comm/blocked split of
 /// [`crate::summary::RunSummary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// CPU work charged via `compute`/`advance`.
+    /// CPU work charged via `compute`.
     Compute,
     /// Sender-side busy time of a point-to-point send.
     Send,
@@ -82,48 +81,6 @@ impl SpanEvent {
     }
 }
 
-/// Where spans go. Implementations must be cheap: the communicator calls
-/// `record` on every traced operation.
-pub trait TraceSink {
-    /// Record one completed span.
-    fn record(&mut self, ev: SpanEvent);
-
-    /// Hand back everything recorded so far, leaving the sink empty.
-    /// Sinks that forward spans elsewhere (rather than buffering) return
-    /// an empty vector.
-    fn drain(&mut self) -> Vec<SpanEvent> {
-        Vec::new()
-    }
-}
-
-/// The standard buffering sink: appends every span to a vector.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    events: Vec<SpanEvent>,
-}
-
-impl MemorySink {
-    /// Fresh empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Recorded spans, in emission order.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, ev: SpanEvent) {
-        self.events.push(ev);
-    }
-
-    fn drain(&mut self) -> Vec<SpanEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
 /// A whole run's trace: one span list per rank, in rank order.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
@@ -149,58 +106,5 @@ impl RunTrace {
             .flatten()
             .map(|e| e.t1)
             .fold(0.0, f64::max)
-    }
-
-    /// Seconds rank `rank` spent in spans of `kind`. Nested spans of the
-    /// same kind are *not* double-counted for `Compute`/`Send`/`Recv`
-    /// (the communicator emits those disjoint); `Phase` and `Collective`
-    /// spans may enclose them.
-    pub fn kind_time(&self, rank: usize, kind: SpanKind) -> f64 {
-        self.ranks
-            .get(rank)
-            .map(|evs| {
-                evs.iter()
-                    .filter(|e| e.kind == kind)
-                    .map(SpanEvent::dur_s)
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn memory_sink_buffers_and_drains() {
-        let mut sink = MemorySink::new();
-        sink.record(SpanEvent::plain("a", SpanKind::Compute, 0.0, 1.0));
-        sink.record(SpanEvent::plain("b", SpanKind::Phase, 1.0, 3.0));
-        assert_eq!(sink.events().len(), 2);
-        let evs = sink.drain();
-        assert_eq!(evs.len(), 2);
-        assert!(sink.events().is_empty());
-        assert_eq!(evs[1].dur_s(), 2.0);
-    }
-
-    #[test]
-    fn run_trace_kind_time_sums_per_rank() {
-        let trace = RunTrace {
-            ranks: vec![
-                vec![
-                    SpanEvent::plain("x", SpanKind::Compute, 0.0, 2.0),
-                    SpanEvent::plain("y", SpanKind::Compute, 3.0, 4.0),
-                    SpanEvent::plain("s", SpanKind::Send, 2.0, 2.5),
-                ],
-                vec![SpanEvent::plain("z", SpanKind::Recv, 0.0, 1.0)],
-            ],
-        };
-        assert_eq!(trace.kind_time(0, SpanKind::Compute), 3.0);
-        assert_eq!(trace.kind_time(0, SpanKind::Send), 0.5);
-        assert_eq!(trace.kind_time(1, SpanKind::Recv), 1.0);
-        assert_eq!(trace.kind_time(9, SpanKind::Recv), 0.0);
-        assert_eq!(trace.end_s(), 4.0);
-        assert_eq!(trace.len(), 4);
     }
 }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mb_cluster::comm::{Comm, CommStats};
 use mb_cluster::machine::{Cluster, SpmdOutcome};
-use mb_telemetry::summary::{RankTime, RunSummary};
+use mb_telemetry::summary::RunSummary;
 use mb_telemetry::trace::RunTrace;
 
 use crate::body::Bodies;
@@ -59,6 +59,7 @@ use crate::build::{build_tree, com_offset};
 use crate::decompose::cost_zones;
 use crate::flops::InteractionCounts;
 use crate::hot::{HashedOctTree, Node, NodeKind};
+use crate::integrate::total_energy;
 use crate::mac::Mac;
 use crate::morton::{BoundingBox, Key};
 use crate::traverse::{flatten, walk_group, walk_local, Cell, Field, Group, LANES};
@@ -149,12 +150,7 @@ impl StepReport {
             self.comm
                 .iter()
                 .zip(&self.per_rank)
-                .map(|(s, r)| RankTime {
-                    compute_s: s.compute_s,
-                    comm_s: s.send_busy_s + s.recv_busy_s,
-                    blocked_s: s.wait_s,
-                    total_s: r.clock_s,
-                })
+                .map(|(s, r)| s.rank_time(r.clock_s))
                 .collect(),
         )
     }
@@ -1770,10 +1766,10 @@ pub fn distributed_evolve(
     let r0 = distributed_step_weighted(cluster, &bodies, cfg, None);
     total_time += r0.makespan_s;
     total_flops += r0.total_flops;
-    let e0 = energy_of(&bodies, &r0.pot);
+    bodies.pot = r0.pot;
+    let e0 = total_energy(&bodies).total();
     let mut acc = r0.acc;
     let mut weights: Option<Vec<f64>> = Some(r0.body_cost);
-    let mut last_pot = r0.pot;
 
     for _ in 0..steps {
         // Kick + drift (embarrassingly parallel: charge its virtual time).
@@ -1797,9 +1793,9 @@ pub fn distributed_evolve(
         }
         total_time += 3.0 * n as f64 / p / rate;
         acc = r.acc;
-        last_pot = r.pot;
+        bodies.pot = r.pot;
     }
-    let e1 = energy_of(&bodies, &last_pot);
+    let e1 = total_energy(&bodies).total();
     EvolveReport {
         total_time_s: total_time,
         gflops: total_flops / total_time / 1e9,
@@ -1807,22 +1803,6 @@ pub fn distributed_evolve(
         pos: bodies.pos,
         vel: bodies.vel,
     }
-}
-
-fn energy_of(bodies: &Bodies, pot: &[f64]) -> f64 {
-    let ke: f64 = bodies
-        .vel
-        .iter()
-        .zip(&bodies.mass)
-        .map(|(v, &m)| 0.5 * m * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-        .sum();
-    let pe: f64 = 0.5
-        * pot
-            .iter()
-            .zip(&bodies.mass)
-            .map(|(&p, &m)| m * p)
-            .sum::<f64>();
-    ke + pe
 }
 
 #[cfg(test)]
