@@ -9,8 +9,7 @@ use mb_crusoe::hardware::{alpha_ev56_533, athlon_mp_1200, pentium_iii_500, power
 use mb_crusoe::kernels::{build_microkernel, MicrokernelVariant};
 use mb_crusoe::schedule::CoreParams;
 use mb_microkernel::MicrokernelInput;
-use mb_npb::mix::table3_kernels;
-use mb_npb::Class;
+use mb_npb::{Class, Kernel};
 use mb_treecode::parallel::{
     distributed_step, distributed_step_weighted, DistributedConfig, StepReport,
 };
@@ -165,26 +164,30 @@ pub fn tm5600_analytic() -> HwCpu {
     }
 }
 
-/// Regenerate Table 3: single-processor NPB Mop/s across the four CPUs.
-/// Class W is the paper's configuration; tests use class S.
-pub fn table3(class: Class) -> Vec<Table3Row> {
-    let cpus = [
+/// Table 3's CPU columns, in the paper's order: Athlon MP, Pentium III,
+/// TM5600 ([`tm5600_analytic`]), Power3.
+pub fn table3_cpus() -> [HwCpu; 4] {
+    [
         athlon_mp_1200(),
         pentium_iii_500(),
         tm5600_analytic(),
         power3_375(),
-    ];
-    table3_kernels(class)
+    ]
+}
+
+/// Regenerate Table 3: single-processor NPB Mop/s across the four CPUs.
+/// Class W is the paper's configuration; tests use class S.
+pub fn table3(class: Class) -> Vec<Table3Row> {
+    let cpus = table3_cpus();
+    Kernel::ALL
         .into_iter()
         .map(|kernel| {
-            let result = kernel.run();
-            let mut mops = [0.0; 4];
-            for (slot, cpu) in cpus.iter().enumerate() {
-                mops[slot] = cpu.estimate_kernel_mops(&result.mix);
-            }
+            let result = kernel.run(class);
             Table3Row {
                 code: kernel.name().to_string(),
-                mops,
+                mops: cpus
+                    .each_ref()
+                    .map(|cpu| cpu.estimate_kernel_mops(&result.mix)),
                 verified: result.verified,
             }
         })

@@ -34,7 +34,7 @@ impl Class {
         }
     }
 
-    /// IS: (number of keys, key range) — NPB 2.3: S=(2²³? no: 2^16,2^11),
+    /// IS: (number of keys, key range) — NPB 2.3: S=(2^16, 2^11),
     /// W=(2^20, 2^16), A=(2^23, 2^19).
     pub fn is_size(self) -> (usize, usize) {
         match self {

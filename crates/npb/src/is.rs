@@ -10,114 +10,88 @@ use mb_crusoe::hardware::OpMix;
 
 use crate::classes::Class;
 use crate::common::NpbRng;
-use crate::mix::{KernelResult, NpbKernel};
+use crate::KernelResult;
 
-/// The IS benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct Is {
-    class: Class,
+/// Generate the NPB key sequence: `key = ⌊(u1+u2+u3+u4)/4 · range⌋`.
+pub fn generate_keys(n: usize, range: usize) -> Vec<u32> {
+    let mut rng = NpbRng::new();
+    (0..n)
+        .map(|_| {
+            let s = rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64();
+            ((s / 4.0) * range as f64) as u32
+        })
+        .collect()
 }
 
-impl Is {
-    /// New IS instance at a class.
-    pub fn new(class: Class) -> Self {
-        Self { class }
+/// Counting-sort ranking: `rank[i]` = position of `keys[i]` in the
+/// sorted order (stable).
+pub fn rank(keys: &[u32], range: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; range + 1];
+    for &k in keys {
+        counts[k as usize] += 1;
     }
-
-    /// Generate the NPB key sequence: `key = ⌊(u1+u2+u3+u4)/4 · range⌋`.
-    pub fn generate_keys(n: usize, range: usize) -> Vec<u32> {
-        let mut rng = NpbRng::new();
-        (0..n)
-            .map(|_| {
-                let s = rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64();
-                ((s / 4.0) * range as f64) as u32
-            })
-            .collect()
+    // Exclusive prefix sum.
+    let mut total = 0u32;
+    for c in counts.iter_mut() {
+        let here = *c;
+        *c = total;
+        total += here;
     }
-
-    /// Counting-sort ranking: `rank[i]` = position of `keys[i]` in the
-    /// sorted order (stable).
-    pub fn rank(keys: &[u32], range: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; range + 1];
-        for &k in keys {
-            counts[k as usize] += 1;
-        }
-        // Exclusive prefix sum.
-        let mut total = 0u32;
-        for c in counts.iter_mut() {
-            let here = *c;
-            *c = total;
-            total += here;
-        }
-        let mut ranks = vec![0u32; keys.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            ranks[i] = counts[k as usize];
-            counts[k as usize] += 1;
-        }
-        ranks
+    let mut ranks = vec![0u32; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        ranks[i] = counts[k as usize];
+        counts[k as usize] += 1;
     }
-
-    /// The benchmark's full verification: ranks form a permutation and
-    /// sorting by rank yields non-decreasing keys.
-    pub fn verify(keys: &[u32], ranks: &[u32]) -> bool {
-        let n = keys.len();
-        let mut sorted = vec![u32::MAX; n];
-        let mut seen = vec![false; n];
-        for (i, &r) in ranks.iter().enumerate() {
-            let r = r as usize;
-            if r >= n || seen[r] {
-                return false;
-            }
-            seen[r] = true;
-            sorted[r] = keys[i];
-        }
-        sorted.windows(2).all(|w| w[0] <= w[1])
-    }
+    ranks
 }
 
-impl NpbKernel for Is {
-    fn name(&self) -> &'static str {
-        "IS"
-    }
-
-    fn class(&self) -> Class {
-        self.class
-    }
-
-    fn run(&self) -> KernelResult {
-        let (n, range) = self.class.is_size();
-        let keys = Is::generate_keys(n, range);
-        // NPB runs 10 ranking iterations; one is representative (the mix
-        // below charges the official 10).
-        const ITERS: u64 = 10;
-        let ranks = Is::rank(&keys, range);
-        let verified = Is::verify(&keys, &ranks);
-        let checksum = ranks.iter().map(|&r| r as f64).sum::<f64>() / n as f64;
-        let nn = n as u64;
-        let mix = OpMix {
-            // IS is an integer/memory benchmark: keygen is 4 LCG steps +
-            // a scale per key; each ranking pass is ~4 touches per key
-            // plus the prefix sum over the key range.
-            fadd: nn * 4,
-            fmul: nn * 5,
-            fdiv: 0,
-            fsqrt: 0,
-            int_ops: ITERS * (nn * 4 + range as u64),
-            loads: ITERS * (nn * 3 + range as u64 * 2),
-            stores: ITERS * (nn * 2 + range as u64),
-            branches: ITERS * nn,
-            // NPB counts IS Mops as keys ranked per iteration.
-            useful_ops: ITERS * nn,
-            // Keys + ranks stream through memory every iteration.
-            dram_bytes: ITERS * (nn * 12 + range as u64 * 8),
-            fma_fusable: 0.0,
-        };
-        KernelResult {
-            mix,
-            verified,
-            checksum,
+/// The benchmark's full verification: ranks form a permutation and
+/// sorting by rank yields non-decreasing keys.
+pub fn verify(keys: &[u32], ranks: &[u32]) -> bool {
+    let n = keys.len();
+    let mut sorted = vec![u32::MAX; n];
+    let mut seen = vec![false; n];
+    for (i, &r) in ranks.iter().enumerate() {
+        let r = r as usize;
+        if r >= n || seen[r] {
+            return false;
         }
+        seen[r] = true;
+        sorted[r] = keys[i];
     }
+    sorted.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Run IS at `class`: rank the keys, verify the ranking and report the
+/// operation mix.
+pub fn run(class: Class) -> KernelResult {
+    let (n, range) = class.is_size();
+    let keys = generate_keys(n, range);
+    // NPB runs 10 ranking iterations; one is representative (the mix
+    // below charges the official 10).
+    const ITERS: u64 = 10;
+    let ranks = rank(&keys, range);
+    let verified = verify(&keys, &ranks);
+    let nn = n as u64;
+    let mix = OpMix {
+        // IS is an integer/memory benchmark: keygen is 4 LCG steps +
+        // a scale per key; each ranking pass is ~4 touches per key
+        // plus the prefix sum over the key range.
+        fadd: nn * 4,
+        fmul: nn * 5,
+        fdiv: 0,
+        fsqrt: 0,
+        int_ops: ITERS * (nn * 4 + range as u64),
+        loads: ITERS * (nn * 3 + range as u64 * 2),
+        stores: ITERS * (nn * 2 + range as u64),
+        branches: ITERS * nn,
+        // NPB counts IS Mops as keys ranked per iteration.
+        useful_ops: ITERS * nn,
+        // Keys + ranks stream through memory every iteration.
+        dram_bytes: ITERS * (nn * 12 + range as u64 * 8),
+        fma_fusable: 0.0,
+    };
+    KernelResult { mix, verified }
 }
 
 #[cfg(test)]
@@ -126,38 +100,38 @@ mod tests {
 
     #[test]
     fn ranking_sorts_correctly() {
-        let keys = Is::generate_keys(10_000, 1 << 11);
-        let ranks = Is::rank(&keys, 1 << 11);
-        assert!(Is::verify(&keys, &ranks));
+        let keys = generate_keys(10_000, 1 << 11);
+        let ranks = rank(&keys, 1 << 11);
+        assert!(verify(&keys, &ranks));
     }
 
     #[test]
     fn ranking_is_stable() {
         let keys = vec![5, 3, 5, 1, 3];
-        let ranks = Is::rank(&keys, 8);
+        let ranks = rank(&keys, 8);
         // Sorted order: 1(idx3), 3(idx1), 3(idx4), 5(idx0), 5(idx2).
         assert_eq!(ranks, vec![3, 1, 4, 0, 2]);
     }
 
     #[test]
     fn verify_catches_corruption() {
-        let keys = Is::generate_keys(1000, 1 << 11);
-        let mut ranks = Is::rank(&keys, 1 << 11);
+        let keys = generate_keys(1000, 1 << 11);
+        let mut ranks = rank(&keys, 1 << 11);
         ranks.swap(0, 1);
         // Swapping two ranks of (almost surely) different keys breaks
         // sortedness.
         if keys[0] != keys[1] {
-            assert!(!Is::verify(&keys, &ranks));
+            assert!(!verify(&keys, &ranks));
         }
-        let mut dup = Is::rank(&keys, 1 << 11);
+        let mut dup = rank(&keys, 1 << 11);
         dup[0] = dup[1];
-        assert!(!Is::verify(&keys, &dup), "duplicate ranks must fail");
+        assert!(!verify(&keys, &dup), "duplicate ranks must fail");
     }
 
     #[test]
     fn key_distribution_is_centered() {
         let range = 1 << 11;
-        let keys = Is::generate_keys(100_000, range);
+        let keys = generate_keys(100_000, range);
         let mean: f64 = keys.iter().map(|&k| k as f64).sum::<f64>() / 100_000.0;
         // Sum of four uniforms/4 has mean 1/2.
         assert!(
@@ -174,7 +148,7 @@ mod tests {
 
     #[test]
     fn class_s_verifies() {
-        let r = Is::new(Class::S).run();
+        let r = run(Class::S);
         assert!(r.verified);
         assert_eq!(r.mix.fsqrt, 0, "IS has no FP sqrt");
         assert!(r.mix.dram_bytes > 0, "IS is memory-bound");

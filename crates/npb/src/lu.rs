@@ -14,128 +14,15 @@
 //! ```
 //!
 //! Verification: the iterate converges monotonically to a manufactured
-//! solution.
-//!
-//! This module also hosts the shared 5×5 block kernels (`block5`) used by
-//! BT.
+//! solution. The block kernels, the field type and the manufactured
+//! solution are [`crate::cfd`]'s, shared with BT and SP.
 
 use mb_crusoe::hardware::OpMix;
 
+use crate::cfd::{block5, manufactured, VecField};
 use crate::classes::Class;
 use crate::common::{splitmix, unit};
-use crate::mix::{KernelResult, NpbKernel};
-
-/// 5×5 block linear algebra on flat `[f64; 25]` row-major blocks.
-pub mod block5 {
-    /// Block dimension.
-    pub const B: usize = 5;
-
-    /// `y = M·x`.
-    pub fn matvec(m: &[f64; 25], x: &[f64; 5]) -> [f64; 5] {
-        let mut y = [0.0; 5];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &m[i * B..(i + 1) * B];
-            *yi = row[0] * x[0] + row[1] * x[1] + row[2] * x[2] + row[3] * x[3] + row[4] * x[4];
-        }
-        y
-    }
-
-    /// Invert a block by Gauss–Jordan with partial pivoting.
-    ///
-    /// Panics on a numerically singular block (the generators only
-    /// produce diagonally dominant blocks, which are safely invertible).
-    pub fn invert(m: &[f64; 25]) -> [f64; 25] {
-        let mut a = *m;
-        let mut inv = [0.0f64; 25];
-        for i in 0..B {
-            inv[i * B + i] = 1.0;
-        }
-        for col in 0..B {
-            // Pivot.
-            let mut piv = col;
-            for r in col + 1..B {
-                if a[r * B + col].abs() > a[piv * B + col].abs() {
-                    piv = r;
-                }
-            }
-            assert!(a[piv * B + col].abs() > 1e-12, "singular 5×5 block");
-            if piv != col {
-                for c in 0..B {
-                    a.swap(col * B + c, piv * B + c);
-                    inv.swap(col * B + c, piv * B + c);
-                }
-            }
-            let d = a[col * B + col];
-            for c in 0..B {
-                a[col * B + c] /= d;
-                inv[col * B + c] /= d;
-            }
-            for r in 0..B {
-                if r == col {
-                    continue;
-                }
-                let f = a[r * B + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for c in 0..B {
-                    a[r * B + c] -= f * a[col * B + c];
-                    inv[r * B + c] -= f * inv[col * B + c];
-                }
-            }
-        }
-        inv
-    }
-
-    /// `a − b` elementwise on 5-vectors.
-    pub fn vsub(a: &[f64; 5], b: &[f64; 5]) -> [f64; 5] {
-        [
-            a[0] - b[0],
-            a[1] - b[1],
-            a[2] - b[2],
-            a[3] - b[3],
-            a[4] - b[4],
-        ]
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn inverse_roundtrips() {
-            let mut m = [0.0f64; 25];
-            for i in 0..5 {
-                for j in 0..5 {
-                    m[i * 5 + j] = if i == j {
-                        6.0
-                    } else {
-                        0.3 * ((i * 5 + j) as f64).sin()
-                    };
-                }
-            }
-            let inv = invert(&m);
-            // M·M⁻¹ ≈ I, tested via matvec on basis vectors.
-            for k in 0..5 {
-                let mut e = [0.0; 5];
-                e[k] = 1.0;
-                let x = matvec(&inv, &e);
-                let y = matvec(&m, &x);
-                for i in 0..5 {
-                    let expect = if i == k { 1.0 } else { 0.0 };
-                    assert!((y[i] - expect).abs() < 1e-12, "col {k} row {i}: {}", y[i]);
-                }
-            }
-        }
-
-        #[test]
-        #[should_panic(expected = "singular")]
-        fn singular_block_is_rejected() {
-            let m = [0.0f64; 25];
-            let _ = invert(&m);
-        }
-    }
-}
+use crate::KernelResult;
 
 /// The synthetic Jacobian field: deterministic 5×5 blocks per cell.
 #[derive(Debug, Clone, Copy)]
@@ -179,35 +66,6 @@ impl BlockField {
     }
 }
 
-/// Grid of 5-vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VecField {
-    /// Grid edge.
-    pub n: usize,
-    /// `n³` five-vectors.
-    pub data: Vec<[f64; 5]>,
-}
-
-impl VecField {
-    /// Zeroed field.
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            data: vec![[0.0; 5]; n * n * n],
-        }
-    }
-
-    fn idx(&self, c: [usize; 3]) -> usize {
-        (c[0] * self.n + c[1]) * self.n + c[2]
-    }
-
-    /// RMS over all components.
-    pub fn rms(&self) -> f64 {
-        let s: f64 = self.data.iter().flat_map(|v| v.iter()).map(|x| x * x).sum();
-        (s / (self.data.len() * 5) as f64).sqrt()
-    }
-}
-
 /// Apply the 7-point block operator: `out = A·u` (non-periodic: missing
 /// neighbors contribute nothing, as in the benchmark's Dirichlet frame).
 pub fn apply_operator(field: &BlockField, u: &VecField, out: &mut VecField) {
@@ -216,7 +74,7 @@ pub fn apply_operator(field: &BlockField, u: &VecField, out: &mut VecField) {
         for j in 0..n {
             for k in 0..n {
                 let c = [i, j, k];
-                let mut acc = block5::matvec(&field.diag(c), &u.data[u.idx(c)]);
+                let mut acc = block5::matvec(&field.diag(c), &u[c]);
                 let neighbors = [
                     (i > 0).then(|| ([i - 1, j, k], 0)),
                     (j > 0).then(|| ([i, j - 1, k], 1)),
@@ -228,13 +86,12 @@ pub fn apply_operator(field: &BlockField, u: &VecField, out: &mut VecField) {
                 for nb in neighbors.into_iter().flatten() {
                     let (nc, axis) = nb;
                     let m = field.coupling(c, axis);
-                    let contrib = block5::matvec(&m, &u.data[u.idx(nc)]);
+                    let contrib = block5::matvec(&m, &u[nc]);
                     for t in 0..5 {
                         acc[t] += contrib[t];
                     }
                 }
-                let at = out.idx(c);
-                out.data[at] = acc;
+                out[c] = acc;
             }
         }
     }
@@ -255,7 +112,7 @@ pub fn ssor_sweep(field: &BlockField, u: &mut VecField, b: &VecField, omega: f64
         for j in 0..n {
             for k in 0..n {
                 let c = [i, j, k];
-                let mut rhs = r.data[r.idx(c)];
+                let mut rhs = r[c];
                 let lowers = [
                     (i > 0).then(|| ([i - 1, j, k], 0)),
                     (j > 0).then(|| ([i, j - 1, k], 1)),
@@ -264,14 +121,10 @@ pub fn ssor_sweep(field: &BlockField, u: &mut VecField, b: &VecField, omega: f64
                 for nb in lowers.into_iter().flatten() {
                     let (nc, axis) = nb;
                     let m = field.coupling(c, axis);
-                    let contrib = block5::matvec(&m, &t.data[t.idx(nc)]);
-                    for q in 0..5 {
-                        rhs[q] -= contrib[q];
-                    }
+                    rhs = block5::vsub(&rhs, &block5::matvec(&m, &t[nc]));
                 }
                 let dinv = block5::invert(&field.diag(c));
-                let at = t.idx(c);
-                t.data[at] = block5::matvec(&dinv, &rhs);
+                t[c] = block5::matvec(&dinv, &rhs);
             }
         }
     }
@@ -281,7 +134,7 @@ pub fn ssor_sweep(field: &BlockField, u: &mut VecField, b: &VecField, omega: f64
         for j in (0..n).rev() {
             for k in (0..n).rev() {
                 let c = [i, j, k];
-                let mut rhs = block5::matvec(&field.diag(c), &t.data[t.idx(c)]);
+                let mut rhs = block5::matvec(&field.diag(c), &t[c]);
                 let uppers = [
                     (i + 1 < n).then(|| ([i + 1, j, k], 3)),
                     (j + 1 < n).then(|| ([i, j + 1, k], 4)),
@@ -290,14 +143,10 @@ pub fn ssor_sweep(field: &BlockField, u: &mut VecField, b: &VecField, omega: f64
                 for nb in uppers.into_iter().flatten() {
                     let (nc, axis) = nb;
                     let m = field.coupling(c, axis);
-                    let contrib = block5::matvec(&m, &delta.data[delta.idx(nc)]);
-                    for q in 0..5 {
-                        rhs[q] -= contrib[q];
-                    }
+                    rhs = block5::vsub(&rhs, &block5::matvec(&m, &delta[nc]));
                 }
                 let dinv = block5::invert(&field.diag(c));
-                let at = delta.idx(c);
-                delta.data[at] = block5::matvec(&dinv, &rhs);
+                delta[c] = block5::matvec(&dinv, &rhs);
             }
         }
     }
@@ -309,104 +158,46 @@ pub fn ssor_sweep(field: &BlockField, u: &mut VecField, b: &VecField, omega: f64
     }
 }
 
-/// Manufactured solution: smooth per-component field.
-pub fn manufactured(n: usize) -> VecField {
+/// Run LU at `class`: SSOR sweeps from zero toward the manufactured
+/// solution, verified when the error falls a thousandfold from the first
+/// sweep to the last, and the operation mix.
+pub fn run(class: Class) -> KernelResult {
+    let (n, steps) = class.cfd_size();
+    let field = BlockField { n };
+    let exact = manufactured(n);
+    let mut b = VecField::zeros(n);
+    apply_operator(&field, &exact, &mut b);
     let mut u = VecField::zeros(n);
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                let at = u.idx([i, j, k]);
-                let (x, y, z) = (
-                    i as f64 / n as f64,
-                    j as f64 / n as f64,
-                    k as f64 / n as f64,
-                );
-                u.data[at] = [
-                    (x + y + z).sin(),
-                    x * y,
-                    (z - 0.5).cos(),
-                    x - y + z,
-                    1.0 + x * z,
-                ];
-            }
+    let mut err0 = f64::NAN;
+    let mut err = f64::NAN;
+    for s in 0..steps {
+        ssor_sweep(&field, &mut u, &b, 1.0);
+        if s == 0 {
+            err0 = u.dist(&exact);
+        } else if s == steps - 1 {
+            err = u.dist(&exact);
         }
     }
-    u
-}
-
-/// The LU benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct Lu {
-    class: Class,
-}
-
-impl Lu {
-    /// New LU instance at a class.
-    pub fn new(class: Class) -> Self {
-        Self { class }
-    }
-}
-
-impl NpbKernel for Lu {
-    fn name(&self) -> &'static str {
-        "LU"
-    }
-
-    fn class(&self) -> Class {
-        self.class
-    }
-
-    fn run(&self) -> KernelResult {
-        let (n, steps) = self.class.cfd_size();
-        let field = BlockField { n };
-        let exact = manufactured(n);
-        let mut b = VecField::zeros(n);
-        apply_operator(&field, &exact, &mut b);
-        let mut u = VecField::zeros(n);
-        let mut err0 = f64::NAN;
-        let mut err = f64::NAN;
-        for s in 0..steps {
-            ssor_sweep(&field, &mut u, &b, 1.0);
-            if s == 0 || s == steps - 1 {
-                let e: f64 = u
-                    .data
-                    .iter()
-                    .zip(&exact.data)
-                    .flat_map(|(a, b)| a.iter().zip(b.iter()))
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum();
-                if s == 0 {
-                    err0 = e.sqrt();
-                } else {
-                    err = e.sqrt();
-                }
-            }
-        }
-        let verified = err < err0 * 1e-3;
-        let cells = (n * n * n) as u64;
-        let st = steps as u64;
-        // Per cell per sweep: operator (7 block matvecs ≈ 7×45), two
-        // triangular solves (2×(inverse 365 + 4 matvecs)), update.
-        let fp_cell = 7 * 45 + 2 * (365 + 4 * 45) + 10;
-        let mix = OpMix {
-            fadd: st * cells * (fp_cell as u64) / 2,
-            fmul: st * cells * (fp_cell as u64) / 2,
-            fdiv: st * cells * 10, // Gauss–Jordan pivots
-            fsqrt: 0,
-            int_ops: st * cells * 40,
-            loads: st * cells * 120,
-            stores: st * cells * 25,
-            branches: st * cells * 12,
-            useful_ops: st * cells * fp_cell as u64,
-            dram_bytes: st * cells * 200,
-            fma_fusable: 0.8,
-        };
-        KernelResult {
-            mix,
-            verified,
-            checksum: u.rms(),
-        }
-    }
+    let verified = err < err0 * 1e-3;
+    let cells = (n * n * n) as u64;
+    let st = steps as u64;
+    // Per cell per sweep: operator (7 block matvecs ≈ 7×45), two
+    // triangular solves (2×(inverse 365 + 4 matvecs)), update.
+    let fp_cell = 7 * 45 + 2 * (365 + 4 * 45) + 10;
+    let mix = OpMix {
+        fadd: st * cells * (fp_cell as u64) / 2,
+        fmul: st * cells * (fp_cell as u64) / 2,
+        fdiv: st * cells * 10, // Gauss–Jordan pivots
+        fsqrt: 0,
+        int_ops: st * cells * 40,
+        loads: st * cells * 120,
+        stores: st * cells * 25,
+        branches: st * cells * 12,
+        useful_ops: st * cells * fp_cell as u64,
+        dram_bytes: st * cells * 200,
+        fma_fusable: 0.8,
+    };
+    KernelResult { mix, verified }
 }
 
 #[cfg(test)]
@@ -421,19 +212,10 @@ mod tests {
         let mut b = VecField::zeros(n);
         apply_operator(&field, &exact, &mut b);
         let mut u = VecField::zeros(n);
-        let err = |u: &VecField| -> f64 {
-            u.data
-                .iter()
-                .zip(&exact.data)
-                .flat_map(|(a, b)| a.iter().zip(b.iter()))
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt()
-        };
-        let mut prev = err(&u);
+        let mut prev = u.dist(&exact);
         for sweep in 0..6 {
             ssor_sweep(&field, &mut u, &b, 1.0);
-            let now = err(&u);
+            let now = u.dist(&exact);
             assert!(now < prev, "sweep {sweep}: {now} !< {prev}");
             prev = now;
         }
@@ -464,7 +246,7 @@ mod tests {
 
     #[test]
     fn class_s_verifies() {
-        let r = Lu::new(Class::S).run();
+        let r = run(Class::S);
         assert!(r.verified);
         assert!(r.mix.fdiv > 0, "block inversion divides");
     }

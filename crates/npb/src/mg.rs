@@ -16,7 +16,7 @@ use mb_crusoe::hardware::OpMix;
 
 use crate::classes::Class;
 use crate::common::NpbRng;
-use crate::mix::{KernelResult, NpbKernel};
+use crate::KernelResult;
 
 /// Stencil coefficients: (center, face, edge, corner).
 pub type Stencil = [f64; 4];
@@ -233,71 +233,46 @@ pub fn npb_rhs(n: usize) -> Grid {
     v
 }
 
-/// The MG benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct Mg {
-    class: Class,
-}
-
-impl Mg {
-    /// New MG instance at a class.
-    pub fn new(class: Class) -> Self {
-        Self { class }
+/// Run MG at `class`: V-cycles on the NPB right-hand side, verified when
+/// they at least halve the residual, and the operation mix.
+pub fn run(class: Class) -> KernelResult {
+    let (n, iters) = class.mg_size();
+    let v = npb_rhs(n);
+    let mut u = Grid::zeros(n);
+    let mut r = Grid::zeros(n);
+    residual(&v, &u, &mut r);
+    let r0 = r.norm();
+    let mut apps = 0u64;
+    for _ in 0..iters {
+        apps += vcycle(&mut u, &v);
     }
-}
-
-impl NpbKernel for Mg {
-    fn name(&self) -> &'static str {
-        "MG"
-    }
-
-    fn class(&self) -> Class {
-        self.class
-    }
-
-    fn run(&self) -> KernelResult {
-        let (n, iters) = self.class.mg_size();
-        let v = npb_rhs(n);
-        let mut u = Grid::zeros(n);
-        let mut r = Grid::zeros(n);
-        residual(&v, &u, &mut r);
-        let r0 = r.norm();
-        let mut apps = 0u64;
-        for _ in 0..iters {
-            apps += vcycle(&mut u, &v);
-        }
-        residual(&v, &u, &mut r);
-        let rn = r.norm();
-        let verified = rn < r0 * 0.5; // V-cycles must contract the residual
-        let points = (n * n * n) as u64;
-        // Per stencil application per point: ~30 fp ops (26 adds + 4
-        // muls); most applications happen on the finest grid, coarser
-        // levels add the geometric-series 8/7 factor.
-        let fine_equiv = (apps as f64 * 8.0 / 7.0) as u64;
-        let fp_per_point_add = 27u64;
-        let fp_per_point_mul = 4u64;
-        let mix = OpMix {
-            fadd: fine_equiv * points * fp_per_point_add,
-            fmul: fine_equiv * points * fp_per_point_mul,
-            fdiv: 0,
-            fsqrt: iters as u64,              // norm evaluations
-            int_ops: fine_equiv * points * 6, // index arithmetic
-            loads: fine_equiv * points * 27,
-            stores: fine_equiv * points,
-            branches: fine_equiv * points / 8,
-            // NPB counts MG Mops as fp operations.
-            useful_ops: fine_equiv * points * (fp_per_point_add + fp_per_point_mul),
-            // Each application streams the grid in and out of memory once
-            // the grid exceeds cache (class W: 64³ × 8 B = 2 MB ≫ era L2).
-            dram_bytes: fine_equiv * points * 16,
-            fma_fusable: 0.15,
-        };
-        KernelResult {
-            mix,
-            verified,
-            checksum: u.norm(),
-        }
-    }
+    residual(&v, &u, &mut r);
+    let rn = r.norm();
+    let verified = rn < r0 * 0.5; // V-cycles must contract the residual
+    let points = (n * n * n) as u64;
+    // Per stencil application per point: ~30 fp ops (26 adds + 4
+    // muls); most applications happen on the finest grid, coarser
+    // levels add the geometric-series 8/7 factor.
+    let fine_equiv = (apps as f64 * 8.0 / 7.0) as u64;
+    let fp_per_point_add = 27u64;
+    let fp_per_point_mul = 4u64;
+    let mix = OpMix {
+        fadd: fine_equiv * points * fp_per_point_add,
+        fmul: fine_equiv * points * fp_per_point_mul,
+        fdiv: 0,
+        fsqrt: iters as u64,              // norm evaluations
+        int_ops: fine_equiv * points * 6, // index arithmetic
+        loads: fine_equiv * points * 27,
+        stores: fine_equiv * points,
+        branches: fine_equiv * points / 8,
+        // NPB counts MG Mops as fp operations.
+        useful_ops: fine_equiv * points * (fp_per_point_add + fp_per_point_mul),
+        // Each application streams the grid in and out of memory once
+        // the grid exceeds cache (class W: 64³ × 8 B = 2 MB ≫ era L2).
+        dram_bytes: fine_equiv * points * 16,
+        fma_fusable: 0.15,
+    };
+    KernelResult { mix, verified }
 }
 
 #[cfg(test)]
@@ -368,7 +343,7 @@ mod tests {
 
     #[test]
     fn class_s_verifies() {
-        let r = Mg::new(Class::S).run();
+        let r = run(Class::S);
         assert!(r.verified);
         assert!(r.mix.dram_bytes > 0);
         assert!(r.mix.fadd > r.mix.fmul, "stencils are add-heavy");

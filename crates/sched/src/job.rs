@@ -97,74 +97,111 @@ impl WorkModel {
         }
     }
 
-    /// Execute one step of the pattern on `comm`, charging virtual time.
-    /// Valid at any width ≥ 1 (single-rank jobs skip the exchanges).
-    pub fn run_step(&self, comm: &mut Comm) {
-        let rank = comm.rank();
-        let n = comm.nranks();
+    /// Virtual flops rank `r` computes in one step (a treecode's walk
+    /// carries a mild deterministic per-rank skew).
+    pub fn flops_for_rank(&self, r: usize) -> f64 {
         match *self {
             WorkModel::Treecode {
                 bodies_per_rank, ..
-            } => {
-                let b = bodies_per_rank as f64;
-                // Tree build + force walk, with mild deterministic skew.
-                let skew = 1.0 + 0.06 * ((rank % 5) as f64);
-                comm.compute(b * 6.0e4 * skew);
-                if n > 1 {
-                    // Locally-essential-tree exchange: ring of multipoles.
-                    let payload = vec![0.5; (bodies_per_rank / 8).max(8)];
-                    comm.send_f64s((rank + 1) % n, 41, &payload);
-                    let _ = comm.recv_f64s((rank + n - 1) % n, 41);
-                }
-                // Global energy / timestep reduction.
-                let _ = comm.allreduce_sum(&[b, 1.0, 2.0, 3.0]);
-            }
+            } => bodies_per_rank as f64 * 6.0e4 * (1.0 + 0.06 * ((r % 5) as f64)),
             WorkModel::Npb { kernel, .. } => match kernel {
-                NpbKernel::Ep => {
-                    comm.compute(5.0e7);
-                    let _ = comm.allreduce_sum(&[rank as f64; 10]);
-                }
-                NpbKernel::Is => {
-                    comm.compute(3.0e7);
-                    // 1 KiB to every peer, personalized.
-                    let outgoing: Vec<_> = (0..n)
-                        .map(|d| {
-                            let chunk = vec![d as f64; 128];
-                            mb_cluster::comm::pack_f64s(&chunk)
-                        })
-                        .collect();
-                    let _ = comm.alltoallv(outgoing);
-                }
-                NpbKernel::Mg => {
-                    comm.compute(4.0e7);
-                    if n > 1 {
-                        // 4 KiB halo to the successor, receive from the
-                        // predecessor.
-                        let halo = vec![1.0; 512];
-                        comm.send_f64s((rank + 1) % n, 42, &halo);
-                        let _ = comm.recv_f64s((rank + n - 1) % n, 42);
-                    }
-                    let _ = comm.allreduce_sum(&[1.0]);
-                }
+                NpbKernel::Ep => 5.0e7,
+                NpbKernel::Is => 3.0e7,
+                NpbKernel::Mg => 4.0e7,
             },
-            WorkModel::Synthetic {
-                flops_per_step,
-                msg_kib,
-                rounds,
-                ..
-            } => {
-                let rounds = rounds.max(1);
-                for round in 0..rounds {
-                    comm.compute(flops_per_step / rounds as f64);
-                    if n > 1 {
-                        let payload = vec![round as f64; msg_kib as usize * 128];
-                        comm.send_f64s((rank + 1) % n, 43, &payload);
-                        let _ = comm.recv_f64s((rank + n - 1) % n, 43);
-                    }
-                }
-            }
+            WorkModel::Synthetic { flops_per_step, .. } => flops_per_step,
         }
     }
+
+    /// The step's communication, payloads in bytes: what
+    /// [`WorkModel::run_step`] executes and the closed-form cost model
+    /// prices.
+    pub fn shape(&self) -> StepShape {
+        let (ring_bytes, rounds, tail) = match *self {
+            // Locally-essential-tree ring of multipoles, then the
+            // global energy / timestep reduction.
+            WorkModel::Treecode {
+                bodies_per_rank, ..
+            } => (
+                (bodies_per_rank as u64 / 8).max(8) * 8,
+                1,
+                Some(Tail::Allreduce { bytes: 32 }),
+            ),
+            WorkModel::Npb { kernel, .. } => match kernel {
+                NpbKernel::Ep => (0, 0, Some(Tail::Allreduce { bytes: 80 })),
+                NpbKernel::Is => (0, 0, Some(Tail::Alltoallv { bytes: 1024 })),
+                // A 4 KiB halo to the successor, then a reduction.
+                NpbKernel::Mg => (4096, 1, Some(Tail::Allreduce { bytes: 8 })),
+            },
+            WorkModel::Synthetic {
+                msg_kib, rounds, ..
+            } => (msg_kib as u64 * 1024, rounds.max(1) as u64, None),
+        };
+        StepShape {
+            ring_bytes,
+            rounds,
+            tail,
+        }
+    }
+
+    /// Execute one step of the pattern on `comm`, charging virtual time:
+    /// the rank's compute in one equal share per ring round (one share
+    /// without a ring), each followed by its ring round, then the tail
+    /// collective. Valid at any width ≥ 1 (a single rank skips the
+    /// ring). Payload values are never read; only their sizes cost.
+    pub fn run_step(&self, comm: &mut Comm) {
+        let rank = comm.rank();
+        let n = comm.nranks();
+        let shape = self.shape();
+        let flops = self.flops_for_rank(rank);
+        let shares = shape.rounds.max(1);
+        let ring = vec![0.0; shape.ring_bytes as usize / 8];
+        for _ in 0..shares {
+            comm.compute(flops / shares as f64);
+            if shape.rounds > 0 && n > 1 {
+                comm.send_f64s((rank + 1) % n, 41, &ring);
+                let _ = comm.recv_f64s((rank + n - 1) % n, 41);
+            }
+        }
+        match shape.tail {
+            Some(Tail::Allreduce { bytes }) => {
+                let _ = comm.allreduce_sum(&vec![0.0; bytes as usize / 8]);
+            }
+            Some(Tail::Alltoallv { bytes }) => {
+                let chunk = mb_cluster::comm::pack_f64s(&vec![0.0; bytes as usize / 8]);
+                let _ = comm.alltoallv(vec![chunk; n]);
+            }
+            None => {}
+        }
+    }
+}
+
+/// The collective that closes a step, after its ring rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail {
+    /// A sum-allreduce of `bytes`.
+    Allreduce {
+        /// Payload bytes per rank.
+        bytes: u64,
+    },
+    /// A personalized all-to-all sending `bytes` to every rank.
+    Alltoallv {
+        /// Payload bytes per destination.
+        bytes: u64,
+    },
+}
+
+/// One step's communication shape ([`WorkModel::shape`]): `rounds` ring
+/// exchanges of `ring_bytes` to the successor rank (no ring when
+/// `rounds` is 0), then at most one [`Tail`] collective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepShape {
+    /// Payload bytes of one ring message.
+    pub ring_bytes: u64,
+    /// Ring rounds per step.
+    pub rounds: u64,
+    /// The closing collective, if any.
+    pub tail: Option<Tail>,
 }
 
 /// One submitted job.

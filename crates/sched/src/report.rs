@@ -12,7 +12,7 @@
 use mb_metrics::costs::{cluster_cost_catalog, ClusterFamily};
 use mb_metrics::tco::{CostConstants, DowntimeModel, SysAdminModel, TcoInputs};
 use mb_metrics::topper::throughput_per_tco;
-use mb_telemetry::chrome::{validate, ChromeSummary};
+use mb_telemetry::chrome::validate;
 use mb_telemetry::Json;
 
 use crate::engine::{OccSpan, SimReport};
@@ -77,12 +77,6 @@ pub fn occupancy_chrome(spans: &[OccSpan], nodes: usize) -> String {
         panic!("generated occupancy trace failed validation: {e}");
     }
     text
-}
-
-/// Validate an occupancy trace produced by [`occupancy_chrome`] and
-/// return the exporter summary (event/track counts).
-pub fn check_trace(text: &str) -> Result<ChromeSummary, String> {
-    validate(text)
 }
 
 /// Render a run's cross-job link telemetry — per-link carried bytes,
@@ -228,7 +222,7 @@ mod tests {
             },
         ];
         let text = occupancy_chrome(&spans, 2);
-        let summary = check_trace(&text).expect("trace must validate");
+        let summary = validate(&text).expect("trace must validate");
         assert_eq!(summary.events, 3);
         assert_eq!(summary.tracks, vec![0, 1]);
     }
@@ -299,7 +293,7 @@ mod tests {
         };
         let rep = simulate(&service, &Fcfs, &[mk(0), mk(1)], &SchedConfig::default());
         let text = hotspot_chrome(&rep);
-        check_trace(&text).expect("hot-spot trace must validate");
+        validate(&text).expect("hot-spot trace must validate");
         assert!(text.contains("sched.link_bytes"));
         assert!(text.contains("sched.link_shared_s"));
         assert!(text.contains("sched.uplink_rate_Bps"));

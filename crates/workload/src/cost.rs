@@ -18,10 +18,17 @@
 //! [`mb_cluster::Cluster::run_on`], whose outcomes are executor-
 //! invariant, and the fit itself is a fixed-order computation — so the
 //! fitted coefficients (and every price derived from them) are
-//! bit-identical under every `MB_PARALLEL` setting. The synthesized
-//! per-rank [`CommStats`] reproduce each pattern's real peer traffic
-//! shape (ring successor, recursive-doubling partners, all-to-all),
-//! which is what the contention layer folds over topology routes.
+//! bit-identical under every `MB_PARALLEL` setting.
+//!
+//! The step's shape — per-rank flops, ring rounds, closing collective —
+//! is [`WorkModel::shape`] and [`WorkModel::flops_for_rank`], the same
+//! statement [`WorkModel::run_step`] executes, so the closed form and the
+//! measurement it is fitted to cannot drift apart. The synthesized
+//! per-rank [`CommStats`], which the contention layer folds over topology
+//! routes, follow the ring successor and the all-to-all peers exactly.
+//! An allreduce is approximated by recursive-doubling partner pairs;
+//! [`mb_cluster::Comm::allreduce_sum`] is in fact a binomial reduce to
+//! rank 0 followed by a broadcast, so its real peers differ.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -31,69 +38,12 @@ use mb_cluster::machine::Cluster;
 use mb_cluster::{
     ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, PeerTable, PeerTraffic,
 };
+use mb_sched::job::Tail;
 use mb_sched::{ServiceModel, ServiceOracle, StepProfile, WorkModel};
 use mb_telemetry::Fnv;
 
 /// The step pattern key the memo and coefficient tables index by.
 type StepKey = (u8, u64, u64, u64);
-
-/// The communication skeleton of one step, family-independent.
-enum Coll {
-    /// `rounds` ring exchanges of `bytes` to the successor rank.
-    Ring { bytes: u64, rounds: u64 },
-    /// One allreduce of `bytes` (recursive-doubling partner pairs).
-    Allreduce { bytes: u64 },
-    /// One personalized all-to-all of `bytes` per peer.
-    Alltoallv { bytes: u64 },
-}
-
-/// Per-step compute and communication skeleton of a work model,
-/// mirroring [`WorkModel::run_step`] exactly (payload sizes in bytes).
-fn skeleton(work: &WorkModel) -> Vec<Coll> {
-    match *work {
-        WorkModel::Treecode {
-            bodies_per_rank, ..
-        } => vec![
-            Coll::Ring {
-                bytes: (bodies_per_rank as u64 / 8).max(8) * 8,
-                rounds: 1,
-            },
-            Coll::Allreduce { bytes: 32 },
-        ],
-        WorkModel::Npb { kernel, .. } => match kernel {
-            mb_sched::NpbKernel::Ep => vec![Coll::Allreduce { bytes: 80 }],
-            mb_sched::NpbKernel::Is => vec![Coll::Alltoallv { bytes: 1024 }],
-            mb_sched::NpbKernel::Mg => vec![
-                Coll::Ring {
-                    bytes: 4096,
-                    rounds: 1,
-                },
-                Coll::Allreduce { bytes: 8 },
-            ],
-        },
-        WorkModel::Synthetic {
-            msg_kib, rounds, ..
-        } => vec![Coll::Ring {
-            bytes: msg_kib as u64 * 1024,
-            rounds: rounds.max(1) as u64,
-        }],
-    }
-}
-
-/// Virtual flops rank `r` computes in one step.
-fn flops_for_rank(work: &WorkModel, r: usize) -> f64 {
-    match *work {
-        WorkModel::Treecode {
-            bodies_per_rank, ..
-        } => bodies_per_rank as f64 * 6.0e4 * (1.0 + 0.06 * ((r % 5) as f64)),
-        WorkModel::Npb { kernel, .. } => match kernel {
-            mb_sched::NpbKernel::Ep => 5.0e7,
-            mb_sched::NpbKernel::Is => 3.0e7,
-            mb_sched::NpbKernel::Mg => 4.0e7,
-        },
-        WorkModel::Synthetic { flops_per_step, .. } => flops_per_step,
-    }
-}
 
 /// Recursive-doubling partner of rank `r` at `mask`, if inside `p`.
 fn rd_partner(r: usize, mask: usize, p: usize) -> Option<usize> {
@@ -291,7 +241,7 @@ impl CostModel {
         let ids = nodes.ids();
         let rate = self.flops_rate();
         let compute = (0..p)
-            .map(|r| flops_for_rank(work, r) / rate)
+            .map(|r| work.flops_for_rank(r) / rate)
             .fold(0.0, f64::max);
         let mut fixed = 0.0;
         let mut ser = 0.0;
@@ -307,69 +257,64 @@ impl CostModel {
                 let f = cost(src, dst, 0);
                 (f, cost(src, dst, bytes) - f)
             };
-            for coll in skeleton(work) {
-                match coll {
-                    Coll::Ring { bytes, rounds } => {
-                        // One round's critical path: the worst
-                        // successor link in the ring.
+            let worst = |(af, as_): (f64, f64), (bf, bs): (f64, f64)| (af.max(bf), as_.max(bs));
+            let shape = work.shape();
+            if shape.rounds > 0 {
+                // One round's critical path: the worst successor link
+                // in the ring.
+                let (f, s) = (0..p)
+                    .map(|k| split(ids[k], ids[(k + 1) % p], shape.ring_bytes))
+                    .fold((0.0, 0.0), worst);
+                fixed += shape.rounds as f64 * f;
+                ser += shape.rounds as f64 * s;
+            }
+            match shape.tail {
+                Some(Tail::Allreduce { bytes }) => {
+                    // Recursive-doubling levels, reduce + bcast: each
+                    // level costs its worst partner pair.
+                    let mut mask = 1;
+                    while mask < p {
                         let (f, s) = (0..p)
-                            .map(|k| split(ids[k], ids[(k + 1) % p], bytes))
-                            .fold((0.0_f64, 0.0_f64), |(af, as_), (bf, bs)| {
-                                (af.max(bf), as_.max(bs))
-                            });
-                        fixed += rounds as f64 * f;
-                        ser += rounds as f64 * s;
-                    }
-                    Coll::Allreduce { bytes } => {
-                        // Recursive-doubling levels, reduce + bcast:
-                        // each level costs its worst partner pair.
-                        let mut mask = 1;
-                        while mask < p {
-                            let (f, s) = (0..p)
-                                .filter_map(|r| {
-                                    rd_partner(r, mask, p).map(|q| split(ids[r], ids[q], bytes))
-                                })
-                                .fold((0.0_f64, 0.0_f64), |(af, as_), (bf, bs)| {
-                                    (af.max(bf), as_.max(bs))
-                                });
-                            fixed += 2.0 * f;
-                            ser += 2.0 * s;
-                            mask <<= 1;
-                        }
-                    }
-                    Coll::Alltoallv { bytes } => {
-                        // Each rank exchanges with every peer; the
-                        // critical path is the worst per-rank total.
-                        let (f, s) = (0..p)
-                            .map(|r| {
-                                (0..p).filter(|&d| d != r).fold(
-                                    (0.0_f64, 0.0_f64),
-                                    |(af, as_), d| {
-                                        let (bf, bs) = split(ids[r], ids[d], bytes);
-                                        (af + bf, as_ + bs)
-                                    },
-                                )
+                            .filter_map(|r| {
+                                rd_partner(r, mask, p).map(|q| split(ids[r], ids[q], bytes))
                             })
-                            .fold((0.0_f64, 0.0_f64), |(af, as_), (bf, bs)| {
-                                (af.max(bf), as_.max(bs))
-                            });
-                        fixed += f;
-                        ser += s;
+                            .fold((0.0, 0.0), worst);
+                        fixed += 2.0 * f;
+                        ser += 2.0 * s;
+                        mask <<= 1;
                     }
                 }
+                Some(Tail::Alltoallv { bytes }) => {
+                    // Each rank exchanges with every peer; the critical
+                    // path is the worst per-rank total.
+                    let (f, s) = (0..p)
+                        .map(|r| {
+                            (0..p)
+                                .filter(|&d| d != r)
+                                .fold((0.0_f64, 0.0_f64), |(af, as_), d| {
+                                    let (bf, bs) = split(ids[r], ids[d], bytes);
+                                    (af + bf, as_ + bs)
+                                })
+                        })
+                        .fold((0.0, 0.0), worst);
+                    fixed += f;
+                    ser += s;
+                }
+                None => {}
             }
         }
         [compute, fixed, ser]
     }
 
     /// Synthesized per-rank traffic counters for one priced step:
-    /// the pattern's real peer shape (ring successor, recursive-
-    /// doubling partners, all-to-all) with busy times from the network
-    /// model and wait as the step-time remainder.
+    /// the shape's peers (ring successor, all-to-all, and for an
+    /// allreduce the recursive-doubling partners that approximate it)
+    /// with busy times from the network model and wait as the step-time
+    /// remainder.
     fn synth_stats(&self, work: &WorkModel, nodes: &NodeSet, step_s: f64) -> Vec<CommStats> {
         let p = nodes.len();
         let rate = self.flops_rate();
-        let skel = skeleton(work);
+        let shape = work.shape();
         // One rank's peers, accumulated by index (an all-to-all revisits
         // every row once per collective), then compacted into the rank's
         // sparse table, which leaves the row zeroed for the next rank.
@@ -377,7 +322,7 @@ impl CostModel {
         (0..p)
             .map(|r| {
                 let mut st = CommStats {
-                    compute_s: flops_for_rank(work, r) / rate,
+                    compute_s: work.flops_for_rank(r) / rate,
                     ..CommStats::default()
                 };
                 let send = |st: &mut CommStats, dst: &mut PeerTraffic, bytes: u64, msgs: u64| {
@@ -395,29 +340,29 @@ impl CostModel {
                     st.recv_busy_s += msgs as f64 * self.net.recv_busy(bytes);
                 };
                 if p > 1 {
-                    for coll in &skel {
-                        match *coll {
-                            Coll::Ring { bytes, rounds } => {
-                                send(&mut st, &mut row[(r + 1) % p], bytes, rounds);
-                                recv(&mut st, &mut row[(r + p - 1) % p], bytes, rounds);
-                            }
-                            Coll::Allreduce { bytes } => {
-                                let mut mask = 1;
-                                while mask < p {
-                                    if let Some(q) = rd_partner(r, mask, p) {
-                                        send(&mut st, &mut row[q], bytes, 1);
-                                        recv(&mut st, &mut row[q], bytes, 1);
-                                    }
-                                    mask <<= 1;
+                    if shape.rounds > 0 {
+                        let (bytes, rounds) = (shape.ring_bytes, shape.rounds);
+                        send(&mut st, &mut row[(r + 1) % p], bytes, rounds);
+                        recv(&mut st, &mut row[(r + p - 1) % p], bytes, rounds);
+                    }
+                    match shape.tail {
+                        Some(Tail::Allreduce { bytes }) => {
+                            let mut mask = 1;
+                            while mask < p {
+                                if let Some(q) = rd_partner(r, mask, p) {
+                                    send(&mut st, &mut row[q], bytes, 1);
+                                    recv(&mut st, &mut row[q], bytes, 1);
                                 }
-                            }
-                            Coll::Alltoallv { bytes } => {
-                                for d in (0..p).filter(|&d| d != r) {
-                                    send(&mut st, &mut row[d], bytes, 1);
-                                    recv(&mut st, &mut row[d], bytes, 1);
-                                }
+                                mask <<= 1;
                             }
                         }
+                        Some(Tail::Alltoallv { bytes }) => {
+                            for d in (0..p).filter(|&d| d != r) {
+                                send(&mut st, &mut row[d], bytes, 1);
+                                recv(&mut st, &mut row[d], bytes, 1);
+                            }
+                        }
+                        None => {}
                     }
                 }
                 st.peers = PeerTable::take_dense(&mut row);

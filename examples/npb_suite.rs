@@ -4,10 +4,8 @@
 //!
 //! Run with: `cargo run --release --example npb_suite [S|W]`
 
-use metablade::core::experiments::tm5600_analytic;
-use metablade::crusoe::hardware::{athlon_mp_1200, pentium_iii_500, power3_375};
-use metablade::npb::mix::table3_kernels;
-use metablade::npb::Class;
+use metablade::core::experiments::table3_cpus;
+use metablade::npb::{Class, Kernel};
 
 fn main() {
     let class = match std::env::args().nth(1).as_deref() {
@@ -18,19 +16,13 @@ fn main() {
             std::process::exit(2)
         }
     };
-    let kernels = table3_kernels(class);
     println!(
         "{:<5}{:>9}{:>16}{:>13}{:>11}{:>11}{:>11}{:>11}",
         "code", "verified", "useful Mops", "fp/mem", "Athlon", "PIII", "TM5600", "Power3"
     );
-    let cpus = [
-        athlon_mp_1200(),
-        pentium_iii_500(),
-        tm5600_analytic(),
-        power3_375(),
-    ];
-    for k in &kernels {
-        let r = k.run();
+    let cpus = table3_cpus();
+    for k in Kernel::ALL {
+        let r = k.run(class);
         let fp = (r.mix.fadd + r.mix.fmul + r.mix.fdiv + r.mix.fsqrt) as f64;
         let mem = (r.mix.loads + r.mix.stores).max(1) as f64;
         print!(

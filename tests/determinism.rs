@@ -759,3 +759,93 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
         Some(rep.admissions as f64)
     );
 }
+
+// The two goldens below were recorded on commit afa930e, before Table 3's
+// kernels became one `Kernel` enum over one ADI frame and before a job's
+// step shape moved into `WorkModel::shape`, which both `run_step` and the
+// closed-form cost model now read.
+
+#[test]
+fn table3_class_s_op_mixes_and_mops_reproduce_the_parent_golden() {
+    use metablade::core::experiments::table3;
+    use metablade::npb::{Class, Kernel};
+    let mut h = Fnv::new();
+    for kernel in Kernel::ALL {
+        let r = kernel.run(Class::S);
+        let m = r.mix;
+        for v in [
+            m.fadd,
+            m.fmul,
+            m.fdiv,
+            m.fsqrt,
+            m.int_ops,
+            m.loads,
+            m.stores,
+            m.branches,
+            m.useful_ops,
+            m.dram_bytes,
+        ] {
+            h.write_u64(v);
+        }
+        h.write_f64(m.fma_fusable);
+        h.write_u64(u64::from(r.verified));
+    }
+    for row in table3(Class::S) {
+        for v in row.mops {
+            h.write_f64(v);
+        }
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "0fdad1ae03779a73");
+}
+
+/// `step_s` bits and every `CommStats` field, peers included.
+fn digest_profile(h: &mut Fnv, p: &metablade::sched::StepProfile) {
+    h.write_f64(p.step_s);
+    h.write_usize(p.stats.len());
+    for st in p.stats.iter() {
+        for v in [st.sends, st.recvs, st.bytes_sent, st.bytes_recv] {
+            h.write_u64(v);
+        }
+        for v in [st.compute_s, st.wait_s, st.send_busy_s, st.recv_busy_s] {
+            h.write_f64(v);
+        }
+        for (peer, t) in st.peers.iter() {
+            h.write_usize(peer);
+            for v in [t.msgs_to, t.bytes_to, t.msgs_from, t.bytes_from] {
+                h.write_u64(v);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_step_shape_prices_and_runs_as_the_parent_golden() {
+    use mb_workload::{CostModel, JobMix};
+    use metablade::cluster::NodeSet;
+    // Uncalibrated, so the raw closed-form features price every step:
+    // on the star at every width, and on a 64-node ft16x2o4 over one
+    // node set per width that spans the whole tree.
+    let star = CostModel::new(metablade_spec());
+    let ft = CostModel::new(
+        metablade_spec()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0)),
+    );
+    // The executor running `run_step` itself.
+    let cluster = Cluster::new(metablade_spec()).with_exec(ExecPolicy::Sequential);
+    let service = ServiceModel::new(&cluster);
+    let mut h = Fnv::new();
+    for work in &JobMix::standard(24).patterns() {
+        for w in 1..=24usize {
+            let prefix = NodeSet::new((0..w).collect());
+            digest_profile(&mut h, &star.step_profile_on(work, &prefix));
+            let spanning = NodeSet::new((0..w).map(|i| i * 64 / w).collect());
+            digest_profile(&mut h, &ft.step_profile_on(work, &spanning));
+        }
+        for w in [1usize, 2, 3, 8, 24] {
+            let prefix = NodeSet::new((0..w).collect());
+            digest_profile(&mut h, &service.step_profile_on(work, &prefix));
+        }
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "0d6484b6035e98dd");
+}

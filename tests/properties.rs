@@ -14,7 +14,7 @@ use metablade::crusoe::isa::{Insn, MachineState, Reg};
 use metablade::crusoe::program::ProgramBuilder;
 use metablade::microkernel::{rsqrt_karp, rsqrt_math};
 use metablade::npb::common::NpbRng;
-use metablade::npb::is::Is;
+use metablade::npb::is;
 use metablade::treecode::{build_tree, BoundingBox, Key};
 
 const CASES: usize = 64;
@@ -125,8 +125,8 @@ fn is_ranking_always_sorts() {
     for _ in 0..CASES {
         let len = rng.random_range(1..200usize);
         let keys: Vec<u32> = (0..len).map(|_| rng.random_range(0..512u32)).collect();
-        let ranks = Is::rank(&keys, 512);
-        assert!(Is::verify(&keys, &ranks), "keys {keys:?}");
+        let ranks = is::rank(&keys, 512);
+        assert!(is::verify(&keys, &ranks), "keys {keys:?}");
     }
 }
 
