@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use mb_cluster::machine::{Cluster, SpmdOutcome};
 use mb_cluster::spec::{metablade, ClusterSpec};
 use mb_cluster::topology::record_link_occupancy;
-use mb_cluster::{Comm, CommStats, ExecPolicy, Topology};
+use mb_cluster::{threaded, Comm, CommStats, ExecPolicy, Stackless, Topology};
 use mb_telemetry::artifact::Pins;
 use mb_telemetry::json::Json;
 use mb_treecode::parallel::{distributed_step, DistributedConfig};
@@ -206,11 +206,13 @@ pub fn fingerprint_outcome(out: &SpmdOutcome<Vec<f64>>) -> u64 {
 /// allreduces with a data-dependent transform and a small compute charge
 /// between rounds. Shared with the determinism suite so the committed
 /// BENCH fingerprints can be reproduced outside the harness.
-pub fn allreduce_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
-    move |comm: &mut Comm| {
+pub fn allreduce_job(
+    rounds: usize,
+) -> Stackless<impl AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy> {
+    Stackless(async move |comm: &mut Comm| {
         let mut v = vec![comm.rank() as f64 + 1.0; 32];
         for _ in 0..rounds {
-            v = comm.allreduce_sum(&v);
+            v = comm.allreduce_sum_async(&v).await;
             for x in v.iter_mut() {
                 *x = (*x / comm.nranks() as f64).sqrt() + 1.0;
             }
@@ -218,13 +220,13 @@ pub fn allreduce_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
         }
         v.push(comm.now());
         v
-    }
+    })
 }
 
 /// The `ring_4KiBx{rounds}` microbenchmark body: 4-KiB payloads around a
 /// ring with a per-hop compute charge.
-pub fn ring_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
-    move |comm: &mut Comm| {
+pub fn ring_job(rounds: usize) -> Stackless<impl AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy> {
+    Stackless(async move |comm: &mut Comm| {
         let rank = comm.rank();
         let n = comm.nranks();
         let mut buf = vec![rank as f64; 512]; // 4 KiB payload
@@ -233,20 +235,22 @@ pub fn ring_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
             let prev = (rank + n - 1) % n;
             for _ in 0..rounds {
                 comm.send_f64s(next, 5, &buf);
-                let got = comm.recv_f64s(prev, 5);
+                let got = comm.recv_f64s_async(prev, 5).await;
                 buf[0] += got[0] + 1.0;
                 comm.compute(buf.len() as f64);
             }
         }
         vec![buf[0], comm.now()]
-    }
+    })
 }
 
 /// The `imbalance_x{rounds}` microbenchmark body: skewed virtual compute
 /// (so the conservative scheduler has clock spread to order) plus real
 /// host spin (so wall-clock reflects admitted parallelism), barriered.
-pub fn imbalance_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
-    move |comm: &mut Comm| {
+pub fn imbalance_job(
+    rounds: usize,
+) -> Stackless<impl AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy> {
+    Stackless(async move |comm: &mut Comm| {
         let rank = comm.rank();
         let mut spin = 0.0f64;
         for round in 0..rounds {
@@ -254,20 +258,30 @@ pub fn imbalance_job(rounds: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Sync {
             for i in 0..2_000u64 {
                 spin += ((i + rank as u64) as f64).sqrt();
             }
-            comm.barrier();
+            comm.barrier_async().await;
         }
         vec![std::hint::black_box(spin), comm.now()]
-    }
+    })
 }
 
-/// Run `job` on `spec` under every policy.
-fn run_case<F>(name: &str, spec: &ClusterSpec, job: F) -> Json
+/// Run `job` on `spec` thread-per-rank under every policy, and once
+/// stackless (one slot whatever the policy), which must agree.
+fn run_case<F>(name: &str, spec: &ClusterSpec, job: Stackless<F>) -> Json
 where
-    F: Fn(&mut Comm) -> Vec<f64> + Sync,
+    F: AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy,
 {
+    let stackless = fingerprint_outcome(&Cluster::new(spec.clone()).run(job));
     record(name, spec, |cluster| {
-        let out = cluster.run(&job);
-        (fingerprint_outcome(&out), out.makespan_s(), Vec::new())
+        let out = cluster.run(threaded(job));
+        let fp = fingerprint_outcome(&out);
+        assert_eq!(
+            fp,
+            stackless,
+            "{name} at {} ranks: {} threaded vs stackless",
+            spec.nodes,
+            cluster.exec().label()
+        );
+        (fp, out.makespan_s(), Vec::new())
     })
 }
 
@@ -391,7 +405,8 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 }
 
 /// One host-time-profiled rerun of the imbalance microbenchmark at the
-/// sweep's largest rank count under the 8-worker pool. Returns the
+/// sweep's largest rank count under the 8-worker pool, run as its
+/// [`threaded`] twin so the profile describes gate wake-ups. Returns the
 /// registry holding the `executor/*` counters and `prof/*` histograms —
 /// the `PROF_cluster.json` artifact [`suite`] returns when `MB_PROF=1`.
 ///
@@ -404,7 +419,7 @@ pub fn profiled_pass(cfg: &SweepConfig) -> mb_telemetry::metrics::Registry {
     let cluster = Cluster::new(metablade().with_nodes(ranks))
         .with_exec(ExecPolicy::Parallel { workers: 8 })
         .with_prof(true);
-    let out = cluster.run(imbalance_job(rounds));
+    let out = cluster.run(threaded(imbalance_job(rounds)));
     let mut reg = mb_telemetry::metrics::Registry::new();
     out.exec_report
         .record_into(&mut reg, &cluster.exec().label());

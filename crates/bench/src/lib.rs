@@ -19,6 +19,8 @@
 //! assert_eq!(labels, ["seq", "w2", "w8", "unbounded"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod studies;
 

@@ -1,17 +1,29 @@
 //! The MPI-like communicator over virtual time.
 //!
-//! Each SPMD rank runs on a real thread and owns a [`Comm`]. All timing is
-//! *virtual*: `compute` charges CPU seconds at the node's sustained rate,
-//! `send`/`recv` charge the LogGP costs of [`crate::network::NetworkModel`],
-//! and a receive waits (in virtual time) until the message's delivery
-//! timestamp. Messages travel through the run's [`EventCore`], which owns
-//! one mailbox per rank: a send is `deliver`, a receive is `take`, and a
-//! receive that must wait parks its thread exactly once (see
-//! [`crate::event`]). Because every receive names its source rank and all
-//! collectives use fixed deterministic patterns, the virtual clocks are
-//! bit-reproducible regardless of host thread scheduling — and therefore
-//! regardless of the executor policy mapping ranks onto host workers (see
-//! [`crate::exec`]).
+//! Each SPMD rank owns a [`Comm`]. All timing is *virtual*: `compute`
+//! charges CPU seconds at the node's sustained rate, `send`/`recv` charge
+//! the LogGP costs of [`crate::network::NetworkModel`], and a receive
+//! waits (in virtual time) until the message's delivery timestamp.
+//! Messages travel through the run's [`EventCore`], which owns one
+//! mailbox per rank: a send is `deliver`, a receive is `take` (see
+//! [`crate::event`]).
+//!
+//! **One implementation per blocking operation.** Every operation that
+//! may wait for a message is one `async fn` — [`Comm::recv_async`],
+//! [`Comm::recv_f64s_async`], [`Comm::allreduce_sum_async`],
+//! [`Comm::barrier_async`], [`Comm::allgather_async`] and
+//! [`Comm::alltoallv_async`] — which a stackless body awaits (see
+//! [`crate::exec`]). The blocking forms (`recv`, `barrier`, …) wrap it for
+//! a thread rank: there a receive that must wait parks the thread inside
+//! the core's `take`, so the future finishes in one poll. On a stackless
+//! rank a blocking form panics, naming the async form to await instead:
+//! blocking would stall the one thread that polls every rank. Sends and
+//! `compute` never wait and have one form.
+//!
+//! Because every receive names its source rank and all collectives use
+//! fixed deterministic patterns, the virtual clocks are bit-reproducible
+//! regardless of host thread scheduling — and therefore regardless of the
+//! executor policy and of the body form (see [`crate::exec`]).
 //!
 //! The four collectives are the ones the Warren–Salmon treecode and every
 //! workload call, in the algorithms MPICH used in the paper's era:
@@ -29,7 +41,10 @@
 //! [`CommStats`] keeps per-peer message/byte counts so load imbalance is
 //! visible from statistics alone.
 
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use mb_telemetry::summary::RankTime;
@@ -331,18 +346,26 @@ impl Comm {
     }
 
     /// Receive the next message from `src` with `tag` (FIFO per
-    /// source/tag pair; `src` may be this rank). Blocks the host thread
-    /// if needed; charges virtual wait time until the message's delivery
-    /// timestamp plus the receiver-side busy time.
+    /// source/tag pair; `src` may be this rank), blocking the rank's
+    /// thread if needed. The blocking form of [`Comm::recv_async`].
     pub fn recv(&mut self, src: usize, tag: u32) -> Bytes {
-        assert!(src < self.nranks, "recv from rank {src} of {}", self.nranks);
-        assert!(tag < COLLECTIVE_TAG, "user tags must be < 2^31");
-        self.recv_internal(src, tag)
+        block_on(self.blocking("recv").recv_async(src, tag))
     }
 
-    fn recv_internal(&mut self, src: usize, tag: u32) -> Bytes {
+    /// Receive the next message from `src` with `tag` (FIFO per
+    /// source/tag pair; `src` may be this rank); charges virtual wait
+    /// time until the message's delivery timestamp plus the
+    /// receiver-side busy time.
+    pub async fn recv_async(&mut self, src: usize, tag: u32) -> Bytes {
+        assert!(src < self.nranks, "recv from rank {src} of {}", self.nranks);
+        assert!(tag < COLLECTIVE_TAG, "user tags must be < 2^31");
+        self.recv_internal(src, tag).await
+    }
+
+    async fn recv_internal(&mut self, src: usize, tag: u32) -> Bytes {
         let t0 = self.clock;
-        let msg = self.core.take(self.rank, src, tag, self.clock);
+        let (core, rank) = (&self.core, self.rank);
+        let msg = poll_fn(|_| core.take(rank, src, tag, t0)).await;
         let mut waited = 0.0;
         if msg.deliver > self.clock {
             waited = msg.deliver - self.clock;
@@ -375,9 +398,27 @@ impl Comm {
         self.send(dst, tag, pack_f64s(vals));
     }
 
-    /// Receive a vector of doubles.
+    /// Receive a vector of doubles. The blocking form of
+    /// [`Comm::recv_f64s_async`].
     pub fn recv_f64s(&mut self, src: usize, tag: u32) -> Vec<f64> {
-        unpack_f64s(&self.recv(src, tag))
+        block_on(self.blocking("recv_f64s").recv_f64s_async(src, tag))
+    }
+
+    /// Receive a vector of doubles.
+    pub async fn recv_f64s_async(&mut self, src: usize, tag: u32) -> Vec<f64> {
+        unpack_f64s(&self.recv_async(src, tag).await)
+    }
+
+    /// This thread rank, about to block in operation `op`: a stackless
+    /// rank has no thread of its own to block, so it must await the
+    /// operation's async form.
+    fn blocking(&mut self, op: &str) -> &mut Self {
+        assert!(
+            !self.core.is_stackless(),
+            "Comm::{op} blocks the rank's thread, and a stackless rank has none: \
+             await comm.{op}_async(..) instead"
+        );
+        self
     }
 
     fn next_coll_tag(&mut self, op: u32) -> u32 {
@@ -392,14 +433,14 @@ impl Comm {
     }
 
     /// Binomial-tree broadcast from rank 0, which supplies the payload.
-    fn bcast_from_zero(&mut self, payload: Option<Bytes>) -> Bytes {
+    async fn bcast_from_zero(&mut self, payload: Option<Bytes>) -> Bytes {
         let (n, rank) = (self.nranks, self.rank);
         let tag = self.next_coll_tag(1);
         let mut data = payload.unwrap_or_default();
         let mut mask = 1;
         while mask < n {
             if rank >= mask && rank < 2 * mask {
-                data = self.recv_internal(rank - mask, tag);
+                data = self.recv_internal(rank - mask, tag).await;
             } else if rank < mask && rank + mask < n {
                 self.send_internal(rank + mask, tag, data.clone());
             }
@@ -410,7 +451,7 @@ impl Comm {
 
     /// Binomial-tree element-wise sum to rank 0: `Some(sum)` there,
     /// `None` elsewhere.
-    fn reduce_to_zero(&mut self, vals: &[f64]) -> Option<Vec<f64>> {
+    async fn reduce_to_zero(&mut self, vals: &[f64]) -> Option<Vec<f64>> {
         let (n, rank) = (self.nranks, self.rank);
         let tag = self.next_coll_tag(2);
         let mut acc = vals.to_vec();
@@ -421,7 +462,7 @@ impl Comm {
                 return None;
             }
             if rank + mask < n {
-                let theirs = unpack_f64s(&self.recv_internal(rank + mask, tag));
+                let theirs = unpack_f64s(&self.recv_internal(rank + mask, tag).await);
                 assert_eq!(theirs.len(), acc.len(), "reduce length mismatch");
                 // Charge the combine cost: one add per element.
                 self.compute(acc.len() as f64);
@@ -434,30 +475,46 @@ impl Comm {
         Some(acc)
     }
 
-    fn reduce_then_bcast(&mut self, vals: &[f64]) -> Vec<f64> {
-        let reduced = self.reduce_to_zero(vals);
-        unpack_f64s(&self.bcast_from_zero(reduced.map(|v| pack_f64s(&v))))
+    async fn reduce_then_bcast(&mut self, vals: &[f64]) -> Vec<f64> {
+        let reduced = self.reduce_to_zero(vals).await;
+        unpack_f64s(&self.bcast_from_zero(reduced.map(|v| pack_f64s(&v))).await)
+    }
+
+    /// Allreduce (sum) of a double vector. The blocking form of
+    /// [`Comm::allreduce_sum_async`].
+    pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
+        block_on(self.blocking("allreduce_sum").allreduce_sum_async(vals))
     }
 
     /// Allreduce (sum) of a double vector: reduce to rank 0 then
     /// broadcast.
-    pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
+    pub async fn allreduce_sum_async(&mut self, vals: &[f64]) -> Vec<f64> {
         let t0 = self.clock;
-        let out = self.reduce_then_bcast(vals);
+        let out = self.reduce_then_bcast(vals).await;
         self.emit_collective("allreduce_sum", t0);
         out
     }
 
-    /// Barrier: empty allreduce.
+    /// Barrier. The blocking form of [`Comm::barrier_async`].
     pub fn barrier(&mut self) {
+        block_on(self.blocking("barrier").barrier_async())
+    }
+
+    /// Barrier: empty allreduce.
+    pub async fn barrier_async(&mut self) {
         let t0 = self.clock;
-        self.reduce_then_bcast(&[]);
+        self.reduce_then_bcast(&[]).await;
         self.emit_collective("barrier", t0);
+    }
+
+    /// Ring allgather. The blocking form of [`Comm::allgather_async`].
+    pub fn allgather(&mut self, mine: Bytes) -> Vec<Bytes> {
+        block_on(self.blocking("allgather").allgather_async(mine))
     }
 
     /// Ring allgather: each rank contributes one payload; everyone gets
     /// all payloads, indexed by rank.
-    pub fn allgather(&mut self, mine: Bytes) -> Vec<Bytes> {
+    pub async fn allgather_async(&mut self, mine: Bytes) -> Vec<Bytes> {
         let t0 = self.clock;
         let n = self.nranks;
         let tag = self.next_coll_tag(3);
@@ -470,7 +527,7 @@ impl Comm {
             let recv_idx = (self.rank + n - step - 1) % n;
             let out = chunks[send_idx].clone().expect("ring invariant");
             self.send_internal(right, tag, out);
-            let inp = self.recv_internal(left, tag);
+            let inp = self.recv_internal(left, tag).await;
             chunks[recv_idx] = Some(inp);
         }
         let all = chunks
@@ -481,9 +538,15 @@ impl Comm {
         all
     }
 
+    /// Pairwise-exchange personalized all-to-all. The blocking form of
+    /// [`Comm::alltoallv_async`].
+    pub fn alltoallv(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
+        block_on(self.blocking("alltoallv").alltoallv_async(outgoing))
+    }
+
     /// Pairwise-exchange personalized all-to-all: `outgoing[d]` goes to
     /// rank `d`; returns `incoming[s]` from each rank `s`.
-    pub fn alltoallv(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
+    pub async fn alltoallv_async(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
         let t0 = self.clock;
         let n = self.nranks;
         assert_eq!(outgoing.len(), n, "alltoallv needs one payload per rank");
@@ -494,10 +557,20 @@ impl Comm {
             let dst = (self.rank + k) % n;
             let src = (self.rank + n - k) % n;
             self.send_internal(dst, tag, outgoing[dst].clone());
-            incoming[src] = self.recv_internal(src, tag);
+            incoming[src] = self.recv_internal(src, tag).await;
         }
         self.emit_collective("alltoallv", t0);
         incoming
+    }
+}
+
+/// Run a thread rank's operation to completion: every receive in it that
+/// has to wait parks the thread inside [`EventCore::take`], so one poll
+/// finishes the future.
+pub(crate) fn block_on<T>(op: impl Future<Output = T>) -> T {
+    match pin!(op).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => unreachable!("a thread rank's receive parks, it never pends"),
     }
 }
 

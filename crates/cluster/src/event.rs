@@ -1,11 +1,16 @@
 //! The event-driven executor core: the one admission engine behind every
 //! [`crate::exec::ExecPolicy`].
 //!
-//! Each rank execution is a resumable task: its OS thread parks on a
-//! **per-rank gate** whenever the task is not admitted, and the core
+//! Each rank execution is a resumable task, in one of two forms (see
+//! [`crate::exec`]). A **thread rank** runs on an OS thread that parks on
+//! the rank's gate whenever the task is not admitted; the core
 //! multiplexes the admitted tasks over a fixed number of execution slots
 //! (one for `Sequential`, `workers` for `Parallel`, `nranks` for
-//! `Unbounded`). Three structures drive admission:
+//! `Unbounded`). A **stackless rank** is a future the calling thread
+//! polls: a
+//! `EventCore::stackless` core has one slot and no gates, and the rank
+//! it admits is the one `EventCore::next_poll` hands the poller. Three
+//! structures drive admission:
 //!
 //! * a **ready queue** — a binary min-heap ordered by
 //!   `(virtual clock, rank)`, so selecting the next task is `O(log n)`;
@@ -57,26 +62,30 @@
 //! `(src, tag)` — hands it over and makes the destination `Ready` at the
 //! clock it blocked at, in the same critical section.
 //! [`EventCore::take`] returns a filed message without touching the
-//! slot, or records what the rank awaits, gives up its slot and parks
-//! **once** on the rank's gate; the grant that reopens the gate carries
-//! the message. A task is therefore `Unstarted → Ready → Running →
-//! (Awaiting → Ready → Running)* → Done`.
+//! slot, or records what the rank awaits and gives up its slot. A thread
+//! rank then parks **once** on its gate, and the grant that reopens the
+//! gate carries the message; a stackless rank's `take` returns `Pending`
+//! instead, and the message waits on the task until the poller admits
+//! the rank again and its `take` is polled once more. A task is therefore
+//! `Unstarted → Ready → Running → (Awaiting → Ready → Running)* → Done`.
 //!
 //! **Failing loudly.** Admission itself cannot deadlock: when no task
 //! holds a slot the heap minimum is admitted unconditionally. An SPMD
 //! *program* can: when nothing runs, nothing is ready, every rank has
 //! started and some rank still awaits a message, nobody is left to send
-//! it. The core then records each blocked rank's [`BlockedRecv`], and
+//! it. The core then records each blocked rank's [`BlockedRecv`] (a
+//! stackless poller finds nothing left to poll and reports them), and
 //! poisons itself: every gate is woken and every parked rank (now or
 //! later) unwinds with the `Poisoned` marker instead of waiting
 //! forever. [`EventCore::poison`] is also what a panicking rank's drop
 //! guard calls, so its peers unwind rather than park on messages that
-//! will never come (see `machine.rs`).
+//! will never come (see `exec.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::Poll;
 use std::time::Instant;
 
 use mb_telemetry::prof::LogHistogram;
@@ -130,8 +139,9 @@ struct Task {
     state: TaskState,
     /// Messages delivered and not yet taken, in arrival order.
     mailbox: Vec<Msg>,
-    /// The message whose delivery made this task `Ready`; the grant
-    /// moves it to the gate.
+    /// The message whose delivery made this task `Ready`; a thread
+    /// rank's grant moves it to the gate, a stackless rank's next `take`
+    /// returns it.
     handoff: Option<Msg>,
     /// Profiling only: when the task last became `Ready`.
     ready_at: Option<Instant>,
@@ -342,6 +352,8 @@ struct CoreState {
     stall_since: Option<Instant>,
     /// The blocked receives of a detected deadlock; empty otherwise.
     deadlock: Vec<BlockedRecv>,
+    /// Stackless cores: the admitted rank the poller has yet to poll.
+    to_poll: Option<usize>,
 }
 
 impl CoreState {
@@ -375,11 +387,14 @@ impl CoreState {
     }
 }
 
-/// The event-driven executor core. A rank blocks in
+/// The event-driven executor core. A thread rank blocks in
 /// [`EventCore::acquire`] until it may first make host progress, sends
 /// through [`EventCore::deliver`], receives through [`EventCore::take`]
 /// (which gives up the slot only if the message is not here yet) and
-/// calls [`EventCore::release`] when it has finished.
+/// calls [`EventCore::release`] when it has finished. A stackless run
+/// replaces `acquire` with one
+/// `EventCore::start` and asks `EventCore::next_poll` which rank to
+/// poll.
 pub struct EventCore {
     workers: usize,
     lookahead_s: f64,
@@ -394,13 +409,25 @@ pub struct EventCore {
     /// Whether `state.report.prof` is present, readable without the
     /// lock; off costs one branch per record site.
     profiling: bool,
+    /// No gates: ranks are futures one caller polls, and a `take` that
+    /// has to wait returns `Pending` instead of parking.
+    stackless: bool,
 }
 
 impl EventCore {
-    /// A core with `workers` execution slots serving `nranks` tasks and a
-    /// lookahead horizon of `lookahead_s` virtual seconds.
+    /// A core with `workers` execution slots serving `nranks` thread
+    /// ranks and a lookahead horizon of `lookahead_s` virtual seconds.
     pub fn new(workers: usize, nranks: usize, lookahead_s: f64) -> Self {
-        let workers = workers.max(1);
+        Self::build(workers.max(1), nranks, lookahead_s, false)
+    }
+
+    /// A core for `nranks` stackless ranks: one slot (the calling
+    /// thread) and no gates.
+    pub(crate) fn stackless(nranks: usize, lookahead_s: f64) -> Self {
+        Self::build(1, nranks, lookahead_s, true)
+    }
+
+    fn build(workers: usize, nranks: usize, lookahead_s: f64, stackless: bool) -> Self {
         EventCore {
             workers,
             lookahead_s,
@@ -420,8 +447,9 @@ impl EventCore {
                 },
                 stall_since: None,
                 deadlock: Vec::new(),
+                to_poll: None,
             }),
-            gates: (0..nranks)
+            gates: (0..if stackless { 0 } else { nranks })
                 .map(|_| Gate {
                     slot: Mutex::new(GateSlot::default()),
                     cv: Condvar::new(),
@@ -429,6 +457,7 @@ impl EventCore {
                 .collect(),
             poisoned: AtomicBool::new(false),
             profiling: false,
+            stackless,
         }
     }
 
@@ -463,6 +492,11 @@ impl EventCore {
     /// Execution slots in the pool.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// True for a core built by `EventCore::stackless`.
+    pub(crate) fn is_stackless(&self) -> bool {
+        self.stackless
     }
 
     /// Snapshot of the executor counters (plus the host-time profile
@@ -554,6 +588,12 @@ impl EventCore {
                     p.stall_ns.observe(ns_since(since));
                 }
             }
+            if self.stackless {
+                // One slot, so at most one grant is ever outstanding.
+                debug_assert!(st.to_poll.is_none(), "two stackless grants");
+                st.to_poll = Some(rank);
+                continue;
+            }
             let task = &mut st.tasks[rank];
             let mut slot = self.gates[rank].slot.lock().expect("gate lock");
             slot.admitted = true;
@@ -612,7 +652,9 @@ impl EventCore {
             matches!(st.tasks[rank].state, TaskState::Running(_)),
             "gave up a slot it did not hold"
         );
-        if let (Some(p), Some(left)) = (&mut st.report.prof, left) {
+        // Busy, idle and wake spans are stamped at a thread rank's gate;
+        // a stackless rank has none.
+        if let (Some(p), Some(left), false) = (&mut st.report.prof, left, self.stackless) {
             let resumed = self.gates[rank]
                 .slot
                 .lock()
@@ -657,7 +699,7 @@ impl EventCore {
     }
 
     /// Block until `rank` (at virtual time `clock`) is admitted: a
-    /// rank's entry into the run.
+    /// thread rank's entry into the run.
     pub fn acquire(&self, rank: usize, clock: f64) {
         let mut st = self.state.lock().expect("event core lock");
         debug_assert!(
@@ -670,6 +712,24 @@ impl EventCore {
         self.make_ready(&mut st, rank, clock);
         self.dispatch(st);
         self.park(rank);
+    }
+
+    /// A stackless run's entry: every rank ready at virtual time zero,
+    /// and the first admitted.
+    pub(crate) fn start(&self) {
+        let mut st = self.state.lock().expect("event core lock");
+        for rank in 0..st.tasks.len() {
+            self.make_ready(&mut st, rank, 0.0);
+        }
+        st.unstarted = 0;
+        self.dispatch(st);
+    }
+
+    /// The rank a stackless poller polls next: the one the core has
+    /// admitted since the last call. `None` once nothing is admitted —
+    /// the run is over, or [`EventCore::deadlock`] says why not.
+    pub(crate) fn next_poll(&self) -> Option<usize> {
+        self.state.lock().expect("event core lock").to_poll.take()
     }
 
     /// Give up `rank`'s slot for good: the rank has finished.
@@ -698,20 +758,35 @@ impl EventCore {
 
     /// Receive for `rank`, at virtual time `clock`, the oldest message
     /// from `src` with `tag`. A message already filed is returned with
-    /// the slot untouched. Otherwise the rank records what it awaits,
-    /// gives up its slot and parks once; the matching
-    /// [`EventCore::deliver`] re-queues it at `clock` and the grant
-    /// brings the message along.
-    pub fn take(&self, rank: usize, src: usize, tag: u32, clock: f64) -> Msg {
+    /// the slot untouched. Otherwise the rank records what it awaits and
+    /// gives up its slot; the matching [`EventCore::deliver`] re-queues
+    /// it at `clock`. A thread rank parks once, and the grant brings the
+    /// message along, so its `take` is never `Pending`. A stackless rank
+    /// gets `Pending`, and the same `take` polled after its next
+    /// admission returns the delivered message.
+    pub fn take(&self, rank: usize, src: usize, tag: u32, clock: f64) -> Poll<Msg> {
         let left = self.profiling.then(Instant::now);
         let mut st = self.state.lock().expect("event core lock");
-        let mailbox = &mut st.tasks[rank].mailbox;
-        if let Some(i) = mailbox.iter().position(|m| m.src == src && m.tag == tag) {
-            return mailbox.remove(i);
+        let task = &mut st.tasks[rank];
+        if let Some(msg) = task.handoff.take() {
+            return Poll::Ready(msg);
+        }
+        if let Some(i) = task
+            .mailbox
+            .iter()
+            .position(|m| m.src == src && m.tag == tag)
+        {
+            return Poll::Ready(task.mailbox.remove(i));
+        }
+        if self.stackless {
+            self.vacate(st, rank, left, TaskState::Awaiting { src, tag, clock });
+            return Poll::Pending;
         }
         self.vacate(st, rank, left, TaskState::Awaiting { src, tag, clock });
-        self.park(rank)
-            .expect("a rank awaiting a message is only readied by its delivery")
+        Poll::Ready(
+            self.park(rank)
+                .expect("a rank awaiting a message is only readied by its delivery"),
+        )
     }
 }
 
@@ -1017,7 +1092,7 @@ mod tests {
         core.release(0);
         core.acquire(1, 0.0);
         for tag in [6, 5, 5] {
-            assert_eq!(core.take(1, 0, tag, 0.0).tag, tag);
+            assert!(matches!(core.take(1, 0, tag, 0.0), Poll::Ready(m) if m.tag == tag));
         }
         core.release(1);
         assert_eq!(core.report().admissions, 2, "the two initial ones");
@@ -1031,7 +1106,7 @@ mod tests {
             let core = &core;
             scope.spawn(move || {
                 core.acquire(0, 0.0);
-                assert_eq!(core.take(0, 1, 9, 2.5).tag, 9);
+                assert!(matches!(core.take(0, 1, 9, 2.5), Poll::Ready(m) if m.tag == 9));
                 core.release(0);
             });
             let state_of = |rank: usize| core.state.lock().unwrap().tasks[rank].state;

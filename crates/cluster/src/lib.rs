@@ -19,19 +19,23 @@
 //! * [`network`] — a LogGP-style Fast-Ethernet model applied per link of
 //!   the topology (per-hop latency, per-byte serialization at sender,
 //!   switches and receiver, oversubscription on shared uplinks);
-//! * [`comm`] — an MPI-like communicator: SPMD ranks on real threads, each
-//!   with a **virtual clock**; sends, receives and the four collectives
-//!   the workloads call (`allreduce_sum`, `barrier`, `allgather`,
+//! * [`comm`] — an MPI-like communicator: SPMD ranks, each with a
+//!   **virtual clock**; sends, receives and the four collectives the
+//!   workloads call (`allreduce_sum`, `barrier`, `allgather`,
 //!   `alltoallv`) charge modeled time, `compute(flops)` charges CPU
-//!   time. Virtual time is fully
-//!   deterministic: a rank's clock depends only on its own event sequence
-//!   and on the send timestamps of messages it receives;
-//! * [`exec`] — the executor policy: an [`ExecPolicy`] (sequential /
-//!   bounded pool / unbounded, `MB_PARALLEL`) is the slot count of the
-//!   one [`event`] core, which admits ranks and carries their messages
-//!   (one mailbox per rank, one park per blocking receive); every policy
-//!   yields bit-identical outcomes;
-//! * [`machine`] — the cluster runtime: run an SPMD closure over all
+//!   time. Each operation that may wait is one `async fn` with a
+//!   blocking wrapper. Virtual time is fully deterministic: a rank's
+//!   clock depends only on its own event sequence and on the send
+//!   timestamps of messages it receives;
+//! * [`exec`] — the two ways a rank runs: a closure body runs on OS
+//!   threads (one per rank), a [`Stackless`]
+//!   `async` body on none (the calling thread polls every rank). An
+//!   [`ExecPolicy`] (sequential / bounded pool / unbounded,
+//!   `MB_PARALLEL`) is the slot count of a thread run's [`event`] core,
+//!   which admits ranks and carries their messages (one mailbox per rank,
+//!   one park per blocking receive); every policy and both forms yield
+//!   bit-identical outcomes;
+//! * [`machine`] — the cluster runtime: run an SPMD body over all
 //!   ranks, gather results, per-rank statistics and the makespan; a
 //!   deadlocked program is a [`SimError`] from
 //!   [`machine::Cluster::try_run`] and a panicking rank is re-raised,
@@ -59,17 +63,25 @@
 //! ```
 //! use mb_cluster::machine::Cluster;
 //! use mb_cluster::spec::metablade;
-//! use mb_cluster::ExecPolicy;
+//! use mb_cluster::{Comm, ExecPolicy, Stackless};
 //!
 //! // Four simulated MetaBlade nodes summing their ranks with an
 //! // allreduce. The executor policy bounds *host* parallelism only:
 //! // results and virtual clocks are bit-identical under every policy.
 //! let cluster = Cluster::new(metablade().with_nodes(4))
 //!     .with_exec(ExecPolicy::Parallel { workers: 2 });
-//! let out = cluster.run(|comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
+//! let out = cluster.run(|comm: &mut Comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
 //! assert_eq!(out.results, vec![6.0; 4]); // 0+1+2+3 on every rank
 //! assert!(out.makespan_s() > 0.0); // virtual seconds on 100-Mb/s Ethernet
+//!
+//! // The same program as a stackless body: no thread per rank, same bits.
+//! let stackless = cluster.run(Stackless(async |comm: &mut Comm| {
+//!     comm.allreduce_sum_async(&[comm.rank() as f64]).await[0]
+//! }));
+//! assert_eq!(stackless.clocks, out.clocks);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod comm;
@@ -88,7 +100,7 @@ pub mod topology;
 pub use comm::{Comm, CommStats, PeerTable, PeerTraffic};
 pub use contention::{ContentionEpoch, JobTraffic};
 pub use event::{BlockedRecv, EventCore, ExecutorReport, PairBound};
-pub use exec::ExecPolicy;
+pub use exec::{threaded, ExecPolicy, SpmdBody, Stackless};
 pub use machine::{Cluster, SimError, SpmdOutcome};
 pub use network::NetworkModel;
 pub use partition::NodeSet;

@@ -12,12 +12,13 @@
 //! [`EventCore`]. Every policy produces the same [`SpmdOutcome`] bit for
 //! bit — see [`crate::exec`].
 //!
-//! Each rank is one scoped OS thread holding a [`Comm`] that shares the
-//! run's core; the core owns the mailboxes, so setting a run up costs
-//! `O(nranks)` and nothing in it is quadratic in rank count. What is
-//! left is the thread itself: about 30 µs per `clone` on the reference
-//! box whatever the stack size (DESIGN.md §9), and std has no coroutines
-//! to replace it with.
+//! Each rank holds a [`Comm`] that shares the run's core; the core owns
+//! the mailboxes, so setting a run up costs `O(nranks)` and nothing in it
+//! is quadratic in rank count. The body's type decides whether ranks run
+//! on OS threads ([`crate::exec`]): a closure gets one scoped thread per
+//! rank, about 30 µs per `clone` on the reference box whatever the stack
+//! size (DESIGN.md §9); a [`Stackless`](crate::exec::Stackless) `async`
+//! closure gets no thread, and the calling thread polls every rank.
 //!
 //! **A run never hangs.** A program whose ranks all end up waiting for
 //! messages nobody will send comes back from [`Cluster::try_run`] as
@@ -30,11 +31,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use mb_telemetry::summary::RunSummary;
-use mb_telemetry::trace::{RunTrace, SpanEvent};
+use mb_telemetry::trace::RunTrace;
 
 use crate::comm::{Comm, CommStats};
-use crate::event::{BlockedRecv, EventCore, ExecutorReport, PairBound, Poisoned};
-use crate::exec::ExecPolicy;
+use crate::event::{BlockedRecv, EventCore, ExecutorReport, PairBound};
+use crate::exec::{ExecPolicy, SpmdBody};
 use crate::network::NetworkModel;
 use crate::spec::ClusterSpec;
 use crate::topology::Topology;
@@ -51,18 +52,6 @@ struct TopoBounds {
 impl PairBound for TopoBounds {
     fn bound_s(&self, from: usize, to: usize) -> f64 {
         self.net.min_delay_between(self.nodes[from], self.nodes[to])
-    }
-}
-
-/// Poisons the core if the rank's closure unwinds, so no peer waits for
-/// a message the dead rank will never send.
-struct PoisonOnPanic<'a>(&'a EventCore);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
     }
 }
 
@@ -214,12 +203,15 @@ impl Cluster {
         &self.spec
     }
 
-    /// Run `f` as one SPMD process per node. Each invocation gets a
-    /// [`Comm`] that reaches every peer; the closure's return values,
-    /// final virtual clocks and stats come back indexed by rank.
+    /// Run `body` as one SPMD process per node. Each invocation gets a
+    /// [`Comm`] that reaches every peer; the body's return values, final
+    /// virtual clocks and stats come back indexed by rank.
     ///
-    /// Ranks run on real OS threads; virtual time stays deterministic
-    /// because every receive names its source (see [`crate::comm`]).
+    /// A closure runs on OS threads, one per rank; a
+    /// [`Stackless`](crate::exec::Stackless) body runs on the calling
+    /// thread (see [`crate::exec`]). Either way virtual time stays
+    /// deterministic because every receive names its source (see
+    /// [`crate::comm`]).
     ///
     /// Panics with the [`SimError`] text if the program deadlocks (use
     /// [`Cluster::try_run`] to get the error instead), and re-raises a
@@ -228,20 +220,17 @@ impl Cluster {
     /// ```
     /// use mb_cluster::machine::Cluster;
     /// use mb_cluster::spec::metablade;
+    /// use mb_cluster::Comm;
     /// let cluster = Cluster::new(metablade().with_nodes(4));
-    /// let out = cluster.run(|comm| {
+    /// let out = cluster.run(|comm: &mut Comm| {
     ///     let sum = comm.allreduce_sum(&[comm.rank() as f64]);
     ///     sum[0]
     /// });
     /// assert_eq!(out.results, vec![6.0; 4]); // 0+1+2+3 on every rank
     /// assert!(out.makespan_s() > 0.0);
     /// ```
-    pub fn run<R, F>(&self, f: F) -> SpmdOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        self.try_run(f).unwrap_or_else(|e| panic!("{e}"))
+    pub fn run<R, B: SpmdBody<R>>(&self, body: B) -> SpmdOutcome<R> {
+        self.try_run(body).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Cluster::run`], but a deadlocked program — every
@@ -251,20 +240,17 @@ impl Cluster {
     /// ```
     /// use mb_cluster::machine::{Cluster, SimError};
     /// use mb_cluster::spec::metablade;
+    /// use mb_cluster::Comm;
     /// // Both ranks receive first, so neither ever sends.
     /// let err = Cluster::new(metablade().with_nodes(2))
-    ///     .try_run(|comm| comm.recv(1 - comm.rank(), 7))
+    ///     .try_run(|comm: &mut Comm| comm.recv(1 - comm.rank(), 7))
     ///     .unwrap_err();
     /// let SimError::Deadlock(blocked) = err;
     /// assert_eq!((blocked[0].rank, blocked[0].src), (0, 1));
     /// assert_eq!((blocked[1].rank, blocked[1].src), (1, 0));
     /// ```
-    pub fn try_run<R, F>(&self, f: F) -> Result<SpmdOutcome<R>, SimError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        self.run_inner(None, f, false).map(|(out, _)| out)
+    pub fn try_run<R, B: SpmdBody<R>>(&self, body: B) -> Result<SpmdOutcome<R>, SimError> {
+        self.run_inner(None, body, false).map(|(out, _)| out)
     }
 
     /// Like [`Cluster::run`], but rank `r` executes on physical node
@@ -274,12 +260,12 @@ impl Cluster {
     /// uplink contention; a compact one does not). On the star this is
     /// indistinguishable from `run`, because star costs are
     /// placement-independent.
-    pub(crate) fn run_mapped<R, F>(&self, node_ids: &[usize], f: F) -> SpmdOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        self.run_inner(Some(node_ids), f, false)
+    pub(crate) fn run_mapped<R, B: SpmdBody<R>>(
+        &self,
+        node_ids: &[usize],
+        body: B,
+    ) -> SpmdOutcome<R> {
+        self.run_inner(Some(node_ids), body, false)
             .unwrap_or_else(|e| panic!("{e}"))
             .0
     }
@@ -289,25 +275,17 @@ impl Cluster {
     /// [`RunTrace`] (index = rank) alongside the normal outcome. Virtual
     /// clocks are identical to an untraced run — tracing observes the
     /// simulation without perturbing it.
-    pub fn run_traced<R, F>(&self, f: F) -> (SpmdOutcome<R>, RunTrace)
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        self.run_inner(None, f, true)
+    pub fn run_traced<R, B: SpmdBody<R>>(&self, body: B) -> (SpmdOutcome<R>, RunTrace) {
+        self.run_inner(None, body, true)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn run_inner<R, F>(
+    fn run_inner<R, B: SpmdBody<R>>(
         &self,
         node_ids: Option<&[usize]>,
-        f: F,
+        body: B,
         traced: bool,
-    ) -> Result<(SpmdOutcome<R>, RunTrace), SimError>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
+    ) -> Result<(SpmdOutcome<R>, RunTrace), SimError> {
         let n = self.spec.nodes;
         assert!(n > 0, "cluster has no nodes");
         let net = NetworkModel::new(self.spec.network);
@@ -327,15 +305,21 @@ impl Cluster {
                 topology.label()
             );
         }
-        // One admission engine for every policy; the policy is its slot
-        // count. The horizon is the network's global minimum delivery
-        // delay, upgraded to topology-aware per-pair bounds whenever the
-        // topology actually differentiates pairs (on the star every pair
-        // bound equals the global minimum, so attaching them would only
-        // add a virtual call per dispatch).
-        let workers = self.exec.workers().unwrap_or(n);
-        let mut core =
-            EventCore::new(workers, n, net.min_delivery_delay()).with_profiling(self.prof);
+        // One admission engine for every policy and both body forms: the
+        // policy is a thread run's slot count, and a stackless run has
+        // the one slot of its calling thread. The horizon is the
+        // network's global minimum delivery delay, upgraded to
+        // topology-aware per-pair bounds whenever the topology actually
+        // differentiates pairs (on the star every pair bound equals the
+        // global minimum, so attaching them would only add a virtual
+        // call per dispatch).
+        let lookahead_s = net.min_delivery_delay();
+        let mut core = if B::STACKLESS {
+            EventCore::stackless(n, lookahead_s)
+        } else {
+            EventCore::new(self.exec.workers().unwrap_or(n), n, lookahead_s)
+        }
+        .with_profiling(self.prof);
         if topology != Topology::Star {
             core = core.with_pair_bounds(Arc::new(TopoBounds {
                 net,
@@ -344,55 +328,28 @@ impl Cluster {
         }
         let core = Arc::new(core);
         let mflops = self.spec.node.cpu.sustained_mflops;
-        let (f, core, nodes) = (&f, &core, &nodes);
-        type RankOut<R> = (R, f64, CommStats, Vec<SpanEvent>);
-        let joined: Vec<std::thread::Result<RankOut<R>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    scope.spawn(move || {
-                        let _poison = PoisonOnPanic(core);
-                        let nodes = Arc::clone(nodes);
-                        let mut comm =
-                            Comm::new(rank, mflops, net, nodes, Arc::clone(core), traced);
-                        core.acquire(rank, 0.0);
-                        let r = f(&mut comm);
-                        core.release(rank);
-                        let spans = comm.take_spans();
-                        (r, comm.now(), comm.stats, spans)
-                    })
-                })
-                .collect();
-            // Every handle is joined before any panic is re-raised.
-            handles.into_iter().map(|h| h.join()).collect()
-        });
+        let comms = (0..n)
+            .map(|rank| {
+                Comm::new(
+                    rank,
+                    mflops,
+                    net,
+                    Arc::clone(&nodes),
+                    Arc::clone(&core),
+                    traced,
+                )
+            })
+            .collect();
+        let finished = body.run_ranks(comms, &core)?;
         let mut vals = Vec::with_capacity(n);
         let mut clocks = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);
         let mut ranks = Vec::with_capacity(n);
-        // The lowest rank's own panic if any rank has one, else a
-        // `Poisoned` marker if any rank unwound at all.
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for out in joined {
-            match out {
-                Ok((v, c, s, spans)) => {
-                    vals.push(v);
-                    clocks.push(c);
-                    stats.push(s);
-                    ranks.push(spans);
-                }
-                Err(payload) => {
-                    if panic.as_ref().is_none_or(|p| p.is::<Poisoned>()) {
-                        panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = panic {
-            let blocked = core.deadlock();
-            if payload.is::<Poisoned>() && !blocked.is_empty() {
-                return Err(SimError::Deadlock(blocked));
-            }
-            std::panic::resume_unwind(payload);
+        for (v, mut comm) in finished {
+            ranks.push(comm.take_spans());
+            clocks.push(comm.now());
+            stats.push(comm.stats);
+            vals.push(v);
         }
         Ok((
             SpmdOutcome {
@@ -409,7 +366,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::pack_f64s;
+    use crate::comm::{pack_f64s, unpack_f64s};
     use crate::spec::metablade;
     use bytes::Bytes;
 
@@ -420,7 +377,7 @@ mod tests {
     #[test]
     fn ping_pong_times_are_symmetric_and_positive() {
         let c = small_cluster(2);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, Bytes::from_static(b"hello"));
                 let r = comm.recv(1, 8);
@@ -463,11 +420,11 @@ mod tests {
     #[test]
     fn allgather_orders_by_rank() {
         let c = small_cluster(5);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             let mine = pack_f64s(&[comm.rank() as f64 * 10.0]);
             comm.allgather(mine)
                 .iter()
-                .map(|b| crate::comm::unpack_f64s(b)[0])
+                .map(|b| unpack_f64s(b)[0])
                 .collect::<Vec<_>>()
         });
         for r in out.results {
@@ -479,13 +436,13 @@ mod tests {
     fn alltoallv_routes_personalized_payloads() {
         let n = 4;
         let c = small_cluster(n);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             let outgoing: Vec<Bytes> = (0..n)
                 .map(|d| pack_f64s(&[(comm.rank() * 100 + d) as f64]))
                 .collect();
             comm.alltoallv(outgoing)
                 .iter()
-                .map(|b| crate::comm::unpack_f64s(b)[0])
+                .map(|b| unpack_f64s(b)[0])
                 .collect::<Vec<_>>()
         });
         for (rank, incoming) in out.results.iter().enumerate() {
@@ -498,7 +455,7 @@ mod tests {
     #[test]
     fn compute_charges_at_sustained_rate() {
         let c = small_cluster(1);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             comm.compute(87.5e6); // exactly one second at 87.5 Mflops
             comm.now()
         });
@@ -508,7 +465,7 @@ mod tests {
     #[test]
     fn out_of_order_tags_are_buffered() {
         let c = small_cluster(2);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, Bytes::from_static(b"first"));
                 comm.send(1, 2, Bytes::from_static(b"second"));
@@ -528,7 +485,7 @@ mod tests {
     #[test]
     fn barrier_aligns_no_one_before_the_slowest() {
         let c = small_cluster(4);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             if comm.rank() == 3 {
                 comm.compute(87.5e6); // 1 virtual second of work
             }
@@ -671,7 +628,7 @@ mod tests {
         let spec = metablade()
             .with_nodes(17)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let _ = Cluster::new(spec).run(|comm| comm.rank());
+        let _ = Cluster::new(spec).run(|comm: &mut Comm| comm.rank());
     }
 
     #[test]
@@ -693,12 +650,52 @@ mod tests {
     }
 
     #[test]
+    fn a_stackless_body_reproduces_its_threaded_twin_spans_included() {
+        use crate::exec::{threaded, ExecPolicy, Stackless};
+        use crate::topology::Topology;
+        // Every async operation, a self-send and a phase, on the star
+        // and on a fat-tree.
+        let body = Stackless(async |comm: &mut Comm| {
+            let (rank, n) = (comm.rank(), comm.nranks());
+            comm.begin_phase("exchange");
+            comm.compute(1e5 * (1 + rank % 3) as f64);
+            comm.send_f64s((rank + 1) % n, 3, &[rank as f64]);
+            let got = comm.recv_f64s_async((rank + n - 1) % n, 3).await;
+            comm.send(rank, 4, Bytes::from(vec![rank as u8]));
+            let me = comm.recv_async(rank, 4).await;
+            comm.end_phase();
+            let sum = comm.allreduce_sum_async(&[got[0], me[0] as f64]).await;
+            let all = comm.allgather_async(pack_f64s(&[rank as f64])).await;
+            let out = (0..n).map(|d| pack_f64s(&[(rank * n + d) as f64]));
+            let inc = comm.alltoallv_async(out.collect()).await;
+            comm.barrier_async().await;
+            let gathered: Vec<f64> = all.iter().chain(&inc).map(|b| unpack_f64s(b)[0]).collect();
+            (sum, gathered, comm.now())
+        });
+        for spec in [
+            metablade().with_nodes(12),
+            metablade()
+                .with_nodes(16)
+                .with_topology(Topology::fat_tree(4, 2, 4.0)),
+        ] {
+            let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 3 });
+            let (twin, twin_trace) = cluster.run_traced(threaded(body));
+            let (out, trace) = cluster.run_traced(body);
+            assert_eq!(out.results, twin.results);
+            assert_eq!(out.clocks, twin.clocks);
+            assert_eq!(out.stats, twin.stats);
+            assert_eq!(trace.ranks, twin_trace.ranks);
+            assert_eq!((out.exec_report.workers, twin.exec_report.workers), (1, 3));
+        }
+    }
+
+    #[test]
     fn sequential_is_one_slot_of_the_event_core() {
         use crate::exec::ExecPolicy;
         let n = 8;
         let out = small_cluster(n)
             .with_exec(ExecPolicy::Sequential)
-            .run(|comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
+            .run(|comm: &mut Comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
         assert_eq!(out.results, vec![28.0; n]);
         let rep = &out.exec_report;
         assert_eq!((rep.workers, rep.nranks, rep.max_occupancy), (1, n, 1));
@@ -736,7 +733,7 @@ mod tests {
     fn efficiency_of_embarrassingly_parallel_work_is_high() {
         let serial_flops = 87.5e6 * 8.0;
         let c = small_cluster(8);
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             comm.compute(serial_flops / 8.0);
             comm.barrier();
         });
@@ -861,7 +858,7 @@ mod telemetry_tests {
     fn per_peer_traffic_is_counted_and_symmetric() {
         let n = 4;
         let c = Cluster::new(metablade().with_nodes(n));
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             // Each rank sends (rank+1) 8-byte messages to its successor.
             let next = (comm.rank() + 1) % comm.nranks();
             let prev = (comm.rank() + comm.nranks() - 1) % comm.nranks();
@@ -900,7 +897,7 @@ mod telemetry_tests {
     #[test]
     fn summary_reports_imbalance_of_skewed_work() {
         let c = Cluster::new(metablade().with_nodes(4));
-        let out = c.run(|comm| {
+        let out = c.run(|comm: &mut Comm| {
             if comm.rank() == 0 {
                 comm.compute(87.5e6); // 1 s on rank 0, nothing elsewhere
             }

@@ -14,7 +14,7 @@
 //! occupancy bookkeeping (free lists, failure attribution, per-node
 //! trace tracks).
 
-use crate::comm::Comm;
+use crate::exec::SpmdBody;
 use crate::machine::{Cluster, SpmdOutcome};
 use crate::topology::Topology;
 
@@ -189,11 +189,7 @@ impl Cluster {
     /// spans switch boundaries genuinely runs slower than a compact one.
     ///
     /// Panics when `nodes` is empty or names a node outside the spec.
-    pub fn run_on<R, F>(&self, nodes: &NodeSet, f: F) -> SpmdOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
+    pub fn run_on<R, B: SpmdBody<R>>(&self, nodes: &NodeSet, body: B) -> SpmdOutcome<R> {
         assert!(!nodes.is_empty(), "run_on needs at least one node");
         let max = *nodes.ids().last().expect("non-empty");
         assert!(
@@ -204,13 +200,14 @@ impl Cluster {
         );
         Cluster::new(self.spec().with_nodes(nodes.len()))
             .with_exec(self.exec())
-            .run_mapped(nodes.ids(), f)
+            .run_mapped(nodes.ids(), body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Comm;
     use crate::exec::ExecPolicy;
     use crate::spec::metablade;
 
@@ -368,6 +365,6 @@ mod tests {
     #[should_panic(expected = "outside spec")]
     fn run_on_rejects_out_of_range_nodes() {
         let cluster = Cluster::new(metablade().with_nodes(4));
-        cluster.run_on(&NodeSet::new(vec![0, 4]), |comm| comm.rank());
+        cluster.run_on(&NodeSet::new(vec![0, 4]), |comm: &mut Comm| comm.rank());
     }
 }

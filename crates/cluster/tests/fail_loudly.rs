@@ -1,5 +1,7 @@
 //! The executor fails loudly instead of hanging, and the core-owned
-//! mailboxes keep the communicator's contract.
+//! mailboxes keep the communicator's contract. The failure tests run one
+//! `async` body both ways a rank runs: polled on the calling thread, and
+//! on threads through `threaded`.
 //!
 //! Every run here sits behind a watchdog: it executes on its own thread
 //! and the test waits for the answer with a timeout, so a regression in
@@ -11,9 +13,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mb_cluster::event::BlockedRecv;
-use mb_cluster::machine::SimError;
+use mb_cluster::machine::{SimError, SpmdOutcome};
 use mb_cluster::spec::metablade;
-use mb_cluster::{Cluster, Comm, ExecPolicy, PeerTraffic};
+use mb_cluster::{threaded, Cluster, Comm, ExecPolicy, PeerTraffic, Stackless};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,22 +43,50 @@ fn cluster(n: usize, policy: ExecPolicy) -> Cluster {
     Cluster::new(metablade().with_nodes(n)).with_exec(policy)
 }
 
+/// Which way the ranks of a [`try_run_as`] run.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// Futures polled on the calling thread.
+    Stackless,
+    /// The same body as a closure, on threads.
+    Threaded,
+}
+
+fn try_run_as<R: Send, F: AsyncFn(&mut Comm) -> R + Sync>(
+    cluster: Cluster,
+    form: Form,
+    body: Stackless<F>,
+) -> Result<SpmdOutcome<R>, SimError> {
+    match form {
+        Form::Stackless => cluster.try_run(body),
+        Form::Threaded => cluster.try_run(threaded(body)),
+    }
+}
+
+/// The threaded form under every policy, then the stackless form once: it
+/// has one slot whatever the policy.
+fn policies_and_forms() -> impl Iterator<Item = (ExecPolicy, Form)> {
+    POLICIES
+        .into_iter()
+        .map(|policy| (policy, Form::Threaded))
+        .chain([(ExecPolicy::Unbounded, Form::Stackless)])
+}
+
 #[test]
 fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
-    for policy in POLICIES {
+    for (policy, form) in policies_and_forms() {
         // Ranks 0 and 1 both receive before they send; rank 2 has long
         // finished and must not be listed.
-        let err = within(5, move || {
-            cluster(3, policy).try_run(|comm| {
-                if comm.rank() < 2 {
-                    let peer = 1 - comm.rank();
-                    comm.compute(87.5e6 * (1 + comm.rank()) as f64);
-                    let _ = comm.recv(peer, 7);
-                    comm.send(peer, 7, Bytes::new());
-                }
-            })
-        })
-        .expect_err("nobody ever sends");
+        let body = Stackless(async |comm: &mut Comm| {
+            if comm.rank() < 2 {
+                let peer = 1 - comm.rank();
+                comm.compute(87.5e6 * (1 + comm.rank()) as f64);
+                let _ = comm.recv_async(peer, 7).await;
+                comm.send(peer, 7, Bytes::new());
+            }
+        });
+        let err = within(5, move || try_run_as(cluster(3, policy), form, body))
+            .expect_err("nobody ever sends");
         let SimError::Deadlock(blocked) = &err;
         let awaits = |rank, src, clock| BlockedRecv {
             rank,
@@ -67,12 +97,12 @@ fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
         assert_eq!(
             blocked,
             &[awaits(0, 1, 1.0), awaits(1, 0, 2.0)],
-            "{policy:?}"
+            "{policy:?} {form:?}"
         );
         let text = err.to_string();
         assert!(
             text.contains("rank 1 awaits (src 0, tag 0x7)"),
-            "{policy:?}: {text}"
+            "{policy:?} {form:?}: {text}"
         );
     }
 }
@@ -80,8 +110,10 @@ fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
 #[test]
 fn run_panics_with_the_deadlock_text() {
     let payload = within(5, || {
-        catch_unwind(|| cluster(2, ExecPolicy::Unbounded).run(|comm| comm.recv(1 - comm.rank(), 3)))
-            .expect_err("run cannot return an outcome")
+        catch_unwind(|| {
+            cluster(2, ExecPolicy::Unbounded).run(|comm: &mut Comm| comm.recv(1 - comm.rank(), 3))
+        })
+        .expect_err("run cannot return an outcome")
     });
     let text = payload.downcast_ref::<String>().expect("formatted panic");
     assert!(text.starts_with("SPMD deadlock: 2 rank(s)"), "{text}");
@@ -89,15 +121,16 @@ fn run_panics_with_the_deadlock_text() {
 
 #[test]
 fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
-    for policy in POLICIES {
+    for (policy, form) in policies_and_forms() {
+        let body = Stackless(async |comm: &mut Comm| {
+            if comm.rank() == 3 {
+                panic!("rank 3 exploded");
+            }
+            comm.barrier_async().await;
+        });
         let payload = within(5, move || {
             catch_unwind(AssertUnwindSafe(|| {
-                cluster(24, policy).run(|comm| {
-                    if comm.rank() == 3 {
-                        panic!("rank 3 exploded");
-                    }
-                    comm.barrier();
-                })
+                try_run_as(cluster(24, policy), form, body)
             }))
             .expect_err("rank 3 panicked")
         });
@@ -105,28 +138,66 @@ fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"rank 3 exploded"),
-            "{policy:?}"
+            "{policy:?} {form:?}"
         );
     }
 }
 
 #[test]
 fn a_receive_from_a_rank_that_does_not_exist_is_rejected_not_a_deadlock() {
-    for policy in POLICIES {
+    for (policy, form) in policies_and_forms() {
+        let body = Stackless(async |comm: &mut Comm| {
+            if comm.rank() == 1 {
+                let _ = comm.recv_async(7, 2).await;
+            }
+            comm.barrier_async().await;
+        });
         let payload = within(5, move || {
             catch_unwind(AssertUnwindSafe(|| {
-                cluster(4, policy).run(|comm| {
-                    if comm.rank() == 1 {
-                        let _ = comm.recv(7, 2);
-                    }
-                    comm.barrier();
-                })
+                try_run_as(cluster(4, policy), form, body)
             }))
             .expect_err("there is no rank 7")
         });
         let text = payload.downcast_ref::<String>().expect("formatted panic");
-        assert_eq!(text, "recv from rank 7 of 4", "{policy:?}");
+        assert_eq!(text, "recv from rank 7 of 4", "{policy:?} {form:?}");
     }
+}
+
+#[test]
+fn a_blocking_call_from_a_stackless_body_panics_instead_of_hanging_the_poller() {
+    let payload = within(5, || {
+        catch_unwind(|| {
+            cluster(4, ExecPolicy::Unbounded).run(Stackless(async |comm: &mut Comm| {
+                comm.barrier();
+            }))
+        })
+        .expect_err("a stackless rank has no thread to block")
+    });
+    let text = payload.downcast_ref::<String>().expect("formatted panic");
+    assert!(
+        text.starts_with("Comm::barrier blocks the rank's thread")
+            && text.contains("comm.barrier_async(..)"),
+        "{text}"
+    );
+}
+
+#[test]
+fn a_stackless_rank_pending_on_a_foreign_future_is_named_not_waited_for() {
+    let payload = within(5, || {
+        catch_unwind(|| {
+            cluster(3, ExecPolicy::Unbounded).run(Stackless(async |comm: &mut Comm| {
+                if comm.rank() == 1 {
+                    std::future::pending::<()>().await;
+                }
+            }))
+        })
+        .expect_err("nothing can wake rank 1")
+    });
+    let text = payload.downcast_ref::<String>().expect("formatted panic");
+    assert!(
+        text.starts_with("stackless rank 1 awaited something other than a Comm receive"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -164,7 +235,7 @@ fn fifo_holds_per_source_and_tag_under_every_policy() {
 #[test]
 fn a_self_send_is_received() {
     let out = within(5, || {
-        cluster(2, ExecPolicy::Sequential).run(|comm| {
+        cluster(2, ExecPolicy::Sequential).run(|comm: &mut Comm| {
             let me = comm.rank();
             comm.send(me, 4, Bytes::from(vec![me as u8 + 10]));
             comm.recv(me, 4)[0]
@@ -198,7 +269,7 @@ fn sparse_peer_rows_agree_with_a_dense_reference() {
     }
     let walked = plan.clone();
     let out = within(10, move || {
-        cluster(n, ExecPolicy::Parallel { workers: 2 }).run(|comm| {
+        cluster(n, ExecPolicy::Parallel { workers: 2 }).run(|comm: &mut Comm| {
             for &(src, dst, bytes) in &walked {
                 if comm.rank() == src {
                     comm.send(dst, 1, Bytes::from(vec![0u8; bytes]));

@@ -30,6 +30,8 @@
 //!     .all(|w| w[0].mflops_per_proc() >= w[1].mflops_per_proc()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod history;
 pub mod report;

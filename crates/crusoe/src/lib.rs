@@ -53,6 +53,7 @@
 //! assert!(stats.total_cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(clippy::too_many_lines)] // threshold in ../clippy.toml
 
 pub mod atoms;

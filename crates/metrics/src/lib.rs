@@ -35,6 +35,8 @@
 //! assert!(perf_power_gflop_per_kw(2.1, 0.52) > perf_power_gflop_per_kw(2.1, 1.8));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod costs;
 pub mod report;
 pub mod space;

@@ -39,6 +39,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod karp;
 pub mod kernel;
 

@@ -43,6 +43,7 @@
 //! assert!(result.mix.total_ops() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod bt;

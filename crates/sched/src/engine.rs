@@ -36,7 +36,7 @@ use mb_cluster::checkpoint::CheckpointModel;
 use mb_cluster::contention::{self, ContentionEpoch, EpochScratch, JobTraffic};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
-use mb_cluster::{Cluster, CommStats, ExecPolicy, LinkId, LinkIds, NodeSet, Topology};
+use mb_cluster::{Cluster, Comm, CommStats, ExecPolicy, LinkId, LinkIds, NodeSet, Topology};
 use mb_telemetry::prof::LogHistogram;
 use mb_telemetry::{Fnv, MetricHandle, Registry};
 
@@ -275,7 +275,9 @@ impl<'a> ServiceModel<'a> {
         if let Some(p) = self.memo.borrow().get(&key) {
             return p.clone();
         }
-        let outcome = self.cluster.run_on(nodes, |comm| work.run_step(comm));
+        let outcome = self
+            .cluster
+            .run_on(nodes, |comm: &mut Comm| work.run_step(comm));
         let p = StepProfile {
             step_s: outcome.makespan_s(),
             stats: Arc::new(outcome.stats),

@@ -55,6 +55,8 @@
 //! assert!(report.utilization > 0.0 && report.utilization <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod job;
 pub mod pins;

@@ -7,6 +7,8 @@
 //! message for a broadcast tree costs an atomic increment, not a copy —
 //! the same property the real crate provides on this API subset.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;

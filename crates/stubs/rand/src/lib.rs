@@ -8,6 +8,8 @@
 //! repo only requires *determinism for a fixed seed*, which this
 //! provides bit-for-bit on every host.
 
+#![forbid(unsafe_code)]
+
 /// Seedable generators (mirrors `rand::rngs`).
 pub mod rngs {
     /// The workspace's standard deterministic generator: xoshiro256**.

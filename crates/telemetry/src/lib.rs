@@ -54,6 +54,8 @@
 //! assert_eq!(mb_telemetry::json::parse(&doc.to_string()), Ok(doc));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod chrome;
 pub mod fnv;

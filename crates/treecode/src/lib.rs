@@ -59,6 +59,7 @@
 //! assert!(max_err < 0.1, "max |Δa| = {max_err}");
 //! ```
 
+#![forbid(unsafe_code)]
 // Component/subscript loops over [f64; 3] vectors and Morton-ordered
 // index ranges are the house style of this numerical kernel.
 #![allow(clippy::needless_range_loop)]

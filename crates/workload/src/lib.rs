@@ -53,6 +53,8 @@
 //! assert_eq!(rep.classes.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod arrival;
 pub mod cost;

@@ -35,10 +35,10 @@ fn main() {
         let job = allreduce_job(rounds);
         let star = Cluster::new(metablade().with_nodes(ranks))
             .with_exec(ExecPolicy::Unbounded)
-            .run(&job);
+            .run(job);
         let tree = Cluster::new(metablade().with_nodes(ranks).with_topology(ft))
             .with_exec(ExecPolicy::Unbounded)
-            .run(&job);
+            .run(job);
         println!(
             "{:>6}  {:<10}{:>14.4}{:>14.4}{:>9.2}x",
             ranks,

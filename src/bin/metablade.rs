@@ -30,6 +30,8 @@
 //! parse, a body / rank / step / pixel count of zero, or any argument to
 //! `pins` prints the usage line on stderr and exits with status 2.
 
+#![forbid(unsafe_code)]
+
 use metablade::bench::studies;
 use metablade::cluster::spec;
 use metablade::core::{experiments, report};

@@ -35,10 +35,13 @@
 //! // One façade over the whole reproduction: run an SPMD job on a
 //! // 4-node slice of the simulated MetaBlade.
 //! let spec = metablade::cluster::spec::metablade().with_nodes(4);
-//! let out = metablade::cluster::Cluster::new(spec).run(|comm| comm.rank());
+//! use metablade::cluster::Comm;
+//! let out = metablade::cluster::Cluster::new(spec).run(|comm: &mut Comm| comm.rank());
 //! assert_eq!(out.results, vec![0, 1, 2, 3]);
 //! assert!(out.makespan_s() >= 0.0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use mb_bench as bench;
 pub use mb_cluster as cluster;

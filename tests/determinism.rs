@@ -8,14 +8,18 @@
 //! ranks, where lookahead grants, horizon deferrals and heap admission
 //! orderings all genuinely differ between widths, and must reproduce the
 //! fingerprints committed in `BENCH_cluster.json` (recorded before the
-//! `seq` column became one slot of the same core). Also asserts that
-//! observability (span tracing and executor telemetry) never perturbs
-//! virtual time.
+//! `seq` column became one slot of the same core). Each of these gates
+//! runs its body both ways a rank runs — on threads through `threaded`
+//! under every width, and once stackless, polled on the calling thread,
+//! which has one slot whatever the width — and a 4 096-rank
+//! stackless allreduce checks rank counts no threaded run would be asked
+//! to reach. Also asserts that observability (span tracing and executor
+//! telemetry) never perturbs virtual time.
 
 use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, policies, rounds_for};
-use metablade::cluster::machine::Cluster;
+use metablade::cluster::machine::{Cluster, SpmdOutcome};
 use metablade::cluster::spec::metablade as metablade_spec;
-use metablade::cluster::{Comm, ExecPolicy, Topology};
+use metablade::cluster::{threaded, Comm, ExecPolicy, Stackless, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
 use metablade::sched::{
@@ -30,25 +34,59 @@ use metablade::telemetry::prof::LogHistogram;
 /// A 256-rank job that exercises collectives, point-to-point rings and
 /// skewed compute — enough structure that a scheduling bug would move
 /// clock bits somewhere.
-fn job_256(comm: &mut Comm) -> Vec<f64> {
-    let rank = comm.rank();
-    let n = comm.nranks();
-    let mut v = vec![rank as f64 + 1.0; 16];
-    for round in 0..3 {
-        v = comm.allreduce_sum(&v);
-        for x in v.iter_mut() {
-            *x = (*x / n as f64).sqrt() + 1.0;
+fn job_256() -> Stackless<impl AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy> {
+    Stackless(async |comm: &mut Comm| {
+        let rank = comm.rank();
+        let n = comm.nranks();
+        let mut v = vec![rank as f64 + 1.0; 16];
+        for round in 0..3 {
+            v = comm.allreduce_sum_async(&v).await;
+            for x in v.iter_mut() {
+                *x = (*x / n as f64).sqrt() + 1.0;
+            }
+            comm.compute(1e5 * (1 + (rank + round) % 5) as f64);
+            let next = (rank + 1) % n;
+            let prev = (rank + n - 1) % n;
+            comm.send_f64s(next, 9, &v[..4]);
+            let got = comm.recv_f64s_async(prev, 9).await;
+            v[0] += got[0];
+            comm.barrier_async().await;
         }
-        comm.compute(1e5 * (1 + (rank + round) % 5) as f64);
-        let next = (rank + 1) % n;
-        let prev = (rank + n - 1) % n;
-        comm.send_f64s(next, 9, &v[..4]);
-        let got = comm.recv_f64s(prev, 9);
-        v[0] += got[0];
-        comm.barrier();
+        v.push(comm.now());
+        v
+    })
+}
+
+/// The two ways a rank runs, for gates that take the body form as an
+/// input.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// Futures polled on the calling thread.
+    Stackless,
+    /// The same body as a closure, on threads.
+    Threaded,
+}
+
+/// The runs a width gate compares: the threaded form under each of
+/// `policies`, then the stackless form once. A stackless run has one slot
+/// whatever the policy, so it is paired with `Sequential`, the one-slot
+/// reference.
+fn forms<const N: usize>(policies: [ExecPolicy; N]) -> impl Iterator<Item = (Form, ExecPolicy)> {
+    policies
+        .into_iter()
+        .map(|p| (Form::Threaded, p))
+        .chain([(Form::Stackless, ExecPolicy::Sequential)])
+}
+
+fn run_as<F: AsyncFn(&mut Comm) -> Vec<f64> + Sync>(
+    cluster: &Cluster,
+    form: Form,
+    body: Stackless<F>,
+) -> SpmdOutcome<Vec<f64>> {
+    match form {
+        Form::Stackless => cluster.run(body),
+        Form::Threaded => cluster.run(threaded(body)),
     }
-    v.push(comm.now());
-    v
 }
 
 #[test]
@@ -61,9 +99,13 @@ fn outcome_is_bit_identical_across_widths_at_256_ranks() {
     ];
     let mut prints = Vec::new();
     let mut makespans = Vec::new();
-    for policy in policies {
-        let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
-        prints.push((policy.label(), fingerprint_outcome(&out)));
+    for (form, policy) in forms(policies) {
+        let cluster = Cluster::new(spec.clone()).with_exec(policy);
+        let out = run_as(&cluster, form, job_256());
+        prints.push((
+            format!("{form:?} {}", policy.label()),
+            fingerprint_outcome(&out),
+        ));
         makespans.push(out.makespan_s().to_bits());
         // The event core really ran: every rank was admitted at least
         // once per blocking receive.
@@ -83,7 +125,7 @@ fn outcome_is_bit_identical_across_widths_at_256_ranks() {
     }
     assert!(
         makespans.windows(2).all(|w| w[0] == w[1]),
-        "makespan bits differ across widths"
+        "makespan bits differ across widths and forms"
     );
 }
 
@@ -103,10 +145,11 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
         ExecPolicy::Parallel { workers: 8 },
     ];
     let mut prints = Vec::new();
-    for policy in policies {
-        let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
+    for (form, policy) in forms(policies) {
+        let cluster = Cluster::new(spec.clone()).with_exec(policy);
+        let out = run_as(&cluster, form, job_256());
         prints.push((
-            policy.label(),
+            format!("{form:?} {}", policy.label()),
             fingerprint_outcome(&out),
             out.makespan_s().to_bits(),
         ));
@@ -176,27 +219,63 @@ fn star_outcomes_reproduce_the_committed_bench_fingerprints() {
         .and_then(Json::as_f64)
         .expect("virtual makespan");
 
-    for policy in policies() {
+    for (form, policy) in forms(policies()) {
         let label = policy.label();
         let committed_fp = rec
             .get("outcome_fingerprints")
             .and_then(|f| f.get(&label))
             .and_then(Json::as_str)
             .unwrap_or_else(|| panic!("no committed {label} fingerprint"));
-        let out = Cluster::new(metablade_spec().with_nodes(128))
-            .with_exec(policy)
-            .run(allreduce_job(rounds));
+        let cluster = Cluster::new(metablade_spec().with_nodes(128)).with_exec(policy);
+        let out = run_as(&cluster, form, allreduce_job(rounds));
         assert_eq!(
             format!("{:016x}", fingerprint_outcome(&out)),
             committed_fp,
-            "{label}: star outcome fingerprint drifted from the committed baseline"
+            "{form:?} {label}: star outcome fingerprint drifted from the committed baseline"
         );
         assert_eq!(
             out.makespan_s().to_bits(),
             committed_mk.to_bits(),
-            "{label}: star makespan bits drifted from the committed baseline"
+            "{form:?} {label}: star makespan bits drifted from the committed baseline"
         );
     }
+}
+
+#[test]
+fn a_4096_rank_stackless_allreduce_sums_in_closed_form_under_every_policy() {
+    // ROADMAP item 4's scale gate: an order of magnitude past the 512
+    // CPUs Dubinski et al. ran, with no thread for any rank. One round of
+    // `allreduce_job` sums `rank + 1` over every rank, n(n+1)/2 — exact
+    // in f64 — then maps it through `sqrt(sum / n) + 1`. The policy is
+    // inert for a stackless body (one slot, the calling thread); running
+    // it under both extremes checks that it stays so.
+    let n = 4096usize;
+    let rounds = rounds_for(64, n);
+    assert_eq!(rounds, 1);
+    let want = ((n * (n + 1) / 2) as f64 / n as f64).sqrt() + 1.0;
+    let mut prints = Vec::new();
+    for policy in [ExecPolicy::Sequential, ExecPolicy::Unbounded] {
+        let out = Cluster::new(metablade_spec().with_nodes(n))
+            .with_exec(policy)
+            .run(allreduce_job(rounds));
+        for (rank, v) in out.results.iter().enumerate() {
+            assert_eq!(v.len(), 33, "32 sums and the clock");
+            assert!(
+                v[..32].iter().all(|&x| x == want),
+                "rank {rank}: {:?}",
+                &v[..4]
+            );
+        }
+        assert_eq!(
+            out.exec_report.workers, 1,
+            "the calling thread polls every rank"
+        );
+        prints.push((fingerprint_outcome(&out), out.makespan_s().to_bits()));
+    }
+    assert_eq!(
+        prints[0], prints[1],
+        "Sequential and Unbounded diverged at {n} ranks"
+    );
 }
 
 /// Run one scheduler simulation at a given executor width and return
@@ -682,14 +761,22 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
 fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
     let spec = metablade_spec().with_nodes(256);
     let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 8 });
-    let plain = cluster.run(job_256);
-    let (traced, trace) = cluster.run_traced(job_256);
+    let plain = cluster.run(threaded(job_256()));
+    let (traced, trace) = cluster.run_traced(threaded(job_256()));
     assert_eq!(
         fingerprint_outcome(&plain),
         fingerprint_outcome(&traced),
         "attaching trace sinks changed simulated outcomes"
     );
     assert!(!trace.is_empty(), "traced run produced no spans");
+    // A traced stackless run records the same outcome and the same spans.
+    let (stackless, stackless_trace) = cluster.run_traced(job_256());
+    assert_eq!(
+        fingerprint_outcome(&stackless),
+        fingerprint_outcome(&plain),
+        "a traced stackless run changed simulated outcomes"
+    );
+    assert_eq!(stackless_trace.ranks, trace.ranks, "stackless spans differ");
 
     // Executor telemetry flows into the registry and the Chrome
     // exporter without touching the simulation.
@@ -715,11 +802,12 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     // The ISSUE-7 acceptance gate: fingerprints must be bit-identical
     // with profiling enabled vs disabled — host-clock instrumentation
     // (gate wake latency, busy/idle spans, horizon stall timing) reads
-    // `Instant` only and never a virtual clock.
+    // `Instant` only and never a virtual clock. Thread ranks, since gate
+    // wake-ups are what the profile times.
     let spec = metablade_spec().with_nodes(256);
     let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 8 });
-    let off = cluster.clone().with_prof(false).run(job_256);
-    let on = cluster.clone().with_prof(true).run(job_256);
+    let off = cluster.clone().with_prof(false).run(threaded(job_256()));
+    let on = cluster.clone().with_prof(true).run(threaded(job_256()));
     assert_eq!(
         fingerprint_outcome(&off),
         fingerprint_outcome(&on),
