@@ -1,16 +1,18 @@
 //! The cluster and treecode suites of `metablade pins` ([`suite`]): the
-//! cluster microbenchmarks and the distributed treecode step, run once
-//! under every [`ExecPolicy`] and emitted as `BENCH_cluster.json` /
-//! `BENCH_treecode.json` (schema in `BENCHMARKS.md` at the repo root).
+//! cluster microbenchmarks and the distributed treecode step, each one
+//! stackless body run once as the library runs it and once per
+//! [`ExecPolicy`] as its thread-per-rank [`threaded`] twin, emitted as
+//! `BENCH_cluster.json` / `BENCH_treecode.json` (schema in
+//! `BENCHMARKS.md` at the repo root).
 //!
 //! The documents carry **simulated values only**: the virtual makespan
 //! (slowest rank's virtual clock) and an outcome fingerprint (results +
 //! clocks + `CommStats`) per policy, with `identical_across_policies`
-//! recording that every executor width agreed. All of it is
-//! bit-identical on every host and in every run, so a regenerated
-//! document equals its committed twin exactly — `cargo test` checks
-//! that for the smoke documents (`tests/pins.rs`). Host time is measured
-//! in one place, the `benchmark/` package.
+//! recording that every executor width agreed with the stackless run.
+//! All of it is bit-identical on every host and in every run, so a
+//! regenerated document equals its committed twin exactly — `cargo test`
+//! checks that for the smoke documents (`tests/pins.rs`). Host time is
+//! measured in one place, the `benchmark/` package.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +22,7 @@ use mb_cluster::topology::record_link_occupancy;
 use mb_cluster::{threaded, Comm, CommStats, ExecPolicy, Stackless, Topology};
 use mb_telemetry::artifact::Pins;
 use mb_telemetry::json::Json;
-use mb_treecode::parallel::{distributed_step, DistributedConfig};
+use mb_treecode::parallel::{DistributedConfig, ForceStep, StepReport};
 use mb_treecode::plummer;
 
 /// Schema tag stamped into every BENCH document. `/2` added the
@@ -125,11 +127,14 @@ pub fn hash_stats(h: &mut Fnv, stats: &[CommStats]) {
     }
 }
 
-/// One bench record: run `run` on `spec` once under every policy and
-/// write down what it returns — the outcome fingerprint, the virtual
-/// makespan and any extra columns (e.g. treecode `gflops`). Fields
-/// documented in BENCHMARKS.md. Panics if the policies disagree.
-fn record<F>(name: &str, spec: &ClusterSpec, run: F) -> Json
+/// One bench record of a stackless body: run its [`threaded`] twin on
+/// `spec` once under every policy (`run_threaded`) and write down what it
+/// returns — the outcome fingerprint, the virtual makespan and any extra
+/// columns (e.g. treecode `gflops`). Fields documented in BENCHMARKS.md.
+/// Panics unless every policy's fingerprint equals `stackless`, the
+/// fingerprint of the body's one stackless run (one slot whatever the
+/// policy).
+fn record<F>(name: &str, spec: &ClusterSpec, stackless: u64, run_threaded: F) -> Json
 where
     F: Fn(&Cluster) -> (u64, f64, Vec<(&'static str, Json)>),
 {
@@ -137,24 +142,24 @@ where
     let mut makespan = 0.0;
     let mut extra = Vec::new();
     for policy in policies() {
-        let (fp, m, e) = run(&Cluster::new(spec.clone()).with_exec(policy));
+        let (fp, m, e) = run_threaded(&Cluster::new(spec.clone()).with_exec(policy));
+        assert_eq!(
+            fp,
+            stackless,
+            "{name} at {} ranks: {} threaded vs stackless",
+            spec.nodes,
+            policy.label()
+        );
         fingerprints.insert(policy.label(), fp);
         makespan = m;
         extra = e;
     }
-    let first = fingerprints.values().next().copied();
-    let identical = fingerprints.values().all(|fp| Some(*fp) == first);
-    assert!(
-        identical,
-        "{name} at {} ranks: outcomes diverged across policies: {fingerprints:x?}",
-        spec.nodes
-    );
     let mut fields = vec![
         ("name", Json::str(name)),
         ("ranks", Json::Num(spec.nodes as f64)),
         ("topology", Json::str(spec.network.topology.label())),
         ("virtual_makespan_s", Json::Num(makespan)),
-        ("identical_across_policies", Json::Bool(identical)),
+        ("identical_across_policies", Json::Bool(true)),
         (
             "outcome_fingerprints",
             Json::Obj(
@@ -264,24 +269,16 @@ pub fn imbalance_job(
     })
 }
 
-/// Run `job` on `spec` thread-per-rank under every policy, and once
-/// stackless (one slot whatever the policy), which must agree.
+/// Run `job` on `spec` once stackless and thread-per-rank under every
+/// policy ([`record`]).
 fn run_case<F>(name: &str, spec: &ClusterSpec, job: Stackless<F>) -> Json
 where
     F: AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy,
 {
     let stackless = fingerprint_outcome(&Cluster::new(spec.clone()).run(job));
-    record(name, spec, |cluster| {
+    record(name, spec, stackless, |cluster| {
         let out = cluster.run(threaded(job));
-        let fp = fingerprint_outcome(&out);
-        assert_eq!(
-            fp,
-            stackless,
-            "{name} at {} ranks: {} threaded vs stackless",
-            spec.nodes,
-            cluster.exec().label()
-        );
-        (fp, out.makespan_s(), Vec::new())
+        (fingerprint_outcome(&out), out.makespan_s(), Vec::new())
     })
 }
 
@@ -366,9 +363,27 @@ pub fn fat_tree_link_trace(cfg: &SweepConfig) -> String {
     mb_telemetry::chrome::export_with_metrics(&trace, &reg)
 }
 
-/// The treecode suite: one full distributed force evaluation per
-/// (rank count, policy), with virtual makespan, sustained Gflops and a
-/// particle-state fingerprint (acc + pot bit patterns).
+/// The `treecode_step` fingerprint: makespan, particle state (acc + pot
+/// bit patterns) and every rank's [`CommStats`].
+fn treecode_fingerprint(report: &StepReport) -> u64 {
+    let mut h = Fnv::new();
+    h.write_f64(report.makespan_s);
+    for a in &report.acc {
+        for v in a {
+            h.write_f64(*v);
+        }
+    }
+    for p in &report.pot {
+        h.write_f64(*p);
+    }
+    hash_stats(&mut h, &report.comm);
+    h.finish()
+}
+
+/// The treecode suite: one full distributed force evaluation per rank
+/// count, its [`ForceStep::job`] run once stackless and thread-per-rank
+/// under every policy (`record`), with virtual makespan, sustained
+/// Gflops and `treecode_fingerprint`.
 pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
     let bodies = plummer(cfg.n_bodies, 1999);
     let tree_cfg = DistributedConfig::default();
@@ -376,22 +391,19 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
         .treecode_rank_counts
         .iter()
         .map(|&ranks| {
-            record("treecode_step", &metablade().with_nodes(ranks), |cluster| {
-                let report = distributed_step(cluster, &bodies, &tree_cfg);
-                let mut h = Fnv::new();
-                h.write_f64(report.makespan_s);
-                for a in &report.acc {
-                    for v in a {
-                        h.write_f64(*v);
-                    }
-                }
-                for p in &report.pot {
-                    h.write_f64(*p);
-                }
-                hash_stats(&mut h, &report.comm);
-                let gflops = vec![("gflops", Json::Num(report.gflops))];
-                (h.finish(), report.makespan_s, gflops)
-            })
+            let spec = metablade().with_nodes(ranks);
+            let step = ForceStep::new(ranks, &bodies, &tree_cfg, None);
+            let stackless = step.assemble(Cluster::new(spec.clone()).run(step.job()));
+            record(
+                "treecode_step",
+                &spec,
+                treecode_fingerprint(&stackless),
+                |cluster| {
+                    let report = step.assemble(cluster.run(threaded(step.job())));
+                    let gflops = vec![("gflops", Json::Num(report.gflops))];
+                    (treecode_fingerprint(&report), report.makespan_s, gflops)
+                },
+            )
         })
         .collect();
     document(

@@ -13,13 +13,15 @@
 //! each (DESIGN.md §10 has the table, with what each costs the host).
 //! Job service times come from a [`ServiceOracle`];
 //! [`ServiceModel`] is the executor-backed one, lowering each distinct
-//! `(executor policy, node set, step pattern)` triple onto the
-//! simulated cluster exactly once via [`Cluster::run_on`].
-//! Checkpoint/restart overhead and failure rework follow the Young/Daly
-//! [`CheckpointModel`]. Everything is a pure function of its inputs —
-//! the run fingerprint is bit-identical under every `MB_PARALLEL`
-//! executor setting, which is the determinism contract tested in
-//! `tests/acceptance.rs` and documented in DESIGN.md §10.
+//! `(node set, step pattern)` pair onto the simulated cluster exactly
+//! once via [`Cluster::run_on`], as the stackless body
+//! [`WorkModel::run_step`]. Checkpoint/restart overhead and failure
+//! rework follow the Young/Daly [`CheckpointModel`]. Everything is a pure
+//! function of its inputs, and no step consults the executor policy, so
+//! the run fingerprint is the same under every `MB_PARALLEL` setting:
+//! the determinism contract of DESIGN.md §10, checked once on the step
+//! body itself (`tests/determinism.rs`) rather than by re-running
+//! schedules under several policies.
 //!
 //! No function here may outgrow clippy's `too_many_lines` threshold:
 //! the loop was one 630-line function once, and CI keeps it from
@@ -36,7 +38,7 @@ use mb_cluster::checkpoint::CheckpointModel;
 use mb_cluster::contention::{self, ContentionEpoch, EpochScratch, JobTraffic};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
-use mb_cluster::{Cluster, Comm, CommStats, ExecPolicy, LinkId, LinkIds, NodeSet, Topology};
+use mb_cluster::{Cluster, Comm, CommStats, LinkId, LinkIds, NodeSet, Stackless, Topology};
 use mb_telemetry::prof::LogHistogram;
 use mb_telemetry::{Fnv, MetricHandle, Registry};
 
@@ -93,7 +95,7 @@ impl FailureConfig {
 /// tori a job that spans switch boundaries pays oversubscribed-uplink
 /// costs — `Compact` packs jobs under one edge switch when it can.
 /// Either way allocation stays a pure function of the free mask, so the
-/// run fingerprint stays executor-invariant.
+/// run fingerprint stays deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Placement {
     /// Lowest free node ids first (the classic allocator; the committed
@@ -218,8 +220,8 @@ impl CkptCharge {
 
 /// Memoizing service-time oracle: lowers one step of a work pattern
 /// onto a node subset of the cluster (via [`Cluster::run_on`]) and
-/// caches the resulting virtual makespan per
-/// `(executor policy, node set, step pattern)`. Quantized workload
+/// caches the resulting virtual makespan per `(node set, step
+/// pattern)`. Quantized workload
 /// parameters keep the cache small, so a 200-job stream costs a few
 /// dozen SPMD step simulations, not thousands.
 pub struct ServiceModel<'a> {
@@ -238,18 +240,11 @@ pub struct StepProfile {
     pub stats: Arc<Vec<CommStats>>,
 }
 
-/// Cache key for [`ServiceModel`]: the executor policy the step was
-/// simulated under, the exact node set it ran on, and the work model's
-/// quantized step pattern ([`WorkModel::step_key`]).
-///
-/// Keying on width alone was a latent bug: it silently conflated
-/// simulations from different executor policies (one `ServiceModel` per
-/// cluster, but clusters are `Clone` and callers can re-run a stream
-/// under several policies against one shared cache) and from different
-/// node subsets of equal size — harmless only as long as every machine
-/// in the catalog is homogeneous. The full key makes cache hits
-/// structurally equal simulations instead of coincidentally equal ones.
-type ServiceKey = (ExecPolicy, NodeSet, (u8, u64, u64, u64));
+/// Cache key for [`ServiceModel`]: the exact node set the step ran on
+/// (not just its width: equal-width subsets differ on a heterogeneous
+/// machine) and the work model's quantized step pattern
+/// ([`WorkModel::step_key`]).
+type ServiceKey = (NodeSet, (u8, u64, u64, u64));
 
 impl<'a> ServiceModel<'a> {
     /// Wrap a cluster.
@@ -266,18 +261,20 @@ impl<'a> ServiceModel<'a> {
     }
 
     /// One step of `work` on the given nodes, with the per-rank traffic
-    /// counters the contention layer needs, memoized per `(executor
-    /// policy, node set, step pattern)`. `step_on`, `step_s` and
-    /// `work_s` are [`ServiceOracle`]'s default methods over it.
+    /// counters the contention layer needs, memoized per `(node set, step
+    /// pattern)`. The step runs stackless: no rank takes a host thread.
+    /// `step_on`, `step_s` and `work_s` are [`ServiceOracle`]'s default
+    /// methods over it.
     pub fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
         assert!(!nodes.is_empty(), "step needs at least one node");
-        let key = (self.cluster.exec(), nodes.clone(), work.step_key());
+        let key = (nodes.clone(), work.step_key());
         if let Some(p) = self.memo.borrow().get(&key) {
             return p.clone();
         }
-        let outcome = self
-            .cluster
-            .run_on(nodes, |comm: &mut Comm| work.run_step(comm));
+        let outcome = self.cluster.run_on(
+            nodes,
+            Stackless(async |comm: &mut Comm| work.run_step(comm).await),
+        );
         let p = StepProfile {
             step_s: outcome.makespan_s(),
             stats: Arc::new(outcome.stats),
@@ -286,8 +283,8 @@ impl<'a> ServiceModel<'a> {
         p
     }
 
-    /// Distinct `(policy, node set, step pattern)` simulations cached so
-    /// far — the number of real SPMD runs this oracle has paid for.
+    /// Distinct `(node set, step pattern)` simulations cached so far —
+    /// the number of real SPMD runs this oracle has paid for.
     pub fn cached_steps(&self) -> usize {
         self.memo.borrow().len()
     }
@@ -303,7 +300,7 @@ impl<'a> ServiceModel<'a> {
 /// model implements the same trait without touching the executor, which
 /// is what makes million-job open-arrival streams tractable. Any
 /// implementation must be a pure function of its inputs so the engine's
-/// fingerprints stay executor-invariant.
+/// fingerprints stay deterministic.
 pub trait ServiceOracle {
     /// The cluster spec jobs are priced against (node count, network).
     fn spec(&self) -> &ClusterSpec;
@@ -402,8 +399,8 @@ pub struct SimReport {
     /// Scheduler metrics (counters, gauges, wait/slowdown histograms,
     /// queue-depth series) keyed by policy name.
     pub registry: Registry,
-    /// FNV-1a fingerprint of the full outcome; bit-identical across
-    /// `MB_PARALLEL` executor settings.
+    /// FNV-1a fingerprint of the full outcome; bit-identical on every
+    /// host and under every `MB_PARALLEL` setting.
     pub fingerprint: u64,
 }
 
@@ -1209,7 +1206,6 @@ mod tests {
     use super::*;
     use crate::policy::{EasyBackfill, Fcfs, Sjf};
     use crate::workload::{generate, WorkloadConfig};
-    use mb_cluster::ExecPolicy;
 
     fn small_workload() -> Vec<JobSpec> {
         generate(&WorkloadConfig {
@@ -1222,7 +1218,7 @@ mod tests {
 
     #[test]
     fn all_jobs_complete_with_sane_timelines() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         for policy in [&Fcfs as &dyn SchedPolicy, &EasyBackfill, &Sjf] {
@@ -1253,7 +1249,7 @@ mod tests {
 
     #[test]
     fn wait_and_slowdown_histograms_cover_every_job() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         let rep = simulate(&service, &Fcfs, &jobs, &SchedConfig::default());
@@ -1277,25 +1273,23 @@ mod tests {
 
     #[test]
     fn outcome_is_invariant_across_executors() {
+        // The fingerprint every executor policy produced on 470c8b1, when
+        // the step still ran thread-per-rank; the step body's own
+        // invariance is checked in `tests/determinism.rs`.
         let jobs = small_workload();
         let cfg = SchedConfig {
             failure: Some(FailureConfig::accelerated(2000.0, 3)),
             ..SchedConfig::default()
         };
-        let prints: Vec<u64> = [ExecPolicy::Sequential, ExecPolicy::Unbounded]
-            .into_iter()
-            .map(|exec| {
-                let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(exec);
-                let service = ServiceModel::new(&cluster);
-                simulate(&service, &EasyBackfill, &jobs, &cfg).fingerprint
-            })
-            .collect();
-        assert_eq!(prints[0], prints[1]);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
+        let service = ServiceModel::new(&cluster);
+        let rep = simulate(&service, &EasyBackfill, &jobs, &cfg);
+        assert_eq!(rep.fingerprint_hex(), "f3f8e90a71b9f786");
     }
 
     #[test]
     fn failures_requeue_and_charge_lost_work() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         let cfg = SchedConfig {
@@ -1321,7 +1315,7 @@ mod tests {
 
     #[test]
     fn no_failure_config_means_no_checkpoint_overhead() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let work = WorkModel::Npb {
             kernel: crate::job::NpbKernel::Ep,
@@ -1341,7 +1335,7 @@ mod tests {
 
     #[test]
     fn service_model_memoizes_by_pattern_and_width() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let short = WorkModel::Treecode {
             bodies_per_rank: 1200,
@@ -1358,12 +1352,12 @@ mod tests {
     }
 
     #[test]
-    fn service_model_keys_on_policy_and_node_set() {
+    fn service_model_keys_on_node_set() {
         let work = WorkModel::Treecode {
             bodies_per_rank: 1200,
             steps: 10,
         };
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let low = NodeSet::new(vec![0, 1, 2, 3]);
         let high = NodeSet::new(vec![20, 21, 22, 23]);
@@ -1378,17 +1372,6 @@ mod tests {
         // Repeats are cache hits, not new simulations.
         service.step_on(&work, &low);
         assert_eq!(service.cached_steps(), 2);
-        // Same work and nodes under another executor policy: its own
-        // entry, and — the determinism contract — the same makespan bits.
-        let unb = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Unbounded);
-        let service_unb = ServiceModel::new(&unb);
-        assert_eq!(service_unb.step_on(&work, &low), s_low);
-        assert_eq!(service_unb.cached_steps(), 1);
-        assert_ne!(
-            (unb.exec(), low.clone(), work.step_key()),
-            (cluster.exec(), low, work.step_key()),
-            "distinct keys for distinct policies"
-        );
     }
 
     #[test]
@@ -1401,7 +1384,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec);
         let service = ServiceModel::new(&cluster);
         let compact = service.step_on(&work, &NodeSet::new(vec![0, 1, 2, 3]));
         let spread = service.step_on(&work, &NodeSet::new(vec![0, 4, 8, 12]));
@@ -1428,7 +1411,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec);
         let service = ServiceModel::new(&cluster);
         // Two 6-rank rings land on nodes 0–5 and 6–11 under `Lowest`:
         // both route flows through edge group 1's uplink.
@@ -1476,7 +1459,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec);
         let service = ServiceModel::new(&cluster);
         let jobs = [JobSpec {
             id: 0,
@@ -1490,7 +1473,7 @@ mod tests {
         // Fat-tree runs still integrate per-link bytes for telemetry.
         assert!(rep.link_bytes.keys().any(|l| l.starts_with("up:")));
         // The star fast path records no traffic at all.
-        let star = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let star = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&star);
         let rep = simulate(&service, &Fcfs, &small_workload(), &SchedConfig::default());
         assert_eq!(rep.max_contention_factor, 1.0);
@@ -1535,7 +1518,7 @@ mod tests {
             },
         ];
         let run = |placement: Placement| {
-            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential);
+            let cluster = Cluster::new(spec.clone());
             let service = ServiceModel::new(&cluster);
             let cfg = SchedConfig {
                 placement,
@@ -1588,7 +1571,7 @@ mod tests {
             },
         ];
         let run = |route_spread: bool| {
-            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential);
+            let cluster = Cluster::new(spec.clone());
             let service = ServiceModel::new(&cluster);
             let cfg = SchedConfig {
                 route_spread,
@@ -1625,21 +1608,13 @@ mod tests {
             ..SchedConfig::default()
         };
         // The determinism contract survives the new allocator: the
-        // fingerprint is bit-identical under every executor policy.
-        let prints: Vec<u64> = [ExecPolicy::Sequential, ExecPolicy::Unbounded]
-            .into_iter()
-            .map(|exec| {
-                let cluster = Cluster::new(spec.clone()).with_exec(exec);
-                let service = ServiceModel::new(&cluster);
-                simulate(&service, &EasyBackfill, &jobs, &cfg).fingerprint
-            })
-            .collect();
-        assert_eq!(prints[0], prints[1]);
-        // And compared against lowest-first on the same oversubscribed
-        // fat-tree, packing under edge switches never lengthens the run.
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        // fingerprint every executor policy produced on 470c8b1.
+        let cluster = Cluster::new(spec);
         let service = ServiceModel::new(&cluster);
         let compact = simulate(&service, &EasyBackfill, &jobs, &cfg);
+        assert_eq!(compact.fingerprint_hex(), "d4489cceaff9fca0");
+        // And compared against lowest-first on the same oversubscribed
+        // fat-tree, packing under edge switches never lengthens the run.
         let lowest = simulate(&service, &EasyBackfill, &jobs, &SchedConfig::default());
         assert_eq!(compact.jobs.len(), jobs.len());
         assert!(

@@ -4,9 +4,10 @@
 //! and a [`WorkModel`] describing *what the job computes* as a
 //! virtual-time SPMD pattern. Work models are deliberately step-shaped:
 //! one step is lowered onto the simulated cluster via
-//! [`WorkModel::run_step`] (where the communicator charges exact
-//! compute and network time), and the job's total service time is that
-//! step times [`WorkModel::steps`]. Quantized parameters keep the set of
+//! [`WorkModel::run_step`], an `async` body every rank runs without a
+//! host thread (where the communicator charges exact compute and network
+//! time), and the job's total service time is that step times
+//! [`WorkModel::steps`]. Quantized parameters keep the set of
 //! distinct `(pattern, width)` pairs small, so the scheduler's service
 //! model simulates each pattern once and reuses it.
 
@@ -149,7 +150,11 @@ impl WorkModel {
     /// without a ring), each followed by its ring round, then the tail
     /// collective. Valid at any width ≥ 1 (a single rank skips the
     /// ring). Payload values are never read; only their sizes cost.
-    pub fn run_step(&self, comm: &mut Comm) {
+    ///
+    /// The body of a stackless SPMD run ([`mb_cluster::Stackless`]):
+    /// [`crate::ServiceModel`] polls every rank's step on the calling
+    /// thread.
+    pub async fn run_step(&self, comm: &mut Comm) {
         let rank = comm.rank();
         let n = comm.nranks();
         let shape = self.shape();
@@ -160,16 +165,18 @@ impl WorkModel {
             comm.compute(flops / shares as f64);
             if shape.rounds > 0 && n > 1 {
                 comm.send_f64s((rank + 1) % n, 41, &ring);
-                let _ = comm.recv_f64s((rank + n - 1) % n, 41);
+                let _ = comm.recv_f64s_async((rank + n - 1) % n, 41).await;
             }
         }
         match shape.tail {
             Some(Tail::Allreduce { bytes }) => {
-                let _ = comm.allreduce_sum(&vec![0.0; bytes as usize / 8]);
+                let _ = comm
+                    .allreduce_sum_async(&vec![0.0; bytes as usize / 8])
+                    .await;
             }
             Some(Tail::Alltoallv { bytes }) => {
                 let chunk = mb_cluster::comm::pack_f64s(&vec![0.0; bytes as usize / 8]);
-                let _ = comm.alltoallv(vec![chunk; n]);
+                let _ = comm.alltoallv_async(vec![chunk; n]).await;
             }
             None => {}
         }

@@ -31,18 +31,18 @@
 //!
 //! The determinism contract (DESIGN.md §10): a [`SimReport`]'s
 //! fingerprint is bit-identical for a given (cluster spec, workload,
-//! policy, config) under every `MB_PARALLEL` executor setting — the
-//! event loop is pure, and per-job service times come from
-//! [`mb_cluster::Cluster::run_on`], whose outcomes are themselves
-//! executor-invariant.
+//! policy, config) on every host and under every `MB_PARALLEL` setting —
+//! the event loop is pure, and per-job service times come from
+//! [`WorkModel::run_step`], a stackless body [`mb_cluster::Cluster::run_on`]
+//! polls on the calling thread whatever the executor policy.
 //!
 //! # Example
 //!
 //! ```
-//! use mb_cluster::{Cluster, ExecPolicy};
+//! use mb_cluster::Cluster;
 //! use mb_sched::{generate, simulate, EasyBackfill, SchedConfig, ServiceModel, WorkloadConfig};
 //!
-//! let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+//! let cluster = Cluster::new(mb_cluster::spec::metablade());
 //! let service = ServiceModel::new(&cluster);
 //! let jobs = generate(&WorkloadConfig {
 //!     jobs: 8,

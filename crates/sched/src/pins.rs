@@ -4,19 +4,20 @@
 //! same TCO, under FCFS, EASY backfill and SJF — then contrast `Compact`
 //! against `ContentionAware` placement (with and without ECMP route
 //! spreading) on an oversubscribed fat-tree running a comm-heavy stream
-//! ([`crate::workload::comm_heavy`]). Verifies the determinism contract
-//! (run fingerprints identical across executor policies), asserts EASY
-//! strictly beats FCFS on utilization, that failure injection struck a
-//! running job, and that contention-aware placement beats compact on
-//! the fat tree; returns `BENCH_sched.json` (`BENCH_sched_smoke.json` at
-//! smoke size) plus per-node occupancy and per-link hot-spot Chrome
-//! traces.
+//! ([`crate::workload::comm_heavy`]). Asserts EASY strictly beats FCFS
+//! on utilization, that failure injection struck a running job, and that
+//! contention-aware placement beats compact on the fat tree; returns
+//! `BENCH_sched.json` (`BENCH_sched_smoke.json` at smoke size) plus
+//! per-node occupancy and per-link hot-spot Chrome traces.
 //!
-//! The smoke size is a smaller workload with aggressive failure
-//! injection across three executors; `cargo test` reruns it and requires
-//! the document to equal the committed `BENCH_sched_smoke.json`.
+//! Every schedule runs once: the job step is a stackless body that no
+//! executor policy can reach, and its invariance is checked on the body
+//! (`tests/determinism.rs`), so each row's `identical_across_policies`
+//! is `true` by construction. The smoke size is a smaller workload with
+//! aggressive failure injection; `cargo test` reruns it and requires the
+//! document to equal the committed `BENCH_sched_smoke.json`.
 
-use mb_cluster::{Cluster, ClusterSpec, ExecPolicy, Topology};
+use mb_cluster::{Cluster, ClusterSpec, Topology};
 use mb_telemetry::artifact::{artifact_stem, Pins};
 use mb_telemetry::Json;
 
@@ -33,36 +34,14 @@ fn policies() -> [&'static dyn SchedPolicy; 3] {
     [&Fcfs, &EasyBackfill, &Sjf]
 }
 
-/// Run every policy on `spec` under each executor in `execs`, asserting
-/// per-policy fingerprints are identical across executors. Returns the
-/// reports from the first executor.
-fn run_cluster(
-    spec: &ClusterSpec,
-    wl: &[JobSpec],
-    cfg: &SchedConfig,
-    execs: &[ExecPolicy],
-) -> Vec<SimReport> {
-    assert!(!execs.is_empty());
-    let mut reference: Vec<SimReport> = Vec::new();
-    for (ei, &exec) in execs.iter().enumerate() {
-        let cluster = Cluster::new(spec.clone()).with_exec(exec);
-        let service = ServiceModel::new(&cluster);
-        for (pi, policy) in policies().into_iter().enumerate() {
-            let rep = simulate(&service, policy, wl, cfg);
-            if ei == 0 {
-                reference.push(rep);
-            } else {
-                assert_eq!(
-                    rep.fingerprint,
-                    reference[pi].fingerprint,
-                    "fingerprint for '{}' on '{}' diverged under {exec:?}",
-                    policy.name(),
-                    spec.name,
-                );
-            }
-        }
-    }
-    reference
+/// Run every policy on `spec`, one report per policy.
+fn run_cluster(spec: &ClusterSpec, wl: &[JobSpec], cfg: &SchedConfig) -> Vec<SimReport> {
+    let cluster = Cluster::new(spec.clone());
+    let service = ServiceModel::new(&cluster);
+    policies()
+        .into_iter()
+        .map(|policy| simulate(&service, policy, wl, cfg))
+        .collect()
 }
 
 fn workload_json(wl: &WorkloadConfig) -> Json {
@@ -93,7 +72,7 @@ fn cluster_section(spec: &ClusterSpec, tco: f64, cfg: &SchedConfig, reports: &[S
         ("tco_dollars", Json::Num(tco)),
         (
             "policies",
-            Json::Arr(reports.iter().map(|r| policy_row(r, tco, true)).collect()),
+            Json::Arr(reports.iter().map(|r| policy_row(r, tco)).collect()),
         ),
     ])
 }
@@ -108,15 +87,10 @@ fn contention_variants() -> [(Placement, bool); 3] {
 }
 
 /// Run the contention contrast: the same comm-heavy stream on one
-/// oversubscribed fat tree under each placement variant, executor
-/// invariance checked per variant. Returns one cluster section per
-/// variant plus the compact FCFS report (whose hot-spot telemetry
-/// becomes the trace artifact).
-fn contention_sections(
-    spec: &ClusterSpec,
-    wl: &[JobSpec],
-    execs: &[ExecPolicy],
-) -> (Vec<Json>, SimReport) {
+/// oversubscribed fat tree under each placement variant. Returns one
+/// cluster section per variant plus the compact FCFS report (whose
+/// hot-spot telemetry becomes the trace artifact).
+fn contention_sections(spec: &ClusterSpec, wl: &[JobSpec]) -> (Vec<Json>, SimReport) {
     let tco = metablade_tco() * spec.nodes as f64 / 24.0;
     let mut sections = Vec::new();
     let mut by_variant: Vec<Vec<SimReport>> = Vec::new();
@@ -126,7 +100,7 @@ fn contention_sections(
             route_spread,
             ..SchedConfig::default()
         };
-        let reports = run_cluster(spec, wl, &cfg, execs);
+        let reports = run_cluster(spec, wl, &cfg);
         sections.push(cluster_section(spec, tco, &cfg, &reports));
         by_variant.push(reports);
     }
@@ -164,12 +138,11 @@ fn contention_sections(
 }
 
 /// The scheduler suite of `metablade pins`: `BENCH_sched.json` (the
-/// standard 200-job workload; the `MB_PARALLEL` executor with Sequential
-/// as the determinism reference) or, at smoke size,
-/// `BENCH_sched_smoke.json` (80 failure-heavy jobs swept across three
-/// executors), plus the occupancy and hot-spot Chrome traces.
+/// standard 200-job workload) or, at smoke size,
+/// `BENCH_sched_smoke.json` (80 failure-heavy jobs), plus the occupancy
+/// and hot-spot Chrome traces.
 pub fn suite(smoke: bool) -> Pins {
-    let (wl_cfg, cfg, execs) = if smoke {
+    let (wl_cfg, cfg) = if smoke {
         let wl = WorkloadConfig {
             jobs: 80,
             seed: 7,
@@ -180,22 +153,13 @@ pub fn suite(smoke: bool) -> Pins {
             failure: Some(FailureConfig::accelerated(4000.0, 7)),
             ..SchedConfig::default()
         };
-        let execs = vec![
-            ExecPolicy::Sequential,
-            ExecPolicy::Parallel { workers: 4 },
-            ExecPolicy::Unbounded,
-        ];
-        (wl, cfg, execs)
+        (wl, cfg)
     } else {
         let cfg = SchedConfig {
             failure: Some(FailureConfig::accelerated(400.0, 2002)),
             ..SchedConfig::default()
         };
-        let mut execs = vec![ExecPolicy::from_env()];
-        if execs[0] != ExecPolicy::Sequential {
-            execs.push(ExecPolicy::Sequential);
-        }
-        (workload::standard(), cfg, execs)
+        (workload::standard(), cfg)
     };
     let wl = generate(&wl_cfg);
 
@@ -205,8 +169,8 @@ pub fn suite(smoke: bool) -> Pins {
     let trad_spec = mb_cluster::spec::traditional_piii().with_nodes(trad_nodes);
     let trad_tco = traditional_tco(trad_nodes);
 
-    let blade_reports = run_cluster(&blade_spec, &wl, &cfg, &execs);
-    let trad_reports = run_cluster(&trad_spec, &wl, &cfg, &execs);
+    let blade_reports = run_cluster(&blade_spec, &wl, &cfg);
+    let trad_reports = run_cluster(&trad_spec, &wl, &cfg);
 
     let fcfs = &blade_reports[0];
     let easy = &blade_reports[1];
@@ -237,7 +201,7 @@ pub fn suite(smoke: bool) -> Pins {
         s.name = "MetaBlade-ft64".into();
         (s, workload::comm_heavy(40, 4, 28, 12.0, 2002))
     };
-    let (ft_sections, ft_compact_fcfs) = contention_sections(&ft_spec, &ft_wl, &execs);
+    let (ft_sections, ft_compact_fcfs) = contention_sections(&ft_spec, &ft_wl);
 
     let doc = Json::obj([
         ("schema", Json::str(SCHEMA)),

@@ -141,10 +141,10 @@ pub fn equal_tco_nodes(budget_dollars: f64) -> usize {
     best
 }
 
-/// One policy's row of a `BENCH_sched.json` cluster section.
-/// `exec_invariant` records whether the run fingerprint matched across
-/// executor policies (the determinism check [`crate::pins::suite`] performs).
-pub fn policy_row(report: &SimReport, tco_dollars: f64, exec_invariant: bool) -> Json {
+/// One policy's row of a `BENCH_sched.json` cluster section. Its
+/// `identical_across_policies` is always `true`: no executor policy
+/// reaches a schedule (see [`crate::pins`]).
+pub fn policy_row(report: &SimReport, tco_dollars: f64) -> Json {
     Json::obj([
         ("policy", Json::str(report.policy)),
         ("makespan_s", Json::Num(report.makespan_s)),
@@ -171,7 +171,7 @@ pub fn policy_row(report: &SimReport, tco_dollars: f64, exec_invariant: bool) ->
             Json::Num(report.max_contention_factor),
         ),
         ("fingerprint", Json::str(report.fingerprint_hex())),
-        ("identical_across_policies", Json::Bool(exec_invariant)),
+        ("identical_across_policies", Json::Bool(true)),
     ])
 }
 
@@ -232,9 +232,9 @@ mod tests {
         use crate::engine::{simulate, SchedConfig, ServiceModel};
         use crate::policy::Fcfs;
         use crate::workload::{generate, WorkloadConfig};
-        use mb_cluster::{Cluster, ExecPolicy};
+        use mb_cluster::Cluster;
 
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade());
         let service = ServiceModel::new(&cluster);
         let jobs = generate(&WorkloadConfig {
             jobs: 6,
@@ -243,7 +243,7 @@ mod tests {
             max_ranks: 8,
         });
         let rep = simulate(&service, &Fcfs, &jobs, &SchedConfig::default());
-        let row = policy_row(&rep, 35_000.0, true);
+        let row = policy_row(&rep, 35_000.0);
         let per_k = row
             .get("jobs_per_hour_per_k_tco")
             .unwrap()
@@ -273,12 +273,12 @@ mod tests {
         use crate::engine::{simulate, SchedConfig, ServiceModel};
         use crate::job::{JobSpec, WorkModel};
         use crate::policy::Fcfs;
-        use mb_cluster::{Cluster, ExecPolicy, Topology};
+        use mb_cluster::{Cluster, Topology};
 
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec);
         let service = ServiceModel::new(&cluster);
         let mk = |id: usize| JobSpec {
             id,

@@ -36,6 +36,14 @@
 //! distributed results match the shared-memory walk's accuracy at the
 //! same θ (tests verify against direct summation).
 //!
+//! Step 1 happens once, in [`ForceStep::new`]; steps 2–6 are its
+//! [`ForceStep::job`], a [`Stackless`] SPMD body: every rank is a future
+//! the calling thread polls, and the four phases that wait on peers
+//! await the communicator's async collectives. No rank gets a host
+//! thread, so the step runs the same on every [`mb_cluster::ExecPolicy`];
+//! [`mb_cluster::threaded`] runs the same body thread-per-rank, which is
+//! how tests and the BENCH pins check the two paths against each other.
+//!
 //! Only the local tree is a hash table, and only its builder and the
 //! domain frontier use it as one: it is flattened once per step into
 //! cells sorted by key and linked by index (`LocalTree`), which is what
@@ -46,11 +54,10 @@
 //! in which cells are visited and forces accumulated, which fixes the
 //! last bit of every result.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use mb_cluster::comm::{Comm, CommStats};
 use mb_cluster::machine::{Cluster, SpmdOutcome};
+use mb_cluster::Stackless;
 use mb_telemetry::summary::RunSummary;
 use mb_telemetry::trace::RunTrace;
 
@@ -687,15 +694,8 @@ pub fn distributed_step_weighted(
     cfg: &DistributedConfig,
     weights: Option<&[f64]>,
 ) -> StepReport {
-    let nranks = cluster.spec().nodes;
-    let bb = BoundingBox::containing(&bodies.pos);
-    let zones = cost_zones(bodies, &bb, nranks, weights);
-    let zone_bodies: Arc<Vec<Bodies>> = Arc::new(zones.iter().map(|z| bodies.select(z)).collect());
-    let cfg = *cfg;
-
-    let outcome =
-        cluster.run(move |comm: &mut Comm| run_rank(comm, &zone_bodies[comm.rank()], &cfg));
-    assemble_step(&zones, outcome, bodies.len(), &cfg)
+    let step = ForceStep::new(cluster.spec().nodes, bodies, cfg, weights);
+    step.assemble(cluster.run(step.job()))
 }
 
 /// [`distributed_step_weighted`] with per-rank span tracing: every rank
@@ -710,87 +710,117 @@ pub fn distributed_step_traced(
     cfg: &DistributedConfig,
     weights: Option<&[f64]>,
 ) -> (StepReport, RunTrace) {
-    let nranks = cluster.spec().nodes;
-    let bb = BoundingBox::containing(&bodies.pos);
-    let zones = cost_zones(bodies, &bb, nranks, weights);
-    let zone_bodies: Arc<Vec<Bodies>> = Arc::new(zones.iter().map(|z| bodies.select(z)).collect());
-    let cfg = *cfg;
-
-    let (outcome, trace) =
-        cluster.run_traced(move |comm: &mut Comm| run_rank(comm, &zone_bodies[comm.rank()], &cfg));
-    (assemble_step(&zones, outcome, bodies.len(), &cfg), trace)
+    let step = ForceStep::new(cluster.spec().nodes, bodies, cfg, weights);
+    let (outcome, trace) = cluster.run_traced(step.job());
+    (step.assemble(outcome), trace)
 }
 
-/// Scatter per-rank results back to original body order and derive the
-/// step-level aggregates.
-fn assemble_step(
-    zones: &[Vec<usize>],
-    outcome: SpmdOutcome<RankReport>,
-    n_bodies: usize,
-    cfg: &DistributedConfig,
-) -> StepReport {
-    let total_flops: f64 = outcome
-        .results
-        .iter()
-        .map(|r: &RankReport| r.interactions.flops(cfg.mac.quadrupole) as f64)
-        .sum();
-    let makespan = outcome.makespan_s();
-    let mut acc = vec![[0.0; 3]; n_bodies];
-    let mut pot = vec![0.0; n_bodies];
-    let mut body_cost = vec![0.0; n_bodies];
-    for (zone, report) in zones.iter().zip(&outcome.results) {
-        for (slot, &orig) in zone.iter().enumerate() {
-            acc[orig] = report.acc[slot];
-            pot[orig] = report.pot[slot];
-            body_cost[orig] = report.body_cost[slot];
+/// One force evaluation, decomposed: the bodies split into cost zones,
+/// one per rank. [`ForceStep::job`] is the SPMD body that evaluates the
+/// forces, and [`ForceStep::assemble`] turns its outcome into the
+/// [`StepReport`].
+#[derive(Debug, Clone)]
+pub struct ForceStep {
+    /// Per-rank indices into the caller's bodies.
+    zones: Vec<Vec<usize>>,
+    /// Per-rank bodies, in zone order.
+    zone_bodies: Vec<Bodies>,
+    cfg: DistributedConfig,
+}
+
+impl ForceStep {
+    /// Split `bodies` into `nranks` cost zones by per-body work `weights`
+    /// (uniform when `None`).
+    pub fn new(
+        nranks: usize,
+        bodies: &Bodies,
+        cfg: &DistributedConfig,
+        weights: Option<&[f64]>,
+    ) -> Self {
+        let bb = BoundingBox::containing(&bodies.pos);
+        let zones = cost_zones(bodies, &bb, nranks, weights);
+        let zone_bodies = zones.iter().map(|z| bodies.select(z)).collect();
+        ForceStep {
+            zones,
+            zone_bodies,
+            cfg: *cfg,
         }
     }
-    StepReport {
-        makespan_s: makespan,
-        total_flops,
-        gflops: if makespan > 0.0 {
-            total_flops / makespan / 1e9
-        } else {
-            0.0
-        },
-        acc,
-        pot,
-        per_rank: outcome.results,
-        body_cost,
-        comm: outcome.stats,
-    }
-}
 
-/// The SPMD body of one rank: the five phases, each under the span
-/// [`distributed_step_traced`] records for it.
-fn run_rank(comm: &mut Comm, mine: &Bodies, cfg: &DistributedConfig) -> RankReport {
-    comm.begin_phase("global_box");
-    let global_bb = global_box(comm, mine);
-    comm.end_phase();
-    comm.begin_phase("tree_build");
-    let local = tree_build(comm, mine, global_bb, cfg);
-    comm.end_phase();
-    comm.begin_phase("domain_publish");
-    let domains = domain_publish(comm, &local.tree);
-    comm.end_phase();
-    comm.begin_phase("let_exchange");
-    let forest = let_exchange(comm, &local, &domains, &cfg.mac);
-    comm.end_phase();
-    comm.begin_phase("walk");
-    let report = walk(comm, &local, &forest, cfg);
-    comm.end_phase();
-    report
+    /// The SPMD body of one rank: the five phases, each under the span
+    /// [`distributed_step_traced`] records for it. Run it on a cluster
+    /// of as many nodes as there are zones.
+    pub fn job(&self) -> Stackless<impl AsyncFn(&mut Comm) -> RankReport + Sync + '_> {
+        Stackless(async |comm: &mut Comm| {
+            let (mine, cfg) = (&self.zone_bodies[comm.rank()], &self.cfg);
+            comm.begin_phase("global_box");
+            let global_bb = global_box(comm, mine).await;
+            comm.end_phase();
+            comm.begin_phase("tree_build");
+            let local = tree_build(comm, mine, global_bb, cfg);
+            comm.end_phase();
+            comm.begin_phase("domain_publish");
+            let domains = domain_publish(comm, &local.tree).await;
+            comm.end_phase();
+            comm.begin_phase("let_exchange");
+            let forest = let_exchange(comm, &local, &domains, &cfg.mac).await;
+            comm.end_phase();
+            comm.begin_phase("walk");
+            let report = walk(comm, &local, &forest, cfg).await;
+            comm.end_phase();
+            report
+        })
+    }
+
+    /// Scatter the per-rank results of a run of [`ForceStep::job`] back
+    /// to original body order and derive the step-level aggregates.
+    pub fn assemble(&self, outcome: SpmdOutcome<RankReport>) -> StepReport {
+        let total_flops: f64 = outcome
+            .results
+            .iter()
+            .map(|r| r.interactions.flops(self.cfg.mac.quadrupole) as f64)
+            .sum();
+        let makespan = outcome.makespan_s();
+        // The zones partition the bodies.
+        let n_bodies = self.zones.iter().map(Vec::len).sum();
+        let mut acc = vec![[0.0; 3]; n_bodies];
+        let mut pot = vec![0.0; n_bodies];
+        let mut body_cost = vec![0.0; n_bodies];
+        for (zone, report) in self.zones.iter().zip(&outcome.results) {
+            for (slot, &orig) in zone.iter().enumerate() {
+                acc[orig] = report.acc[slot];
+                pot[orig] = report.pot[slot];
+                body_cost[orig] = report.body_cost[slot];
+            }
+        }
+        StepReport {
+            makespan_s: makespan,
+            total_flops,
+            gflops: if makespan > 0.0 {
+                total_flops / makespan / 1e9
+            } else {
+                0.0
+            },
+            acc,
+            pot,
+            per_rank: outcome.results,
+            body_cost,
+            comm: outcome.stats,
+        }
+    }
 }
 
 /// Phase 1: agree on the global bounding box (allgather + union).
-fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
+async fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
     let my_box = if !mine.is_empty() {
         let b = BoundingBox::containing(&mine.pos);
         vec![b.min[0], b.min[1], b.min[2], b.size]
     } else {
         vec![f64::NAN; 4]
     };
-    let boxes = comm.allgather(mb_cluster::comm::pack_f64s(&my_box));
+    let boxes = comm
+        .allgather_async(mb_cluster::comm::pack_f64s(&my_box))
+        .await;
     let mut global_bb: Option<BoundingBox> = None;
     for payload in &boxes {
         let v = mb_cluster::comm::unpack_f64s(payload);
@@ -859,12 +889,12 @@ fn tree_build(
 
 /// Phase 3: publish the adaptive cell frontier of the local tree (see
 /// [`DOMAIN_CELL_BUDGET`]); returns every rank's, as corners.
-fn domain_publish(comm: &mut Comm, tree: &HashedOctTree) -> Vec<Vec<Corners>> {
+async fn domain_publish(comm: &mut Comm, tree: &HashedOctTree) -> Vec<Vec<Corners>> {
     let mut occ_bytes = Vec::new();
     for k in domain_frontier(tree, DOMAIN_CELL_BUDGET) {
         occ_bytes.extend_from_slice(&k.to_le_bytes());
     }
-    let domains = comm.allgather(Bytes::from(occ_bytes));
+    let domains = comm.allgather_async(Bytes::from(occ_bytes)).await;
     let corners = |c: &[u8]| {
         let key = Key(u64::from_le_bytes(c.try_into().expect("key")));
         cell_corners(&tree.bb, key)
@@ -877,7 +907,7 @@ fn domain_publish(comm: &mut Comm, tree: &HashedOctTree) -> Vec<Vec<Corners>> {
 
 /// Phase 4, the LET exchange: a pruned skeleton out to every peer, the
 /// peers' skeletons in, merged into one forest.
-fn let_exchange(
+async fn let_exchange(
     comm: &mut Comm,
     local: &LocalTree,
     domains: &[Vec<Corners>],
@@ -892,7 +922,7 @@ fn let_exchange(
         }
         outgoing[peer] = prune_for_domain(local, domain, mac, &mut scratch);
     }
-    let incoming = comm.alltoallv(outgoing);
+    let incoming = comm.alltoallv_async(outgoing).await;
     let peers = || {
         incoming
             .iter()
@@ -915,7 +945,7 @@ fn let_exchange(
 
 /// Phase 5: walk every local body over the local tree plus the import
 /// forest, charge the flops, and meet the other ranks at the barrier.
-fn walk(
+async fn walk(
     comm: &mut Comm,
     local: &LocalTree,
     forest: &ImportedForest,
@@ -942,7 +972,7 @@ fn walk(
         }
     }
     comm.compute(counts.flops(cfg.mac.quadrupole) as f64);
-    comm.barrier();
+    comm.barrier_async().await;
     RankReport {
         rank: comm.rank(),
         n_local,

@@ -1,9 +1,11 @@
-//! Executor-policy determinism regression: the 24-rank treecode step
-//! must produce bit-identical results under the one-slot sequential
-//! reference, bounded parallel pools (2 and 8 workers) and the unbounded
-//! width. Guards the admission-order invariant end to end (DESIGN.md
-//! §9): the [`mb_cluster::ExecPolicy`] may only change host wall-clock,
-//! never makespan, particle state, or communication statistics.
+//! Executor determinism, checked on the body: the library runs the
+//! 24-rank treecode step as one stackless body ([`ForceStep::job`]),
+//! polled on the calling thread with one slot whatever the
+//! [`mb_cluster::ExecPolicy`]. Its thread-per-rank twin
+//! ([`mb_cluster::threaded`]) must reproduce that run bit for bit under
+//! the one-slot sequential reference, bounded pools (2 and 8 workers) and
+//! the unbounded width: makespan, particle state, clocks and
+//! communication statistics (DESIGN.md §9).
 //!
 //! The second half pins what a step *returns* against digests recorded
 //! on the commit before the LET path went flat (607ddd9) and against
@@ -12,96 +14,32 @@
 
 use mb_cluster::machine::Cluster;
 use mb_cluster::spec::metablade;
-use mb_cluster::{CommStats, ExecPolicy};
+use mb_cluster::{threaded, CommStats, ExecPolicy};
 use mb_telemetry::json::{parse, Json};
 use mb_telemetry::Fnv;
-use mb_treecode::parallel::{distributed_evolve, distributed_step, DistributedConfig, StepReport};
+use mb_treecode::parallel::{
+    distributed_evolve, distributed_step, DistributedConfig, ForceStep, StepReport,
+};
 use mb_treecode::{cold_disk, plummer, uniform_cube, Bodies, Mac};
-
-/// FNV-1a (the shared [`mb_telemetry::Fnv`] hasher) over the exact bit
-/// patterns of the particle state (original body order): accelerations
-/// then potentials.
-fn particle_state_hash(report: &StepReport) -> u64 {
-    let mut h = Fnv::new();
-    for a in &report.acc {
-        for c in a {
-            h.write_f64(*c);
-        }
-    }
-    for p in &report.pot {
-        h.write_f64(*p);
-    }
-    h.finish()
-}
-
-/// The comparable core of per-rank [`CommStats`] (all counters and
-/// virtual-time accumulators, bit-exact via f64 bits).
-#[allow(clippy::type_complexity)]
-fn stats_key(stats: &[CommStats]) -> Vec<(u64, u64, u64, u64, u64, u64, u64, u64)> {
-    stats
-        .iter()
-        .map(|s| {
-            (
-                s.sends,
-                s.recvs,
-                s.bytes_sent,
-                s.bytes_recv,
-                s.compute_s.to_bits(),
-                s.wait_s.to_bits(),
-                s.send_busy_s.to_bits(),
-                s.recv_busy_s.to_bits(),
-            )
-        })
-        .collect()
-}
 
 #[test]
 fn treecode_step_is_bit_identical_across_executor_policies() {
-    let bodies = plummer(6_000, 42);
-    let cfg = DistributedConfig::default();
+    let step = ForceStep::new(24, &plummer(6_000, 42), &DistributedConfig::default(), None);
     let spec = metablade(); // the paper's 24-node machine
-
-    let reference = distributed_step(
-        &Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential),
-        &bodies,
-        &cfg,
-    );
-    assert_eq!(reference.per_rank.len(), 24);
-
+    let stackless = step.assemble(Cluster::new(spec.clone()).run(step.job()));
+    assert_eq!(stackless.per_rank.len(), 24);
     for policy in [
+        ExecPolicy::Sequential,
         ExecPolicy::Parallel { workers: 2 },
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
     ] {
-        let report = distributed_step(&Cluster::new(spec.clone()).with_exec(policy), &bodies, &cfg);
+        let cluster = Cluster::new(spec.clone()).with_exec(policy);
+        let twin = step.assemble(cluster.run(threaded(step.job())));
         assert_eq!(
-            report.makespan_s.to_bits(),
-            reference.makespan_s.to_bits(),
-            "makespan diverged under {policy:?}"
-        );
-        assert_eq!(
-            particle_state_hash(&report),
-            particle_state_hash(&reference),
-            "particle state diverged under {policy:?}"
-        );
-        assert_eq!(
-            stats_key(&report.comm),
-            stats_key(&reference.comm),
-            "CommStats diverged under {policy:?}"
-        );
-        let ref_clocks: Vec<u64> = reference
-            .per_rank
-            .iter()
-            .map(|r| r.clock_s.to_bits())
-            .collect();
-        let got_clocks: Vec<u64> = report
-            .per_rank
-            .iter()
-            .map(|r| r.clock_s.to_bits())
-            .collect();
-        assert_eq!(
-            got_clocks, ref_clocks,
-            "rank clocks diverged under {policy:?}"
+            step_digest(&twin),
+            step_digest(&stackless),
+            "the threaded twin under {policy:?} diverged from the stackless step"
         );
     }
 }
@@ -266,7 +204,8 @@ fn bench_fingerprint(r: &StepReport) -> u64 {
 
 /// Run the `ranks`-rank `treecode_step` record of a committed
 /// `BENCH_treecode*.json` and hold it to the document's fingerprint and
-/// makespan bits (one policy: the test above covers the other three).
+/// makespan bits, run stackless as the library runs it (the test above
+/// holds the threaded twin to it under every policy).
 fn reproduces_committed_record(file: &str, ranks: usize) {
     let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -296,7 +235,7 @@ fn reproduces_committed_record(file: &str, ranks: usize) {
         .get("virtual_makespan_s")
         .and_then(Json::as_f64)
         .expect("virtual makespan");
-    let cluster = Cluster::new(metablade().with_nodes(ranks)).with_exec(ExecPolicy::Unbounded);
+    let cluster = Cluster::new(metablade().with_nodes(ranks));
     let report = distributed_step(&cluster, &plummer(n, 1999), &DistributedConfig::default());
     assert_eq!(
         format!("{:016x}", bench_fingerprint(&report)),

@@ -14,11 +14,11 @@
 //! content-addressed id (FNV-1a over the step key and node ids), so
 //! repeat pricing is a hash lookup.
 //!
-//! Determinism: the calibration measurements come from
-//! [`mb_cluster::Cluster::run_on`], whose outcomes are executor-
-//! invariant, and the fit itself is a fixed-order computation — so the
-//! fitted coefficients (and every price derived from them) are
-//! bit-identical under every `MB_PARALLEL` setting.
+//! Determinism: the calibration measurements are [`ServiceModel`] steps,
+//! stackless runs that no executor policy reaches, and the fit itself is
+//! a fixed-order computation — so the fitted coefficients (and every
+//! price derived from them) are bit-identical on every host and under
+//! every `MB_PARALLEL` setting.
 //!
 //! The step's shape — per-rank flops, ring rounds, closing collective —
 //! is [`WorkModel::shape`] and [`WorkModel::flops_for_rank`], the same
@@ -130,12 +130,12 @@ impl CostModel {
         }
     }
 
-    /// Calibrate against executor-measured step times under the given
-    /// executor policy. The measurements are executor-invariant by the
-    /// cluster's determinism contract, so the fitted coefficients are
-    /// bit-identical whichever `exec` is passed — pinned by test.
-    pub fn calibrate(&mut self, patterns: &[WorkModel], exec: ExecPolicy) -> CalibrationReport {
-        let cluster = Cluster::new(self.spec.clone()).with_exec(exec);
+    /// Calibrate against executor-measured step times
+    /// ([`ServiceModel`] runs). `_exec` is not read: every step runs
+    /// stackless, whatever the policy, so the fitted coefficients are the
+    /// same for any value.
+    pub fn calibrate(&mut self, patterns: &[WorkModel], _exec: ExecPolicy) -> CalibrationReport {
+        let cluster = Cluster::new(self.spec.clone());
         let service = ServiceModel::new(&cluster);
         let widths: Vec<usize> = [1usize, 2, 3, 4, 6, 8, 12, 16, 24]
             .iter()
@@ -177,32 +177,6 @@ impl CostModel {
         // A recalibration invalidates every memoized price.
         self.memo.borrow_mut().clear();
         report
-    }
-
-    /// [`CostModel::calibrate`] under the sequential reference executor.
-    pub fn calibrate_default(&mut self, patterns: &[WorkModel]) -> CalibrationReport {
-        self.calibrate(patterns, ExecPolicy::Sequential)
-    }
-
-    /// FNV-1a digest of the fitted coefficient table (keys in sorted
-    /// order, coefficients by exact bit pattern) — the bit-equality
-    /// witness for calibration determinism across executor policies.
-    pub fn coefficient_fingerprint(&self) -> u64 {
-        let mut keys: Vec<&StepKey> = self.coeffs.keys().collect();
-        keys.sort();
-        let mut f = Fnv::new();
-        f.write_str("mb-workload/coeffs/1");
-        f.write_usize(keys.len());
-        for k in keys {
-            f.write_u64(k.0 as u64);
-            f.write_u64(k.1);
-            f.write_u64(k.2);
-            f.write_u64(k.3);
-            for c in &self.coeffs[k] {
-                f.write_f64(*c);
-            }
-        }
-        f.finish()
     }
 
     /// Content id of one priced step: pattern key + exact node ids
@@ -586,10 +560,11 @@ mod tests {
     #[test]
     fn memo_hits_repeat_pricings() {
         let mut model = CostModel::new(metablade());
-        model.calibrate_default(&[WorkModel::Npb {
+        let ep = WorkModel::Npb {
             kernel: NpbKernel::Ep,
             iters: 1,
-        }]);
+        };
+        model.calibrate(&[ep], Default::default());
         let work = WorkModel::Npb {
             kernel: NpbKernel::Ep,
             iters: 7,

@@ -28,9 +28,9 @@
 //!
 //! The determinism contract carries over unchanged: every generator is
 //! seeded, every admission decision is a pure function of its inputs,
-//! and the [`CostModel`] calibrates against executor-invariant
-//! measurements — so a stream fingerprint is bit-identical under every
-//! `MB_PARALLEL` executor setting.
+//! and the [`CostModel`] calibrates against stackless step runs no
+//! executor policy reaches — so a stream fingerprint is bit-identical on
+//! every host and under every `MB_PARALLEL` setting.
 //!
 //! # Example
 //!
@@ -40,7 +40,8 @@
 //!
 //! let spec = mb_cluster::spec::metablade();
 //! let mut cost = CostModel::new(spec.clone());
-//! cost.calibrate_default(&JobMix::standard(spec.nodes).patterns());
+//! // The executor policy argument is not read.
+//! cost.calibrate(&JobMix::standard(spec.nodes).patterns(), Default::default());
 //! let mut src = OpenArrivals::new(
 //!     TrafficPattern::Poisson { rate_per_s: 0.02 },
 //!     JobMix::standard(spec.nodes),

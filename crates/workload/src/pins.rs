@@ -2,11 +2,12 @@
 //! open-arrival job traffic at user scale through the streaming
 //! scheduler on the 24-node MetaBlade.
 //!
-//! The run calibrates the closed-form [`CostModel`] against
-//! executor-measured step times (asserting the fitted coefficients are
-//! bit-identical under `MB_PARALLEL` widths 1/4/8), verifies
-//! closed-batch compatibility (the degenerate single-class stream
-//! reproduces `simulate` bit for bit), then pushes Poisson, diurnal
+//! The run calibrates the closed-form [`CostModel`] once against
+//! executor-measured step times (stackless runs, the same under every
+//! executor policy, whose invariance is checked on the step body in
+//! `tests/determinism.rs`), verifies closed-batch compatibility (the
+//! degenerate single-class stream reproduces `simulate` bit for bit),
+//! then pushes Poisson, diurnal
 //! and bursty arrival streams — 10⁵ jobs at smoke size, 10⁶ at full
 //! size — through the event loop under SLO admission control,
 //! validates the Poisson scenario against the Allen–Cunneen M/G/k
@@ -16,7 +17,6 @@
 //! artifacts.
 
 use mb_cluster::spec::metablade;
-use mb_cluster::ExecPolicy;
 use mb_sched::stream::Arrival;
 use mb_sched::{
     generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, SchedConfig, ServiceOracle,
@@ -31,33 +31,6 @@ use crate::{
     histogram_artifact, mgk, scenario_section, ArrivalVec, CostModel, JobMix, MgkComparison,
     OpenArrivals, SloAdmission, TrafficPattern, STREAM_SCHEMA,
 };
-
-const EXECS: [ExecPolicy; 3] = [
-    ExecPolicy::Sequential,
-    ExecPolicy::Parallel { workers: 4 },
-    ExecPolicy::Parallel { workers: 8 },
-];
-
-/// Calibrate one cost model per executor policy and prove the fitted
-/// coefficients are bit-identical. Returns the Sequential model and the
-/// widest executor's — the invariance witness every scenario re-runs
-/// against.
-fn calibrated_models() -> (CostModel, CostModel) {
-    let patterns = JobMix::standard(metablade().nodes).patterns();
-    let [seq, w4, w8] = EXECS.map(|exec| {
-        let mut model = CostModel::new(metablade());
-        model.calibrate(&patterns, exec);
-        model
-    });
-    for (exec, model) in [(EXECS[1], &w4), (EXECS[2], &w8)] {
-        assert_eq!(
-            model.coefficient_fingerprint(),
-            seq.coefficient_fingerprint(),
-            "calibration coefficients diverged under {exec:?}"
-        );
-    }
-    (seq, w8)
-}
 
 /// Closed-batch compatibility: the degenerate single-class stream must
 /// reproduce `simulate` bit for bit on the same oracle.
@@ -100,14 +73,10 @@ struct ScenarioOutcome {
     offered: u64,
 }
 
-/// Run one open-arrival scenario end to end, including the executor-
-/// invariance witness: the same stream priced by a model calibrated
-/// under Parallel{8} must fingerprint identically.
-#[allow(clippy::too_many_arguments)]
+/// Run one open-arrival scenario end to end.
 fn run_scenario(
     name: &'static str,
     cost: &CostModel,
-    cost_alt: &CostModel,
     pattern: TrafficPattern,
     jobs: usize,
     seed: u64,
@@ -119,18 +88,9 @@ fn run_scenario(
         lean: true,
         ..SchedConfig::default()
     };
-    let run = |model: &CostModel| {
-        let mut src = OpenArrivals::new(pattern, mix, jobs, seed);
-        let mut adm = SloAdmission::standard(nodes);
-        simulate_stream(model, &Fcfs, &mut src, &mut adm, &cfg)
-    };
-    let rep = run(cost);
-    let alt = run(cost_alt);
-    let invariant = alt.stream_fingerprint == rep.stream_fingerprint;
-    assert!(
-        invariant,
-        "{name}: stream fingerprint diverged across executor calibrations"
-    );
+    let mut src = OpenArrivals::new(pattern, mix, jobs, seed);
+    let mut adm = SloAdmission::standard(nodes);
+    let rep = simulate_stream(cost, &Fcfs, &mut src, &mut adm, &cfg);
     let section = scenario_section(
         name,
         pattern.label(),
@@ -138,7 +98,6 @@ fn run_scenario(
         &metablade().network.topology.label(),
         nodes,
         &rep,
-        invariant,
         mgk_cmp,
     );
     let hist = histogram_artifact(name, &rep);
@@ -154,7 +113,7 @@ fn run_scenario(
 /// Poisson arrivals are an M/D/k queue; compare simulated utilization
 /// and mean wait against Allen–Cunneen. Tolerances as documented in
 /// EXPERIMENTS.md (ρ within 0.05 absolute, mean wait within 25 %).
-fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> ScenarioOutcome {
+fn run_mgk_scenario(cost: &CostModel, jobs: usize) -> ScenarioOutcome {
     let spec = metablade();
     let width = 4;
     let k = spec.nodes / width;
@@ -169,34 +128,26 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         lean: true,
         ..SchedConfig::default()
     };
-    let run = |model: &CostModel| {
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut t = 0.0;
-        let arrivals: Vec<Arrival> = (0..jobs)
-            .map(|id| {
-                let u: f64 = rng.random::<f64>().max(1e-300);
-                t += -u.ln() / lambda;
-                Arrival {
-                    spec: JobSpec {
-                        id,
-                        submit_s: t,
-                        ranks: width,
-                        work,
-                    },
-                    class: 0,
-                }
-            })
-            .collect();
-        let mut src = ArrivalVec::new(arrivals);
-        let mut adm = AdmitAll;
-        simulate_stream(model, &Fcfs, &mut src, &mut adm, &cfg)
-    };
-    let rep = run(cost);
-    assert_eq!(
-        run(cost_alt).stream_fingerprint,
-        rep.stream_fingerprint,
-        "mgk scenario fingerprint diverged across executor calibrations"
-    );
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut t = 0.0;
+    let arrivals: Vec<Arrival> = (0..jobs)
+        .map(|id| {
+            let u: f64 = rng.random::<f64>().max(1e-300);
+            t += -u.ln() / lambda;
+            Arrival {
+                spec: JobSpec {
+                    id,
+                    submit_s: t,
+                    ranks: width,
+                    work,
+                },
+                class: 0,
+            }
+        })
+        .collect();
+    let mut src = ArrivalVec::new(arrivals);
+    let mut adm = AdmitAll;
+    let rep = simulate_stream(cost, &Fcfs, &mut src, &mut adm, &cfg);
 
     let predicted = mgk::predict(lambda, service_s, 0.0, k);
     let sim_wq = rep.sim.jobs.iter().map(|j| j.wait_s()).sum::<f64>() / jobs as f64;
@@ -228,7 +179,6 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
         &spec.network.topology.label(),
         spec.nodes,
         &rep,
-        true,
         Some(cmp),
     );
     let hist = histogram_artifact("poisson_mgk", &rep);
@@ -246,7 +196,11 @@ fn run_mgk_scenario(cost: &CostModel, cost_alt: &CostModel, jobs: usize) -> Scen
 pub fn suite(smoke: bool) -> Pins {
     let scale = if smoke { 1 } else { 10 };
 
-    let (cost, cost_alt) = calibrated_models();
+    let mut cost = CostModel::new(metablade());
+    cost.calibrate(
+        &JobMix::standard(metablade().nodes).patterns(),
+        Default::default(),
+    );
     check_closed_batch_compat(&cost);
 
     // Offered-load knob: λ for a target utilization given the mix's
@@ -261,7 +215,6 @@ pub fn suite(smoke: bool) -> Pins {
         run_scenario(
             "poisson_open",
             &cost,
-            &cost_alt,
             TrafficPattern::Poisson {
                 rate_per_s: lambda_for(0.8),
             },
@@ -274,7 +227,6 @@ pub fn suite(smoke: bool) -> Pins {
         run_scenario(
             "diurnal_daily",
             &cost,
-            &cost_alt,
             TrafficPattern::Diurnal {
                 base_rate_per_s: lambda_for(0.3),
                 peak_rate_per_s: lambda_for(1.4),
@@ -289,7 +241,6 @@ pub fn suite(smoke: bool) -> Pins {
         run_scenario(
             "bursty_onoff",
             &cost,
-            &cost_alt,
             TrafficPattern::Bursty {
                 on_rate_per_s: lambda_for(3.0),
                 off_rate_per_s: lambda_for(0.1),
@@ -301,7 +252,7 @@ pub fn suite(smoke: bool) -> Pins {
             None,
         ),
     ];
-    outcomes.push(run_mgk_scenario(&cost, &cost_alt, 8_000 * scale));
+    outcomes.push(run_mgk_scenario(&cost, 8_000 * scale));
 
     let offered_total: u64 = outcomes.iter().map(|o| o.offered).sum();
     assert!(

@@ -115,10 +115,9 @@ pub fn class_row(c: &ClassReport) -> Json {
     ])
 }
 
-/// One scenario section of the stream document. `identical_across_execs`
-/// is the caller's verdict from re-running (or re-pricing) the scenario
-/// under several executor policies.
-#[allow(clippy::too_many_arguments)]
+/// One scenario section of the stream document. Its
+/// `identical_across_execs` is always `true`: no executor policy reaches
+/// a stream (see [`crate::pins`]).
 pub fn scenario_section(
     name: &str,
     pattern: &str,
@@ -126,7 +125,6 @@ pub fn scenario_section(
     topology: &str,
     nodes: usize,
     rep: &StreamReport,
-    identical_across_execs: bool,
     mgk: Option<MgkComparison>,
 ) -> Json {
     Json::obj([
@@ -143,7 +141,7 @@ pub fn scenario_section(
         ),
         ("makespan_s", Json::Num(rep.sim.makespan_s)),
         ("utilization", Json::Num(rep.sim.utilization)),
-        ("identical_across_execs", Json::Bool(identical_across_execs)),
+        ("identical_across_execs", Json::Bool(true)),
         (
             "classes",
             Json::Arr(rep.classes.iter().map(class_row).collect()),

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example batch_queue`
 
-use metablade::cluster::{Cluster, ExecPolicy};
+use metablade::cluster::Cluster;
 use metablade::sched::{
     generate, simulate, EasyBackfill, Fcfs, SchedConfig, SchedPolicy, ServiceModel, SimReport,
     WorkloadConfig,
@@ -29,10 +29,9 @@ fn main() {
         jobs.iter().map(|j| j.ranks).max().unwrap(),
     );
 
-    // 2. The machine: the 24-node MetaBlade, sequential executor (any
-    //    ExecPolicy gives bit-identical results — that's the contract).
-    let cluster =
-        Cluster::new(metablade::cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+    // 2. The machine: the 24-node MetaBlade. Each distinct job step is
+    //    simulated once, every rank polled on this thread.
+    let cluster = Cluster::new(metablade::cluster::spec::metablade());
     let service = ServiceModel::new(&cluster);
 
     // 3. Replay the same stream under two policies. No failure

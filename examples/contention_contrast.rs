@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example contention_contrast [seed]`
 
-use metablade::cluster::{Cluster, ExecPolicy, Topology};
+use metablade::cluster::{Cluster, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
 use metablade::sched::{comm_heavy, simulate, SchedConfig, ServiceModel};
@@ -50,7 +50,7 @@ fn main() {
             placement,
             ..SchedConfig::default()
         };
-        let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Unbounded);
+        let cluster = Cluster::new(spec.clone());
         let service = ServiceModel::new(&cluster);
         for policy in policies {
             let rep = simulate(&service, policy, &wl, &cfg);

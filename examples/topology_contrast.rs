@@ -15,7 +15,7 @@
 use metablade::bench::baseline::{allreduce_job, rounds_for};
 use metablade::cluster::machine::Cluster;
 use metablade::cluster::spec::metablade;
-use metablade::cluster::{ExecPolicy, Topology};
+use metablade::cluster::Topology;
 
 fn main() {
     // 128 ranks straddle 8 edge switches of a radix-16 two-tier tree;
@@ -33,12 +33,8 @@ fn main() {
         assert!(ranks <= ft.capacity().expect("fat-trees are finite"));
         let rounds = rounds_for(64, ranks);
         let job = allreduce_job(rounds);
-        let star = Cluster::new(metablade().with_nodes(ranks))
-            .with_exec(ExecPolicy::Unbounded)
-            .run(job);
-        let tree = Cluster::new(metablade().with_nodes(ranks).with_topology(ft))
-            .with_exec(ExecPolicy::Unbounded)
-            .run(job);
+        let star = Cluster::new(metablade().with_nodes(ranks)).run(job);
+        let tree = Cluster::new(metablade().with_nodes(ranks).with_topology(ft)).run(job);
         println!(
             "{:>6}  {:<10}{:>14.4}{:>14.4}{:>9.2}x",
             ranks,

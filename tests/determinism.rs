@@ -278,17 +278,16 @@ fn a_4096_rank_stackless_allreduce_sums_in_closed_form_under_every_policy() {
     );
 }
 
-/// Run one scheduler simulation at a given executor width and return
-/// the full `SimReport` (its `fingerprint` folds every job record,
-/// requeue and failure bit-exactly).
+/// Run one scheduler simulation and return the full `SimReport` (its
+/// `fingerprint` folds every job record, requeue and failure
+/// bit-exactly).
 fn sched_run(
     spec: &metablade::cluster::spec::ClusterSpec,
-    exec: ExecPolicy,
     policy: &dyn SchedPolicy,
     jobs: &[JobSpec],
     cfg: &SchedConfig,
 ) -> SimReport {
-    let cluster = Cluster::new(spec.clone()).with_exec(exec);
+    let cluster = Cluster::new(spec.clone());
     let service = ServiceModel::new(&cluster);
     simulate(&service, policy, jobs, cfg)
 }
@@ -297,9 +296,11 @@ fn sched_run(
 fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
     // The PR-9 acceptance gate: two jobs whose ring exchanges meet on
     // the same fat-tree uplinks — so the mean-field contention factor
-    // is genuinely live — must fingerprint identically at every
-    // `MB_PARALLEL` width, under both the compact and the
-    // contention-aware allocator.
+    // is genuinely live — must reproduce, under both the compact and the
+    // contention-aware allocator, the fingerprint and makespan every
+    // `MB_PARALLEL` width produced on 470c8b1, when the job step still
+    // ran thread-per-rank. The step body's own width invariance is
+    // `job_step_threaded_twin_matches_stackless_under_every_policy`.
     let spec = metablade_spec()
         .with_nodes(16)
         .with_topology(Topology::fat_tree(4, 2, 4.0));
@@ -319,41 +320,29 @@ fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
     // its flows meet both neighbours' on the l1.s1/l1.s3 uplinks under
     // *every* placement — the contention path is live, not incidental.
     let jobs = [comm_heavy(0, 6), comm_heavy(1, 6), comm_heavy(2, 4)];
-    let widths = [
-        ExecPolicy::Sequential,
-        ExecPolicy::Parallel { workers: 1 },
-        ExecPolicy::Parallel { workers: 4 },
-        ExecPolicy::Parallel { workers: 8 },
-    ];
     for placement in [Placement::Compact, Placement::ContentionAware] {
         let cfg = SchedConfig {
             placement,
             ..SchedConfig::default()
         };
-        let reports: Vec<SimReport> = widths
-            .iter()
-            .map(|&w| sched_run(&spec, w, &Fcfs, &jobs, &cfg))
-            .collect();
+        let rep = sched_run(&spec, &Fcfs, &jobs, &cfg);
         assert!(
-            reports[0].max_contention_factor > 1.0,
+            rep.max_contention_factor > 1.0,
             "{}: no job ever shared an uplink — the gate is vacuous",
             placement.label()
         );
-        for (r, w) in reports[1..].iter().zip(&widths[1..]) {
-            assert_eq!(
-                r.fingerprint,
-                reports[0].fingerprint,
-                "{} at width {} diverged from the sequential reference",
-                placement.label(),
-                w.label()
-            );
-            assert_eq!(
-                r.makespan_s.to_bits(),
-                reports[0].makespan_s.to_bits(),
-                "{}: makespan bits moved across widths",
-                placement.label()
-            );
-        }
+        assert_eq!(
+            rep.fingerprint_hex(),
+            "0907ee9cd4b29eb7",
+            "{}",
+            placement.label()
+        );
+        assert_eq!(
+            rep.makespan_s.to_bits(),
+            0x404b5ffff3a686a4,
+            "{}: makespan bits moved",
+            placement.label()
+        );
     }
 }
 
@@ -414,7 +403,7 @@ fn contended_fat_tree_report_boundary_reproduces_the_string_keyed_engine() {
         (&EasyBackfill, &fail, "d4ef7d49213822bc", "ca377f67111dee19"),
     ];
     for (policy, cfg, pin_fp, pin_boundary) in cases {
-        let rep = sched_run(&spec, ExecPolicy::Sequential, policy, &jobs, cfg);
+        let rep = sched_run(&spec, policy, &jobs, cfg);
         assert!(
             rep.max_contention_factor > 1.0 && !rep.link_shared_s.is_empty(),
             "{}: no link was ever shared — the gate is vacuous",
@@ -625,7 +614,7 @@ fn whole_report_golden_contended_fat_tree_easy_with_failures() {
 fn three_class_slo_golden(lean: bool, pin: &str) {
     use mb_workload::{CostModel, JobMix, OpenArrivals, SloAdmission, TrafficPattern};
     let mut cost = CostModel::new(metablade_spec());
-    cost.calibrate_default(&JobMix::standard(24).patterns());
+    cost.calibrate(&JobMix::standard(24).patterns(), Default::default());
     let mut source = OpenArrivals::new(
         TrafficPattern::Poisson { rate_per_s: 0.5 },
         JobMix::standard(24),
@@ -693,7 +682,7 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
     for (cfg, pinned) in [(&nofail, &pinned_nofail), (&fail, &pinned_fail)] {
         for ((policy, name), (pin_name, pin_fp)) in policies.iter().zip(pinned) {
             assert_eq!(name, pin_name);
-            let rep = sched_run(&star, ExecPolicy::Sequential, *policy, &stream, cfg);
+            let rep = sched_run(&star, *policy, &stream, cfg);
             assert_eq!(
                 rep.fingerprint_hex(),
                 *pin_fp,
@@ -736,13 +725,7 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
         ),
     ];
     for (spec, ranks, pin_fp) in cases {
-        let rep = sched_run(
-            &spec,
-            ExecPolicy::Sequential,
-            &Fcfs,
-            &single(ranks),
-            &SchedConfig::default(),
-        );
+        let rep = sched_run(&spec, &Fcfs, &single(ranks), &SchedConfig::default());
         assert_eq!(
             rep.fingerprint_hex(),
             pin_fp,
@@ -936,4 +919,57 @@ fn every_step_shape_prices_and_runs_as_the_parent_golden() {
         }
     }
     assert_eq!(format!("{:016x}", h.finish()), "0d6484b6035e98dd");
+}
+
+/// Digest of one run of a job step: `step_s` and every `CommStats`
+/// field, as [`digest_profile`] folds a `StepProfile`, then every rank's
+/// clock.
+fn step_run_digest(out: &SpmdOutcome<()>) -> u64 {
+    let mut h = Fnv::new();
+    let profile = metablade::sched::StepProfile {
+        step_s: out.makespan_s(),
+        stats: std::sync::Arc::new(out.stats.clone()),
+    };
+    digest_profile(&mut h, &profile);
+    for c in &out.clocks {
+        h.write_f64(*c);
+    }
+    h.finish()
+}
+
+#[test]
+fn job_step_threaded_twin_matches_stackless_under_every_policy() {
+    // The scheduler prices every job by running `WorkModel::run_step`
+    // stackless, which no executor policy reaches; this is where that
+    // body's executor invariance is checked. Its thread-per-rank twin
+    // must reproduce it bit for bit under all four policies, for every
+    // step shape of the standard mix, on the star and on node sets that
+    // span a 64-node ft16x2o4.
+    use mb_workload::JobMix;
+    use metablade::cluster::NodeSet;
+    let star = metablade_spec();
+    let ft = metablade_spec()
+        .with_nodes(64)
+        .with_topology(Topology::fat_tree(16, 2, 4.0));
+    for work in &JobMix::standard(24).patterns() {
+        let body = Stackless(async |comm: &mut Comm| work.run_step(comm).await);
+        for w in [1usize, 2, 3, 8, 24] {
+            let prefix = NodeSet::new((0..w).collect());
+            let spanning = NodeSet::new((0..w).map(|i| i * 64 / w).collect());
+            for (spec, nodes) in [(&star, &prefix), (&ft, &spanning)] {
+                let stackless = step_run_digest(&Cluster::new(spec.clone()).run_on(nodes, body));
+                for policy in policies() {
+                    let cluster = Cluster::new(spec.clone()).with_exec(policy);
+                    assert_eq!(
+                        step_run_digest(&cluster.run_on(nodes, threaded(body))),
+                        stackless,
+                        "{:?} at width {w} on {}: threaded {} vs stackless",
+                        work.step_key(),
+                        spec.network.topology.label(),
+                        policy.label()
+                    );
+                }
+            }
+        }
+    }
 }
