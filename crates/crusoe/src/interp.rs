@@ -24,7 +24,9 @@ pub struct InterpResult {
 /// Execute the straight-line block `insns[start..end]` in order. This is
 /// the one block step loop of the crate: the interpreter, translated
 /// execution and the hardware models all run it, and each charges its
-/// own cycles for the instructions it reports.
+/// own cycles for the instructions it reports. `MachineState::execute` is
+/// inlined here, so this function is the one out-of-line call per block
+/// and its loop holds the instruction dispatch itself.
 ///
 /// The block may exit early only through its final control instruction;
 /// non-control instructions always fall through. On a fault the state is

@@ -14,7 +14,12 @@
 //!
 //! The same semantics are used by the CMS interpreter, by "translated"
 //! execution, and by the hardware CPU models — timing differs, values never
-//! do. That invariant is what the cross-engine tests check.
+//! do. That invariant is what the cross-engine tests check
+//! (`tests/engines.rs`). Integer arithmetic wraps as two's-complement
+//! hardware does — shift counts mod 64, address sums modulo 2^64 — in
+//! debug and release builds alike. [`MachineState::execute`] is inlined
+//! into the one step loop (`interp::interpret_block`), the body that runs
+//! once per guest instruction.
 
 /// Number of integer registers.
 pub const NUM_REGS: usize = 16;
@@ -248,18 +253,22 @@ impl MachineState {
         }
     }
 
-    /// Effective word address of a memory operand.
+    /// Effective word address of a memory operand. The sum and the scale
+    /// shift wrap (shift count mod 64), so an overflowing address is a
+    /// [`MemFault`] at the wrapped value in every build.
+    #[inline]
     pub fn effective(&self, a: &Addr) -> i64 {
         let mut ea = a.disp;
         if let Some(b) = a.base {
-            ea += self.regs[b.0 as usize];
+            ea = ea.wrapping_add(self.regs[b.0 as usize]);
         }
         if let Some((i, s)) = a.index {
-            ea += self.regs[i.0 as usize] << s;
+            ea = ea.wrapping_add(self.regs[i.0 as usize].wrapping_shl(u32::from(s)));
         }
         ea
     }
 
+    #[inline]
     fn read_mem(&self, a: &Addr) -> Result<u64, MemFault> {
         let ea = self.effective(a);
         self.mem
@@ -268,6 +277,7 @@ impl MachineState {
             .ok_or(MemFault { addr: ea })
     }
 
+    #[inline]
     fn write_mem(&mut self, a: &Addr, v: u64) -> Result<(), MemFault> {
         let ea = self.effective(a);
         let idx = usize::try_from(ea).map_err(|_| MemFault { addr: ea })?;
@@ -314,6 +324,11 @@ impl MachineState {
 
     /// Execute one instruction; the caller updates `pc` from the returned
     /// [`Step`]. Shared by every engine, so values are engine-independent.
+    /// Shift counts are taken mod 64 in every build.
+    // The body of the one step loop (`interp::interpret_block`), run once
+    // per guest instruction: inlined, the loop compiles with the dispatch
+    // match in its body instead of a call per instruction.
+    #[inline]
     pub fn execute(&mut self, insn: &Insn) -> Result<Step, MemFault> {
         use Insn::*;
         match *insn {
@@ -336,9 +351,16 @@ impl MachineState {
             AndImm(d, v) => self.regs[d.0 as usize] &= v,
             Or(d, s) => self.regs[d.0 as usize] |= self.regs[s.0 as usize],
             Xor(d, s) => self.regs[d.0 as usize] ^= self.regs[s.0 as usize],
-            Shl(d, k) => self.regs[d.0 as usize] = ((self.regs[d.0 as usize] as u64) << k) as i64,
-            Shr(d, k) => self.regs[d.0 as usize] = ((self.regs[d.0 as usize] as u64) >> k) as i64,
-            Sar(d, k) => self.regs[d.0 as usize] >>= k,
+            Shl(d, k) => {
+                self.regs[d.0 as usize] = self.regs[d.0 as usize].wrapping_shl(u32::from(k))
+            }
+            Shr(d, k) => {
+                self.regs[d.0 as usize] =
+                    (self.regs[d.0 as usize] as u64).wrapping_shr(u32::from(k)) as i64
+            }
+            Sar(d, k) => {
+                self.regs[d.0 as usize] = self.regs[d.0 as usize].wrapping_shr(u32::from(k))
+            }
             Load(d, ref a) => self.regs[d.0 as usize] = self.read_mem(a)? as i64,
             Store(ref a, s) => self.write_mem(a, self.regs[s.0 as usize] as u64)?,
             FLoad(d, ref a) => self.fregs[d.0 as usize] = f64::from_bits(self.read_mem(a)?),
@@ -474,5 +496,24 @@ mod tests {
         st.regs[2] = 3;
         st.execute(&Insn::Shl(Reg(2), 4)).unwrap();
         assert_eq!(st.regs[2], 48);
+    }
+
+    #[test]
+    fn oversized_shifts_and_overflowing_addresses_wrap_in_every_build() {
+        let mut st = MachineState::new(4);
+        st.regs[0] = 3;
+        st.regs[1] = 3;
+        st.execute(&Insn::Shl(Reg(0), 65)).unwrap();
+        st.execute(&Insn::Shl(Reg(1), 1)).unwrap();
+        assert_eq!(st.regs[0], st.regs[1]);
+        st.regs[2] = -8;
+        st.execute(&Insn::Sar(Reg(2), 64)).unwrap();
+        assert_eq!(st.regs[2], -8);
+        // i64::MAX + (1 << (65 mod 64)) wraps.
+        st.regs[0] = i64::MAX;
+        st.regs[1] = 1;
+        let a = Addr::indexed(Reg(0), Reg(1), 65, 0);
+        let err = st.execute(&Insn::Load(Reg(3), a)).unwrap_err();
+        assert_eq!(err, MemFault { addr: i64::MIN + 1 });
     }
 }
