@@ -33,14 +33,26 @@
 //! scheduler's fingerprints stay executor-invariant (DESIGN.md §14).
 //!
 //! **Links are integers here.** A [`JobTraffic`] keys its rates by the
-//! dense [`LinkId`]s of one [`LinkIds`] space, [`epoch`] sums them into
-//! a flat per-id table, and the `Link` variant — not a name prefix —
-//! decides a link's effective gap and edge group. Nothing on this path
-//! builds, hashes or compares a link name; [`LinkIds::name`] produces
-//! one when a report is written. Because `f64` addition does not
-//! associate, the *order* of every sum is part of the contract: a
-//! link's aggregate is accumulated job by job in the caller's order,
-//! and within one job links are visited by ascending id.
+//! dense [`LinkId`]s of one [`LinkIds`] space, [`job_traffic`] and
+//! [`epoch`] add into flat per-id tables and read back the ids they
+//! touched from a bitset in ascending order (so nothing is sorted),
+//! and the id's range — not a decoded `Link`, not a name prefix —
+//! decides whether a link is a host link, a fabric link (its effective
+//! gap) or an edge uplink (its group).
+//! Nothing on this path builds, hashes or compares a link name;
+//! [`LinkIds::name`] produces one when a report is written. Because
+//! `f64` addition does not associate, the *order* of every sum is part
+//! of the contract: a link's aggregate is accumulated job by job in the
+//! caller's order, and within one job links are visited by ascending id.
+//!
+//! **Host links are private to a job** when no two jobs hold a node,
+//! which is what the scheduler guarantees: a host link then has one
+//! user and never slows anyone. Over such disjoint node sets [`epoch`]
+//! of the [`JobTraffic::shareable`] views gives the same factors and
+//! `shared` links as over the full traffic, and the same `agg_rates` on
+//! every other link; [`edge_uplink_loads`] never reads a host link.
+//! [`epoch`] itself keeps host links, because two jobs on one node do
+//! share them.
 //!
 //! ```
 //! use mb_cluster::contention;
@@ -69,13 +81,14 @@
 //! ```
 
 use crate::comm::CommStats;
-use crate::topology::{Link, LinkId, LinkIds, Topology};
+use crate::topology::{LinkId, LinkIds, Topology};
 
 /// One running job's steady-state traffic summary: bytes per virtual
 /// second on each link it uses (contention identity, including the
 /// ECMP way) plus the fraction of a rank-second spent in
 /// communication. Derived once per dispatch from the job's memoized
-/// isolated step.
+/// isolated step; [`JobTraffic::shareable`] is the same job without
+/// its host links.
 #[derive(Debug, Clone, Default)]
 pub struct JobTraffic {
     /// Ascending by id, one entry per link.
@@ -97,6 +110,18 @@ impl JobTraffic {
     pub fn link_ids(&self) -> &LinkIds {
         &self.ids
     }
+
+    /// This job without its host links: the links a job on other nodes
+    /// can share, so the view [`epoch`] and [`edge_uplink_loads`] need
+    /// when node sets are disjoint.
+    pub fn shareable(&self) -> JobTraffic {
+        JobTraffic {
+            rates: (self.rates.iter().copied())
+                .filter(|&(id, _)| !self.ids.is_host(id))
+                .collect(),
+            ..*self
+        }
+    }
 }
 
 /// Summarize one isolated step of a job as per-link byte rates.
@@ -116,27 +141,29 @@ pub fn job_traffic(
     assert_eq!(stats.len(), node_ids.len(), "one node per rank");
     assert!(step_s > 0.0, "step must take time");
     let ids = LinkIds::new(topo, ways);
-    let mut bytes: Vec<(LinkId, u64)> = Vec::new();
+    // Byte counts are integers, so a link's total does not depend on
+    // the order its flows are added in. The tables are indexed by id,
+    // and the touched bits are read back in ascending id. The star is
+    // unbounded: its ids stop at the job's highest node.
+    let star = || 2 * node_ids.iter().max().map_or(0, |&m| m + 1);
+    let n = ids.link_count().unwrap_or_else(star);
+    let (mut bytes, mut touched) = (vec![0u64; n], vec![0u64; n.div_ceil(64)]);
     for (src, s) in stats.iter().enumerate() {
         for (dst, peer) in s.peers.iter() {
             if peer.bytes_to == 0 {
                 continue;
             }
             ids.for_each(node_ids[src], node_ids[dst], salt, |id| {
-                bytes.push((id, peer.bytes_to))
+                let i = id as usize;
+                bytes[i] += peer.bytes_to;
+                touched[i / 64] |= 1 << (i % 64);
             });
         }
     }
-    // Byte counts are integers, so a link's total does not depend on
-    // the order its flows are folded in.
-    bytes.sort_unstable_by_key(|&(id, _)| id);
-    let rates = bytes
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|flows| {
-            let total: u64 = flows.iter().map(|&(_, b)| b).sum();
-            (flows[0].0, total as f64 / step_s)
-        })
-        .collect();
+    let mut rates = Vec::with_capacity(ones(&touched));
+    drain_bits(&mut touched, |i| {
+        rates.push((i as LinkId, bytes[i] as f64 / step_s))
+    });
     let busy: f64 = stats
         .iter()
         .map(|s| s.send_busy_s + s.recv_busy_s + s.wait_s)
@@ -146,21 +173,6 @@ pub fn job_traffic(
         rates,
         ids,
         comm_frac,
-    }
-}
-
-/// Effective serialization seconds-per-byte of a link: fat-tree fabric
-/// links ([`Link::Up`] / [`Link::Down`]) run at `oversubscription ×`
-/// the edge gap (the same effective-bandwidth convention
-/// [`Topology::path`] charges inside one job); host links and torus
-/// cables at the edge gap.
-pub fn link_eff_gap(topo: &Topology, gap_s_per_byte: f64, link: Link) -> f64 {
-    match *topo {
-        Topology::FatTree {
-            uplink_oversubscription: o,
-            ..
-        } if link.is_fabric() => gap_s_per_byte * o,
-        _ => gap_s_per_byte,
     }
 }
 
@@ -179,12 +191,13 @@ pub struct ContentionEpoch {
 }
 
 /// Per-link accumulators [`epoch_with`] reuses from call to call: a
-/// flat `(aggregate rate, users)` table indexed by [`LinkId`], left
-/// all-zero between calls, and the ids the current call touched.
+/// flat `(aggregate rate, users)` table indexed by [`LinkId`] and one
+/// bit per id the current call touched, both left all-zero between
+/// calls.
 #[derive(Debug, Default)]
 pub struct EpochScratch {
     agg: Vec<(f64, u32)>,
-    touched: Vec<LinkId>,
+    touched: Vec<u64>,
 }
 
 /// Compute the epoch's aggregate link loads and each job's mean-field
@@ -192,7 +205,9 @@ pub struct EpochScratch {
 /// link's rates are summed in the order of `jobs`, and a job's delay
 /// is the maximum over its own links, so the factors are bit-identical
 /// on every host and executor width. All jobs must share one
-/// [`LinkIds`] space.
+/// [`LinkIds`] space. A link's effective gap is the edge gap, times
+/// the uplink oversubscription on a fat-tree fabric link (the
+/// convention [`Topology::path`] charges inside one job).
 pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> ContentionEpoch {
     epoch_with(&mut EpochScratch::default(), topo, gap_s_per_byte, jobs)
 }
@@ -222,17 +237,23 @@ pub fn epoch_with(
         .unwrap_or(0);
     if agg.len() < len {
         agg.resize(len, (0.0, 0));
+        touched.resize(len.div_ceil(64), 0);
     }
     for t in jobs {
         for &(id, r) in &t.rates {
-            let e = &mut agg[id as usize];
-            if e.1 == 0 {
-                touched.push(id);
-            }
-            e.0 += r;
-            e.1 += 1;
+            let i = id as usize;
+            agg[i].0 += r;
+            agg[i].1 += 1;
+            touched[i / 64] |= 1 << (i % 64);
         }
     }
+    let fabric_gap = match *topo {
+        Topology::FatTree {
+            uplink_oversubscription: o,
+            ..
+        } => gap_s_per_byte * o,
+        _ => gap_s_per_byte,
+    };
     let factors = jobs
         .iter()
         .map(|t| {
@@ -242,7 +263,12 @@ pub fn epoch_with(
                 if users < 2 {
                     continue;
                 }
-                let delay = (total - own) * link_eff_gap(topo, gap_s_per_byte, ids.link(id).0);
+                let gap = if ids.is_fabric(id) {
+                    fabric_gap
+                } else {
+                    gap_s_per_byte
+                };
+                let delay = (total - own) * gap;
                 if delay > worst {
                     worst = delay;
                 }
@@ -257,16 +283,15 @@ pub fn epoch_with(
             }
         })
         .collect();
-    touched.sort_unstable();
-    let shared = touched
-        .iter()
-        .copied()
-        .filter(|&id| agg[id as usize].1 >= 2)
-        .collect();
-    let agg_rates = touched.iter().map(|&id| (id, agg[id as usize].0)).collect();
-    for id in touched.drain(..) {
-        agg[id as usize] = (0.0, 0);
-    }
+    // Touched ids in ascending order, each entry zeroed as it is read.
+    let (mut shared, mut agg_rates) = (Vec::new(), Vec::with_capacity(ones(touched)));
+    drain_bits(touched, |i| {
+        let (rate, users) = std::mem::take(&mut agg[i]);
+        if users >= 2 {
+            shared.push(i as LinkId);
+        }
+        agg_rates.push((i as LinkId, rate));
+    });
     ContentionEpoch {
         factors,
         shared,
@@ -274,19 +299,34 @@ pub fn epoch_with(
     }
 }
 
+/// The number of set bits in `words`.
+fn ones(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Visit the indices of the set bits of `words` in ascending order,
+/// clearing them.
+fn drain_bits(words: &mut [u64], mut visit: impl FnMut(usize)) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            visit(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Aggregate byte rate per fat-tree *edge group* uplink (tier-1
-/// [`Link::Up`] links, any ECMP way), indexed by edge-switch id — the
-/// signal contention-aware placement scores candidate allocations
-/// against. Summed in the order of `jobs`, ascending link id within a
-/// job.
+/// [`Link::Up`](crate::topology::Link::Up) links, any ECMP way, told
+/// apart by id range), indexed by edge-switch id — the signal
+/// contention-aware placement scores candidate allocations against.
+/// Summed in the order of `jobs`, ascending link id within a job.
 pub fn edge_uplink_loads(jobs: &[&JobTraffic], ngroups: usize) -> Vec<f64> {
     let mut loads = vec![0.0; ngroups];
     for t in jobs {
         for &(id, r) in &t.rates {
-            if let (Link::Up { level: 1, sw }, _) = t.ids.link(id) {
-                if sw < ngroups {
-                    loads[sw] += r;
-                }
+            if let Some(sw) = t.ids.edge_uplink(id).filter(|&sw| sw < ngroups) {
+                loads[sw] += r;
             }
         }
     }
@@ -451,6 +491,7 @@ mod tests {
     use super::*;
     use crate::comm::PeerTraffic;
     use crate::topology::seeded_rng as rng;
+    use crate::topology::Link;
 
     fn stats_pair(bytes: u64) -> Vec<CommStats> {
         // Rank 0 sends `bytes` to rank 1 and spends half the step busy.
@@ -483,6 +524,12 @@ mod tests {
         assert_eq!(rates["host-down:4"], 500.0);
         // comm_frac: 0.5 busy seconds over 2 ranks × 2 s.
         assert!((t.comm_frac - 0.125).abs() < 1e-12);
+        // On the star the ids run up to the job's highest node.
+        let star = job_traffic(&Topology::Star, &stats_pair(1000), &[9, 3], 2.0, 7, 1);
+        assert_eq!(
+            named_rates(&star).keys().collect::<Vec<_>>(),
+            ["host-down:3", "host-up:9"]
+        );
         // Same-switch placement uses no fabric links.
         let local = job_traffic(&ft, &stats_pair(1000), &[0, 1], 2.0, 7, 1);
         assert!(named_rates(&local).keys().all(|l| l.starts_with("host-")));
@@ -586,7 +633,7 @@ mod tests {
         let b = job_traffic(&ft, &stats_pair(1_000_000), &[1, 5], 1.0, 1, 1);
         let mut scratch = EpochScratch::default();
         let first = epoch_with(&mut scratch, &ft, 8e-8, &[&a, &b]);
-        assert!(scratch.touched.is_empty());
+        assert!(scratch.touched.iter().all(|&w| w == 0));
         assert!(scratch.agg.iter().all(|&e| e == (0.0, 0)));
         // A smaller set after a larger one sees none of its residue.
         let lone = epoch_with(&mut scratch, &ft, 8e-8, &[&a]);
@@ -605,7 +652,12 @@ mod tests {
             nodes.swap(j, j + r(cap - j));
         }
         nodes.truncate(width);
-        let stats = (0..width)
+        (random_stats(r, width), nodes)
+    }
+
+    /// Per-rank counters of a random `width`-rank step.
+    fn random_stats(r: &mut impl FnMut(usize) -> usize, width: usize) -> Vec<CommStats> {
+        (0..width)
             .map(|rank| {
                 let mut s = CommStats {
                     send_busy_s: r(1000) as f64 * 1e-4,
@@ -621,8 +673,7 @@ mod tests {
                 }
                 s
             })
-            .collect();
-        (stats, nodes)
+            .collect()
     }
 
     #[test]
@@ -704,5 +755,104 @@ mod tests {
             }
             assert!(contended > 100, "{}: mixes barely share", topo.label());
         }
+    }
+
+    /// The topologies and ECMP ways of the string-keyed differential
+    /// test above.
+    fn oracle_cases() -> [(Topology, usize); 5] {
+        let ft16 = Topology::fat_tree(16, 2, 4.0);
+        [
+            (ft16, 1),
+            (ft16, ft16.ecmp_ways()),
+            (Topology::fat_tree(4, 3, 2.0), 1),
+            (Topology::fat_tree(4, 3, 2.0), 2),
+            (Topology::torus([4, 4, 2]), 1),
+        ]
+    }
+
+    /// Edge groups placement scores on `topo`.
+    fn ngroups(topo: &Topology) -> usize {
+        match *topo {
+            Topology::FatTree { radix, .. } => topo.capacity().unwrap() / radix,
+            _ => 4,
+        }
+    }
+
+    fn f64_bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn shareable_views_price_jobs_on_disjoint_nodes_as_their_full_traffic() {
+        let gap = 8e-8;
+        for (topo, ways) in oracle_cases() {
+            let cap = topo.capacity().unwrap();
+            let mut contended = 0;
+            for seed in [3u64, 77, 2002] {
+                let mut r = rng(seed);
+                for mix in 0..40u64 {
+                    // Nodes handed out from one shuffled list, so no two
+                    // jobs share one, as the scheduler allocates them.
+                    let mut free: Vec<usize> = (0..cap).collect();
+                    for j in 0..cap {
+                        free.swap(j, j + r(cap - j));
+                    }
+                    let mut jobs: Vec<JobTraffic> = Vec::new();
+                    while jobs.len() < 12 && free.len() >= 2 {
+                        let width = 2 + r(10.min(free.len() - 1));
+                        let nodes = free.split_off(free.len() - width);
+                        let step_s = 0.25 + r(4000) as f64 * 1e-3;
+                        let salt = 100 * mix + jobs.len() as u64;
+                        let stats = random_stats(&mut r, width);
+                        jobs.push(job_traffic(&topo, &stats, &nodes, step_s, salt, ways));
+                    }
+                    let views: Vec<JobTraffic> = jobs.iter().map(JobTraffic::shareable).collect();
+                    let full: Vec<&JobTraffic> = jobs.iter().collect();
+                    let shareable: Vec<&JobTraffic> = views.iter().collect();
+                    let ids = *jobs[0].link_ids();
+                    let ctx = format!("{} ways {ways} seed {seed} mix {mix}", topo.label());
+                    for (t, v) in jobs.iter().zip(&views) {
+                        let private = |&&(id, _): &&(LinkId, f64)| !ids.is_host(id);
+                        let kept: Vec<_> = t.rates.iter().filter(private).copied().collect();
+                        assert_eq!(v.rates, kept, "{ctx}");
+                        assert_eq!(v.comm_frac.to_bits(), t.comm_frac.to_bits(), "{ctx}");
+                    }
+                    let (want, got) = (epoch(&topo, gap, &full), epoch(&topo, gap, &shareable));
+                    contended += want.factors.iter().filter(|&&f| f > 1.0).count();
+                    assert_eq!(f64_bits(got.factors), f64_bits(want.factors), "{ctx}");
+                    assert_eq!(got.shared, want.shared, "{ctx}");
+                    let off_host = |v: &[(LinkId, f64)]| -> Vec<(LinkId, u64)> {
+                        (v.iter().filter(|&&(id, _)| !ids.is_host(id)))
+                            .map(|&(id, x)| (id, x.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(off_host(&got.agg_rates), off_host(&want.agg_rates), "{ctx}");
+                    assert_eq!(got.agg_rates.len(), off_host(&got.agg_rates).len(), "{ctx}");
+                    assert_eq!(
+                        f64_bits(edge_uplink_loads(&shareable, ngroups(&topo))),
+                        f64_bits(edge_uplink_loads(&full, ngroups(&topo))),
+                        "{ctx}"
+                    );
+                }
+            }
+            assert!(contended > 100, "{}: mixes barely share", topo.label());
+        }
+    }
+
+    #[test]
+    fn jobs_on_one_node_share_its_host_links_which_the_views_omit() {
+        // The negative control: the views are exact only on disjoint
+        // nodes. Two jobs sending out of node 0 under one edge switch
+        // share `host-up:0` and nothing else, so the full traffic slows
+        // both while the views see no link at all.
+        let ft = Topology::fat_tree(4, 2, 4.0);
+        let a = job_traffic(&ft, &stats_pair(1_000_000), &[0, 1], 1.0, 0, 1);
+        let b = job_traffic(&ft, &stats_pair(1_000_000), &[0, 2], 1.0, 1, 1);
+        let full = epoch(&ft, 8e-8, &[&a, &b]);
+        assert_eq!(full.shared, [a.ids.id(Link::HostUp(0), 0)]);
+        assert!(full.factors.iter().all(|&f| f > 1.0), "{full:?}");
+        let (va, vb) = (a.shareable(), b.shareable());
+        assert!(va.rates().is_empty() && vb.rates().is_empty());
+        assert_eq!(epoch(&ft, 8e-8, &[&va, &vb]).factors, [1.0, 1.0]);
     }
 }

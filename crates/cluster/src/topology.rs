@@ -43,9 +43,10 @@
 //! [`Link`] plus its ECMP way onto `0..link_count` by block arithmetic
 //! over `(topology, ways)` alone, so lowering a job's traffic, summing
 //! an epoch's link loads and integrating per-link telemetry index flat
-//! vectors and never hash, compare or allocate a name. Names — the
-//! `Display` form, with a `.w{way}` suffix on spread fabric links —
-//! exist only at the report boundary ([`LinkIds::name`]).
+//! vectors, tell host, fabric and edge-uplink ids apart by range, and
+//! never hash, compare or allocate a name. Names — the `Display` form,
+//! with a `.w{way}` suffix on spread fabric links — exist only at the
+//! report boundary ([`LinkIds::name`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -428,6 +429,9 @@ pub type LinkId = u32;
 /// length 1 none, so no two ids share a name. [`Topology::capacity`]
 /// bounds every block. The unbounded star interleaves `host-up:n` →
 /// `2n`, `host-down:n` → `2n + 1` and reports no [`LinkIds::link_count`].
+/// Because the blocks are contiguous, an id's class is a range test:
+/// [`LinkIds::is_fabric`] (and, inside this crate, `is_host` and
+/// `edge_uplink`) never decode it with [`LinkIds::link`].
 ///
 /// ```
 /// use mb_cluster::topology::{Link, LinkIds, Topology};
@@ -439,6 +443,7 @@ pub type LinkId = u32;
 /// let id = ids.id(Link::Up { level: 1, sw: 3 }, 2);
 /// assert_eq!(ids.name(id), "up:l1.s3.w2");
 /// assert_eq!(ids.link(id), (Link::Up { level: 1, sw: 3 }, 2));
+/// assert!(ids.is_fabric(id) && !ids.is_fabric(ids.id(Link::HostDown(255), 0)));
 /// // Without spreading the names are exactly the route's.
 /// let plain = LinkIds::new(&ft, 1);
 /// let names: Vec<String> = ft
@@ -602,6 +607,34 @@ impl LinkIds {
         }
     }
 
+    /// Whether `id` is a host link (`host-up` / `host-down`): every id
+    /// of the star, the first `2 · capacity` of a fat tree, none of a
+    /// torus. Range arithmetic, like [`LinkIds::is_fabric`] and
+    /// [`LinkIds::edge_uplink`]; nothing is decoded.
+    pub(crate) fn is_host(&self, id: LinkId) -> bool {
+        match self.topo {
+            Topology::Star => true,
+            Topology::FatTree { .. } => (id as usize) < 2 * self.cap,
+            Topology::Torus { .. } => false,
+        }
+    }
+
+    /// Whether `id` is a fat-tree inter-switch link ([`Link::is_fabric`]).
+    pub fn is_fabric(&self, id: LinkId) -> bool {
+        matches!(self.topo, Topology::FatTree { .. }) && !self.is_host(id)
+    }
+
+    /// The edge switch whose tier-1 uplink `id` is, on any way; `None`
+    /// for every other link.
+    pub(crate) fn edge_uplink(&self, id: LinkId) -> Option<usize> {
+        let Topology::FatTree { radix, .. } = self.topo else {
+            return None;
+        };
+        // Tier 1's uplinks open the fabric blocks, by `(switch, way)`.
+        let i = (id as usize).checked_sub(2 * self.cap)?;
+        (i < self.cap / radix * self.ways).then(|| i / self.ways)
+    }
+
     /// The link's stable report name: its `Display` form, plus `.w{way}`
     /// on fat-tree fabric links when spreading is on. The only place a
     /// contention link becomes a string.
@@ -615,14 +648,17 @@ impl LinkIds {
     /// Visit the ids of the `src → dst` contention links in route
     /// order (see [`Topology::contention_links`]) without allocating.
     pub fn for_each(&self, src: usize, dst: usize, salt: u64, mut visit: impl FnMut(LinkId)) {
-        let way = if self.ways > 1 {
-            let mut h = mb_telemetry::Fnv::new();
-            h.write_u64(src as u64);
-            h.write_u64(dst as u64);
-            h.write_u64(salt);
-            (h.finish() % self.ways as u64) as usize
-        } else {
-            0
+        // Only a route that leaves its edge switch reaches a fabric
+        // link, so only such a route hashes its way.
+        let way = match self.topo {
+            Topology::FatTree { radix, .. } if self.ways > 1 && src / radix != dst / radix => {
+                let mut h = mb_telemetry::Fnv::new();
+                h.write_u64(src as u64);
+                h.write_u64(dst as u64);
+                h.write_u64(salt);
+                (h.finish() % self.ways as u64) as usize
+            }
+            _ => 0,
         };
         self.topo
             .for_each_link(src, dst, |l| visit(self.id(l, way)));
@@ -984,6 +1020,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn id_classes_by_range_match_the_decoded_link() {
+        // A superset of the spaces the contention oracles run over.
+        for ids in id_spaces() {
+            for id in 0..ids.link_count().unwrap() as LinkId {
+                let link = ids.link(id).0;
+                let host = matches!(link, Link::HostUp(_) | Link::HostDown(_));
+                assert_eq!(ids.is_host(id), host, "{ids:?}: {link}");
+                assert_eq!(ids.is_fabric(id), link.is_fabric(), "{ids:?}: {link}");
+                let edge = match link {
+                    Link::Up { level: 1, sw } => Some(sw),
+                    _ => None,
+                };
+                assert_eq!(ids.edge_uplink(id), edge, "{ids:?}: {link}");
+            }
+        }
+        let star = LinkIds::default();
+        assert!((0..64).all(|id| star.is_host(id) && !star.is_fabric(id)));
+        assert!((0..64).all(|id| star.edge_uplink(id).is_none()));
     }
 
     #[test]

@@ -440,9 +440,17 @@ struct RunEntry {
     /// Virtual time up to which this job's link bytes have been
     /// integrated into the per-link telemetry.
     acct_s: f64,
-    /// Steady-state per-link byte rates of this job's step (empty on
+    /// Steady-state per-link byte rates of this job's step (`None` on
     /// the star fast path).
-    traffic: JobTraffic,
+    traffic: Option<Box<RunTraffic>>,
+}
+
+/// A contended run's traffic, kept twice: in full for `link_bytes`, and
+/// without host links for the epoch and placement. Nodes are held
+/// exclusively, so no other job can share a host link (DESIGN.md §14).
+struct RunTraffic {
+    full: JobTraffic,
+    shareable: JobTraffic,
 }
 
 impl RunEntry {
@@ -456,6 +464,12 @@ impl RunEntry {
             let rem_now = (self.nominal_rem_s - (now - self.epoch_s) / self.slow).max(0.0);
             self.nominal_wall_s - rem_now
         }
+    }
+
+    /// The links this run can share with another; only a contended
+    /// run (a non-star cluster) carries traffic.
+    fn shareable(&self) -> &JobTraffic {
+        &self.traffic.as_deref().expect("contended run").shareable
     }
 }
 
@@ -496,7 +510,7 @@ fn account_links(bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
     let dt = (t - r.acct_s).max(0.0);
     if dt > 0.0 {
         let nominal = dt / r.slow;
-        for &(id, rate) in r.traffic.rates() {
+        for &(id, rate) in r.traffic.iter().flat_map(|t| t.full.rates()) {
             add_to_link(bytes, id, rate * nominal);
         }
     }
@@ -882,7 +896,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // way, but freezing keeps the score independent of pick order).
         let group_loads = match &self.links {
             Some(l) if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() => {
-                let traffics: Vec<&JobTraffic> = self.running.iter().map(|r| &r.traffic).collect();
+                let traffics: Vec<_> = self.running.iter().map(RunEntry::shareable).collect();
                 contention::edge_uplink_loads(&traffics, l.ngroups)
             }
             _ => Vec::new(),
@@ -921,6 +935,9 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             return false;
         };
         for &m in nodes.ids() {
+            // Exclusive nodes make every host link private to one job,
+            // so the epoch folds only shareable traffic (DESIGN.md §14).
+            debug_assert!(!self.pool.busy[m], "node {m} is already busy");
             self.pool.busy[m] = true;
             free[m] = false;
         }
@@ -933,11 +950,11 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // profiles are memo hits after the first job of each (work,
         // nodes) shape.
         let (pfac, traffic) = match &self.links {
-            None => (1.0, JobTraffic::default()),
+            None => (1.0, None),
             Some(l) => {
                 let profile = self.service.step_profile_on(&q.work, &nodes);
                 let reference = self.service.step_on(&q.work, &self.lowest[nodes.len() - 1]);
-                let traffic = contention::job_traffic(
+                let full = contention::job_traffic(
                     topo,
                     &profile.stats,
                     nodes.ids(),
@@ -945,7 +962,9 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                     q.id as u64,
                     l.ways,
                 );
-                (profile.step_s / reference, traffic)
+                let shareable = full.shareable();
+                let traffic = Box::new(RunTraffic { full, shareable });
+                (profile.step_s / reference, Some(traffic))
             }
         };
         let work_eff = q.work_rem_s * pfac;
@@ -986,7 +1005,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         }
         links.shared_t = now;
         if changed {
-            let traffics: Vec<&JobTraffic> = self.running.iter().map(|r| &r.traffic).collect();
+            let traffics: Vec<_> = self.running.iter().map(RunEntry::shareable).collect();
             let net = &self.service.spec().network;
             let gap = net.gap_s_per_byte();
             links.ep = contention::epoch_with(&mut links.scratch, &net.topology, gap, &traffics);
@@ -995,8 +1014,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 // series, in ascending name order among them.
                 let mut fresh: Vec<(String, LinkId)> = Vec::new();
                 for &(id, _) in &links.ep.agg_rates {
-                    if links.rate_series[id as usize].is_none() && links.ids.link(id).0.is_fabric()
-                    {
+                    if links.rate_series[id as usize].is_none() && links.ids.is_fabric(id) {
                         fresh.push((links.ids.name(id), id));
                     }
                 }
