@@ -115,12 +115,16 @@ impl JobTraffic {
     /// can share, so the view [`epoch`] and [`edge_uplink_loads`] need
     /// when node sets are disjoint.
     pub fn shareable(&self) -> JobTraffic {
-        JobTraffic {
-            rates: (self.rates.iter().copied())
-                .filter(|&(id, _)| !self.ids.is_host(id))
-                .collect(),
-            ..*self
-        }
+        let mut view = JobTraffic::default();
+        self.shareable_into(&mut view);
+        view
+    }
+
+    /// [`JobTraffic::shareable`] written over `view`, reusing its storage.
+    pub fn shareable_into(&self, view: &mut JobTraffic) {
+        view.rates.clear();
+        (view.rates).extend(self.rates.iter().filter(|&&(id, _)| !self.ids.is_host(id)));
+        (view.ids, view.comm_frac) = (self.ids, self.comm_frac);
     }
 }
 
@@ -138,16 +142,32 @@ pub fn job_traffic(
     salt: u64,
     ways: usize,
 ) -> JobTraffic {
+    let (mut out, ids) = (JobTraffic::default(), LinkIds::new(topo, ways));
+    let scratch = &mut LinkScratch::default();
+    job_traffic_with(scratch, &ids, stats, node_ids, step_s, salt, &mut out);
+    out
+}
+
+/// [`job_traffic`] in the id space `ids`, over caller-kept scratch,
+/// written over `out`: a loop that lowers a job at every launch reuses
+/// both the per-link table and the rates' storage.
+pub fn job_traffic_with(
+    scratch: &mut LinkScratch,
+    ids: &LinkIds,
+    stats: &[CommStats],
+    node_ids: &[usize],
+    step_s: f64,
+    salt: u64,
+    out: &mut JobTraffic,
+) {
     assert_eq!(stats.len(), node_ids.len(), "one node per rank");
     assert!(step_s > 0.0, "step must take time");
-    let ids = LinkIds::new(topo, ways);
     // Byte counts are integers, so a link's total does not depend on
     // the order its flows are added in. The tables are indexed by id,
     // and the touched bits are read back in ascending id. The star is
     // unbounded: its ids stop at the job's highest node.
     let star = || 2 * node_ids.iter().max().map_or(0, |&m| m + 1);
-    let n = ids.link_count().unwrap_or_else(star);
-    let (mut bytes, mut touched) = (vec![0u64; n], vec![0u64; n.div_ceil(64)]);
+    let LinkScratch { bytes, touched, .. } = scratch.cover(ids.link_count().unwrap_or_else(star));
     for (src, s) in stats.iter().enumerate() {
         for (dst, peer) in s.peers.iter() {
             if peer.bytes_to == 0 {
@@ -160,20 +180,16 @@ pub fn job_traffic(
             });
         }
     }
-    let mut rates = Vec::with_capacity(ones(&touched));
-    drain_bits(&mut touched, |i| {
-        rates.push((i as LinkId, bytes[i] as f64 / step_s))
+    out.rates.clear();
+    drain_bits(touched, |i| {
+        (out.rates).push((i as LinkId, std::mem::take(&mut bytes[i]) as f64 / step_s));
     });
     let busy: f64 = stats
         .iter()
         .map(|s| s.send_busy_s + s.recv_busy_s + s.wait_s)
         .sum();
-    let comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
-    JobTraffic {
-        rates,
-        ids,
-        comm_frac,
-    }
+    out.comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
+    out.ids = *ids;
 }
 
 /// One scheduler epoch's aggregate contention state. Link ids belong
@@ -190,14 +206,27 @@ pub struct ContentionEpoch {
     pub agg_rates: Vec<(LinkId, f64)>,
 }
 
-/// Per-link accumulators [`epoch_with`] reuses from call to call: a
-/// flat `(aggregate rate, users)` table indexed by [`LinkId`] and one
-/// bit per id the current call touched, both left all-zero between
-/// calls.
+/// Per-link accumulators [`job_traffic_with`] and [`epoch_with`] reuse
+/// from call to call: flat byte and `(aggregate rate, users)` tables
+/// indexed by [`LinkId`] and one bit per id the current call touched,
+/// all left all-zero between calls.
 #[derive(Debug, Default)]
-pub struct EpochScratch {
+pub struct LinkScratch {
+    bytes: Vec<u64>,
     agg: Vec<(f64, u32)>,
     touched: Vec<u64>,
+}
+
+impl LinkScratch {
+    /// The tables, grown to cover ids below `n`.
+    fn cover(&mut self, n: usize) -> &mut Self {
+        if self.bytes.len() < n {
+            self.bytes.resize(n, 0);
+            self.agg.resize(n, (0.0, 0));
+            self.touched.resize(n.div_ceil(64), 0);
+        }
+        self
+    }
 }
 
 /// Compute the epoch's aggregate link loads and each job's mean-field
@@ -209,37 +238,39 @@ pub struct EpochScratch {
 /// the uplink oversubscription on a fat-tree fabric link (the
 /// convention [`Topology::path`] charges inside one job).
 pub fn epoch(topo: &Topology, gap_s_per_byte: f64, jobs: &[&JobTraffic]) -> ContentionEpoch {
-    epoch_with(&mut EpochScratch::default(), topo, gap_s_per_byte, jobs)
+    let (mut out, scratch) = (ContentionEpoch::default(), &mut LinkScratch::default());
+    let jobs = jobs.iter().copied();
+    epoch_with(scratch, topo, gap_s_per_byte, jobs, &mut out);
+    out
 }
 
-/// [`epoch`] over caller-kept scratch, so a loop that calls it at
-/// every event allocates the per-link table once.
-pub fn epoch_with(
-    scratch: &mut EpochScratch,
+/// [`epoch`] over caller-kept scratch, written over `out`, so a loop
+/// that calls it at every event reuses the per-link table and the
+/// epoch's vectors. `jobs` is walked more than once, in one order.
+pub fn epoch_with<'a>(
+    scratch: &mut LinkScratch,
     topo: &Topology,
     gap_s_per_byte: f64,
-    jobs: &[&JobTraffic],
-) -> ContentionEpoch {
-    let Some(ids) = jobs.first().map(|t| t.ids) else {
-        return ContentionEpoch::default();
+    jobs: impl Iterator<Item = &'a JobTraffic> + Clone,
+    out: &mut ContentionEpoch,
+) {
+    out.factors.clear();
+    out.shared.clear();
+    out.agg_rates.clear();
+    let Some(ids) = jobs.clone().next().map(|t| t.ids) else {
+        return;
     };
     assert!(
-        jobs.iter().all(|t| t.ids == ids),
+        jobs.clone().all(|t| t.ids == ids),
         "jobs of one epoch must share a link-id space"
     );
-    let EpochScratch { agg, touched } = scratch;
     // Rates are ascending by id, so each job's last entry bounds it.
-    let len = jobs
-        .iter()
-        .filter_map(|t| t.rates.last())
+    let len = (jobs.clone().filter_map(|t| t.rates.last()))
         .map(|&(id, _)| id as usize + 1)
         .max()
         .unwrap_or(0);
-    if agg.len() < len {
-        agg.resize(len, (0.0, 0));
-        touched.resize(len.div_ceil(64), 0);
-    }
-    for t in jobs {
+    let LinkScratch { agg, touched, .. } = scratch.cover(len);
+    for t in jobs.clone() {
         for &(id, r) in &t.rates {
             let i = id as usize;
             agg[i].0 += r;
@@ -254,54 +285,40 @@ pub fn epoch_with(
         } => gap_s_per_byte * o,
         _ => gap_s_per_byte,
     };
-    let factors = jobs
-        .iter()
-        .map(|t| {
-            let mut worst = 0.0f64;
-            for &(id, own) in &t.rates {
-                let (total, users) = agg[id as usize];
-                if users < 2 {
-                    continue;
-                }
-                let gap = if ids.is_fabric(id) {
-                    fabric_gap
-                } else {
-                    gap_s_per_byte
-                };
-                let delay = (total - own) * gap;
-                if delay > worst {
-                    worst = delay;
-                }
+    out.factors.extend(jobs.map(|t| {
+        let mut worst = 0.0f64;
+        for &(id, own) in &t.rates {
+            let (total, users) = agg[id as usize];
+            if users < 2 {
+                continue;
             }
-            // A job alone on all its links is untouched: `worst` is the
-            // literal 0.0, so the factor is the literal 1.0 and the
-            // engine's no-contention arithmetic stays bit-exact.
-            if worst == 0.0 {
-                1.0
+            let gap = if ids.is_fabric(id) {
+                fabric_gap
             } else {
-                1.0 + t.comm_frac * worst
+                gap_s_per_byte
+            };
+            let delay = (total - own) * gap;
+            if delay > worst {
+                worst = delay;
             }
-        })
-        .collect();
+        }
+        // A job alone on all its links is untouched: `worst` is the
+        // literal 0.0, so the factor is the literal 1.0 and the
+        // engine's no-contention arithmetic stays bit-exact.
+        if worst == 0.0 {
+            1.0
+        } else {
+            1.0 + t.comm_frac * worst
+        }
+    }));
     // Touched ids in ascending order, each entry zeroed as it is read.
-    let (mut shared, mut agg_rates) = (Vec::new(), Vec::with_capacity(ones(touched)));
     drain_bits(touched, |i| {
         let (rate, users) = std::mem::take(&mut agg[i]);
         if users >= 2 {
-            shared.push(i as LinkId);
+            out.shared.push(i as LinkId);
         }
-        agg_rates.push((i as LinkId, rate));
+        out.agg_rates.push((i as LinkId, rate));
     });
-    ContentionEpoch {
-        factors,
-        shared,
-        agg_rates,
-    }
-}
-
-/// The number of set bits in `words`.
-fn ones(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Visit the indices of the set bits of `words` in ascending order,
@@ -323,14 +340,20 @@ fn drain_bits(words: &mut [u64], mut visit: impl FnMut(usize)) {
 /// Summed in the order of `jobs`, ascending link id within a job.
 pub fn edge_uplink_loads(jobs: &[&JobTraffic], ngroups: usize) -> Vec<f64> {
     let mut loads = vec![0.0; ngroups];
+    add_edge_uplink_loads(jobs.iter().copied(), &mut loads);
+    loads
+}
+
+/// [`edge_uplink_loads`] added into caller-kept `loads`, one entry per
+/// group, so a loop that scores placements at every event reuses it.
+pub fn add_edge_uplink_loads<'a>(jobs: impl Iterator<Item = &'a JobTraffic>, loads: &mut [f64]) {
     for t in jobs {
         for &(id, r) in &t.rates {
-            if let Some(sw) = t.ids.edge_uplink(id).filter(|&sw| sw < ngroups) {
+            if let Some(sw) = t.ids.edge_uplink(id).filter(|&sw| sw < loads.len()) {
                 loads[sw] += r;
             }
         }
     }
-    loads
 }
 
 /// The string-keyed implementation this module replaced, kept as the
@@ -629,18 +652,49 @@ mod tests {
     #[test]
     fn scratch_is_left_clean_between_epochs() {
         let ft = Topology::fat_tree(4, 2, 4.0);
-        let a = job_traffic(&ft, &stats_pair(1_000_000), &[0, 4], 1.0, 0, 1);
-        let b = job_traffic(&ft, &stats_pair(1_000_000), &[1, 5], 1.0, 1, 1);
-        let mut scratch = EpochScratch::default();
-        let first = epoch_with(&mut scratch, &ft, 8e-8, &[&a, &b]);
-        assert!(scratch.touched.iter().all(|&w| w == 0));
-        assert!(scratch.agg.iter().all(|&e| e == (0.0, 0)));
-        // A smaller set after a larger one sees none of its residue.
-        let lone = epoch_with(&mut scratch, &ft, 8e-8, &[&a]);
-        assert_eq!(lone.factors, vec![1.0]);
-        let again = epoch_with(&mut scratch, &ft, 8e-8, &[&a, &b]);
-        assert_eq!(first.factors, again.factors);
-        assert_eq!(first.agg_rates, again.agg_rates);
+        let mut scratch = LinkScratch::default();
+        let clean = |s: &LinkScratch| {
+            assert!(s.touched.iter().all(|&w| w == 0));
+            assert!(s.bytes.iter().all(|&b| b == 0));
+            assert!(s.agg.iter().all(|&e| e == (0.0, 0)));
+        };
+        // One scratch lowers both jobs into reused tables.
+        let (ids, mut a, mut b) = (
+            LinkIds::new(&ft, 1),
+            JobTraffic::default(),
+            JobTraffic::default(),
+        );
+        let pair = stats_pair(1_000_000);
+        job_traffic_with(&mut scratch, &ids, &pair, &[0, 4], 1.0, 0, &mut b);
+        job_traffic_with(&mut scratch, &ids, &pair, &[0, 4], 1.0, 0, &mut a);
+        job_traffic_with(&mut scratch, &ids, &pair, &[1, 5], 1.0, 1, &mut b);
+        clean(&scratch);
+        for (t, nodes) in [(&a, [0, 4]), (&b, [1, 5])] {
+            let fresh = job_traffic(&ft, &pair, &nodes, 1.0, 0, 1);
+            assert_eq!(t.rates, fresh.rates);
+            assert_eq!(t.comm_frac.to_bits(), fresh.comm_frac.to_bits());
+        }
+        // A view written over another job's view is that job's view.
+        let mut view = b.shareable();
+        a.shareable_into(&mut view);
+        assert_eq!(view.rates, a.shareable().rates);
+        let mut run = |jobs: &[&JobTraffic], out: &mut ContentionEpoch| {
+            epoch_with(&mut scratch, &ft, 8e-8, jobs.iter().copied(), out);
+        };
+        let (mut first, mut out) = (ContentionEpoch::default(), ContentionEpoch::default());
+        run(&[&a, &b], &mut first);
+        // A smaller set after a larger one sees none of its residue, in
+        // the scratch or in the epoch it writes over.
+        run(&[&a, &b], &mut out);
+        run(&[&a], &mut out);
+        assert_eq!((out.factors.as_slice(), out.shared.len()), (&[1.0][..], 0));
+        run(&[], &mut out);
+        assert!(out.factors.is_empty() && out.agg_rates.is_empty());
+        run(&[&a, &b], &mut out);
+        assert_eq!(first.factors, out.factors);
+        assert_eq!(first.shared, out.shared);
+        assert_eq!(first.agg_rates, out.agg_rates);
+        clean(&scratch);
     }
 
     /// A random job: `width` distinct nodes out of `cap`, each rank
@@ -693,7 +747,9 @@ mod tests {
                 Topology::FatTree { radix, .. } => cap / radix,
                 _ => 4,
             };
-            let mut scratch = EpochScratch::default();
+            let mut scratch = LinkScratch::default();
+            let mut reused = ContentionEpoch::default();
+            let mut reused_job = JobTraffic::default();
             let mut contended = 0;
             for seed in [1u64, 42, 2002] {
                 let mut r = rng(seed);
@@ -703,8 +759,22 @@ mod tests {
                             let (stats, nodes) = random_job(&mut r, cap);
                             let step_s = 0.25 + r(4000) as f64 * 1e-3;
                             let salt = job as u64 + 1000 * seed;
+                            let fresh = job_traffic(&topo, &stats, &nodes, step_s, salt, ways);
+                            // The engine's form: shared scratch, reused output.
+                            let ids = LinkIds::new(&topo, ways);
+                            job_traffic_with(
+                                &mut scratch,
+                                &ids,
+                                &stats,
+                                &nodes,
+                                step_s,
+                                salt,
+                                &mut reused_job,
+                            );
+                            assert_eq!(reused_job.rates, fresh.rates);
+                            assert_eq!(reused_job.comm_frac.to_bits(), fresh.comm_frac.to_bits());
                             (
-                                job_traffic(&topo, &stats, &nodes, step_s, salt, ways),
+                                fresh,
                                 reference::job_traffic(&topo, &stats, &nodes, step_s, salt, ways),
                             )
                         })
@@ -725,10 +795,8 @@ mod tests {
                     let ids = *new[0].link_ids();
                     let want = reference::epoch(&topo, gap, &old);
                     contended += want.factors.iter().filter(|&&f| f > 1.0).count();
-                    for got in [
-                        epoch(&topo, gap, &new),
-                        epoch_with(&mut scratch, &topo, gap, &new),
-                    ] {
+                    epoch_with(&mut scratch, &topo, gap, new.iter().copied(), &mut reused);
+                    for got in [epoch(&topo, gap, &new), reused.clone()] {
                         let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(f(&got.factors), f(&want.factors), "{ctx}");
                         assert!(got.shared.windows(2).all(|w| w[0] < w[1]), "{ctx}");

@@ -52,6 +52,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::comm::CommStats;
+use crate::partition::NodeSet;
 
 /// A cluster interconnect wiring plan. `Star` is the paper's machine
 /// and the default everywhere; the hierarchical variants make 128+ rank
@@ -280,6 +281,25 @@ impl Topology {
                 }
             }
         }
+    }
+
+    /// The route class of a node set: two sets of one width with equal
+    /// classes give equal [`Topology::path`]s at every pair of positions
+    /// `(ids[i], ids[j])`. The star's is empty. A fat tree's is the
+    /// `lca_level` of each consecutive pair of ascending ids: an id between
+    /// two others shares every switch they share, so a pair's level is the
+    /// largest over the consecutive pairs between them. A torus's class is
+    /// the ids themselves.
+    pub fn route_class<'a>(&self, nodes: &'a NodeSet) -> impl Iterator<Item = usize> + 'a {
+        let ids = nodes.ids();
+        let (radix, consecutive, own) = match *self {
+            Topology::Star => (2, &[][..], &[][..]),
+            Topology::FatTree { radix, .. } => (radix, ids, &[][..]),
+            Topology::Torus { .. } => (2, &[][..], ids),
+        };
+        (consecutive.windows(2))
+            .map(move |w| Self::lca_level(radix, w[0], w[1]))
+            .chain(own.iter().copied())
     }
 
     fn coords(dims: [usize; 3], node: usize) -> [usize; 3] {
@@ -1053,6 +1073,77 @@ mod tests {
     #[should_panic(expected = "not a link of")]
     fn foreign_links_have_no_id() {
         LinkIds::new(&Topology::torus([4, 4, 1]), 1).id(Link::HostUp(0), 0);
+    }
+
+    #[test]
+    fn equal_route_classes_give_equal_paths_and_flights_at_every_position() {
+        use std::collections::hash_map::{Entry, HashMap};
+
+        use crate::network::NetworkModel;
+        use crate::spec::metablade;
+
+        let topos = [
+            (Topology::Star, 24),
+            (Topology::fat_tree(16, 2, 4.0), 64),
+            (Topology::fat_tree(4, 3, 2.0), 64),
+            (Topology::torus([4, 4, 2]), 32),
+        ];
+        for (seed, (topo, cap)) in topos.into_iter().enumerate() {
+            let net = NetworkModel::new(metablade().with_topology(topo).network);
+            let mut r = rng(seed as u64 + 33);
+            let mut seen: HashMap<Vec<usize>, NodeSet> = HashMap::new();
+            let mut matched = 0;
+            for _ in 0..3000 {
+                // A random sorted set of 1..=12 distinct nodes below `cap`.
+                let mut all: Vec<usize> = (0..cap).collect();
+                let width = 1 + r(12);
+                for j in 0..width {
+                    all.swap(j, j + r(cap - j));
+                }
+                all.truncate(width);
+                let b = NodeSet::new(all);
+                let mut key: Vec<usize> = topo.route_class(&b).collect();
+                key.push(width);
+                let a = match seen.entry(key) {
+                    Entry::Occupied(e) => e.get().clone(),
+                    Entry::Vacant(e) => {
+                        e.insert(b);
+                        continue;
+                    }
+                };
+                matched += usize::from(a != b);
+                let (ai, bi) = (a.ids(), b.ids());
+                for i in 0..width {
+                    for j in 0..width {
+                        let ctx = format!("{}: {ai:?} vs {bi:?} at ({i}, {j})", topo.label());
+                        assert_eq!(topo.path(ai[i], ai[j]), topo.path(bi[i], bi[j]), "{ctx}");
+                        for bytes in [0, 4096, 1 << 20] {
+                            let fa = net.flight_between(ai[i], ai[j], bytes);
+                            let fb = net.flight_between(bi[i], bi[j], bytes);
+                            assert_eq!(fa.to_bits(), fb.to_bits(), "{ctx} {bytes} B");
+                        }
+                    }
+                }
+            }
+            // Distinct sets share a class on the star and the trees; a
+            // torus's class is the set itself.
+            let torus = matches!(topo, Topology::Torus { .. });
+            let enough = if torus { matched == 0 } else { matched > 1000 };
+            assert!(enough, "{}: {matched} matches", topo.label());
+        }
+        // Negative control: two sets that cross an edge switch at
+        // different positions differ in class and in a pair's path.
+        let ft = Topology::fat_tree(16, 2, 4.0);
+        let (a, b) = (
+            NodeSet::new(vec![0, 1, 2, 16]),
+            NodeSet::new(vec![0, 1, 16, 17]),
+        );
+        let class = |s: &NodeSet| ft.route_class(s).collect::<Vec<_>>();
+        assert_eq!((class(&a), class(&b)), (vec![1, 1, 2], vec![1, 2, 1]));
+        assert_ne!(
+            ft.path(a.ids()[1], a.ids()[2]),
+            ft.path(b.ids()[1], b.ids()[2])
+        );
     }
 
     #[test]

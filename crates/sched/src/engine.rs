@@ -35,7 +35,7 @@ use std::iter::Peekable;
 use std::sync::Arc;
 
 use mb_cluster::checkpoint::CheckpointModel;
-use mb_cluster::contention::{self, ContentionEpoch, EpochScratch, JobTraffic};
+use mb_cluster::contention::{self, ContentionEpoch, JobTraffic, LinkScratch};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
 use mb_cluster::{Cluster, Comm, CommStats, LinkId, LinkIds, NodeSet, Stackless, Topology};
@@ -440,14 +440,15 @@ struct RunEntry {
     /// Virtual time up to which this job's link bytes have been
     /// integrated into the per-link telemetry.
     acct_s: f64,
-    /// Steady-state per-link byte rates of this job's step (`None` on
-    /// the star fast path).
-    traffic: Option<Box<RunTraffic>>,
+    /// This run's slot in the ledger's traffic tables (unused on the
+    /// star fast path, which keeps none).
+    slot: usize,
 }
 
 /// A contended run's traffic, kept twice: in full for `link_bytes`, and
 /// without host links for the epoch and placement. Nodes are held
 /// exclusively, so no other job can share a host link (DESIGN.md §14).
+#[derive(Default)]
 struct RunTraffic {
     full: JobTraffic,
     shareable: JobTraffic,
@@ -464,12 +465,6 @@ impl RunEntry {
             let rem_now = (self.nominal_rem_s - (now - self.epoch_s) / self.slow).max(0.0);
             self.nominal_wall_s - rem_now
         }
-    }
-
-    /// The links this run can share with another; only a contended
-    /// run (a non-star cluster) carries traffic.
-    fn shareable(&self) -> &JobTraffic {
-        &self.traffic.as_deref().expect("contended run").shareable
     }
 }
 
@@ -506,11 +501,11 @@ fn named_totals(totals: &LinkTotals, ids: &LinkIds) -> BTreeMap<String, f64> {
 /// counters up to virtual time `t`. Wall seconds shrink to nominal
 /// seconds through the current slowdown (a slowed job moves the same
 /// bytes over a longer wall interval).
-fn account_links(bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
+fn account_links(bytes: &mut LinkTotals, traffic: &[RunTraffic], r: &mut RunEntry, t: f64) {
     let dt = (t - r.acct_s).max(0.0);
     if dt > 0.0 {
         let nominal = dt / r.slow;
-        for &(id, rate) in r.traffic.iter().flat_map(|t| t.full.rates()) {
+        for &(id, rate) in traffic[r.slot].full.rates() {
             add_to_link(bytes, id, rate * nominal);
         }
     }
@@ -526,10 +521,9 @@ fn account_links(bytes: &mut LinkTotals, r: &mut RunEntry, t: f64) {
 /// every per-link quantity is a flat vector indexed by id, and names
 /// are produced once, when the report is built.
 struct LinkLedger {
-    /// ECMP ways each job's fabric flows hash over.
-    ways: usize,
-    /// Edge-switch (or torus-ring) groups placement scores.
-    ngroups: usize,
+    /// Uplink load per edge-switch (or torus-ring) group, the score
+    /// contention-aware placement reads; refilled each dispatch round.
+    group_loads: Vec<f64>,
     ids: LinkIds,
     bytes: LinkTotals,
     shared_s: LinkTotals,
@@ -541,7 +535,11 @@ struct LinkLedger {
     /// `shared_t` is the event they have been charged up to.
     ep: ContentionEpoch,
     shared_t: f64,
-    scratch: EpochScratch,
+    scratch: LinkScratch,
+    /// Traffic tables by run slot; `free_slots` are released runs'
+    /// slots, whose tables the next launches refill.
+    traffic: Vec<RunTraffic>,
+    free_slots: Vec<usize>,
 }
 
 impl LinkLedger {
@@ -556,15 +554,16 @@ impl LinkLedger {
         let ids = LinkIds::new(&topo, ways);
         let nlinks = ids.link_count().expect("only the star is unbounded");
         Some(Self {
-            ways,
-            ngroups,
+            group_loads: vec![0.0; ngroups],
             ids,
             bytes: vec![None; nlinks],
             shared_s: vec![None; nlinks],
             rate_series: vec![None; nlinks],
             ep: ContentionEpoch::default(),
             shared_t: 0.0,
-            scratch: EpochScratch::default(),
+            scratch: LinkScratch::default(),
+            traffic: Vec::new(),
+            free_slots: Vec::new(),
         })
     }
 }
@@ -722,7 +721,8 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// occupancy spans.
     fn release(&mut self, run: &mut RunEntry, t: f64) {
         if let Some(links) = &mut self.links {
-            account_links(&mut links.bytes, run, t);
+            account_links(&mut links.bytes, &links.traffic, run, t);
+            links.free_slots.push(run.slot);
         }
         self.busy_node_s += (t - run.start_s) * run.nodes.len() as f64;
         for &nd in run.nodes.ids() {
@@ -894,16 +894,16 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // this dispatch round (jobs started this round don't see each
         // other's traffic until the next event — deterministic either
         // way, but freezing keeps the score independent of pick order).
-        let group_loads = match &self.links {
-            Some(l) if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() => {
-                let traffics: Vec<_> = self.running.iter().map(RunEntry::shareable).collect();
-                contention::edge_uplink_loads(&traffics, l.ngroups)
+        if let Some(l) = &mut self.links {
+            if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() {
+                l.group_loads.fill(0.0);
+                let traffics = self.running.iter().map(|r| &l.traffic[r.slot].shareable);
+                contention::add_edge_uplink_loads(traffics, &mut l.group_loads);
             }
-            _ => Vec::new(),
-        };
+        }
         let mut started: Vec<usize> = Vec::new();
         for &p in &picks {
-            if self.queue.pick(p) && self.launch(now, p, &group_loads) {
+            if self.queue.pick(p) && self.launch(now, p) {
                 started.push(p);
             }
         }
@@ -921,9 +921,10 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// Start queue entry `p` at `now` if the placement strategy finds
     /// it nodes in the live free mask; the entry itself stays queued
     /// until `dispatch` has walked every pick.
-    fn launch(&mut self, now: f64, p: usize, group_loads: &[f64]) -> bool {
+    fn launch(&mut self, now: f64, p: usize) -> bool {
         let (q, topo) = (self.queue.entry(p), &self.service.spec().network.topology);
         let free = &mut self.pool.free_mask;
+        let group_loads = self.links.as_ref().map_or(&[][..], |l| &l.group_loads);
         let alloc = match self.cfg.placement {
             Placement::Lowest => NodeSet::alloc_lowest(free, q.ranks),
             Placement::Compact => NodeSet::alloc_compact(free, q.ranks, topo),
@@ -949,22 +950,26 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // genuinely costs more on fat trees and tori. Both step
         // profiles are memo hits after the first job of each (work,
         // nodes) shape.
-        let (pfac, traffic) = match &self.links {
-            None => (1.0, None),
+        let (pfac, slot) = match &mut self.links {
+            None => (1.0, 0),
             Some(l) => {
                 let profile = self.service.step_profile_on(&q.work, &nodes);
                 let reference = self.service.step_on(&q.work, &self.lowest[nodes.len() - 1]);
-                let full = contention::job_traffic(
-                    topo,
+                let slot = l.free_slots.pop().unwrap_or(l.traffic.len());
+                l.traffic
+                    .resize_with(l.traffic.len().max(slot + 1), RunTraffic::default);
+                let t = &mut l.traffic[slot];
+                contention::job_traffic_with(
+                    &mut l.scratch,
+                    &l.ids,
                     &profile.stats,
                     nodes.ids(),
                     profile.step_s,
                     q.id as u64,
-                    l.ways,
+                    &mut t.full,
                 );
-                let shareable = full.shareable();
-                let traffic = Box::new(RunTraffic { full, shareable });
-                (profile.step_s / reference, Some(traffic))
+                t.full.shareable_into(&mut t.shareable);
+                (profile.step_s / reference, slot)
             }
         };
         let work_eff = q.work_rem_s * pfac;
@@ -981,7 +986,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             epoch_s: now,
             slow: 1.0,
             acct_s: now,
-            traffic,
+            slot,
         });
         self.running_changed = true;
         true
@@ -1005,10 +1010,13 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         }
         links.shared_t = now;
         if changed {
-            let traffics: Vec<_> = self.running.iter().map(RunEntry::shareable).collect();
+            let traffics = self
+                .running
+                .iter()
+                .map(|r| &links.traffic[r.slot].shareable);
             let net = &self.service.spec().network;
-            let gap = net.gap_s_per_byte();
-            links.ep = contention::epoch_with(&mut links.scratch, &net.topology, gap, &traffics);
+            let (gap, ep) = (net.gap_s_per_byte(), &mut links.ep);
+            contention::epoch_with(&mut links.scratch, &net.topology, gap, traffics, ep);
             if !self.cfg.lean {
                 // Every fabric link this epoch first loads gets its
                 // series, in ascending name order among them.
@@ -1029,7 +1037,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 if s_new == r.slow {
                     continue;
                 }
-                account_links(&mut links.bytes, r, now);
+                account_links(&mut links.bytes, &links.traffic, r, now);
                 r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
                 r.epoch_s = now;
                 r.slow = s_new;

@@ -11,7 +11,8 @@
 /// A queued job as policies see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedJob {
-    /// Nodes requested (already clamped to the cluster size).
+    /// Nodes requested, at least one (already clamped to the cluster
+    /// size).
     pub ranks: usize,
     /// Predicted wall time if started now, seconds (remaining work plus
     /// checkpoint/restart overhead).
@@ -131,6 +132,10 @@ impl SchedPolicy for EasyBackfill {
         }
         // Backfill behind the reservation.
         for (j, job) in ctx.queue.iter().enumerate().skip(i + 1) {
+            if free == 0 {
+                // Every job needs a node: nothing further can start.
+                break;
+            }
             if job.ranks > free {
                 continue;
             }

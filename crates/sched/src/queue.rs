@@ -250,7 +250,8 @@ mod tests {
     /// lower class: the rule is "before the first entry of a lower
     /// class", and the victim at the head is such an entry. Current
     /// behaviour, pinned — changing it moves every multi-class
-    /// fingerprint under failures (ROADMAP item 10).
+    /// fingerprint under failures (the ROADMAP item "Fail loudly, and
+    /// oracles that do not depend on stored hashes").
     #[test]
     fn a_class_0_arrival_passes_older_class_0_entries_behind_a_lower_class_victim() {
         let (mut q, mut reference) = (WaitQueue::new(CLASSES), Reference::default());

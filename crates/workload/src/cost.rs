@@ -11,8 +11,10 @@
 //! byte-serialization seconds — and a per-pattern coefficient triple
 //! fitted by least squares against executor-measured step times
 //! ([`CostModel::calibrate`]). Priced steps are memoized under a
-//! content-addressed id (FNV-1a over the step key and node ids), so
-//! repeat pricing is a hash lookup.
+//! content-addressed id (FNV-1a over the step key, the width and the
+//! [route class](mb_cluster::Topology::route_class) of the node set,
+//! which fixes every `path` a price reads), so repeat pricing is a
+//! hash lookup — on the star, for every set of one width.
 //!
 //! Determinism: the calibration measurements are [`ServiceModel`] steps,
 //! stackless runs that no executor policy reaches, and the fit itself is
@@ -117,7 +119,7 @@ impl CostModel {
     pub fn new(spec: ClusterSpec) -> Self {
         let net = NetworkModel::new(spec.network);
         let mut prefix = Fnv::new();
-        prefix.write_str("mb-workload/cid/1");
+        prefix.write_str("mb-workload/cid/2");
         prefix.write_str(&spec.network.topology.label());
         Self {
             spec,
@@ -179,13 +181,16 @@ impl CostModel {
         report
     }
 
-    /// Content id of one priced step: pattern key + exact node ids
-    /// (the topology label pins the routing context).
+    /// Content id of one priced step: pattern key, width and the node
+    /// set's route class (the topology label pins the routing context).
+    /// Two sets of one width and class get one id, because the step's
+    /// price and its synthesized stats read node ids only through
+    /// [`mb_cluster::Topology::path`], which the class fixes pair by pair.
     pub fn cid(&self, work: &WorkModel, nodes: &NodeSet) -> u64 {
         let (t, a, b, c) = work.step_key();
         let key = [t as u64, a, b, c, nodes.len() as u64];
-        let h = key.into_iter().fold(self.cid_prefix, fnv_u64);
-        nodes.ids().iter().fold(h, |h, &id| fnv_u64(h, id as u64))
+        let class = self.spec.network.topology.route_class(nodes);
+        (key.into_iter().chain(class.map(|v| v as u64))).fold(self.cid_prefix, fnv_u64)
     }
 
     /// Memo lookups that found a priced step.
@@ -379,10 +384,14 @@ impl ServiceOracle for CostModel {
 }
 
 /// [`Fnv::write_u64`] resumed from a finished digest `h` (FNV-1a over
-/// the little-endian bytes of `v`), which [`Fnv`] itself cannot do.
+/// the little-endian bytes of `v`), which [`Fnv`] itself cannot do. A
+/// zero byte only multiplies by the prime: high zero bytes fold at once.
 fn fnv_u64(h: u64, v: u64) -> u64 {
-    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    v.to_le_bytes().into_iter().fold(h, fold)
+    const PRIME: u64 = 0x100_0000_01b3;
+    let n = 8 - v.leading_zeros() / 8;
+    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
+    let low = v.to_le_bytes().into_iter().take(n as usize).fold(h, fold);
+    low.wrapping_mul(PRIME.wrapping_pow(8 - n))
 }
 
 fn dot(c: &[f64; 3], x: &[f64; 3]) -> f64 {
@@ -491,9 +500,16 @@ fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+    use crate::{JobMix, OpenArrivals, SloAdmission, TrafficPattern};
     use mb_cluster::spec::metablade;
-    use mb_sched::NpbKernel;
+    use mb_cluster::Topology;
+    use mb_sched::{
+        simulate_stream, ArrivalSource, EasyBackfill, FailureConfig, Fcfs, NpbKernel, Placement,
+        SchedConfig, SchedPolicy,
+    };
 
     #[test]
     fn solver_recovers_exact_coefficients() {
@@ -535,26 +551,200 @@ mod tests {
             kernel: NpbKernel::Is,
             iters: 1,
         };
-        let a = NodeSet::new(vec![0, 1, 2, 3]);
-        let b = NodeSet::new(vec![0, 1, 2, 4]);
+        let set = |ids: &[usize]| NodeSet::new(ids.to_vec());
+        let a = set(&[0, 1, 2, 3]);
         assert_ne!(model.cid(&ep, &a), model.cid(&is, &a));
-        assert_ne!(model.cid(&ep, &a), model.cid(&ep, &b));
+        // On the star every pair costs the same: sets of one width share
+        // an id, and the width tells them apart.
+        assert_eq!(model.cid(&ep, &a), model.cid(&ep, &set(&[0, 1, 2, 4])));
+        assert_ne!(model.cid(&ep, &a), model.cid(&ep, &set(&[0, 1, 2])));
         // Step count is not part of the pattern identity.
         let ep_long = WorkModel::Npb {
             kernel: NpbKernel::Ep,
             iters: 500,
         };
         assert_eq!(model.cid(&ep, &a), model.cid(&ep_long, &a));
+        // On `ft16x2o4` a set that leaves its edge switch is another
+        // class; one that only moves to another switch is not.
+        let ft_spec = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let ft = CostModel::new(ft_spec.clone());
+        let spans = set(&[0, 1, 2, 16]);
+        assert_ne!(ft.cid(&ep, &a), ft.cid(&ep, &spans));
+        assert_eq!(ft.cid(&ep, &a), ft.cid(&ep, &set(&[4, 5, 6, 7])));
         // The scheme, spelled out from an empty hasher: the folded
-        // prefix must not change any id.
-        let mut f = Fnv::new();
-        f.write_str("mb-workload/cid/1");
-        f.write_str(&metablade().network.topology.label());
+        // prefix must not change any id. The star's class is empty; the
+        // tree's is the switch level of each consecutive pair.
         let (t, k1, k2, k3) = ep.step_key();
-        for v in [t as u64, k1, k2, k3, 4, 0, 1, 2, 3] {
-            f.write_u64(v);
+        for (model, spec, nodes, class) in [
+            (&model, metablade(), &a, &[][..]),
+            (&ft, ft_spec, &spans, &[1, 1, 2][..]),
+        ] {
+            let mut f = Fnv::new();
+            f.write_str("mb-workload/cid/2");
+            f.write_str(&spec.network.topology.label());
+            for v in [t as u64, k1, k2, k3, 4].iter().chain(class) {
+                f.write_u64(*v);
+            }
+            assert_eq!(model.cid(&ep, nodes), f.finish());
         }
-        assert_eq!(model.cid(&ep, &a), f.finish());
+    }
+
+    #[test]
+    fn resumed_fnv_matches_the_byte_wise_hasher() {
+        let samples = [0, 1, 0xff, 0x100, 0x1234_5678, 2.5e7f64.to_bits(), u64::MAX];
+        for a in samples {
+            for v in samples.into_iter().chain((0..64).map(|k| 1u64 << k)) {
+                let mut f = Fnv::new();
+                f.write_u64(a);
+                f.write_u64(v);
+                assert_eq!(
+                    fnv_u64(fnv_u64(Fnv::new().finish(), a), v),
+                    f.finish(),
+                    "{v:#x}"
+                );
+            }
+        }
+    }
+
+    /// Deterministic xorshift draws from `0..n`.
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move |n| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn same_class_node_sets_price_as_a_fresh_model_prices_them() {
+        let ft = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let mut r = draws(2002);
+        for (spec, widths) in [(ft, 64), (metablade(), 24)] {
+            let topo = spec.network.topology;
+            let model = CostModel::new(spec.clone());
+            let mut keys = HashSet::new();
+            for work in JobMix::standard(64).patterns() {
+                for w in 1..=widths {
+                    for draw in 0..3 {
+                        // The lowest nodes, then random sets.
+                        let mut all: Vec<usize> = (0..widths).collect();
+                        for j in (0..w).filter(|_| draw > 0) {
+                            all.swap(j, j + r(widths - j));
+                        }
+                        all.truncate(w);
+                        let b = NodeSet::new(all);
+                        let class: Vec<usize> = topo.route_class(&b).collect();
+                        // The lowest set of that class: a level-2 pair
+                        // jumps to the next edge switch.
+                        let mut ids = vec![0];
+                        for &level in &class {
+                            let last = ids[ids.len() - 1];
+                            ids.push(if level == 1 {
+                                last + 1
+                            } else {
+                                last / 16 * 16 + 16
+                            });
+                        }
+                        let a = NodeSet::new(if class.is_empty() {
+                            (0..w).collect()
+                        } else {
+                            ids
+                        });
+                        assert!(topo.route_class(&a).eq(class.iter().copied()));
+                        model.step_profile_on(&work, &a);
+                        let misses = model.memo_misses();
+                        let got = model.step_profile_on(&work, &b);
+                        let ctx = format!("{} {work:?} {:?}", topo.label(), b.ids());
+                        assert_eq!(model.memo_misses(), misses, "{ctx}: no shared entry");
+                        let want = CostModel::new(spec.clone()).step_profile_on(&work, &b);
+                        assert_eq!(got.step_s.to_bits(), want.step_s.to_bits(), "{ctx}");
+                        assert_eq!(got.stats, want.stats, "{ctx}");
+                        keys.insert((work.step_key(), w, class));
+                    }
+                }
+            }
+            // One entry per key — and on the tree, more keys than
+            // (pattern, width) pairs, so classes really do split entries.
+            assert_eq!(model.memo_len(), keys.len());
+            let pairs = JobMix::standard(64).patterns().len() * widths;
+            assert_eq!(keys.len() > pairs, topo != Topology::Star, "{}", keys.len());
+        }
+    }
+
+    /// Counts every pricing call a stream makes and the distinct
+    /// `(step key, width, route class)` keys among them.
+    struct Counting<'a> {
+        inner: &'a CostModel,
+        calls: Cell<u64>,
+        keys: RefCell<HashSet<(StepKey, usize, Vec<usize>)>>,
+    }
+
+    impl ServiceOracle for Counting<'_> {
+        fn spec(&self) -> &ClusterSpec {
+            self.inner.spec()
+        }
+
+        fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
+            self.calls.set(self.calls.get() + 1);
+            let class = self.spec().network.topology.route_class(nodes).collect();
+            (self.keys.borrow_mut()).insert((work.step_key(), nodes.len(), class));
+            self.inner.step_profile_on(work, nodes)
+        }
+    }
+
+    #[test]
+    fn memo_counters_account_for_every_pricing_call_of_a_contended_stream() {
+        let spec = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let mix = JobMix::standard(64);
+        let mut cost = CostModel::new(spec);
+        // Offered load above the machine's capacity keeps jobs
+        // overlapping, so the stream is contended throughout.
+        let mut sample =
+            OpenArrivals::new(TrafficPattern::Poisson { rate_per_s: 1.0 }, mix, 200, 1);
+        let mut demand = 0.0;
+        while let Some(a) = sample.next_arrival() {
+            demand += a.spec.ranks as f64 * cost.work_s(&a.spec.work, a.spec.ranks) / 200.0;
+        }
+        let rate_per_s = 1.5 * 64.0 / demand;
+        let fail = Some(FailureConfig::accelerated(20_000.0, 5));
+        for (policy, failure) in [(&Fcfs as &dyn SchedPolicy, None), (&EasyBackfill, fail)] {
+            cost.calibrate(&[], Default::default());
+            let counting = Counting {
+                inner: &cost,
+                calls: Cell::new(0),
+                keys: RefCell::new(HashSet::new()),
+            };
+            let mut src = OpenArrivals::new(TrafficPattern::Poisson { rate_per_s }, mix, 400, 9);
+            let mut adm = SloAdmission::standard(64);
+            let cfg = SchedConfig {
+                lean: true,
+                placement: Placement::ContentionAware,
+                route_spread: true,
+                failure,
+                ..SchedConfig::default()
+            };
+            let (h0, m0) = (cost.memo_hits(), cost.memo_misses());
+            let rep = simulate_stream(&counting, policy, &mut src, &mut adm, &cfg);
+            let calls = counting.calls.get();
+            let (hits, misses) = (cost.memo_hits() - h0, cost.memo_misses() - m0);
+            assert!(
+                rep.sim.max_contention_factor > 1.0,
+                "the stream must contend"
+            );
+            assert_eq!(hits + misses, calls);
+            assert_eq!(cost.memo_len(), counting.keys.borrow().len());
+            assert_eq!(misses, cost.memo_len() as u64);
+            assert!(hits > misses, "{hits} hits, {misses} misses");
+            assert_eq!(rep.sim.failures > 0, failure.is_some());
+        }
     }
 
     #[test]
