@@ -576,9 +576,9 @@ pub(crate) fn block_on<T>(op: impl Future<Output = T>) -> T {
 
 /// Serialize doubles little-endian.
 pub fn pack_f64s(vals: &[f64]) -> Bytes {
-    let mut v = Vec::with_capacity(vals.len() * 8);
-    for x in vals {
-        v.extend_from_slice(&x.to_le_bytes());
+    let mut v = vec![0; vals.len() * 8];
+    for (chunk, x) in v.chunks_exact_mut(8).zip(vals) {
+        chunk.copy_from_slice(&x.to_le_bytes());
     }
     Bytes::from(v)
 }
@@ -594,6 +594,25 @@ pub fn unpack_f64s(b: &Bytes) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packed_doubles_are_their_little_endian_bytes_in_order() {
+        let special = [
+            -0.0,
+            f64::from_bits(0x7ff8_dead_beef_0001), // NaN with a payload
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let vals: Vec<f64> = (0..512)
+            .map(|i| special.get(i % 64).copied().unwrap_or(i as f64 * -1.25e-3))
+            .collect();
+        let expected: Vec<u8> = vals.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(expected.len(), 4096);
+        assert_eq!(pack_f64s(&vals).as_slice(), &expected[..]);
+        assert!(pack_f64s(&[]).is_empty());
+    }
 
     #[test]
     fn f64_roundtrip() {

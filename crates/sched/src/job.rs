@@ -175,7 +175,8 @@ impl WorkModel {
                     .await;
             }
             Some(Tail::Alltoallv { bytes }) => {
-                let chunk = mb_cluster::comm::pack_f64s(&vec![0.0; bytes as usize / 8]);
+                // The zero doubles' bytes: `bytes` in whole doubles.
+                let chunk = vec![0u8; bytes as usize / 8 * 8].into();
                 let _ = comm.alltoallv_async(vec![chunk; n]).await;
             }
             None => {}

@@ -400,6 +400,8 @@ struct PruneScratch {
     stack: Vec<(u32, usize, usize)>,
     arena: Vec<u32>,
     gaps: Vec<[f64; 6]>,
+    #[cfg(test)]
+    _live: live::Live<{ live::SCRATCH }>,
 }
 
 /// Prune the local tree for a requester described by its domain cells,
@@ -558,6 +560,8 @@ struct ImportedForest {
     cells: Vec<Cell>,
     resident: Vec<Resident>,
     bodies: Vec<(f64, [f64; 3])>,
+    #[cfg(test)]
+    _live: live::Live<{ live::FOREST }>,
 }
 
 /// Merge per-peer pruned trees into one forest.
@@ -763,10 +767,10 @@ impl ForceStep {
             let domains = domain_publish(comm, &local.tree).await;
             comm.end_phase();
             comm.begin_phase("let_exchange");
-            let forest = let_exchange(comm, &local, &domains, &cfg.mac).await;
+            let forest = let_exchange(comm, &local, domains, &cfg.mac).await;
             comm.end_phase();
             comm.begin_phase("walk");
-            let report = walk(comm, &local, &forest, cfg).await;
+            let report = walk(comm, local, forest, cfg).await;
             comm.end_phase();
             report
         })
@@ -814,9 +818,9 @@ impl ForceStep {
 async fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
     let my_box = if !mine.is_empty() {
         let b = BoundingBox::containing(&mine.pos);
-        vec![b.min[0], b.min[1], b.min[2], b.size]
+        [b.min[0], b.min[1], b.min[2], b.size]
     } else {
-        vec![f64::NAN; 4]
+        [f64::NAN; 4]
     };
     let boxes = comm
         .allgather_async(mb_cluster::comm::pack_f64s(&my_box))
@@ -906,11 +910,13 @@ async fn domain_publish(comm: &mut Comm, tree: &HashedOctTree) -> Vec<Vec<Corner
 }
 
 /// Phase 4, the LET exchange: a pruned skeleton out to every peer, the
-/// peers' skeletons in, merged into one forest.
+/// peers' skeletons in, merged into one forest. The peers' domains and
+/// the prune's buffers are freed before the exchange waits: every rank
+/// is alive at once, so what one holds across the wait, all hold.
 async fn let_exchange(
     comm: &mut Comm,
     local: &LocalTree,
-    domains: &[Vec<Corners>],
+    domains: Vec<Vec<Corners>>,
     mac: &Mac,
 ) -> ImportedForest {
     let rank = comm.rank();
@@ -922,6 +928,7 @@ async fn let_exchange(
         }
         outgoing[peer] = prune_for_domain(local, domain, mac, &mut scratch);
     }
+    drop((domains, scratch));
     let incoming = comm.alltoallv_async(outgoing).await;
     let peers = || {
         incoming
@@ -945,10 +952,11 @@ async fn let_exchange(
 
 /// Phase 5: walk every local body over the local tree plus the import
 /// forest, charge the flops, and meet the other ranks at the barrier.
+/// Both trees are freed before the barrier waits, as in [`let_exchange`].
 async fn walk(
     comm: &mut Comm,
-    local: &LocalTree,
-    forest: &ImportedForest,
+    local: LocalTree,
+    forest: ImportedForest,
     cfg: &DistributedConfig,
 ) -> RankReport {
     let n_local = local.bodies.len();
@@ -972,17 +980,87 @@ async fn walk(
         }
     }
     comm.compute(counts.flops(cfg.mac.quadrupole) as f64);
+    let (imported_cells, imported_bodies) = (forest.imported_cells, forest.bodies.len() as u64);
+    drop((local, forest, stack));
     comm.barrier_async().await;
     RankReport {
         rank: comm.rank(),
         n_local,
         interactions: counts,
-        imported_cells: forest.imported_cells,
-        imported_bodies: forest.bodies.len() as u64,
+        imported_cells,
+        imported_bodies,
         clock_s: comm.now(),
         acc,
         pot,
         body_cost,
+    }
+}
+
+/// Under test, how many [`ImportedForest`]s and [`PruneScratch`]es are
+/// alive on this thread, and the most that were at once: each carries a
+/// [`live::Live`] field, counted in when made and out when dropped. A
+/// stackless step polls every rank on the calling thread, so the mark
+/// says how many ranks held one at the same instant.
+#[cfg(test)]
+mod live {
+    use std::cell::Cell;
+
+    pub(super) const FOREST: usize = 0;
+    pub(super) const SCRATCH: usize = 1;
+
+    thread_local! {
+        /// `(live, high-water mark)` per kind.
+        static COUNTS: Cell<[(usize, usize); 2]> = const { Cell::new([(0, 0); 2]) };
+    }
+
+    #[derive(Debug)]
+    pub(super) struct Live<const KIND: usize>;
+
+    impl<const KIND: usize> Live<KIND> {
+        fn counted() -> Self {
+            COUNTS.with(|c| {
+                let mut counts = c.get();
+                let (live, high) = &mut counts[KIND];
+                *live += 1;
+                *high = (*high).max(*live);
+                c.set(counts);
+            });
+            Live
+        }
+    }
+
+    impl<const KIND: usize> Default for Live<KIND> {
+        fn default() -> Self {
+            Self::counted()
+        }
+    }
+
+    impl<const KIND: usize> Clone for Live<KIND> {
+        fn clone(&self) -> Self {
+            Self::counted()
+        }
+    }
+
+    impl<const KIND: usize> Drop for Live<KIND> {
+        fn drop(&mut self) {
+            COUNTS.with(|c| {
+                let mut counts = c.get();
+                counts[KIND].0 -= 1;
+                c.set(counts);
+            });
+        }
+    }
+
+    /// `(live, high-water mark)` of `kind`; the mark restarts from the
+    /// live count.
+    pub(super) fn take(kind: usize) -> (usize, usize) {
+        COUNTS.with(|c| {
+            let mut counts = c.get();
+            let seen = counts[kind];
+            counts[kind].1 = seen.0;
+            c.set(counts);
+            seen
+        })
     }
 }
 
@@ -1018,6 +1096,29 @@ mod tests {
         direct_forces(&mut bodies, cfg.eps2);
         let err = median_err(&report.acc, &bodies.acc);
         assert!(err < 4e-3, "median error vs direct: {err}");
+    }
+
+    #[test]
+    fn no_rank_holds_its_forest_or_prune_buffers_across_a_wait() {
+        let bodies = plummer(2000, 2002);
+        let (cluster, cfg) = (Cluster::new(metablade()), DistributedConfig::default());
+        let step = ForceStep::new(cluster.spec().nodes, &bodies, &cfg, None);
+        live::take(live::FOREST);
+        live::take(live::SCRATCH);
+        let report = step.assemble(cluster.run(step.job()));
+        assert_eq!(report.per_rank.len(), 24);
+        assert!(report.per_rank.iter().all(|r| r.imported_cells > 0));
+        // Every rank made one of each, one rank at a time, and freed it.
+        assert_eq!(
+            live::take(live::FOREST),
+            (0, 1),
+            "forests (live, most at once)"
+        );
+        assert_eq!(
+            live::take(live::SCRATCH),
+            (0, 1),
+            "prune scratches (live, most at once)"
+        );
     }
 
     #[test]
