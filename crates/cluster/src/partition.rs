@@ -19,7 +19,7 @@ use crate::machine::{Cluster, SpmdOutcome};
 use crate::topology::Topology;
 
 /// A sorted, duplicate-free set of node ids within a cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodeSet {
     ids: Vec<usize>,
 }
@@ -58,17 +58,18 @@ impl NodeSet {
     /// function of the mask, which the scheduler's determinism contract
     /// relies on.
     pub fn alloc_lowest(free: &[bool], want: usize) -> Option<NodeSet> {
-        if want == 0 {
-            return None;
-        }
-        let ids: Vec<usize> = free
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| i)
-            .take(want)
-            .collect();
-        (ids.len() == want).then_some(NodeSet { ids })
+        Self::alloc_lowest_in(free, want, NodeSet::default())
+    }
+
+    /// [`NodeSet::alloc_lowest`] into the storage of `reuse`, whose ids
+    /// are discarded; it grows to `want` before it is filled.
+    pub fn alloc_lowest_in(free: &[bool], want: usize, reuse: NodeSet) -> Option<NodeSet> {
+        let mut ids = reuse.ids;
+        ids.clear();
+        ids.reserve(want);
+        let lowest = free.iter().enumerate().filter(|(_, &f)| f).map(|(i, _)| i);
+        ids.extend(lowest.take(want));
+        (want > 0 && ids.len() == want).then_some(NodeSet { ids })
     }
 
     /// Allocate `want` nodes preferring topology locality: nodes are
@@ -227,6 +228,19 @@ mod tests {
         assert_eq!(s.ids(), &[1, 2, 4]);
         assert!(NodeSet::alloc_lowest(&free, 5).is_none());
         assert!(NodeSet::alloc_lowest(&free, 0).is_none());
+    }
+
+    #[test]
+    fn alloc_lowest_in_refills_recycled_storage_as_alloc_lowest_allocates() {
+        let free = vec![false, true, true, false, true, true];
+        let spare = NodeSet::new(vec![9, 8, 7, 6, 5]);
+        let buf = spare.ids().as_ptr();
+        let s = NodeSet::alloc_lowest_in(&free, 3, spare).unwrap();
+        assert_eq!(Some(&s), NodeSet::alloc_lowest(&free, 3).as_ref());
+        assert_eq!(s.ids().as_ptr(), buf, "the storage was not reused");
+        for want in [0, 5] {
+            assert!(NodeSet::alloc_lowest_in(&free, want, s.clone()).is_none());
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl CkptCharge {
 /// dozen SPMD step simulations, not thousands.
 pub struct ServiceModel<'a> {
     cluster: &'a Cluster,
-    memo: RefCell<HashMap<ServiceKey, StepProfile>>,
+    memo: RefCell<HashMap<StepKey, HashMap<NodeSet, StepProfile>>>,
 }
 
 /// One memoized step simulation: the virtual makespan plus the
@@ -240,11 +240,10 @@ pub struct StepProfile {
     pub stats: Arc<Vec<CommStats>>,
 }
 
-/// Cache key for [`ServiceModel`]: the exact node set the step ran on
-/// (not just its width: equal-width subsets differ on a heterogeneous
-/// machine) and the work model's quantized step pattern
-/// ([`WorkModel::step_key`]).
-type ServiceKey = (NodeSet, (u8, u64, u64, u64));
+/// [`ServiceModel`]'s memo key, [`WorkModel::step_key`]; under it, a map
+/// by the exact node set (not just its width: equal-width subsets differ
+/// on a heterogeneous machine) that a lookup borrows.
+type StepKey = (u8, u64, u64, u64);
 
 impl<'a> ServiceModel<'a> {
     /// Wrap a cluster.
@@ -260,33 +259,10 @@ impl<'a> ServiceModel<'a> {
         self.cluster
     }
 
-    /// One step of `work` on the given nodes, with the per-rank traffic
-    /// counters the contention layer needs, memoized per `(node set, step
-    /// pattern)`. The step runs stackless: no rank takes a host thread.
-    /// `step_on`, `step_s` and `work_s` are [`ServiceOracle`]'s default
-    /// methods over it.
-    pub fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
-        assert!(!nodes.is_empty(), "step needs at least one node");
-        let key = (nodes.clone(), work.step_key());
-        if let Some(p) = self.memo.borrow().get(&key) {
-            return p.clone();
-        }
-        let outcome = self.cluster.run_on(
-            nodes,
-            Stackless(async |comm: &mut Comm| work.run_step(comm).await),
-        );
-        let p = StepProfile {
-            step_s: outcome.makespan_s(),
-            stats: Arc::new(outcome.stats),
-        };
-        self.memo.borrow_mut().insert(key, p.clone());
-        p
-    }
-
     /// Distinct `(node set, step pattern)` simulations cached so far —
     /// the number of real SPMD runs this oracle has paid for.
     pub fn cached_steps(&self) -> usize {
-        self.memo.borrow().len()
+        self.memo.borrow().values().map(HashMap::len).sum()
     }
 }
 
@@ -335,8 +311,25 @@ impl ServiceOracle for ServiceModel<'_> {
         self.cluster.spec()
     }
 
+    /// Memoized; runs stackless, so no rank takes a host thread.
     fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
-        ServiceModel::step_profile_on(self, work, nodes)
+        assert!(!nodes.is_empty(), "step needs at least one node");
+        let key = work.step_key();
+        if let Some(p) = self.memo.borrow().get(&key).and_then(|m| m.get(nodes)) {
+            return p.clone();
+        }
+        let outcome = self.cluster.run_on(
+            nodes,
+            Stackless(async |comm: &mut Comm| work.run_step(comm).await),
+        );
+        let p = StepProfile {
+            step_s: outcome.makespan_s(),
+            stats: Arc::new(outcome.stats),
+        };
+        let mut memo = self.memo.borrow_mut();
+        let sets = memo.entry(key).or_default();
+        sets.insert(nodes.clone(), p.clone());
+        p
     }
 }
 
@@ -468,14 +461,48 @@ impl RunEntry {
     }
 }
 
-/// Which nodes are up, which a run holds, and when failed ones return.
+/// Which nodes are up, which are free, and when failed ones return.
+///
+/// A down node is never held: `Engine::fail` releases the victim first,
+/// so held is up and not free, and a repair frees its node. Only these
+/// methods write the masks; the nodes up are those awaiting no repair.
 struct NodePool {
     up: Vec<bool>,
-    busy: Vec<bool>,
-    /// `up && !busy` per node, rebuilt once per dispatch round.
-    free_mask: Vec<bool>,
+    /// Up and held by no run.
+    free: Vec<bool>,
+    n_free: usize,
     /// Pending repairs as `(back-up time, node)`.
     repairs: Vec<(f64, usize)>,
+    /// Released runs' node-id storage, for `Lowest` launches to refill.
+    spare_ids: Vec<NodeSet>,
+}
+
+impl NodePool {
+    fn launch(&mut self, nodes: &NodeSet) {
+        self.n_free -= nodes.len();
+        nodes.ids().iter().for_each(|&m| self.free[m] = false);
+    }
+
+    fn release(&mut self, nodes: NodeSet) {
+        self.n_free += nodes.len();
+        nodes.ids().iter().for_each(|&m| self.free[m] = true);
+        self.spare_ids.push(nodes);
+    }
+
+    /// Take free node `nd` down until `back_s`.
+    fn fail(&mut self, nd: usize, back_s: f64) {
+        (self.up[nd], self.free[nd]) = (false, false);
+        self.n_free -= 1;
+        self.repairs.push((back_s, nd));
+    }
+
+    /// Step 1 of each instant: nodes due back by `now` come up, free.
+    fn repair(&mut self, now: f64) {
+        for (_, nd) in self.repairs.extract_if(.., |&mut (t, _)| t <= now) {
+            (self.up[nd], self.free[nd]) = (true, true);
+            self.n_free += 1;
+        }
+    }
 }
 
 /// A per-link running total indexed by [`LinkId`]; `None` until the
@@ -587,12 +614,17 @@ struct Engine<'a, S: ServiceOracle + ?Sized> {
     /// width `w` are priced on, as [`ServiceOracle::step_s`] builds it.
     lowest: Vec<NodeSet>,
     running: Vec<RunEntry>,
-    /// What policies see of `running`, rebuilt at each dispatch.
+    /// What policies see of `running`, rebuilt only when it moved.
     running_view: Vec<RunningJob>,
     /// Whether this event removed a job from, or added one to, the
     /// running set — the only thing the contention epoch depends on.
     /// Consumed by `retime`.
     running_changed: bool,
+    /// Launches or retimed ends since the last dispatch (set by `retime`).
+    view_stale: bool,
+    /// Kept by `complete` and `dispatch`, empty between calls.
+    finished: Vec<RunEntry>,
+    started: Vec<usize>,
     links: Option<LinkLedger>,
     /// The report as it is written: `jobs` grows as arrivals are
     /// admitted (arrival order; sorted by id at the end), counters,
@@ -648,15 +680,19 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             failures: failures.into_iter().peekable(),
             pool: NodePool {
                 up: vec![true; n],
-                busy: vec![false; n],
-                free_mask: Vec::with_capacity(n),
+                free: vec![true; n],
+                n_free: n,
                 repairs: Vec::new(),
+                spare_ids: Vec::new(),
             },
             queue: WaitQueue::new(labels.len()),
             lowest: (1..=n).map(|w| NodeSet::new((0..w).collect())).collect(),
             running: Vec::new(),
             running_view: Vec::new(),
             running_changed: false,
+            view_stale: false,
+            finished: Vec::new(),
+            started: Vec::new(),
             links: LinkLedger::new(spec, cfg.route_spread),
             sim: SimReport {
                 policy: policy.name(),
@@ -717,17 +753,16 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
 
     /// Take `run` off its nodes at virtual time `t` (its completion, or
     /// the failure that struck it): close its link-byte integral,
-    /// credit its busy node-seconds, free its nodes and emit their
-    /// occupancy spans.
+    /// credit its busy node-seconds, emit its nodes' occupancy spans and
+    /// give the nodes, and their id storage, back to the pool.
     fn release(&mut self, run: &mut RunEntry, t: f64) {
         if let Some(links) = &mut self.links {
             account_links(&mut links.bytes, &links.traffic, run, t);
             links.free_slots.push(run.slot);
         }
         self.busy_node_s += (t - run.start_s) * run.nodes.len() as f64;
-        for &nd in run.nodes.ids() {
-            self.pool.busy[nd] = false;
-            if !self.cfg.lean {
+        if !self.cfg.lean {
+            for &nd in run.nodes.ids() {
                 self.sim.occupancy.push(OccSpan {
                     node: nd,
                     t0_s: run.start_s,
@@ -737,25 +772,17 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 });
             }
         }
-    }
-
-    /// Step 1, repairs: failed nodes come back up.
-    fn repair(&mut self, now: f64) {
-        let up = &mut self.pool.up;
-        self.pool.repairs.retain(|&(t, nd)| {
-            if t <= now {
-                up[nd] = true;
-            }
-            t > now
-        });
+        self.pool.release(std::mem::take(&mut run.nodes));
     }
 
     /// Step 2, completions, ordered by `(end, id)`.
     fn complete(&mut self, now: f64) {
-        let mut finished: Vec<RunEntry> = self.running.extract_if(.., |r| r.end_s <= now).collect();
+        let finished = &mut self.finished;
+        finished.extend(self.running.extract_if(.., |r| r.end_s <= now));
         self.running_changed |= !finished.is_empty();
-        finished.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.job.id.cmp(&b.job.id)));
-        for mut run in finished {
+        // Descending: `pop` takes them in `(end, id)` order.
+        finished.sort_by(|a, b| b.end_s.total_cmp(&a.end_s).then(b.job.id.cmp(&a.job.id)));
+        while let Some(mut run) = self.finished.pop() {
             let end = run.end_s;
             self.release(&mut run, end);
             let rec = &mut self.sim.jobs[run.job.ji];
@@ -778,15 +805,15 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             if !self.pool.up[nd] {
                 continue;
             }
-            self.pool.up[nd] = false;
             self.sim.failures += 1;
-            self.pool.repairs.push((now + repair_s, nd));
             let Some(pos) = self.running.iter().position(|r| r.nodes.contains(nd)) else {
+                self.pool.fail(nd, now + repair_s);
                 continue;
             };
             let mut run = self.running.remove(pos);
             self.running_changed = true;
             self.release(&mut run, now);
+            self.pool.fail(nd, now + repair_s);
             // Checkpoint progress accrues in nominal seconds: a
             // contended job has served less of its work than wall time
             // suggests.
@@ -866,26 +893,25 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     }
 
     /// Step 5, dispatch: consult the policy — it reads the queue's own
-    /// storage and a reused view of the running set — then re-validate
-    /// each pick against the live free mask (policies may be
-    /// optimistic). Picks start in the order the policy returned them.
-    /// Apart from `select` itself, nothing here is proportional to the
-    /// queue's length.
+    /// storage, the pool's counts and a kept view of the running set —
+    /// then re-validate each pick against the live free mask (policies
+    /// may be optimistic). Picks start in the order the policy returned
+    /// them. Apart from `select`, nothing here grows with the queue.
     fn dispatch(&mut self, now: f64) {
-        let pool = &mut self.pool;
-        pool.free_mask.clear();
-        let free = pool.up.iter().zip(&pool.busy).map(|(&u, &b)| u && !b);
-        pool.free_mask.extend(free);
-        let in_flight = |r: &RunEntry| RunningJob {
-            end_s: r.end_s,
-            ranks: r.nodes.len(),
-        };
-        self.running_view.clear();
-        self.running_view.extend(self.running.iter().map(in_flight));
+        #[cfg(test)]
+        self.pool.check(&self.running);
+        if std::mem::take(&mut self.view_stale) || self.running_changed {
+            let in_flight = |r: &RunEntry| RunningJob {
+                end_s: r.end_s,
+                ranks: r.nodes.len(),
+            };
+            self.running_view.clear();
+            self.running_view.extend(self.running.iter().map(in_flight));
+        }
         let picks = self.policy.select(&PolicyCtx {
             now_s: now,
-            free_nodes: pool.free_mask.iter().filter(|&&f| f).count(),
-            total_nodes: pool.up.iter().filter(|&&u| u).count(),
+            free_nodes: self.pool.n_free,
+            total_nodes: self.pool.up.len() - self.pool.repairs.len(),
             queue: self.queue.view(),
             running: &self.running_view,
         });
@@ -901,15 +927,14 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 contention::add_edge_uplink_loads(traffics, &mut l.group_loads);
             }
         }
-        let mut started: Vec<usize> = Vec::new();
         for &p in &picks {
             if self.queue.pick(p) && self.launch(now, p) {
-                started.push(p);
+                self.started.push(p);
             }
         }
         self.queue.unpick(&picks);
-        started.sort_unstable();
-        for &p in started.iter().rev() {
+        self.started.sort_unstable();
+        while let Some(p) = self.started.pop() {
             self.queue.remove(p);
         }
         if !self.cfg.lean {
@@ -923,10 +948,12 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// until `dispatch` has walked every pick.
     fn launch(&mut self, now: f64, p: usize) -> bool {
         let (q, topo) = (self.queue.entry(p), &self.service.spec().network.topology);
-        let free = &mut self.pool.free_mask;
+        // Only `Lowest` refills a spare; dropping it keeps spares ≤ runs.
+        let spare = self.pool.spare_ids.pop().unwrap_or_default();
+        let free = &self.pool.free;
         let group_loads = self.links.as_ref().map_or(&[][..], |l| &l.group_loads);
         let alloc = match self.cfg.placement {
-            Placement::Lowest => NodeSet::alloc_lowest(free, q.ranks),
+            Placement::Lowest => NodeSet::alloc_lowest_in(free, q.ranks, spare),
             Placement::Compact => NodeSet::alloc_compact(free, q.ranks, topo),
             Placement::ContentionAware => {
                 NodeSet::alloc_contention_aware(free, q.ranks, topo, group_loads)
@@ -935,13 +962,9 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         let Some(nodes) = alloc else {
             return false;
         };
-        for &m in nodes.ids() {
-            // Exclusive nodes make every host link private to one job,
-            // so the epoch folds only shareable traffic (DESIGN.md §14).
-            debug_assert!(!self.pool.busy[m], "node {m} is already busy");
-            self.pool.busy[m] = true;
-            free[m] = false;
-        }
+        // Exclusive nodes make every host link private to one job, so
+        // the epoch folds only shareable traffic (DESIGN.md §14).
+        self.pool.launch(&nodes);
         if self.sim.jobs[q.ji].start_s < 0.0 {
             self.sim.jobs[q.ji].start_s = now;
         }
@@ -1002,6 +1025,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// retiming pass is skipped outright.
     fn retime(&mut self, now: f64) {
         let changed = std::mem::take(&mut self.running_changed);
+        self.view_stale = changed;
         let (Some(links), sim) = (&mut self.links, &mut self.sim) else {
             return;
         };
@@ -1217,7 +1241,7 @@ pub fn try_simulate_stream<S: ServiceOracle + ?Sized>(
 ) -> Result<StreamReport, SchedDeadlock> {
     let mut engine = Engine::new(service, policy, cfg, admission.class_labels());
     while let Some(now) = engine.next_event_s(source.peek_s())? {
-        engine.repair(now);
+        engine.pool.repair(now);
         engine.complete(now);
         engine.fail(now);
         engine.arrive(now, source, admission);
@@ -1337,6 +1361,70 @@ mod tests {
         assert_eq!(restarts, rep.requeues);
         // Requeued jobs still finish.
         assert!(rep.jobs.iter().all(|r| r.end_s > 0.0));
+    }
+
+    impl NodePool {
+        /// The pool oracle `dispatch` runs in test builds: recount `up`
+        /// and `free` against the counts the engine passes to policies,
+        /// and check that the running jobs hold, once each, exactly the
+        /// up nodes that are not free.
+        pub(super) fn check(&self, running: &[RunEntry]) {
+            let count = |v: &[bool]| v.iter().filter(|&&b| b).count();
+            assert_eq!(
+                count(&self.up),
+                self.up.len() - self.repairs.len(),
+                "up count"
+            );
+            assert_eq!(count(&self.free), self.n_free, "free count");
+            let mut held = vec![false; self.up.len()];
+            for &m in running.iter().flat_map(|r| r.nodes.ids()) {
+                assert!(!held[m], "node {m} held twice");
+                held[m] = true;
+            }
+            for (m, &h) in held.iter().enumerate() {
+                assert_eq!(h, self.up[m] && !self.free[m], "node {m}: held {h}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_node_pool_stays_current_through_failures_and_repairs() {
+        // Every `dispatch` of a test build runs the pool oracle
+        // (`NodePool::check`): recounted free and up nodes against the
+        // maintained counts, and the running jobs' nodes against "up and
+        // not free". These streams make it see failures strike held and
+        // idle nodes, requeues and repairs, on the star and on a fat-tree.
+        use mb_cluster::Topology;
+        let tree = mb_cluster::spec::metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        for (spec, placement) in [
+            (mb_cluster::spec::metablade(), Placement::Lowest),
+            (tree.clone(), Placement::Lowest),
+            (tree, Placement::ContentionAware),
+        ] {
+            let jobs = generate(&WorkloadConfig {
+                jobs: 40,
+                seed: 23,
+                mean_interarrival_s: 120.0,
+                max_ranks: spec.nodes,
+            });
+            let cluster = Cluster::new(spec);
+            let service = ServiceModel::new(&cluster);
+            let cfg = SchedConfig {
+                failure: Some(FailureConfig::accelerated(30_000.0, 5)),
+                placement,
+                ..SchedConfig::default()
+            };
+            for policy in [&Fcfs as &dyn SchedPolicy, &EasyBackfill] {
+                let rep = simulate(&service, policy, &jobs, &cfg);
+                let ctx = format!("{} {:?}", policy.name(), placement);
+                assert!(rep.failures > 0, "{ctx}: no failure");
+                assert!(rep.requeues > 0, "{ctx}: no requeue");
+                assert!(rep.failures > rep.requeues, "{ctx}: no idle node struck");
+                assert!(rep.jobs.iter().all(|r| r.end_s > 0.0), "{ctx}");
+            }
+        }
     }
 
     #[test]

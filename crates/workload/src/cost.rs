@@ -34,6 +34,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mb_cluster::machine::Cluster;
@@ -108,7 +109,7 @@ pub struct CostModel {
     /// step pattern; patterns never calibrated price at the identity.
     coeffs: HashMap<StepKey, [f64; 3]>,
     /// Content-addressed step memo: CID → priced profile.
-    memo: RefCell<HashMap<u64, StepProfile>>,
+    memo: RefCell<HashMap<u64, StepProfile, BuildHasherDefault<CidHasher>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -126,7 +127,7 @@ impl CostModel {
             net,
             cid_prefix: prefix.finish(),
             coeffs: HashMap::new(),
-            memo: RefCell::new(HashMap::new()),
+            memo: RefCell::default(),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -352,6 +353,20 @@ impl CostModel {
     }
 }
 
+/// The memo's hasher: a content id is an FNV digest of internal keys, its own hash.
+#[derive(Default)]
+struct CidHasher(u64);
+
+impl Hasher for CidHasher {
+    fn write(&mut self, cid: &[u8]) {
+        self.0 = u64::from_ne_bytes(cid.try_into().expect("a u64 content id"));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl ServiceOracle for CostModel {
     fn spec(&self) -> &ClusterSpec {
         &self.spec
@@ -380,6 +395,16 @@ impl ServiceOracle for CostModel {
         };
         self.memo.borrow_mut().insert(cid, profile.clone());
         profile
+    }
+
+    /// A hit is one fold and one probe, and leaves the stats' `Arc` alone.
+    fn step_on(&self, work: &WorkModel, nodes: &NodeSet) -> f64 {
+        let cid = self.cid(work, nodes);
+        let hit = self.memo.borrow().get(&cid).map(|p| p.step_s);
+        if hit.is_some() {
+            self.hits.set(self.hits.get() + 1);
+        }
+        hit.unwrap_or_else(|| self.step_profile_on(work, nodes).step_s)
     }
 }
 
@@ -744,6 +769,70 @@ mod tests {
             assert_eq!(misses, cost.memo_len() as u64);
             assert!(hits > misses, "{hits} hits, {misses} misses");
             assert_eq!(rep.sim.failures > 0, failure.is_some());
+        }
+    }
+
+    /// Prices through `step_profile_on` alone, so its `step_on` is the
+    /// trait's provided method rather than `CostModel`'s override.
+    struct ProfileOnly<'a>(&'a CostModel);
+
+    impl ServiceOracle for ProfileOnly<'_> {
+        fn spec(&self) -> &ClusterSpec {
+            self.0.spec()
+        }
+
+        fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
+            self.0.step_profile_on(work, nodes)
+        }
+    }
+
+    #[test]
+    fn the_step_on_override_prices_and_counts_as_the_provided_method() {
+        let ft = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let fail = Some(FailureConfig::accelerated(20_000.0, 5));
+        let cases = [
+            (
+                metablade(),
+                &Fcfs as &dyn SchedPolicy,
+                Placement::Lowest,
+                None,
+                0.05,
+            ),
+            (ft, &EasyBackfill, Placement::ContentionAware, fail, 1.0),
+        ];
+        for (spec, policy, placement, failure, rate_per_s) in cases {
+            let cfg = SchedConfig {
+                lean: true,
+                placement,
+                route_spread: placement == Placement::ContentionAware,
+                failure,
+                ..SchedConfig::default()
+            };
+            let mix = JobMix::standard(spec.nodes);
+            let stream = |oracle: &dyn ServiceOracle| {
+                let pattern = TrafficPattern::Poisson { rate_per_s };
+                let mut src = OpenArrivals::new(pattern, mix, 300, 17);
+                let mut adm = SloAdmission::standard(spec.nodes);
+                simulate_stream(oracle, policy, &mut src, &mut adm, &cfg)
+            };
+            let (direct, inner) = (CostModel::new(spec.clone()), CostModel::new(spec.clone()));
+            let counters = |m: &CostModel| (m.memo_hits(), m.memo_misses(), m.memo_len());
+            // A cold memo, then a warm one.
+            for _ in 0..2 {
+                let (d0, w0) = (counters(&direct), counters(&inner));
+                let a = stream(&direct);
+                let b = stream(&ProfileOnly(&inner));
+                assert_eq!(a.stream_fingerprint, b.stream_fingerprint);
+                let (d1, w1) = (counters(&direct), counters(&inner));
+                let delta = |(h0, m0, l0): (u64, u64, usize), (h1, m1, l1): (u64, u64, usize)| {
+                    (h1 - h0, m1 - m0, l1 as i64 - l0 as i64)
+                };
+                assert_eq!(delta(d0, d1), delta(w0, w1), "{}", spec.name);
+                assert!(d1.0 > d0.0, "no memo hit");
+            }
+            assert!(direct.memo_misses() > 0);
         }
     }
 
