@@ -4,13 +4,11 @@
 //! drives a job stream through one cluster under one policy: a
 //! discrete-event loop over arrivals, completions, node failures (from
 //! [`mb_cluster::reliability::sample_failures`]) and repairs. The run
-//! state is one private `Engine` — node pool, wait queue (`queue.rs`: the
-//! storage policies read in place, so no handler rebuilds, scans or
-//! shifts it per event), running set, the link ledger of the contention
-//! layer (absent on the star) and the report being written — and the
-//! public function is only the event order: at each instant `repair` →
-//! `complete` → `fail` → `arrive` → `dispatch` → `retime`, one handler
-//! each (DESIGN.md §10 has the table, with what each costs the host).
+//! state is one private `Engine` — wait queue (`queue.rs`: the storage
+//! policies read in place, so no handler rebuilds, scans or shifts it
+//! per event), running set, the report being written, and the ledger
+//! (`ledger.rs`: the node pool and, off the star, the links running
+//! jobs load) — and the public function is only the event order.
 //! Job service times come from a [`ServiceOracle`];
 //! [`ServiceModel`] is the executor-backed one, lowering each distinct
 //! `(node set, step pattern)` pair onto the simulated cluster exactly
@@ -22,6 +20,15 @@
 //! the determinism contract of DESIGN.md §10, checked once on the step
 //! body itself (`tests/determinism.rs`) rather than by re-running
 //! schedules under several policies.
+//!
+//! # Per-instant order
+//!
+//! At each virtual instant the engine runs six handlers, one per event
+//! kind, in this order (DESIGN.md §10 has the table, with what each
+//! costs the host): `repair` → `complete` (by `(end, id)`) → `fail` (in
+//! sampled order) → `arrive` (in submit order) → `dispatch` (in the
+//! policy's pick order) → `retime` (the contention epoch, which retimes
+//! the running set).
 //!
 //! No function here may outgrow clippy's `too_many_lines` threshold:
 //! the loop was one 630-line function once, and CI keeps it from
@@ -35,14 +42,14 @@ use std::iter::Peekable;
 use std::sync::Arc;
 
 use mb_cluster::checkpoint::CheckpointModel;
-use mb_cluster::contention::{self, ContentionEpoch, JobTraffic, LinkScratch};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
-use mb_cluster::{Cluster, Comm, CommStats, LinkId, LinkIds, NodeSet, Stackless, Topology};
+use mb_cluster::{Cluster, Comm, CommStats, NodeSet, Stackless};
 use mb_telemetry::prof::LogHistogram;
 use mb_telemetry::{Fnv, MetricHandle, Registry};
 
 use crate::job::{JobRecord, JobSpec, WorkModel};
+use crate::ledger::Ledger;
 use crate::policy::{PolicyCtx, RunningJob, SchedPolicy};
 use crate::queue::{QueueEntry, WaitQueue};
 use crate::stream::{
@@ -109,7 +116,8 @@ pub enum Placement {
     /// scored against the uplink traffic of the in-flight job mix and
     /// spanning jobs land on the quietest switch groups
     /// ([`NodeSet::alloc_contention_aware`]); ties fall back to the
-    /// compact choice.
+    /// compact choice. A torus has no edge uplinks to score, so there it
+    /// places as `Compact`.
     ContentionAware,
 }
 
@@ -137,10 +145,10 @@ pub struct SchedConfig {
     pub placement: Placement,
     /// Deterministic ECMP-style route spreading for cross-job
     /// contention accounting: each job's fabric flows hash over the
-    /// topology's parallel uplinks ([`Topology::ecmp_ways`]) instead of
-    /// piling onto one logical pipe. Affects only which links jobs
-    /// *share* (and hence the mean-field slowdown), never a single
-    /// job's isolated cost.
+    /// topology's parallel uplinks
+    /// ([`mb_cluster::Topology::ecmp_ways`]) instead of piling onto one
+    /// logical pipe. Affects only which links jobs *share* (and hence
+    /// the mean-field slowdown), never a single job's isolated cost.
     pub route_spread: bool,
     /// Skip the O(events) telemetry that only reporting consumes —
     /// per-node occupancy spans, the queue-depth series and the
@@ -430,21 +438,8 @@ struct RunEntry {
     epoch_s: f64,
     /// Current mean-field slowdown factor (≥ 1.0).
     slow: f64,
-    /// Virtual time up to which this job's link bytes have been
-    /// integrated into the per-link telemetry.
-    acct_s: f64,
-    /// This run's slot in the ledger's traffic tables (unused on the
-    /// star fast path, which keeps none).
+    /// This run's slot in the ledger.
     slot: usize,
-}
-
-/// A contended run's traffic, kept twice: in full for `link_bytes`, and
-/// without host links for the epoch and placement. Nodes are held
-/// exclusively, so no other job can share a host link (DESIGN.md §14).
-#[derive(Default)]
-struct RunTraffic {
-    full: JobTraffic,
-    shareable: JobTraffic,
 }
 
 impl RunEntry {
@@ -461,144 +456,9 @@ impl RunEntry {
     }
 }
 
-/// Which nodes are up, which are free, and when failed ones return.
-///
-/// A down node is never held: `Engine::fail` releases the victim first,
-/// so held is up and not free, and a repair frees its node. Only these
-/// methods write the masks; the nodes up are those awaiting no repair.
-struct NodePool {
-    up: Vec<bool>,
-    /// Up and held by no run.
-    free: Vec<bool>,
-    n_free: usize,
-    /// Pending repairs as `(back-up time, node)`.
-    repairs: Vec<(f64, usize)>,
-    /// Released runs' node-id storage, for `Lowest` launches to refill.
-    spare_ids: Vec<NodeSet>,
-}
-
-impl NodePool {
-    fn launch(&mut self, nodes: &NodeSet) {
-        self.n_free -= nodes.len();
-        nodes.ids().iter().for_each(|&m| self.free[m] = false);
-    }
-
-    fn release(&mut self, nodes: NodeSet) {
-        self.n_free += nodes.len();
-        nodes.ids().iter().for_each(|&m| self.free[m] = true);
-        self.spare_ids.push(nodes);
-    }
-
-    /// Take free node `nd` down until `back_s`.
-    fn fail(&mut self, nd: usize, back_s: f64) {
-        (self.up[nd], self.free[nd]) = (false, false);
-        self.n_free -= 1;
-        self.repairs.push((back_s, nd));
-    }
-
-    /// Step 1 of each instant: nodes due back by `now` come up, free.
-    fn repair(&mut self, now: f64) {
-        for (_, nd) in self.repairs.extract_if(.., |&mut (t, _)| t <= now) {
-            (self.up[nd], self.free[nd]) = (true, true);
-            self.n_free += 1;
-        }
-    }
-}
-
-/// A per-link running total indexed by [`LinkId`]; `None` until the
-/// link is first accounted, so the report lists exactly the links the
-/// run touched.
-type LinkTotals = Vec<Option<f64>>;
-
-fn add_to_link(totals: &mut LinkTotals, id: LinkId, v: f64) {
-    *totals[id as usize].get_or_insert(0.0) += v;
-}
-
-/// The report-boundary form of a per-link total: the only place the
-/// engine turns a link id into its name.
-fn named_totals(totals: &LinkTotals, ids: &LinkIds) -> BTreeMap<String, f64> {
-    totals
-        .iter()
-        .enumerate()
-        .filter_map(|(id, v)| v.map(|v| (ids.name(id as LinkId), v)))
-        .collect()
-}
-
-/// Integrate a run's per-link byte rates into the whole-workload
-/// counters up to virtual time `t`. Wall seconds shrink to nominal
-/// seconds through the current slowdown (a slowed job moves the same
-/// bytes over a longer wall interval).
-fn account_links(bytes: &mut LinkTotals, traffic: &[RunTraffic], r: &mut RunEntry, t: f64) {
-    let dt = (t - r.acct_s).max(0.0);
-    if dt > 0.0 {
-        let nominal = dt / r.slow;
-        for &(id, rate) in traffic[r.slot].full.rates() {
-            add_to_link(bytes, id, rate * nominal);
-        }
-    }
-    r.acct_s = t;
-}
-
-/// Cross-job contention state. The engine holds it as an `Option` that
-/// is `None` on the star: placements there are cost-free, host links
-/// are never shared, and skipping the traffic fold keeps star timelines
-/// (and fingerprints) bit-identical to the pre-contention engine.
-///
-/// Links are dense integer ids from here to the report (DESIGN.md §14):
-/// every per-link quantity is a flat vector indexed by id, and names
-/// are produced once, when the report is built.
-struct LinkLedger {
-    /// Uplink load per edge-switch (or torus-ring) group, the score
-    /// contention-aware placement reads; refilled each dispatch round.
-    group_loads: Vec<f64>,
-    ids: LinkIds,
-    bytes: LinkTotals,
-    shared_s: LinkTotals,
-    rate_series: Vec<Option<MetricHandle>>,
-    /// The contention state of the current running set, computed at the
-    /// last event that changed the set: it is a pure function of the
-    /// set, so events that neither start nor finish a job reuse it. Its
-    /// shared links are charged for each interval as it ends;
-    /// `shared_t` is the event they have been charged up to.
-    ep: ContentionEpoch,
-    shared_t: f64,
-    scratch: LinkScratch,
-    /// Traffic tables by run slot; `free_slots` are released runs'
-    /// slots, whose tables the next launches refill.
-    traffic: Vec<RunTraffic>,
-    free_slots: Vec<usize>,
-}
-
-impl LinkLedger {
-    fn new(spec: &ClusterSpec, route_spread: bool) -> Option<Self> {
-        let topo = spec.network.topology;
-        let ngroups = match topo {
-            Topology::Star => return None,
-            Topology::FatTree { radix, .. } => spec.nodes.div_ceil(radix),
-            Topology::Torus { dims } => spec.nodes.div_ceil(dims[0]),
-        };
-        let ways = if route_spread { topo.ecmp_ways() } else { 1 };
-        let ids = LinkIds::new(&topo, ways);
-        let nlinks = ids.link_count().expect("only the star is unbounded");
-        Some(Self {
-            group_loads: vec![0.0; ngroups],
-            ids,
-            bytes: vec![None; nlinks],
-            shared_s: vec![None; nlinks],
-            rate_series: vec![None; nlinks],
-            ep: ContentionEpoch::default(),
-            shared_t: 0.0,
-            scratch: LinkScratch::default(),
-            traffic: Vec::new(),
-            free_slots: Vec::new(),
-        })
-    }
-}
-
 /// The stream engine's run state and its event handlers. One instance
 /// lives for one [`simulate_stream`] call, which calls the handlers in
-/// the documented per-instant order: `repair` → `complete` → `fail` →
-/// `arrive` → `dispatch` → `retime` (DESIGN.md §10).
+/// the [per-instant order](crate::engine#per-instant-order).
 struct Engine<'a, S: ServiceOracle + ?Sized> {
     service: &'a S,
     policy: &'a dyn SchedPolicy,
@@ -606,7 +466,7 @@ struct Engine<'a, S: ServiceOracle + ?Sized> {
     charge: CkptCharge,
     /// Failure timeline in virtual seconds, ascending `(time, node)`.
     failures: Peekable<std::vec::IntoIter<(f64, usize)>>,
-    pool: NodePool,
+    ledger: Ledger,
     /// The wait queue in dispatch order: `enqueue` adds, `dispatch`
     /// removes what it started.
     queue: WaitQueue,
@@ -616,16 +476,11 @@ struct Engine<'a, S: ServiceOracle + ?Sized> {
     running: Vec<RunEntry>,
     /// What policies see of `running`, rebuilt only when it moved.
     running_view: Vec<RunningJob>,
-    /// Whether this event removed a job from, or added one to, the
-    /// running set — the only thing the contention epoch depends on.
-    /// Consumed by `retime`.
-    running_changed: bool,
     /// Launches or retimed ends since the last dispatch (set by `retime`).
     view_stale: bool,
     /// Kept by `complete` and `dispatch`, empty between calls.
     finished: Vec<RunEntry>,
     started: Vec<usize>,
-    links: Option<LinkLedger>,
     /// The report as it is written: `jobs` grows as arrivals are
     /// admitted (arrival order; sorted by id at the end), counters,
     /// histograms, occupancy and series fill in event by event, and
@@ -678,22 +533,14 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 restart_s: cfg.checkpoint.restart_h * 3600.0,
             },
             failures: failures.into_iter().peekable(),
-            pool: NodePool {
-                up: vec![true; n],
-                free: vec![true; n],
-                n_free: n,
-                repairs: Vec::new(),
-                spare_ids: Vec::new(),
-            },
+            ledger: Ledger::new(spec, cfg.route_spread),
             queue: WaitQueue::new(labels.len()),
             lowest: (1..=n).map(|w| NodeSet::new((0..w).collect())).collect(),
             running: Vec::new(),
             running_view: Vec::new(),
-            running_changed: false,
             view_stale: false,
             finished: Vec::new(),
             started: Vec::new(),
-            links: LinkLedger::new(spec, cfg.route_spread),
             sim: SimReport {
                 policy: policy.name(),
                 max_contention_factor: 1.0,
@@ -726,9 +573,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         for r in &self.running {
             now = now.min(r.end_s);
         }
-        for &(t, _) in &self.pool.repairs {
-            now = now.min(t);
-        }
+        now = now.min(self.ledger.next_repair_s());
         if let Some(&(t, _)) = self.failures.peek() {
             now = now.min(t);
         }
@@ -752,14 +597,10 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     }
 
     /// Take `run` off its nodes at virtual time `t` (its completion, or
-    /// the failure that struck it): close its link-byte integral,
-    /// credit its busy node-seconds, emit its nodes' occupancy spans and
-    /// give the nodes, and their id storage, back to the pool.
+    /// the failure that struck it): credit its busy node-seconds, emit
+    /// its nodes' occupancy spans and give the nodes back to the ledger,
+    /// which closes the run's link-byte integral.
     fn release(&mut self, run: &mut RunEntry, t: f64) {
-        if let Some(links) = &mut self.links {
-            account_links(&mut links.bytes, &links.traffic, run, t);
-            links.free_slots.push(run.slot);
-        }
         self.busy_node_s += (t - run.start_s) * run.nodes.len() as f64;
         if !self.cfg.lean {
             for &nd in run.nodes.ids() {
@@ -772,14 +613,19 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 });
             }
         }
-        self.pool.release(std::mem::take(&mut run.nodes));
+        let nodes = std::mem::take(&mut run.nodes);
+        self.ledger.release(run.slot, nodes, run.slow, t);
+    }
+
+    /// Step 1, repairs: nodes due back by `now` come up, free.
+    fn repair(&mut self, now: f64) {
+        self.ledger.repair(now);
     }
 
     /// Step 2, completions, ordered by `(end, id)`.
     fn complete(&mut self, now: f64) {
         let finished = &mut self.finished;
         finished.extend(self.running.extract_if(.., |r| r.end_s <= now));
-        self.running_changed |= !finished.is_empty();
         // Descending: `pop` takes them in `(end, id)` order.
         finished.sort_by(|a, b| b.end_s.total_cmp(&a.end_s).then(b.job.id.cmp(&a.job.id)));
         while let Some(mut run) = self.finished.pop() {
@@ -802,18 +648,17 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     fn fail(&mut self, now: f64) {
         let repair_s = self.cfg.failure.map_or(0.0, |f| f.repair_s);
         while let Some((_, nd)) = self.failures.next_if(|&(t, _)| t <= now) {
-            if !self.pool.up[nd] {
+            if !self.ledger.is_up(nd) {
                 continue;
             }
             self.sim.failures += 1;
             let Some(pos) = self.running.iter().position(|r| r.nodes.contains(nd)) else {
-                self.pool.fail(nd, now + repair_s);
+                self.ledger.fail(nd, now + repair_s);
                 continue;
             };
             let mut run = self.running.remove(pos);
-            self.running_changed = true;
             self.release(&mut run, now);
-            self.pool.fail(nd, now + repair_s);
+            self.ledger.fail(nd, now + repair_s);
             // Checkpoint progress accrues in nominal seconds: a
             // contended job has served less of its work than wall time
             // suggests.
@@ -845,7 +690,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         source: &mut dyn ArrivalSource,
         admission: &mut dyn AdmissionControl,
     ) {
-        let (n, last) = (self.pool.up.len(), self.classes.len() - 1);
+        let (n, last) = (self.service.spec().nodes, self.classes.len() - 1);
         while source.peek_s().is_some_and(|t| t <= now) {
             let arr = source.next_arrival().expect("peeked arrival");
             let asked = arr.class.min(last);
@@ -893,14 +738,14 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     }
 
     /// Step 5, dispatch: consult the policy — it reads the queue's own
-    /// storage, the pool's counts and a kept view of the running set —
+    /// storage, the ledger's counts and a kept view of the running set —
     /// then re-validate each pick against the live free mask (policies
     /// may be optimistic). Picks start in the order the policy returned
     /// them. Apart from `select`, nothing here grows with the queue.
     fn dispatch(&mut self, now: f64) {
         #[cfg(test)]
-        self.pool.check(&self.running);
-        if std::mem::take(&mut self.view_stale) || self.running_changed {
+        self.ledger.check(self.running.iter().map(|r| &r.nodes));
+        if std::mem::take(&mut self.view_stale) || self.ledger.moved() {
             let in_flight = |r: &RunEntry| RunningJob {
                 end_s: r.end_s,
                 ranks: r.nodes.len(),
@@ -908,10 +753,11 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             self.running_view.clear();
             self.running_view.extend(self.running.iter().map(in_flight));
         }
+        let (free_nodes, total_nodes) = self.ledger.counts();
         let picks = self.policy.select(&PolicyCtx {
             now_s: now,
-            free_nodes: self.pool.n_free,
-            total_nodes: self.pool.up.len() - self.pool.repairs.len(),
+            free_nodes,
+            total_nodes,
             queue: self.queue.view(),
             running: &self.running_view,
         });
@@ -920,12 +766,9 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // this dispatch round (jobs started this round don't see each
         // other's traffic until the next event — deterministic either
         // way, but freezing keeps the score independent of pick order).
-        if let Some(l) = &mut self.links {
-            if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() {
-                l.group_loads.fill(0.0);
-                let traffics = self.running.iter().map(|r| &l.traffic[r.slot].shareable);
-                contention::add_edge_uplink_loads(traffics, &mut l.group_loads);
-            }
+        if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() {
+            self.ledger
+                .uplink_loads(self.running.iter().map(|r| r.slot));
         }
         for &p in &picks {
             if self.queue.pick(p) && self.launch(now, p) {
@@ -947,54 +790,25 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// it nodes in the live free mask; the entry itself stays queued
     /// until `dispatch` has walked every pick.
     fn launch(&mut self, now: f64, p: usize) -> bool {
-        let (q, topo) = (self.queue.entry(p), &self.service.spec().network.topology);
-        // Only `Lowest` refills a spare; dropping it keeps spares ≤ runs.
-        let spare = self.pool.spare_ids.pop().unwrap_or_default();
-        let free = &self.pool.free;
-        let group_loads = self.links.as_ref().map_or(&[][..], |l| &l.group_loads);
-        let alloc = match self.cfg.placement {
-            Placement::Lowest => NodeSet::alloc_lowest_in(free, q.ranks, spare),
-            Placement::Compact => NodeSet::alloc_compact(free, q.ranks, topo),
-            Placement::ContentionAware => {
-                NodeSet::alloc_contention_aware(free, q.ranks, topo, group_loads)
-            }
+        let q = self.queue.entry(p);
+        // Off the star, charge the *actual* placement: the arrival-time
+        // estimate priced the job on the lowest nodes; a spanning
+        // allocation genuinely costs more on fat trees and tori. Both
+        // step profiles are memo hits after the first job of each
+        // (work, nodes) shape.
+        let (service, lowest, mut pfac) = (self.service, &self.lowest, 1.0);
+        let price = |nodes: &NodeSet| {
+            let profile = service.step_profile_on(&q.work, nodes);
+            pfac = profile.step_s / service.step_on(&q.work, &lowest[nodes.len() - 1]);
+            profile
         };
-        let Some(nodes) = alloc else {
+        let placed = (self.ledger).launch(self.cfg.placement, q.ranks, q.id as u64, now, price);
+        let Some((nodes, slot)) = placed else {
             return false;
         };
-        // Exclusive nodes make every host link private to one job, so
-        // the epoch folds only shareable traffic (DESIGN.md §14).
-        self.pool.launch(&nodes);
         if self.sim.jobs[q.ji].start_s < 0.0 {
             self.sim.jobs[q.ji].start_s = now;
         }
-        // Charge the *actual* placement: the arrival-time estimate
-        // priced the job on the lowest nodes; a spanning allocation
-        // genuinely costs more on fat trees and tori. Both step
-        // profiles are memo hits after the first job of each (work,
-        // nodes) shape.
-        let (pfac, slot) = match &mut self.links {
-            None => (1.0, 0),
-            Some(l) => {
-                let profile = self.service.step_profile_on(&q.work, &nodes);
-                let reference = self.service.step_on(&q.work, &self.lowest[nodes.len() - 1]);
-                let slot = l.free_slots.pop().unwrap_or(l.traffic.len());
-                l.traffic
-                    .resize_with(l.traffic.len().max(slot + 1), RunTraffic::default);
-                let t = &mut l.traffic[slot];
-                contention::job_traffic_with(
-                    &mut l.scratch,
-                    &l.ids,
-                    &profile.stats,
-                    nodes.ids(),
-                    profile.step_s,
-                    q.id as u64,
-                    &mut t.full,
-                );
-                t.full.shareable_into(&mut t.shareable);
-                (profile.step_s / reference, slot)
-            }
-        };
         let work_eff = q.work_rem_s * pfac;
         let wall = self.charge.wall_for(work_eff, q.attempt > 0);
         self.running.push(RunEntry {
@@ -1008,73 +822,32 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             nominal_rem_s: wall,
             epoch_s: now,
             slow: 1.0,
-            acct_s: now,
             slot,
         });
-        self.running_changed = true;
         true
     }
 
-    /// Step 6, the cross-job contention epoch: close out the hot-spot
-    /// accounting for the interval that just ended, then — when the
-    /// running set changed — recompute every running job's mean-field
-    /// slowdown from the aggregate link load and retime its completion.
-    /// Jobs whose factor is unchanged (the common case, and *always* the
-    /// case while a job is contention-free) are left untouched bit for
-    /// bit; when the set is unchanged so is every factor, and the
-    /// retiming pass is skipped outright.
+    /// Step 6, the cross-job contention epoch: the ledger closes out the
+    /// hot-spot accounting for the interval that just ended and, when
+    /// the running set moved, folds a new epoch whose factors retime
+    /// every running job's completion. Jobs whose factor is unchanged
+    /// (the common case, and *always* the case while a job is
+    /// contention-free) are left untouched bit for bit.
     fn retime(&mut self, now: f64) {
-        let changed = std::mem::take(&mut self.running_changed);
-        self.view_stale = changed;
-        let (Some(links), sim) = (&mut self.links, &mut self.sim) else {
-            return;
-        };
-        for &id in &links.ep.shared {
-            add_to_link(&mut links.shared_s, id, now - links.shared_t);
-        }
-        links.shared_t = now;
-        if changed {
-            let traffics = self
-                .running
-                .iter()
-                .map(|r| &links.traffic[r.slot].shareable);
-            let net = &self.service.spec().network;
-            let (gap, ep) = (net.gap_s_per_byte(), &mut links.ep);
-            contention::epoch_with(&mut links.scratch, &net.topology, gap, traffics, ep);
-            if !self.cfg.lean {
-                // Every fabric link this epoch first loads gets its
-                // series, in ascending name order among them.
-                let mut fresh: Vec<(String, LinkId)> = Vec::new();
-                for &(id, _) in &links.ep.agg_rates {
-                    if links.rate_series[id as usize].is_none() && links.ids.is_fabric(id) {
-                        fresh.push((links.ids.name(id), id));
-                    }
-                }
-                fresh.sort();
-                for (name, id) in fresh {
-                    let series = sim.registry.series("sched.uplink_rate_Bps", &name);
-                    links.rate_series[id as usize] = Some(series);
-                }
+        let running = self.running.iter().map(|r| (r.slot, r.slow));
+        let series = (!self.cfg.lean).then_some(&mut self.sim.registry);
+        let factors = self.ledger.retime(now, running, series);
+        self.view_stale = factors.is_some();
+        for (r, &s_new) in self.running.iter_mut().zip(factors.unwrap_or_default()) {
+            let sim = &mut self.sim;
+            sim.max_contention_factor = sim.max_contention_factor.max(s_new);
+            if s_new == r.slow {
+                continue;
             }
-            for (r, &s_new) in self.running.iter_mut().zip(&links.ep.factors) {
-                sim.max_contention_factor = sim.max_contention_factor.max(s_new);
-                if s_new == r.slow {
-                    continue;
-                }
-                account_links(&mut links.bytes, &links.traffic, r, now);
-                r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
-                r.epoch_s = now;
-                r.slow = s_new;
-                r.end_s = now + r.nominal_rem_s * s_new;
-            }
-        }
-        if !self.cfg.lean {
-            // Only fabric links ever get a series.
-            for &(id, rate) in &links.ep.agg_rates {
-                if let Some(h) = links.rate_series[id as usize] {
-                    sim.registry.sample(h, now, rate);
-                }
-            }
+            r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
+            r.epoch_s = now;
+            r.slow = s_new;
+            r.end_s = now + r.nominal_rem_s * s_new;
         }
     }
 
@@ -1083,11 +856,8 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     /// the id-sorted report, its metrics and both fingerprints.
     fn into_report(mut self) -> StreamReport {
         let sim = &mut self.sim;
-        if let Some(l) = &self.links {
-            sim.link_bytes = named_totals(&l.bytes, &l.ids);
-            sim.link_shared_s = named_totals(&l.shared_s, &l.ids);
-        }
-        let (jobs, nodes) = (&mut sim.jobs, self.pool.up.len());
+        (sim.link_bytes, sim.link_shared_s) = self.ledger.finish();
+        let (jobs, nodes) = (&mut sim.jobs, self.service.spec().nodes);
         sim.makespan_s = jobs.iter().map(|r| r.end_s).fold(0.0, f64::max);
         sim.utilization = self.busy_node_s / (nodes as f64 * sim.makespan_s.max(1e-9));
         // `.max(1)` guards the all-shed stream; for any non-empty record
@@ -1174,12 +944,10 @@ fn publish_metrics(sim: &mut SimReport, classes: &[ClassReport]) {
 
 /// Run `jobs` through `policy` on the service oracle's cluster.
 ///
-/// The event loop processes, at each virtual instant, repairs →
-/// completions → failures → arrivals → dispatch, each sub-ordered
-/// deterministically (completions by `(end, id)`, failures by sampled
-/// order). Failure-struck jobs lose uncheckpointed work per the
-/// Young/Daly accounting and are requeued at the head of the queue
-/// with their remaining work.
+/// The event loop handles each virtual instant in the engine's
+/// [per-instant order](crate::engine#per-instant-order). Failure-struck
+/// jobs lose uncheckpointed work per the Young/Daly accounting and are
+/// requeued at the head of the queue with their remaining work.
 ///
 /// This is the closed-batch wrapper around [`simulate_stream`]: the job
 /// list replays through [`VecArrivals`] under the single-class
@@ -1202,11 +970,10 @@ pub fn simulate<S: ServiceOracle + ?Sized>(
 /// oracle's cluster, consulting `admission` before each arrival joins
 /// the queue.
 ///
-/// Identical event-loop semantics to [`simulate`] (repairs →
-/// completions → failures → arrivals → dispatch per instant, then the
-/// contention epoch retimes the running set), except that jobs are
-/// pulled lazily from `source` in submit order and each is classified
-/// (or shed) by `admission`. Admitted jobs queue by class rank: each
+/// Identical event-loop semantics to [`simulate`] (the same
+/// [per-instant order](crate::engine#per-instant-order)), except that
+/// jobs are pulled lazily from `source` in submit order and each is
+/// classified (or shed) by `admission`. Admitted jobs queue by class rank: each
 /// goes before the first queued entry of a lower class, so class 0
 /// runs ahead of class 1 — FIFO within a class, except that an arrival
 /// passes older entries of its own class that sit behind a requeued
@@ -1241,7 +1008,7 @@ pub fn try_simulate_stream<S: ServiceOracle + ?Sized>(
 ) -> Result<StreamReport, SchedDeadlock> {
     let mut engine = Engine::new(service, policy, cfg, admission.class_labels());
     while let Some(now) = engine.next_event_s(source.peek_s())? {
-        engine.pool.repair(now);
+        engine.repair(now);
         engine.complete(now);
         engine.fail(now);
         engine.arrive(now, source, admission);
@@ -1363,34 +1130,10 @@ mod tests {
         assert!(rep.jobs.iter().all(|r| r.end_s > 0.0));
     }
 
-    impl NodePool {
-        /// The pool oracle `dispatch` runs in test builds: recount `up`
-        /// and `free` against the counts the engine passes to policies,
-        /// and check that the running jobs hold, once each, exactly the
-        /// up nodes that are not free.
-        pub(super) fn check(&self, running: &[RunEntry]) {
-            let count = |v: &[bool]| v.iter().filter(|&&b| b).count();
-            assert_eq!(
-                count(&self.up),
-                self.up.len() - self.repairs.len(),
-                "up count"
-            );
-            assert_eq!(count(&self.free), self.n_free, "free count");
-            let mut held = vec![false; self.up.len()];
-            for &m in running.iter().flat_map(|r| r.nodes.ids()) {
-                assert!(!held[m], "node {m} held twice");
-                held[m] = true;
-            }
-            for (m, &h) in held.iter().enumerate() {
-                assert_eq!(h, self.up[m] && !self.free[m], "node {m}: held {h}");
-            }
-        }
-    }
-
     #[test]
     fn the_node_pool_stays_current_through_failures_and_repairs() {
         // Every `dispatch` of a test build runs the pool oracle
-        // (`NodePool::check`): recounted free and up nodes against the
+        // (`Ledger::check`): recounted free and up nodes against the
         // maintained counts, and the running jobs' nodes against "up and
         // not free". These streams make it see failures strike held and
         // idle nodes, requeues and repairs, on the star and on a fat-tree.

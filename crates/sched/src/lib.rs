@@ -59,6 +59,7 @@
 
 pub mod engine;
 pub mod job;
+mod ledger;
 pub mod pins;
 pub mod policy;
 mod queue;

@@ -608,6 +608,35 @@ fn whole_report_golden_contended_fat_tree_easy_with_failures() {
     contended_fat_tree_golden(&EasyBackfill, true, "c2217697c080a94d");
 }
 
+/// A comm-heavy stream with failures on a 4×4×2 torus: its jobs share
+/// router links, and since a torus has no edge uplinks to score,
+/// `ContentionAware` places every job as `Compact` does, down to every
+/// reported bit.
+#[test]
+fn a_torus_stream_contends_and_contention_aware_places_as_compact() {
+    let spec = metablade_spec()
+        .with_nodes(32)
+        .with_topology(Topology::torus([4, 4, 2]));
+    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+    let service = ServiceModel::new(&cluster);
+    let jobs = metablade::sched::comm_heavy(24, 3, 12, 10.0, 11);
+    let run = |placement| {
+        let cfg = SchedConfig {
+            placement,
+            failure: Some(FailureConfig::accelerated(40_000.0, 7)),
+            ..SchedConfig::default()
+        };
+        let mut source = VecArrivals::new(&jobs);
+        golden_run(&service, &EasyBackfill, &mut source, &mut AdmitAll, &cfg)
+    };
+    let (compact, compact_digest) = run(Placement::Compact);
+    let sim = &compact.sim;
+    assert!(sim.max_contention_factor > 1.0, "no job was slowed");
+    assert!(!sim.link_shared_s.is_empty(), "no link was shared");
+    assert!(sim.requeues > 0, "no running job was struck");
+    assert_eq!(run(Placement::ContentionAware).1, compact_digest);
+}
+
 /// A three-class Poisson stream on the star offered far above
 /// capacity: every class queue hits its limit, latency overflow is shed
 /// and batch overflow demoted.
