@@ -4,9 +4,8 @@
 //! charges CPU seconds at the node's sustained rate, `send`/`recv` charge
 //! the LogGP costs of [`crate::network::NetworkModel`], and a receive
 //! waits (in virtual time) until the message's delivery timestamp.
-//! Messages travel through the run's [`EventCore`], which owns one
-//! mailbox per rank: a send is `deliver`, a receive is `take` (see
-//! [`crate::event`]).
+//! Messages travel through the run's [`crate::event`] core, which owns
+//! one mailbox per rank: a send is `deliver`, a receive is `take`.
 //!
 //! **One implementation per blocking operation.** Every operation that
 //! may wait for a message is one `async fn` — [`Comm::recv_async`],
@@ -195,7 +194,7 @@ pub struct Comm {
     /// The run's admission engine and message transport: it holds every
     /// rank's mailbox, and a receive that has to wait gives up this
     /// rank's execution slot inside it until the message is delivered.
-    core: Arc<EventCore>,
+    pub(crate) core: Arc<EventCore>,
     phases: Vec<(&'static str, f64)>,
     /// Running statistics.
     pub stats: CommStats,
@@ -565,7 +564,7 @@ impl Comm {
 }
 
 /// Run a thread rank's operation to completion: every receive in it that
-/// has to wait parks the thread inside [`EventCore::take`], so one poll
+/// has to wait parks the thread inside the core's `take`, so one poll
 /// finishes the future.
 pub(crate) fn block_on<T>(op: impl Future<Output = T>) -> T {
     match pin!(op).poll(&mut Context::from_waker(Waker::noop())) {

@@ -29,7 +29,7 @@
 //!   timeline bit for bit).
 //!
 //! Everything here is a pure function of per-job traffic summaries that
-//! are themselves bit-identical across `MB_PARALLEL` widths, so the
+//! are themselves bit-identical under every executor policy, so the
 //! scheduler's fingerprints stay executor-invariant (DESIGN.md §14).
 //!
 //! **Links are integers here.** A [`JobTraffic`] keys its rates by the

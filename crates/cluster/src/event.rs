@@ -7,10 +7,9 @@
 //! multiplexes the admitted tasks over a fixed number of execution slots
 //! (one for `Sequential`, `workers` for `Parallel`, `nranks` for
 //! `Unbounded`). A **stackless rank** is a future the calling thread
-//! polls: a
-//! `EventCore::stackless` core has one slot and no gates, and the rank
-//! it admits is the one `EventCore::next_poll` hands the poller. Three
-//! structures drive admission:
+//! polls: a stackless core has one slot and no gates, and the rank it
+//! admits is the one `next_poll` hands the poller. Three structures drive
+//! admission:
 //!
 //! * a **ready queue** — a binary min-heap ordered by
 //!   `(virtual clock, rank)`, so selecting the next task is `O(log n)`;
@@ -20,20 +19,10 @@
 //!   searched);
 //! * a **lookahead horizon** — any ready task within
 //!   `min_running_clock + L` is admissible, where `L` is the network
-//!   model's [`crate::network::NetworkModel::min_delivery_delay`].
-//!   When the cluster's topology makes some node pairs farther apart
-//!   than others, the core upgrades the single scalar to **per-pair
-//!   bounds** (see [`PairBound`]): a candidate task is admitted when its
-//!   clock is within `bound(floor_rank, candidate)` of the slowest
-//!   admitted rank — the zero-byte delivery bound of that specific pair
-//!   ([`crate::network::NetworkModel::min_delay_between`]). Every
-//!   per-pair bound is ≥ the global minimum, so the horizon only ever
-//!   widens relative to the scalar baseline — ranks that are many
-//!   switch hops away from the current floor may run further ahead,
-//!   which is exactly where hierarchical topologies would otherwise
-//!   serialize admission. With one slot the horizon is never consulted:
-//!   a task is only admitted when nothing runs, so admission is plain
-//!   lowest-`(clock, rank)`-first.
+//!   model's [`crate::network::NetworkModel::min_delivery_delay`], one
+//!   scalar for every pair of ranks. With one slot the horizon is never
+//!   consulted: a task is only admitted when nothing runs, so admission
+//!   is plain lowest-`(clock, rank)`-first.
 //!
 //! **Why the lookahead is safe.** Simulated outcomes do not depend on
 //! admission order at all: receives name their source rank and are FIFO
@@ -42,31 +31,28 @@
 //! [`crate::exec`]). Admission policy affects only *wall-clock* time and
 //! host memory. The horizon exists to bound virtual-clock skew — and with
 //! it the pending-message buffers — and the delivery bound is the natural
-//! choice: a rank less than `bound(floor, r)` ahead of the slowest
-//! admitted rank cannot yet observe any message that rank has still to
-//! send (no message from `floor` can arrive at `r` sooner than the
-//! pair's zero-byte delivery delay), so running it early cannot even
-//! reorder message arrival interleavings. The same argument covers the
-//! per-pair form because the bound is evaluated against the *current
-//! floor rank specifically* — the one rank whose unsent messages the
-//! horizon is guarding against (see DESIGN.md §13 for the full sketch).
+//! choice: a rank less than `L` ahead of the slowest admitted rank cannot
+//! yet observe any message that rank has still to send (no message can
+//! arrive sooner than the zero-byte delivery delay, on any topology), so
+//! running it early cannot even reorder message arrival interleavings
+//! (see DESIGN.md §13 for the full sketch).
 //! Wake-ups use one `Condvar` per rank (`notify_one` direct handoff), so
 //! an admission wakes exactly the admitted task, never the whole pool —
 //! and only once the dispatcher has let go of the state lock, so a woken
 //! rank that preempts its waker does not run into it.
 //!
 //! **Mailboxes.** Message transport lives here too, under the same state
-//! lock as admission. [`EventCore::deliver`] either files a message in
-//! the destination's mailbox (arrival order, so FIFO per `(src, tag)`)
-//! or — when the destination is parked awaiting exactly that
-//! `(src, tag)` — hands it over and makes the destination `Ready` at the
-//! clock it blocked at, in the same critical section.
-//! [`EventCore::take`] returns a filed message without touching the
-//! slot, or records what the rank awaits and gives up its slot. A thread
-//! rank then parks **once** on its gate, and the grant that reopens the
-//! gate carries the message; a stackless rank's `take` returns `Pending`
-//! instead, and the message waits on the task until the poller admits
-//! the rank again and its `take` is polled once more. A task is therefore
+//! lock as admission. The core's `deliver` either files a message in the
+//! destination's mailbox (arrival order, so FIFO per `(src, tag)`) or —
+//! when the destination is parked awaiting exactly that `(src, tag)` —
+//! hands it over and makes the destination `Ready` at the clock it
+//! blocked at, in the same critical section. Its `take` returns a filed
+//! message without touching the slot, or records what the rank awaits
+//! and gives up its slot. A thread rank then parks **once** on its gate,
+//! and the grant that reopens the gate carries the message; a stackless
+//! rank's `take` returns `Pending` instead, and the message waits on the
+//! task until the poller admits the rank again and its `take` is polled
+//! once more. A task is therefore
 //! `Unstarted → Ready → Running → (Awaiting → Ready → Running)* → Done`.
 //!
 //! **Failing loudly.** Admission itself cannot deadlock: when no task
@@ -77,31 +63,20 @@
 //! stackless poller finds nothing left to poll and reports them), and
 //! poisons itself: every gate is woken and every parked rank (now or
 //! later) unwinds with the `Poisoned` marker instead of waiting
-//! forever. [`EventCore::poison`] is also what a panicking rank's drop
-//! guard calls, so its peers unwind rather than park on messages that
-//! will never come (see `exec.rs`).
+//! forever. Poisoning is also what a panicking rank's drop guard does,
+//! so its peers unwind rather than park on messages that will never
+//! come (see `exec.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::Poll;
 use std::time::Instant;
 
 use mb_telemetry::prof::LogHistogram;
 
 use crate::comm::Msg;
-
-/// Per-pair admission bounds: how far ahead (virtual seconds) rank `to`
-/// may run of rank `from` without being able to observe any message
-/// `from` has yet to send. Implemented over the network model's
-/// topology-aware [`crate::network::NetworkModel::min_delay_between`];
-/// every bound must be ≥ the scalar lookahead the core was built with,
-/// or admission would be *more* conservative than the safe baseline.
-pub trait PairBound: Send + Sync {
-    /// Zero-byte delivery lower bound from `from`'s node to `to`'s node.
-    fn bound_s(&self, from: usize, to: usize) -> f64;
-}
 
 /// Order-preserving map from `f64` to `u64` (IEEE-754 total order trick)
 /// so clocks can live in integer-keyed heaps.
@@ -147,8 +122,8 @@ struct Task {
     ready_at: Option<Instant>,
 }
 
-/// A receive nobody is left to satisfy: one entry of the deadlock
-/// report ([`EventCore::deadlock`]).
+/// A receive nobody is left to satisfy: one entry of
+/// [`crate::machine::SimError::Deadlock`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockedRecv {
     /// The blocked rank.
@@ -170,7 +145,7 @@ pub(crate) struct Poisoned;
 /// Host-time latency distributions the profiled core accumulates, all in
 /// **host nanoseconds** (never virtual seconds — see DESIGN.md §12).
 /// Present on [`ExecutorReport::prof`] only when profiling was enabled
-/// ([`EventCore::with_profiling`] or `MB_PROF=1`). This is the
+/// ([`crate::machine::Cluster::with_prof`] or `MB_PROF=1`). This is the
 /// accumulator itself: the core records into it under its state lock,
 /// so there is one set of histograms however many ranks run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -234,11 +209,9 @@ pub struct ExecutorReport {
     /// task was ready, but it was more than `L` ahead of the slowest
     /// running rank.
     pub horizon_waits: u64,
-    /// Admissions granted *only because* a per-pair bound widened the
-    /// horizon: the admitted task's clock was beyond `floor + L` (the
-    /// scalar horizon) but within the pair's delivery bound. Zero
-    /// whenever no [`PairBound`] is attached — i.e. on the star, where
-    /// every pair bound equals the global minimum.
+    /// Always 0: the horizon is one scalar for every pair of ranks, so
+    /// no admission is granted beyond it. Kept for the readers that
+    /// still publish it.
     pub pair_grants: u64,
     /// Ready-queue depth sampled at each dispatch (log-bucketed; exact
     /// count/sum/extremes, percentile queries via
@@ -357,14 +330,12 @@ struct CoreState {
 }
 
 impl CoreState {
-    /// Clock (and rank) of the slowest admitted task, if any (lower
-    /// bound: running tasks only ever advance past their admission
-    /// clock). The rank identity is what per-pair horizon bounds are
-    /// evaluated against.
-    fn min_running(&mut self) -> Option<(f64, usize)> {
+    /// Clock of the slowest admitted task, if any (lower bound: running
+    /// tasks only ever advance past their admission clock).
+    fn min_running(&mut self) -> Option<f64> {
         while let Some(&Reverse((key, rank))) = self.running_heap.peek() {
             match self.tasks[rank].state {
-                TaskState::Running(c) if clock_key(c) == key => return Some((c, rank)),
+                TaskState::Running(c) if clock_key(c) == key => return Some(c),
                 _ => {
                     self.running_heap.pop();
                 }
@@ -392,15 +363,11 @@ impl CoreState {
 /// through [`EventCore::deliver`], receives through [`EventCore::take`]
 /// (which gives up the slot only if the message is not here yet) and
 /// calls [`EventCore::release`] when it has finished. A stackless run
-/// replaces `acquire` with one
-/// `EventCore::start` and asks `EventCore::next_poll` which rank to
-/// poll.
-pub struct EventCore {
+/// replaces `acquire` with one [`EventCore::start`] and asks
+/// [`EventCore::next_poll`] which rank to poll.
+pub(crate) struct EventCore {
     workers: usize,
     lookahead_s: f64,
-    /// Topology-aware per-pair horizon bounds; `None` keeps the scalar
-    /// `lookahead_s` for every pair (the star).
-    pair_bounds: Option<Arc<dyn PairBound>>,
     state: Mutex<CoreState>,
     gates: Vec<Gate>,
     /// Set once by [`EventCore::poison`], read by every gate waiter
@@ -431,7 +398,6 @@ impl EventCore {
         EventCore {
             workers,
             lookahead_s,
-            pair_bounds: None,
             state: Mutex::new(CoreState {
                 running: 0,
                 ready: 0,
@@ -471,27 +437,6 @@ impl EventCore {
         let st = self.state.get_mut().expect("event core lock");
         st.report.prof = on.then(ProfReport::default);
         self
-    }
-
-    /// True when host-time profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Attach topology-aware per-pair horizon bounds: dispatch evaluates
-    /// `bounds.bound_s(floor_rank, candidate)` instead of the scalar
-    /// horizon. Every pair bound must be ≥ the scalar (the network
-    /// model's per-pair bounds are, by construction: a route crosses at
-    /// least one hop), so admission is never more conservative than the
-    /// global-minimum baseline.
-    pub fn with_pair_bounds(mut self, bounds: Arc<dyn PairBound>) -> Self {
-        self.pair_bounds = Some(bounds);
-        self
-    }
-
-    /// Execution slots in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// True for a core built by `EventCore::stackless`.
@@ -546,14 +491,8 @@ impl EventCore {
                 break;
             };
             let min_running = st.min_running();
-            if let Some((floor, floor_rank)) = min_running {
-                let horizon = match &self.pair_bounds {
-                    // The pair bound: how soon could the floor rank's
-                    // next (still unsent) message reach this candidate?
-                    Some(pb) => pb.bound_s(floor_rank, rank),
-                    None => self.lookahead_s,
-                };
-                if clock > floor + horizon {
+            if let Some(floor) = min_running {
+                if clock > floor + self.lookahead_s {
                     // Beyond the horizon: running it now is still *legal*
                     // (results are admission-order independent) but would
                     // let virtual-clock skew — and mailbox memory — grow
@@ -571,15 +510,8 @@ impl EventCore {
             st.running_heap.push(Reverse((clock_key(clock), rank)));
             st.running += 1;
             st.report.admissions += 1;
-            if let Some((floor, _)) = min_running {
-                if clock > floor {
-                    st.report.lookahead_grants += 1;
-                }
-                if clock > floor + self.lookahead_s {
-                    // Only reachable through a per-pair bound wider than
-                    // the scalar horizon.
-                    st.report.pair_grants += 1;
-                }
+            if min_running.is_some_and(|floor| clock > floor) {
+                st.report.lookahead_grants += 1;
             }
             st.report.sample_occupancy(st.running);
             if let (Some(p), Some(t)) = (&mut st.report.prof, t_pop) {
@@ -919,79 +851,6 @@ mod tests {
         let rep = core.report();
         assert!(rep.horizon_waits >= 1, "far task deferred: {rep:?}");
         assert!(rep.lookahead_grants >= 1, "near task granted: {rep:?}");
-    }
-
-    struct FarPairs {
-        wide_s: f64,
-    }
-    impl PairBound for FarPairs {
-        fn bound_s(&self, _from: usize, _to: usize) -> f64 {
-            self.wide_s
-        }
-    }
-
-    #[test]
-    fn pair_bounds_widen_the_horizon_and_count_pair_grants() {
-        // Scalar horizon 1 s; the pair bound says these ranks are 100 s
-        // of delivery delay apart. A task 10 s ahead of the floor must
-        // now be admitted (and counted as a pair grant), where the
-        // scalar core defers it — same setup as
-        // `horizon_defers_far_future_tasks_while_one_runs`.
-        let core = EventCore::new(2, 2, 1.0).with_pair_bounds(Arc::new(FarPairs { wide_s: 100.0 }));
-        core.acquire(0, 0.0);
-        let far_admitted = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            {
-                let core = &core;
-                let far_admitted = Arc::clone(&far_admitted);
-                scope.spawn(move || {
-                    core.acquire(1, 10.0);
-                    far_admitted.store(1, Ordering::SeqCst);
-                    core.release(1);
-                });
-            }
-            while far_admitted.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            core.release(0);
-        });
-        let rep = core.report();
-        assert_eq!(
-            rep.horizon_waits, 0,
-            "wide pair bound never stalls: {rep:?}"
-        );
-        assert!(rep.pair_grants >= 1, "10 s > 0 + 1 s scalar: {rep:?}");
-        assert!(rep.lookahead_grants >= rep.pair_grants);
-    }
-
-    #[test]
-    fn tight_pair_bounds_behave_like_the_scalar_horizon() {
-        // A pair bound equal to the scalar horizon must defer exactly
-        // like the scalar core — and record zero pair grants.
-        let core = EventCore::new(2, 2, 1.0).with_pair_bounds(Arc::new(FarPairs { wide_s: 1.0 }));
-        core.acquire(0, 0.0);
-        let far_admitted = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            {
-                let core = &core;
-                let far_admitted = Arc::clone(&far_admitted);
-                scope.spawn(move || {
-                    core.acquire(1, 10.0);
-                    far_admitted.store(1, Ordering::SeqCst);
-                    core.release(1);
-                });
-            }
-            while core.state.lock().unwrap().ready < 1 {
-                std::thread::yield_now();
-            }
-            std::thread::yield_now();
-            assert_eq!(far_admitted.load(Ordering::SeqCst), 0, "10 s > 0 + 1 s");
-            core.release(0);
-        });
-        assert_eq!(far_admitted.load(Ordering::SeqCst), 1);
-        let rep = core.report();
-        assert!(rep.horizon_waits >= 1);
-        assert_eq!(rep.pair_grants, 0);
     }
 
     #[test]

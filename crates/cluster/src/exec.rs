@@ -14,7 +14,7 @@
 //!   the same body on threads instead, which is how tests compare the two
 //!   paths on one body.
 //!
-//! Both are admitted by one engine, the [`crate::event::EventCore`], and
+//! Both are admitted by one engine, the run's [`crate::event`] core, and
 //! deadlock, panics and outcomes behave the same on both: a deadlocked
 //! program is `SimError::Deadlock`, a panicking rank's own payload is
 //! re-raised (the lowest such rank's, on threads; a stackless rank's
@@ -31,7 +31,8 @@
 //!   any instant. This bounds host CPU/memory pressure for big sweeps
 //!   without changing any simulated result.
 //! * [`ExecPolicy::Unbounded`] — `workers == nranks`: every rank is
-//!   admissible whenever the lookahead horizon allows. The default.
+//!   admissible whenever the lookahead horizon allows. The default;
+//!   another policy is set in code, by [`crate::machine::Cluster::with_exec`].
 //!
 //! A stackless run has one slot whatever the policy — the calling thread
 //! — and reports `workers == 1`.
@@ -54,6 +55,7 @@
 
 use std::future::Future;
 use std::panic::resume_unwind;
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use crate::comm::{block_on, Comm};
@@ -104,12 +106,11 @@ mod sealed {
         /// True when the ranks are futures the calling thread polls.
         const STACKLESS: bool;
 
-        /// Run one rank per `comms` entry, all sharing `core`, to
-        /// completion: each rank's result next to its communicator, by
-        /// rank. A deadlocked program is an error; a rank's panic is
-        /// re-raised with its own payload.
-        fn run_ranks(&self, comms: Vec<Comm>, core: &EventCore)
-            -> Result<Vec<(R, Comm)>, SimError>;
+        /// Run one rank per `comms` entry, all sharing the one core their
+        /// communicators hold, to completion: each rank's result next to
+        /// its communicator, by rank. A deadlocked program is an error; a
+        /// rank's panic is re-raised with its own payload.
+        fn run_ranks(&self, comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError>;
     }
 }
 
@@ -128,7 +129,9 @@ impl Drop for PoisonOnPanic<'_> {
 impl<R: Send, F: Fn(&mut Comm) -> R + Sync> sealed::RunRanks<R> for F {
     const STACKLESS: bool = false;
 
-    fn run_ranks(&self, comms: Vec<Comm>, core: &EventCore) -> Result<Vec<(R, Comm)>, SimError> {
+    fn run_ranks(&self, comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError> {
+        let core = Arc::clone(&comms[0].core);
+        let core = &*core;
         let joined: Vec<std::thread::Result<(R, Comm)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .into_iter()
@@ -174,11 +177,8 @@ impl<R: Send, F: Fn(&mut Comm) -> R + Sync> sealed::RunRanks<R> for F {
 impl<R, F: AsyncFn(&mut Comm) -> R> sealed::RunRanks<R> for Stackless<F> {
     const STACKLESS: bool = true;
 
-    fn run_ranks(
-        &self,
-        mut comms: Vec<Comm>,
-        core: &EventCore,
-    ) -> Result<Vec<(R, Comm)>, SimError> {
+    fn run_ranks(&self, mut comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError> {
+        let core = Arc::clone(&comms[0].core);
         let mut results: Vec<Option<R>> = comms.iter().map(|_| None).collect();
         {
             let mut ranks: Vec<_> = comms.iter_mut().map(|c| Box::pin((self.0)(c))).collect();
@@ -216,12 +216,6 @@ impl<R, F: AsyncFn(&mut Comm) -> R> sealed::RunRanks<R> for Stackless<F> {
 
 /// How many simulated ranks make host progress at once. See the
 /// [module docs](self) for why the choice cannot change an outcome.
-///
-/// The default comes from the `MB_PARALLEL` environment variable:
-/// unset/empty → `Unbounded`, `0`/`1`/`seq`/`sequential` → `Sequential`,
-/// `N` → `Parallel { workers: N }`. Any other value (`w8`, `eight`) is
-/// rejected with one line on stderr (once per process) and falls back to
-/// `Unbounded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecPolicy {
     /// One rank makes progress at a time (the one-slot reference width).
@@ -237,37 +231,6 @@ pub enum ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The policy selected by `MB_PARALLEL` (see type docs), defaulting
-    /// to [`ExecPolicy::Unbounded`] when unset. An unparsable value also
-    /// yields `Unbounded`, but says so on stderr instead of silently
-    /// running a different policy than the operator typed.
-    pub fn from_env() -> Self {
-        let Ok(v) = std::env::var("MB_PARALLEL") else {
-            return ExecPolicy::Unbounded;
-        };
-        Self::parse(&v).unwrap_or_else(|| {
-            // Every `Cluster::new` lands here; a sweep should warn once.
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("MB_PARALLEL={v:?} rejected (accepted: seq|0|1|N); running unbounded")
-            });
-            ExecPolicy::Unbounded
-        })
-    }
-
-    /// Parse an `MB_PARALLEL`-style value.
-    pub fn parse(v: &str) -> Option<Self> {
-        match v.trim() {
-            "" => Some(ExecPolicy::Unbounded),
-            "seq" | "sequential" | "0" => Some(ExecPolicy::Sequential),
-            n => match n.parse::<usize>() {
-                Ok(1) => Some(ExecPolicy::Sequential),
-                Ok(w) => Some(ExecPolicy::Parallel { workers: w }),
-                Err(_) => None,
-            },
-        }
-    }
-
     /// Concurrent execution slots, `None` when unbounded.
     pub fn workers(&self) -> Option<usize> {
         match *self {
@@ -290,25 +253,6 @@ impl ExecPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_parses_env_values() {
-        assert_eq!(ExecPolicy::parse(""), Some(ExecPolicy::Unbounded));
-        assert_eq!(ExecPolicy::parse("seq"), Some(ExecPolicy::Sequential));
-        assert_eq!(
-            ExecPolicy::parse("sequential"),
-            Some(ExecPolicy::Sequential)
-        );
-        assert_eq!(ExecPolicy::parse("0"), Some(ExecPolicy::Sequential));
-        assert_eq!(ExecPolicy::parse("1"), Some(ExecPolicy::Sequential));
-        assert_eq!(
-            ExecPolicy::parse(" 8 "),
-            Some(ExecPolicy::Parallel { workers: 8 })
-        );
-        for rejected in ["gibberish", "w8", "eight", "-1"] {
-            assert_eq!(ExecPolicy::parse(rejected), None, "{rejected}");
-        }
-    }
 
     #[test]
     fn policy_reports_workers_and_labels() {

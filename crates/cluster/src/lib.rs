@@ -30,8 +30,8 @@
 //! * [`exec`] — the two ways a rank runs: a closure body runs on OS
 //!   threads (one per rank), a [`Stackless`]
 //!   `async` body on none (the calling thread polls every rank). An
-//!   [`ExecPolicy`] (sequential / bounded pool / unbounded,
-//!   `MB_PARALLEL`) is the slot count of a thread run's [`event`] core,
+//!   [`ExecPolicy`] (sequential / bounded pool / unbounded, set in code)
+//!   is the slot count of a thread run's [`event`] core,
 //!   which admits ranks and carries their messages (one mailbox per rank,
 //!   one park per blocking receive); every policy and both forms yield
 //!   bit-identical outcomes;
@@ -99,7 +99,7 @@ pub mod topology;
 
 pub use comm::{Comm, CommStats, PeerTable, PeerTraffic};
 pub use contention::{ContentionEpoch, JobTraffic};
-pub use event::{BlockedRecv, EventCore, ExecutorReport, PairBound};
+pub use event::{BlockedRecv, ExecutorReport};
 pub use exec::{threaded, ExecPolicy, SpmdBody, Stackless};
 pub use machine::{Cluster, SimError, SpmdOutcome};
 pub use network::NetworkModel;

@@ -7,10 +7,10 @@
 //! (`mb_telemetry::chrome::export`) — one track per rank.
 //!
 //! How many ranks make host progress at once is an [`ExecPolicy`]
-//! ([`Cluster::with_exec`], default `MB_PARALLEL`): one, a bounded
-//! number, or all of them — the slot count of the run's one
-//! [`EventCore`]. Every policy produces the same [`SpmdOutcome`] bit for
-//! bit — see [`crate::exec`].
+//! ([`Cluster::with_exec`], default unbounded): one, a bounded number,
+//! or all of them — the slot count of the run's one [`crate::event`]
+//! core. Every policy produces the same [`SpmdOutcome`] bit for bit —
+//! see [`crate::exec`].
 //!
 //! Each rank holds a [`Comm`] that shares the run's core; the core owns
 //! the mailboxes, so setting a run up costs `O(nranks)` and nothing in it
@@ -34,26 +34,10 @@ use mb_telemetry::summary::RunSummary;
 use mb_telemetry::trace::RunTrace;
 
 use crate::comm::{Comm, CommStats};
-use crate::event::{BlockedRecv, EventCore, ExecutorReport, PairBound};
+use crate::event::{BlockedRecv, EventCore, ExecutorReport};
 use crate::exec::{ExecPolicy, SpmdBody};
 use crate::network::NetworkModel;
 use crate::spec::ClusterSpec;
-use crate::topology::Topology;
-
-/// Topology-aware per-pair lookahead bounds for the event core: the
-/// zero-byte delivery delay between two ranks' *nodes*. On the star this
-/// equals the global minimum for every pair, so it is only attached for
-/// hierarchical topologies.
-struct TopoBounds {
-    net: NetworkModel,
-    nodes: Arc<Vec<usize>>,
-}
-
-impl PairBound for TopoBounds {
-    fn bound_s(&self, from: usize, to: usize) -> f64 {
-        self.net.min_delay_between(self.nodes[from], self.nodes[to])
-    }
-}
 
 /// Why an SPMD run produced no outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,19 +144,19 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cluster from a spec. The executor policy comes from the
-    /// `MB_PARALLEL` environment variable (see [`ExecPolicy::from_env`]);
-    /// host-time profiling of the executor from `MB_PROF`
-    /// (see [`mb_telemetry::prof::enabled_from_env`]).
+    /// Build a cluster from a spec, with the default executor policy
+    /// ([`ExecPolicy::Unbounded`]) and host-time profiling of the
+    /// executor from `MB_PROF` (see
+    /// [`mb_telemetry::prof::enabled_from_env`]).
     pub fn new(spec: ClusterSpec) -> Self {
         Self {
             spec,
-            exec: ExecPolicy::from_env(),
+            exec: ExecPolicy::default(),
             prof: mb_telemetry::prof::enabled_from_env(),
         }
     }
 
-    /// Use an explicit executor policy instead of the environment's.
+    /// Use another executor policy.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
@@ -308,25 +292,15 @@ impl Cluster {
         // One admission engine for every policy and both body forms: the
         // policy is a thread run's slot count, and a stackless run has
         // the one slot of its calling thread. The horizon is the
-        // network's global minimum delivery delay, upgraded to
-        // topology-aware per-pair bounds whenever the topology actually
-        // differentiates pairs (on the star every pair bound equals the
-        // global minimum, so attaching them would only add a virtual
-        // call per dispatch).
+        // network's minimum delivery delay, which no pair of nodes on
+        // any topology undercuts.
         let lookahead_s = net.min_delivery_delay();
-        let mut core = if B::STACKLESS {
+        let core = if B::STACKLESS {
             EventCore::stackless(n, lookahead_s)
         } else {
             EventCore::new(self.exec.workers().unwrap_or(n), n, lookahead_s)
-        }
-        .with_profiling(self.prof);
-        if topology != Topology::Star {
-            core = core.with_pair_bounds(Arc::new(TopoBounds {
-                net,
-                nodes: Arc::clone(&nodes),
-            }));
-        }
-        let core = Arc::new(core);
+        };
+        let core = Arc::new(core.with_profiling(self.prof));
         let mflops = self.spec.node.cpu.sustained_mflops;
         let comms = (0..n)
             .map(|rank| {
@@ -340,7 +314,7 @@ impl Cluster {
                 )
             })
             .collect();
-        let finished = body.run_ranks(comms, &core)?;
+        let finished = body.run_ranks(comms)?;
         let mut vals = Vec::with_capacity(n);
         let mut clocks = Vec::with_capacity(n);
         let mut stats = Vec::with_capacity(n);

@@ -179,8 +179,8 @@ impl NodeSet {
 impl Cluster {
     /// Run an SPMD job on a subset of this cluster's nodes: rank `i` of
     /// the job executes on node `nodes.ids()[i]`. Inherits the cluster's
-    /// executor policy; the outcome is bit-identical under every
-    /// [`crate::ExecPolicy`], exactly as [`Cluster::run`].
+    /// executor policy and profiling switch; the outcome is bit-identical
+    /// under every [`crate::ExecPolicy`], exactly as [`Cluster::run`].
     ///
     /// The job is simulated as a `nodes.len()`-node sub-cluster whose
     /// ranks keep the real node ids, so per-pair network costs follow
@@ -201,6 +201,7 @@ impl Cluster {
         );
         Cluster::new(self.spec().with_nodes(nodes.len()))
             .with_exec(self.exec())
+            .with_prof(self.prof())
             .run_mapped(nodes.ids(), body)
     }
 }
@@ -372,6 +373,21 @@ mod tests {
                 .with_exec(policy)
                 .run_on(&nodes, job);
             assert_eq!(out.clocks, reference.clocks, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn run_on_inherits_the_clusters_profiling_switch() {
+        let job = |comm: &mut Comm| comm.allreduce_sum(&[1.0])[0];
+        let nodes = NodeSet::new(vec![0, 1, 2]);
+        for on in [true, false] {
+            let cluster = Cluster::new(metablade()).with_prof(on);
+            assert_eq!(cluster.run(job).exec_report.prof.is_some(), on);
+            assert_eq!(
+                cluster.run_on(&nodes, job).exec_report.prof.is_some(),
+                on,
+                "run_on, prof {on}"
+            );
         }
     }
 

@@ -30,7 +30,7 @@
 //! dimension-ordered torus routing breaks ring-distance ties in the
 //! positive direction — so two messages between the same pair always
 //! take the same links, in the same order, on every host and under
-//! every `MB_PARALLEL` width.
+//! every executor policy.
 //!
 //! [`Topology::link_occupancy`] folds a finished run's per-peer traffic
 //! counters over the routes, yielding bytes/messages per named link —

@@ -16,7 +16,7 @@
 //! [`WorkModel::run_step`]. Checkpoint/restart overhead and failure
 //! rework follow the Young/Daly [`CheckpointModel`]. Everything is a pure
 //! function of its inputs, and no step consults the executor policy, so
-//! the run fingerprint is the same under every `MB_PARALLEL` setting:
+//! the run fingerprint is the same under every executor policy:
 //! the determinism contract of DESIGN.md §10, checked once on the step
 //! body itself (`tests/determinism.rs`) rather than by re-running
 //! schedules under several policies.
@@ -401,7 +401,7 @@ pub struct SimReport {
     /// queue-depth series) keyed by policy name.
     pub registry: Registry,
     /// FNV-1a fingerprint of the full outcome; bit-identical on every
-    /// host and under every `MB_PARALLEL` setting.
+    /// host and under every executor policy.
     pub fingerprint: u64,
 }
 

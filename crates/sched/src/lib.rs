@@ -31,7 +31,7 @@
 //!
 //! The determinism contract (DESIGN.md §10): a [`SimReport`]'s
 //! fingerprint is bit-identical for a given (cluster spec, workload,
-//! policy, config) on every host and under every `MB_PARALLEL` setting —
+//! policy, config) on every host and under every executor policy —
 //! the event loop is pure, and per-job service times come from
 //! [`WorkModel::run_step`], a stackless body [`mb_cluster::Cluster::run_on`]
 //! polls on the calling thread whatever the executor policy.

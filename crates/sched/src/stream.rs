@@ -154,7 +154,7 @@ pub struct StreamReport {
     pub shed: u64,
     /// FNV-1a fingerprint folding the batch fingerprint with the
     /// per-class offered/admitted/shed/completed counts; bit-identical
-    /// across `MB_PARALLEL` executor settings.
+    /// under every executor policy.
     pub stream_fingerprint: u64,
 }
 

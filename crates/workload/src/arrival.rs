@@ -10,7 +10,7 @@
 //! seed: one [`rand::rngs::StdRng`] is consumed in a fixed order
 //! (gap draws, then job-body draws), so the resulting job stream — and
 //! therefore the stream fingerprint — is bit-identical across runs and
-//! `MB_PARALLEL` settings.
+//! under every executor policy.
 
 use mb_sched::stream::{Arrival, ArrivalSource};
 use mb_sched::{JobSpec, NpbKernel, WorkModel};

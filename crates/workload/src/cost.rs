@@ -20,7 +20,7 @@
 //! stackless runs that no executor policy reaches, and the fit itself is
 //! a fixed-order computation — so the fitted coefficients (and every
 //! price derived from them) are bit-identical on every host and under
-//! every `MB_PARALLEL` setting.
+//! every executor policy.
 //!
 //! The step's shape — per-rank flops, ring rounds, closing collective —
 //! is [`WorkModel::shape`] and [`WorkModel::flops_for_rank`], the same

@@ -30,7 +30,7 @@
 //! seeded, every admission decision is a pure function of its inputs,
 //! and the [`CostModel`] calibrates against stackless step runs no
 //! executor policy reaches — so a stream fingerprint is bit-identical on
-//! every host and under every `MB_PARALLEL` setting.
+//! every host and under every executor policy.
 //!
 //! # Example
 //!

@@ -132,9 +132,9 @@ fn outcome_is_bit_identical_across_widths_at_256_ranks() {
 #[test]
 fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
     // The PR-8 acceptance gate: a 256-rank job on a two-tier
-    // oversubscribed fat-tree — where per-pair lookahead bounds, not the
-    // global minimum, drive admission — still produces bit-identical
-    // outcomes at every `MB_PARALLEL` width.
+    // oversubscribed fat-tree — where one scalar horizon admits ranks
+    // whose pairs lie one to three hops apart — still produces
+    // bit-identical outcomes at every executor width.
     let spec = metablade_spec()
         .with_nodes(256)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
@@ -298,7 +298,7 @@ fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
     // the same fat-tree uplinks — so the mean-field contention factor
     // is genuinely live — must reproduce, under both the compact and the
     // contention-aware allocator, the fingerprint and makespan every
-    // `MB_PARALLEL` width produced on 470c8b1, when the job step still
+    // executor width produced on 470c8b1, when the job step still
     // ran thread-per-rank. The step body's own width invariance is
     // `job_step_threaded_twin_matches_stackless_under_every_policy`.
     let spec = metablade_spec()
