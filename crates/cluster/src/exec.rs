@@ -30,9 +30,9 @@
 //! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold a slot at
 //!   any instant. This bounds host CPU/memory pressure for big sweeps
 //!   without changing any simulated result.
-//! * [`ExecPolicy::Unbounded`] — `workers == nranks`: every rank is
-//!   admissible whenever the lookahead horizon allows. The default;
-//!   another policy is set in code, by [`crate::machine::Cluster::with_exec`].
+//! * [`ExecPolicy::Unbounded`] — `workers == nranks`: every ready rank
+//!   runs. The default; another policy is set in code, by
+//!   [`crate::machine::Cluster::with_exec`].
 //!
 //! A stackless run has one slot whatever the policy — the calling thread
 //! — and reports `workers == 1`.
@@ -44,14 +44,12 @@
 //! only decide *wall-clock* behaviour; `SpmdOutcome`s are bit-identical
 //! at every width and on both paths (test-enforced at 1/4/8/24/256
 //! ranks, and regressed end-to-end against committed fingerprints by
-//! `tests/determinism.rs`). How the core orders admissions, why its
-//! lookahead horizon is safe and why it cannot deadlock is in
-//! [`crate::event`].
+//! `tests/determinism.rs`). How the core orders admissions and why it
+//! cannot deadlock is in [`crate::event`].
 //!
 //! A rank gives up its slot whenever it would wait for a message, and the
 //! delivery of that message re-queues it at the virtual clock it blocked
-//! at, so bounded policies stay work-conserving: a free slot is never
-//! left idle while any rank is runnable.
+//! at, so a free slot is never left idle while any rank is runnable.
 
 use std::future::Future;
 use std::panic::resume_unwind;

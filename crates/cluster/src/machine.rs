@@ -291,14 +291,11 @@ impl Cluster {
         }
         // One admission engine for every policy and both body forms: the
         // policy is a thread run's slot count, and a stackless run has
-        // the one slot of its calling thread. The horizon is the
-        // network's minimum delivery delay, which no pair of nodes on
-        // any topology undercuts.
-        let lookahead_s = net.min_delivery_delay();
+        // the one slot of its calling thread.
         let core = if B::STACKLESS {
-            EventCore::stackless(n, lookahead_s)
+            EventCore::stackless(n)
         } else {
-            EventCore::new(self.exec.workers().unwrap_or(n), n, lookahead_s)
+            EventCore::new(self.exec.workers().unwrap_or(n), n)
         };
         let core = Arc::new(core.with_profiling(self.prof));
         let mflops = self.spec.node.cpu.sustained_mflops;
@@ -663,6 +660,72 @@ mod tests {
         }
     }
 
+    /// `body` run on `cluster` with the event core admitting ready ranks
+    /// in the order `seed` draws (`None`: lowest `(clock, rank)` first),
+    /// as text: `{:?}` prints each `f64` in the shortest form that parses
+    /// back to the same bits, so equal text is equal bits.
+    fn outcome_admitted_by<R: fmt::Debug, B: SpmdBody<R>>(
+        cluster: &Cluster,
+        body: B,
+        seed: Option<u64>,
+    ) -> String {
+        crate::event::tests::ADMISSION_SEED.set(seed);
+        let out = cluster.run(body);
+        crate::event::tests::ADMISSION_SEED.set(None);
+        format!("{:?}", (out.results, out.clocks, out.stats))
+    }
+
+    #[test]
+    fn admission_order_cannot_change_an_outcome() {
+        use crate::exec::Stackless;
+        use crate::topology::Topology;
+        // Compute skew lets ranks run rounds ahead of their receivers, so
+        // mailboxes hold several messages of one (source, tag).
+        let body = Stackless(async |comm: &mut Comm| {
+            let (rank, n) = (comm.rank(), comm.nranks());
+            comm.compute(1e5 * (1 + rank % 5) as f64);
+            let sum = comm.allreduce_sum_async(&[rank as f64]).await[0];
+            let mut got = Vec::new();
+            for round in 0..6 {
+                comm.compute(2e4 * ((rank * 7 + round) % 11) as f64);
+                let mine = [(rank * 6 + round) as f64];
+                comm.send_f64s((rank + 1) % n, 5, &mine);
+                comm.send_f64s((rank + 2) % n, 5, &mine);
+                got.extend(comm.recv_f64s_async((rank + n - 1) % n, 5).await);
+                got.extend(comm.recv_f64s_async((rank + n - 2) % n, 5).await);
+            }
+            let all = comm.allgather_async(pack_f64s(&[sum + rank as f64])).await;
+            let out = (0..n).map(|d| pack_f64s(&[(rank * n + d) as f64]));
+            let inc = comm.alltoallv_async(out.collect()).await;
+            comm.barrier_async().await;
+            got.extend(all.iter().chain(&inc).map(|b| unpack_f64s(b)[0]));
+            (got, comm.now())
+        });
+        for spec in [
+            metablade().with_nodes(24),
+            metablade().with_nodes(256),
+            metablade()
+                .with_nodes(128)
+                .with_topology(Topology::fat_tree(16, 2, 4.0)),
+        ] {
+            let (n, cluster) = (spec.nodes, Cluster::new(spec));
+            let lowest_first = outcome_admitted_by(&cluster, body, None);
+            for seed in 1..=8 {
+                let shuffled = outcome_admitted_by(&cluster, body, Some(seed));
+                assert!(shuffled == lowest_first, "n {n}, seed {seed}");
+            }
+        }
+        let allreduce = Stackless(async |comm: &mut Comm| {
+            comm.allreduce_sum_async(&[comm.rank() as f64]).await
+        });
+        let wide = Cluster::new(metablade().with_nodes(4096));
+        let lowest_first = outcome_admitted_by(&wide, allreduce, None);
+        for seed in 1..=2 {
+            let shuffled = outcome_admitted_by(&wide, allreduce, Some(seed));
+            assert!(shuffled == lowest_first, "n 4096, seed {seed}");
+        }
+    }
+
     #[test]
     fn sequential_is_one_slot_of_the_event_core() {
         use crate::exec::ExecPolicy;
@@ -674,8 +737,6 @@ mod tests {
         let rep = &out.exec_report;
         assert_eq!((rep.workers, rep.nranks, rep.max_occupancy), (1, n, 1));
         assert!(rep.admissions >= n as u64, "{rep:?}");
-        // One slot never runs ahead of a running floor.
-        assert_eq!(rep.lookahead_grants, 0, "{rep:?}");
     }
 
     #[test]

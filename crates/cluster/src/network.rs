@@ -152,19 +152,6 @@ impl NetworkModel {
     pub fn ping_time(&self, bytes: u64) -> f64 {
         self.send_busy(bytes) + self.flight(bytes) + self.recv_busy(bytes)
     }
-
-    /// Lower bound on the virtual time between a sender's clock at the
-    /// moment it sends and the earliest delivery timestamp any message
-    /// can carry between any two nodes: software overhead plus one wire
-    /// latency, the zero-byte limit of `send_busy + flight_between`
-    /// (every route crosses at least one hop). This is the conservative
-    /// lookahead window the event-driven executor may run a rank ahead
-    /// of the slowest admitted rank without reordering anything
-    /// observable — no rank can be affected by a message sent less than
-    /// this long before its own clock (see [`crate::event`]).
-    pub fn min_delivery_delay(&self) -> f64 {
-        self.spec.overhead_s + self.spec.latency_s
-    }
 }
 
 #[cfg(test)]
@@ -195,17 +182,6 @@ mod tests {
         let t = m.ping_time(1_250_000); // 10 Mb
                                         // ≥ 3 serializations of 0.1 s each (tx + switch + rx).
         assert!(t > 0.29 && t < 0.32, "{t}");
-    }
-
-    #[test]
-    fn min_delivery_delay_is_zero_byte_limit() {
-        let m = fe();
-        // Fast Ethernet: 15 µs overhead + 70 µs latency.
-        assert!((m.min_delivery_delay() - 85e-6).abs() < 1e-12);
-        // It must lower-bound the earliest delivery of any message.
-        for bytes in [0, 1, 64, 4096, 1_000_000] {
-            assert!(m.send_busy(bytes) + m.flight(bytes) >= m.min_delivery_delay() - 1e-15);
-        }
     }
 
     #[test]
@@ -269,23 +245,6 @@ mod tests {
         // Four hops: 4 latencies + 3 intermediate-router serializations.
         let far = m.flight_between(0, 2 + 8 * 2, bytes); // (2,2,0): h = 4
         assert!((far - (4.0 * 70e-6 + 3.0 * 0.01)).abs() < 1e-9, "{far}");
-    }
-
-    #[test]
-    fn no_pair_on_any_topology_delivers_sooner_than_the_horizon() {
-        let mut spec = NetworkSpec::fast_ethernet();
-        spec.topology = Topology::torus([8, 4, 2]);
-        let torus = NetworkModel::new(spec);
-        for (m, n) in [(fe(), 256), (ft(), 256), (torus, 64)] {
-            for s in (0..n).step_by(7) {
-                for d in (0..n).step_by(5) {
-                    for bytes in [0, 1, 64, 4096, 1_000_000] {
-                        let t = m.send_busy(bytes) + m.flight_between(s, d, bytes);
-                        assert!(t >= m.min_delivery_delay(), "{s}->{d}, {bytes} B");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

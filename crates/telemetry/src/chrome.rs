@@ -5,8 +5,8 @@
 //! timestamps, one thread per rank (pid 0, tid = rank), plus metadata
 //! events naming each track `rank N`. [`export_with_metrics`]
 //! additionally renders a metrics [`Registry`] as counter (`"ph":"C"`)
-//! tracks — executor ready-queue depth, worker occupancy, lookahead
-//! grants and the like land next to the spans in the same viewer.
+//! tracks — executor ready-queue depth, worker occupancy, admissions
+//! and the like land next to the spans in the same viewer.
 //! [`validate`] parses a document back and checks the structural
 //! invariants tests rely on: every event well-formed, timestamps
 //! monotonic per track, and nesting well-formed (spans on one track

@@ -307,7 +307,7 @@ mod tests {
     use super::*;
 
     /// xorshift64* — the same seeded-loop property-test idiom the rest
-    /// of the workspace uses in place of proptest (DESIGN.md §11).
+    /// of the workspace uses in place of proptest (DESIGN.md §6).
     struct Rng(u64);
     impl Rng {
         fn next(&mut self) -> u64 {

@@ -5,16 +5,15 @@
 //! the event-driven core (see `mb_cluster::event`) must produce
 //! bit-identical simulated outcomes — makespan, per-rank clocks, and
 //! every `CommStats` counter and virtual-time accumulator — at 256
-//! ranks, where lookahead grants, horizon deferrals and heap admission
-//! orderings all genuinely differ between widths, and must reproduce the
-//! fingerprints committed in `BENCH_cluster.json` (recorded before the
-//! `seq` column became one slot of the same core). Each of these gates
-//! runs its body both ways a rank runs — on threads through `threaded`
-//! under every width, and once stackless, polled on the calling thread,
-//! which has one slot whatever the width — and a 4 096-rank
-//! stackless allreduce checks rank counts no threaded run would be asked
-//! to reach. Also asserts that observability (span tracing and executor
-//! telemetry) never perturbs virtual time.
+//! ranks, where admission orderings genuinely differ between widths, and
+//! must reproduce the fingerprints committed in `BENCH_cluster.json`
+//! (recorded before the `seq` column became one slot of the same core).
+//! Each of these gates runs its body both ways a rank runs — on threads
+//! through `threaded` under every width, and once stackless, polled on
+//! the calling thread, which has one slot whatever the width — and a
+//! 4 096-rank stackless allreduce checks rank counts no threaded run
+//! would be asked to reach. Also asserts that observability (span
+//! tracing and executor telemetry) never perturbs virtual time.
 
 use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, policies, rounds_for};
 use metablade::cluster::machine::{Cluster, SpmdOutcome};
@@ -132,9 +131,9 @@ fn outcome_is_bit_identical_across_widths_at_256_ranks() {
 #[test]
 fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
     // The PR-8 acceptance gate: a 256-rank job on a two-tier
-    // oversubscribed fat-tree — where one scalar horizon admits ranks
-    // whose pairs lie one to three hops apart — still produces
-    // bit-identical outcomes at every executor width.
+    // oversubscribed fat-tree — whose pairs lie one to three hops
+    // apart — still produces bit-identical outcomes at every executor
+    // width.
     let spec = metablade_spec()
         .with_nodes(256)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
@@ -813,7 +812,7 @@ fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
 fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     // The ISSUE-7 acceptance gate: fingerprints must be bit-identical
     // with profiling enabled vs disabled — host-clock instrumentation
-    // (gate wake latency, busy/idle spans, horizon stall timing) reads
+    // (gate wake latency, busy/idle spans, heap push/pop timing) reads
     // `Instant` only and never a virtual clock. Thread ranks, since gate
     // wake-ups are what the profile times.
     let spec = metablade_spec().with_nodes(256);
@@ -837,7 +836,6 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     ] {
         assert_eq!(h.count(), rep.admissions, "one {name} sample per admission");
     }
-    assert!(p.stall_ns.count() <= rep.horizon_waits);
     assert!(p.wake_ns.p50() <= p.wake_ns.p99());
 
     // The profile flows through both export surfaces: registry →
