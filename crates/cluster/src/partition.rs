@@ -118,7 +118,8 @@ impl NodeSet {
     /// candidates are compared — the compact (fullest-group-first)
     /// allocation and a quiet-group-first allocation draining groups by
     /// `(uplink load asc, free desc, id asc)` — by
-    /// `(groups spanned, summed load of spanned groups)`; the
+    /// `(groups spanned, summed load of spanned groups)`, both read off
+    /// the groups' free counts, and only the winner is built; the
     /// quiet candidate wins only when strictly better, so **ties fall
     /// back to [`NodeSet::alloc_compact`]** and a zero-load cluster
     /// allocates exactly like `Compact`. A pure function of
@@ -131,48 +132,57 @@ impl NodeSet {
         topology: &Topology,
         group_load: &[f64],
     ) -> Option<NodeSet> {
-        let compact = Self::alloc_compact(free, want, topology)?;
         let group_size = match *topology {
-            Topology::Star => return Some(compact),
+            Topology::Star => return Self::alloc_lowest(free, want),
             Topology::FatTree { radix, .. } => radix,
             Topology::Torus { dims } => dims[0],
         };
         let load_of = |g: usize| group_load.get(g).copied().unwrap_or(0.0);
-        let ngroups = free.len().div_ceil(group_size);
-        let mut groups: Vec<(f64, usize, usize)> = (0..ngroups)
-            .map(|g| {
-                let lo = g * group_size;
-                let hi = (lo + group_size).min(free.len());
-                (load_of(g), free[lo..hi].iter().filter(|&&f| f).count(), g)
-            })
+        // (free count, group id) of every group with a free node.
+        let counts = free
+            .chunks(group_size)
+            .map(|c| c.iter().filter(|&&f| f).count());
+        let mut compact: Vec<(usize, usize)> = counts
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .map(|(g, n)| (n, g))
             .collect();
-        groups.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
+        if want == 0 || compact.iter().map(|&(n, _)| n).sum::<usize>() < want {
+            return None;
+        }
+        let mut quiet = compact.clone();
+        compact.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        quiet.sort_by(|a, b| {
+            (load_of(a.1).total_cmp(&load_of(b.1)))
+                .then(b.0.cmp(&a.0))
+                .then(a.1.cmp(&b.1))
+        });
+        // A drain in `order` spans the groups it reaches before it has
+        // `want` nodes; their load is summed in ascending group id.
+        let score = |order: &[(usize, usize)]| -> (usize, f64) {
+            let mut have = 0;
+            let reached = order.iter().take_while(|&&(n, _)| {
+                let short = have < want;
+                have += n;
+                short
+            });
+            let mut gs: Vec<usize> = reached.map(|&(_, g)| g).collect();
+            gs.sort_unstable();
+            (gs.len(), gs.iter().map(|&g| load_of(g)).sum())
+        };
+        let ((cg, cl), (qg, ql)) = (score(&compact), score(&quiet));
+        let winner = if qg < cg || (qg == cg && ql < cl) {
+            quiet
+        } else {
+            compact
+        };
         let mut ids = Vec::with_capacity(want);
-        for &(_, count, g) in &groups {
-            if count == 0 || ids.len() == want {
-                continue;
-            }
+        for (_, g) in winner {
             let lo = g * group_size;
             let hi = (lo + group_size).min(free.len());
             ids.extend((lo..hi).filter(|&i| free[i]).take(want - ids.len()));
         }
-        if ids.len() != want {
-            return Some(compact);
-        }
-        let quiet = NodeSet::new(ids);
-        let score = |s: &NodeSet| -> (usize, f64) {
-            let mut gs: Vec<usize> = s.ids().iter().map(|&i| i / group_size).collect();
-            gs.dedup(); // ids ascending ⇒ group ids ascending
-            let load: f64 = gs.iter().map(|&g| load_of(g)).sum();
-            (gs.len(), load)
-        };
-        let (cg, cl) = score(&compact);
-        let (qg, ql) = score(&quiet);
-        if qg < cg || (qg == cg && ql < cl) {
-            Some(quiet)
-        } else {
-            Some(compact)
-        }
+        Some(NodeSet::new(ids))
     }
 }
 
@@ -309,6 +319,103 @@ mod tests {
         );
         // Infeasible requests fail like the other allocators.
         assert!(NodeSet::alloc_contention_aware(&frag, 7, &topo, &load).is_none());
+    }
+
+    /// `alloc_contention_aware` as it was before it scored candidates
+    /// from group counts: both candidates built, then scored by their
+    /// node ids.
+    fn contention_aware_reference(
+        free: &[bool],
+        want: usize,
+        topology: &Topology,
+        group_load: &[f64],
+    ) -> Option<NodeSet> {
+        let compact = NodeSet::alloc_compact(free, want, topology)?;
+        let group_size = match *topology {
+            Topology::Star => return Some(compact),
+            Topology::FatTree { radix, .. } => radix,
+            Topology::Torus { dims } => dims[0],
+        };
+        let load_of = |g: usize| group_load.get(g).copied().unwrap_or(0.0);
+        let ngroups = free.len().div_ceil(group_size);
+        let mut groups: Vec<(f64, usize, usize)> = (0..ngroups)
+            .map(|g| {
+                let lo = g * group_size;
+                let hi = (lo + group_size).min(free.len());
+                (load_of(g), free[lo..hi].iter().filter(|&&f| f).count(), g)
+            })
+            .collect();
+        groups.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
+        let mut ids = Vec::with_capacity(want);
+        for &(_, count, g) in &groups {
+            if count == 0 || ids.len() == want {
+                continue;
+            }
+            let lo = g * group_size;
+            let hi = (lo + group_size).min(free.len());
+            ids.extend((lo..hi).filter(|&i| free[i]).take(want - ids.len()));
+        }
+        if ids.len() != want {
+            return Some(compact);
+        }
+        let quiet = NodeSet::new(ids);
+        let score = |s: &NodeSet| -> (usize, f64) {
+            let mut gs: Vec<usize> = s.ids().iter().map(|&i| i / group_size).collect();
+            gs.dedup(); // ids ascending ⇒ group ids ascending
+            let load: f64 = gs.iter().map(|&g| load_of(g)).sum();
+            (gs.len(), load)
+        };
+        let (cg, cl) = score(&compact);
+        let (qg, ql) = score(&quiet);
+        if qg < cg || (qg == cg && ql < cl) {
+            Some(quiet)
+        } else {
+            Some(compact)
+        }
+    }
+
+    #[test]
+    fn contention_aware_allocates_as_the_reference_that_builds_both_candidates() {
+        let shapes = [
+            (Topology::fat_tree(16, 2, 4.0), 64usize),
+            (Topology::fat_tree(16, 2, 4.0), 1024),
+            (Topology::torus([4, 4, 2]), 32),
+            (Topology::Star, 24),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for (topo, n) in shapes {
+            let group = n.div_ceil(match topo {
+                Topology::FatTree { radix, .. } => radix,
+                Topology::Torus { dims } => dims[0],
+                Topology::Star => 6,
+            });
+            for case in 0..400 {
+                // Masks from nearly empty to nearly full; loads with
+                // ties (zeros, repeats) and distinct values.
+                let busy = next(101);
+                let free: Vec<bool> = (0..n).map(|_| next(100) >= busy).collect();
+                let load: Vec<f64> = (0..group)
+                    .map(|_| match next(4) {
+                        0 => 0.0,
+                        1 => 250.0,
+                        _ => next(1_000_000) as f64 * 0.37,
+                    })
+                    .collect();
+                // Some loads shorter than the group count read as 0.
+                let load = &load[..group - next(2)];
+                for want in [0, 1, next(n) + 1, next(3 * n / 2) + 1] {
+                    let got = NodeSet::alloc_contention_aware(&free, want, &topo, load);
+                    let reference = contention_aware_reference(&free, want, &topo, load);
+                    assert_eq!(got, reference, "{} case {case} want {want}", topo.label());
+                }
+            }
+        }
     }
 
     #[test]

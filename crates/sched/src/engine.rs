@@ -614,7 +614,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
             }
         }
         let nodes = std::mem::take(&mut run.nodes);
-        self.ledger.release(run.slot, nodes, run.slow, t);
+        self.ledger.release(run.slot, nodes, t);
     }
 
     /// Step 1, repairs: nodes due back by `now` come up, free.
@@ -767,8 +767,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         // other's traffic until the next event — deterministic either
         // way, but freezing keeps the score independent of pick order).
         if self.cfg.placement == Placement::ContentionAware && !picks.is_empty() {
-            self.ledger
-                .uplink_loads(self.running.iter().map(|r| r.slot));
+            self.ledger.uplink_loads();
         }
         for &p in &picks {
             if self.queue.pick(p) && self.launch(now, p) {
@@ -828,22 +827,19 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
     }
 
     /// Step 6, the cross-job contention epoch: the ledger closes out the
-    /// hot-spot accounting for the interval that just ended and, when
-    /// the running set moved, folds a new epoch whose factors retime
-    /// every running job's completion. Jobs whose factor is unchanged
-    /// (the common case, and *always* the case while a job is
-    /// contention-free) are left untouched bit for bit.
+    /// hot-spot accounting for the interval that just ended and, when a
+    /// run that can contend launched or left, folds a new epoch. Only
+    /// the runs whose factor it changed are retimed; every other run
+    /// (*always* one that is contention-free) is left untouched bit for
+    /// bit. Any launch or release still moves the policies' view.
     fn retime(&mut self, now: f64) {
-        let running = self.running.iter().map(|r| (r.slot, r.slow));
+        self.view_stale = self.ledger.moved();
         let series = (!self.cfg.lean).then_some(&mut self.sim.registry);
-        let factors = self.ledger.retime(now, running, series);
-        self.view_stale = factors.is_some();
-        for (r, &s_new) in self.running.iter_mut().zip(factors.unwrap_or_default()) {
+        for &(slot, s_new) in self.ledger.retime(now, series) {
             let sim = &mut self.sim;
             sim.max_contention_factor = sim.max_contention_factor.max(s_new);
-            if s_new == r.slow {
-                continue;
-            }
+            let r = self.running.iter_mut().find(|r| r.slot == slot);
+            let r = r.expect("a retimed run is running");
             r.nominal_rem_s = (r.nominal_rem_s - (now - r.epoch_s) / r.slow).max(0.0);
             r.epoch_s = now;
             r.slow = s_new;
@@ -1480,6 +1476,54 @@ mod tests {
             compact.makespan_s,
             lowest.makespan_s
         );
+    }
+
+    #[test]
+    fn a_stream_inside_edge_switches_folds_nothing_and_runs_as_on_the_star() {
+        use mb_cluster::Topology;
+        // Every job is 4 wide, a divisor of a switch's 16 hosts: each
+        // switch's free count stays a multiple of 4, so `Compact`'s
+        // fullest switch always has room whenever 4 nodes are free.
+        let mut jobs = generate(&WorkloadConfig {
+            jobs: 48,
+            seed: 11,
+            mean_interarrival_s: 60.0,
+            max_ranks: 4,
+        });
+        jobs.iter_mut().for_each(|j| j.ranks = 4);
+        let run = |spec: ClusterSpec| {
+            let cluster = Cluster::new(spec);
+            let service = ServiceModel::new(&cluster);
+            let cfg = SchedConfig {
+                placement: Placement::Compact,
+                ..SchedConfig::default()
+            };
+            let mut source = VecArrivals::new(&jobs);
+            let admission = &mut crate::stream::AdmitAll;
+            simulate_stream(&service, &EasyBackfill, &mut source, admission, &cfg)
+        };
+        let star = run(mb_cluster::spec::metablade().with_nodes(64));
+        let folds = || crate::ledger::FOLDS.with(std::cell::Cell::get);
+        let before = folds();
+        let tree = run(mb_cluster::spec::metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0)));
+        // Every run sat under one edge switch, so none was a fabric run.
+        let mut switch_of: HashMap<(usize, u32), usize> = HashMap::new();
+        for span in &tree.sim.occupancy {
+            let sw = *switch_of
+                .entry((span.job, span.attempt))
+                .or_insert(span.node / 16);
+            assert_eq!(sw, span.node / 16, "job {} spans edge switches", span.job);
+        }
+        assert_eq!(folds() - before, 0, "a host-only stream folded an epoch");
+        assert_eq!(tree.sim.max_contention_factor, 1.0);
+        assert!(tree.sim.link_shared_s.is_empty());
+        assert!(
+            !tree.sim.link_bytes.is_empty(),
+            "host links are still accounted"
+        );
+        assert_eq!(tree.stream_fingerprint, star.stream_fingerprint);
     }
 
     /// A service oracle with one fixed step time on every node set, so

@@ -1,10 +1,12 @@
 //! What running jobs hold: the node pool and, off the star, the links
-//! they load (DESIGN.md §10, §14). The engine names a run by the slot
-//! [`Ledger::launch`] returns, and passes the running jobs' slots in its
-//! running order, which is part of the bit contract: the epoch and the
-//! uplink loads sum each link's rates job by job in that order. The
-//! ledger knows nothing of the queue, the policies, checkpoints or job
-//! records.
+//! they load and their factors (DESIGN.md §10, §14). The engine names a
+//! run by the slot [`Ledger::launch`] returns. Only a *fabric run*, whose
+//! traffic without host links still loads a link, can contend: the
+//! ledger folds those alone, in launch order, which is the engine's
+//! running order and part of the bit contract (the epoch and the uplink
+//! loads sum each link's rates run by run in it). A host-only run moves
+//! no fold and keeps the literal factor `1.0`. The ledger knows nothing
+//! of the queue, the policies, checkpoints or job records.
 
 #![deny(clippy::too_many_lines)]
 
@@ -41,9 +43,13 @@ pub(crate) struct Ledger {
     repairs: Vec<(f64, usize)>,
     /// Released runs' node-id storage, for `Lowest` launches to refill.
     spare_ids: Vec<NodeSet>,
-    /// A run was launched or released since the last `retime`: the only
-    /// thing the contention epoch depends on.
+    /// A run was launched or released since the last `retime`.
     moved: bool,
+    /// A fabric run was launched or released since the last `retime`'s
+    /// fold and since the last `uplink_loads` refill: the only things
+    /// the epoch and the group loads depend on.
+    fold_due: bool,
+    loads_due: bool,
     /// `None` on the star, which keeps no link state: placements there
     /// are cost-free and host links are never shared, so skipping the
     /// traffic fold keeps star timelines bit-identical to the
@@ -57,9 +63,9 @@ pub(crate) struct Ledger {
     bytes: LinkTotals,
     shared_s: LinkTotals,
     rate_series: Vec<Option<MetricHandle>>,
-    /// The running set's contention state as of the last `retime` that
-    /// found it moved; its shared links are charged for each interval
-    /// as it ends, up to `shared_t`.
+    /// The fabric runs' contention state as of the last fold; its
+    /// shared links are charged for each interval as it ends, up to
+    /// `shared_t`.
     ep: ContentionEpoch,
     shared_t: f64,
     scratch: LinkScratch,
@@ -67,6 +73,16 @@ pub(crate) struct Ledger {
     /// refilled by the next launches.
     traffic: Vec<RunTraffic>,
     free_slots: Vec<usize>,
+    /// The fabric runs' slots in launch order, which `ep` folds.
+    fabric: Vec<usize>,
+    /// What the last `retime` returned: the runs whose factor changed.
+    changed: Vec<(usize, f64)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Epochs folded on this thread, which the fold-skip tests count.
+    pub(crate) static FOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A run's traffic, kept twice: in full for `link_bytes`, and without
@@ -78,17 +94,19 @@ struct RunTraffic {
     shareable: JobTraffic,
     /// Virtual time up to which its link bytes are integrated.
     acct_s: f64,
+    /// The run's current factor; `1.0` for a host-only run.
+    slow: f64,
 }
 
 impl RunTraffic {
     /// Integrate the per-link byte rates into `bytes` up to virtual
     /// time `t`. Wall seconds shrink to nominal seconds through the
-    /// run's factor `slow` (a slowed job moves the same bytes over a
-    /// longer wall interval).
-    fn account(&mut self, bytes: &mut LinkTotals, slow: f64, t: f64) {
+    /// run's factor (a slowed job moves the same bytes over a longer
+    /// wall interval).
+    fn account(&mut self, bytes: &mut LinkTotals, t: f64) {
         let dt = (t - self.acct_s).max(0.0);
         if dt > 0.0 {
-            let nominal = dt / slow;
+            let nominal = dt / self.slow;
             for &(id, rate) in self.full.rates() {
                 add_to_link(bytes, id, rate * nominal);
             }
@@ -117,6 +135,8 @@ impl Ledger {
             repairs: Vec::new(),
             spare_ids: Vec::new(),
             moved: false,
+            fold_due: false,
+            loads_due: false,
             ids,
             gap_s_per_byte: spec.network.gap_s_per_byte(),
             group_loads: vec![0.0; ngroups],
@@ -128,6 +148,8 @@ impl Ledger {
             scratch: LinkScratch::default(),
             traffic: Vec::new(),
             free_slots: Vec::new(),
+            fabric: Vec::new(),
+            changed: Vec::new(),
         }
     }
 
@@ -191,16 +213,24 @@ impl Ledger {
             &mut t.full,
         );
         t.full.shareable_into(&mut t.shareable);
-        t.acct_s = now;
+        (t.acct_s, t.slow) = (now, 1.0);
+        if !t.shareable.rates().is_empty() {
+            self.fabric.push(slot);
+            (self.fold_due, self.loads_due) = (true, true);
+        }
         Some((nodes, slot))
     }
 
     /// Take run `slot` off `nodes` at virtual time `t`, closing its
-    /// link-byte integral at its factor `slow`. The nodes come free, and
-    /// their id storage becomes a spare.
-    pub(crate) fn release(&mut self, slot: usize, nodes: NodeSet, slow: f64, t: f64) {
+    /// link-byte integral at its factor. The nodes come free, and their
+    /// id storage becomes a spare.
+    pub(crate) fn release(&mut self, slot: usize, nodes: NodeSet, t: f64) {
         if self.ids.is_some() {
-            self.traffic[slot].account(&mut self.bytes, slow, t);
+            self.traffic[slot].account(&mut self.bytes, t);
+            if let Some(i) = self.fabric.iter().position(|&s| s == slot) {
+                self.fabric.remove(i);
+                (self.fold_due, self.loads_due) = (true, true);
+            }
             self.free_slots.push(slot);
         }
         self.n_free += nodes.len();
@@ -225,45 +255,45 @@ impl Ledger {
     }
 
     /// Refill the group loads a `ContentionAware` launch scores against
-    /// from the `running` slots' shareable traffic.
-    pub(crate) fn uplink_loads(&mut self, running: impl Iterator<Item = usize>) {
-        if !self.group_loads.is_empty() {
+    /// from the fabric runs' shareable traffic, if one launched or left
+    /// since the last refill (a host-only run loads no uplink).
+    pub(crate) fn uplink_loads(&mut self) {
+        if !self.group_loads.is_empty() && std::mem::take(&mut self.loads_due) {
             self.group_loads.fill(0.0);
-            let traffics = running.map(|slot| &self.traffic[slot].shareable);
-            contention::add_edge_uplink_loads(traffics, &mut self.group_loads);
+            let views = self.fabric.iter().map(|&s| &self.traffic[s].shareable);
+            contention::add_edge_uplink_loads(views, &mut self.group_loads);
         }
     }
 
     /// Charge the interval that ends at `now` to the links it shared.
-    /// If the running set moved since the last call, fold a new epoch
-    /// over `running` — each job's `(slot, factor)` — close the link-byte
-    /// integral of each job whose factor changes, at its old factor, and
-    /// return every job's new factor in running order (`None` if the set
-    /// did not move). With a `series` registry (not in a lean run),
-    /// sample every loaded fabric link's aggregate rate.
-    pub(crate) fn retime(
-        &mut self,
-        now: f64,
-        running: impl Iterator<Item = (usize, f64)> + Clone,
-        series: Option<&mut Registry>,
-    ) -> Option<&[f64]> {
-        let moved = std::mem::take(&mut self.moved);
+    /// If a fabric run launched or left since the last call, fold a new
+    /// epoch over the fabric runs and close the link-byte integral of
+    /// each whose factor changes, at its old factor. Return the runs
+    /// whose factor changed, as `(slot, new factor)`. With a `series`
+    /// registry (not in a lean run), sample every loaded fabric link's
+    /// aggregate rate.
+    pub(crate) fn retime(&mut self, now: f64, series: Option<&mut Registry>) -> &[(usize, f64)] {
+        self.moved = false;
+        self.changed.clear();
         let Some(ids) = self.ids else {
-            return moved.then_some(&[]);
+            return &self.changed;
         };
         for &id in &self.ep.shared {
             add_to_link(&mut self.shared_s, id, now - self.shared_t);
         }
         self.shared_t = now;
-        if moved {
-            let traffics = running
-                .clone()
-                .map(|(slot, _)| &self.traffic[slot].shareable);
+        if std::mem::take(&mut self.fold_due) {
+            #[cfg(test)]
+            FOLDS.with(|f| f.set(f.get() + 1));
+            let views = self.fabric.iter().map(|&s| &self.traffic[s].shareable);
             let (gap, ep) = (self.gap_s_per_byte, &mut self.ep);
-            contention::epoch_with(&mut self.scratch, &self.topo, gap, traffics, ep);
-            for ((slot, slow), &s_new) in running.zip(&self.ep.factors) {
-                if s_new != slow {
-                    self.traffic[slot].account(&mut self.bytes, slow, now);
+            contention::epoch_with(&mut self.scratch, &self.topo, gap, views, ep);
+            for (&slot, &s_new) in self.fabric.iter().zip(&self.ep.factors) {
+                let t = &mut self.traffic[slot];
+                if s_new != t.slow {
+                    t.account(&mut self.bytes, now);
+                    t.slow = s_new;
+                    self.changed.push((slot, s_new));
                 }
             }
         }
@@ -288,7 +318,7 @@ impl Ledger {
                 }
             }
         }
-        moved.then_some(&self.ep.factors)
+        &self.changed
     }
 
     /// The whole run's payload bytes and shared seconds per named link;
@@ -370,22 +400,30 @@ mod tests {
         v.into_iter().map(f64::to_bits).collect()
     }
 
-    /// Compare the ledger's epoch and group loads with the pure
-    /// `contention::epoch` and `contention::edge_uplink_loads` over the
-    /// live jobs' shareable views, in running order; return how many
-    /// jobs the epoch slows.
+    /// Epochs folded on this thread so far.
+    fn folds() -> u64 {
+        FOLDS.with(std::cell::Cell::get)
+    }
+
+    /// Compare the factors the live jobs hold, the ledger's epoch and
+    /// its group loads with the pure `contention::epoch` and
+    /// `contention::edge_uplink_loads` over the live jobs' shareable
+    /// views, in running order; return how many jobs the epoch slows.
     fn agree_with_the_pure_fold(
         ledger: &mut Ledger,
         running: &[Live],
         ngroups: usize,
         ctx: &str,
     ) -> usize {
-        ledger.uplink_loads(running.iter().map(|j| j.slot));
+        ledger.uplink_loads();
         let l = &*ledger;
         let views: Vec<&JobTraffic> = running.iter().map(|j| &j.view).collect();
         let want = contention::epoch(&l.topo, l.gap_s_per_byte, &views);
-        let (got_f, want_f) = (l.ep.factors.iter().copied(), want.factors.iter().copied());
+        let (got_f, want_f) = (running.iter().map(|j| j.slow), want.factors.iter().copied());
         assert_eq!(bits(got_f), bits(want_f), "{ctx}: factors");
+        for j in running.iter().filter(|j| j.view.rates().is_empty()) {
+            assert_eq!(j.slow.to_bits(), 1.0f64.to_bits(), "{ctx}: a host-only run");
+        }
         assert_eq!(l.ep.shared, want.shared, "{ctx}: shared links");
         let agg = |v: &[(LinkId, f64)]| -> Vec<(LinkId, u64)> {
             v.iter().map(|&(id, r)| (id, r.to_bits())).collect()
@@ -405,8 +443,10 @@ mod tests {
     }
 
     /// One seeded sequence of launches, releases, failures and repairs,
-    /// checked after every step.
-    fn drive(spec: &ClusterSpec, spread: bool, seed: u64, ctx: &str) -> usize {
+    /// checked after every step: a step folds an epoch exactly when a
+    /// fabric run launched or left in it. Return how many jobs epochs
+    /// slowed and how many steps moved only host-only runs.
+    fn drive(spec: &ClusterSpec, spread: bool, seed: u64, ctx: &str) -> (usize, usize) {
         let (n, topo) = (spec.nodes, spec.network.topology);
         let ways = if spread { topo.ecmp_ways() } else { 1 };
         let ngroups = match topo {
@@ -422,11 +462,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ledger = Ledger::new(spec, spread);
         let mut running: Vec<Live> = Vec::new();
-        let (mut now, mut jobs, mut slowed) = (0.0, 0u64, 0);
+        let (mut now, mut jobs, mut slowed, mut quiet) = (0.0, 0u64, 0, 0);
         for step in 0..300 {
             now += rng.random::<f64>() * 4.0;
             ledger.repair(now);
-            let moved = match rng.random_range(0..20u32) {
+            // Whether a run, and whether a fabric run, moved this step.
+            let fabric = |j: &Live| !j.view.rates().is_empty();
+            let (moved, fabric_moved) = match rng.random_range(0..20u32) {
                 0..=8 => {
                     let placement = placements[rng.random_range(0..3usize)];
                     let width = rng.random_range(1..=12usize);
@@ -441,7 +483,7 @@ mod tests {
                     };
                     let price = |_: &NodeSet| profile.clone();
                     let placed = ledger.launch(placement, width, id, now, price);
-                    placed.is_some_and(|(nodes, slot)| {
+                    placed.map_or((false, false), |(nodes, slot)| {
                         let stats = &profile.stats;
                         let full =
                             contention::job_traffic(&topo, stats, nodes.ids(), step_s, id, ways);
@@ -452,39 +494,121 @@ mod tests {
                             view,
                             slow,
                         });
-                        true
+                        (true, fabric(&running[running.len() - 1]))
                     })
                 }
                 9..=15 if !running.is_empty() => {
                     let j = running.remove(rng.random_range(0..running.len()));
-                    ledger.release(j.slot, j.nodes, j.slow, now);
-                    true
+                    let fabric_left = fabric(&j);
+                    ledger.release(j.slot, j.nodes, now);
+                    (true, fabric_left)
                 }
                 16..=17 => {
                     let nd = rng.random_range(0..n);
                     let victim = running.iter().position(|j| j.nodes.contains(nd));
                     let struck = ledger.is_up(nd) && victim.is_some();
+                    let mut fabric_struck = false;
                     if let Some(j) = victim.map(|v| running.remove(v)) {
-                        ledger.release(j.slot, j.nodes, j.slow, now);
+                        fabric_struck = fabric(&j);
+                        ledger.release(j.slot, j.nodes, now);
                     }
                     if ledger.is_up(nd) {
                         ledger.fail(nd, now + 1.0 + rng.random::<f64>() * 20.0);
                     }
-                    struck
+                    (struck, fabric_struck)
                 }
-                _ => false,
+                _ => (false, false),
             };
             ledger.check(running.iter().map(|j| &j.nodes));
-            let order = running.iter().map(|j| (j.slot, j.slow));
-            let factors = ledger.retime(now, order, None).map(<[f64]>::to_vec);
             let ctx = format!("{ctx} step {step}");
-            assert_eq!(factors.is_some(), moved, "{ctx}: moved");
-            for (j, f) in running.iter_mut().zip(factors.unwrap_or_default()) {
+            assert_eq!(ledger.moved(), moved, "{ctx}: moved");
+            let before = folds();
+            let changed = ledger.retime(now, None).to_vec();
+            assert_eq!(folds() - before, u64::from(fabric_moved), "{ctx}: folds");
+            quiet += usize::from(moved && !fabric_moved);
+            for (slot, f) in changed {
+                let j = running.iter_mut().find(|j| j.slot == slot);
+                let j = j.unwrap_or_else(|| panic!("{ctx}: slot {slot} is not live"));
+                assert_ne!(
+                    j.slow.to_bits(),
+                    f.to_bits(),
+                    "{ctx}: slot {slot} did not change"
+                );
                 j.slow = f;
             }
             slowed += agree_with_the_pure_fold(&mut ledger, &running, ngroups, &ctx);
         }
-        slowed
+        (slowed, quiet)
+    }
+
+    /// Launch a `width`-rank ring — rank `r` sends 1 MB to rank `r + 1`
+    /// per one-second step and spends half of it communicating — as
+    /// run `job`, and return its nodes and slot.
+    fn launch_ring(
+        ledger: &mut Ledger,
+        placement: Placement,
+        width: usize,
+        job: u64,
+        now: f64,
+    ) -> (NodeSet, usize) {
+        let ring = |rank| {
+            let mut s = CommStats {
+                send_busy_s: 0.25,
+                recv_busy_s: 0.25,
+                ..CommStats::default()
+            };
+            s.peers.entry((rank + 1) % width).bytes_to = 1_000_000;
+            s
+        };
+        let profile = StepProfile {
+            step_s: 1.0,
+            stats: Arc::new((0..width).map(ring).collect()),
+        };
+        let placed = ledger.launch(placement, width, job, now, |_| profile.clone());
+        placed.expect("the ring has room")
+    }
+
+    #[test]
+    fn host_only_moves_fold_nothing_and_keep_the_literal_unit_factor() {
+        let spec = mb_cluster::spec::metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let mut ledger = Ledger::new(&spec, false);
+        // Retime at `now`: the folds it took and the factors it changed.
+        let retime = |ledger: &mut Ledger, now: f64| {
+            let before = folds();
+            let changed = ledger.retime(now, None).to_vec();
+            (folds() - before, changed)
+        };
+        // A 4-wide ring under switch 0 loads host links only.
+        let (a_nodes, a) = launch_ring(&mut ledger, Placement::Compact, 4, 1, 0.0);
+        assert_eq!(a_nodes.ids(), &[0, 1, 2, 3]);
+        assert_eq!(retime(&mut ledger, 0.0), (0, vec![]));
+        // Rings on nodes 4..24 and 24..44 both cross switch 1's uplinks.
+        let (b_nodes, b) = launch_ring(&mut ledger, Placement::Lowest, 20, 2, 1.0);
+        let (_, c) = launch_ring(&mut ledger, Placement::Lowest, 20, 3, 1.0);
+        let (folded, changed) = retime(&mut ledger, 1.0);
+        assert_eq!(folded, 1);
+        assert_eq!(
+            changed.iter().map(|&(slot, _)| slot).collect::<Vec<_>>(),
+            [b, c]
+        );
+        assert!(changed.iter().all(|&(_, f)| f > 1.0), "{changed:?}");
+        let c_factor = changed[1].1;
+        // Host-only moves: a launch under switch 2, a release, the
+        // failure of a free node and its repair fold nothing.
+        let (_, d) = launch_ring(&mut ledger, Placement::Lowest, 4, 4, 2.0);
+        ledger.release(a, a_nodes, 2.0);
+        ledger.fail(60, 2.5);
+        assert!(ledger.moved());
+        assert_eq!(retime(&mut ledger, 2.0), (0, vec![]));
+        ledger.repair(3.0);
+        assert_eq!(retime(&mut ledger, 3.0), (0, vec![]));
+        assert_eq!(ledger.traffic[d].slow.to_bits(), 1.0f64.to_bits());
+        assert_eq!(ledger.traffic[c].slow.to_bits(), c_factor.to_bits());
+        // A fabric run leaving folds, and frees its peer.
+        ledger.release(b, b_nodes, 4.0);
+        assert_eq!(retime(&mut ledger, 4.0), (1, vec![(c, 1.0)]));
     }
 
     #[test]
@@ -501,8 +625,9 @@ mod tests {
                     "{} spread {spread} seed {seed}",
                     spec.network.topology.label()
                 );
-                let slowed = drive(spec, spread, seed, &ctx);
+                let (slowed, quiet) = drive(spec, spread, seed, &ctx);
                 assert!(slowed > 0, "{ctx}: no job was ever slowed");
+                assert!(quiet > 0, "{ctx}: no step moved only host-only runs");
             }
         }
     }

@@ -98,21 +98,24 @@ impl SchedPolicy for EasyBackfill {
     fn select(&self, ctx: &PolicyCtx) -> Vec<usize> {
         let mut free = ctx.free_nodes;
         let mut picks = Vec::new();
-        // Predicted releases: running jobs plus the FCFS starts below.
-        let mut ends: Vec<(f64, usize)> = ctx.running.iter().map(|r| (r.end_s, r.ranks)).collect();
         let mut i = 0;
         while i < ctx.queue.len() && ctx.queue[i].ranks <= free {
             free -= ctx.queue[i].ranks;
-            ends.push((ctx.now_s + ctx.queue[i].service_est_s, ctx.queue[i].ranks));
             picks.push(i);
             i += 1;
         }
-        if i >= ctx.queue.len() {
+        if i >= ctx.queue.len() || free == 0 {
+            // Every job needs a node: with none left, nothing backfills.
             return picks;
         }
-        // Reservation for the blocked head: walk releases in time order
-        // until enough nodes accumulate.
+        // Reservation for the blocked head: walk the predicted releases
+        // (running jobs, then the FCFS starts) in time order until
+        // enough nodes accumulate.
         let head = ctx.queue[i];
+        let started = picks.iter().map(|&p| &ctx.queue[p]);
+        let mut ends: Vec<(f64, usize)> = (ctx.running.iter().map(|r| (r.end_s, r.ranks)))
+            .chain(started.map(|q| (ctx.now_s + q.service_est_s, q.ranks)))
+            .collect();
         ends.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut avail = free;
         let mut shadow = f64::INFINITY;
@@ -254,6 +257,32 @@ mod tests {
             running: &running,
         };
         assert_eq!(EasyBackfill.select(&ctx), vec![1]);
+    }
+
+    #[test]
+    fn easy_returns_the_fcfs_picks_when_they_use_up_the_free_nodes() {
+        // The FCFS start takes both free nodes and the 8-wide head
+        // blocks: a 1-wide, 1 s job behind it would finish long before
+        // any shadow, but no node is left for it.
+        let queue = [q(2, 10.0), q(8, 50.0), q(1, 1.0)];
+        let running = [RunningJob {
+            end_s: 100.0,
+            ranks: 6,
+        }];
+        let ctx = PolicyCtx {
+            now_s: 0.0,
+            free_nodes: 2,
+            total_nodes: 8,
+            queue: &queue,
+            running: &running,
+        };
+        assert_eq!(EasyBackfill.select(&ctx), vec![0]);
+        // With no node free at all, the blocked head starts nothing.
+        let none_free = PolicyCtx {
+            free_nodes: 0,
+            ..ctx.clone()
+        };
+        assert_eq!(EasyBackfill.select(&none_free), Vec::<usize>::new());
     }
 
     #[test]
