@@ -81,7 +81,7 @@
 //! ```
 
 use crate::comm::CommStats;
-use crate::topology::{LinkId, LinkIds, Topology};
+use crate::topology::{Link, LinkId, LinkIds, Topology};
 
 /// One running job's steady-state traffic summary: bytes per virtual
 /// second on each link it uses (contention identity, including the
@@ -167,22 +167,40 @@ pub fn job_traffic_with(
     // and the touched bits are read back in ascending id. The star is
     // unbounded: its ids stop at the job's highest node.
     let star = || 2 * node_ids.iter().max().map_or(0, |&m| m + 1);
-    let LinkScratch { bytes, touched, .. } = scratch.cover(ids.link_count().unwrap_or_else(star));
-    for (src, s) in stats.iter().enumerate() {
-        for (dst, peer) in s.peers.iter() {
-            if peer.bytes_to == 0 {
-                continue;
+    let s = scratch.cover(ids.link_count().unwrap_or_else(star));
+    s.received.resize(s.received.len().max(stats.len()), 0);
+    s.switches.clear();
+    (s.switches).extend(node_ids.iter().map(|&n| ids.switch_of(n)));
+    let mut add = |id: LinkId, b: u64| {
+        let i = id as usize;
+        s.bytes[i] += b;
+        s.touched[i / 64] |= 1 << (i % 64);
+    };
+    // A flow's host links take per-rank sums; only a flow between two
+    // switches is routed, link by link.
+    let hosts = ids.has_hosts();
+    for (rank, st) in stats.iter().enumerate() {
+        let (from, mut sent) = (node_ids[rank], 0);
+        for (dst, peer) in st.peers.iter().filter(|(_, t)| t.bytes_to > 0) {
+            sent += peer.bytes_to;
+            s.received[dst] += peer.bytes_to;
+            if s.switches[dst] != s.switches[rank] {
+                ids.for_each_crossing(from, node_ids[dst], salt, |id| add(id, peer.bytes_to));
             }
-            ids.for_each(node_ids[src], node_ids[dst], salt, |id| {
-                let i = id as usize;
-                bytes[i] += peer.bytes_to;
-                touched[i / 64] |= 1 << (i % 64);
-            });
+        }
+        if hosts && sent > 0 {
+            add(ids.id(Link::HostUp(from), 0), sent);
+        }
+    }
+    for (&to, got) in node_ids.iter().zip(&mut s.received) {
+        let got = std::mem::take(got);
+        if hosts && got > 0 {
+            add(ids.id(Link::HostDown(to), 0), got);
         }
     }
     out.rates.clear();
-    drain_bits(touched, |i| {
-        (out.rates).push((i as LinkId, std::mem::take(&mut bytes[i]) as f64 / step_s));
+    drain_bits(&mut s.touched, |i| {
+        (out.rates).push((i as LinkId, std::mem::take(&mut s.bytes[i]) as f64 / step_s));
     });
     let busy: f64 = stats
         .iter()
@@ -208,13 +226,16 @@ pub struct ContentionEpoch {
 
 /// Per-link accumulators [`job_traffic_with`] and [`epoch_with`] reuse
 /// from call to call: flat byte and `(aggregate rate, users)` tables
-/// indexed by [`LinkId`] and one bit per id the current call touched,
-/// all left all-zero between calls.
+/// indexed by [`LinkId`], one bit per id the current call touched and
+/// the bytes each rank receives, all left all-zero between calls; and
+/// the switch each rank's node hangs off, which each lowering rewrites.
 #[derive(Debug, Default)]
 pub struct LinkScratch {
     bytes: Vec<u64>,
     agg: Vec<(f64, u32)>,
     touched: Vec<u64>,
+    received: Vec<u64>,
+    switches: Vec<usize>,
 }
 
 impl LinkScratch {
@@ -334,7 +355,7 @@ fn drain_bits(words: &mut [u64], mut visit: impl FnMut(usize)) {
 }
 
 /// Aggregate byte rate per fat-tree *edge group* uplink (tier-1
-/// [`Link::Up`](crate::topology::Link::Up) links, any ECMP way, told
+/// [`Link::Up`] links, any ECMP way, told
 /// apart by id range), indexed by edge-switch id — the signal
 /// contention-aware placement scores candidate allocations against.
 /// Summed in the order of `jobs`, ascending link id within a job.
@@ -363,8 +384,9 @@ pub fn add_edge_uplink_loads<'a>(jobs: impl Iterator<Item = &'a JobTraffic>, loa
 mod reference {
     use std::collections::BTreeMap;
 
+    use super::{drain_bits, LinkScratch};
     use crate::comm::CommStats;
-    use crate::topology::{Link, Topology};
+    use crate::topology::{Link, LinkId, LinkIds, Topology};
 
     #[derive(Debug, Clone, Default)]
     pub struct JobTraffic {
@@ -426,6 +448,45 @@ mod reference {
             .sum();
         let comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
         JobTraffic { rates, comm_frac }
+    }
+
+    /// The per-pair lowering `super::job_traffic_with` replaced: every
+    /// flow, host links included, routed link by link through
+    /// `LinkIds::for_each`.
+    pub fn job_traffic_with(
+        scratch: &mut LinkScratch,
+        ids: &LinkIds,
+        stats: &[CommStats],
+        node_ids: &[usize],
+        step_s: f64,
+        salt: u64,
+        out: &mut super::JobTraffic,
+    ) {
+        let star = || 2 * node_ids.iter().max().map_or(0, |&m| m + 1);
+        let LinkScratch { bytes, touched, .. } =
+            scratch.cover(ids.link_count().unwrap_or_else(star));
+        for (src, s) in stats.iter().enumerate() {
+            for (dst, peer) in s.peers.iter() {
+                if peer.bytes_to == 0 {
+                    continue;
+                }
+                ids.for_each(node_ids[src], node_ids[dst], salt, |id| {
+                    let i = id as usize;
+                    bytes[i] += peer.bytes_to;
+                    touched[i / 64] |= 1 << (i % 64);
+                });
+            }
+        }
+        out.rates.clear();
+        drain_bits(touched, |i| {
+            (out.rates).push((i as LinkId, std::mem::take(&mut bytes[i]) as f64 / step_s));
+        });
+        let busy: f64 = stats
+            .iter()
+            .map(|s| s.send_busy_s + s.recv_busy_s + s.wait_s)
+            .sum();
+        out.comm_frac = (busy / (stats.len() as f64 * step_s)).clamp(0.0, 1.0);
+        out.ids = *ids;
     }
 
     pub fn link_eff_gap(topo: &Topology, gap_s_per_byte: f64, link: &str) -> f64 {
@@ -657,6 +718,7 @@ mod tests {
             assert!(s.touched.iter().all(|&w| w == 0));
             assert!(s.bytes.iter().all(|&b| b == 0));
             assert!(s.agg.iter().all(|&e| e == (0.0, 0)));
+            assert!(s.received.iter().all(|&b| b == 0));
         };
         // One scratch lowers both jobs into reused tables.
         let (ids, mut a, mut b) = (
@@ -922,5 +984,107 @@ mod tests {
         let (va, vb) = (a.shareable(), b.shareable());
         assert!(va.rates().is_empty() && vb.rates().is_empty());
         assert_eq!(epoch(&ft, 8e-8, &[&va, &vb]).factors, [1.0, 1.0]);
+    }
+
+    /// Per-rank counters for the lowering oracle: rows that send to
+    /// themselves, rows of zero-byte entries, quiet rows, and
+    /// `bytes_sent` left at 0 as hand-built stats leave it.
+    fn lowering_stats(r: &mut impl FnMut(usize) -> usize, width: usize) -> Vec<CommStats> {
+        (0..width)
+            .map(|rank| {
+                let mut s = CommStats {
+                    send_busy_s: r(1000) as f64 * 1e-4,
+                    wait_s: r(1000) as f64 * 1e-4,
+                    ..CommStats::default()
+                };
+                match r(5) {
+                    0 => {}
+                    1 => {
+                        for _ in 0..1 + r(3) {
+                            s.peers.entry(r(width)).msgs_to += 1;
+                        }
+                    }
+                    2 => s.peers.entry(rank).bytes_to += 1 + r(5000) as u64,
+                    _ => {
+                        for _ in 0..1 + r(6) {
+                            let b = [0, 1 + r(100), 1 + r(3_000_000)][r(3)];
+                            s.peers.entry(r(width)).bytes_to += b as u64;
+                        }
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn launch_lowering_agrees_with_the_per_pair_reference_bit_for_bit() {
+        let (ft16, ft6) = (
+            Topology::fat_tree(16, 2, 4.0),
+            Topology::fat_tree(6, 2, 2.0),
+        );
+        assert_eq!(ft6.ecmp_ways(), 3);
+        // A torus first: one scratch serves every space in turn, and
+        // must come back clean from one that has no host links.
+        let cases = [
+            (Topology::torus([8, 4, 2]), 1),
+            (Topology::Star, 1),
+            (ft16, 1),
+            (ft16, ft16.ecmp_ways()),
+            (Topology::torus([4, 4, 2]), 1),
+            (Topology::fat_tree(16, 3, 4.0), 4),
+            (ft6, ft6.ecmp_ways()),
+        ];
+        let (mut scratch, mut got) = (LinkScratch::default(), JobTraffic::default());
+        for (case, (topo, ways)) in cases.into_iter().enumerate() {
+            let (ids, cap) = (LinkIds::new(&topo, ways), topo.capacity().unwrap_or(48));
+            let (mut old, mut want) = (LinkScratch::default(), JobTraffic::default());
+            let (mut r, mut fabric, mut host) = (rng(case as u64 + 5), 0, 0);
+            for job in 0..400u64 {
+                // Distinct nodes, unsorted, from a window that packs
+                // them under one switch or spreads them over the tree.
+                let width = 1 + r(16.min(cap));
+                let span = [width, 2 * width, 16 * width, cap][r(4)].min(cap);
+                let offset = r(cap - span + 1);
+                let mut window: Vec<usize> = (offset..offset + span).collect();
+                for j in 0..width {
+                    window.swap(j, j + r(span - j));
+                }
+                let nodes = &window[..width];
+                let stats = lowering_stats(&mut r, width);
+                let step_s = 0.25 + r(4000) as f64 * 1e-3;
+                job_traffic_with(&mut scratch, &ids, &stats, nodes, step_s, job, &mut got);
+                reference::job_traffic_with(&mut old, &ids, &stats, nodes, step_s, job, &mut want);
+                let ctx = format!("{} ways {ways} job {job} nodes {nodes:?}", topo.label());
+                let bits = |t: &JobTraffic| -> Vec<(LinkId, u64)> {
+                    t.rates().iter().map(|&(id, v)| (id, v.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+                assert_eq!(got.comm_frac.to_bits(), want.comm_frac.to_bits(), "{ctx}");
+                assert_eq!(got.ids, want.ids, "{ctx}");
+                fabric += got
+                    .rates()
+                    .iter()
+                    .filter(|&&(id, _)| !ids.is_host(id))
+                    .count();
+                host += got
+                    .rates()
+                    .iter()
+                    .filter(|&&(id, _)| ids.is_host(id))
+                    .count();
+            }
+            // Each shape lowers links of the kinds it has.
+            let star = topo == Topology::Star;
+            let torus = matches!(topo, Topology::Torus { .. });
+            assert!((fabric > 500) != star, "{}: {fabric} fabric", topo.label());
+            assert!((host > 500) != torus, "{}: {host} host", topo.label());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 16 is outside the topology")]
+    fn lowering_a_node_outside_the_topology_panics() {
+        let ft = Topology::fat_tree(4, 2, 4.0);
+        job_traffic(&ft, &stats_pair(1000), &[0, 16], 1.0, 0, ft.ecmp_ways());
     }
 }

@@ -65,7 +65,7 @@
 //! ```
 
 use crate::spec::NetworkSpec;
-use crate::topology::Topology;
+use crate::topology::{PathProfile, Topology};
 
 /// Timing calculator for one interconnect. Stateless — all queueing is
 /// carried by the ranks' virtual clocks, which keeps simulated time fully
@@ -122,7 +122,12 @@ impl NetworkModel {
     /// under one edge switch — this is the same arithmetic as
     /// [`NetworkModel::flight`], bit for bit.
     pub fn flight_between(&self, src: usize, dst: usize, bytes: u64) -> f64 {
-        let p = self.spec.topology.path(src, dst);
+        self.flight_on(&self.spec.topology.path(src, dst), bytes)
+    }
+
+    /// [`NetworkModel::flight_between`] for a route of profile `p`, so a
+    /// caller pricing many pairs of one profile can take it once.
+    pub fn flight_on(&self, p: &PathProfile, bytes: u64) -> f64 {
         if p.latency_hops == 1 && p.uplink_resers == 0 && p.edge_resers == 1 {
             // The single-switch profile: keep the legacy expression so
             // star outcomes stay bit-identical to committed baselines.

@@ -297,8 +297,18 @@ impl Topology {
             Topology::FatTree { radix, .. } => (radix, ids, &[][..]),
             Topology::Torus { .. } => (2, &[][..], ids),
         };
-        (consecutive.windows(2))
-            .map(move |w| Self::lca_level(radix, w[0], w[1]))
+        // Each id's edge switch is divided out once, for both its pairs.
+        let mut edges = consecutive.iter().map(move |&n| n / radix);
+        let first = edges.next();
+        (consecutive.windows(2).zip(edges))
+            .scan(first, move |prev, (w, edge)| {
+                let same = prev.replace(edge) == Some(edge);
+                Some(if same {
+                    1
+                } else {
+                    Self::lca_level(radix, w[0], w[1])
+                })
+            })
             .chain(own.iter().copied())
     }
 
@@ -325,7 +335,7 @@ impl Topology {
     }
 
     /// Visit the links of [`Topology::route`] in route order without
-    /// allocating — the form the per-dispatch traffic lowering uses.
+    /// allocating.
     pub fn for_each_link(&self, src: usize, dst: usize, mut visit: impl FnMut(Link)) {
         match *self {
             Topology::Star => {
@@ -542,10 +552,7 @@ impl LinkIds {
     /// The id of `link` on ECMP way `way` (ignored for host links and
     /// torus cables). Panics on a link the topology does not have.
     pub fn id(&self, link: Link, way: usize) -> LinkId {
-        let host = |n: usize| {
-            assert!(n < self.cap, "node {n} is outside the topology");
-            n
-        };
+        let host = |n| self.node(n);
         let i = match (self.topo, link) {
             (Topology::Star, Link::HostUp(n)) => 2 * n,
             (Topology::Star, Link::HostDown(n)) => 2 * n + 1,
@@ -665,23 +672,83 @@ impl LinkIds {
         }
     }
 
+    /// `n`, checked against a bounded topology's capacity.
+    fn node(&self, n: usize) -> usize {
+        assert!(n < self.cap, "node {n} is outside the topology");
+        n
+    }
+
+    /// Whether the space has host links, which a torus lacks.
+    pub(crate) fn has_hosts(&self) -> bool {
+        !matches!(self.topo, Topology::Torus { .. })
+    }
+
+    /// The switch a flow out of `node` enters first: its edge switch on a
+    /// fat tree, its own router on a torus, the star's one switch. Only
+    /// a flow between two switches crosses a link between its host links.
+    pub(crate) fn switch_of(&self, node: usize) -> usize {
+        match self.topo {
+            Topology::Star => 0,
+            Topology::FatTree { radix, .. } => node / radix,
+            Topology::Torus { .. } => node,
+        }
+    }
+
     /// Visit the ids of the `src → dst` contention links in route
     /// order (see [`Topology::contention_links`]) without allocating.
     pub fn for_each(&self, src: usize, dst: usize, salt: u64, mut visit: impl FnMut(LinkId)) {
-        // Only a route that leaves its edge switch reaches a fabric
-        // link, so only such a route hashes its way.
-        let way = match self.topo {
-            Topology::FatTree { radix, .. } if self.ways > 1 && src / radix != dst / radix => {
-                let mut h = mb_telemetry::Fnv::new();
-                h.write_u64(src as u64);
-                h.write_u64(dst as u64);
-                h.write_u64(salt);
-                (h.finish() % self.ways as u64) as usize
+        let hosts = self.has_hosts();
+        if hosts {
+            visit(self.id(Link::HostUp(src), 0));
+        }
+        self.for_each_crossing(src, dst, salt, &mut visit);
+        if hosts {
+            visit(self.id(Link::HostDown(dst), 0));
+        }
+    }
+
+    /// [`LinkIds::for_each`] between the host links: a torus's cables,
+    /// and on a fat tree nothing unless the route leaves its edge switch.
+    /// Then the ECMP way is the hash `h & (ways − 1)` for a power-of-two
+    /// `ways`, else `h % ways`, and the ids come from the tier layout.
+    pub(crate) fn for_each_crossing(
+        &self,
+        src: usize,
+        dst: usize,
+        salt: u64,
+        mut visit: impl FnMut(LinkId),
+    ) {
+        let Topology::FatTree { radix, .. } = self.topo else {
+            if let Topology::Torus { .. } = self.topo {
+                (self.topo).for_each_link(self.node(src), self.node(dst), |l| visit(self.id(l, 0)));
             }
-            _ => 0,
+            return;
         };
-        self.topo
-            .for_each_link(src, dst, |l| visit(self.id(l, way)));
+        let (mut s, mut d) = (self.node(src) / radix, self.node(dst) / radix);
+        if s == d {
+            return;
+        }
+        let mut h = mb_telemetry::Fnv::new();
+        h.write_u64(src as u64);
+        h.write_u64(dst as u64);
+        h.write_u64(salt);
+        let (h, ways) = (h.finish(), self.ways);
+        let way = if ways.is_power_of_two() {
+            h as usize & (ways - 1)
+        } else {
+            (h % ways as u64) as usize
+        };
+        // Each tier's uplinks by `(switch, way)`, then its downlinks; a
+        // `LinkId` space holds at most `LinkId::BITS` tiers.
+        let (mut base, mut switches) = (2 * self.cap, self.cap / radix);
+        let (mut downs, mut k) = ([0; LinkId::BITS as usize], 0);
+        while s != d {
+            visit((base + s * ways + way) as LinkId);
+            downs[k] = (base + (switches + d) * ways + way) as LinkId;
+            (base, switches, k) = (base + 2 * switches * ways, switches / radix, k + 1);
+            (s, d) = (s / radix, d / radix);
+        }
+        downs[..k].iter().rev().for_each(|&id| visit(id));
     }
 }
 
@@ -981,6 +1048,61 @@ mod tests {
             LinkIds::new(&Topology::torus([4, 4, 2]), 1),
             LinkIds::new(&Topology::torus([5, 1, 3]), 1),
         ]
+    }
+
+    #[test]
+    fn for_each_numbers_the_route_on_the_byte_wise_hashed_way() {
+        // The way as first defined: FNV-1a over the 24 little-endian
+        // bytes of `(src, dst, salt)`, modulo the ways.
+        let way = |src: usize, dst: usize, salt: u64, ways: usize| {
+            let mut h = mb_telemetry::Fnv::new();
+            for v in [src as u64, dst as u64, salt] {
+                h.write_bytes(&v.to_le_bytes());
+            }
+            (h.finish() % ways as u64) as usize
+        };
+        let ft16 = Topology::fat_tree(16, 2, 4.0);
+        let spaces = [
+            LinkIds::default(),
+            LinkIds::new(&ft16, 1),
+            LinkIds::new(&ft16, 4),
+            LinkIds::new(&Topology::fat_tree(16, 3, 4.0), 4),
+            LinkIds::new(&Topology::fat_tree(6, 2, 2.0), 3),
+            LinkIds::new(&Topology::fat_tree(4, 3, 2.0), 2),
+            LinkIds::new(&Topology::torus([8, 4, 2]), 1),
+            LinkIds::new(&Topology::torus([4, 4, 2]), 1),
+        ];
+        for (seed, ids) in spaces.into_iter().enumerate() {
+            let n = ids.topo.capacity().unwrap_or(48);
+            let mut r = rng(seed as u64 + 11);
+            let mut spread = std::collections::BTreeSet::new();
+            for _ in 0..2000 {
+                // Half the pairs near each other, so every tier is crossed.
+                let a = r(n);
+                let b = if r(2) == 0 { r(n) } else { (a + r(40)) % n };
+                let salt = r(1 << 20) as u64;
+                let w = way(a, b, salt, ids.ways);
+                let mut want = Vec::new();
+                (ids.topo).for_each_link(a, b, |l| {
+                    want.push(ids.id(l, if l.is_fabric() { w } else { 0 }));
+                });
+                let mut got = Vec::new();
+                ids.for_each(a, b, salt, |id| got.push(id));
+                assert_eq!(got, want, "{ids:?}: {a}->{b} salt {salt}");
+                if got.iter().any(|&id| ids.is_fabric(id)) {
+                    spread.insert(w);
+                }
+            }
+            // Every way is reached where the tree has fabric links.
+            let fabric = matches!(ids.topo, Topology::FatTree { .. });
+            assert_eq!(spread.len(), if fabric { ids.ways } else { 0 }, "{ids:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 36 is outside the topology")]
+    fn routing_a_node_outside_the_topology_panics() {
+        LinkIds::new(&Topology::fat_tree(6, 2, 2.0), 3).for_each(0, 36, 0, |_| {});
     }
 
     #[test]

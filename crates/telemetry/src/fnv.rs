@@ -6,7 +6,20 @@
 //! fold in every `u64`/`f64` of an outcome (floats by exact bit
 //! pattern, so `0.0` and `-0.0` differ) and compare digests.
 
+const PRIME: u64 = 0x100_0000_01b3;
+
+/// `PRIME^k` for `k` in `0..=8`: `k` zero bytes fold as one multiply.
+const PRIME_POW: [u64; 9] = {
+    let (mut pow, mut k) = ([1u64; 9], 1);
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// Incremental FNV-1a hasher for outcome fingerprints.
+#[derive(Clone, Copy)]
 pub struct Fnv(u64);
 
 impl Fnv {
@@ -20,13 +33,15 @@ impl Fnv {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            self.0 = self.0.wrapping_mul(PRIME);
         }
     }
 
-    /// Fold in one u64, little-endian.
+    /// Fold in one u64, little-endian (its high zero bytes at once).
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let n = 8 - v.leading_zeros() as usize / 8;
+        self.write_bytes(&v.to_le_bytes()[..n]);
+        self.0 = self.0.wrapping_mul(PRIME_POW[8 - n]);
     }
 
     /// Fold in one f64's exact bit pattern.
@@ -91,6 +106,36 @@ mod tests {
         let mut d = Fnv::new();
         d.write_bytes(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(c.finish(), d.finish());
+    }
+
+    /// The byte-wise fold `write_u64` stands for.
+    fn bytewise(h: &Fnv, v: u64) -> u64 {
+        let mut h = *h;
+        h.write_bytes(&v.to_le_bytes());
+        h.finish()
+    }
+
+    #[test]
+    fn write_u64_is_the_byte_wise_fold() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let seeded = (0..2000).map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            // Every byte length, not only full-width draws.
+            s >> (s % 64)
+        });
+        let fixed = [0, 1, 0xff, 0x100, 1 << 56, u64::MAX];
+        let mut h = Fnv::new();
+        for v in fixed
+            .into_iter()
+            .chain((0..64).map(|k| 1 << k))
+            .chain(seeded)
+        {
+            let want = bytewise(&h, v);
+            h.write_u64(v);
+            assert_eq!(h.finish(), want, "{v:#x}");
+        }
     }
 
     #[test]

@@ -14,7 +14,14 @@
 //! content-addressed id (FNV-1a over the step key, the width and the
 //! [route class](mb_cluster::Topology::route_class) of the node set,
 //! which fixes every `path` a price reads), so repeat pricing is a
-//! hash lookup — on the star, for every set of one width.
+//! hash lookup — on the star, for every set of one width. A miss prices
+//! each route profile once per payload size of the step
+//! ([`NetworkModel::flight_on`]), however many rank pairs share it; on a
+//! fat tree a pair's profile follows from where its nodes' switch
+//! ancestors meet, taken once per rank. The synthesized stats read the
+//! node set only through its width, so a miss copies them from a
+//! memoized step of the same key and width when there is one, and sets
+//! only `wait_s` from its own step time.
 //!
 //! Determinism: the calibration measurements are [`ServiceModel`] steps,
 //! stackless runs that no executor policy reaches, and the fit itself is
@@ -35,11 +42,12 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::iter::successors;
 use std::sync::Arc;
 
 use mb_cluster::machine::Cluster;
 use mb_cluster::{
-    ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, PeerTable, PeerTraffic,
+    ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, PeerTable, PeerTraffic, Topology,
 };
 use mb_sched::job::Tail;
 use mb_sched::{ServiceModel, ServiceOracle, StepProfile, WorkModel};
@@ -102,14 +110,18 @@ impl CalibrationReport {
 pub struct CostModel {
     spec: ClusterSpec,
     net: NetworkModel,
-    /// FNV-1a digest of every content id's constant prefix: the scheme
-    /// tag and the topology label (the routing context).
-    cid_prefix: u64,
+    /// FNV-1a state after every content id's constant prefix: the
+    /// scheme tag and the topology label (the routing context).
+    cid_prefix: Fnv,
     /// Fitted `[compute, fixed-cost, serialization]` coefficients per
     /// step pattern; patterns never calibrated price at the identity.
     coeffs: HashMap<StepKey, [f64; 3]>,
     /// Content-addressed step memo: CID → priced profile.
     memo: RefCell<HashMap<u64, StepProfile, BuildHasherDefault<CidHasher>>>,
+    /// The content id last priced for each `(step key, width)`: while it
+    /// is memoized, its stats are any miss's of that key and width but
+    /// for `wait_s`.
+    siblings: RefCell<HashMap<(StepKey, usize), u64>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -125,9 +137,10 @@ impl CostModel {
         Self {
             spec,
             net,
-            cid_prefix: prefix.finish(),
+            cid_prefix: prefix,
             coeffs: HashMap::new(),
             memo: RefCell::default(),
+            siblings: RefCell::default(),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -191,7 +204,9 @@ impl CostModel {
         let (t, a, b, c) = work.step_key();
         let key = [t as u64, a, b, c, nodes.len() as u64];
         let class = self.spec.network.topology.route_class(nodes);
-        (key.into_iter().chain(class.map(|v| v as u64))).fold(self.cid_prefix, fnv_u64)
+        let mut h = self.cid_prefix;
+        (key.into_iter().chain(class.map(|v| v as u64))).for_each(|v| h.write_u64(v));
+        h.finish()
     }
 
     /// Memo lookups that found a priced step.
@@ -226,24 +241,14 @@ impl CostModel {
         let mut fixed = 0.0;
         let mut ser = 0.0;
         if p > 1 {
-            // Full cost of one `bytes`-byte message between two nodes,
-            // split into its zero-byte fixed part and the remainder.
-            let cost = |src: usize, dst: usize, bytes: u64| {
-                self.net.send_busy(bytes)
-                    + self.net.flight_between(src, dst, bytes)
-                    + self.net.recv_busy(bytes)
-            };
-            let split = |src: usize, dst: usize, bytes: u64| {
-                let f = cost(src, dst, 0);
-                (f, cost(src, dst, bytes) - f)
-            };
+            let mut split = self.pricer(ids);
             let worst = |(af, as_): (f64, f64), (bf, bs): (f64, f64)| (af.max(bf), as_.max(bs));
             let shape = work.shape();
             if shape.rounds > 0 {
                 // One round's critical path: the worst successor link
                 // in the ring.
                 let (f, s) = (0..p)
-                    .map(|k| split(ids[k], ids[(k + 1) % p], shape.ring_bytes))
+                    .map(|k| split(k, (k + 1) % p, shape.ring_bytes))
                     .fold((0.0, 0.0), worst);
                 fixed += shape.rounds as f64 * f;
                 ser += shape.rounds as f64 * s;
@@ -255,9 +260,7 @@ impl CostModel {
                     let mut mask = 1;
                     while mask < p {
                         let (f, s) = (0..p)
-                            .filter_map(|r| {
-                                rd_partner(r, mask, p).map(|q| split(ids[r], ids[q], bytes))
-                            })
+                            .filter_map(|r| rd_partner(r, mask, p).map(|q| split(r, q, bytes)))
                             .fold((0.0, 0.0), worst);
                         fixed += 2.0 * f;
                         ser += 2.0 * s;
@@ -272,7 +275,7 @@ impl CostModel {
                             (0..p)
                                 .filter(|&d| d != r)
                                 .fold((0.0_f64, 0.0_f64), |(af, as_), d| {
-                                    let (bf, bs) = split(ids[r], ids[d], bytes);
+                                    let (bf, bs) = split(r, d, bytes);
                                     (af + bf, as_ + bs)
                                 })
                         })
@@ -284,6 +287,51 @@ impl CostModel {
             }
         }
         [compute, fixed, ser]
+    }
+
+    /// The full cost of a `bytes`-byte message from rank `i` to rank `j`
+    /// of a step on `ids`, split into its zero-byte fixed part and the
+    /// remainder, once per route profile and size. A fat-tree pair's
+    /// profile is the count of tiers its nodes' switch ancestors (taken
+    /// once per rank) differ at; elsewhere it is [`Topology::path`]'s.
+    fn pricer<'a>(&'a self, ids: &'a [usize]) -> impl FnMut(usize, usize, u64) -> (f64, f64) + 'a {
+        let (net, topo) = (&self.net, self.net.topology());
+        let tree = matches!(topo, Topology::FatTree { .. });
+        let (mut tiers, mut ancestors, mut profiles) = (0, Vec::new(), Vec::new());
+        if let Topology::FatTree { radix, .. } = topo {
+            let climb = |n: usize| successors(Some(n / radix), move |&a| Some(a / radix));
+            tiers = climb(ids.last().map_or(0, |&n| n))
+                .take_while(|&a| a > 0)
+                .count();
+            ancestors = ids.iter().flat_map(|&n| climb(n).take(tiers)).collect();
+            // Nodes 0 and `radix^t` differ at `t` tiers.
+            profiles = (0..=tiers)
+                .map(|t| topo.path(0, radix.pow(t as u32)))
+                .collect();
+        }
+        let mut splits: Vec<(usize, u64, (f64, f64))> = Vec::new();
+        move |i, j, bytes| {
+            let route = if tree {
+                let at = |r: usize| &ancestors[r * tiers..][..tiers];
+                at(i).iter().zip(at(j)).filter(|(x, y)| x != y).count()
+            } else {
+                let path = topo.path(ids[i], ids[j]);
+                (profiles.iter().position(|q| *q == path)).unwrap_or_else(|| {
+                    profiles.push(path);
+                    profiles.len() - 1
+                })
+            };
+            if let Some(&(.., price)) = splits.iter().find(|s| (s.0, s.1) == (route, bytes)) {
+                return price;
+            }
+            let cost = |bytes| {
+                net.send_busy(bytes) + net.flight_on(&profiles[route], bytes) + net.recv_busy(bytes)
+            };
+            let f = cost(0);
+            let price = (f, cost(bytes) - f);
+            splits.push((route, bytes, price));
+            price
+        }
     }
 
     /// Synthesized per-rank traffic counters for one priced step:
@@ -346,8 +394,7 @@ impl CostModel {
                     }
                 }
                 st.peers = PeerTable::take_dense(&mut row);
-                st.wait_s = (step_s - st.compute_s - st.send_busy_s - st.recv_busy_s).max(0.0);
-                st
+                waited(st, step_s)
             })
             .collect()
     }
@@ -389,9 +436,19 @@ impl ServiceOracle for CostModel {
         // Floor keeps step_s strictly positive (the contention layer
         // divides by it).
         let step_s = dot(&c, &x).max(1.0e-9);
+        // The stats read the node set only through its width and the
+        // step time only through `wait_s`, so a memoized step of this
+        // key and width lends them.
+        let key = (work.step_key(), nodes.len());
+        let sibling = self.siblings.borrow_mut().insert(key, cid);
+        let sibling = sibling.and_then(|id| Some(self.memo.borrow().get(&id)?.stats.clone()));
+        let stats = match sibling {
+            Some(stats) => stats.iter().map(|st| waited(st.clone(), step_s)).collect(),
+            None => self.synth_stats(work, nodes, step_s),
+        };
         let profile = StepProfile {
             step_s,
-            stats: Arc::new(self.synth_stats(work, nodes, step_s)),
+            stats: Arc::new(stats),
         };
         self.memo.borrow_mut().insert(cid, profile.clone());
         profile
@@ -408,15 +465,11 @@ impl ServiceOracle for CostModel {
     }
 }
 
-/// [`Fnv::write_u64`] resumed from a finished digest `h` (FNV-1a over
-/// the little-endian bytes of `v`), which [`Fnv`] itself cannot do. A
-/// zero byte only multiplies by the prime: high zero bytes fold at once.
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let n = 8 - v.leading_zeros() / 8;
-    let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
-    let low = v.to_le_bytes().into_iter().take(n as usize).fold(h, fold);
-    low.wrapping_mul(PRIME.wrapping_pow(8 - n))
+/// `st` with its wait: the step time it neither computes nor
+/// communicates in.
+fn waited(mut st: CommStats, step_s: f64) -> CommStats {
+    st.wait_s = (step_s - st.compute_s - st.send_busy_s - st.recv_busy_s).max(0.0);
+    st
 }
 
 fn dot(c: &[f64; 3], x: &[f64; 3]) -> f64 {
@@ -530,7 +583,6 @@ mod tests {
     use super::*;
     use crate::{JobMix, OpenArrivals, SloAdmission, TrafficPattern};
     use mb_cluster::spec::metablade;
-    use mb_cluster::Topology;
     use mb_sched::{
         simulate_stream, ArrivalSource, EasyBackfill, FailureConfig, Fcfs, NpbKernel, Placement,
         SchedConfig, SchedPolicy,
@@ -616,21 +668,156 @@ mod tests {
         }
     }
 
+    /// The content-id fold `CostModel` used before it kept its prefix as
+    /// an [`Fnv`]: FNV-1a over the little-endian bytes of `v`, resumed
+    /// from a finished digest `h`, the high zero bytes folded at once.
+    fn old_fnv_u64(h: u64, v: u64) -> u64 {
+        const PRIME: u64 = 0x100_0000_01b3;
+        let n = 8 - v.leading_zeros() / 8;
+        let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
+        let low = v.to_le_bytes().into_iter().take(n as usize).fold(h, fold);
+        low.wrapping_mul(PRIME.wrapping_pow(8 - n))
+    }
+
+    /// Node sets of `w` distinct ids below `cap`: the lowest, the block
+    /// under the second edge switch, spread ids, then seeded draws.
+    fn node_sets(r: &mut impl FnMut(usize) -> usize, w: usize, cap: usize) -> Vec<NodeSet> {
+        let mut sets = vec![
+            NodeSet::new((0..w).collect()),
+            NodeSet::new((16..16 + w).map(|n| n % cap).collect()),
+            NodeSet::new((0..w).map(|i| i * cap / w).collect()),
+        ];
+        for _ in 0..3 {
+            let mut all: Vec<usize> = (0..cap).collect();
+            for j in 0..w {
+                all.swap(j, j + r(cap - j));
+            }
+            all.truncate(w);
+            sets.push(NodeSet::new(all));
+        }
+        sets
+    }
+
+    /// The star, `ft16x2o4`, a three-tier tree and a torus, 64 nodes
+    /// where bounded.
+    fn specs() -> [ClusterSpec; 4] {
+        let on = |topo| metablade().with_nodes(64).with_topology(topo);
+        [
+            metablade(),
+            on(Topology::fat_tree(16, 2, 4.0)),
+            on(Topology::fat_tree(4, 3, 2.0)),
+            on(Topology::torus([8, 4, 2])),
+        ]
+    }
+
     #[test]
-    fn resumed_fnv_matches_the_byte_wise_hasher() {
-        let samples = [0, 1, 0xff, 0x100, 0x1234_5678, 2.5e7f64.to_bits(), u64::MAX];
-        for a in samples {
-            for v in samples.into_iter().chain((0..64).map(|k| 1u64 << k)) {
-                let mut f = Fnv::new();
-                f.write_u64(a);
-                f.write_u64(v);
-                assert_eq!(
-                    fnv_u64(fnv_u64(Fnv::new().finish(), a), v),
-                    f.finish(),
-                    "{v:#x}"
-                );
+    fn content_ids_equal_the_old_resumed_fold() {
+        let mut r = draws(41);
+        for spec in specs() {
+            let (model, topo) = (CostModel::new(spec.clone()), spec.network.topology);
+            let mut prefix = Fnv::new();
+            prefix.write_str("mb-workload/cid/2");
+            prefix.write_str(&topo.label());
+            for work in JobMix::standard(64).patterns() {
+                let (t, a, b, c) = work.step_key();
+                for w in 1..=16 {
+                    for nodes in node_sets(&mut r, w, spec.nodes) {
+                        let key = [t as u64, a, b, c, w as u64];
+                        let class = topo.route_class(&nodes).map(|v| v as u64);
+                        let want = key
+                            .into_iter()
+                            .chain(class)
+                            .fold(prefix.finish(), old_fnv_u64);
+                        assert_eq!(model.cid(&work, &nodes), want, "{work:?} {:?}", nodes.ids());
+                    }
+                }
             }
         }
+    }
+
+    /// `CostModel::features` as it priced every message pair by its
+    /// node ids, through `flight_between`.
+    fn per_pair_features(m: &CostModel, work: &WorkModel, nodes: &NodeSet) -> [f64; 3] {
+        let p = nodes.len();
+        let ids = nodes.ids();
+        let rate = m.flops_rate();
+        let compute = (0..p)
+            .map(|r| work.flops_for_rank(r) / rate)
+            .fold(0.0, f64::max);
+        let mut fixed = 0.0;
+        let mut ser = 0.0;
+        if p > 1 {
+            let cost = |src: usize, dst: usize, bytes: u64| {
+                m.net.send_busy(bytes)
+                    + m.net.flight_between(src, dst, bytes)
+                    + m.net.recv_busy(bytes)
+            };
+            let split = |src: usize, dst: usize, bytes: u64| {
+                let f = cost(src, dst, 0);
+                (f, cost(src, dst, bytes) - f)
+            };
+            let worst = |(af, as_): (f64, f64), (bf, bs): (f64, f64)| (af.max(bf), as_.max(bs));
+            let shape = work.shape();
+            if shape.rounds > 0 {
+                let (f, s) = (0..p)
+                    .map(|k| split(ids[k], ids[(k + 1) % p], shape.ring_bytes))
+                    .fold((0.0, 0.0), worst);
+                fixed += shape.rounds as f64 * f;
+                ser += shape.rounds as f64 * s;
+            }
+            match shape.tail {
+                Some(Tail::Allreduce { bytes }) => {
+                    let mut mask = 1;
+                    while mask < p {
+                        let (f, s) = (0..p)
+                            .filter_map(|r| {
+                                rd_partner(r, mask, p).map(|q| split(ids[r], ids[q], bytes))
+                            })
+                            .fold((0.0, 0.0), worst);
+                        fixed += 2.0 * f;
+                        ser += 2.0 * s;
+                        mask <<= 1;
+                    }
+                }
+                Some(Tail::Alltoallv { bytes }) => {
+                    let (f, s) = (0..p)
+                        .map(|r| {
+                            (0..p)
+                                .filter(|&d| d != r)
+                                .fold((0.0_f64, 0.0_f64), |(af, as_), d| {
+                                    let (bf, bs) = split(ids[r], ids[d], bytes);
+                                    (af + bf, as_ + bs)
+                                })
+                        })
+                        .fold((0.0, 0.0), worst);
+                    fixed += f;
+                    ser += s;
+                }
+                None => {}
+            }
+        }
+        [compute, fixed, ser]
+    }
+
+    #[test]
+    fn features_priced_once_per_route_profile_equal_the_per_pair_form() {
+        let mut r = draws(15);
+        let mut spanning = 0;
+        for spec in specs() {
+            let (model, topo) = (CostModel::new(spec.clone()), spec.network.topology);
+            for work in JobMix::standard(64).patterns() {
+                for w in 1..=16 {
+                    for nodes in node_sets(&mut r, w, spec.nodes) {
+                        let got = model.features(&work, &nodes).map(f64::to_bits);
+                        let want = per_pair_features(&model, &work, &nodes).map(f64::to_bits);
+                        assert_eq!(got, want, "{} {work:?} {:?}", topo.label(), nodes.ids());
+                        let tree = matches!(topo, Topology::FatTree { .. });
+                        spanning += usize::from(tree && topo.route_class(&nodes).any(|v| v > 1));
+                    }
+                }
+            }
+        }
+        assert!(spanning > 1000, "{spanning} spanning sets on the tree");
     }
 
     /// Deterministic xorshift draws from `0..n`.
