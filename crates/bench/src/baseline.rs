@@ -1,14 +1,16 @@
 //! The cluster and treecode suites of `metablade pins` ([`suite`]): the
 //! cluster microbenchmarks and the distributed treecode step, each one
-//! stackless body run once as the library runs it and once per
-//! [`ExecPolicy`] as its thread-per-rank [`threaded`] twin, emitted as
-//! `BENCH_cluster.json` / `BENCH_treecode.json` (schema in
-//! `BENCHMARKS.md` at the repo root).
+//! stackless body run once as the library runs it and once as its
+//! thread-per-rank [`threaded`] twin, emitted as `BENCH_cluster.json` /
+//! `BENCH_treecode.json` (schema in `BENCHMARKS.md` at the repo root).
 //!
 //! The documents carry **simulated values only**: the virtual makespan
 //! (slowest rank's virtual clock) and an outcome fingerprint (results +
-//! clocks + `CommStats`) per policy, with `identical_across_policies`
-//! recording that every executor width agreed with the stackless run.
+//! clocks + `CommStats`) under each [`policies`] label, with
+//! `identical_across_policies` recording that the two body forms agreed.
+//! Every run has one slot whatever the [`ExecPolicy`], so the one
+//! fingerprint is written under all four labels until the schema drops
+//! them (ROADMAP 3).
 //! All of it is bit-identical on every host and in every run, so a
 //! regenerated document equals its committed twin exactly — `cargo test`
 //! checks that for the smoke documents (`tests/pins.rs`). Host time is
@@ -95,9 +97,9 @@ pub fn rounds_for(rounds: usize, ranks: usize) -> usize {
     }
 }
 
-/// The executor widths every sweep compares — one engine, four slot
-/// counts: the one-slot sequential reference, bounded pools of 2 and 8
-/// workers, and the unbounded default.
+/// The four executor labels each record's `outcome_fingerprints` is
+/// keyed by: the executor widths the pins once compared. Every run now
+/// has one slot, so all four carry the same fingerprint.
 pub fn policies() -> [ExecPolicy; 4] {
     [
         ExecPolicy::Sequential,
@@ -128,32 +130,22 @@ pub fn hash_stats(h: &mut Fnv, stats: &[CommStats]) {
 }
 
 /// One bench record of a stackless body: run its [`threaded`] twin on
-/// `spec` once under every policy (`run_threaded`) and write down what it
-/// returns — the outcome fingerprint, the virtual makespan and any extra
-/// columns (e.g. treecode `gflops`). Fields documented in BENCHMARKS.md.
-/// Panics unless every policy's fingerprint equals `stackless`, the
-/// fingerprint of the body's one stackless run (one slot whatever the
-/// policy).
+/// `spec` once (`run_threaded`) and write down what it returns — the
+/// outcome fingerprint under every [`policies`] label, the virtual
+/// makespan and any extra columns (e.g. treecode `gflops`). Fields
+/// documented in BENCHMARKS.md. Panics unless the fingerprint equals
+/// `stackless`, the fingerprint of the body's stackless run.
 fn record<F>(name: &str, spec: &ClusterSpec, stackless: u64, run_threaded: F) -> Json
 where
     F: Fn(&Cluster) -> (u64, f64, Vec<(&'static str, Json)>),
 {
-    let mut fingerprints = BTreeMap::new();
-    let mut makespan = 0.0;
-    let mut extra = Vec::new();
-    for policy in policies() {
-        let (fp, m, e) = run_threaded(&Cluster::new(spec.clone()).with_exec(policy));
-        assert_eq!(
-            fp,
-            stackless,
-            "{name} at {} ranks: {} threaded vs stackless",
-            spec.nodes,
-            policy.label()
-        );
-        fingerprints.insert(policy.label(), fp);
-        makespan = m;
-        extra = e;
-    }
+    let (fp, makespan, extra) = run_threaded(&Cluster::new(spec.clone()));
+    assert_eq!(
+        fp, stackless,
+        "{name} at {} ranks: threaded vs stackless",
+        spec.nodes
+    );
+    let fingerprints: BTreeMap<String, u64> = policies().iter().map(|p| (p.label(), fp)).collect();
     let mut fields = vec![
         ("name", Json::str(name)),
         ("ranks", Json::Num(spec.nodes as f64)),
@@ -269,8 +261,8 @@ pub fn imbalance_job(
     })
 }
 
-/// Run `job` on `spec` once stackless and thread-per-rank under every
-/// policy ([`record`]).
+/// Run `job` on `spec` once stackless and once thread-per-rank
+/// ([`record`]).
 fn run_case<F>(name: &str, spec: &ClusterSpec, job: Stackless<F>) -> Json
 where
     F: AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy,
@@ -283,7 +275,7 @@ where
 }
 
 /// The cluster suite: collective, point-to-point and imbalanced-compute
-/// microbenchmarks swept over rank counts and executor policies on the
+/// microbenchmarks swept over rank counts on the
 /// paper's star switch, plus an oversubscribed fat-tree allreduce sweep
 /// (records named `…@ft16x2o4`) that measures topology contention at
 /// every rank count the tree can wire.
@@ -354,8 +346,7 @@ pub fn fat_tree_link_trace(cfg: &SweepConfig) -> String {
         .max()
         .unwrap_or(8);
     let rounds = rounds_for(cfg.rounds, ranks);
-    let cluster = Cluster::new(metablade().with_nodes(ranks).with_topology(ft))
-        .with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(metablade().with_nodes(ranks).with_topology(ft));
     let (out, trace) = cluster.run_traced(allreduce_job(rounds));
     let occ = ft.link_occupancy(&out.stats, None);
     let mut reg = mb_telemetry::metrics::Registry::new();
@@ -381,9 +372,9 @@ fn treecode_fingerprint(report: &StepReport) -> u64 {
 }
 
 /// The treecode suite: one full distributed force evaluation per rank
-/// count, its [`ForceStep::job`] run once stackless and thread-per-rank
-/// under every policy (`record`), with virtual makespan, sustained
-/// Gflops and `treecode_fingerprint`.
+/// count, its [`ForceStep::job`] run once stackless and once
+/// thread-per-rank (`record`), with virtual makespan, sustained Gflops
+/// and `treecode_fingerprint`.
 pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
     let bodies = plummer(cfg.n_bodies, 1999);
     let tree_cfg = DistributedConfig::default();
@@ -417,10 +408,12 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 }
 
 /// One host-time-profiled rerun of the imbalance microbenchmark at the
-/// sweep's largest rank count under the 8-worker pool, run as its
-/// [`threaded`] twin so the profile describes gate wake-ups. Returns the
-/// registry holding the `executor/*` counters and `prof/*` histograms —
-/// the `PROF_cluster.json` artifact [`suite`] returns when `MB_PROF=1`.
+/// sweep's largest rank count, run as its [`threaded`] twin so the
+/// profile describes thread wake-ups too. Returns the registry holding
+/// the `executor/*` counters and `prof/*` histograms under the label
+/// `w8`, the key readers of `PROF_cluster.json` look up until ROADMAP 3
+/// retires the policy labels — the artifact [`suite`] returns when
+/// `MB_PROF=1`.
 ///
 /// A run of its own, outside the sweep that fills the BENCH documents.
 /// Virtual outcomes are unaffected by profiling either way (the
@@ -428,13 +421,10 @@ pub fn treecode_baseline(cfg: &SweepConfig) -> Json {
 pub fn profiled_pass(cfg: &SweepConfig) -> mb_telemetry::metrics::Registry {
     let ranks = cfg.rank_counts.iter().copied().max().unwrap_or(8);
     let rounds = rounds_for(cfg.rounds, ranks);
-    let cluster = Cluster::new(metablade().with_nodes(ranks))
-        .with_exec(ExecPolicy::Parallel { workers: 8 })
-        .with_prof(true);
+    let cluster = Cluster::new(metablade().with_nodes(ranks)).with_prof(true);
     let out = cluster.run(threaded(imbalance_job(rounds)));
     let mut reg = mb_telemetry::metrics::Registry::new();
-    out.exec_report
-        .record_into(&mut reg, &cluster.exec().label());
+    out.exec_report.record_into(&mut reg, "w8");
     reg
 }
 

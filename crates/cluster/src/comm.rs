@@ -13,16 +13,17 @@
 //! [`Comm::barrier_async`], [`Comm::allgather_async`] and
 //! [`Comm::alltoallv_async`] — which a stackless body awaits (see
 //! [`crate::exec`]). The blocking forms (`recv`, `barrier`, …) wrap it for
-//! a thread rank: there a receive that must wait parks the thread inside
-//! the core's `take`, so the future finishes in one poll. On a stackless
-//! rank a blocking form panics, naming the async form to await instead:
-//! blocking would stall the one thread that polls every rank. Sends and
-//! `compute` never wait and have one form.
+//! a closure rank, which runs on a thread of its own: there a receive
+//! that must wait hands the turn back to the poller through the rank's
+//! own handle and parks the thread until the rank is polled again. On a
+//! stackless rank a blocking form panics, naming the async form to await
+//! instead: it has no thread to park. Sends and `compute` never wait and
+//! have one form.
 //!
 //! Because every receive names its source rank and all collectives use
 //! fixed deterministic patterns, the virtual clocks are bit-reproducible
-//! regardless of host thread scheduling — and therefore regardless of the
-//! executor policy and of the body form (see [`crate::exec`]).
+//! regardless of admission order — and therefore regardless of the body
+//! form (see [`crate::exec`]).
 //!
 //! The four collectives are the ones the Warren–Salmon treecode and every
 //! workload call, in the algorithms MPICH used in the paper's era:
@@ -40,16 +41,15 @@
 //! [`CommStats`] keeps per-peer message/byte counts so load imbalance is
 //! visible from statistics alone.
 
-use std::future::{poll_fn, Future};
-use std::pin::pin;
+use std::future::poll_fn;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use mb_telemetry::summary::RankTime;
 use mb_telemetry::trace::{SpanEvent, SpanKind};
 
 use crate::event::EventCore;
+use crate::exec::Turn;
 use crate::network::NetworkModel;
 
 /// A message in flight.
@@ -195,6 +195,9 @@ pub struct Comm {
     /// rank's mailbox, and a receive that has to wait gives up this
     /// rank's execution slot inside it until the message is delivered.
     pub(crate) core: Arc<EventCore>,
+    /// A closure rank's handoff to the poller, while it runs on its
+    /// thread; `None` on a stackless rank.
+    pub(crate) turn: Option<Turn>,
     phases: Vec<(&'static str, f64)>,
     /// Running statistics.
     pub stats: CommStats,
@@ -222,6 +225,7 @@ impl Comm {
             coll_seq: 0,
             spans: traced.then(Vec::new),
             core,
+            turn: None,
             phases: Vec::new(),
             stats: CommStats::default(),
         }
@@ -348,7 +352,7 @@ impl Comm {
     /// source/tag pair; `src` may be this rank), blocking the rank's
     /// thread if needed. The blocking form of [`Comm::recv_async`].
     pub fn recv(&mut self, src: usize, tag: u32) -> Bytes {
-        block_on(self.blocking("recv").recv_async(src, tag))
+        self.blocking("recv", async |c: &mut Self| c.recv_async(src, tag).await)
     }
 
     /// Receive the next message from `src` with `tag` (FIFO per
@@ -400,7 +404,9 @@ impl Comm {
     /// Receive a vector of doubles. The blocking form of
     /// [`Comm::recv_f64s_async`].
     pub fn recv_f64s(&mut self, src: usize, tag: u32) -> Vec<f64> {
-        block_on(self.blocking("recv_f64s").recv_f64s_async(src, tag))
+        self.blocking("recv_f64s", async |c: &mut Self| {
+            c.recv_f64s_async(src, tag).await
+        })
     }
 
     /// Receive a vector of doubles.
@@ -408,16 +414,20 @@ impl Comm {
         unpack_f64s(&self.recv_async(src, tag).await)
     }
 
-    /// This thread rank, about to block in operation `op`: a stackless
-    /// rank has no thread of its own to block, so it must await the
-    /// operation's async form.
-    fn blocking(&mut self, op: &str) -> &mut Self {
-        assert!(
-            !self.core.is_stackless(),
-            "Comm::{op} blocks the rank's thread, and a stackless rank has none: \
-             await comm.{op}_async(..) instead"
-        );
-        self
+    /// Run `body`, the async form of operation `op`, to completion on
+    /// this closure rank's thread, handing the turn back whenever it
+    /// waits. A stackless rank has no thread of its own to block, so it
+    /// must await the operation's async form.
+    pub(crate) fn blocking<T>(&mut self, op: &str, body: impl AsyncFnOnce(&mut Self) -> T) -> T {
+        let Some(turn) = self.turn.take() else {
+            panic!(
+                "Comm::{op} blocks the rank's thread, and a stackless rank has none: \
+                 await comm.{op}_async(..) instead"
+            )
+        };
+        let out = turn.block_on(body(self));
+        self.turn = Some(turn);
+        out
     }
 
     fn next_coll_tag(&mut self, op: u32) -> u32 {
@@ -482,7 +492,9 @@ impl Comm {
     /// Allreduce (sum) of a double vector. The blocking form of
     /// [`Comm::allreduce_sum_async`].
     pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
-        block_on(self.blocking("allreduce_sum").allreduce_sum_async(vals))
+        self.blocking("allreduce_sum", async |c: &mut Self| {
+            c.allreduce_sum_async(vals).await
+        })
     }
 
     /// Allreduce (sum) of a double vector: reduce to rank 0 then
@@ -496,7 +508,7 @@ impl Comm {
 
     /// Barrier. The blocking form of [`Comm::barrier_async`].
     pub fn barrier(&mut self) {
-        block_on(self.blocking("barrier").barrier_async())
+        self.blocking("barrier", async |c: &mut Self| c.barrier_async().await)
     }
 
     /// Barrier: empty allreduce.
@@ -508,7 +520,9 @@ impl Comm {
 
     /// Ring allgather. The blocking form of [`Comm::allgather_async`].
     pub fn allgather(&mut self, mine: Bytes) -> Vec<Bytes> {
-        block_on(self.blocking("allgather").allgather_async(mine))
+        self.blocking("allgather", async |c: &mut Self| {
+            c.allgather_async(mine).await
+        })
     }
 
     /// Ring allgather: each rank contributes one payload; everyone gets
@@ -540,7 +554,9 @@ impl Comm {
     /// Pairwise-exchange personalized all-to-all. The blocking form of
     /// [`Comm::alltoallv_async`].
     pub fn alltoallv(&mut self, outgoing: Vec<Bytes>) -> Vec<Bytes> {
-        block_on(self.blocking("alltoallv").alltoallv_async(outgoing))
+        self.blocking("alltoallv", async |c: &mut Self| {
+            c.alltoallv_async(outgoing).await
+        })
     }
 
     /// Pairwise-exchange personalized all-to-all: `outgoing[d]` goes to
@@ -560,16 +576,6 @@ impl Comm {
         }
         self.emit_collective("alltoallv", t0);
         incoming
-    }
-}
-
-/// Run a thread rank's operation to completion: every receive in it that
-/// has to wait parks the thread inside the core's `take`, so one poll
-/// finishes the future.
-pub(crate) fn block_on<T>(op: impl Future<Output = T>) -> T {
-    match pin!(op).poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!("a thread rank's receive parks, it never pends"),
     }
 }
 

@@ -1,63 +1,57 @@
-//! How simulated SPMD ranks run on the host: the two body forms, and the
-//! executor policy that sets host concurrency for one of them.
+//! How simulated SPMD ranks run on the host: one poller for both body
+//! forms.
 //!
-//! **Two ways a rank runs.** [`crate::machine::Cluster::run`] takes an
-//! [`SpmdBody`], and the body's type picks the path:
+//! **Two body forms, one poll loop.** [`crate::machine::Cluster::run`]
+//! takes an [`SpmdBody`], and every rank of it is a future the calling
+//! thread polls in the order the run's [`crate::event`] core admits
+//! ranks — the lowest ready `(virtual clock, rank)` first:
 //!
-//! * a closure `Fn(&mut Comm) -> R + Sync` runs **one scoped OS thread
-//!   per rank**: a blocking receive parks the thread mid-closure, so any
-//!   code may block anywhere (treecode, sched, tests, examples);
-//! * a [`Stackless`] `async` closure runs with **no thread at all**: the
-//!   calling thread polls the ranks' boxed futures in the core's
-//!   lowest-`(clock, rank)` order, and a receive that has to wait returns
-//!   `Pending` after the core records what it awaits. [`threaded`] runs
-//!   the same body on threads instead, which is how tests compare the two
-//!   paths on one body.
+//! * a [`Stackless`] `async` closure is polled directly: a receive that
+//!   has to wait returns `Pending` after the core records what it
+//!   awaits, and no rank has a thread;
+//! * a closure `Fn(&mut Comm) -> R + Sync` becomes a **thread-backed
+//!   future**. Each rank's closure runs on a scoped thread of its own,
+//!   but only between a poll that resumes it and the point where it
+//!   finishes or a receive has to wait: there its blocking `Comm` call
+//!   hands the turn back and parks the thread until the next poll. Any
+//!   code may therefore block anywhere (tests, examples, the benchmark's
+//!   traced bodies), and still exactly one rank makes progress at a
+//!   time. [`threaded`] runs a stackless body this way, which is how
+//!   tests compare the two forms on one body.
 //!
-//! Both are admitted by one engine, the run's [`crate::event`] core, and
-//! deadlock, panics and outcomes behave the same on both: a deadlocked
-//! program is `SimError::Deadlock`, a panicking rank's own payload is
-//! re-raised (the lowest such rank's, on threads; a stackless rank's
-//! panic simply unwinds out of its poll, on the caller's thread), and
-//! outcomes are bit-identical.
+//! The handoff is a zero-capacity channel per rank (poller → thread) and
+//! one channel back. Dropping the poller's halves ends the run for every
+//! parked thread: each unwinds quietly instead of waiting forever.
 //!
-//! **The policy sets host concurrency for thread bodies only.** An
-//! [`ExecPolicy`] is the slot count of a thread run's core:
-//!
-//! * [`ExecPolicy::Sequential`] — one slot: exactly one rank runs at a
-//!   time, in `(virtual clock, rank)` order. The width-one reference:
-//!   the `seq` entry of every `BENCH_*.json` fingerprint map.
-//! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold a slot at
-//!   any instant. This bounds host CPU/memory pressure for big sweeps
-//!   without changing any simulated result.
-//! * [`ExecPolicy::Unbounded`] — `workers == nranks`: every ready rank
-//!   runs. The default; another policy is set in code, by
-//!   [`crate::machine::Cluster::with_exec`].
-//!
-//! A stackless run has one slot whatever the policy — the calling thread
-//! — and reports `workers == 1`.
+//! Deadlock, panics and outcomes behave the same on both forms: a
+//! deadlocked program is `SimError::Deadlock`, a panicking rank's own
+//! payload is re-raised on the caller's thread, and outcomes — and the
+//! core's [`crate::ExecutorReport`] counters — are bit-identical, because
+//! both forms make the same calls on the same core in the same order.
 //!
 //! **Admission order cannot change an outcome.** The communicator's
 //! receives name their source rank and are FIFO per (source, tag), so a
 //! rank's virtual clock is a pure function of its own event sequence and
-//! its senders' timestamps. The slot count and the body form therefore
-//! only decide *wall-clock* behaviour; `SpmdOutcome`s are bit-identical
-//! at every width and on both paths (test-enforced at 1/4/8/24/256
-//! ranks, and regressed end-to-end against committed fingerprints by
-//! `tests/determinism.rs`). How the core orders admissions and why it
+//! its senders' timestamps. Test builds admit ranks in seeded random
+//! orders to hold that (`machine::tests::admission_order_cannot_change_an_outcome`),
+//! and `tests/determinism.rs` regresses outcomes end to end against
+//! committed fingerprints. How the core orders admissions and why it
 //! cannot deadlock is in [`crate::event`].
 //!
-//! A rank gives up its slot whenever it would wait for a message, and the
-//! delivery of that message re-queues it at the virtual clock it blocked
-//! at, so a free slot is never left idle while any rank is runnable.
+//! [`ExecPolicy`] is accepted and ignored until ROADMAP 1a moves the
+//! benchmark harness, which still names it, to stackless bodies.
 
 use std::future::Future;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::pin::{pin, Pin};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::thread::{self, ScopedJoinHandle};
+use std::time::Instant;
 
-use crate::comm::{block_on, Comm};
-use crate::event::{EventCore, Poisoned};
+use crate::comm::Comm;
+use crate::event::{ns_since, EventCore};
 use crate::machine::SimError;
 
 /// An SPMD body that needs no thread per rank: an `async` closure
@@ -74,24 +68,25 @@ use crate::machine::SimError;
 ///     async |comm: &mut Comm| comm.allreduce_sum_async(&[1.0]).await[0],
 /// ));
 /// assert_eq!(out.results, vec![4096.0; 4096]);
-/// assert_eq!(out.exec_report.workers, 1);
+/// assert_eq!(out.exec_report.nranks, 4096);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Stackless<F>(pub F);
 
-/// A stackless body run on threads instead, as a closure: its receives
-/// park their thread inside the poll, so each rank's future finishes in
-/// one poll. The twin that lets one body be checked on both paths.
+/// A stackless body as a closure: each rank runs on a thread of its own,
+/// and its receives hand the turn back to the poller instead of
+/// returning `Pending` to it. The twin that lets one body be checked on
+/// both forms.
 pub fn threaded<R, F>(body: Stackless<F>) -> impl Fn(&mut Comm) -> R + Sync
 where
     F: AsyncFn(&mut Comm) -> R + Sync,
 {
-    move |comm: &mut Comm| block_on((body.0)(comm))
+    move |comm: &mut Comm| comm.blocking("threaded", async |comm: &mut Comm| (body.0)(comm).await)
 }
 
 /// A body [`crate::machine::Cluster::run`] accepts: any
-/// `Fn(&mut Comm) -> R + Sync` closure (run on threads) or a
-/// [`Stackless`] async closure (polled on the calling thread). Sealed.
+/// `Fn(&mut Comm) -> R + Sync` closure (each rank on a thread of its
+/// own) or a [`Stackless`] async closure (no thread). Sealed.
 pub trait SpmdBody<R>: sealed::RunRanks<R> {}
 
 impl<R, B: sealed::RunRanks<R>> SpmdBody<R> for B {}
@@ -101,9 +96,6 @@ mod sealed {
 
     /// Run every rank of one SPMD run.
     pub trait RunRanks<R> {
-        /// True when the ranks are futures the calling thread polls.
-        const STACKLESS: bool;
-
         /// Run one rank per `comms` entry, all sharing the one core their
         /// communicators hold, to completion: each rank's result next to
         /// its communicator, by rank. A deadlocked program is an error; a
@@ -112,108 +104,170 @@ mod sealed {
     }
 }
 
-/// Poisons the core if a rank's closure unwinds, so no peer waits for a
-/// message the dead rank will never send.
-struct PoisonOnPanic<'a>(&'a EventCore);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
+/// Poll every rank to completion in the order `core` admits them: each
+/// rank's result, by rank. A deadlocked program is an error.
+pub(crate) fn poll_ranks<R>(
+    core: &EventCore,
+    mut ranks: Vec<impl Future<Output = R> + Unpin>,
+) -> Result<Vec<R>, SimError> {
+    let mut results: Vec<Option<R>> = ranks.iter().map(|_| None).collect();
+    // Nothing wakes a rank but the core's own admission, so the waker is
+    // never called.
+    let mut cx = Context::from_waker(Waker::noop());
+    core.start();
+    while let Some(rank) = core.next_poll() {
+        if let Poll::Ready(r) = Pin::new(&mut ranks[rank]).poll(&mut cx) {
+            results[rank] = Some(r);
+            core.release(rank);
         }
+    }
+    let blocked = core.deadlock();
+    if !blocked.is_empty() {
+        return Err(SimError::Deadlock(blocked));
+    }
+    let finished = results.into_iter().enumerate().map(|(rank, r)| {
+        r.unwrap_or_else(|| {
+            panic!(
+                "stackless rank {rank} awaited something other than a Comm receive, \
+                 and only a delivery can wake it"
+            )
+        })
+    });
+    Ok(finished.collect())
+}
+
+impl<R, F: AsyncFn(&mut Comm) -> R> sealed::RunRanks<R> for Stackless<F> {
+    fn run_ranks(&self, mut comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError> {
+        let core = Arc::clone(&comms[0].core);
+        let ranks = comms.iter_mut().map(|c| Box::pin((self.0)(c))).collect();
+        let results = poll_ranks(&core, ranks)?;
+        Ok(results.into_iter().zip(comms).collect())
     }
 }
 
 impl<R: Send, F: Fn(&mut Comm) -> R + Sync> sealed::RunRanks<R> for F {
-    const STACKLESS: bool = false;
-
-    fn run_ranks(&self, comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError> {
-        let core = Arc::clone(&comms[0].core);
-        let core = &*core;
-        let joined: Vec<std::thread::Result<(R, Comm)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut comm| {
-                    scope.spawn(move || {
-                        let _poison = PoisonOnPanic(core);
-                        let rank = comm.rank();
-                        core.acquire(rank, 0.0);
-                        let r = self(&mut comm);
-                        core.release(rank);
-                        (r, comm)
-                    })
-                })
-                .collect();
-            // Every handle is joined before any panic is re-raised.
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut ranks = Vec::with_capacity(joined.len());
-        // The lowest rank's own panic if any rank has one, else a
-        // `Poisoned` marker if any rank unwound at all.
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for out in joined {
-            match out {
-                Ok(rank) => ranks.push(rank),
-                Err(payload) => {
-                    if panic.as_ref().is_none_or(|p| p.is::<Poisoned>()) {
-                        panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = panic {
-            let blocked = core.deadlock();
-            if payload.is::<Poisoned>() && !blocked.is_empty() {
-                return Err(SimError::Deadlock(blocked));
-            }
-            resume_unwind(payload);
-        }
-        Ok(ranks)
-    }
-}
-
-impl<R, F: AsyncFn(&mut Comm) -> R> sealed::RunRanks<R> for Stackless<F> {
-    const STACKLESS: bool = true;
-
     fn run_ranks(&self, mut comms: Vec<Comm>) -> Result<Vec<(R, Comm)>, SimError> {
         let core = Arc::clone(&comms[0].core);
-        let mut results: Vec<Option<R>> = comms.iter().map(|_| None).collect();
-        {
-            let mut ranks: Vec<_> = comms.iter_mut().map(|c| Box::pin((self.0)(c))).collect();
-            // Nothing wakes a rank but the core's own admission, so the
-            // waker is never called.
-            let mut cx = Context::from_waker(Waker::noop());
-            core.start();
-            while let Some(rank) = core.next_poll() {
-                if let Poll::Ready(r) = ranks[rank].as_mut().poll(&mut cx) {
-                    results[rank] = Some(r);
-                    core.release(rank);
-                }
-            }
-        }
-        let blocked = core.deadlock();
-        if !blocked.is_empty() {
-            return Err(SimError::Deadlock(blocked));
-        }
-        Ok(results
-            .into_iter()
-            .zip(comms)
-            .map(|(r, comm)| {
-                let r = r.unwrap_or_else(|| {
-                    panic!(
-                        "stackless rank {} awaited something other than a Comm receive, \
-                         and only a delivery can wake it",
-                        comm.rank()
-                    )
+        let (handback, back) = mpsc::channel();
+        let results = thread::scope(|scope| {
+            let ranks = comms.iter_mut().map(|comm| {
+                let (resume, wait) = mpsc::sync_channel(0);
+                comm.turn = Some(Turn {
+                    wait,
+                    handback: handback.clone(),
+                    core: Arc::clone(&core),
                 });
-                (r, comm)
-            })
-            .collect())
+                let finished = handback.clone();
+                let thread = scope.spawn(move || {
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        comm.turn.as_ref().expect("set above").wait();
+                        self(comm)
+                    }));
+                    let _ = finished.send(Handback::Finished);
+                    out
+                });
+                ThreadRank {
+                    resume,
+                    back: &back,
+                    thread: Some(thread),
+                    profiling: core.profiling(),
+                }
+            });
+            // Returning drops every `resume`: whatever thread still waits
+            // for its turn unwinds.
+            poll_ranks(&core, ranks.collect())
+        })?;
+        Ok(results.into_iter().zip(comms).collect())
     }
 }
 
-/// How many simulated ranks make host progress at once. See the
-/// [module docs](self) for why the choice cannot change an outcome.
+/// What a rank thread tells the poller when it hands the turn back.
+enum Handback {
+    /// A receive has to wait; poll the rank again once it is admitted.
+    Pending,
+    /// The closure returned or panicked; join the thread for which.
+    Finished,
+}
+
+/// Panic payload of a rank thread unwinding because the run ended while
+/// it waited for its turn: a deadlock, or another rank's panic. Never the
+/// cause, and never re-raised.
+struct Poisoned;
+
+/// A closure rank's half of the handoff, held by its [`Comm`] while the
+/// rank runs on its thread.
+pub(crate) struct Turn {
+    /// The poller's resumes, each stamped when profiling.
+    wait: Receiver<Option<Instant>>,
+    handback: Sender<Handback>,
+    /// Where a profiled wake-up is recorded.
+    core: Arc<EventCore>,
+}
+
+impl Turn {
+    /// Park until the poller hands this rank the turn. Unwinds with
+    /// [`Poisoned`] when the run ends first.
+    fn wait(&self) {
+        match self.wait.recv() {
+            Ok(Some(resumed)) => self.core.record_wake(ns_since(resumed)),
+            Ok(None) => {}
+            // Not a new failure: no panic hook.
+            Err(_) => resume_unwind(Box::new(Poisoned)),
+        }
+    }
+
+    /// Run `op` to completion on this rank's thread: whenever it is
+    /// `Pending` — a receive gave up the slot — hand the turn back and
+    /// poll again once the poller resumes the rank.
+    pub(crate) fn block_on<T>(&self, op: impl Future<Output = T>) -> T {
+        let mut op = pin!(op);
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(v) = op.as_mut().poll(&mut cx) {
+                return v;
+            }
+            self.handback
+                .send(Handback::Pending)
+                .expect("the poller outlives its ranks");
+            self.wait();
+        }
+    }
+}
+
+/// A closure rank as the poller sees it: each poll hands the rank's
+/// thread the turn and waits until the thread hands it back.
+struct ThreadRank<'s, R> {
+    resume: SyncSender<Option<Instant>>,
+    back: &'s Receiver<Handback>,
+    thread: Option<ScopedJoinHandle<'s, thread::Result<R>>>,
+    profiling: bool,
+}
+
+impl<R> Future for ThreadRank<'_, R> {
+    type Output = R;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<R> {
+        let rank = self.get_mut();
+        let stamp = rank.profiling.then(Instant::now);
+        rank.resume
+            .send(stamp)
+            .expect("a rank thread waits for its turn until it finishes");
+        match rank.back.recv().expect("the poller holds a sender") {
+            Handback::Pending => Poll::Pending,
+            Handback::Finished => {
+                let thread = rank.thread.take().expect("polled after finishing");
+                match thread.join().expect("the thread catches its panic") {
+                    Ok(r) => Poll::Ready(r),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+        }
+    }
+}
+
+/// How many simulated ranks make host progress at once. Accepted and
+/// ignored until ROADMAP 1a: every run has one slot (see the
+/// [module docs](self)), and the benchmark harness still names this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecPolicy {
     /// One rank makes progress at a time (the one-slot reference width).
@@ -229,7 +283,8 @@ pub enum ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Concurrent execution slots, `None` when unbounded.
+    /// Concurrent execution slots the policy names, `None` when
+    /// unbounded. Accepted and ignored until ROADMAP 1a.
     pub fn workers(&self) -> Option<usize> {
         match *self {
             ExecPolicy::Sequential => Some(1),
@@ -238,7 +293,8 @@ impl ExecPolicy {
         }
     }
 
-    /// Human-readable label ("seq", "w4", "unbounded") for bench output.
+    /// Human-readable label ("seq", "w4", "unbounded") for bench output
+    /// and the pins' fingerprint keys.
     pub fn label(&self) -> String {
         match self.workers() {
             Some(1) => "seq".into(),

@@ -27,14 +27,13 @@
 //!   blocking wrapper. Virtual time is fully deterministic: a rank's
 //!   clock depends only on its own event sequence and on the send
 //!   timestamps of messages it receives;
-//! * [`exec`] — the two ways a rank runs: a closure body runs on OS
-//!   threads (one per rank), a [`Stackless`]
-//!   `async` body on none (the calling thread polls every rank). An
-//!   [`ExecPolicy`] (sequential / bounded pool / unbounded, set in code)
-//!   is the slot count of a thread run's [`event`] core,
-//!   which admits ranks and carries their messages (one mailbox per rank,
-//!   one park per blocking receive); every policy and both forms yield
-//!   bit-identical outcomes;
+//! * [`exec`] — one poller for both body forms: the calling thread polls
+//!   every rank in the order the run's [`event`] core admits them (which
+//!   also carries their messages, one mailbox per rank). A [`Stackless`]
+//!   `async` body needs no thread; a closure body's ranks each run on a
+//!   thread of their own, resumed by the poller in turn. Both forms
+//!   yield bit-identical outcomes; [`ExecPolicy`] is accepted and
+//!   ignored;
 //! * [`machine`] — the cluster runtime: run an SPMD body over all
 //!   ranks, gather results, per-rank statistics and the makespan; a
 //!   deadlocked program is a [`SimError`] from
@@ -63,13 +62,11 @@
 //! ```
 //! use mb_cluster::machine::Cluster;
 //! use mb_cluster::spec::metablade;
-//! use mb_cluster::{Comm, ExecPolicy, Stackless};
+//! use mb_cluster::{Comm, Stackless};
 //!
 //! // Four simulated MetaBlade nodes summing their ranks with an
-//! // allreduce. The executor policy bounds *host* parallelism only:
-//! // results and virtual clocks are bit-identical under every policy.
-//! let cluster = Cluster::new(metablade().with_nodes(4))
-//!     .with_exec(ExecPolicy::Parallel { workers: 2 });
+//! // allreduce, each rank a closure on a thread of its own.
+//! let cluster = Cluster::new(metablade().with_nodes(4));
 //! let out = cluster.run(|comm: &mut Comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
 //! assert_eq!(out.results, vec![6.0; 4]); // 0+1+2+3 on every rank
 //! assert!(out.makespan_s() > 0.0); // virtual seconds on 100-Mb/s Ethernet

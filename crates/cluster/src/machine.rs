@@ -6,26 +6,24 @@
 //! additionally yields a [`RunTrace`] ready for Chrome export
 //! (`mb_telemetry::chrome::export`) — one track per rank.
 //!
-//! How many ranks make host progress at once is an [`ExecPolicy`]
-//! ([`Cluster::with_exec`], default unbounded): one, a bounded number,
-//! or all of them — the slot count of the run's one [`crate::event`]
-//! core. Every policy produces the same [`SpmdOutcome`] bit for bit —
-//! see [`crate::exec`].
+//! One rank makes host progress at a time: the calling thread polls the
+//! ranks in the order the run's one [`crate::event`] core admits them
+//! (see [`crate::exec`]).
 //!
 //! Each rank holds a [`Comm`] that shares the run's core; the core owns
 //! the mailboxes, so setting a run up costs `O(nranks)` and nothing in it
-//! is quadratic in rank count. The body's type decides whether ranks run
-//! on OS threads ([`crate::exec`]): a closure gets one scoped thread per
+//! is quadratic in rank count. The body's type decides whether ranks have
+//! OS threads ([`crate::exec`]): a closure gets one scoped thread per
 //! rank, about 30 µs per `clone` on the reference box whatever the stack
-//! size (DESIGN.md §9); a [`Stackless`](crate::exec::Stackless) `async`
-//! closure gets no thread, and the calling thread polls every rank.
+//! size (DESIGN.md §9), each resumed by the poller in turn; a
+//! [`Stackless`](crate::exec::Stackless) `async` closure gets no thread.
 //!
 //! **A run never hangs.** A program whose ranks all end up waiting for
 //! messages nobody will send comes back from [`Cluster::try_run`] as
 //! [`SimError::Deadlock`], naming every blocked receive ([`Cluster::run`]
-//! panics with the same text). A rank that panics poisons the core on
-//! its way out, its parked peers unwind, and the run re-raises the
-//! *originating* panic.
+//! panics with the same text). A rank that panics unwinds out of its
+//! poll, every parked rank thread unwinds with it, and the run re-raises
+//! the *originating* panic.
 
 use std::fmt;
 use std::sync::Arc;
@@ -139,26 +137,23 @@ impl<R> SpmdOutcome<R> {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
-    exec: ExecPolicy,
     prof: bool,
 }
 
 impl Cluster {
-    /// Build a cluster from a spec, with the default executor policy
-    /// ([`ExecPolicy::Unbounded`]) and host-time profiling of the
+    /// Build a cluster from a spec, with host-time profiling of the
     /// executor from `MB_PROF` (see
     /// [`mb_telemetry::prof::enabled_from_env`]).
     pub fn new(spec: ClusterSpec) -> Self {
         Self {
             spec,
-            exec: ExecPolicy::default(),
             prof: mb_telemetry::prof::enabled_from_env(),
         }
     }
 
-    /// Use another executor policy.
-    pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
+    /// Accepted and ignored until ROADMAP 1a: every run has one slot
+    /// (see [`crate::exec`]), and the benchmark harness still calls this.
+    pub fn with_exec(self, _exec: ExecPolicy) -> Self {
         self
     }
 
@@ -170,11 +165,6 @@ impl Cluster {
     pub fn with_prof(mut self, on: bool) -> Self {
         self.prof = on;
         self
-    }
-
-    /// The executor policy in force.
-    pub fn exec(&self) -> ExecPolicy {
-        self.exec
     }
 
     /// True when executor host-time profiling is enabled.
@@ -191,11 +181,11 @@ impl Cluster {
     /// [`Comm`] that reaches every peer; the body's return values, final
     /// virtual clocks and stats come back indexed by rank.
     ///
-    /// A closure runs on OS threads, one per rank; a
-    /// [`Stackless`](crate::exec::Stackless) body runs on the calling
-    /// thread (see [`crate::exec`]). Either way virtual time stays
-    /// deterministic because every receive names its source (see
-    /// [`crate::comm`]).
+    /// The calling thread polls every rank; a closure rank runs on an OS
+    /// thread of its own while it holds the turn, a
+    /// [`Stackless`](crate::exec::Stackless) rank on none (see
+    /// [`crate::exec`]). Either way virtual time stays deterministic
+    /// because every receive names its source (see [`crate::comm`]).
     ///
     /// Panics with the [`SimError`] text if the program deadlocks (use
     /// [`Cluster::try_run`] to get the error instead), and re-raises a
@@ -289,15 +279,7 @@ impl Cluster {
                 topology.label()
             );
         }
-        // One admission engine for every policy and both body forms: the
-        // policy is a thread run's slot count, and a stackless run has
-        // the one slot of its calling thread.
-        let core = if B::STACKLESS {
-            EventCore::stackless(n)
-        } else {
-            EventCore::new(self.exec.workers().unwrap_or(n), n)
-        };
-        let core = Arc::new(core.with_profiling(self.prof));
+        let core = Arc::new(EventCore::new(n).with_profiling(self.prof));
         let mflops = self.spec.node.cpu.sustained_mflops;
         let comms = (0..n)
             .map(|rank| {
@@ -338,6 +320,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::comm::{pack_f64s, unpack_f64s};
+    use crate::exec::{threaded, Stackless};
     use crate::spec::metablade;
     use bytes::Bytes;
 
@@ -468,13 +451,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn outcome_is_bit_identical_under_every_exec_policy() {
-        use crate::exec::ExecPolicy;
-        // A job exercising point-to-point traffic, collectives and
-        // skewed compute, so clocks, stats and results all depend on the
-        // full message schedule.
-        let job = |comm: &mut crate::comm::Comm| {
+    /// A job exercising point-to-point traffic, collectives and skewed
+    /// compute, so clocks, stats and results all depend on the full
+    /// message schedule.
+    fn ring_and_collectives() -> Stackless<impl AsyncFn(&mut Comm) -> (Vec<f64>, f64) + Sync + Copy>
+    {
+        Stackless(async |comm: &mut Comm| {
             let rank = comm.rank();
             let n = comm.nranks();
             comm.compute(1e6 * (1 + rank % 3) as f64);
@@ -482,59 +464,40 @@ mod tests {
                 let next = (rank + 1) % n;
                 let prev = (rank + n - 1) % n;
                 comm.send_f64s(next, 11, &[rank as f64]);
-                let got = comm.recv_f64s(prev, 11);
+                let got = comm.recv_f64s_async(prev, 11).await;
                 assert_eq!(got, vec![prev as f64]);
             }
-            let sum = comm.allreduce_sum(&[comm.now(), rank as f64]);
-            comm.barrier();
+            let sum = comm.allreduce_sum_async(&[comm.now(), rank as f64]).await;
+            comm.barrier_async().await;
             (sum, comm.now())
-        };
+        })
+    }
+
+    #[test]
+    fn outcome_is_bit_identical_under_every_exec_policy() {
+        // Every run has one slot whatever the policy; what is left to
+        // compare is the two body forms.
+        let job = ring_and_collectives();
         for n in [1usize, 4, 8, 24] {
-            let reference = small_cluster(n).with_exec(ExecPolicy::Unbounded).run(job);
-            for policy in [
-                ExecPolicy::Sequential,
-                ExecPolicy::Parallel { workers: 2 },
-                ExecPolicy::Parallel { workers: 8 },
-            ] {
-                let out = small_cluster(n).with_exec(policy).run(job);
-                assert_eq!(out.results, reference.results, "{policy:?} at {n} ranks");
-                assert_eq!(out.clocks, reference.clocks, "{policy:?} at {n} ranks");
-                assert_eq!(out.stats, reference.stats, "{policy:?} at {n} ranks");
-            }
+            let reference = small_cluster(n).run(threaded(job));
+            let out = small_cluster(n).run(job);
+            assert_eq!(out.results, reference.results, "{n} ranks");
+            assert_eq!(out.clocks, reference.clocks, "{n} ranks");
+            assert_eq!(out.stats, reference.stats, "{n} ranks");
         }
     }
 
     #[test]
     fn topology_outcomes_are_bit_identical_under_every_exec_policy() {
-        use crate::exec::ExecPolicy;
         use crate::topology::Topology;
-        let job = |comm: &mut crate::comm::Comm| {
-            let rank = comm.rank();
-            let n = comm.nranks();
-            comm.compute(1e6 * (1 + rank % 3) as f64);
-            let next = (rank + 1) % n;
-            let prev = (rank + n - 1) % n;
-            comm.send_f64s(next, 11, &[rank as f64]);
-            let _ = comm.recv_f64s(prev, 11);
-            let sum = comm.allreduce_sum(&[comm.now(), rank as f64]);
-            comm.barrier();
-            (sum, comm.now())
-        };
+        let job = ring_and_collectives();
         for topo in [Topology::fat_tree(4, 2, 4.0), Topology::torus([4, 4, 1])] {
-            let spec = metablade().with_nodes(16).with_topology(topo);
-            let reference = Cluster::new(spec.clone())
-                .with_exec(ExecPolicy::Sequential)
-                .run(job);
-            for policy in [
-                ExecPolicy::Parallel { workers: 2 },
-                ExecPolicy::Parallel { workers: 8 },
-                ExecPolicy::Unbounded,
-            ] {
-                let out = Cluster::new(spec.clone()).with_exec(policy).run(job);
-                assert_eq!(out.results, reference.results, "{topo:?} {policy:?}");
-                assert_eq!(out.clocks, reference.clocks, "{topo:?} {policy:?}");
-                assert_eq!(out.stats, reference.stats, "{topo:?} {policy:?}");
-            }
+            let cluster = Cluster::new(metablade().with_nodes(16).with_topology(topo));
+            let reference = cluster.run(threaded(job));
+            let out = cluster.run(job);
+            assert_eq!(out.results, reference.results, "{topo:?}");
+            assert_eq!(out.clocks, reference.clocks, "{topo:?}");
+            assert_eq!(out.stats, reference.stats, "{topo:?}");
         }
     }
 
@@ -604,17 +567,14 @@ mod tests {
 
     #[test]
     fn bounded_executor_supports_tracing_identically() {
-        use crate::exec::ExecPolicy;
         let job = |comm: &mut crate::comm::Comm| {
             let s = comm.allreduce_sum(&[comm.rank() as f64]);
             comm.compute(2e6);
             comm.barrier();
             s[0]
         };
-        let plain = small_cluster(8).with_exec(ExecPolicy::Sequential).run(job);
-        let (traced, trace) = small_cluster(8)
-            .with_exec(ExecPolicy::Parallel { workers: 3 })
-            .run_traced(job);
+        let plain = small_cluster(8).run(job);
+        let (traced, trace) = small_cluster(8).run_traced(job);
         assert_eq!(plain.clocks, traced.clocks);
         assert_eq!(plain.results, traced.results);
         assert_eq!(trace.ranks.len(), 8);
@@ -622,7 +582,6 @@ mod tests {
 
     #[test]
     fn a_stackless_body_reproduces_its_threaded_twin_spans_included() {
-        use crate::exec::{threaded, ExecPolicy, Stackless};
         use crate::topology::Topology;
         // Every async operation, a self-send and a phase, on the star
         // and on a fat-tree.
@@ -649,14 +608,15 @@ mod tests {
                 .with_nodes(16)
                 .with_topology(Topology::fat_tree(4, 2, 4.0)),
         ] {
-            let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 3 });
+            let cluster = Cluster::new(spec).with_prof(false);
             let (twin, twin_trace) = cluster.run_traced(threaded(body));
             let (out, trace) = cluster.run_traced(body);
             assert_eq!(out.results, twin.results);
             assert_eq!(out.clocks, twin.clocks);
             assert_eq!(out.stats, twin.stats);
             assert_eq!(trace.ranks, twin_trace.ranks);
-            assert_eq!((out.exec_report.workers, twin.exec_report.workers), (1, 3));
+            // One poll loop: the same admissions in the same order.
+            assert_eq!(out.exec_report, twin.exec_report);
         }
     }
 
@@ -677,7 +637,6 @@ mod tests {
 
     #[test]
     fn admission_order_cannot_change_an_outcome() {
-        use crate::exec::Stackless;
         use crate::topology::Topology;
         // Compute skew lets ranks run rounds ahead of their receivers, so
         // mailboxes hold several messages of one (source, tag).
@@ -714,6 +673,12 @@ mod tests {
                 let shuffled = outcome_admitted_by(&cluster, body, Some(seed));
                 assert!(shuffled == lowest_first, "n {n}, seed {seed}");
             }
+            // A closure rank goes through the same seeded heap key; its
+            // thread handoffs make each run dearer, so fewer seeds.
+            for seed in 1..=2 {
+                let threads = outcome_admitted_by(&cluster, threaded(body), Some(seed));
+                assert!(threads == lowest_first, "n {n}, seed {seed}, threaded");
+            }
         }
         let allreduce = Stackless(async |comm: &mut Comm| {
             comm.allreduce_sum_async(&[comm.rank() as f64]).await
@@ -728,40 +693,34 @@ mod tests {
 
     #[test]
     fn sequential_is_one_slot_of_the_event_core() {
-        use crate::exec::ExecPolicy;
         let n = 8;
-        let out = small_cluster(n)
-            .with_exec(ExecPolicy::Sequential)
-            .run(|comm: &mut Comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
+        let out =
+            small_cluster(n).run(|comm: &mut Comm| comm.allreduce_sum(&[comm.rank() as f64])[0]);
         assert_eq!(out.results, vec![28.0; n]);
         let rep = &out.exec_report;
-        assert_eq!((rep.workers, rep.nranks, rep.max_occupancy), (1, n, 1));
+        assert_eq!(rep.nranks, n);
         assert!(rep.admissions >= n as u64, "{rep:?}");
     }
 
     #[test]
     fn profiled_run_matches_unprofiled_and_carries_host_profile() {
-        use crate::exec::ExecPolicy;
         let job = |comm: &mut crate::comm::Comm| {
             let s = comm.allreduce_sum(&[comm.rank() as f64]);
             comm.compute(1e6);
             comm.barrier();
             s[0]
         };
-        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 3 }] {
-            let mk = || small_cluster(8).with_exec(policy);
-            let plain = mk().with_prof(false).run(job);
-            let profiled = mk().with_prof(true).run(job);
-            // Simulated quantities are bit-identical: profiling reads only
-            // the host clock.
-            assert_eq!(plain.results, profiled.results, "{policy:?}");
-            assert_eq!(plain.clocks, profiled.clocks, "{policy:?}");
-            assert_eq!(plain.stats, profiled.stats, "{policy:?}");
-            assert!(plain.exec_report.prof.is_none());
-            let p = profiled.exec_report.prof.as_ref().expect("profile present");
-            assert_eq!(p.busy_ns.count(), profiled.exec_report.admissions);
-            assert!(p.idle_ns.p50() <= p.idle_ns.p99());
-        }
+        let plain = small_cluster(8).with_prof(false).run(job);
+        let profiled = small_cluster(8).with_prof(true).run(job);
+        // Simulated quantities are bit-identical: profiling reads only
+        // the host clock.
+        assert_eq!(plain.results, profiled.results);
+        assert_eq!(plain.clocks, profiled.clocks);
+        assert_eq!(plain.stats, profiled.stats);
+        assert!(plain.exec_report.prof.is_none());
+        let p = profiled.exec_report.prof.as_ref().expect("profile present");
+        assert_eq!(p.busy_ns.count(), profiled.exec_report.admissions);
+        assert!(p.idle_ns.p50() <= p.idle_ns.p99());
     }
 
     #[test]

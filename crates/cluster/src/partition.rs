@@ -81,34 +81,12 @@ impl NodeSet {
     /// a pure function of the free mask (the scheduler's determinism
     /// contract); on the star it degenerates to exactly `alloc_lowest`.
     pub fn alloc_compact(free: &[bool], want: usize, topology: &Topology) -> Option<NodeSet> {
-        let group_size = match *topology {
-            Topology::Star => return Self::alloc_lowest(free, want),
-            Topology::FatTree { radix, .. } => radix,
-            Topology::Torus { dims } => dims[0],
+        let Some(size) = group_size(topology) else {
+            return Self::alloc_lowest(free, want);
         };
-        if want == 0 {
-            return None;
-        }
-        let ngroups = free.len().div_ceil(group_size);
-        // (free count, group id) per group, fullest-first.
-        let mut groups: Vec<(usize, usize)> = (0..ngroups)
-            .map(|g| {
-                let lo = g * group_size;
-                let hi = (lo + group_size).min(free.len());
-                (free[lo..hi].iter().filter(|&&f| f).count(), g)
-            })
-            .collect();
-        groups.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut ids = Vec::with_capacity(want);
-        for (count, g) in groups {
-            if count == 0 || ids.len() == want {
-                break;
-            }
-            let lo = g * group_size;
-            let hi = (lo + group_size).min(free.len());
-            ids.extend((lo..hi).filter(|&i| free[i]).take(want - ids.len()));
-        }
-        (ids.len() == want).then(|| NodeSet::new(ids))
+        let mut groups = free_groups(free, size, want)?;
+        groups.sort_unstable_by(fullest_first);
+        Some(drain(free, size, &groups, want))
     }
 
     /// Allocate `want` nodes scoring candidates against the in-flight
@@ -132,65 +110,85 @@ impl NodeSet {
         topology: &Topology,
         group_load: &[f64],
     ) -> Option<NodeSet> {
-        let group_size = match *topology {
-            Topology::Star => return Self::alloc_lowest(free, want),
-            Topology::FatTree { radix, .. } => radix,
-            Topology::Torus { dims } => dims[0],
+        let Some(size) = group_size(topology) else {
+            return Self::alloc_lowest(free, want);
         };
         let load_of = |g: usize| group_load.get(g).copied().unwrap_or(0.0);
-        // (free count, group id) of every group with a free node.
-        let counts = free
-            .chunks(group_size)
-            .map(|c| c.iter().filter(|&&f| f).count());
-        let mut compact: Vec<(usize, usize)> = counts
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .map(|(g, n)| (n, g))
-            .collect();
-        if want == 0 || compact.iter().map(|&(n, _)| n).sum::<usize>() < want {
-            return None;
-        }
-        let mut quiet = compact.clone();
-        compact.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        quiet.sort_by(|a, b| {
+        let mut groups = free_groups(free, size, want)?;
+        // A drain in `order` spans the groups it reaches before it has
+        // `want` nodes; their load is summed in ascending group id.
+        let mut reached = Vec::new();
+        let mut score = |order: &[(usize, usize)]| -> (usize, f64) {
+            let mut have = 0;
+            reached.clear();
+            for &(n, g) in order {
+                if have >= want {
+                    break;
+                }
+                have += n;
+                reached.push(g);
+            }
+            reached.sort_unstable();
+            (reached.len(), reached.iter().map(|&g| load_of(g)).sum())
+        };
+        let quiet_first = |a: &(usize, usize), b: &(usize, usize)| {
             (load_of(a.1).total_cmp(&load_of(b.1)))
                 .then(b.0.cmp(&a.0))
                 .then(a.1.cmp(&b.1))
-        });
-        // A drain in `order` spans the groups it reaches before it has
-        // `want` nodes; their load is summed in ascending group id.
-        let score = |order: &[(usize, usize)]| -> (usize, f64) {
-            let mut have = 0;
-            let reached = order.iter().take_while(|&&(n, _)| {
-                let short = have < want;
-                have += n;
-                short
-            });
-            let mut gs: Vec<usize> = reached.map(|&(_, g)| g).collect();
-            gs.sort_unstable();
-            (gs.len(), gs.iter().map(|&g| load_of(g)).sum())
         };
-        let ((cg, cl), (qg, ql)) = (score(&compact), score(&quiet));
-        let winner = if qg < cg || (qg == cg && ql < cl) {
-            quiet
-        } else {
-            compact
-        };
-        let mut ids = Vec::with_capacity(want);
-        for (_, g) in winner {
-            let lo = g * group_size;
-            let hi = (lo + group_size).min(free.len());
-            ids.extend((lo..hi).filter(|&i| free[i]).take(want - ids.len()));
+        groups.sort_unstable_by(quiet_first);
+        let (qg, ql) = score(&groups);
+        groups.sort_unstable_by(fullest_first);
+        let (cg, cl) = score(&groups);
+        if qg < cg || (qg == cg && ql < cl) {
+            groups.sort_unstable_by(quiet_first);
         }
-        Some(NodeSet::new(ids))
+        Some(drain(free, size, &groups, want))
     }
+}
+
+/// Nodes per locality group: a fat tree's edge switch, a torus's
+/// first-dimension ring; `None` on the star.
+fn group_size(topology: &Topology) -> Option<usize> {
+    match *topology {
+        Topology::Star => None,
+        Topology::FatTree { radix, .. } => Some(radix),
+        Topology::Torus { dims } => Some(dims[0]),
+    }
+}
+
+/// `(free nodes, group id)` of every group of `size` nodes holding a
+/// free node, by group id: the one scan of the mask both allocators
+/// make. `None` when `want` is zero or more than the free total.
+fn free_groups(free: &[bool], size: usize, want: usize) -> Option<Vec<(usize, usize)>> {
+    let counts = free.chunks(size).map(|c| c.iter().filter(|&&f| f).count());
+    let groups: Vec<(usize, usize)> = (counts.enumerate())
+        .filter(|&(_, n)| n > 0)
+        .map(|(g, n)| (n, g))
+        .collect();
+    (want > 0 && groups.iter().map(|&(n, _)| n).sum::<usize>() >= want).then_some(groups)
+}
+
+/// The compact order: most free nodes first, ties to the lowest id.
+fn fullest_first(a: &(usize, usize), b: &(usize, usize)) -> std::cmp::Ordering {
+    b.0.cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// `want` free nodes, drained group by group in `order`.
+fn drain(free: &[bool], size: usize, order: &[(usize, usize)], want: usize) -> NodeSet {
+    let mut ids = Vec::with_capacity(want);
+    for &(_, g) in order {
+        let (lo, hi) = (g * size, ((g + 1) * size).min(free.len()));
+        ids.extend((lo..hi).filter(|&i| free[i]).take(want - ids.len()));
+    }
+    NodeSet::new(ids)
 }
 
 impl Cluster {
     /// Run an SPMD job on a subset of this cluster's nodes: rank `i` of
     /// the job executes on node `nodes.ids()[i]`. Inherits the cluster's
-    /// executor policy and profiling switch; the outcome is bit-identical
-    /// under every [`crate::ExecPolicy`], exactly as [`Cluster::run`].
+    /// profiling switch; the outcome is bit-identical on both body forms,
+    /// exactly as [`Cluster::run`].
     ///
     /// The job is simulated as a `nodes.len()`-node sub-cluster whose
     /// ranks keep the real node ids, so per-pair network costs follow
@@ -210,7 +208,6 @@ impl Cluster {
             self.spec().nodes
         );
         Cluster::new(self.spec().with_nodes(nodes.len()))
-            .with_exec(self.exec())
             .with_prof(self.prof())
             .run_mapped(nodes.ids(), body)
     }
@@ -220,7 +217,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::comm::Comm;
-    use crate::exec::ExecPolicy;
+    use crate::exec::{threaded, Stackless};
     use crate::spec::metablade;
 
     #[test]
@@ -429,7 +426,7 @@ mod tests {
             }
             comm.now()
         };
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec);
         let compact = cluster.run_on(&NodeSet::new(vec![0, 1, 2, 3]), job);
         let spread = cluster.run_on(&NodeSet::new(vec![0, 4, 8, 12]), job);
         assert!(
@@ -442,7 +439,7 @@ mod tests {
 
     #[test]
     fn run_on_subset_matches_equal_sized_cluster() {
-        let cluster = Cluster::new(metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(metablade());
         let job = |comm: &mut Comm| {
             comm.compute(1e6 * (comm.rank() + 1) as f64);
             let s = comm.allreduce_sum(&[comm.rank() as f64]);
@@ -451,36 +448,30 @@ mod tests {
         // Which ids are held must not matter: {3, 11, 17, 22} behaves
         // exactly like a fresh 4-node MetaBlade.
         let subset = cluster.run_on(&NodeSet::new(vec![22, 3, 17, 11]), job);
-        let reference = Cluster::new(metablade().with_nodes(4))
-            .with_exec(ExecPolicy::Sequential)
-            .run(job);
+        let reference = Cluster::new(metablade().with_nodes(4)).run(job);
         assert_eq!(subset.results, reference.results);
         assert_eq!(subset.clocks, reference.clocks);
     }
 
     #[test]
     fn run_on_is_exec_policy_invariant() {
-        let job = |comm: &mut Comm| {
+        // One slot whatever the policy: the two body forms are what is
+        // left to compare.
+        let job = Stackless(async |comm: &mut Comm| {
             let n = comm.nranks();
             let rank = comm.rank();
             comm.compute(5e5 * (1 + rank % 3) as f64);
             if n > 1 {
                 comm.send_f64s((rank + 1) % n, 9, &[rank as f64]);
-                let _ = comm.recv_f64s((rank + n - 1) % n, 9);
+                let _ = comm.recv_f64s_async((rank + n - 1) % n, 9).await;
             }
-            comm.barrier();
+            comm.barrier_async().await;
             comm.now()
-        };
+        });
         let nodes = NodeSet::new(vec![0, 5, 9, 13, 21]);
-        let reference = Cluster::new(metablade())
-            .with_exec(ExecPolicy::Unbounded)
-            .run_on(&nodes, job);
-        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 2 }] {
-            let out = Cluster::new(metablade())
-                .with_exec(policy)
-                .run_on(&nodes, job);
-            assert_eq!(out.clocks, reference.clocks, "{policy:?}");
-        }
+        let reference = Cluster::new(metablade()).run_on(&nodes, threaded(job));
+        let out = Cluster::new(metablade()).run_on(&nodes, job);
+        assert_eq!(out.clocks, reference.clocks);
     }
 
     #[test]

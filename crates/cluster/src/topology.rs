@@ -335,8 +335,14 @@ impl Topology {
     }
 
     /// Visit the links of [`Topology::route`] in route order without
-    /// allocating.
+    /// allocating. Panics when a bounded topology has no node `src` or
+    /// `dst`.
     pub fn for_each_link(&self, src: usize, dst: usize, mut visit: impl FnMut(Link)) {
+        if let Some(cap) = self.capacity() {
+            for n in [src, dst] {
+                assert!(n < cap, "node {n} is outside the topology");
+            }
+        }
         match *self {
             Topology::Star => {
                 visit(Link::HostUp(src));
@@ -720,7 +726,7 @@ impl LinkIds {
     ) {
         let Topology::FatTree { radix, .. } = self.topo else {
             if let Topology::Torus { .. } = self.topo {
-                (self.topo).for_each_link(self.node(src), self.node(dst), |l| visit(self.id(l, 0)));
+                (self.topo).for_each_link(src, dst, |l| visit(self.id(l, 0)));
             }
             return;
         };
@@ -1103,6 +1109,25 @@ mod tests {
     #[should_panic(expected = "node 36 is outside the topology")]
     fn routing_a_node_outside_the_topology_panics() {
         LinkIds::new(&Topology::fat_tree(6, 2, 2.0), 3).for_each(0, 36, 0, |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "node 9 is outside the topology")]
+    fn a_torus_route_to_a_node_outside_it_panics_rather_than_loops() {
+        // `cur[2]` only takes the values 0 and 1, so a walk towards the
+        // goal `coords(9)[2] == 2` would never end: count the hops `route`
+        // would push, so a regression fails instead of hanging.
+        let mut hops = 0;
+        Topology::torus([2, 2, 2]).for_each_link(0, 9, |_| {
+            hops += 1;
+            assert!(hops < 100, "the route never reached node 9");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 16 is outside the topology")]
+    fn a_fat_tree_route_to_a_node_outside_it_panics() {
+        Topology::fat_tree(4, 2, 4.0).route(16, 0);
     }
 
     #[test]

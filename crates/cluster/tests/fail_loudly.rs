@@ -15,16 +15,9 @@ use bytes::Bytes;
 use mb_cluster::event::BlockedRecv;
 use mb_cluster::machine::{SimError, SpmdOutcome};
 use mb_cluster::spec::metablade;
-use mb_cluster::{threaded, Cluster, Comm, ExecPolicy, PeerTraffic, Stackless};
+use mb_cluster::{threaded, Cluster, Comm, PeerTraffic, Stackless};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const POLICIES: [ExecPolicy; 4] = [
-    ExecPolicy::Sequential,
-    ExecPolicy::Parallel { workers: 2 },
-    ExecPolicy::Parallel { workers: 8 },
-    ExecPolicy::Unbounded,
-];
 
 /// Run `job` on its own thread; fail if it has not answered in `secs`.
 fn within<T: Send + 'static>(secs: u64, job: impl FnOnce() -> T + Send + 'static) -> T {
@@ -39,8 +32,8 @@ fn within<T: Send + 'static>(secs: u64, job: impl FnOnce() -> T + Send + 'static
     out
 }
 
-fn cluster(n: usize, policy: ExecPolicy) -> Cluster {
-    Cluster::new(metablade().with_nodes(n)).with_exec(policy)
+fn cluster(n: usize) -> Cluster {
+    Cluster::new(metablade().with_nodes(n))
 }
 
 /// Which way the ranks of a [`try_run_as`] run.
@@ -63,18 +56,12 @@ fn try_run_as<R: Send, F: AsyncFn(&mut Comm) -> R + Sync>(
     }
 }
 
-/// The threaded form under every policy, then the stackless form once: it
-/// has one slot whatever the policy.
-fn policies_and_forms() -> impl Iterator<Item = (ExecPolicy, Form)> {
-    POLICIES
-        .into_iter()
-        .map(|policy| (policy, Form::Threaded))
-        .chain([(ExecPolicy::Unbounded, Form::Stackless)])
-}
+/// Each body form once: the executor policy is accepted and ignored.
+const FORMS: [Form; 2] = [Form::Threaded, Form::Stackless];
 
 #[test]
 fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
-    for (policy, form) in policies_and_forms() {
+    for form in FORMS {
         // Ranks 0 and 1 both receive before they send; rank 2 has long
         // finished and must not be listed.
         let body = Stackless(async |comm: &mut Comm| {
@@ -85,8 +72,8 @@ fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
                 comm.send(peer, 7, Bytes::new());
             }
         });
-        let err = within(5, move || try_run_as(cluster(3, policy), form, body))
-            .expect_err("nobody ever sends");
+        let err =
+            within(5, move || try_run_as(cluster(3), form, body)).expect_err("nobody ever sends");
         let SimError::Deadlock(blocked) = &err;
         let awaits = |rank, src, clock| BlockedRecv {
             rank,
@@ -94,15 +81,11 @@ fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
             tag: 7,
             clock,
         };
-        assert_eq!(
-            blocked,
-            &[awaits(0, 1, 1.0), awaits(1, 0, 2.0)],
-            "{policy:?} {form:?}"
-        );
+        assert_eq!(blocked, &[awaits(0, 1, 1.0), awaits(1, 0, 2.0)], "{form:?}");
         let text = err.to_string();
         assert!(
             text.contains("rank 1 awaits (src 0, tag 0x7)"),
-            "{policy:?} {form:?}: {text}"
+            "{form:?}: {text}"
         );
     }
 }
@@ -110,10 +93,8 @@ fn crossed_receives_are_reported_as_a_deadlock_naming_both_ranks() {
 #[test]
 fn run_panics_with_the_deadlock_text() {
     let payload = within(5, || {
-        catch_unwind(|| {
-            cluster(2, ExecPolicy::Unbounded).run(|comm: &mut Comm| comm.recv(1 - comm.rank(), 3))
-        })
-        .expect_err("run cannot return an outcome")
+        catch_unwind(|| cluster(2).run(|comm: &mut Comm| comm.recv(1 - comm.rank(), 3)))
+            .expect_err("run cannot return an outcome")
     });
     let text = payload.downcast_ref::<String>().expect("formatted panic");
     assert!(text.starts_with("SPMD deadlock: 2 rank(s)"), "{text}");
@@ -121,7 +102,7 @@ fn run_panics_with_the_deadlock_text() {
 
 #[test]
 fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
-    for (policy, form) in policies_and_forms() {
+    for form in FORMS {
         let body = Stackless(async |comm: &mut Comm| {
             if comm.rank() == 3 {
                 panic!("rank 3 exploded");
@@ -129,23 +110,21 @@ fn a_panicking_rank_is_re_raised_while_its_peers_sit_in_a_barrier() {
             comm.barrier_async().await;
         });
         let payload = within(5, move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                try_run_as(cluster(24, policy), form, body)
-            }))
-            .expect_err("rank 3 panicked")
+            catch_unwind(AssertUnwindSafe(|| try_run_as(cluster(24), form, body)))
+                .expect_err("rank 3 panicked")
         });
         // The originating payload, not a peer's `Poisoned` marker.
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"rank 3 exploded"),
-            "{policy:?} {form:?}"
+            "{form:?}"
         );
     }
 }
 
 #[test]
 fn a_receive_from_a_rank_that_does_not_exist_is_rejected_not_a_deadlock() {
-    for (policy, form) in policies_and_forms() {
+    for form in FORMS {
         let body = Stackless(async |comm: &mut Comm| {
             if comm.rank() == 1 {
                 let _ = comm.recv_async(7, 2).await;
@@ -153,13 +132,11 @@ fn a_receive_from_a_rank_that_does_not_exist_is_rejected_not_a_deadlock() {
             comm.barrier_async().await;
         });
         let payload = within(5, move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                try_run_as(cluster(4, policy), form, body)
-            }))
-            .expect_err("there is no rank 7")
+            catch_unwind(AssertUnwindSafe(|| try_run_as(cluster(4), form, body)))
+                .expect_err("there is no rank 7")
         });
         let text = payload.downcast_ref::<String>().expect("formatted panic");
-        assert_eq!(text, "recv from rank 7 of 4", "{policy:?} {form:?}");
+        assert_eq!(text, "recv from rank 7 of 4", "{form:?}");
     }
 }
 
@@ -167,7 +144,7 @@ fn a_receive_from_a_rank_that_does_not_exist_is_rejected_not_a_deadlock() {
 fn a_blocking_call_from_a_stackless_body_panics_instead_of_hanging_the_poller() {
     let payload = within(5, || {
         catch_unwind(|| {
-            cluster(4, ExecPolicy::Unbounded).run(Stackless(async |comm: &mut Comm| {
+            cluster(4).run(Stackless(async |comm: &mut Comm| {
                 comm.barrier();
             }))
         })
@@ -185,7 +162,7 @@ fn a_blocking_call_from_a_stackless_body_panics_instead_of_hanging_the_poller() 
 fn a_stackless_rank_pending_on_a_foreign_future_is_named_not_waited_for() {
     let payload = within(5, || {
         catch_unwind(|| {
-            cluster(3, ExecPolicy::Unbounded).run(Stackless(async |comm: &mut Comm| {
+            cluster(3).run(Stackless(async |comm: &mut Comm| {
                 if comm.rank() == 1 {
                     std::future::pending::<()>().await;
                 }
@@ -203,7 +180,8 @@ fn a_stackless_rank_pending_on_a_foreign_future_is_named_not_waited_for() {
 #[test]
 fn fifo_holds_per_source_and_tag_under_every_policy() {
     // Rank 0 sends tags 9, 7, 9, 7 (payloads 0..4); rank 1 asks for
-    // 7, 9, 9, 7 and must see each tag's messages in sending order.
+    // 7, 9, 9, 7 and must see each tag's messages in sending order. One
+    // run: the policy is accepted and ignored.
     let body = |comm: &mut Comm| -> Vec<u8> {
         match comm.rank() {
             0 => {
@@ -221,21 +199,14 @@ fn fifo_holds_per_source_and_tag_under_every_policy() {
             }
         }
     };
-    let reference = within(5, move || cluster(2, POLICIES[0]).run(body));
-    assert_eq!(reference.results[1], [1, 0, 2, 3]);
-    for policy in &POLICIES[1..] {
-        let policy = *policy;
-        let out = within(5, move || cluster(2, policy).run(body));
-        assert_eq!(out.results, reference.results, "{policy:?}");
-        assert_eq!(out.clocks, reference.clocks, "{policy:?}");
-        assert_eq!(out.stats, reference.stats, "{policy:?}");
-    }
+    let out = within(5, move || cluster(2).run(body));
+    assert_eq!(out.results[1], [1, 0, 2, 3]);
 }
 
 #[test]
 fn a_self_send_is_received() {
     let out = within(5, || {
-        cluster(2, ExecPolicy::Sequential).run(|comm: &mut Comm| {
+        cluster(2).run(|comm: &mut Comm| {
             let me = comm.rank();
             comm.send(me, 4, Bytes::from(vec![me as u8 + 10]));
             comm.recv(me, 4)[0]
@@ -269,7 +240,7 @@ fn sparse_peer_rows_agree_with_a_dense_reference() {
     }
     let walked = plan.clone();
     let out = within(10, move || {
-        cluster(n, ExecPolicy::Parallel { workers: 2 }).run(|comm: &mut Comm| {
+        cluster(n).run(|comm: &mut Comm| {
             for &(src, dst, bytes) in &walked {
                 if comm.rank() == src {
                     comm.send(dst, 1, Bytes::from(vec![0u8; bytes]));

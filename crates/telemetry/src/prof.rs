@@ -3,8 +3,8 @@
 //!
 //! Everything else in this crate observes **virtual time** — the
 //! simulated machine's clock. This module observes the **host**: where
-//! the simulator's own wall-clock cycles go (gate wake-ups, heap
-//! operations, worker busy/idle spans). The two time domains are kept
+//! the simulator's own wall-clock cycles go (thread wake-ups, heap
+//! operations, busy/idle spans). The two time domains are kept
 //! strictly apart by construction: nothing here reads or writes a
 //! virtual clock, so attaching profiling to a run can never perturb a
 //! simulated outcome (regressed by `tests/determinism.rs`).

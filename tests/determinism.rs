@@ -1,24 +1,26 @@
 //! Executor determinism at scale: the regression gate for the
 //! event-driven core.
 //!
-//! One slot (`Sequential`), a bounded pool and the unbounded width of
-//! the event-driven core (see `mb_cluster::event`) must produce
-//! bit-identical simulated outcomes — makespan, per-rank clocks, and
-//! every `CommStats` counter and virtual-time accumulator — at 256
-//! ranks, where admission orderings genuinely differ between widths, and
-//! must reproduce the fingerprints committed in `BENCH_cluster.json`
-//! (recorded before the `seq` column became one slot of the same core).
-//! Each of these gates runs its body both ways a rank runs — on threads
-//! through `threaded` under every width, and once stackless, polled on
-//! the calling thread, which has one slot whatever the width — and a
+//! Both body forms — a closure rank on a thread of its own through
+//! `threaded`, and a stackless rank polled on the calling thread — go
+//! through one poll loop over one core (see `mb_cluster::exec`), and must
+//! produce bit-identical simulated outcomes — makespan, per-rank clocks,
+//! and every `CommStats` counter and virtual-time accumulator — at 256
+//! ranks, and must reproduce the fingerprints committed in
+//! `BENCH_cluster.json` under every executor label (recorded when those
+//! labels were widths of a thread pool). The `ExecPolicy` is accepted and
+//! ignored, so each gate runs each form once, and the baseline bodies
+//! must report the same admissions under every policy and both forms. A
 //! 4 096-rank stackless allreduce checks rank counts no threaded run
 //! would be asked to reach. Also asserts that observability (span
 //! tracing and executor telemetry) never perturbs virtual time.
 
-use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, policies, rounds_for};
+use metablade::bench::baseline::{
+    allreduce_job, fingerprint_outcome, imbalance_job, policies, ring_job, rounds_for,
+};
 use metablade::cluster::machine::{Cluster, SpmdOutcome};
 use metablade::cluster::spec::metablade as metablade_spec;
-use metablade::cluster::{threaded, Comm, ExecPolicy, Stackless, Topology};
+use metablade::cluster::{threaded, Comm, Stackless, Topology};
 use metablade::sched::engine::Placement;
 use metablade::sched::policy::{EasyBackfill, Fcfs, SchedPolicy, Sjf};
 use metablade::sched::{
@@ -66,16 +68,8 @@ enum Form {
     Threaded,
 }
 
-/// The runs a width gate compares: the threaded form under each of
-/// `policies`, then the stackless form once. A stackless run has one slot
-/// whatever the policy, so it is paired with `Sequential`, the one-slot
-/// reference.
-fn forms<const N: usize>(policies: [ExecPolicy; N]) -> impl Iterator<Item = (Form, ExecPolicy)> {
-    policies
-        .into_iter()
-        .map(|p| (Form::Threaded, p))
-        .chain([(Form::Stackless, ExecPolicy::Sequential)])
-}
+/// The runs a gate compares: each body form once.
+const FORMS: [Form; 2] = [Form::Threaded, Form::Stackless];
 
 fn run_as<F: AsyncFn(&mut Comm) -> Vec<f64> + Sync>(
     cluster: &Cluster,
@@ -90,28 +84,18 @@ fn run_as<F: AsyncFn(&mut Comm) -> Vec<f64> + Sync>(
 
 #[test]
 fn outcome_is_bit_identical_across_widths_at_256_ranks() {
-    let spec = metablade_spec().with_nodes(256);
-    let policies = [
-        ExecPolicy::Sequential,
-        ExecPolicy::Parallel { workers: 8 },
-        ExecPolicy::Unbounded,
-    ];
+    let cluster = Cluster::new(metablade_spec().with_nodes(256));
     let mut prints = Vec::new();
     let mut makespans = Vec::new();
-    for (form, policy) in forms(policies) {
-        let cluster = Cluster::new(spec.clone()).with_exec(policy);
+    for form in FORMS {
         let out = run_as(&cluster, form, job_256());
-        prints.push((
-            format!("{form:?} {}", policy.label()),
-            fingerprint_outcome(&out),
-        ));
+        prints.push((format!("{form:?}"), fingerprint_outcome(&out)));
         makespans.push(out.makespan_s().to_bits());
         // The event core really ran: every rank was admitted at least
         // once per blocking receive.
         assert!(
             out.exec_report.admissions >= 256,
-            "{}: {:?}",
-            policy.label(),
+            "{form:?}: {:?}",
             out.exec_report
         );
     }
@@ -137,18 +121,12 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
     let spec = metablade_spec()
         .with_nodes(256)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
-    let policies = [
-        ExecPolicy::Sequential,
-        ExecPolicy::Parallel { workers: 1 },
-        ExecPolicy::Parallel { workers: 4 },
-        ExecPolicy::Parallel { workers: 8 },
-    ];
+    let cluster = Cluster::new(spec);
     let mut prints = Vec::new();
-    for (form, policy) in forms(policies) {
-        let cluster = Cluster::new(spec.clone()).with_exec(policy);
+    for form in FORMS {
         let out = run_as(&cluster, form, job_256());
         prints.push((
-            format!("{form:?} {}", policy.label()),
+            format!("{form:?}"),
             fingerprint_outcome(&out),
             out.makespan_s().to_bits(),
         ));
@@ -166,15 +144,12 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
 #[test]
 fn fat_tree_contention_slows_collectives_versus_the_star_at_128_ranks() {
     let rounds = rounds_for(64, 128);
-    let star = Cluster::new(metablade_spec().with_nodes(128))
-        .with_exec(ExecPolicy::Sequential)
-        .run(allreduce_job(rounds));
+    let star = Cluster::new(metablade_spec().with_nodes(128)).run(allreduce_job(rounds));
     let ft = Cluster::new(
         metablade_spec()
             .with_nodes(128)
             .with_topology(Topology::fat_tree(16, 2, 4.0)),
     )
-    .with_exec(ExecPolicy::Sequential)
     .run(allreduce_job(rounds));
     assert!(
         ft.makespan_s() > star.makespan_s() * 1.05,
@@ -218,24 +193,25 @@ fn star_outcomes_reproduce_the_committed_bench_fingerprints() {
         .and_then(Json::as_f64)
         .expect("virtual makespan");
 
-    for (form, policy) in forms(policies()) {
-        let label = policy.label();
-        let committed_fp = rec
-            .get("outcome_fingerprints")
-            .and_then(|f| f.get(&label))
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("no committed {label} fingerprint"));
-        let cluster = Cluster::new(metablade_spec().with_nodes(128)).with_exec(policy);
+    let cluster = Cluster::new(metablade_spec().with_nodes(128));
+    for form in FORMS {
         let out = run_as(&cluster, form, allreduce_job(rounds));
-        assert_eq!(
-            format!("{:016x}", fingerprint_outcome(&out)),
-            committed_fp,
-            "{form:?} {label}: star outcome fingerprint drifted from the committed baseline"
-        );
+        for label in policies().map(|p| p.label()) {
+            let committed_fp = rec
+                .get("outcome_fingerprints")
+                .and_then(|f| f.get(&label))
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("no committed {label} fingerprint"));
+            assert_eq!(
+                format!("{:016x}", fingerprint_outcome(&out)),
+                committed_fp,
+                "{form:?} {label}: star outcome fingerprint drifted from the committed baseline"
+            );
+        }
         assert_eq!(
             out.makespan_s().to_bits(),
             committed_mk.to_bits(),
-            "{form:?} {label}: star makespan bits drifted from the committed baseline"
+            "{form:?}: star makespan bits drifted from the committed baseline"
         );
     }
 }
@@ -245,36 +221,65 @@ fn a_4096_rank_stackless_allreduce_sums_in_closed_form_under_every_policy() {
     // ROADMAP item 4's scale gate: an order of magnitude past the 512
     // CPUs Dubinski et al. ran, with no thread for any rank. One round of
     // `allreduce_job` sums `rank + 1` over every rank, n(n+1)/2 — exact
-    // in f64 — then maps it through `sqrt(sum / n) + 1`. The policy is
-    // inert for a stackless body (one slot, the calling thread); running
-    // it under both extremes checks that it stays so.
+    // in f64 — then maps it through `sqrt(sum / n) + 1`. Every policy is
+    // the calling thread's one slot, so one run covers them all.
     let n = 4096usize;
     let rounds = rounds_for(64, n);
     assert_eq!(rounds, 1);
     let want = ((n * (n + 1) / 2) as f64 / n as f64).sqrt() + 1.0;
-    let mut prints = Vec::new();
-    for policy in [ExecPolicy::Sequential, ExecPolicy::Unbounded] {
-        let out = Cluster::new(metablade_spec().with_nodes(n))
-            .with_exec(policy)
-            .run(allreduce_job(rounds));
-        for (rank, v) in out.results.iter().enumerate() {
-            assert_eq!(v.len(), 33, "32 sums and the clock");
-            assert!(
-                v[..32].iter().all(|&x| x == want),
-                "rank {rank}: {:?}",
-                &v[..4]
-            );
-        }
-        assert_eq!(
-            out.exec_report.workers, 1,
-            "the calling thread polls every rank"
+    let out = Cluster::new(metablade_spec().with_nodes(n)).run(allreduce_job(rounds));
+    for (rank, v) in out.results.iter().enumerate() {
+        assert_eq!(v.len(), 33, "32 sums and the clock");
+        assert!(
+            v[..32].iter().all(|&x| x == want),
+            "rank {rank}: {:?}",
+            &v[..4]
         );
-        prints.push((fingerprint_outcome(&out), out.makespan_s().to_bits()));
     }
-    assert_eq!(
-        prints[0], prints[1],
-        "Sequential and Unbounded diverged at {n} ranks"
-    );
+    assert_eq!(out.exec_report.nranks, n);
+}
+
+/// `body` at `n` ranks under every policy and in both forms: each run's
+/// label, outcome fingerprint and executor counters (admissions, peak
+/// and histogram of the ready depth).
+fn policy_form_runs<F: AsyncFn(&mut Comm) -> Vec<f64> + Sync + Copy>(
+    n: usize,
+    body: Stackless<F>,
+) -> Vec<(String, u64, (u64, usize, LogHistogram))> {
+    let mut runs = Vec::new();
+    for policy in policies() {
+        let cluster = Cluster::new(metablade_spec().with_nodes(n)).with_exec(policy);
+        for form in FORMS {
+            let out = run_as(&cluster, form, body);
+            let rep = &out.exec_report;
+            let seen = (rep.admissions, rep.max_ready_depth, rep.depth_hist.clone());
+            let label = format!("{} {form:?}", policy.label());
+            runs.push((label, fingerprint_outcome(&out), seen));
+        }
+    }
+    runs
+}
+
+#[test]
+fn baseline_bodies_report_alike_under_every_policy_and_form() {
+    // One poll loop drives both body forms, and the policy is accepted
+    // and ignored: for each baseline body at the paper's 24 ranks and at
+    // the smoke pins' 128, the outcome *and* the executor's own counters
+    // are the same under every policy and both forms.
+    for n in [24usize, 128] {
+        let rounds = rounds_for(16, n);
+        for (name, runs) in [
+            ("allreduce", policy_form_runs(n, allreduce_job(rounds))),
+            ("ring", policy_form_runs(n, ring_job(rounds))),
+            ("imbalance", policy_form_runs(n, imbalance_job(rounds))),
+        ] {
+            let (first, fp, seen) = &runs[0];
+            for (label, run_fp, run_seen) in &runs[1..] {
+                assert_eq!(run_fp, fp, "{name} at {n}: {label} vs {first} outcome");
+                assert_eq!(run_seen, seen, "{name} at {n}: {label} vs {first} report");
+            }
+        }
+    }
 }
 
 /// Run one scheduler simulation and return the full `SimReport` (its
@@ -553,7 +558,7 @@ fn golden_run(
 
 #[test]
 fn whole_report_golden_star_easy_with_failures() {
-    let cluster = Cluster::new(metablade_spec()).with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(metablade_spec());
     let service = ServiceModel::new(&cluster);
     let cfg = SchedConfig {
         failure: Some(FailureConfig::accelerated(400.0, 2002)),
@@ -575,7 +580,7 @@ fn contended_fat_tree_golden(policy: &dyn SchedPolicy, failures: bool, pin: &str
     let spec = metablade_spec()
         .with_nodes(64)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
-    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(spec);
     let service = ServiceModel::new(&cluster);
     let cfg = SchedConfig {
         placement: Placement::ContentionAware,
@@ -616,7 +621,7 @@ fn a_torus_stream_contends_and_contention_aware_places_as_compact() {
     let spec = metablade_spec()
         .with_nodes(32)
         .with_topology(Topology::torus([4, 4, 2]));
-    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(spec);
     let service = ServiceModel::new(&cluster);
     let jobs = metablade::sched::comm_heavy(24, 3, 12, 10.0, 11);
     let run = |placement| {
@@ -770,8 +775,7 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
 
 #[test]
 fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
-    let spec = metablade_spec().with_nodes(256);
-    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 8 });
+    let cluster = Cluster::new(metablade_spec().with_nodes(256));
     let plain = cluster.run(threaded(job_256()));
     let (traced, trace) = cluster.run_traced(threaded(job_256()));
     assert_eq!(
@@ -792,9 +796,7 @@ fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
     // Executor telemetry flows into the registry and the Chrome
     // exporter without touching the simulation.
     let mut reg = metablade::telemetry::metrics::Registry::new();
-    traced
-        .exec_report
-        .record_into(&mut reg, &cluster.exec().label());
+    traced.exec_report.record_into(&mut reg, "w8");
     assert_eq!(
         reg.counter_value("executor/admissions", "w8"),
         Some(traced.exec_report.admissions),
@@ -812,11 +814,10 @@ fn tracing_and_telemetry_do_not_perturb_virtual_time_at_256_ranks() {
 fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     // The ISSUE-7 acceptance gate: fingerprints must be bit-identical
     // with profiling enabled vs disabled — host-clock instrumentation
-    // (gate wake latency, busy/idle spans, heap push/pop timing) reads
-    // `Instant` only and never a virtual clock. Thread ranks, since gate
-    // wake-ups are what the profile times.
-    let spec = metablade_spec().with_nodes(256);
-    let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 8 });
+    // (thread wake latency, busy/idle spans, heap push/pop timing) reads
+    // `Instant` only and never a virtual clock. Thread ranks, since
+    // thread wake-ups are part of what the profile times.
+    let cluster = Cluster::new(metablade_spec().with_nodes(256));
     let off = cluster.clone().with_prof(false).run(threaded(job_256()));
     let on = cluster.clone().with_prof(true).run(threaded(job_256()));
     assert_eq!(
@@ -841,7 +842,7 @@ fn host_time_profiling_does_not_perturb_virtual_time_at_256_ranks() {
     // The profile flows through both export surfaces: registry →
     // Chrome counters and JSON.
     let mut reg = metablade::telemetry::metrics::Registry::new();
-    rep.record_into(&mut reg, &cluster.exec().label());
+    rep.record_into(&mut reg, "w8");
     let chrome = metablade::telemetry::chrome::export_with_metrics(&Default::default(), &reg);
     metablade::telemetry::chrome::validate(&chrome).expect("valid chrome trace");
     assert!(
@@ -930,7 +931,7 @@ fn every_step_shape_prices_and_runs_as_the_parent_golden() {
             .with_topology(Topology::fat_tree(16, 2, 4.0)),
     );
     // The executor running `run_step` itself.
-    let cluster = Cluster::new(metablade_spec()).with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(metablade_spec());
     let service = ServiceModel::new(&cluster);
     let mut h = Fnv::new();
     for work in &JobMix::standard(24).patterns() {
@@ -967,11 +968,11 @@ fn step_run_digest(out: &SpmdOutcome<()>) -> u64 {
 #[test]
 fn job_step_threaded_twin_matches_stackless_under_every_policy() {
     // The scheduler prices every job by running `WorkModel::run_step`
-    // stackless, which no executor policy reaches; this is where that
-    // body's executor invariance is checked. Its thread-per-rank twin
-    // must reproduce it bit for bit under all four policies, for every
-    // step shape of the standard mix, on the star and on node sets that
-    // span a 64-node ft16x2o4.
+    // stackless; this is where that body's form invariance is checked.
+    // Its thread-per-rank twin must reproduce it bit for bit (one run:
+    // the policy is accepted and ignored), for every step shape of the
+    // standard mix, on the star and on node sets that span a 64-node
+    // ft16x2o4.
     use mb_workload::JobMix;
     use metablade::cluster::NodeSet;
     let star = metablade_spec();
@@ -984,18 +985,15 @@ fn job_step_threaded_twin_matches_stackless_under_every_policy() {
             let prefix = NodeSet::new((0..w).collect());
             let spanning = NodeSet::new((0..w).map(|i| i * 64 / w).collect());
             for (spec, nodes) in [(&star, &prefix), (&ft, &spanning)] {
-                let stackless = step_run_digest(&Cluster::new(spec.clone()).run_on(nodes, body));
-                for policy in policies() {
-                    let cluster = Cluster::new(spec.clone()).with_exec(policy);
-                    assert_eq!(
-                        step_run_digest(&cluster.run_on(nodes, threaded(body))),
-                        stackless,
-                        "{:?} at width {w} on {}: threaded {} vs stackless",
-                        work.step_key(),
-                        spec.network.topology.label(),
-                        policy.label()
-                    );
-                }
+                let cluster = Cluster::new(spec.clone());
+                let stackless = step_run_digest(&cluster.run_on(nodes, body));
+                assert_eq!(
+                    step_run_digest(&cluster.run_on(nodes, threaded(body))),
+                    stackless,
+                    "{:?} at width {w} on {}: threaded vs stackless",
+                    work.step_key(),
+                    spec.network.topology.label(),
+                );
             }
         }
     }

@@ -2,20 +2,17 @@
 //! traced run emits and the Chrome text exported from them, for a
 //! 24-rank treecode step and for an 8-rank body that calls every
 //! collective, point-to-point traffic, `compute` and nested phases (one
-//! of them left open at rank end). Both digests hold under a one-slot
-//! and a four-slot executor.
+//! of them left open at rank end).
 
 use metablade::cluster::comm::pack_f64s;
 use metablade::cluster::machine::Cluster;
 use metablade::cluster::spec::metablade;
-use metablade::cluster::{Comm, ExecPolicy};
+use metablade::cluster::Comm;
 use metablade::telemetry::chrome;
 use metablade::telemetry::fnv::Fnv;
 use metablade::telemetry::trace::RunTrace;
 use metablade::treecode::parallel::{distributed_step_traced, DistributedConfig};
 use metablade::treecode::plummer;
-
-const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 4 }];
 
 /// `(span digest, Chrome text digest)`: every field of every span in
 /// emission order, rank by rank, and the exported document.
@@ -63,36 +60,26 @@ fn every_operation(comm: &mut Comm) -> f64 {
 
 #[test]
 fn traced_collective_body_reproduces_the_recorded_span_digests() {
-    for policy in POLICIES {
-        let cluster = Cluster::new(metablade().with_nodes(8)).with_exec(policy);
-        let (out, trace) = cluster.run_traced(every_operation);
-        assert_eq!(
-            out.clocks,
-            cluster.run(every_operation).clocks,
-            "{policy:?}"
-        );
-        assert_eq!(trace.end_s(), out.makespan_s(), "{policy:?}");
-        assert_eq!(
-            digests(&trace),
-            (0xca33_60e8_847f_f3dd, 0x9ac2_f6be_2ebd_00d8),
-            "{policy:?}"
-        );
-    }
+    let cluster = Cluster::new(metablade().with_nodes(8));
+    let (out, trace) = cluster.run_traced(every_operation);
+    assert_eq!(out.clocks, cluster.run(every_operation).clocks);
+    assert_eq!(trace.end_s(), out.makespan_s());
+    assert_eq!(
+        digests(&trace),
+        (0xca33_60e8_847f_f3dd, 0x9ac2_f6be_2ebd_00d8)
+    );
 }
 
 #[test]
 fn traced_treecode_step_reproduces_the_recorded_span_digests() {
     let bodies = plummer(2000, 26);
     let cfg = DistributedConfig::default();
-    for policy in POLICIES {
-        let cluster = Cluster::new(metablade()).with_exec(policy);
-        let (report, trace) = distributed_step_traced(&cluster, &bodies, &cfg, None);
-        assert_eq!(trace.ranks.len(), 24);
-        assert_eq!(trace.end_s(), report.makespan_s, "{policy:?}");
-        assert_eq!(
-            digests(&trace),
-            (0xe05e_8edb_63d2_aa3f, 0xcbb1_1b60_5c5c_e2e6),
-            "{policy:?}"
-        );
-    }
+    let cluster = Cluster::new(metablade());
+    let (report, trace) = distributed_step_traced(&cluster, &bodies, &cfg, None);
+    assert_eq!(trace.ranks.len(), 24);
+    assert_eq!(trace.end_s(), report.makespan_s);
+    assert_eq!(
+        digests(&trace),
+        (0xe05e_8edb_63d2_aa3f, 0xcbb1_1b60_5c5c_e2e6)
+    );
 }
