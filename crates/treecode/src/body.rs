@@ -85,8 +85,9 @@ impl Bodies {
         self.pot = order.iter().map(|&i| self.pot[i]).collect();
     }
 
-    /// Morton-sort bodies in `bb`; returns the sorted keys.
-    pub fn sort_by_key(&mut self, bb: &BoundingBox) -> Vec<Key> {
+    /// Morton-sort bodies in `bb` (stably); returns the sorted keys and
+    /// the permutation applied (as [`Bodies::permute`] takes it).
+    pub fn sort_by_key(&mut self, bb: &BoundingBox) -> (Vec<Key>, Vec<usize>) {
         let keys = self.keys(bb);
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_by_key(|&i| keys[i]);
@@ -94,7 +95,7 @@ impl Bodies {
         let mut sorted: Vec<Key> = order.iter().map(|&i| keys[i]).collect();
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         sorted.shrink_to_fit();
-        sorted
+        (sorted, order)
     }
 
     /// Extract the sub-population at `indices` (in order).
@@ -160,8 +161,10 @@ mod tests {
             b.push([x, y, z], [0.0; 3], 1.0);
         }
         let bb = BoundingBox::containing(&b.pos);
-        let keys = b.sort_by_key(&bb);
+        let unsorted = b.clone();
+        let (keys, order) = b.sort_by_key(&bb);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(unsorted.select(&order).pos, b.pos);
         // Keys recomputed from the sorted positions must match.
         assert_eq!(b.keys(&bb), keys);
     }

@@ -1,12 +1,15 @@
 //! Tree construction from Morton-sorted bodies.
 //!
 //! Because the body array is sorted by key, every cell's population is a
-//! contiguous range; construction partitions ranges by daughter prefix
-//! (binary search) and recurses, computing moments bottom-up on the way
-//! out. O(N log N), no pointer chasing, deterministic.
+//! contiguous range. The builder writes the cells in key order, level by
+//! level: each cell is pushed as a leaf over its range, and one over
+//! capacity splits, its daughters' ranges found by binary search and
+//! pushed after those of the cell before it. The moments then fill in
+//! one reverse pass, which meets every daughter before its cell.
+//! O(N log N), no pointer chasing, deterministic.
 
 use crate::body::Bodies;
-use crate::hot::{HashedOctTree, KeyMap, Node, NodeKind};
+use crate::hot::{HashedOctTree, Node, NodeKind};
 use crate::moments::{combine_moments, leaf_moments};
 use crate::morton::{BoundingBox, Key, MAX_DEPTH};
 
@@ -28,98 +31,83 @@ pub const DEFAULT_LEAF_CAPACITY: usize = 8;
 /// ```
 pub fn build_tree(bodies: &mut Bodies, bb: BoundingBox, leaf_capacity: usize) -> HashedOctTree {
     assert!(leaf_capacity >= 1);
-    let keys = bodies.sort_by_key(&bb);
-    let mut nodes = KeyMap::default();
+    let (keys, order) = bodies.sort_by_key(&bb);
+    let mut nodes = Vec::new();
     if !bodies.is_empty() {
-        build_range(
-            &mut nodes,
-            &bb,
-            bodies,
-            &keys,
-            0,
-            bodies.len(),
-            Key::ROOT,
-            leaf_capacity,
-        );
+        nodes.push(unsplit(Key::ROOT, 0, bodies.len()));
     }
-    HashedOctTree {
+    // Cells split in push order, which is key order: each one's
+    // daughters land right after those of the cell before it.
+    let mut at = 0;
+    while let Some(&Node { key, kind, .. }) = nodes.get(at) {
+        let NodeKind::Leaf { start, end } = kind else {
+            unreachable!("a cell splits only when its turn comes");
+        };
+        let (lo, hi, level) = (start as usize, end as usize, key.level());
+        if hi - lo > leaf_capacity && level < MAX_DEPTH {
+            let first_child = nodes.len() as u32;
+            let mut child_mask = 0u8;
+            let mut start = lo;
+            for d in 0..8u8 {
+                let daughter = key.child(d);
+                // First key beyond this daughter's subtree.
+                let end = start
+                    + keys[start..hi].partition_point(|k| k.ancestor_at(level + 1) <= daughter);
+                if end > start {
+                    child_mask |= 1 << d;
+                    nodes.push(unsplit(daughter, start, end));
+                    start = end;
+                }
+            }
+            debug_assert_eq!(start, hi, "every body belongs to exactly one daughter");
+            nodes[at].kind = NodeKind::Internal {
+                child_mask,
+                first_child,
+            };
+        }
+        at += 1;
+    }
+    let mut tree = HashedOctTree {
         nodes,
         bb,
         leaf_capacity,
+        order,
+    };
+    // Moments bottom-up: every daughter sits after its cell.
+    let mut daughters = Vec::with_capacity(8);
+    for at in (0..tree.nodes.len()).rev() {
+        let node = &tree.nodes[at];
+        let (mass, com, quad) = match node.kind {
+            NodeKind::Leaf { start, end } => leaf_moments(bodies, start as usize, end as usize),
+            NodeKind::Internal { .. } => {
+                daughters.clear();
+                let moments = tree.children(node).iter().map(|d| (d.mass, d.com, d.quad));
+                daughters.extend(moments);
+                combine_moments(&daughters)
+            }
+        };
+        let node = &mut tree.nodes[at];
+        (node.mass, node.com, node.quad) = (mass, com, quad);
+        node.delta = com_offset(&bb, node.key, com);
     }
+    tree
 }
 
-/// Recursively build the cell `cell` over `keys[lo..hi]`; returns its
-/// moments.
-#[allow(clippy::too_many_arguments)]
-fn build_range(
-    nodes: &mut KeyMap<Node>,
-    bb: &BoundingBox,
-    bodies: &Bodies,
-    keys: &[Key],
-    lo: usize,
-    hi: usize,
-    cell: Key,
-    leaf_capacity: usize,
-) -> (f64, [f64; 3], [f64; 6]) {
-    debug_assert!(hi > lo);
-    let level = cell.level();
-    if hi - lo <= leaf_capacity || level == MAX_DEPTH {
-        let (mass, com, quad) = leaf_moments(bodies, lo, hi);
-        nodes.insert(
-            cell.0,
-            Node {
-                key: cell,
-                kind: NodeKind::Leaf {
-                    start: lo as u32,
-                    end: hi as u32,
-                },
-                count: (hi - lo) as u32,
-                mass,
-                com,
-                quad,
-                delta: com_offset(bb, cell, com),
-            },
-        );
-        return (mass, com, quad);
-    }
-    let mut child_mask = 0u8;
-    let mut child_moments = Vec::with_capacity(8);
-    let mut start = lo;
-    for d in 0..8u8 {
-        let daughter = cell.child(d);
-        // First key beyond this daughter's subtree.
-        let end = start + keys[start..hi].partition_point(|k| k.ancestor_at(level + 1) <= daughter);
-        if end > start {
-            child_mask |= 1 << d;
-            child_moments.push(build_range(
-                nodes,
-                bb,
-                bodies,
-                keys,
-                start,
-                end,
-                daughter,
-                leaf_capacity,
-            ));
-            start = end;
-        }
-    }
-    debug_assert_eq!(start, hi, "every body belongs to exactly one daughter");
-    let (mass, com, quad) = combine_moments(&child_moments);
-    nodes.insert(
-        cell.0,
-        Node {
-            key: cell,
-            kind: NodeKind::Internal { child_mask },
-            count: (hi - lo) as u32,
-            mass,
-            com,
-            quad,
-            delta: com_offset(bb, cell, com),
+/// The cell `key` over sorted bodies `lo..hi`, a leaf until it splits,
+/// its moments not yet filled in.
+fn unsplit(key: Key, lo: usize, hi: usize) -> Node {
+    Node {
+        key,
+        kind: NodeKind::Leaf {
+            start: lo as u32,
+            end: hi as u32,
         },
-    );
-    (mass, com, quad)
+        count: (hi - lo) as u32,
+        mass: 0.0,
+        com: [0.0; 3],
+        quad: [0.0; 6],
+        delta: 0.0,
+    }
 }
 
 /// Distance from a cell's geometric center to a center of mass.
@@ -156,14 +144,14 @@ mod tests {
     #[test]
     fn counts_are_consistent_down_the_tree() {
         let (_, t) = build_uniform(300, 4);
-        for node in t.nodes.values() {
+        for node in &t.nodes {
             match node.kind {
                 NodeKind::Leaf { start, end } => {
                     assert_eq!(node.count, end - start);
                     assert!(node.count as usize <= t.leaf_capacity.max(1));
                 }
                 NodeKind::Internal { .. } => {
-                    let sum: u32 = t.children(node).map(|c| c.count).sum();
+                    let sum: u32 = t.children(node).iter().map(|c| c.count).sum();
                     assert_eq!(sum, node.count, "node {:?}", node.key);
                 }
             }
@@ -175,7 +163,7 @@ mod tests {
         let (b, t) = build_uniform(257, 8);
         let mut ranges: Vec<(u32, u32)> = t
             .nodes
-            .values()
+            .iter()
             .filter_map(|n| match n.kind {
                 NodeKind::Leaf { start, end } => Some((start, end)),
                 _ => None,
@@ -194,7 +182,7 @@ mod tests {
     #[test]
     fn bodies_live_inside_their_leaf_cells() {
         let (b, t) = build_uniform(200, 8);
-        for node in t.nodes.values() {
+        for node in &t.nodes {
             if let NodeKind::Leaf { start, end } = node.kind {
                 let level = node.key.level();
                 let c = t.bb.cell_center(node.key);

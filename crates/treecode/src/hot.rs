@@ -1,51 +1,17 @@
-//! The hashed oct-tree: a hash table from Morton keys to cells.
+//! The hashed oct-tree: cells named by Morton key, stored in key order.
 //!
 //! Warren & Salmon's central data structure ("A Parallel Hashed Oct-Tree
-//! N-Body Algorithm", SC'93): instead of pointers, cells are looked up by
-//! key, which makes the tree trivially mergeable, shippable across ranks,
-//! and cheap to prune — the properties the parallel treecode exploits.
-//!
-//! What still looks cells up by key: the builder's inserts and the domain
-//! frontier of the distributed step (a few thousand probes per rank and
-//! step). The gravity walk and the LET prune do not — they descend the
-//! table's cells sorted by key and linked by index
-//! (`traverse::flatten`), one pass per step.
-//!
-//! The table hashes a key with one multiply and a fold ([`KeyHasher`]).
-//! Warren & Salmon simply mask the key's low bits; SipHash, the standard
-//! default, defends against attacker-chosen keys, and Morton keys come
-//! from body positions. With no per-process random state, iteration
-//! order is the same in every run.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! N-Body Algorithm", SC'93) names every cell by its key instead of by a
+//! pointer, which makes the tree trivially mergeable, shippable across
+//! ranks, and cheap to prune — the properties the parallel treecode
+//! exploits. Their table hashes the key; here the cells sit in one array
+//! sorted by key instead. A key carries its level in its sentinel bit, so
+//! key order is level by level and Morton within a level: the root is
+//! cell 0, the daughters of a cell are consecutive, in daughter order,
+//! right after those of the cell before it, and an index and a mask link
+//! a cell to them. No cell is ever looked up by key.
 
 use crate::morton::{BoundingBox, Key};
-
-/// Hashes one Morton key: a Fibonacci multiply spreads every key bit
-/// into the high bits (the table's control byte), and folding the high
-/// half onto the low brings them to the bucket index too — keys of one
-/// level differ mostly in their low bits, siblings only there.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("Morton keys hash as one u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A hash table keyed by Morton key.
-pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// Payload of a cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,6 +29,8 @@ pub enum NodeKind {
     Internal {
         /// Daughter-presence bitmask.
         child_mask: u8,
+        /// Index of the first daughter; the others follow it.
+        first_child: u32,
     },
 }
 
@@ -87,26 +55,24 @@ pub struct Node {
     pub delta: f64,
 }
 
-/// The tree: hash table plus the bounding cube it was built in.
+/// The tree: its cells in key order, the bounding cube it was built in,
+/// and the Morton sort that ordered its bodies.
 #[derive(Debug, Clone)]
 pub struct HashedOctTree {
-    /// Key → cell.
-    pub nodes: KeyMap<Node>,
+    /// The cells, sorted by key.
+    pub nodes: Vec<Node>,
     /// The global bounding cube.
     pub bb: BoundingBox,
     /// Bodies per leaf ceiling used at build time.
     pub leaf_capacity: usize,
+    /// `order[i]` is the index, before the sort, of sorted body `i`.
+    pub(crate) order: Vec<usize>,
 }
 
 impl HashedOctTree {
-    /// Look up a cell.
-    pub fn get(&self, key: Key) -> Option<&Node> {
-        self.nodes.get(&key.0)
-    }
-
     /// The root cell (panics on an empty tree).
     pub fn root(&self) -> &Node {
-        self.get(Key::ROOT).expect("tree has a root")
+        self.nodes.first().expect("tree has a root")
     }
 
     /// Number of cells.
@@ -119,60 +85,98 @@ impl HashedOctTree {
         self.nodes.is_empty()
     }
 
-    /// Iterate existing daughters of an internal node.
-    pub fn children<'a>(&'a self, node: &Node) -> impl Iterator<Item = &'a Node> + 'a {
-        let (mask, key) = match node.kind {
-            NodeKind::Internal { child_mask } => (child_mask, node.key),
-            NodeKind::Leaf { .. } => (0, node.key),
-        };
-        (0..8u8).filter_map(move |d| {
-            if mask & (1 << d) != 0 {
-                Some(self.get(key.child(d)).expect("masked child exists"))
-            } else {
-                None
-            }
-        })
+    /// The daughters of a cell, in daughter order (none for a leaf).
+    pub fn children(&self, node: &Node) -> &[Node] {
+        match node.kind {
+            NodeKind::Internal {
+                child_mask,
+                first_child,
+            } => &self.nodes[first_child as usize..][..child_mask.count_ones() as usize],
+            NodeKind::Leaf { .. } => &[],
+        }
     }
 
-    /// Depth of the deepest cell (root = 0).
+    /// Depth of the deepest cell (root = 0): the last one's, in key order.
     pub fn depth(&self) -> u32 {
-        self.nodes
-            .values()
-            .map(|n| n.key.level())
-            .max()
-            .unwrap_or(0)
+        self.nodes.last().map_or(0, |n| n.key.level())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::Bodies;
     use crate::build::build_tree;
-    use crate::ic::plummer;
-    use std::collections::BTreeMap;
-    use std::hash::BuildHasher;
+    use crate::morton::MAX_DEPTH;
+    use crate::reference::ICS;
+
+    /// Build over `bodies` and check the form every reader of `nodes`
+    /// relies on: keys strictly ascending; the daughters of an internal
+    /// cell are `key.child(d)` for the set bits `d` of its mask, ascending,
+    /// from its `first_child`, right after those of the cell before it;
+    /// the leaves partition the sorted bodies; `order` is the sort.
+    fn build_and_check(mut bodies: Bodies, leaf_capacity: usize, what: &str) -> HashedOctTree {
+        let unsorted = bodies.clone();
+        let bb = BoundingBox::containing(&bodies.pos);
+        let tree = build_tree(&mut bodies, bb, leaf_capacity);
+        let ascending = tree.nodes.windows(2).all(|w| w[0].key < w[1].key);
+        assert!(ascending, "{what}: keys not strictly ascending");
+        assert_eq!(tree.root().key, Key::ROOT, "{what}");
+        let (mut next, mut leaves) = (1, Vec::new());
+        for node in &tree.nodes {
+            match node.kind {
+                NodeKind::Internal {
+                    child_mask,
+                    first_child,
+                } => {
+                    assert_eq!(first_child as usize, next, "{what}: {:?}", node.key);
+                    let daughters: Vec<Key> = (0..8)
+                        .filter(|d| child_mask >> d & 1 != 0)
+                        .map(|d| node.key.child(d))
+                        .collect();
+                    let linked: Vec<Key> = tree.children(node).iter().map(|c| c.key).collect();
+                    assert_eq!(linked, daughters, "{what}: {:?}", node.key);
+                    next += daughters.len();
+                }
+                NodeKind::Leaf { start, end } => leaves.push((start, end)),
+            }
+        }
+        assert_eq!(next, tree.len(), "{what}: a cell no parent links");
+        leaves.sort_unstable();
+        let mut expect = 0;
+        for (start, end) in leaves {
+            assert!(start == expect && end > start, "{what}: {start}..{end}");
+            expect = end;
+        }
+        assert_eq!(expect as usize, bodies.len(), "{what}: bodies in no leaf");
+        let mut seen = vec![false; bodies.len()];
+        for (i, &was) in tree.order.iter().enumerate() {
+            assert!(!std::mem::replace(&mut seen[was], true), "{what}: order");
+            assert_eq!(bodies.pos[i], unsorted.pos[was], "{what}: body {i}");
+        }
+        tree
+    }
 
     #[test]
-    fn key_hash_is_not_degenerate_on_morton_keys() {
-        // What the table reads of a hash: the top 7 bits (its control
-        // byte) and the low bits (its bucket index; 16 of them cover
-        // this tree). Random 23-bit tags over ~8 000 keys would collide
-        // in about four pairs.
-        let mut bodies = plummer(20_000, 2002);
-        let bb = BoundingBox::containing(&bodies.pos);
-        let tree = build_tree(&mut bodies, bb, 8);
-        let hasher = BuildHasherDefault::<KeyHasher>::default();
-        let mut tags: BTreeMap<(u64, u64), u32> = BTreeMap::new();
-        for &key in tree.nodes.keys() {
-            let h = hasher.hash_one(key);
-            *tags.entry((h >> 57, h & 0xffff)).or_default() += 1;
+    fn cells_sit_in_key_order_linked_to_their_daughters_and_partition_the_bodies() {
+        for (name, ic) in ICS {
+            for n in [1, 9, 1000] {
+                for leaf_capacity in [1, 8] {
+                    let what = format!("{name} n={n} leaf={leaf_capacity}");
+                    build_and_check(ic(n, 5 + n as u64), leaf_capacity, &what);
+                }
+            }
         }
-        let sharing: u32 = tags.values().filter(|&&n| n > 1).sum();
-        assert!(tree.len() > 5_000, "{} cells", tree.len());
-        assert!(
-            sharing <= 24,
-            "{sharing} of {} keys share a tag",
-            tree.len()
-        );
+        // Coincident bodies cannot be split: the chain of single
+        // daughters stops at MAX_DEPTH in one fat leaf.
+        let mut bodies = crate::ic::plummer(40, 3);
+        let at = bodies.pos[17];
+        for _ in 0..5 {
+            bodies.push(at, [0.0; 3], 1e-3);
+        }
+        let tree = build_and_check(bodies, 1, "coincident");
+        assert_eq!(tree.depth(), MAX_DEPTH);
+        let fat = |n: &Node| n.count > 1 && n.key.level() == MAX_DEPTH;
+        assert!(tree.nodes.iter().any(fat), "coincident: no fat leaf");
     }
 }

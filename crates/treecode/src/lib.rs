@@ -13,15 +13,15 @@
 //! Modules:
 //!
 //! * [`morton`] — space-filling-curve keys (the "hashed" part: bodies and
-//!   cells are named by Morton keys, and the tree is a hash table);
+//!   cells are named by Morton keys, and the tree's cells sit in key order);
 //! * [`body`] — structure-of-arrays particle storage;
 //! * [`hot`] — the hashed oct-tree itself;
 //! * [`build`] — tree construction from Morton-sorted bodies;
 //! * [`moments`] — monopole + traceless quadrupole moments, bottom-up,
 //!   and the two interaction kernels (p–p, p–c);
 //! * [`mac`] — multipole acceptance criteria (Barnes–Hut opening angle);
-//! * [`traverse`] — the force walk, eight bodies at a time over a
-//!   flattened tree, with flop and interaction accounting;
+//! * [`traverse`] — the force walk, eight bodies at a time over the
+//!   tree's cells, with flop and interaction accounting;
 //! * [`direct`] — O(N²) direct summation (accuracy baseline);
 //! * [`integrate`] — leapfrog (KDK) integration and energy diagnostics;
 //! * [`ic`] — initial conditions (Plummer sphere, uniform cube, two-body

@@ -5,8 +5,9 @@
 //! bounding cube, the bits are interleaved (x lowest), and a sentinel
 //! 1-bit is prepended so keys self-describe their depth. The root is key
 //! `1`; a cell's eight daughters are `key·8 + 0..8`; the parent is
-//! `key >> 3`. Keys make tree topology pure integer arithmetic, and the
-//! tree itself a hash table keyed by them.
+//! `key >> 3`. Keys make tree topology pure integer arithmetic, and their
+//! numeric order — level by level, Morton within a level — is the order
+//! the tree stores its cells in.
 
 /// Bits per dimension (21 × 3 = 63 payload bits + 1 sentinel = 64).
 pub const BITS_PER_DIM: u32 = 21;

@@ -44,11 +44,11 @@
 //! [`mb_cluster::threaded`] runs the same body thread-per-rank, which is
 //! how tests and the BENCH pins check the two paths against each other.
 //!
-//! Only the local tree is a hash table, and only its builder and the
-//! domain frontier use it as one: it is flattened once per step into
-//! cells sorted by key and linked by index (`LocalTree`), which is what
-//! the prune and the walk descend, and pruned trees arrive as arrays in
-//! wire order and merge into arrays of the same form (`ImportedForest`).
+//! Every tree here is an array of cells sorted by key and linked by
+//! index: the local tree as built (`LocalTree`), which the domain
+//! frontier, the prune and the walk descend, and the import forest,
+//! merged from the pruned trees that arrive as arrays in wire order
+//! (`ImportedForest`).
 //! The wire format is frozen — message sizes drive the virtual clock, so
 //! a byte per node would move every simulated time — and so is the order
 //! in which cells are visited and forces accumulated, which fixes the
@@ -65,7 +65,7 @@ use crate::body::Bodies;
 use crate::build::{build_tree, com_offset};
 use crate::decompose::cost_zones;
 use crate::flops::InteractionCounts;
-use crate::hot::{HashedOctTree, Node, NodeKind};
+use crate::hot::{HashedOctTree, NodeKind};
 use crate::integrate::total_energy;
 use crate::mac::Mac;
 use crate::morton::{BoundingBox, Key};
@@ -294,31 +294,37 @@ fn deserialize_foreign(peer: usize, b: &[u8], into: &mut ForeignTree) {
 /// bodies are dense.
 fn domain_frontier(tree: &HashedOctTree, budget: usize) -> Vec<u64> {
     use std::collections::BinaryHeap;
-    // Max-heap by body count.
-    let mut heap: BinaryHeap<(u32, u64)> = BinaryHeap::new();
+    // Max-heap by body count, then by index: key order.
+    let mut heap: BinaryHeap<(u32, u32)> = BinaryHeap::new();
     let mut leaves: Vec<u64> = Vec::new();
-    let Some(root) = tree.get(Key::ROOT) else {
-        return leaves; // an empty zone occupies nothing
-    };
-    match root.kind {
-        NodeKind::Internal { .. } => heap.push((root.count, root.key.0)),
-        NodeKind::Leaf { .. } => leaves.push(root.key.0),
-    }
-    while let Some(&(_, key)) = heap.peek() {
-        let node = tree.get(Key(key)).expect("frontier node exists");
-        let n_children = tree.children(node).count();
-        if heap.len() + leaves.len() + n_children - 1 > budget {
+    // The cells just reached: the root, unless the zone is empty.
+    let mut reached = 0..tree.len().min(1) as u32;
+    loop {
+        for at in reached {
+            let node = &tree.nodes[at as usize];
+            match node.kind {
+                NodeKind::Internal { .. } => heap.push((node.count, at)),
+                NodeKind::Leaf { .. } => leaves.push(node.key.0),
+            }
+        }
+        let Some(&(_, at)) = heap.peek() else { break };
+        let NodeKind::Internal {
+            child_mask,
+            first_child,
+        } = tree.nodes[at as usize].kind
+        else {
+            unreachable!("only internal cells wait in the heap");
+        };
+        let n_children = child_mask.count_ones();
+        if heap.len() + leaves.len() + n_children as usize - 1 > budget {
             break;
         }
         heap.pop();
-        for child in tree.children(node) {
-            match child.kind {
-                NodeKind::Internal { .. } => heap.push((child.count, child.key.0)),
-                NodeKind::Leaf { .. } => leaves.push(child.key.0),
-            }
-        }
+        reached = first_child..first_child + n_children;
     }
-    leaves.extend(heap.into_iter().map(|(_, k)| k));
+    for (_, at) in heap {
+        leaves.push(tree.nodes[at as usize].key.0);
+    }
     leaves
 }
 
@@ -429,7 +435,7 @@ fn prune_for_domain(
         // later, and those have all been popped: the arena is free from
         // the end of this one.
         let mut top = hi;
-        let (node, cell) = (&local.nodes[at as usize], &local.cells[at as usize]);
+        let (node, cell) = (&local.tree.nodes[at as usize], &local.cells[at as usize]);
         let mut fnode = ForeignNode {
             mass: node.mass,
             com: node.com,
@@ -458,7 +464,7 @@ fn prune_for_domain(
                 fnode.bodies = (b0, out.bodies.len() as u32);
                 out.nodes.push((node.key.0, fnode));
             }
-            NodeKind::Internal { child_mask } => {
+            NodeKind::Internal { child_mask, .. } => {
                 fnode.tag = TAG_INTERNAL;
                 fnode.child_mask = child_mask;
                 out.nodes.push((node.key.0, fnode));
@@ -843,34 +849,25 @@ async fn global_box(comm: &mut Comm, mine: &Bodies) -> BoundingBox {
     global_bb.expect("at least one rank owns bodies")
 }
 
-/// A rank's zone after the local build: bodies Morton-sorted, `order[i]`
-/// the caller's zone slot of sorted body `i`, the tree (empty zone: no
-/// cells), and the tree flattened ([`flatten`]) for the prune and the
-/// walk.
+/// A rank's zone after the local build: bodies Morton-sorted, the tree
+/// (empty zone: no cells) whose `order` maps sorted bodies back to zone
+/// slots, and its cells in walkable form ([`flatten`]) for the prune and
+/// the walk.
 struct LocalTree {
     bodies: Bodies,
-    order: Vec<usize>,
     tree: HashedOctTree,
-    nodes: Vec<Node>,
     cells: Vec<Cell>,
 }
 
 impl LocalTree {
-    /// The tree of zone `mine` in the global key space. `build_tree`
-    /// Morton-sorts; replicate the permutation to scatter results back to
-    /// zone order.
+    /// The tree of zone `mine` in the global key space.
     fn new(mine: &Bodies, global_bb: BoundingBox, cfg: &DistributedConfig) -> LocalTree {
         let mut bodies = mine.clone();
-        let keys = bodies.keys(&global_bb);
-        let mut order: Vec<usize> = (0..mine.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
         let tree = build_tree(&mut bodies, global_bb, cfg.leaf_capacity);
-        let (nodes, cells) = flatten(&tree, &cfg.mac);
+        let cells = flatten(&tree, &cfg.mac);
         LocalTree {
             bodies,
-            order,
             tree,
-            nodes,
             cells,
         }
     }
@@ -972,7 +969,7 @@ async fn walk(
         forest.walk(&mut stack, &mut g, &f);
         for (i, a, phi, c) in g.results() {
             // Scatter: Morton order to the caller's zone slot.
-            let slot = local.order[i];
+            let slot = local.tree.order[i];
             acc[slot] = a;
             pot[slot] = phi;
             body_cost[slot] = (c.pp + c.pc) as f64;
@@ -1067,6 +1064,7 @@ mod live {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hot::Node;
     use mb_cluster::spec::metablade;
 
     use crate::direct::direct_forces;
@@ -1608,7 +1606,7 @@ mod tests {
                     fnode.bodies = (b0, shipped.len() as u32);
                     nodes.push((node.key.0, fnode));
                 }
-                NodeKind::Internal { child_mask } => {
+                NodeKind::Internal { child_mask, .. } => {
                     fnode.tag = TAG_INTERNAL;
                     fnode.child_mask = child_mask;
                     nodes.push((node.key.0, fnode));

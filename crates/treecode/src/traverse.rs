@@ -1,5 +1,5 @@
-//! The force walk: eight Morton-consecutive bodies at a time over a tree
-//! flattened into key-sorted cells.
+//! The force walk: eight Morton-consecutive bodies at a time over the
+//! tree's cells, in key order.
 //!
 //! A `Group` walks from the root with an explicit stack whose entries
 //! carry a `u8` *active mask*. A lane leaves the mask at the first cell
@@ -60,10 +60,10 @@ const IS_DENSE: [bool; 256] = {
     table
 };
 
-/// One cell of a flattened tree. Cells are sorted by key — level by
-/// level, Morton within a level — so the root is cell 0 and the daughters
-/// of a cell are `n_children` consecutive cells from `first_child`, in
-/// ascending daughter order.
+/// One cell of a walkable tree, the local tree's or the import forest's.
+/// Cells are in key order, as the tree's [`Node`]s are: the root is cell
+/// 0 and the daughters of a cell are `n_children` consecutive cells from
+/// `first_child`, in ascending daughter order.
 ///
 /// What every visit reads — `com`, `crit2`, the links — fills the first
 /// cache line; the moments, read only by the lanes that accept the cell,
@@ -97,36 +97,27 @@ impl Cell {
     }
 }
 
-/// The hashed tree's cells sorted by key, and their walkable form in the
-/// same order.
-pub(crate) fn flatten(tree: &HashedOctTree, mac: &Mac) -> (Vec<Node>, Vec<Cell>) {
-    let mut nodes: Vec<Node> = tree.nodes.values().copied().collect();
-    nodes.sort_unstable_by_key(|n| n.key);
-    // Every masked daughter is in the table, so the daughters of
-    // successive cells follow one another from cell 1 on.
-    let mut next = 1;
-    let cells: Vec<Cell> = nodes
-        .iter()
-        .map(|n| {
-            let (n_children, resident) = match n.kind {
-                NodeKind::Leaf { start, end } => (0, (start, end)),
-                NodeKind::Internal { child_mask } => (child_mask.count_ones(), (0, 0)),
-            };
-            let first_child = next;
-            next += n_children;
-            Cell {
-                com: n.com,
-                crit2: Cell::threshold(mac, tree.bb.cell_size(n.key.level()), n.delta, n.count),
-                mass: n.mass,
-                quad: n.quad,
+/// The tree's cells in their walkable form, in the same order.
+pub(crate) fn flatten(tree: &HashedOctTree, mac: &Mac) -> Vec<Cell> {
+    let cell = |n: &Node| {
+        let (first_child, n_children, resident) = match n.kind {
+            NodeKind::Leaf { start, end } => (0, 0, (start, end)),
+            NodeKind::Internal {
+                child_mask,
                 first_child,
-                n_children,
-                resident,
-            }
-        })
-        .collect();
-    debug_assert!(cells.is_empty() || next as usize == cells.len());
-    (nodes, cells)
+            } => (first_child, child_mask.count_ones(), (0, 0)),
+        };
+        Cell {
+            com: n.com,
+            crit2: Cell::threshold(mac, tree.bb.cell_size(n.key.level()), n.delta, n.count),
+            mass: n.mass,
+            quad: n.quad,
+            first_child,
+            n_children,
+            resident,
+        }
+    };
+    tree.nodes.iter().map(cell).collect()
 }
 
 /// What every interaction of one walk shares.
@@ -337,7 +328,7 @@ pub(crate) fn walk_group(
     }
 }
 
-/// Walk `g`, a group of `bodies`, over the flattened tree of `bodies`:
+/// Walk `g`, a group of `bodies`, over the cells of the tree of `bodies`:
 /// an opened leaf is summed directly, each lane skipping its own body.
 pub(crate) fn walk_local(
     cells: &[Cell],
@@ -355,7 +346,7 @@ pub(crate) fn walk_local(
 /// Serial force evaluation for every body; fills `bodies.acc`/`pot`.
 /// `bodies` must be the Morton-sorted array `tree` was built over.
 pub fn tree_forces(bodies: &mut Bodies, tree: &HashedOctTree, mac: &Mac, eps2: f64) -> WalkStats {
-    let (_, cells) = flatten(tree, mac);
+    let cells = flatten(tree, mac);
     let f = Field::new(mac, eps2);
     let mut stats = WalkStats::default();
     let mut stack = Vec::new();
@@ -466,7 +457,7 @@ mod tests {
     /// body-by-body oracle's.
     type PerBody = Vec<([f64; 3], f64, InteractionCounts)>;
     fn both_walks(sorted: &Bodies, tree: &HashedOctTree, mac: &Mac, eps2: f64) -> [PerBody; 2] {
-        let (_, cells) = flatten(tree, mac);
+        let cells = flatten(tree, mac);
         let f = Field::new(mac, eps2);
         let (mut grouped, mut stack) = (Vec::new(), Vec::new());
         for first in (0..sorted.len()).step_by(LANES) {
@@ -538,7 +529,7 @@ mod tests {
         }
         let bb = BoundingBox::containing(&b.pos);
         let tree = build_tree(&mut b, bb, 8);
-        let fat = tree.nodes.values().filter(|n| n.count > 8).count();
+        let fat = tree.nodes.iter().filter(|n| n.count > 8).count();
         assert!(tree.depth() == crate::morton::MAX_DEPTH && fat > 0);
         let [grouped, one_by_one] = both_walks(&b, &tree, &Mac::standard(), 1e-6);
         assert_same_bits(&grouped, &one_by_one, "coincident");
