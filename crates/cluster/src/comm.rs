@@ -106,21 +106,6 @@ impl PeerTable {
         &mut self.0[i].1
     }
 
-    /// Compact a dense row indexed by peer rank into a table, dropping
-    /// its zero entries and leaving `dense` zeroed: for a builder that
-    /// revisits every peer many times and wants plain indexing meanwhile.
-    pub fn take_dense(dense: &mut [PeerTraffic]) -> Self {
-        // Branch-free, so the two scans cost a few loads per peer.
-        let used = |t: &PeerTraffic| t.msgs_to | t.bytes_to | t.msgs_from | t.bytes_from != 0;
-        let mut rows = Vec::with_capacity(dense.iter().filter(|t| used(t)).count());
-        for (peer, t) in dense.iter_mut().enumerate() {
-            if used(t) {
-                rows.push((peer, std::mem::take(t)));
-            }
-        }
-        PeerTable(rows)
-    }
-
     /// The touched peers' rows, in ascending peer rank.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &PeerTraffic)> {
         self.0.iter().map(|(peer, t)| (*peer, t))
@@ -626,20 +611,16 @@ mod tests {
     }
 
     #[test]
-    fn a_compacted_dense_row_equals_the_table_built_by_entry() {
-        let mut dense = vec![PeerTraffic::default(); 6];
+    fn a_table_built_by_entry_holds_touched_peers_in_rank_order() {
         let mut built = PeerTable::default();
         for (peer, bytes) in [(4, 10), (1, 7), (4, 5), (5, 0)] {
-            dense[peer].msgs_from += 1;
-            dense[peer].bytes_from += bytes;
             built.entry(peer).msgs_from += 1;
             built.entry(peer).bytes_from += bytes;
         }
-        assert_eq!(PeerTable::take_dense(&mut dense), built);
-        assert_eq!(dense, vec![PeerTraffic::default(); 6], "scratch zeroed");
         let peers: Vec<usize> = built.iter().map(|(p, _)| p).collect();
         assert_eq!(peers, [1, 4, 5]);
         assert_eq!(built.get(4).bytes_from, 15);
+        assert_eq!(built.get(5).msgs_from, 1);
         assert_eq!(built.get(0), PeerTraffic::default());
     }
 

@@ -44,6 +44,26 @@ pub fn total_energy(bodies: &Bodies) -> Energies {
     Energies { kinetic, potential }
 }
 
+/// Half a kick: `vel += 0.5·dt·acc`, body by body.
+pub(crate) fn kick(vel: &mut [[f64; 3]], acc: &[[f64; 3]], dt: f64) {
+    debug_assert_eq!(vel.len(), acc.len());
+    for (v, a) in vel.iter_mut().zip(acc) {
+        for d in 0..3 {
+            v[d] += 0.5 * dt * a[d];
+        }
+    }
+}
+
+/// A drift: `pos += dt·vel`, body by body.
+pub(crate) fn drift(pos: &mut [[f64; 3]], vel: &[[f64; 3]], dt: f64) {
+    debug_assert_eq!(pos.len(), vel.len());
+    for (x, v) in pos.iter_mut().zip(vel) {
+        for d in 0..3 {
+            x[d] += dt * v[d];
+        }
+    }
+}
+
 /// One kick-drift-kick leapfrog step using tree forces (rebuilds the tree
 /// after the drift). `bodies.acc` must hold forces for the current
 /// positions on entry (call a force routine once before the first step);
@@ -56,49 +76,21 @@ pub fn leapfrog_step(
     eps2: f64,
     leaf_capacity: usize,
 ) -> InteractionCounts {
-    // Kick (half).
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.vel[i][d] += 0.5 * dt * bodies.acc[i][d];
-        }
-    }
-    // Drift.
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.pos[i][d] += dt * bodies.vel[i][d];
-        }
-    }
-    // New forces.
+    kick(&mut bodies.vel, &bodies.acc, dt);
+    drift(&mut bodies.pos, &bodies.vel, dt);
     let bb = BoundingBox::containing(&bodies.pos);
     let tree = build_tree(bodies, bb, leaf_capacity);
     let stats = tree_forces(bodies, &tree, mac, eps2);
-    // Kick (half).
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.vel[i][d] += 0.5 * dt * bodies.acc[i][d];
-        }
-    }
+    kick(&mut bodies.vel, &bodies.acc, dt);
     stats.interactions
 }
 
 /// Same step with direct-summation forces (baseline / small N).
 pub fn leapfrog_step_direct(bodies: &mut Bodies, dt: f64, eps2: f64) -> InteractionCounts {
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.vel[i][d] += 0.5 * dt * bodies.acc[i][d];
-        }
-    }
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.pos[i][d] += dt * bodies.vel[i][d];
-        }
-    }
+    kick(&mut bodies.vel, &bodies.acc, dt);
+    drift(&mut bodies.pos, &bodies.vel, dt);
     let counts = direct_forces(bodies, eps2);
-    for i in 0..bodies.len() {
-        for d in 0..3 {
-            bodies.vel[i][d] += 0.5 * dt * bodies.acc[i][d];
-        }
-    }
+    kick(&mut bodies.vel, &bodies.acc, dt);
     counts
 }
 

@@ -66,7 +66,7 @@ use crate::build::{build_tree, com_offset};
 use crate::decompose::cost_zones;
 use crate::flops::InteractionCounts;
 use crate::hot::{HashedOctTree, NodeKind};
-use crate::integrate::total_energy;
+use crate::integrate::{drift, kick, total_energy};
 use crate::mac::Mac;
 use crate::morton::{BoundingBox, Key};
 use crate::traverse::{flatten, walk_group, walk_local, Cell, Field, Group, LANES};
@@ -1902,24 +1902,15 @@ pub fn distributed_evolve(
 
     for _ in 0..steps {
         // Kick + drift (embarrassingly parallel: charge its virtual time).
-        for i in 0..n {
-            for d in 0..3 {
-                bodies.vel[i][d] += 0.5 * dt * acc[i][d];
-                bodies.pos[i][d] += dt * bodies.vel[i][d];
-            }
-        }
+        kick(&mut bodies.vel, &acc, dt);
+        drift(&mut bodies.pos, &bodies.vel, dt);
         total_time += 9.0 * n as f64 / p / rate;
         // New forces (re-decomposed with cost feedback).
         let r = distributed_step_weighted(cluster, &bodies, cfg, weights.as_deref());
         total_time += r.makespan_s;
         total_flops += r.total_flops;
         weights = Some(r.body_cost);
-        // Kick.
-        for i in 0..n {
-            for d in 0..3 {
-                bodies.vel[i][d] += 0.5 * dt * r.acc[i][d];
-            }
-        }
+        kick(&mut bodies.vel, &r.acc, dt);
         total_time += 3.0 * n as f64 / p / rate;
         acc = r.acc;
         bodies.pot = r.pot;
