@@ -578,7 +578,7 @@ mod tests {
             "prof/ready.pop_ns",
         ] {
             match reg.find(name, "w8") {
-                Some(MetricValue::Histogram(h)) => assert_eq!(h.n, admissions, "{name}"),
+                Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), admissions, "{name}"),
                 other => panic!("{name}: expected a histogram, got {other:?}"),
             }
         }

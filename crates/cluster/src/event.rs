@@ -120,7 +120,7 @@ pub struct ProfReport {
     pub wake_ns: LogHistogram,
     /// Ready-queue push latency (heap insert under the core lock).
     pub push_ns: LogHistogram,
-    /// Ready-queue pop latency (valid-minimum selection per admission).
+    /// Ready-queue pop latency (heap pop per admission).
     pub pop_ns: LogHistogram,
     /// Always empty: no admission is deferred; kept while the frozen
     /// harness reads it.
@@ -140,7 +140,7 @@ impl ProfReport {
             ("prof/ready.push_ns", &self.push_ns),
             ("prof/ready.pop_ns", &self.pop_ns),
         ] {
-            reg.set_histogram(name, label, h.to_metric());
+            reg.set_histogram(name, label, h);
         }
     }
 }
@@ -181,12 +181,6 @@ impl ExecutorReport {
         self.max_ready_depth = self.max_ready_depth.max(depth);
     }
 
-    /// Mean ready-queue depth over dispatch samples (exact: the shared
-    /// histogram keeps the true sum, not a bucket-midpoint estimate).
-    pub fn mean_ready_depth(&self) -> f64 {
-        self.depth_hist.mean()
-    }
-
     /// Publish the report into a telemetry registry under `executor/*`
     /// metric names, labelled by `label`; host-time `prof/*`
     /// distributions ride along when profiling ran.
@@ -197,7 +191,7 @@ impl ExecutorReport {
             label,
             self.max_ready_depth as f64,
         );
-        reg.set_histogram("executor/ready_depth", label, self.depth_hist.to_metric());
+        reg.set_histogram("executor/ready_depth", label, &self.depth_hist);
         if let Some(p) = &self.prof {
             p.record_into(reg, label);
         }
@@ -212,12 +206,10 @@ pub(crate) fn ns_since(since: Instant) -> f64 {
 struct CoreState {
     /// Whether a rank holds the slot.
     running: bool,
-    /// Tasks `Ready`.
-    ready: usize,
     tasks: Vec<Task>,
-    /// Min-heap of `(clock_key, rank)` over Ready tasks; entries are
-    /// lazily invalidated (valid iff the rank is still Ready at that
-    /// exact clock).
+    /// Min-heap of `(clock_key, rank)` with one entry per `Ready` task:
+    /// a task is pushed once when it becomes `Ready` and leaves `Ready`
+    /// only by being popped, so its length is the ready-queue depth.
     ready_heap: BinaryHeap<Reverse<(u64, usize)>>,
     report: ExecutorReport,
     /// The blocked receives of a detected deadlock; empty otherwise.
@@ -246,15 +238,14 @@ impl CoreState {
         Reverse((clock_key(clock), rank))
     }
 
-    /// Pop the valid ready minimum's rank, if any.
+    /// Pop the ready minimum's rank, if any.
     fn pop_ready(&mut self) -> Option<usize> {
-        while let Some(top @ Reverse((_, rank))) = self.ready_heap.pop() {
-            match self.tasks[rank].state {
-                TaskState::Ready(c) if self.ready_entry(c, rank) == top => return Some(rank),
-                _ => {}
-            }
-        }
-        None
+        let top @ Reverse((_, rank)) = self.ready_heap.pop()?;
+        debug_assert!(
+            matches!(self.tasks[rank].state, TaskState::Ready(c) if self.ready_entry(c, rank) == top),
+            "a ready-heap entry whose task is not Ready at its key"
+        );
+        Some(rank)
     }
 }
 
@@ -277,7 +268,6 @@ impl EventCore {
         EventCore {
             state: Mutex::new(CoreState {
                 running: false,
-                ready: 0,
                 tasks: (0..nranks).map(|_| Task::default()).collect(),
                 ready_heap: BinaryHeap::with_capacity(nranks),
                 report: ExecutorReport {
@@ -339,12 +329,10 @@ impl EventCore {
     /// deadlocked program: the last step of every transition that
     /// readies a task or frees the slot.
     fn dispatch(&self, st: &mut CoreState) {
-        let depth = st.ready;
-        st.report.sample_depth(depth);
+        st.report.sample_depth(st.ready_heap.len());
         if !st.running {
             let t_pop = self.profiling.then(Instant::now);
             if let Some(rank) = st.pop_ready() {
-                st.ready -= 1;
                 st.tasks[rank].state = TaskState::Running;
                 st.running = true;
                 st.report.admissions += 1;
@@ -359,7 +347,7 @@ impl EventCore {
                 }
             }
         }
-        if !st.running && st.ready == 0 {
+        if !st.running && st.ready_heap.is_empty() {
             // Nothing runs and nothing can: the run is over, or whoever
             // still awaits a message has nobody left to send it.
             st.deadlock = (st.tasks.iter().enumerate())
@@ -383,7 +371,6 @@ impl EventCore {
         st.tasks[rank].ready_at = now;
         let entry = st.ready_entry(clock, rank);
         st.ready_heap.push(entry);
-        st.ready += 1;
         if let (Some(p), Some(t)) = (&mut st.report.prof, now) {
             p.push_ns.observe(ns_since(t));
         }
@@ -580,7 +567,7 @@ pub(crate) mod tests {
         assert_eq!(r.depth_hist.max(), 1024.0);
         // The shared histogram keeps the true sum: mean is now exact,
         // not a bucket-midpoint estimate.
-        assert!((r.mean_ready_depth() - 206.0).abs() < 1e-12);
+        assert!((r.depth_hist.mean() - 206.0).abs() < 1e-12);
         // And percentile queries come for free.
         assert!(r.depth_hist.p50() <= r.depth_hist.p99());
     }
@@ -596,10 +583,10 @@ pub(crate) mod tests {
         r.record_into(&mut reg, "w4");
         match reg.find("executor/ready_depth", "w4").unwrap() {
             mb_telemetry::metrics::MetricValue::Histogram(h) => {
-                assert_eq!(h.n, 4);
-                assert_eq!(h.counts.iter().sum::<u64>(), 4);
+                assert_eq!(h.count(), 4);
+                assert_eq!(h.occupied().map(|(_, _, c)| c).sum::<u64>(), 4);
                 // Compacted: 3 occupied buckets, not a fixed 16.
-                assert_eq!(h.bounds.len(), 3);
+                assert_eq!(h.occupied().count(), 3);
             }
             _ => panic!("not a histogram"),
         }

@@ -128,11 +128,6 @@ impl NetworkModel {
     /// [`NetworkModel::flight_between`] for a route of profile `p`, so a
     /// caller pricing many pairs of one profile can take it once.
     pub fn flight_on(&self, p: &PathProfile, bytes: u64) -> f64 {
-        if p.latency_hops == 1 && p.uplink_resers == 0 && p.edge_resers == 1 {
-            // The single-switch profile: keep the legacy expression so
-            // star outcomes stay bit-identical to committed baselines.
-            return self.flight(bytes);
-        }
         let ser = bytes as f64 * self.gap_per_byte();
         let extra = if self.spec.store_and_forward {
             (p.edge_resers as f64 + p.uplink_resers as f64 * p.oversub) * ser

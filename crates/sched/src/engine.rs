@@ -911,8 +911,8 @@ fn publish_metrics(sim: &mut SimReport, classes: &[ClassReport]) {
     let (reg, name) = (&mut sim.registry, sim.policy);
     reg.record_gauge("sched.utilization", name, sim.utilization);
     reg.record_gauge("sched.mean_wait_s", name, sim.mean_wait_s);
-    reg.set_histogram("sched.wait_s", name, sim.wait_hist.to_metric());
-    reg.set_histogram("sched.slowdown", name, sim.slowdown_hist.to_metric());
+    reg.set_histogram("sched.wait_s", name, &sim.wait_hist);
+    reg.set_histogram("sched.slowdown", name, &sim.slowdown_hist);
     reg.count("sched.jobs", name, sim.jobs.len() as u64);
     reg.count("sched.failures", name, u64::from(sim.failures));
     reg.count("sched.requeues", name, u64::from(sim.requeues));
@@ -932,8 +932,8 @@ fn publish_metrics(sim: &mut SimReport, classes: &[ClassReport]) {
         reg.count("stream.admitted", &c.label, c.admitted);
         reg.count("stream.shed", &c.label, c.shed);
         if c.wait_hist.count() > 0 {
-            reg.set_histogram("stream.wait_s", &c.label, c.wait_hist.to_metric());
-            reg.set_histogram("stream.slowdown", &c.label, c.slowdown_hist.to_metric());
+            reg.set_histogram("stream.wait_s", &c.label, &c.wait_hist);
+            reg.set_histogram("stream.slowdown", &c.label, &c.slowdown_hist);
         }
     }
 }
@@ -1077,8 +1077,8 @@ mod tests {
         // The registry carries the same distribution (compact form).
         match rep.registry.find("sched.wait_s", "fcfs").unwrap() {
             mb_telemetry::MetricValue::Histogram(h) => {
-                assert_eq!(h.n, jobs.len() as u64);
-                assert!((h.sum - rep.wait_hist.sum()).abs() < 1e-9);
+                assert_eq!(h.count(), jobs.len() as u64);
+                assert!((h.sum() - rep.wait_hist.sum()).abs() < 1e-9);
             }
             _ => panic!("sched.wait_s is not a histogram"),
         }

@@ -47,33 +47,47 @@ pub trait ArrivalSource {
     fn next_arrival(&mut self) -> Option<Arrival>;
 }
 
-/// A pre-materialized job list as an arrival source (the closed-batch
-/// compatibility path). Jobs are replayed in `(submit_s, id)` order —
-/// the same order the batch engine has always used — all in class 0.
+impl From<&JobSpec> for Arrival {
+    /// A job from a source that does not distinguish classes: class 0.
+    fn from(spec: &JobSpec) -> Self {
+        Arrival {
+            spec: *spec,
+            class: 0,
+        }
+    }
+}
+
+/// A pre-materialized arrival list as an arrival source, replayed in
+/// `(submit_s, id)` order — the order the batch engine has always used.
+/// Built from arrivals it keeps each one's class; built from jobs (the
+/// closed-batch compatibility path) it puts them all in class 0.
 #[derive(Debug, Clone)]
 pub struct VecArrivals {
-    jobs: Vec<JobSpec>,
+    items: Vec<Arrival>,
     idx: usize,
 }
 
 impl VecArrivals {
-    /// Wrap a job list, sorting it into arrival order.
-    pub fn new(jobs: &[JobSpec]) -> Self {
-        let mut jobs = jobs.to_vec();
-        jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s).then(a.id.cmp(&b.id)));
-        Self { jobs, idx: 0 }
+    /// Collect `items` (arrivals, or `&JobSpec`s for class 0) and sort
+    /// them into arrival order.
+    pub fn new<A: Into<Arrival>>(items: impl IntoIterator<Item = A>) -> Self {
+        let mut items: Vec<Arrival> = items.into_iter().map(Into::into).collect();
+        items.sort_by(|a, b| {
+            (a.spec.submit_s.total_cmp(&b.spec.submit_s)).then(a.spec.id.cmp(&b.spec.id))
+        });
+        Self { items, idx: 0 }
     }
 }
 
 impl ArrivalSource for VecArrivals {
     fn peek_s(&mut self) -> Option<f64> {
-        self.jobs.get(self.idx).map(|j| j.submit_s)
+        self.items.get(self.idx).map(|a| a.spec.submit_s)
     }
 
     fn next_arrival(&mut self) -> Option<Arrival> {
-        let j = self.jobs.get(self.idx)?;
+        let a = self.items.get(self.idx).copied()?;
         self.idx += 1;
-        Some(Arrival { spec: *j, class: 0 })
+        Some(a)
     }
 }
 

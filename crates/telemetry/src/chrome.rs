@@ -132,7 +132,7 @@ pub fn export_with_metrics(trace: &RunTrace, metrics: &Registry) -> String {
                     end,
                     vec![
                         (format!("{key} mean"), h.mean()),
-                        (format!("{key} n"), h.n as f64),
+                        (format!("{key} n"), h.count() as f64),
                     ],
                 ));
             }
@@ -364,7 +364,7 @@ mod tests {
         let mut h = LogHistogram::new();
         h.observe(0.5);
         h.observe(3.0);
-        reg.set_histogram("executor/ready_depth", "w8", h.to_metric());
+        reg.set_histogram("executor/ready_depth", "w8", &h);
 
         let text = export_with_metrics(&sample_trace(), &reg);
         let summary = validate(&text).unwrap();
@@ -387,6 +387,35 @@ mod tests {
                 .and_then(|a| a.get("w8"))
                 .and_then(Json::as_f64),
             Some(42.0)
+        );
+    }
+
+    /// One histogram (a zero bucket plus buckets in two octaves) through
+    /// both registry exports, pinned to the bytes they have always
+    /// written: occupied buckets' upper edges, per-bucket counts with the
+    /// trailing empty overflow slot, the exact sum and count, and the
+    /// mean.
+    #[test]
+    fn histogram_exports_keep_their_bytes() {
+        let mut h = LogHistogram::new();
+        for v in [0.0, 1.2, 1.25, 3.1] {
+            h.observe(v);
+        }
+        let mut reg = Registry::new();
+        reg.set_histogram("executor/ready_depth", "w8", &h);
+        assert_eq!(
+            reg.to_json().to_string(),
+            concat!(
+                r#"{"executor/ready_depth{w8}":{"bounds":[0,1.25,1.3125,3.125],"#,
+                r#""counts":[1,1,1,1,0],"n":4,"sum":5.550000000000001}}"#,
+            )
+        );
+        assert_eq!(
+            export_with_metrics(&RunTrace::default(), &reg),
+            concat!(
+                r#"[{"args":{"w8 mean":1.3875000000000002,"w8 n":4},"#,
+                r#""name":"executor/ready_depth","ph":"C","pid":0,"ts":0}]"#,
+            )
         );
     }
 

@@ -198,11 +198,22 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile document from
+/// overflowing the stack; every document this workspace writes nests a
+/// few levels deep.
+const MAX_DEPTH: usize = 512;
+
 /// Parse a JSON document. Returns a readable error with a byte offset on
-/// malformed input.
+/// malformed input, including nesting deeper than 512 levels.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        at: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -213,8 +224,11 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around `at`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -255,8 +269,20 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -360,11 +386,10 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.at..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = text.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar (`at` is on a char
+                    // boundary: only ASCII has been consumed byte-wise).
+                    let c = (self.text.get(self.at..).and_then(|t| t.chars().next()))
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.at))?;
                     s.push(c);
                     self.at += c.len_utf8();
                 }
@@ -435,6 +460,62 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    /// Nesting is bounded, so a hostile document is an `Err` naming the
+    /// byte where it went too deep, not a stack overflow — here on a
+    /// thread with the 2 MiB stack a test thread gets by default.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let run = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+            assert!(parse(&nested(MAX_DEPTH)).is_ok());
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("at byte 512"), "{err}");
+            let err = parse(&"[".repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 512"), "{err}");
+            assert!(parse(&r#"{"a":"#.repeat(100_000)).is_err());
+        });
+        run.unwrap().join().expect("parse stayed on the stack");
+    }
+
+    /// Seeded malformed-input sweep over a committed pin: truncations
+    /// and byte flips must come back as `Ok` or `Err`, never a panic,
+    /// and every cut before the closing brace must be an `Err`.
+    #[test]
+    fn truncated_and_flipped_bench_documents_never_panic() {
+        const DOC: &str = include_str!("../../../BENCH_sched_smoke.json");
+        assert!(parse(DOC).is_ok());
+        let close = DOC.rfind('}').expect("an object document");
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for _ in 0..1_000 {
+            let cut = next(close + 1);
+            assert!(
+                parse(&DOC[..cut]).is_err(),
+                "a prefix of {cut} bytes parsed"
+            );
+        }
+        const BYTES: &[u8] = b"[]{}\",:\\-+.0123456789eEtfnu \x7f\xc3\xff";
+        let mut bytes = DOC.as_bytes().to_vec();
+        for _ in 0..2_000 {
+            let (at, flips) = (next(bytes.len()), 1 + next(3));
+            let saved = bytes[at..(at + flips).min(bytes.len())].to_vec();
+            for (k, b) in bytes[at..].iter_mut().take(flips).enumerate() {
+                *b = if k % 2 == 0 {
+                    BYTES[next(BYTES.len())]
+                } else {
+                    *b ^ (1 << next(8))
+                };
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            bytes[at..at + saved.len()].copy_from_slice(&saved);
+        }
     }
 
     /// One row per way a regenerated BENCH document can stop matching

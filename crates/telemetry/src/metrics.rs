@@ -20,38 +20,13 @@
 use std::collections::HashMap;
 
 use crate::json::Json;
+use crate::prof::LogHistogram;
 
 /// Handle to a registered metric. Obtained from [`Registry::counter`] /
 /// [`Registry::gauge`] / [`Registry::series`]; valid only for the
 /// registry that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricHandle(usize);
-
-/// A fixed-bound histogram over `f64` observations, as
-/// [`crate::prof::LogHistogram::to_metric`] builds it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bounds of each bucket, ascending; an implicit overflow
-    /// bucket catches the rest.
-    pub bounds: Vec<f64>,
-    /// Observation counts per bucket (`bounds.len() + 1` entries).
-    pub counts: Vec<u64>,
-    /// Sum of all observations.
-    pub sum: f64,
-    /// Total observations.
-    pub n: u64,
-}
-
-impl Histogram {
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-}
 
 /// The value side of one registered metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +35,8 @@ pub enum MetricValue {
     Counter(u64),
     /// Last-write-wins gauge.
     Gauge(f64),
-    /// Fixed-bound histogram.
-    Histogram(Histogram),
+    /// Log-bucketed histogram.
+    Histogram(LogHistogram),
     /// A sampled time series of `(virtual_seconds, value)` points.
     Series(Vec<(f64, f64)>),
 }
@@ -110,14 +85,12 @@ impl Registry {
         MetricHandle(self.slot(name, label, || MetricValue::Gauge(0.0)))
     }
 
-    /// Install a fully-formed histogram under `name{label}`, replacing
-    /// any previous value in that slot — the one way a histogram enters
-    /// a registry. Drained [`crate::prof::LogHistogram`] snapshots land
-    /// here via `to_metric()`; their bounds are data-dependent (only
-    /// occupied buckets survive compaction).
-    pub fn set_histogram(&mut self, name: &str, label: &str, hist: Histogram) -> MetricHandle {
-        let i = self.slot(name, label, || MetricValue::Histogram(hist.clone()));
-        self.entries[i].value = MetricValue::Histogram(hist);
+    /// Install a copy of `hist` under `name{label}`, replacing any
+    /// previous value in that slot — the one way a histogram enters a
+    /// registry.
+    pub fn set_histogram(&mut self, name: &str, label: &str, hist: &LogHistogram) -> MetricHandle {
+        let i = self.slot(name, label, || MetricValue::Histogram(LogHistogram::new()));
+        self.entries[i].value = MetricValue::Histogram(hist.clone());
         MetricHandle(i)
     }
 
@@ -207,7 +180,10 @@ impl Registry {
     }
 
     /// Snapshot as JSON: `{ "name{label}": value, ... }` with histograms
-    /// and series expanded to objects.
+    /// and series expanded. A histogram keeps only its occupied buckets:
+    /// `bounds` are their exclusive upper edges (a leading `0` carries
+    /// the zero bucket), and `counts` ends in an always-empty overflow
+    /// slot, since the top bucket is absorbing.
     pub fn to_json(&self) -> Json {
         let mut map = std::collections::BTreeMap::new();
         for e in &self.entries {
@@ -222,14 +198,18 @@ impl Registry {
                 MetricValue::Histogram(h) => Json::obj([
                     (
                         "bounds",
-                        Json::Arr(h.bounds.iter().map(|&b| Json::Num(b)).collect()),
+                        Json::Arr(h.occupied().map(|(_, hi, _)| Json::Num(hi)).collect()),
                     ),
                     (
                         "counts",
-                        Json::Arr(h.counts.iter().map(|&c| Json::Num(c as f64)).collect()),
+                        Json::Arr(
+                            (h.occupied().map(|(_, _, c)| c).chain([0]))
+                                .map(|c| Json::Num(c as f64))
+                                .collect(),
+                        ),
                     ),
-                    ("sum", Json::Num(h.sum)),
-                    ("n", Json::Num(h.n as f64)),
+                    ("sum", Json::Num(h.sum())),
+                    ("n", Json::Num(h.count() as f64)),
                 ]),
                 MetricValue::Series(points) => Json::Arr(
                     points

@@ -1,13 +1,19 @@
-//! Host-time profiling: one log-bucketed histogram type with percentile
-//! queries.
+//! Host-time profiling, and the one log-bucketed histogram type with
+//! percentile queries.
+//!
+//! [`LogHistogram`] holds every distribution the workspace reports: the
+//! host-time `prof/*` profiles, and virtual-time ones too — SLO waits
+//! and slowdowns, ready-queue depth. It is also what a metrics
+//! [`Registry`](crate::metrics::Registry) stores and exports; there is
+//! no second histogram type.
 //!
 //! Everything else in this crate observes **virtual time** — the
-//! simulated machine's clock. This module observes the **host**: where
-//! the simulator's own wall-clock cycles go (thread wake-ups, heap
-//! operations, busy/idle spans). The two time domains are kept
-//! strictly apart by construction: nothing here reads or writes a
-//! virtual clock, so attaching profiling to a run can never perturb a
-//! simulated outcome (regressed by `tests/determinism.rs`).
+//! simulated machine's clock. The profiling side of this module
+//! observes the **host**: where the simulator's own wall-clock cycles
+//! go (thread wake-ups, heap operations, busy/idle spans). The two time
+//! domains are kept strictly apart by construction: nothing here reads
+//! or writes a virtual clock, so attaching profiling to a run can never
+//! perturb a simulated outcome (regressed by `tests/determinism.rs`).
 //!
 //! [`LogHistogram`] is a plain HDR-style histogram: every power-of-two
 //! octave is split into 16 log-linear sub-buckets, bounding relative
@@ -37,8 +43,6 @@
 //! assert!((h.p50() - 500.0).abs() / 500.0 < 0.07);
 //! assert!(h.max() == 1000.0 && h.min() == 1.0);
 //! ```
-
-use crate::metrics::Histogram;
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS`
 /// log-linear buckets.
@@ -216,7 +220,7 @@ impl LogHistogram {
         }
         let mut cum = self.zero;
         if cum >= rank {
-            return self.min.min(0.0).max(self.min); // all-zero prefix: the smallest observation
+            return self.min; // all-zero prefix: the smallest observation
         }
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
@@ -260,32 +264,6 @@ impl LogHistogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Convert to the registry's fixed-bound [`Histogram`], keeping only
-    /// occupied buckets (dropping an empty bucket loses nothing under
-    /// cumulative `le` semantics). Bucket bounds are the exclusive upper
-    /// edges; a leading `0` bound carries the zero bucket.
-    pub fn to_metric(&self) -> Histogram {
-        let mut bounds = Vec::new();
-        let mut counts = Vec::new();
-        if self.zero > 0 {
-            bounds.push(0.0);
-            counts.push(self.zero);
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                bounds.push(bucket_hi(i));
-                counts.push(c);
-            }
-        }
-        counts.push(0); // no overflow: the top bucket is absorbing
-        Histogram {
-            bounds,
-            counts,
-            sum: self.sum,
-            n: self.n,
-        }
     }
 
     /// Iterate `(bucket_lo, bucket_hi, count)` over occupied buckets
@@ -426,9 +404,7 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        let m = h.to_metric();
-        assert_eq!(m.n, 0);
-        assert!(m.bounds.is_empty());
+        assert_eq!(h.occupied().count(), 0);
     }
 
     #[test]
@@ -474,21 +450,19 @@ mod tests {
     }
 
     #[test]
-    fn to_metric_compacts_to_occupied_buckets() {
+    fn occupied_compacts_to_nonempty_buckets() {
         let mut h = LogHistogram::new();
         h.observe(0.0);
         h.observe(1.5);
         h.observe(1.5);
         h.observe(1e9);
-        let m = h.to_metric();
-        // Zero bucket + two occupied log buckets, plus the empty
-        // overflow slot.
-        assert_eq!(m.bounds.len(), 3);
-        assert_eq!(m.counts, vec![1, 2, 1, 0]);
-        assert_eq!(m.n, 4);
-        assert!(m.bounds.windows(2).all(|w| w[0] < w[1]));
-        // Mean survives the conversion.
-        assert!((m.mean() - h.mean()).abs() < 1e-12);
+        // The zero bucket plus two occupied log buckets, nothing between.
+        let occupied: Vec<_> = h.occupied().collect();
+        assert_eq!(occupied.len(), 3);
+        assert_eq!(occupied[..2], [(0.0, 0.0, 1), (1.5, 1.5625, 2)]);
+        assert_eq!(occupied[2].2, 1);
+        assert!(occupied.windows(2).all(|w| w[0].1 < w[1].1));
+        assert_eq!(occupied.iter().map(|b| b.2).sum::<u64>(), h.count());
     }
 
     #[test]

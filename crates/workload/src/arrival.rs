@@ -341,49 +341,9 @@ impl ArrivalSource for OpenArrivals {
 }
 
 /// A pre-materialized, class-preserving arrival list (what
-/// [`crate::swf::parse_swf`] returns). Unlike
-/// [`mb_sched::VecArrivals`], which flattens everything into class 0,
-/// this keeps each arrival's requested class.
-#[derive(Debug, Clone)]
-pub struct ArrivalVec {
-    items: Vec<Arrival>,
-    idx: usize,
-}
-
-impl ArrivalVec {
-    /// Wrap arrivals, sorting them into `(submit_s, id)` order.
-    pub fn new(mut items: Vec<Arrival>) -> Self {
-        items.sort_by(|a, b| {
-            a.spec
-                .submit_s
-                .total_cmp(&b.spec.submit_s)
-                .then(a.spec.id.cmp(&b.spec.id))
-        });
-        Self { items, idx: 0 }
-    }
-
-    /// Number of arrivals (consumed or not).
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the list holds no arrivals at all.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-impl ArrivalSource for ArrivalVec {
-    fn peek_s(&mut self) -> Option<f64> {
-        self.items.get(self.idx).map(|a| a.spec.submit_s)
-    }
-
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        let a = self.items.get(self.idx).copied()?;
-        self.idx += 1;
-        Some(a)
-    }
-}
+/// [`crate::swf::parse_swf`] returns, sorted): the scheduler's own
+/// [`mb_sched::VecArrivals`] under this crate's name.
+pub use mb_sched::VecArrivals as ArrivalVec;
 
 #[cfg(test)]
 mod tests {
@@ -474,7 +434,6 @@ mod tests {
         items[0].class = CLASS_SCAVENGER;
         let classes: Vec<usize> = items.iter().map(|a| a.class).collect();
         let mut src = ArrivalVec::new(items);
-        assert_eq!(src.len(), 3);
         assert_eq!(src.peek_s(), Some(4.0));
         assert_eq!(src.next_arrival().unwrap().spec.id, 0);
         let a1 = src.next_arrival().unwrap();

@@ -67,14 +67,6 @@ impl MgkComparison {
     }
 }
 
-fn quantile_or_zero(h: &LogHistogram, q: f64) -> f64 {
-    if h.is_empty() {
-        0.0
-    } else {
-        h.quantile(q)
-    }
-}
-
 /// One per-class row of a scenario section: admission counts and
 /// wait/slowdown percentiles.
 pub fn class_row(c: &ClassReport) -> Json {
@@ -84,34 +76,12 @@ pub fn class_row(c: &ClassReport) -> Json {
         ("admitted", Json::Num(c.admitted as f64)),
         ("shed", Json::Num(c.shed as f64)),
         ("completed", Json::Num(c.completed as f64)),
-        (
-            "wait_p50_s",
-            Json::Num(quantile_or_zero(&c.wait_hist, 0.50)),
-        ),
-        (
-            "wait_p90_s",
-            Json::Num(quantile_or_zero(&c.wait_hist, 0.90)),
-        ),
-        (
-            "wait_p99_s",
-            Json::Num(quantile_or_zero(&c.wait_hist, 0.99)),
-        ),
-        (
-            "mean_wait_s",
-            Json::Num(if c.wait_hist.is_empty() {
-                0.0
-            } else {
-                c.wait_hist.mean()
-            }),
-        ),
-        (
-            "slowdown_p50",
-            Json::Num(quantile_or_zero(&c.slowdown_hist, 0.50)),
-        ),
-        (
-            "slowdown_p99",
-            Json::Num(quantile_or_zero(&c.slowdown_hist, 0.99)),
-        ),
+        ("wait_p50_s", Json::Num(c.wait_hist.quantile(0.50))),
+        ("wait_p90_s", Json::Num(c.wait_hist.quantile(0.90))),
+        ("wait_p99_s", Json::Num(c.wait_hist.quantile(0.99))),
+        ("mean_wait_s", Json::Num(c.wait_hist.mean())),
+        ("slowdown_p50", Json::Num(c.slowdown_hist.quantile(0.50))),
+        ("slowdown_p99", Json::Num(c.slowdown_hist.quantile(0.99))),
     ])
 }
 

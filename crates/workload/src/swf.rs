@@ -15,8 +15,6 @@ use mb_sched::stream::Arrival;
 use mb_sched::{JobSpec, NpbKernel, WorkModel};
 use mb_telemetry::Fnv;
 
-use crate::arrival::ArrivalVec;
-
 /// How SWF records map onto simulator jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SwfConfig {
@@ -50,13 +48,6 @@ pub struct SwfTrace {
     pub comments: usize,
     /// Malformed or unusable data lines skipped.
     pub skipped: usize,
-}
-
-impl SwfTrace {
-    /// The trace as a class-preserving arrival source.
-    pub fn into_source(self) -> ArrivalVec {
-        ArrivalVec::new(self.arrivals)
-    }
 }
 
 /// Deterministic work-model choice for one SWF record: the job number

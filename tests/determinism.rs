@@ -450,17 +450,20 @@ fn contended_ft64_jobs() -> Vec<JobSpec> {
 }
 
 fn digest_hist(h: &mut Fnv, hist: &LogHistogram) {
-    let m = hist.to_metric();
-    h.write_usize(m.bounds.len());
-    for b in &m.bounds {
-        h.write_f64(*b);
+    // The registry's export, folded: occupied buckets' upper edges,
+    // then their counts and the empty overflow slot.
+    let buckets = hist.occupied().count();
+    h.write_usize(buckets);
+    for (_, hi, _) in hist.occupied() {
+        h.write_f64(hi);
     }
-    h.write_usize(m.counts.len());
-    for c in &m.counts {
-        h.write_u64(*c);
+    h.write_usize(buckets + 1);
+    for (_, _, c) in hist.occupied() {
+        h.write_u64(c);
     }
-    h.write_f64(m.sum);
-    h.write_u64(m.n);
+    h.write_u64(0);
+    h.write_f64(hist.sum());
+    h.write_u64(hist.count());
     h.write_f64(hist.min());
     h.write_f64(hist.max());
 }
