@@ -722,6 +722,7 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
                 work: spec.work,
                 class: cls,
                 work_rem_s: work_s,
+                step_s,
                 attempt: 0,
             });
             self.sim.jobs.push(JobRecord {
@@ -792,13 +793,13 @@ impl<'a, S: ServiceOracle + ?Sized> Engine<'a, S> {
         let q = self.queue.entry(p);
         // Off the star, charge the *actual* placement: the arrival-time
         // estimate priced the job on the lowest nodes; a spanning
-        // allocation genuinely costs more on fat trees and tori. Both
-        // step profiles are memo hits after the first job of each
-        // (work, nodes) shape.
-        let (service, lowest, mut pfac) = (self.service, &self.lowest, 1.0);
+        // allocation genuinely costs more on fat trees and tori. Only
+        // the placement is priced here: the entry carries the reference
+        // step time.
+        let (service, mut pfac) = (self.service, 1.0);
         let price = |nodes: &NodeSet| {
             let profile = service.step_profile_on(&q.work, nodes);
-            pfac = profile.step_s / service.step_on(&q.work, &lowest[nodes.len() - 1]);
+            pfac = profile.step_s / q.step_s;
             profile
         };
         let placed = (self.ledger).launch(self.cfg.placement, q.ranks, q.id as u64, now, price);

@@ -30,6 +30,9 @@ pub(crate) struct QueueEntry {
     pub(crate) class: usize,
     /// Work still to serve, in *reference* (lowest-nodes) seconds.
     pub(crate) work_rem_s: f64,
+    /// The reference step time: one step on the lowest nodes, as the
+    /// job's arrival priced it.
+    pub(crate) step_s: f64,
     /// Which run attempt this is (0 = first; every later one resumes
     /// from a checkpoint after a failure).
     pub(crate) attempt: u32,
@@ -162,6 +165,7 @@ mod tests {
             },
             class,
             work_rem_s: id as f64,
+            step_s: 1.0,
             attempt,
         }
     }

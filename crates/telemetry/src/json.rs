@@ -348,11 +348,12 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let start = self.at;
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
                     self.at += 1;
                     return Ok(s);
@@ -369,13 +370,14 @@ impl<'a> Parser<'a> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
+                            let at = self.at - 1;
                             if self.at + 5 > self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
+                                return Err(format!("truncated \\u escape at byte {at}"));
                             }
+                            let bad = || format!("bad \\u escape at byte {at}");
                             let hex = std::str::from_utf8(&self.bytes[self.at + 1..self.at + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                                .map_err(|_| bad())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
                             // Surrogate pairs are not needed by our
                             // emitters; map lone surrogates to U+FFFD.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -397,21 +399,35 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`,
+    /// finite as an `f64`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.at;
-        if self.peek() == Some(b'-') {
+        let digits = |p: &mut Self| {
+            let from = p.at;
+            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
+                p.at += 1;
+            }
+            p.at - from
+        };
+        self.at += usize::from(self.peek() == Some(b'-'));
+        let int = digits(self);
+        let mut ok = int == 1 || (int > 1 && self.bytes[self.at - int] != b'0');
+        if self.peek() == Some(b'.') {
             self.at += 1;
+            ok &= digits(self) > 0;
         }
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.at += 1;
+            self.at += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            ok &= digits(self) > 0;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(v) if ok && v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) if ok => Err(format!("number {text:?} out of range at byte {start}")),
+            _ => Err(format!("invalid number {text:?} at byte {start}")),
+        }
     }
 }
 
@@ -460,6 +476,55 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    /// Each input is an `Err` naming the byte where its number starts.
+    #[test]
+    fn numbers_outside_the_rfc_8259_grammar_are_errors() {
+        for (text, at) in [
+            ("01", 0),
+            ("1.", 0),
+            ("-01.e5", 0),
+            ("[1, -]", 4),
+            ("[.5]", 1),
+            ("1e", 0),
+            ("1e+", 0),
+            ("-", 0),
+            ("[2, 007]", 4),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(err.contains(&format!("at byte {at}")), "{text}: {err}");
+        }
+        for (text, want) in [("0", 0.0), ("-0.5", -0.5), ("10", 10.0), ("1E+2", 100.0)] {
+            assert_eq!(parse(text), Ok(Json::Num(want)), "{text}");
+        }
+        assert_eq!(parse("2.5e-3"), Ok(Json::Num(0.0025)));
+    }
+
+    /// A number that overflows `f64` would be written back as `null`, so
+    /// a parse/write round trip would change it: it is an `Err`.
+    #[test]
+    fn a_number_beyond_f64_is_an_error_not_infinity() {
+        for (text, at) in [("1e999", 0), ("[-1e400]", 1), ("{\"a\": 2E+999}", 6)] {
+            let err = parse(text).unwrap_err();
+            assert!(
+                err.contains(&format!("out of range at byte {at}")),
+                "{text}: {err}"
+            );
+        }
+        assert_eq!(parse("1e-999"), Ok(Json::Num(0.0)));
+    }
+
+    #[test]
+    fn string_errors_name_their_byte() {
+        for (text, want) in [
+            ("\"open", "unterminated string at byte 0"),
+            ("[1, \"ab", "unterminated string at byte 4"),
+            ("\"\\u12", "truncated \\u escape at byte 1"),
+            ("[\"x\\u00g1\"]", "bad \\u escape at byte 3"),
+        ] {
+            assert_eq!(parse(text), Err(want.to_string()), "{text}");
+        }
     }
 
     /// Nesting is bounded, so a hostile document is an `Err` naming the

@@ -10,18 +10,20 @@
 //! collective touches, via [`mb_cluster::NetworkModel`]), and
 //! byte-serialization seconds — and a per-pattern coefficient triple
 //! fitted by least squares against executor-measured step times
-//! ([`CostModel::calibrate`]). Priced steps are memoized under a
-//! content-addressed id (FNV-1a over the step key, the width and the
-//! [route class](mb_cluster::Topology::route_class) of the node set,
-//! which fixes every `path` a price reads), so repeat pricing is a
-//! hash lookup — on the star, for every set of one width. A miss prices
-//! each route profile once per payload size of the step
-//! ([`NetworkModel::flight_on`]), however many rank pairs share it; on a
-//! fat tree a pair's profile follows from where its nodes' switch
-//! ancestors meet, taken once per rank. The synthesized stats read the
-//! node set only through its width, so a miss copies them from a
-//! memoized step of the same key and width when there is one, and sets
-//! only `wait_s` from its own step time.
+//! ([`CostModel::calibrate`]). Priced steps are held in one exact
+//! table: per `(step key, width)`, the reference prefix `0..w`, and the
+//! [route classes](mb_cluster::Topology::route_class) priced so far,
+//! compared in full (a class fixes every `path` a price reads). The
+//! prefix is known in O(1) — its last id is `w - 1` — and needs no
+//! class; any other set is one class lookup, on the star the same one
+//! for every set of one width. A miss prices each route profile once per
+//! payload size of the step ([`NetworkModel::flight_on`]), however many
+//! rank pairs share it; on a fat tree a pair's profile follows from
+//! where its nodes' switch ancestors meet, taken once per rank. The
+//! synthesized stats read the node set only through its width and the
+//! step time only through `wait_s`, so a miss whose step time an entry
+//! already holds shares those stats, and any other miss of a priced
+//! entry copies them and sets only `wait_s`.
 //!
 //! Determinism: the calibration measurements are [`ServiceModel`] steps,
 //! stackless runs that no executor policy reaches, and the fit itself is
@@ -52,7 +54,6 @@ use mb_cluster::machine::Cluster;
 use mb_cluster::{ClusterSpec, CommStats, ExecPolicy, NetworkModel, NodeSet, Topology};
 use mb_sched::job::{StepShape, Tail};
 use mb_sched::{ServiceModel, ServiceOracle, StepProfile, WorkModel};
-use mb_telemetry::Fnv;
 
 /// The step pattern key the memo and coefficient tables index by.
 type StepKey = (u8, u64, u64, u64);
@@ -105,20 +106,28 @@ impl CalibrationReport {
 pub struct CostModel {
     spec: ClusterSpec,
     net: NetworkModel,
-    /// FNV-1a state after every content id's constant prefix: the
-    /// scheme tag and the topology label (the routing context).
-    cid_prefix: Fnv,
     /// Fitted `[compute, fixed-cost, serialization]` coefficients per
     /// step pattern; patterns never calibrated price at the identity.
     coeffs: HashMap<StepKey, [f64; 3]>,
-    /// Content-addressed step memo: CID → priced profile.
-    memo: RefCell<HashMap<u64, StepProfile, BuildHasherDefault<CidHasher>>>,
-    /// The content id last priced for each `(step key, width)`: while it
-    /// is memoized, its stats are any miss's of that key and width but
-    /// for `wait_s`.
-    siblings: RefCell<HashMap<(StepKey, usize), u64>>,
+    /// The price table: `(step key, width)` → its priced steps.
+    memo: RefCell<Table<(StepKey, usize), Entry>>,
+    /// The route class of the set being priced.
+    class: RefCell<Vec<usize>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
+}
+
+type Table<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The steps priced for one `(step key, width)`.
+#[derive(Default)]
+struct Entry {
+    /// One profile per distinct step time.
+    profiles: Vec<StepProfile>,
+    /// Each route class priced so far → its profile.
+    classes: Table<Box<[usize]>, usize>,
+    /// The reference prefix's profile, once priced.
+    prefix: Option<usize>,
 }
 
 impl CostModel {
@@ -126,16 +135,12 @@ impl CostModel {
     /// closed form with no fit applied).
     pub fn new(spec: ClusterSpec) -> Self {
         let net = NetworkModel::new(spec.network);
-        let mut prefix = Fnv::new();
-        prefix.write_str("mb-workload/cid/2");
-        prefix.write_str(&spec.network.topology.label());
         Self {
             spec,
             net,
-            cid_prefix: prefix,
             coeffs: HashMap::new(),
             memo: RefCell::default(),
-            siblings: RefCell::default(),
+            class: RefCell::default(),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -190,20 +195,6 @@ impl CostModel {
         report
     }
 
-    /// Content id of one priced step: pattern key, width and the node
-    /// set's route class (the topology label pins the routing context).
-    /// Two sets of one width and class get one id, because the step's
-    /// price and its synthesized stats read node ids only through
-    /// [`mb_cluster::Topology::path`], which the class fixes pair by pair.
-    pub fn cid(&self, work: &WorkModel, nodes: &NodeSet) -> u64 {
-        let (t, a, b, c) = work.step_key();
-        let key = [t as u64, a, b, c, nodes.len() as u64];
-        let class = self.spec.network.topology.route_class(nodes);
-        let mut h = self.cid_prefix;
-        (key.into_iter().chain(class.map(|v| v as u64))).for_each(|v| h.write_u64(v));
-        h.finish()
-    }
-
     /// Memo lookups that found a priced step.
     pub fn memo_hits(&self) -> u64 {
         self.hits.get()
@@ -214,9 +205,67 @@ impl CostModel {
         self.misses.get()
     }
 
-    /// Distinct priced steps currently memoized.
+    /// Distinct priced steps currently memoized: the classes held.
     pub fn memo_len(&self) -> usize {
-        self.memo.borrow().len()
+        self.memo.borrow().values().map(|e| e.classes.len()).sum()
+    }
+
+    /// `read` of the profile of `work` on `nodes`, from the table or
+    /// priced into it. Two sets of one width and class share a profile,
+    /// because the step's price and its synthesized stats read node ids
+    /// only through [`Topology::path`], which the class fixes pair by
+    /// pair.
+    fn priced<R>(
+        &self,
+        work: &WorkModel,
+        nodes: &NodeSet,
+        read: impl FnOnce(&StepProfile) -> R,
+    ) -> R {
+        assert!(!nodes.is_empty(), "step needs at least one node");
+        let w = nodes.len();
+        let mut memo = self.memo.borrow_mut();
+        let entry = memo.entry((work.step_key(), w)).or_default();
+        // Ids ascend and are distinct: `0..w` ends at `w - 1`.
+        let prefix = nodes.ids()[w - 1] == w - 1;
+        let known = entry.prefix.filter(|_| prefix).or_else(|| {
+            let mut class = self.class.borrow_mut();
+            class.clear();
+            class.extend(self.spec.network.topology.route_class(nodes));
+            entry.classes.get(&class[..]).copied()
+        });
+        let i = known.unwrap_or_else(|| self.price(work, nodes, entry));
+        self.hits.set(self.hits.get() + u64::from(known.is_some()));
+        if prefix {
+            entry.prefix = Some(i);
+        }
+        read(&entry.profiles[i])
+    }
+
+    /// A miss: price `work` on `nodes` into `entry` under the class just
+    /// taken, and return the index of its profile. The stats read the
+    /// node set only through its width and the step time only through
+    /// `wait_s`, so a profile of equal step time is shared and any other
+    /// lends its stats.
+    fn price(&self, work: &WorkModel, nodes: &NodeSet, entry: &mut Entry) -> usize {
+        self.misses.set(self.misses.get() + 1);
+        let c = self.coeffs.get(&work.step_key()).unwrap_or(&[1.0; 3]);
+        // Floor keeps step_s strictly positive (the contention layer
+        // divides by it).
+        let step_s = dot(c, &self.features(work, nodes)).max(1.0e-9);
+        let same = |p: &StepProfile| p.step_s.to_bits() == step_s.to_bits();
+        let profiles = &mut entry.profiles;
+        let lend = |st: &CommStats| waited(st.clone(), step_s);
+        let i = profiles.iter().position(same).unwrap_or_else(|| {
+            let stats = match profiles.first() {
+                Some(p) => p.stats.iter().map(lend).collect(),
+                None => self.synth_stats(work, nodes, step_s),
+            };
+            let stats = Arc::new(stats);
+            profiles.push(StepProfile { step_s, stats });
+            profiles.len() - 1
+        });
+        entry.classes.insert(self.class.borrow()[..].into(), i);
+        i
     }
 
     /// Compute-rate denominator, flops per second.
@@ -371,13 +420,19 @@ fn exchanges(
     }
 }
 
-/// The memo's hasher: a content id is an FNV digest of internal keys, its own hash.
+/// The table's hasher: one multiply-rotate round per 8-byte word (keys
+/// are small integers, and a lookup compares them in full).
 #[derive(Default)]
-struct CidHasher(u64);
+struct WordHasher(u64);
 
-impl Hasher for CidHasher {
-    fn write(&mut self, cid: &[u8]) {
-        self.0 = u64::from_ne_bytes(cid.try_into().expect("a u64 content id"));
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..word.len()].copy_from_slice(word);
+            let h = self.0.rotate_left(5) ^ u64::from_le_bytes(w);
+            self.0 = h.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -391,48 +446,12 @@ impl ServiceOracle for CostModel {
     }
 
     fn step_profile_on(&self, work: &WorkModel, nodes: &NodeSet) -> StepProfile {
-        assert!(!nodes.is_empty(), "step needs at least one node");
-        let cid = self.cid(work, nodes);
-        if let Some(p) = self.memo.borrow().get(&cid) {
-            self.hits.set(self.hits.get() + 1);
-            return p.clone();
-        }
-        self.misses.set(self.misses.get() + 1);
-        let x = self.features(work, nodes);
-        let c = self
-            .coeffs
-            .get(&work.step_key())
-            .copied()
-            .unwrap_or([1.0, 1.0, 1.0]);
-        // Floor keeps step_s strictly positive (the contention layer
-        // divides by it).
-        let step_s = dot(&c, &x).max(1.0e-9);
-        // The stats read the node set only through its width and the
-        // step time only through `wait_s`, so a memoized step of this
-        // key and width lends them.
-        let key = (work.step_key(), nodes.len());
-        let sibling = self.siblings.borrow_mut().insert(key, cid);
-        let sibling = sibling.and_then(|id| Some(self.memo.borrow().get(&id)?.stats.clone()));
-        let stats = match sibling {
-            Some(stats) => stats.iter().map(|st| waited(st.clone(), step_s)).collect(),
-            None => self.synth_stats(work, nodes, step_s),
-        };
-        let profile = StepProfile {
-            step_s,
-            stats: Arc::new(stats),
-        };
-        self.memo.borrow_mut().insert(cid, profile.clone());
-        profile
+        self.priced(work, nodes, StepProfile::clone)
     }
 
-    /// A hit is one fold and one probe, and leaves the stats' `Arc` alone.
+    /// A hit is one lookup, and leaves the stats' `Arc` alone.
     fn step_on(&self, work: &WorkModel, nodes: &NodeSet) -> f64 {
-        let cid = self.cid(work, nodes);
-        let hit = self.memo.borrow().get(&cid).map(|p| p.step_s);
-        if hit.is_some() {
-            self.hits.set(self.hits.get() + 1);
-        }
-        hit.unwrap_or_else(|| self.step_profile_on(work, nodes).step_s)
+        self.priced(work, nodes, |p| p.step_s)
     }
 }
 
@@ -589,9 +608,17 @@ mod tests {
         assert!(c.iter().all(|&v| v >= 0.0), "{c:?}");
     }
 
+    /// Whether `b` is a table hit after `a` on a fresh model of `spec`:
+    /// whether the two share an entry.
+    fn share(spec: &ClusterSpec, a: (&WorkModel, &NodeSet), b: (&WorkModel, &NodeSet)) -> bool {
+        let model = CostModel::new(spec.clone());
+        model.step_profile_on(a.0, a.1);
+        model.step_profile_on(b.0, b.1);
+        model.memo_misses() == 1
+    }
+
     #[test]
-    fn cid_distinguishes_patterns_and_node_sets() {
-        let model = CostModel::new(metablade());
+    fn node_sets_share_an_entry_exactly_when_key_width_and_class_agree() {
         let ep = WorkModel::Npb {
             kernel: NpbKernel::Ep,
             iters: 1,
@@ -601,54 +628,32 @@ mod tests {
             iters: 1,
         };
         let set = |ids: &[usize]| NodeSet::new(ids.to_vec());
-        let a = set(&[0, 1, 2, 3]);
-        assert_ne!(model.cid(&ep, &a), model.cid(&is, &a));
+        let (star, a) = (metablade(), set(&[0, 1, 2, 3]));
+        assert!(!share(&star, (&ep, &a), (&is, &a)));
         // On the star every pair costs the same: sets of one width share
-        // an id, and the width tells them apart.
-        assert_eq!(model.cid(&ep, &a), model.cid(&ep, &set(&[0, 1, 2, 4])));
-        assert_ne!(model.cid(&ep, &a), model.cid(&ep, &set(&[0, 1, 2])));
+        // an entry, and the width tells them apart.
+        assert!(share(&star, (&ep, &a), (&ep, &set(&[0, 1, 2, 4]))));
+        assert!(share(&star, (&ep, &set(&[5, 9, 11, 20])), (&ep, &a)));
+        assert!(!share(&star, (&ep, &a), (&ep, &set(&[0, 1, 2]))));
         // Step count is not part of the pattern identity.
         let ep_long = WorkModel::Npb {
             kernel: NpbKernel::Ep,
             iters: 500,
         };
-        assert_eq!(model.cid(&ep, &a), model.cid(&ep_long, &a));
+        assert!(share(&star, (&ep, &a), (&ep_long, &a)));
         // On `ft16x2o4` a set that leaves its edge switch is another
         // class; one that only moves to another switch is not.
-        let ft_spec = metablade()
+        let ft = metablade()
             .with_nodes(64)
             .with_topology(Topology::fat_tree(16, 2, 4.0));
-        let ft = CostModel::new(ft_spec.clone());
         let spans = set(&[0, 1, 2, 16]);
-        assert_ne!(ft.cid(&ep, &a), ft.cid(&ep, &spans));
-        assert_eq!(ft.cid(&ep, &a), ft.cid(&ep, &set(&[4, 5, 6, 7])));
-        // The scheme, spelled out from an empty hasher: the folded
-        // prefix must not change any id. The star's class is empty; the
-        // tree's is the switch level of each consecutive pair.
-        let (t, k1, k2, k3) = ep.step_key();
-        for (model, spec, nodes, class) in [
-            (&model, metablade(), &a, &[][..]),
-            (&ft, ft_spec, &spans, &[1, 1, 2][..]),
-        ] {
-            let mut f = Fnv::new();
-            f.write_str("mb-workload/cid/2");
-            f.write_str(&spec.network.topology.label());
-            for v in [t as u64, k1, k2, k3, 4].iter().chain(class) {
-                f.write_u64(*v);
-            }
-            assert_eq!(model.cid(&ep, nodes), f.finish());
-        }
-    }
-
-    /// The content-id fold `CostModel` used before it kept its prefix as
-    /// an [`Fnv`]: FNV-1a over the little-endian bytes of `v`, resumed
-    /// from a finished digest `h`, the high zero bytes folded at once.
-    fn old_fnv_u64(h: u64, v: u64) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let n = 8 - v.leading_zeros() / 8;
-        let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
-        let low = v.to_le_bytes().into_iter().take(n as usize).fold(h, fold);
-        low.wrapping_mul(PRIME.wrapping_pow(8 - n))
+        assert!(!share(&ft, (&ep, &a), (&ep, &spans)));
+        assert!(!share(&ft, (&ep, &spans), (&ep, &a)));
+        assert!(share(&ft, (&ep, &a), (&ep, &set(&[4, 5, 6, 7]))));
+        assert!(share(&ft, (&ep, &set(&[20, 21, 22, 23])), (&ep, &a)));
+        // `[1, 1, 2]` and `[1, 2, 1]` are two classes.
+        assert!(!share(&ft, (&ep, &spans), (&ep, &set(&[0, 1, 16, 17]))));
+        assert!(share(&ft, (&ep, &spans), (&ep, &set(&[32, 33, 34, 48]))));
     }
 
     /// Node sets of `w` distinct ids below `cap`: the lowest, the block
@@ -680,31 +685,6 @@ mod tests {
             on(Topology::fat_tree(4, 3, 2.0)),
             on(Topology::torus([8, 4, 2])),
         ]
-    }
-
-    #[test]
-    fn content_ids_equal_the_old_resumed_fold() {
-        let mut r = draws(41);
-        for spec in specs() {
-            let (model, topo) = (CostModel::new(spec.clone()), spec.network.topology);
-            let mut prefix = Fnv::new();
-            prefix.write_str("mb-workload/cid/2");
-            prefix.write_str(&topo.label());
-            for work in JobMix::standard(64).patterns() {
-                let (t, a, b, c) = work.step_key();
-                for w in 1..=16 {
-                    for nodes in node_sets(&mut r, w, spec.nodes) {
-                        let key = [t as u64, a, b, c, w as u64];
-                        let class = topo.route_class(&nodes).map(|v| v as u64);
-                        let want = key
-                            .into_iter()
-                            .chain(class)
-                            .fold(prefix.finish(), old_fnv_u64);
-                        assert_eq!(model.cid(&work, &nodes), want, "{work:?} {:?}", nodes.ids());
-                    }
-                }
-            }
-        }
     }
 
     /// `CostModel::features` as it priced every message pair by its
@@ -860,6 +840,92 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_reference_prefix_priced_through_the_table_is_a_fresh_models_price() {
+        let on = |nodes, topo| metablade().with_nodes(nodes).with_topology(topo);
+        let mut r = draws(51);
+        for spec in [
+            metablade(),
+            on(64, Topology::fat_tree(16, 2, 4.0)),
+            on(32, Topology::torus([4, 4, 2])),
+        ] {
+            let model = CostModel::new(spec.clone());
+            for work in JobMix::standard(64).patterns() {
+                for w in 1..=16 {
+                    let prefix = NodeSet::new((0..w).collect());
+                    let want = CostModel::new(spec.clone()).step_profile_on(&work, &prefix);
+                    // The other sets of this key and width go first, so
+                    // the prefix meets a populated entry (a class hit, or
+                    // on the torus a miss), and then its own slot.
+                    for nodes in node_sets(&mut r, w, spec.nodes).iter().rev() {
+                        model.step_profile_on(&work, nodes);
+                    }
+                    for _ in 0..2 {
+                        let got = model.step_profile_on(&work, &prefix);
+                        let ctx = format!("{} {work:?} width {w}", spec.name);
+                        assert_eq!(got.step_s.to_bits(), want.step_s.to_bits(), "{ctx}");
+                        assert_eq!(format!("{:?}", got.stats), format!("{:?}", want.stats));
+                        let step_s = model.step_on(&work, &prefix);
+                        assert_eq!(step_s.to_bits(), want.step_s.to_bits(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sets_of_one_entry_with_bit_equal_step_times_share_their_stats() {
+        let ft = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let model = CostModel::new(ft.clone());
+        let ring = WorkModel::Synthetic {
+            flops_per_step: 1.0e7,
+            msg_kib: 4,
+            rounds: 2,
+            steps: 1,
+        };
+        // Classes `[1, 1, 2]` and `[1, 2, 1]`: each ring crosses the
+        // switches twice, so its slowest rank pays the same.
+        let set = |ids: &[usize]| NodeSet::new(ids.to_vec());
+        let a = model.step_profile_on(&ring, &set(&[0, 1, 2, 16]));
+        let b = model.step_profile_on(&ring, &set(&[0, 1, 16, 17]));
+        let c = model.step_profile_on(&ring, &set(&[0, 1, 2, 3]));
+        assert_eq!(model.memo_misses(), 3);
+        assert_eq!(a.step_s.to_bits(), b.step_s.to_bits());
+        assert!(Arc::ptr_eq(&a.stats, &b.stats));
+        // A step time of its own gets stats of its own, equal but for
+        // `wait_s`.
+        assert!(c.step_s < a.step_s && !Arc::ptr_eq(&a.stats, &c.stats));
+        assert!(a
+            .stats
+            .iter()
+            .map(counters)
+            .eq(c.stats.iter().map(counters)));
+        assert!(a
+            .stats
+            .iter()
+            .zip(c.stats.iter())
+            .all(|(x, y)| x.wait_s > y.wait_s));
+        // Across seeded sets of every pattern: equal step bits share.
+        let (mut r, mut shared) = (draws(7), 0);
+        for work in JobMix::standard(64).patterns() {
+            for w in 2..=16 {
+                let profiles: Vec<StepProfile> = (node_sets(&mut r, w, 64).iter())
+                    .map(|nodes| model.step_profile_on(&work, nodes))
+                    .collect();
+                for (i, p) in profiles.iter().enumerate() {
+                    for q in &profiles[..i] {
+                        let same = p.step_s.to_bits() == q.step_s.to_bits();
+                        assert_eq!(Arc::ptr_eq(&p.stats, &q.stats), same, "{work:?} {w}");
+                        shared += usize::from(same);
+                    }
+                }
+            }
+        }
+        assert!(shared > 100, "{shared} pairs share");
+    }
+
     /// Counts every pricing call a stream makes and the distinct
     /// `(step key, width, route class)` keys among them.
     struct Counting<'a> {
@@ -928,6 +994,45 @@ mod tests {
             assert!(hits > misses, "{hits} hits, {misses} misses");
             assert_eq!(rep.sim.failures > 0, failure.is_some());
         }
+    }
+
+    #[test]
+    fn a_contended_stream_prices_each_admitted_arrival_and_each_launch_once() {
+        let spec = metablade()
+            .with_nodes(64)
+            .with_topology(Topology::fat_tree(16, 2, 4.0));
+        let (cost, mix) = (CostModel::new(spec), JobMix::standard(64));
+        // Offered at 1.5× the machine's capacity, as above.
+        let mut sample =
+            OpenArrivals::new(TrafficPattern::Poisson { rate_per_s: 1.0 }, mix, 200, 1);
+        let mut demand = 0.0;
+        while let Some(a) = sample.next_arrival() {
+            demand += a.spec.ranks as f64 * cost.work_s(&a.spec.work, a.spec.ranks) / 200.0;
+        }
+        let pattern = TrafficPattern::Poisson {
+            rate_per_s: 1.5 * 64.0 / demand,
+        };
+        let counting = Counting {
+            inner: &cost,
+            calls: Cell::new(0),
+            keys: RefCell::new(HashSet::new()),
+        };
+        let cfg = SchedConfig {
+            lean: true,
+            placement: Placement::ContentionAware,
+            route_spread: true,
+            failure: Some(FailureConfig::accelerated(20_000.0, 5)),
+            ..SchedConfig::default()
+        };
+        let mut src = OpenArrivals::new(pattern, mix, 400, 9);
+        let mut adm = SloAdmission::standard(64);
+        let rep = simulate_stream(&counting, &EasyBackfill, &mut src, &mut adm, &cfg);
+        let admitted: u64 = rep.classes.iter().map(|c| c.admitted).sum();
+        // Every admitted job ran to its end; a requeue launched again.
+        assert_eq!(rep.sim.jobs.len() as u64, admitted);
+        let launches = admitted + u64::from(rep.sim.requeues);
+        assert!(rep.sim.requeues > 0 && rep.sim.max_contention_factor > 1.0);
+        assert_eq!(counting.calls.get(), admitted + launches);
     }
 
     /// Prices through `step_profile_on` alone, so its `step_on` is the

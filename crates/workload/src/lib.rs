@@ -18,7 +18,8 @@
 //! * [`admission`] — [`SloAdmission`]: latency/batch/scavenger classes
 //!   with per-class queue limits, demotion, and load shedding;
 //! * [`cost`] — the calibrated closed-form [`CostModel`] behind
-//!   [`mb_sched::ServiceOracle`], with a content-addressed step memo;
+//!   [`mb_sched::ServiceOracle`], with an exact price table keyed by
+//!   step pattern, width and route class;
 //! * [`mgk`] — Erlang-C / Allen–Cunneen M/G/k approximations the
 //!   simulated wait times are validated against;
 //! * [`report`] — `metablade-stream/2` benchmark sections and per-class
